@@ -2,27 +2,16 @@
 
 Prints the reproduced Table 2 (ASes / RS members / passive / active /
 links per IXP) and benchmarks the end-to-end inference over the already
-assembled scenario, once per inference backend: the per-IXP ``object``
-engine and the vectorized ``bitset`` plane (interned observations,
-reciprocal ``M & M.T`` kernel, context-cached planes).  The first run
-per backend warms the shared caches (archive stable-entry memo,
-observation planes), so the timed rounds compare *steady-state*
-throughput: the bitset rounds serve from the context-cached planes —
-the artifact reuse the backend is designed around — while the object
-engine re-derives per run.  The >= 2x acceptance target is met by that
-steady state (~10x at bench size); ``run_all.py``'s
-``inference_matrix`` rows additionally record the cold (no plane
-cache) timings, where the plane build + kernel is a more modest
-~1.2-2.8x win — read the two columns separately.
+assembled scenario.  The first run warms the shared caches (archive
+stable-entry memo, observation planes), so the timed rounds measure
+*steady-state* throughput: they serve from the context-cached planes
+and pay only the reciprocal ``M & M.T`` kernel and result assembly.
 """
 
-import pytest
 
-
-@pytest.mark.parametrize("inference_backend", ["object", "bitset"])
-def test_table2_inference(scenario, benchmark, inference_backend):
+def test_table2_inference(scenario, benchmark):
     def infer():
-        return scenario.run_inference(inference_backend=inference_backend)
+        return scenario.run_inference()
 
     infer()  # warm the archive memo / observation-plane cache
     result = benchmark.pedantic(infer, rounds=3, iterations=1)
@@ -31,7 +20,7 @@ def test_table2_inference(scenario, benchmark, inference_backend):
     ixp_lg = {spec.name: spec.has_rs_lg for spec in scenario.internet.ixp_specs}
     rows = result.table2(ixp_ases=ixp_ases, ixp_has_lg=ixp_lg)
 
-    print(f"\nTable 2 — inferred MLP links per IXP ({inference_backend})")
+    print("\nTable 2 — inferred MLP links per IXP")
     print(f"  {'IXP':<10} {'LG':>3} {'ASes':>6} {'RS':>5} {'Pasv':>6} "
           f"{'Active':>7} {'Links':>8}")
     for row in rows:
@@ -43,9 +32,6 @@ def test_table2_inference(scenario, benchmark, inference_backend):
     print(f"  links counted at multiple IXPs: {len(result.multi_ixp_links())}")
     print(f"  precision vs ground truth: {len(total & truth) / len(total):.3f}")
 
-    assert result.inference_backend == inference_backend
     assert len(rows) == 13
     assert len(total) > 1000
     assert len(total & truth) / len(total) >= 0.98
-    # The bench-size cross-backend equivalence gate lives in
-    # bench_inference_matrix.py (MLPInferenceResult.identical_to).

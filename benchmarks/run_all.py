@@ -3,20 +3,19 @@
 
 Each benchmark module is executed in its own pytest subprocess so that
 wall time and peak RSS are attributable per bench; every timed row
-(bench modules, scenario matrix, backend matrix) is a best-of-N
-repetition after a warmup run rather than single-shot, so the recorded
-numbers track real cost instead of scheduler noise.  The JSON
+(bench modules, scenario matrix, build matrix) is a best-of-N
+repetition after a warmup run rather than single-shot.  The JSON
 trajectory (one file per invocation, named after the current date)
-makes speedups and regressions trackable across PRs:
+records the figure benches and matrices:
 
     python benchmarks/run_all.py                # all benches
     python benchmarks/run_all.py fig1 substrate # substring filter
     python benchmarks/run_all.py --out results.json
 
-After the run, the most recent prior ``BENCH_*.json`` is loaded and
-per-bench wall-time / peak-RSS deltas are printed; any bench regressing
-more than :data:`REGRESSION_THRESHOLD` gets a warning line and fails
-the invocation (exit code 3).
+The invocation fails (exit code 1) when a bench, a scenario build, a
+delta replay or a query row fails.  Performance regressions are judged
+by ``perfbench/bench.py`` against the bounds in ``BENCHMARK.json``, not
+here.
 
 Requires pytest + pytest-benchmark (the tier-1 test environment).
 """
@@ -28,7 +27,6 @@ import datetime
 import json
 import os
 import platform
-import re
 import subprocess
 import sys
 import threading
@@ -37,9 +35,6 @@ from pathlib import Path
 
 BENCH_DIR = Path(__file__).resolve().parent
 REPO_ROOT = BENCH_DIR.parent
-
-#: Relative wall/RSS growth beyond which a bench counts as regressed.
-REGRESSION_THRESHOLD = 0.25
 
 
 def discover_benches(filters: list[str]) -> list[Path]:
@@ -51,8 +46,7 @@ def discover_benches(filters: list[str]) -> list[Path]:
 
 
 #: Timed repetitions per bench row (after one warmup); best-of-N is
-#: recorded so sub-100ms rows stop tripping the regression gate on
-#: scheduler noise.
+#: recorded so sub-100ms rows do not just record scheduler noise.
 BENCH_REPS = 3
 
 
@@ -245,329 +239,8 @@ def run_build_matrix(size: str = "tiny",
     return rows
 
 
-#: Propagation backends timed by the backend matrix, slowest first.
-MATRIX_BACKENDS = ("frontier", "batched", "compiled")
-
-
-def run_backend_matrix(size: str = "tiny",
-                       bench_scenario: str = "europe2013",
-                       reps: int = 3) -> list[dict]:
-    """Time frontier vs batched vs compiled propagation per scenario.
-
-    Every scenario is measured at *size*; *bench_scenario* additionally
-    at the ``bench`` size (the acceptance target).  Each row records,
-    per backend, the best engine-level wall seconds (full propagate,
-    recorded fragments materialised) and the best **raw sweep** seconds
-    (propagator relaxation only, fresh propagator per repetition, no
-    materialisation) — the raw compiled-vs-frontier ratio is the fused
-    kernel's headline speedup.  Repetitions are *interleaved* across
-    backends (frontier, batched, compiled, frontier, ...) so slow
-    machine drift hits every backend equally instead of biasing
-    whichever ran last.  A link-equality verdict across all three
-    backends rides on every row; ``run_all`` exits non-zero when any
-    row reports a mismatch.
-
-    A final ``workers x backend`` scaling row (scenario ``bench``,
-    ``workers=2`` via :func:`~repro.pipeline.shard.sharded_propagate`)
-    records how sharding composes with each backend, alongside the
-    box's CPU count so single-core results read as what they are.
-    """
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-    from repro.bgp.propagation import BATCH_SIZE, OriginSpec
-    from repro.pipeline import ArtifactCache, ScenarioRun
-    from repro.pipeline.shard import sharded_propagate
-    from repro.runtime.batched import BatchedPropagator, numpy_available
-    from repro.runtime.compiled import CompiledPropagator, compiled_batch_size
-    from repro.runtime.frontier import FrontierPropagator
-    from repro.runtime.stores import PathStore
-    from repro.scenarios import scenario_names
-    from repro.scenarios.spec import get_scenario
-
-    if not numpy_available():
-        print("[run_all] backend matrix skipped (numpy unavailable)")
-        return []
-
-    reps = max(1, reps)
-    jobs = [(name, size) for name in scenario_names()]
-    jobs.append((bench_scenario, "bench"))
-    rows: list[dict] = []
-    bench_workload = None
-    for name, job_size in jobs:
-        spec = get_scenario(name)
-        run = ScenarioRun(spec.config(job_size), scenario=name,
-                          cache=ArtifactCache())
-        scenario = run.scenario()
-        context = scenario.context
-        origins = [OriginSpec(asn=node.asn, prefixes=list(node.prefixes))
-                   for node in scenario.graph.nodes() if node.prefixes]
-        observers = [vp.asn for vp in scenario.vantage_points]
-        alternatives = [lg.asn for lg in scenario.validation_lgs]
-        if name == bench_scenario and job_size == "bench":
-            bench_workload = (context, origins, observers, alternatives)
-
-        def propagate(backend):
-            context.clear_propagation_cache()
-            engine = context.engine(record_at=observers,
-                                    record_alternatives_at=alternatives,
-                                    backend=backend)
-            return engine.propagate(origins)
-
-        # -- engine-level timings (fragments materialised) -------------
-        results = {}
-        timings = {backend: float("inf") for backend in MATRIX_BACKENDS}
-        for backend in MATRIX_BACKENDS:
-            propagate(backend)  # warm plan / interners / route tables
-        for _ in range(reps):
-            for backend in MATRIX_BACKENDS:
-                started = time.monotonic()
-                results[backend] = propagate(backend)
-                timings[backend] = min(timings[backend],
-                                       time.monotonic() - started)
-        frontier_links = results["frontier"].visible_links()
-        links_equal = all(
-            results[backend].visible_links() == frontier_links
-            for backend in MATRIX_BACKENDS[1:])
-
-        # -- raw propagation sweep (relaxation only) -------------------
-        index, bags, plan = context.index, context.bags, context.plan
-        origin_nodes = [index.id_of[origin.asn] for origin in origins
-                        if origin.asn in index.id_of]
-        empty_bags = [bags.EMPTY] * len(origin_nodes)
-
-        def raw_sweep(backend):
-            if backend == "frontier":
-                propagator = FrontierPropagator(index, PathStore(), bags)
-                for node in origin_nodes:
-                    propagator.run(node, bags.EMPTY)
-                return
-            if backend == "compiled":
-                propagator = CompiledPropagator(plan, bags)
-                batch = compiled_batch_size(plan)
-            else:
-                propagator = BatchedPropagator(plan, bags)
-                batch = BATCH_SIZE
-            for start in range(0, len(origin_nodes), batch):
-                propagator.run_batch(origin_nodes[start:start + batch],
-                                     empty_bags[start:start + batch],
-                                     frozenset())
-
-        raw = {backend: float("inf") for backend in MATRIX_BACKENDS}
-        for backend in MATRIX_BACKENDS:
-            raw_sweep(backend)  # warmup (page-in, allocator steady state)
-        for _ in range(reps):
-            for backend in MATRIX_BACKENDS:
-                started = time.monotonic()
-                raw_sweep(backend)
-                raw[backend] = min(raw[backend],
-                                   time.monotonic() - started)
-
-        row = {
-            "scenario": name,
-            "size": job_size,
-            "workers": 1,
-            "origins": len(origins),
-            "nodes": context.index.num_nodes,
-            "frontier_seconds": round(timings["frontier"], 4),
-            "batched_seconds": round(timings["batched"], 4),
-            "compiled_seconds": round(timings["compiled"], 4),
-            "batched_speedup": round(timings["frontier"]
-                                     / max(timings["batched"], 1e-9), 2),
-            "compiled_speedup": round(timings["frontier"]
-                                      / max(timings["compiled"], 1e-9), 2),
-            "raw_frontier_seconds": round(raw["frontier"], 4),
-            "raw_batched_seconds": round(raw["batched"], 4),
-            "raw_compiled_seconds": round(raw["compiled"], 4),
-            "raw_batched_speedup": round(raw["frontier"]
-                                         / max(raw["batched"], 1e-9), 2),
-            "raw_compiled_speedup": round(raw["frontier"]
-                                          / max(raw["compiled"], 1e-9), 2),
-            # Materialisation share: engine-level minus raw sweep, i.e.
-            # the cost of turning finished planes into recorded
-            # fragments (columnar block assembly).  The split makes the
-            # end-to-end trajectory attributable: raw_* tracks the
-            # kernel, mat_* tracks the fragment plane.
-            "mat_frontier_seconds": round(
-                max(timings["frontier"] - raw["frontier"], 0.0), 4),
-            "mat_batched_seconds": round(
-                max(timings["batched"] - raw["batched"], 0.0), 4),
-            "mat_compiled_seconds": round(
-                max(timings["compiled"] - raw["compiled"], 0.0), 4),
-            "links_equal": links_equal,
-        }
-        print(f"[run_all] backend {name} ({job_size}): "
-              f"frontier {row['frontier_seconds']}s, "
-              f"batched {row['batched_seconds']}s "
-              f"({row['batched_speedup']}x), "
-              f"compiled {row['compiled_seconds']}s "
-              f"({row['compiled_speedup']}x); raw sweep "
-              f"{row['raw_frontier_seconds']}/"
-              f"{row['raw_batched_seconds']}/"
-              f"{row['raw_compiled_seconds']}s "
-              f"(compiled {row['raw_compiled_speedup']}x, "
-              f"links_equal={links_equal})", flush=True)
-        rows.append(row)
-
-    if bench_workload is not None:
-        rows.append(_run_worker_scaling_row(
-            bench_scenario, bench_workload, sharded_propagate, reps))
-    return rows
-
-
-def _run_worker_scaling_row(scenario_name: str, workload, sharded, reps: int,
-                            workers: int = 2) -> dict:
-    """One ``workers x backend`` row: bench-size sharded propagation.
-
-    Times :func:`sharded_propagate` at *workers* processes per backend
-    (best of *reps*, after one warmup) next to the single-process best,
-    and records ``cpus`` so a flat or negative scaling factor is legible
-    in context.  On a single-CPU box no scaling is physically possible,
-    so the sharded *timings* are skipped entirely — the row keeps the
-    ``cpus`` column, gains a ``skipped_scaling_note`` and still runs one
-    sharded pass per backend for the links-equality verdict (process
-    boundary correctness is cheap to keep pinned; fake sub-1x scaling
-    numbers are not worth recording).  The compiled plan is built once
-    in the parent and shipped to every worker via the context snapshot.
-    """
-    context, origins, observers, alternatives = workload
-    cpus = os.cpu_count() or 1
-    skip_scaling = cpus <= 1
-    row: dict = {
-        "scenario": scenario_name,
-        "size": "bench",
-        "workers": workers,
-        "cpus": cpus,
-        "origins": len(origins),
-        "nodes": context.index.num_nodes,
-    }
-    if skip_scaling:
-        row["skipped_scaling_note"] = (
-            "sharded timings skipped: 1-CPU box cannot demonstrate "
-            "worker scaling; sharded links still verified")
-
-    def shard(backend, worker_count):
-        context.clear_propagation_cache()
-        return sharded(context, origins, observers, alternatives,
-                       workers=worker_count, backend=backend)
-
-    links = {}
-    for backend in MATRIX_BACKENDS:
-        single = float("inf")
-        multi = float("inf")
-        shard(backend, workers)  # warmup (pool fork, plan ship)
-        for _ in range(max(1, reps)):
-            started = time.monotonic()
-            result_single = shard(backend, 1)
-            single = min(single, time.monotonic() - started)
-            if skip_scaling:
-                continue
-            started = time.monotonic()
-            result_multi = shard(backend, workers)
-            multi = min(multi, time.monotonic() - started)
-        if skip_scaling:
-            result_multi = shard(backend, workers)  # correctness only
-        links[backend] = (result_single.visible_links(),
-                          result_multi.visible_links())
-        row[f"{backend}_seconds"] = round(single, 4)
-        if not skip_scaling:
-            row[f"{backend}_sharded_seconds"] = round(multi, 4)
-            row[f"{backend}_worker_scaling"] = round(
-                single / max(multi, 1e-9), 2)
-    frontier_links = links["frontier"][0]
-    row["links_equal"] = all(
-        sharded_links == frontier_links
-        for pair in links.values() for sharded_links in pair)
-    if skip_scaling:
-        print(f"[run_all] backend workers x{workers} (cpus={cpus}): "
-              "sharded timings skipped (1-CPU box); "
-              + ", ".join(f"{backend} {row[f'{backend}_seconds']}s"
-                          for backend in MATRIX_BACKENDS)
-              + f", links_equal={row['links_equal']}", flush=True)
-    else:
-        print(f"[run_all] backend workers x{workers} (cpus={cpus}): "
-              + ", ".join(
-                  f"{backend} {row[f'{backend}_seconds']}s -> "
-                  f"{row[f'{backend}_sharded_seconds']}s "
-                  f"({row[f'{backend}_worker_scaling']}x)"
-                  for backend in MATRIX_BACKENDS)
-              + f", links_equal={row['links_equal']}", flush=True)
-    return row
-
-
-def run_inference_matrix(size: str = "tiny",
-                         bench_scenario: str = "europe2013") -> list[dict]:
-    """Time object vs bitset inference per registered scenario.
-
-    Every scenario is measured at *size*; *bench_scenario* additionally
-    at the ``bench`` size (the acceptance target).  Each row records,
-    per backend, the *cold* wall seconds (first run after the shared
-    archive memo is warmed — for the bitset backend this executes the
-    full plane build + M & M.T kernel, no observation-plane cache) and
-    the best *warm* wall seconds of three steady-state runs (the bitset
-    backend then serves from its context-cached planes — the artifact
-    reuse the backend is designed around), plus both speedups and an
-    equivalence verdict covering links, Table 2 rows and reachability
-    provenance, so the BENCH trajectory tracks the kernel win and the
-    cache win separately, and the backends' bit-identity, across PRs.
-    """
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-    from repro.pipeline import ArtifactCache, ScenarioRun
-    from repro.scenarios import scenario_names
-    from repro.scenarios.spec import get_scenario
-
-    jobs = [(name, size) for name in scenario_names()]
-    jobs.append((bench_scenario, "bench"))
-    rows: list[dict] = []
-    for name, job_size in jobs:
-        spec = get_scenario(name)
-        run = ScenarioRun(spec.config(job_size), scenario=name,
-                          cache=ArtifactCache())
-        scenario = run.scenario()
-
-        # Warm the shared archive memo so neither backend's cold run
-        # pays the (backend-independent) stable-entry walk.
-        scenario.archive.clean_stable_entries()
-        timings: dict[str, float] = {}
-        cold: dict[str, float] = {}
-        results = {}
-        for backend in ("object", "bitset"):
-            started = time.monotonic()
-            scenario.run_inference(inference_backend=backend)
-            cold[backend] = round(time.monotonic() - started, 4)
-            best = float("inf")
-            for _ in range(3):
-                started = time.monotonic()
-                results[backend] = scenario.run_inference(
-                    inference_backend=backend)
-                best = min(best, time.monotonic() - started)
-            timings[backend] = round(best, 4)
-        obj, bit = results["object"], results["bitset"]
-        identical = obj.identical_to(bit)
-        row = {
-            "scenario": name,
-            "size": job_size,
-            "ixps": len(obj.per_ixp),
-            "links": len(obj.all_links()),
-            "object_seconds": timings["object"],
-            "bitset_seconds": timings["bitset"],
-            "object_cold_seconds": cold["object"],
-            "bitset_cold_seconds": cold["bitset"],
-            "speedup": round(timings["object"]
-                             / max(timings["bitset"], 1e-9), 2),
-            "cold_speedup": round(cold["object"]
-                                  / max(cold["bitset"], 1e-9), 2),
-            "results_identical": identical,
-        }
-        print(f"[run_all] inference {name} ({job_size}): "
-              f"object {row['object_seconds']}s, "
-              f"bitset {row['bitset_seconds']}s "
-              f"({row['speedup']}x warm / {row['cold_speedup']}x cold, "
-              f"identical={identical})", flush=True)
-        rows.append(row)
-    return rows
-
-
 def run_delta_matrix(size: str = "bench") -> list[dict]:
-    """Time delta-apply vs full rebuild per event family and backend.
+    """Time delta-apply vs full rebuild per event family.
 
     For every registered event family the baseline scenario is built at
     *size*, its timeline replayed through
@@ -585,15 +258,10 @@ def run_delta_matrix(size: str = "bench") -> list[dict]:
     sys.path.insert(0, str(REPO_ROOT / "src"))
     from statistics import median
     from repro.pipeline import ArtifactCache, ScenarioRun
-    from repro.runtime.batched import numpy_available
     from repro.scenarios.events import (TimelineReplay, build_timeline,
                                         event_family_names,
                                         rebuild_propagation, record_sets)
     from repro.scenarios.spec import get_scenario
-
-    if not numpy_available():
-        print("[run_all] delta matrix skipped (numpy unavailable)")
-        return []
 
     rows: list[dict] = []
     for family in event_family_names():
@@ -606,55 +274,51 @@ def run_delta_matrix(size: str = "bench") -> list[dict]:
         record_at, record_alt = record_sets(propagation)
         events = build_timeline(spec.timeline, scenario.graph,
                                 scenario.route_servers)
-        for backend in MATRIX_BACKENDS:
-            replay = TimelineReplay(
-                scenario.graph, scenario.route_servers,
-                propagation["propagation"], record_at, record_alt,
-                backend=backend)
-            report = replay.replay(events)
-            delta_seconds = [r.seconds for r in report.reports]
-            single_edge = [r.seconds for r in report.reports
-                           if r.links_changed == 1]
-            fractions = [r.affected_fraction for r in report.reports]
-            started = time.monotonic()
-            _, full = rebuild_propagation(
-                replay.graph, replay.route_servers, record_at, record_alt,
-                backend=backend)
-            rebuild_seconds = time.monotonic() - started
-            links_equal = \
-                report.result.visible_links() == full.visible_links()
-            row = {
-                "family": family,
-                "backend": backend,
-                "size": size,
-                "events": len(events),
-                "origins": report.reports[-1].total if report.reports else 0,
-                "rebuild_seconds": round(rebuild_seconds, 4),
-                "delta_total_seconds": round(sum(delta_seconds), 4),
-                "delta_median_seconds": round(median(delta_seconds), 4)
-                if delta_seconds else None,
-                "single_edge_events": len(single_edge),
-                "single_edge_median_seconds": round(median(single_edge), 4)
-                if single_edge else None,
-                "median_speedup": round(
-                    rebuild_seconds / max(median(delta_seconds), 1e-9), 2)
-                if delta_seconds else None,
-                "single_edge_speedup": round(
-                    rebuild_seconds / max(median(single_edge), 1e-9), 2)
-                if single_edge else None,
-                "mean_affected_fraction": round(
-                    sum(fractions) / len(fractions), 4) if fractions else 0.0,
-                "links_equal": links_equal,
-            }
-            print(f"[run_all] delta {family} ({size}, {backend}): "
-                  f"rebuild {row['rebuild_seconds']}s, delta median "
-                  f"{row['delta_median_seconds']}s "
-                  f"({row['median_speedup']}x; single-edge "
-                  f"{row['single_edge_speedup']}x over "
-                  f"{row['single_edge_events']} events), affected "
-                  f"{row['mean_affected_fraction']:.1%}, "
-                  f"links_equal={links_equal}", flush=True)
-            rows.append(row)
+        replay = TimelineReplay(
+            scenario.graph, scenario.route_servers,
+            propagation["propagation"], record_at, record_alt)
+        report = replay.replay(events)
+        delta_seconds = [r.seconds for r in report.reports]
+        single_edge = [r.seconds for r in report.reports
+                       if r.links_changed == 1]
+        fractions = [r.affected_fraction for r in report.reports]
+        started = time.monotonic()
+        _, full = rebuild_propagation(
+            replay.graph, replay.route_servers, record_at, record_alt)
+        rebuild_seconds = time.monotonic() - started
+        links_equal = \
+            report.result.visible_links() == full.visible_links()
+        row = {
+            "family": family,
+            "size": size,
+            "events": len(events),
+            "origins": report.reports[-1].total if report.reports else 0,
+            "rebuild_seconds": round(rebuild_seconds, 4),
+            "delta_total_seconds": round(sum(delta_seconds), 4),
+            "delta_median_seconds": round(median(delta_seconds), 4)
+            if delta_seconds else None,
+            "single_edge_events": len(single_edge),
+            "single_edge_median_seconds": round(median(single_edge), 4)
+            if single_edge else None,
+            "median_speedup": round(
+                rebuild_seconds / max(median(delta_seconds), 1e-9), 2)
+            if delta_seconds else None,
+            "single_edge_speedup": round(
+                rebuild_seconds / max(median(single_edge), 1e-9), 2)
+            if single_edge else None,
+            "mean_affected_fraction": round(
+                sum(fractions) / len(fractions), 4) if fractions else 0.0,
+            "links_equal": links_equal,
+        }
+        print(f"[run_all] delta {family} ({size}): "
+              f"rebuild {row['rebuild_seconds']}s, delta median "
+              f"{row['delta_median_seconds']}s "
+              f"({row['median_speedup']}x; single-edge "
+              f"{row['single_edge_speedup']}x over "
+              f"{row['single_edge_events']} events), affected "
+              f"{row['mean_affected_fraction']:.1%}, "
+              f"links_equal={links_equal}", flush=True)
+        rows.append(row)
     return rows
 
 
@@ -677,12 +341,6 @@ def run_query_matrix(size: str = "tiny",
     """
     sys.path.insert(0, str(REPO_ROOT / "src"))
     import tempfile
-
-    from repro.runtime.batched import numpy_available
-
-    if not numpy_available():
-        print("[run_all] query matrix skipped (numpy unavailable)")
-        return []
 
     from repro.service.daemon import ServerThread, warm_service
     from repro.service.loadgen import run_load
@@ -727,87 +385,6 @@ def run_query_matrix(size: str = "tiny",
         return rows
 
 
-def find_previous_trajectory(exclude: Path) -> Path | None:
-    """The most recent prior ``BENCH_<ISO date>.json`` (by dated name).
-
-    Only date-shaped names participate, so ad-hoc ``--out`` files (e.g.
-    ``BENCH_smoke.json``) never become the comparison baseline.
-    """
-    dated = re.compile(r"^BENCH_(\d{4}-\d{2}-\d{2})\.json$")
-    candidates = sorted(
-        (match.group(1), path)
-        for path in REPO_ROOT.glob("BENCH_*.json")
-        if (match := dated.match(path.name))
-        and path.resolve() != exclude.resolve())
-    return candidates[-1][1] if candidates else None
-
-
-def compare_with_previous(results: list[dict], previous_path: Path,
-                          build_rows: list[dict] | None = None) -> list[str]:
-    """Print per-bench (and per-scenario cold-build) deltas against
-    *previous_path*.
-
-    Returns warning lines (also printed) for benches whose wall time or
-    peak RSS — or build rows whose cache-cold end-to-end seconds —
-    regressed more than :data:`REGRESSION_THRESHOLD`.
-    """
-    try:
-        previous = json.loads(previous_path.read_text())
-    except (OSError, json.JSONDecodeError) as error:
-        print(f"[run_all] cannot read previous trajectory "
-              f"{previous_path.name}: {error}", file=sys.stderr)
-        return []
-    baseline = {record["bench"]: record
-                for record in previous.get("benches", [])}
-    print(f"[run_all] deltas vs {previous_path.name} "
-          f"({previous.get('date', '?')})")
-    warnings: list[str] = []
-    for record in results:
-        name = record["bench"]
-        base = baseline.get(name)
-        if base is None or base.get("returncode") != 0 \
-                or record["returncode"] != 0:
-            print(f"[run_all]   {name:<34} (no comparable baseline)")
-            continue
-        deltas = []
-        regressed = []
-        for key, unit, fmt in (("wall_seconds", "s", "+.3f"),
-                               ("max_rss_kb", "kB", "+d")):
-            now, then = record[key], base[key]
-            delta = now - then
-            ratio = (delta / then) if then else 0.0
-            deltas.append(f"{key.split('_')[0]} {delta:{fmt}}{unit} "
-                          f"({ratio:+.1%})")
-            if then and ratio > REGRESSION_THRESHOLD:
-                regressed.append(f"{key} {then} -> {now} ({ratio:+.1%})")
-        print(f"[run_all]   {name:<34} {'  '.join(deltas)}")
-        if regressed:
-            warning = (f"[run_all] WARNING: {name} regressed "
-                       f">{REGRESSION_THRESHOLD:.0%}: {'; '.join(regressed)}")
-            print(warning)
-            warnings.append(warning)
-
-    build_baseline = {(row["scenario"], row["size"]): row
-                      for row in previous.get("build_matrix", [])}
-    for row in build_rows or []:
-        key = (row["scenario"], row["size"])
-        base = build_baseline.get(key)
-        if base is None:
-            continue
-        now, then = row["end_to_end_seconds"], base["end_to_end_seconds"]
-        ratio = ((now - then) / then) if then else 0.0
-        print(f"[run_all]   build {row['scenario']} ({row['size']}) "
-              f"{now - then:+.3f}s ({ratio:+.1%})")
-        if then and ratio > REGRESSION_THRESHOLD:
-            warning = (f"[run_all] WARNING: build {row['scenario']} "
-                       f"({row['size']}) regressed "
-                       f">{REGRESSION_THRESHOLD:.0%}: {then} -> {now} "
-                       f"({ratio:+.1%})")
-            print(warning)
-            warnings.append(warning)
-    return warnings
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("filters", nargs="*",
@@ -821,11 +398,6 @@ def main() -> int:
     parser.add_argument("--skip-build-matrix", action="store_true",
                         help="do not run the cache-cold per-stage build "
                              "matrix")
-    parser.add_argument("--skip-backend-matrix", action="store_true",
-                        help="do not run the propagation backend matrix "
-                             "(frontier vs batched vs compiled)")
-    parser.add_argument("--skip-inference-matrix", action="store_true",
-                        help="do not run the object-vs-bitset inference matrix")
     parser.add_argument("--skip-delta-matrix", action="store_true",
                         help="do not run the event-delta vs full-rebuild "
                              "matrix")
@@ -859,14 +431,6 @@ def main() -> int:
     if not args.skip_build_matrix:
         build_rows = run_build_matrix(args.matrix_size)
 
-    backend_rows: list[dict] = []
-    if not args.skip_backend_matrix:
-        backend_rows = run_backend_matrix(args.matrix_size)
-
-    inference_rows: list[dict] = []
-    if not args.skip_inference_matrix:
-        inference_rows = run_inference_matrix(args.matrix_size)
-
     delta_rows: list[dict] = []
     if not args.skip_delta_matrix:
         delta_rows = run_delta_matrix(args.delta_size)
@@ -877,7 +441,6 @@ def main() -> int:
 
     today = datetime.date.today().isoformat()
     out_path = args.out or (REPO_ROOT / f"BENCH_{today}.json")
-    previous_path = find_previous_trajectory(exclude=out_path)
     trajectory = {
         "date": today,
         "python": platform.python_version(),
@@ -885,33 +448,21 @@ def main() -> int:
         "benches": results,
         "scenarios": scenario_rows,
         "build_matrix": build_rows,
-        "backend_matrix": backend_rows,
-        "inference_matrix": inference_rows,
         "delta_matrix": delta_rows,
         "query_matrix": query_rows,
     }
     out_path.write_text(json.dumps(trajectory, indent=2) + "\n")
     print(f"[run_all] wrote {out_path}")
 
-    warnings: list[str] = []
-    if previous_path is not None:
-        warnings = compare_with_previous(results, previous_path, build_rows)
-    else:
-        print("[run_all] no previous trajectory to compare against")
-
     if any(r["returncode"] != 0 for r in results):
         return 1
     if any(not row["ok"] for row in scenario_rows):
-        return 1
-    if any(not row["links_equal"] for row in backend_rows):
-        return 1
-    if any(not row["results_identical"] for row in inference_rows):
         return 1
     if any(not row["links_equal"] for row in delta_rows):
         return 1
     if any(not row["ok"] for row in query_rows):
         return 1
-    return 3 if warnings else 0
+    return 0
 
 
 if __name__ == "__main__":

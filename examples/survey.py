@@ -43,7 +43,7 @@ def print_timeline(run) -> None:
 
 
 def run_survey(scenario_name: str, size: str, workers=None,
-               backend=None, inference_backend=None, events=None) -> None:
+               events=None) -> None:
     """Build one scenario, run inference, print the survey tables."""
     spec = get_scenario(scenario_name)
     if events is not None:
@@ -57,19 +57,14 @@ def run_survey(scenario_name: str, size: str, workers=None,
         print(f"  {spec.description}")
     if events is not None:
         from repro.pipeline.run import ScenarioRun
-        run = ScenarioRun(spec.config(size), scenario=spec, workers=workers,
-                          backend=backend,
-                          inference_backend=inference_backend)
+        run = ScenarioRun(spec.config(size), scenario=spec, workers=workers)
     else:
-        run = scenario_run(size, scenario=scenario_name, workers=workers,
-                           backend=backend,
-                           inference_backend=inference_backend)
+        run = scenario_run(size, scenario=scenario_name, workers=workers)
     scenario = run.scenario()
     print(f"  {len(scenario.graph)} ASes, "
           f"{len(scenario.ground_truth_links())} ground-truth MLP pairs")
 
-    print(f"running passive + active inference "
-          f"({run.inference_backend} backend) ...")
+    print("running passive + active inference ...")
     result = run.inference()
 
     ixp_ases = {name: len(ixp.members) for name, ixp in scenario.ixps.items()}
@@ -115,15 +110,6 @@ def main(argv=None) -> None:
                         help="size-table row (tiny/small/bench/medium/large/full)")
     parser.add_argument("--workers", type=int, default=None,
                         help="shard the parallel stages across N processes")
-    parser.add_argument("--backend", default=None,
-                        choices=["frontier", "batched", "compiled",
-                                 "reference"],
-                        help="propagation data plane (default: frontier; "
-                             "compiled is the fused kernel, fastest)")
-    parser.add_argument("--inference-backend", default=None,
-                        choices=["object", "bitset"],
-                        help="MLP inference data plane (default: object; "
-                             "bitset is the vectorized reachability plane)")
     parser.add_argument("--events", default=None, metavar="FAMILY",
                         help="replay an event-timeline family (churn, "
                              "failover, flap-storm) over the scenario and "
@@ -141,8 +127,6 @@ def main(argv=None) -> None:
         return
 
     run_survey(args.scenario, args.size, workers=args.workers,
-               backend=args.backend,
-               inference_backend=args.inference_backend,
                events=args.events)
 
 

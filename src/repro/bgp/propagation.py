@@ -23,12 +23,17 @@ deterministic.
 
 The computation itself runs on the :mod:`repro.runtime` substrate: a
 CSR adjacency index built once per topology, per-AS best-route state in
-parallel integer arrays, and paths/community bags interned in shared
-stores (see :class:`~repro.runtime.frontier.FrontierPropagator`).
-Routes are only materialised into tuples/frozensets for the ASes
-actually recorded.  The original object-graph engine survives as
-:class:`~repro.bgp.reference_propagation.ReferencePropagationEngine`
-and the two are property-tested for equivalence.
+integer arrays, and paths/community bags interned in shared stores.
+Two kernels compute the same routes bit for bit, and the engine picks
+one per :meth:`PropagationEngine.batch_fragments` call from the number
+of uncached origins: below :data:`COMPILED_MIN_ORIGINS` the per-origin
+frontier BFS (:class:`~repro.runtime.frontier.FrontierPropagator`),
+which has no per-batch set-up cost; at or above it the fused
+multi-origin kernel (:class:`~repro.runtime.compiled.
+CompiledPropagator`), which amortises its per-round cost over the
+batch.  Routes are only materialised into tuples/frozensets for the
+ASes actually recorded.  The test suite keeps the original object-graph
+engine as an oracle and checks both kernels against it.
 
 Route-server peering is modelled with directed :class:`Adjacency` entries
 carrying the RS communities the exporting member attached, so the
@@ -41,63 +46,50 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-try:  # optional: the columnar fragment plane needs numpy, the engine doesn't
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is present in CI
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.bgp.communities import Community
 from repro.bgp.policy import Relationship
 from repro.bgp.prefix import Prefix
+from repro.runtime.compiled import CompiledPropagator, compiled_batch_size
 from repro.runtime.fragments import (
     ObservationIndex,
     PathTable,
     RouteBlock,
     block_from_columns,
-    fragments_available,
 )
 from repro.runtime.frontier import (
     CLASS_CUSTOMER,
     CLASS_ORIGIN,
     CLASS_PEER,
     CLASS_PROVIDER,
-    REL_CUSTOMER,
-    REL_PEER,
-    REL_PROVIDER,
-    REL_RS_PEER,
-    REL_SIBLING,
     OriginState,
 )
 
 __all__ = [
     "Adjacency",
-    "BACKENDS",
-    "BATCH_SIZE",
     "CLASS_CUSTOMER",
     "CLASS_ORIGIN",
     "CLASS_PEER",
     "CLASS_PROVIDER",
-    "DEFAULT_BACKEND",
+    "COMPILED_MIN_ORIGINS",
     "OriginSpec",
     "PropagatedRoute",
     "PropagationEngine",
     "PropagationResult",
     "RouteBlock",
-    "adjacencies_from_index",
     "bidirectional_adjacencies",
 ]
 
-#: The selectable propagation backends: the per-origin frontier BFS
-#: (default, dependency-free), the vectorized batched multi-origin
-#: engine (numpy), the fused compiled kernel (numpy, numba-accelerated
-#: where installed) and the object-graph reference oracle.
-BACKENDS = ("frontier", "batched", "compiled", "reference")
-DEFAULT_BACKEND = "frontier"
-
-#: Origins propagated per vectorized sweep by the batched backend; caps
-#: the (origins x nodes) state arrays (6 int64 planes plus scratch) at
-#: tens of MB per batch on large topologies.
-BATCH_SIZE = 128
+#: Kernel selection threshold: a ``batch_fragments`` call with at least
+#: this many uncached origins runs the fused multi-origin kernel, a
+#: smaller one runs the frontier BFS per origin.  Measured crossover
+#: (ARCHITECTURE.md, "Kernel selection"): the compiled kernel is 2-3x
+#: slower on one origin (its per-batch set-up dominates), breaks even
+#: at 4-6 origins with the plan compiled and at 6-10 when the batch
+#: also pays the plan's compilation (every index-touching replay
+#: event does), and is 2.5-3x faster on full sweeps.
+COMPILED_MIN_ORIGINS = 8
 
 _CLASS_NAMES = {
     CLASS_ORIGIN: "origin",
@@ -277,8 +269,7 @@ class PropagationResult:
         alt_index = self._alternatives
         batch: List[Tuple[int, RouteBlock, RouteBlock]] = []
         for origin, best, offered in pending:
-            if np is not None and isinstance(best, RouteBlock) \
-                    and isinstance(offered, RouteBlock):
+            if isinstance(best, RouteBlock) and isinstance(offered, RouteBlock):
                 batch.append((origin, best, offered))
                 continue
             if batch:
@@ -381,7 +372,7 @@ class PropagationResult:
         built once per record-count and rebuilt only when more
         fragments arrive.  None when the result is not fully
         block-backed (callers fall back to the dict fold)."""
-        if np is None or not self._columnar or not self._block_records:
+        if not self._columnar or not self._block_records:
             return None
         cached = self._obs_index
         if cached is not None and cached[0] == len(self._block_records):
@@ -581,19 +572,9 @@ class PropagationEngine:
     context:
         Optional :class:`~repro.runtime.context.PipelineContext`.  When
         given, the engine shares the context's CSR index, path/bag
-        stores, scratch arrays and per-origin route memoisation with
+        stores, compiled plan and per-origin route memoisation with
         every other engine created from the same context; when omitted a
         private context is built from *adjacencies*.
-    backend:
-        Which propagation data plane answers queries: ``"frontier"``
-        (per-origin bucket-queue BFS, the default), ``"batched"`` (the
-        vectorized multi-origin engine of
-        :mod:`repro.runtime.batched`), ``"compiled"`` (the fused kernel
-        of :mod:`repro.runtime.compiled`, numba-accelerated where
-        installed) or ``"reference"`` (the object-graph oracle).
-        ``None`` inherits the context's backend.  All backends produce
-        equivalent routes; memoised fragments are keyed per backend so
-        they never alias.
     """
 
     def __init__(
@@ -602,7 +583,6 @@ class PropagationEngine:
         record_at: Optional[Iterable[int]] = None,
         record_alternatives_at: Optional[Iterable[int]] = None,
         context=None,
-        backend: Optional[str] = None,
     ) -> None:
         if context is None:
             if adjacencies is None:
@@ -614,19 +594,11 @@ class PropagationEngine:
             raise ValueError(
                 "pass either adjacencies or a context with a built index, "
                 "not both")
-        if backend is None:
-            backend = getattr(context, "backend", DEFAULT_BACKEND)
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown propagation backend {backend!r} "
-                f"(choose from {BACKENDS})")
         self._ctx = context
         self._index = context.index
         self._bags = context.bags
         self._paths = context.paths
-        self._backend = backend
-        self._batched = None
-        self._reference = None
+        self._compiled = None
         self._record_mask = None
         self._asn_array = None
         self._record_at = set(record_at) if record_at is not None else None
@@ -634,12 +606,11 @@ class PropagationEngine:
         id_of = self._index.id_of
         self._alt_nodes = frozenset(
             id_of[asn] for asn in self._record_alt_at if asn in id_of)
-        #: memoisation signature: same record config *and backend* ->
-        #: shareable fragments (backends never alias cache entries).
+        #: memoisation signature: same record config -> shareable
+        #: fragments (both kernels produce identical fragments).
         self._record_sig = (
             frozenset(self._record_at) if self._record_at is not None else None,
             frozenset(self._record_alt_at),
-            backend,
         )
 
     # -- public API ----------------------------------------------------------
@@ -648,11 +619,6 @@ class PropagationEngine:
     def context(self):
         """The :class:`PipelineContext` the engine runs on."""
         return self._ctx
-
-    @property
-    def backend(self) -> str:
-        """The propagation backend this engine answers with."""
-        return self._backend
 
     def nodes(self) -> Set[int]:
         """All ASNs known to the engine."""
@@ -676,29 +642,25 @@ class PropagationEngine:
 
     def origin_fragments(
         self, spec: OriginSpec
-    ) -> Tuple[List[PropagatedRoute], List[PropagatedRoute]]:
+    ) -> Tuple[RouteBlock, RouteBlock]:
         """The recorded (best, offered) routes for one origin."""
         return self.batch_fragments([spec])[0]
 
     def batch_fragments(
         self, specs: Sequence[OriginSpec]
-    ) -> List[Tuple[Sequence[PropagatedRoute], Sequence[PropagatedRoute]]]:
+    ) -> List[Tuple[RouteBlock, RouteBlock]]:
         """The recorded (best, offered) fragments for a batch of origins.
 
         This is the unit of work the sharded pipeline distributes across
-        worker processes.  With numpy present each fragment is a
+        worker processes.  Each fragment is a
         :class:`~repro.runtime.fragments.RouteBlock` — columnar, cheap
         to pickle (a handful of arrays instead of thousands of route
-        tuples) and iterable as lazy ``PropagatedRoute`` views; without
-        numpy (and under the reference oracle) fragments are plain route
-        lists with identical contents.  Under the batched backend the
-        cache misses of the whole batch are propagated together in
-        :data:`BATCH_SIZE` groups of vectorized sweeps; the frontier and
-        reference backends resolve them one origin at a time.
+        tuples) and iterable as lazy ``PropagatedRoute`` views.  The
+        cache misses of the whole batch are propagated together by one
+        kernel, picked by their count (:data:`COMPILED_MIN_ORIGINS`).
         """
         specs = list(specs)
         results: List[Optional[Tuple]] = [None] * len(specs)
-        blocks = fragments_available() and self._backend != "reference"
 
         # Memoise per-origin fragments only when recording is bounded to
         # explicit observers: a record-everything engine would pin
@@ -728,9 +690,8 @@ class PropagationEngine:
                     )]
                 else:
                     own = []
-                results[position] = (
-                    (RouteBlock.from_routes(own), RouteBlock.empty())
-                    if blocks else (own, []))
+                results[position] = (RouteBlock.from_routes(own),
+                                     RouteBlock.empty())
                 continue
             key = (origin, origin_bag, self._record_sig, epoch)
             fragments = cache.get(key) if memoizable else None
@@ -742,8 +703,7 @@ class PropagationEngine:
         if pending:
             computed = self._compute_fragments(
                 [entry[1] for entry in pending],
-                [entry[2] for entry in pending],
-                [specs[entry[0]] for entry in pending])
+                [entry[2] for entry in pending])
             for (position, _node, _bag, key), fragments in zip(
                     pending, computed):
                 results[position] = fragments
@@ -751,40 +711,32 @@ class PropagationEngine:
                     cache[key] = fragments
         return results
 
-    def _compute_fragments(self, origin_nodes, origin_bags,
-                           pending_specs) -> List[Tuple]:
-        """Run the selected backend over the uncached origins (the
-        three argument lists are parallel, cache hits and isolated
-        origins already filtered out)."""
-        if self._backend in ("batched", "compiled"):
-            mask = self._record_node_mask()
-            propagator = self._batched_propagator()
-            if self._backend == "compiled":
-                # Wider batches amortise per-level round cost; the
-                # helper caps the (origins x nodes) planes by memory.
-                from repro.runtime.compiled import compiled_batch_size
-                batch_size = compiled_batch_size(self._ctx.plan)
-            else:
-                batch_size = BATCH_SIZE
-            fragments: List[Tuple] = []
-            for start in range(0, len(origin_nodes), batch_size):
-                batch = propagator.run_batch(
-                    origin_nodes[start:start + batch_size],
-                    origin_bags[start:start + batch_size],
-                    self._alt_nodes)
-                fragments.extend(self._batch_blocks(batch, mask))
-            return fragments
-        if self._backend == "reference":
-            return [self._reference_fragments(spec)
-                    for spec in pending_specs]
-        propagator = self._ctx.propagator
-        if fragments_available():
-            mask = self._record_node_mask()
+    def _compute_fragments(self, origin_nodes, origin_bags) -> List[Tuple]:
+        """Propagate the uncached origins (parallel node/bag lists; cache
+        hits and isolated origins already filtered out).
+
+        Kernel selection: :data:`COMPILED_MIN_ORIGINS` or more origins
+        run through the fused multi-origin kernel in memory-bounded
+        batches; fewer run the frontier BFS one origin at a time.
+        """
+        mask = self._record_node_mask()
+        if len(origin_nodes) < COMPILED_MIN_ORIGINS:
+            propagator = self._ctx.propagator
             return [self._frontier_block(
                         propagator.run(node, bag, self._alt_nodes), mask)
                     for node, bag in zip(origin_nodes, origin_bags)]
-        return [self._materialize(propagator.run(node, bag, self._alt_nodes))
-                for node, bag in zip(origin_nodes, origin_bags)]
+        propagator = self._compiled_propagator()
+        # Wider batches amortise per-level round cost; the helper caps
+        # the (origins x nodes) planes by memory.
+        batch_size = compiled_batch_size(self._ctx.plan)
+        fragments: List[Tuple] = []
+        for start in range(0, len(origin_nodes), batch_size):
+            batch = propagator.run_batch(
+                origin_nodes[start:start + batch_size],
+                origin_bags[start:start + batch_size],
+                self._alt_nodes)
+            fragments.extend(self._batch_blocks(batch, mask))
+        return fragments
 
     def _node_asn_array(self):
         """Node id -> ASN as an int64 array (built once per engine)."""
@@ -794,7 +746,7 @@ class PropagationEngine:
         return self._asn_array
 
     def _batch_blocks(self, batch, mask) -> List[Tuple]:
-        """All (best, offered) :class:`RouteBlock`s of one vectorized
+        """All (best, offered) :class:`RouteBlock`s of one compiled
         batch.
 
         ONE chain walk (:class:`PathTable`) covers every recorded path
@@ -895,16 +847,10 @@ class PropagationEngine:
             path_table=table)
         return best, offered
 
-    def _batched_propagator(self):
-        if self._batched is None:
-            if self._backend == "compiled":
-                from repro.runtime.compiled import CompiledPropagator
-                self._batched = CompiledPropagator(self._ctx.plan,
-                                                   self._bags)
-            else:
-                from repro.runtime.batched import BatchedPropagator
-                self._batched = BatchedPropagator(self._ctx.plan, self._bags)
-        return self._batched
+    def _compiled_propagator(self):
+        if self._compiled is None:
+            self._compiled = CompiledPropagator(self._ctx.plan, self._bags)
+        return self._compiled
 
     def _record_node_mask(self):
         """Boolean node mask of the recorded observers (None = all)."""
@@ -919,63 +865,6 @@ class PropagationEngine:
                     mask[node] = True
             self._record_mask = mask
         return self._record_mask
-
-    def _reference_fragments(self, spec: OriginSpec) -> Tuple:
-        """One origin through the object-graph oracle, as fragments."""
-        if self._reference is None:
-            from repro.bgp.reference_propagation import (
-                ReferencePropagationEngine,
-            )
-            self._reference = ReferencePropagationEngine(
-                adjacencies_from_index(self._index),
-                record_at=self._record_at,
-                record_alternatives_at=self._record_alt_at)
-        result = self._reference.propagate_origin(spec)
-        origin = spec.asn
-        best = [routes[origin] for routes in result._best.values()
-                if origin in routes]
-        offered = [route for routes in result._alternatives.values()
-                   for route in routes.get(origin, ())]
-        return best, offered
-
-    def _materialize(
-        self, state: OriginState, paths=None
-    ) -> Tuple[List[PropagatedRoute], List[PropagatedRoute]]:
-        """Convert interned per-node state into routes for the recorded
-        observers — the only place ids become ASNs/tuples again."""
-        node_asns = self._index.node_asns
-        materialize = (paths if paths is not None else self._paths).materialize
-        bag_value = self._bags.value
-        recordable = self._record_at
-
-        best: List[PropagatedRoute] = []
-        cls_, frm, pid, bag = state.cls, state.frm, state.pid, state.bag
-        for node in state.touched:
-            asn = node_asns[node]
-            if recordable is not None and asn not in recordable:
-                continue
-            learned = frm[node]
-            best.append(PropagatedRoute(
-                asn=asn,
-                path=materialize(pid[node]),
-                communities=bag_value(bag[node]),
-                provenance=int(cls_[node]),
-                learned_from=node_asns[learned] if learned >= 0 else None,
-            ))
-
-        offered: List[PropagatedRoute] = []
-        for node, ccls, _clen, exporter, path_id, bag_id in state.offers:
-            asn = node_asns[node]
-            if recordable is not None and asn not in recordable:
-                continue
-            offered.append(PropagatedRoute(
-                asn=asn,
-                path=materialize(path_id),
-                communities=bag_value(bag_id),
-                provenance=ccls,
-                learned_from=node_asns[exporter],
-            ))
-        return best, offered
 
 
 def bidirectional_adjacencies(
@@ -994,49 +883,3 @@ def bidirectional_adjacencies(
         Adjacency(source=asn_a, target=asn_b, relationship=rel_ab.inverse()),
         Adjacency(source=asn_b, target=asn_a, relationship=rel_ab),
     ]
-
-
-_REL_OF_CODE = {
-    REL_CUSTOMER: Relationship.CUSTOMER,
-    REL_PROVIDER: Relationship.PROVIDER,
-    REL_PEER: Relationship.PEER,
-    REL_RS_PEER: Relationship.RS_PEER,
-    REL_SIBLING: Relationship.SIBLING,
-}
-
-
-def adjacencies_from_index(index) -> List[Adjacency]:
-    """Reconstruct directed :class:`Adjacency` records from a CSR index.
-
-    The semantic inverse of
-    :meth:`~repro.runtime.csr.CSRIndex.from_adjacencies`, used to hand a
-    context-built topology to the object-graph reference backend (which
-    consumes adjacency records, not indices).  Sibling edges appear in
-    both the customer and provider phase blocks and are emitted once; a
-    transparent route server is reconstructed as ``via_rs_asn=None``,
-    which is indistinguishable in propagation semantics.
-    """
-    node_asns = index.node_asns
-    bag_value = index.bags.value
-    adjacencies: List[Adjacency] = []
-    # Customer + peer phases cover every relationship except PROVIDER
-    # (siblings are deduplicated out of the provider phase).
-    for phase, skip_siblings in ((index.customer_edges, False),
-                                 (index.peer_edges, False),
-                                 (index.provider_edges, True)):
-        indptr, targets, rels, bags, vias = phase
-        for source in range(index.num_nodes):
-            for edge in range(indptr[source], indptr[source + 1]):
-                rel = rels[edge]
-                if skip_siblings and rel == REL_SIBLING:
-                    continue
-                via = vias[edge]
-                adjacencies.append(Adjacency(
-                    source=node_asns[source],
-                    target=node_asns[targets[edge]],
-                    relationship=_REL_OF_CODE[rel],
-                    communities=bag_value(bags[edge]),
-                    via_rs_asn=via if via >= 0 else None,
-                    rs_transparent=via < 0,
-                ))
-    return adjacencies

@@ -15,8 +15,8 @@ instead of building one :class:`RibEntry` per day per route, and the
 transient filter runs as one grouped numpy pass over the key columns.
 ``RibEntry`` survives as a lazy row view — materialised on first
 object-level access, cached, value-identical to the eager path — and
-the object implementation is retained in full as the no-numpy fallback
-and reference oracle.
+the object implementation (``columnar=False``) is retained in full as
+the reference oracle.
 """
 
 from __future__ import annotations
@@ -25,10 +25,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-try:  # optional: the columnar archive needs numpy, the object path doesn't
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is present in CI
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.bgp.attributes import ASPath
 from repro.bgp.messages import RibEntry, UpdateMessage, WithdrawMessage
@@ -242,8 +239,7 @@ class CollectorArchive:
         self.collectors = list(collectors)
         self.window = window or MeasurementWindow()
         self._rng = random.Random(seed)
-        self._columnar = (np is not None) if columnar is None \
-            else (columnar and np is not None)
+        self._columnar = True if columnar is None else columnar
         #: day -> list of RIB entries (object mode)
         self._dumps: Dict[int, List[RibEntry]] = {}
         #: column store + day -> row positions (columnar mode); exactly
@@ -513,8 +509,8 @@ class CollectorArchive:
 
     def clean_stable_entries(self, min_days: int = 2) -> List[RibEntry]:
         """Stable entries that also pass the reserved-ASN / cycle filters
-        (memoised alongside :meth:`stable_entries`; the bitset inference
-        backend additionally keys its context-level observation planes
+        (memoised alongside :meth:`stable_entries`; the inference
+        engine additionally keys its context-level observation planes
         on this list's identity, which the memo keeps stable).
 
         Cleanliness itself is memoised per shared ``ASPath`` object

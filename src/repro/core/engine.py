@@ -14,11 +14,18 @@ The result object keeps per-IXP detail (Table 2's columns) plus the
 de-duplicated global link set, and records the provenance of every
 member's reachability so the cost and visibility analyses can be
 reproduced.
+
+Steps 2-5 run on the interned observation planes of
+:mod:`repro.core.planes`: observations become integer rows, members
+with one distinct policy merge on ids (mixed-policy members fall back
+to :func:`~repro.core.reachability.merge_observations`), and links come
+out of the reciprocal ``M & M.T`` kernel over each IXP's ALLOW plane.
+The test suite keeps the per-IXP object implementation of the same
+steps as an oracle and checks this engine against it.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -27,24 +34,25 @@ Link = Tuple[int, int]
 
 from repro.bgp.messages import RibEntry
 from repro.bgp.policy import Relationship
-from repro.core.active import (
-    ActiveCollection,
-    ActiveInference,
-    ThirdPartyCollection,
-    collect_from_third_party_lg,
-)
+from repro.core.active import ActiveInference, collect_from_third_party_lg
 from repro.core.communities import RSCommunityInterpreter
-from repro.core.passive import PassiveInference, PassiveObservation
-from repro.core.reachability import (
-    MemberReachability,
-    PolicyObservation,
-    infer_links,
-    merge_observations,
+from repro.core.planes import (
+    ACTIVE,
+    THIRD_PARTY,
+    MergedPlane,
+    ObservationPlane,
+    PlaneCacheKey,
+    PolicyTable,
+    build_reachability_plane,
+    extract_passive_planes,
+    merge_rows,
+    rows_from_raw_observations,
 )
+from repro.core.reachability import MemberReachability
 from repro.ixp.community_schemes import SchemeRegistry
 from repro.ixp.looking_glass import ASLookingGlass, RouteServerLookingGlass
 from repro.runtime.bitset import BitsetIndex
-from repro.runtime.context import INFERENCE_BACKENDS, PipelineContext
+from repro.runtime.context import PipelineContext
 from repro.runtime.interning import Interner
 from repro.runtime.reachmatrix import (
     ReachabilityMatrix,
@@ -129,9 +137,6 @@ class MLPInferenceResult:
     """
 
     per_ixp: Dict[str, IXPInference] = field(default_factory=dict)
-    #: inference backend that produced the result (provenance only —
-    #: backends are bit-identical, so it is excluded from equality).
-    inference_backend: str = field(default="object", compare=False)
     _derived: Dict[str, object] = field(
         default_factory=dict, repr=False, compare=False)
 
@@ -202,9 +207,8 @@ class MLPInferenceResult:
         """Full bit-identity with *other*: links, per-IXP link sets,
         Table 2 rows, member/provenance sets, reachability objects and
         query spend.  This is the one authoritative predicate the
-        differential tests, benches and ``run_all.py``'s
-        ``inference_matrix`` gate all share — extend it here, not in a
-        caller, when results grow new fields."""
+        differential tests share — extend it here, not in a caller,
+        when results grow new fields."""
         if set(self.per_ixp) != set(other.per_ixp):
             return False
         if self.links_by_ixp() != other.links_by_ixp():
@@ -257,8 +261,6 @@ class MLPInferenceEngine:
         sample_fraction: float = 0.10,
         max_prefixes_per_member: int = 100,
         context: Optional[PipelineContext] = None,
-        backend: Optional[str] = None,
-        inference_backend: Optional[str] = None,
     ) -> None:
         self.registry = registry
         self.rs_members: Dict[str, Set[int]] = {
@@ -269,24 +271,9 @@ class MLPInferenceEngine:
         self.sample_fraction = sample_fraction
         self.max_prefixes_per_member = max_prefixes_per_member
         #: Optional shared runtime context; when present its cached
-        #: member bitset indices (and, for the bitset backend, its
-        #: observation-plane cache) are reused across run() invocations.
+        #: member bitset indices and observation-plane cache are reused
+        #: across run() invocations.
         self.context = context
-        #: Propagation backend of the measurement substrate this engine
-        #: consumes (provenance for reports/benchmarks; ``None`` falls
-        #: back to the context's backend, or "frontier").
-        self.backend = backend if backend is not None else getattr(
-            context, "backend", "frontier")
-        #: Inference data plane: "object" (per-IXP dict/set reference
-        #: engine) or "bitset" (interned observation planes + reciprocal
-        #: M & M.T matrix kernel); ``None`` falls back to the context's
-        #: default.  Both produce bit-identical results.
-        self.inference_backend = inference_backend if inference_backend \
-            is not None else getattr(context, "inference_backend", "object")
-        if self.inference_backend not in INFERENCE_BACKENDS:
-            raise ValueError(
-                f"unknown inference backend {self.inference_backend!r} "
-                f"(choose from {INFERENCE_BACKENDS})")
 
     # -- pipeline ---------------------------------------------------------------------
 
@@ -304,125 +291,19 @@ class MLPInferenceEngine:
         as an ablation switch: when False, a single direction of ALLOW is
         enough to infer a link.
 
-        ``workers > 1`` shards the per-IXP inference across a process
-        pool: the engine (minus its runtime context) is shipped to each
-        worker once, every IXP becomes one task, and results are merged
-        in sorted-IXP order — identical output to the in-process loop.
-        (The bitset backend runs its vectorized plane in-process — the
-        post-collection arithmetic is too cheap to shard — but accepts
-        ``workers`` for interface parity.)
+        The observation planes are merged once per collection identity
+        (cached on the context, see :class:`~repro.core.planes.
+        PlaneCacheKey`) and links come from the reciprocal ``M & M.T``
+        kernel; ``require_reciprocity`` is applied downstream of the
+        plane cache, so the ablation shares the collected planes.  The
+        whole computation runs in-process — the post-collection
+        arithmetic is too cheap to shard — so ``workers`` is accepted
+        for interface parity with the sharded pipeline stages and
+        otherwise ignored.
         """
         rs_looking_glasses = dict(rs_looking_glasses or {})
         third_party_lgs = {name: list(lgs)
                            for name, lgs in (third_party_lgs or {}).items()}
-
-        if self.inference_backend == "bitset":
-            return self._run_bitset(passive_entries, rs_looking_glasses,
-                                    third_party_lgs, require_reciprocity)
-
-        passive_by_ixp = self._run_passive(passive_entries)
-        result = MLPInferenceResult()
-
-        # IXPs are processed in name order so run output (and any caches
-        # populated along the way) is independent of mapping order.
-        items = sorted(self.rs_members.items())
-        # Lazy import: repro.pipeline sits above core in the layering and
-        # importing it at module scope would cycle through scenarios.
-        from repro.pipeline.shard import resolve_workers
-        worker_count = resolve_workers(workers)
-        if worker_count > 1 and len(items) > 1:
-            payloads = [
-                (ixp_name, members, passive_by_ixp.get(ixp_name, []),
-                 rs_looking_glasses.get(ixp_name),
-                 third_party_lgs.get(ixp_name, []), require_reciprocity)
-                for ixp_name, members in items]
-            with ProcessPoolExecutor(
-                max_workers=min(worker_count, len(items)),
-                initializer=_init_inference_worker,
-                initargs=(self,),
-            ) as pool:
-                for inference in pool.map(_infer_ixp_task, payloads):
-                    result.per_ixp[inference.ixp_name] = inference
-        else:
-            for ixp_name, members in items:
-                result.per_ixp[ixp_name] = self._infer_ixp(
-                    ixp_name, members, passive_by_ixp.get(ixp_name, []),
-                    rs_looking_glasses.get(ixp_name),
-                    third_party_lgs.get(ixp_name, []), require_reciprocity)
-        return result
-
-    def _infer_ixp(
-        self,
-        ixp_name: str,
-        members: Set[int],
-        passive_observations: Sequence[PassiveObservation],
-        rs_lg: Optional[RouteServerLookingGlass],
-        third_party: Sequence[ASLookingGlass],
-        require_reciprocity: bool,
-    ) -> IXPInference:
-        """One IXP's passive/active merge and link inference — the unit
-        of work the sharded path distributes."""
-        inference = IXPInference(ixp_name=ixp_name, members=set(members))
-        observations: List[PolicyObservation] = []
-
-        if passive_observations:
-            passive = PassiveInference(self.interpreter, self.relationships)
-            observations.extend(passive.policy_observations(passive_observations))
-            inference.passive_members = {
-                o.setter_asn for o in passive_observations}
-
-        covered_prefixes = {
-            o.setter_asn: set() for o in passive_observations}
-        for observation in passive_observations:
-            covered_prefixes.setdefault(observation.setter_asn, set()).add(
-                observation.prefix)
-
-        if rs_lg is not None:
-            active = ActiveInference(
-                rs_lg,
-                sample_fraction=self.sample_fraction,
-                max_prefixes_per_member=self.max_prefixes_per_member)
-            collection = active.collect(
-                skip_members=inference.passive_members,
-                covered_prefixes=covered_prefixes)
-            observations.extend(
-                collection.policy_observations(self.interpreter))
-            inference.active_members = collection.members_with_communities()
-            inference.active_queries = collection.total_queries
-            # The LG summary is authoritative connectivity data.
-            inference.members |= collection.members
-        else:
-            for lg in third_party:
-                collection = collect_from_third_party_lg(
-                    ixp_name, lg, members, self.interpreter)
-                observations.extend(
-                    collection.policy_observations(self.interpreter))
-                inference.active_members |= collection.members_with_communities()
-                inference.active_queries += collection.total_queries
-
-        inference.reachabilities = self._merge(ixp_name, observations,
-                                               inference.members)
-        inference.links = self._infer_links(
-            ixp_name, inference.reachabilities, inference.members,
-            require_reciprocity)
-        return inference
-
-    # -- bitset data plane ---------------------------------------------------
-
-    def _run_bitset(
-        self,
-        passive_entries: Optional[Iterable[RibEntry]],
-        rs_looking_glasses: Dict[str, RouteServerLookingGlass],
-        third_party_lgs: Dict[str, List[ASLookingGlass]],
-        require_reciprocity: bool,
-    ) -> MLPInferenceResult:
-        """The vectorized inference path: interned observation planes,
-        merged once per scenario (cached on the context), links from the
-        reciprocal ``M & M.T`` kernel.  Output is bit-identical to the
-        object path; ``require_reciprocity`` is applied downstream of
-        the plane cache, so the ablation shares the collected planes.
-        """
-        from repro.core.planes import PlaneCacheKey
         entries = None
         if passive_entries is not None:
             entries = passive_entries if isinstance(passive_entries, list) \
@@ -448,7 +329,7 @@ class MLPInferenceEngine:
             if self.context is not None:
                 self.context.store_inference_planes(key, merged)
 
-        result = MLPInferenceResult(inference_backend="bitset")
+        result = MLPInferenceResult()
         matrix_planes = {}
         links_by_ixp = {}
         for ixp_name in sorted(self.rs_members):
@@ -478,19 +359,8 @@ class MLPInferenceEngine:
         rs_looking_glasses: Dict[str, RouteServerLookingGlass],
         third_party_lgs: Dict[str, List[ASLookingGlass]],
     ):
-        """Collect and merge the per-IXP observation planes (the cached
-        unit of the bitset backend)."""
-        from repro.core.planes import (
-            ACTIVE,
-            THIRD_PARTY,
-            MergedPlane,
-            ObservationPlane,
-            PolicyTable,
-            build_reachability_plane,
-            extract_passive_planes,
-            merge_rows,
-            rows_from_raw_observations,
-        )
+        """Collect and merge the per-IXP observation planes (the unit
+        the context caches)."""
         prefixes = self.context.prefixes if self.context is not None \
             else Interner()
         policies = PolicyTable()
@@ -545,81 +415,9 @@ class MLPInferenceEngine:
             )
         return merged
 
-    def __getstate__(self):
-        # The runtime context holds process-local caches (and is shared
-        # with other engines); workers rebuild member indices on demand.
-        state = self.__dict__.copy()
-        state["context"] = None
-        return state
-
     # -- helpers -----------------------------------------------------------------------
-
-    def _run_passive(
-        self, passive_entries: Optional[Iterable[RibEntry]]
-    ) -> Dict[str, List[PassiveObservation]]:
-        if passive_entries is None:
-            return {}
-        passive = PassiveInference(self.interpreter, self.relationships)
-        observations = passive.extract(passive_entries)
-        by_ixp: Dict[str, List[PassiveObservation]] = {}
-        for observation in observations:
-            by_ixp.setdefault(observation.ixp_name, []).append(observation)
-        return by_ixp
-
-    def _merge(
-        self,
-        ixp_name: str,
-        observations: Sequence[PolicyObservation],
-        members: Set[int],
-    ) -> Dict[int, MemberReachability]:
-        by_member: Dict[int, List[PolicyObservation]] = {}
-        for observation in observations:
-            if observation.ixp_name != ixp_name:
-                continue
-            if members and observation.member_asn not in members:
-                continue
-            by_member.setdefault(observation.member_asn, []).append(observation)
-        reachabilities: Dict[int, MemberReachability] = {}
-        for member_asn, member_observations in by_member.items():
-            merged = merge_observations(member_observations, members)
-            if merged is not None:
-                reachabilities[member_asn] = merged
-        return reachabilities
 
     def _member_index(self, ixp_name: str, members: Set[int]) -> BitsetIndex:
         if self.context is not None:
             return self.context.member_index(ixp_name, members)
         return BitsetIndex(members)
-
-    def _infer_links(
-        self,
-        ixp_name: str,
-        reachabilities: Dict[int, MemberReachability],
-        members: Set[int],
-        require_reciprocity: bool,
-    ) -> Tuple[Link, ...]:
-        return tuple(sorted(infer_links(
-            reachabilities, members,
-            index=self._member_index(ixp_name, members),
-            require_reciprocity=require_reciprocity)))
-
-
-# -- sharded-run worker plumbing ----------------------------------------------
-
-_WORKER_ENGINE: Optional[MLPInferenceEngine] = None
-
-
-def _init_inference_worker(engine: MLPInferenceEngine) -> None:
-    """Pool initializer: one pickled engine copy per worker process."""
-    global _WORKER_ENGINE
-    _WORKER_ENGINE = engine
-
-
-def _infer_ixp_task(payload) -> IXPInference:
-    """Run one IXP's inference inside a worker."""
-    assert _WORKER_ENGINE is not None, "inference worker not initialised"
-    (ixp_name, members, passive_observations, rs_lg, third_party,
-     require_reciprocity) = payload
-    return _WORKER_ENGINE._infer_ixp(
-        ixp_name, members, passive_observations, rs_lg, third_party,
-        require_reciprocity)

@@ -1,10 +1,12 @@
-"""The bitset inference data plane: interned observation planes.
+"""The inference data plane: interned observation planes.
 
-The object engine (:class:`~repro.core.engine.MLPInferenceEngine` with
-``inference_backend="object"``) materialises one
-:class:`~repro.core.reachability.PolicyObservation` per observed
-(member, prefix) pair and merges them with per-member set arithmetic.
-This module is the vectorized counterpart: observations become
+The paper's steps map naturally onto one
+:class:`~repro.core.reachability.PolicyObservation` object per observed
+(member, prefix) pair, merged with per-member set arithmetic (the
+public step functions of :mod:`repro.core.passive`,
+:mod:`repro.core.active` and :mod:`repro.core.reachability`).  The
+:class:`~repro.core.engine.MLPInferenceEngine` runs this module
+instead: observations become
 ``(member, prefix id, policy id, source code)`` tuples over shared
 interners, passive extraction is fused (clean-filter, IXP attribution,
 setter pin-pointing and community interpretation collapse into one memo
@@ -14,12 +16,12 @@ per-member policies scatter into a
 :class:`~repro.runtime.reachmatrix.ReachabilityPlane` whose reciprocal
 ``M & M.T`` kernel emits the links.
 
-Bit-identity with the object path is non-negotiable: the fast merge
-only takes the direct route for members whose observations all carry
-one distinct policy (the overwhelming majority); members with mixed
-policies fall back to the *same*
-:func:`~repro.core.reachability.merge_observations` code the object
-engine runs, so inconsistent-announcement handling can never drift.
+Bit-identity with the object-level steps is non-negotiable (the test
+suite's object oracle checks it): the fast merge only takes the direct
+route for members whose observations all carry one distinct policy (the
+overwhelming majority); members with mixed policies fall back to the
+*same* :func:`~repro.core.reachability.merge_observations` code, so
+inconsistent-announcement handling can never drift.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ class ObservationPlane:
 
     ixp_name: str
     rows: List[Row] = field(default_factory=list)
-    #: setters of passive observations (unfiltered, as the object path).
+    #: setters of passive observations (unfiltered, as the object steps).
     passive_members: Set[int] = field(default_factory=set)
     #: members whose communities active collection exposed.
     active_members: Set[int] = field(default_factory=set)

@@ -69,8 +69,8 @@ class RouteServer:
         self._classify_cache: Dict[FrozenSet[Community],
                                    Tuple[bool, FrozenSet[int], FrozenSet[int]]] = {}
         #: monotonic mutation counter, bumped by every membership/RIB
-        #: change; caches keyed on looking-glass views (e.g. the bitset
-        #: inference backend's observation planes) validate against it.
+        #: change; caches keyed on looking-glass views (e.g. the
+        #: inference engine's observation planes) validate against it.
         self.version = 0
 
     # -- membership ---------------------------------------------------------------

@@ -33,8 +33,8 @@ is unchanged — re-running with only an analysis knob changed recomputes
     tweaked.analyses()               # every upstream stage is a cache hit
 
 ``workers`` shards the embarrassingly parallel stages (per-origin
-propagation, per-IXP inference, per-figure analyses) across process
-pools; it is an execution detail and deliberately not part of any
+propagation, per-figure analyses) across process pools; it is an
+execution detail and deliberately not part of any
 fingerprint — sharded and single-process runs produce identical
 artifacts (asserted by the pipeline test suite).
 """
@@ -104,46 +104,16 @@ class ScenarioRun:
         inference_options: Optional[InferenceOptions] = None,
         analysis_options: Optional[AnalysisOptions] = None,
         workers: Optional[int] = None,
-        backend: Optional[str] = None,
-        inference_backend: Optional[str] = None,
         cache: Optional[ArtifactCache] = None,
         cache_dir: Optional[Union[str, Path]] = None,
         graph: Optional[StageGraph] = None,
     ) -> None:
-        from repro.bgp.propagation import BACKENDS, DEFAULT_BACKEND
-        from repro.runtime.context import (
-            DEFAULT_INFERENCE_BACKEND,
-            INFERENCE_BACKENDS,
-        )
         self.spec = _resolve_spec(scenario)
         self.config = config if config is not None else self.spec.config()
         self.inference_options = inference_options or InferenceOptions()
         self.analysis_options = analysis_options or AnalysisOptions(
             figures=self.spec.analyses)
         self.workers = workers
-        #: Propagation backend: explicit argument > spec pin > frontier.
-        #: Unlike ``workers`` this is part of the propagation stage's
-        #: fingerprint (namespace ``backend``), so artifacts computed by
-        #: different backends never alias in a shared cache even though
-        #: they are equivalent.
-        self.backend = backend if backend is not None else (
-            self.spec.backend or DEFAULT_BACKEND)
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"unknown propagation backend {self.backend!r} "
-                f"(choose from {BACKENDS})")
-        #: Inference backend: explicit argument > spec pin > object.
-        #: Salted into the *inference* stage's fingerprint (namespace
-        #: "inference"), so inference/reachability/analyses artifacts
-        #: never alias across data planes while every upstream stage
-        #: (topology .. connectivity) stays shared.
-        self.inference_backend = inference_backend if inference_backend \
-            is not None else (self.spec.inference_backend
-                              or DEFAULT_INFERENCE_BACKEND)
-        if self.inference_backend not in INFERENCE_BACKENDS:
-            raise ValueError(
-                f"unknown inference backend {self.inference_backend!r} "
-                f"(choose from {INFERENCE_BACKENDS})")
         self.cache = cache if cache is not None else ArtifactCache(
             Path(cache_dir) if cache_dir is not None else None)
         self.graph = graph or self.spec.stage_graph()
@@ -163,10 +133,8 @@ class ScenarioRun:
             config_repr = {key: repr(getattr(self.config, key))
                            for key in sorted(config_keys)}
             options_repr = {
-                "inference": (f"{self.inference_options!r}"
-                              f"@backend={self.inference_backend}"),
+                "inference": repr(self.inference_options),
                 "analysis": repr(self.analysis_options),
-                "backend": repr(self.backend),
                 "timeline": repr(getattr(self.spec, "timeline", None)),
             }
             self._fingerprints = self.graph.fingerprints(

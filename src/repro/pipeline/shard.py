@@ -13,18 +13,15 @@ fragments back **in the original origin order** — so the assembled
 :class:`~repro.bgp.propagation.PropagationResult` is bit-identical to a
 single-process run, including dict insertion orders.
 
-Each shard is a batch, not a single origin: the worker resolves its
-whole chunk through
-:meth:`~repro.bgp.propagation.PropagationEngine.batch_fragments`, so
-under the vectorized backends (batched, compiled) one chunk costs a few
-vectorized sweeps instead of per-origin walks.  For those backends each
-worker receives exactly one contiguous chunk — maximal batch width per
-worker — and the parent's
-:class:`~repro.runtime.batched.PropagationPlan` is compiled once and
+Each shard is a batch, not a single origin: every worker receives
+exactly one contiguous chunk and resolves it through
+:meth:`~repro.bgp.propagation.PropagationEngine.batch_fragments`, so a
+wide chunk runs the multi-origin kernel (a few vectorized sweeps
+instead of per-origin walks).  The parent's
+:class:`~repro.runtime.compiled.PropagationPlan` is compiled once and
 shipped inside the snapshot, so P workers each replay the same schedule
-and sharding multiplies with batching.  The snapshot carries the
-backend selection, so workers always propagate with the parent's
-engine.
+and sharding multiplies with batching instead of competing for batch
+width.
 
 Worker-side state is reconstructed, never inherited: the initializer
 rebuilds a fresh :class:`PipelineContext` from the snapshot, which keeps
@@ -35,7 +32,6 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.bgp.propagation import (
@@ -46,18 +42,8 @@ from repro.bgp.propagation import (
 from repro.runtime.context import PipelineContext
 from repro.runtime.snapshot import ContextSnapshot, restore_context, snapshot_context
 
-#: Chunks handed out per worker under per-origin backends; >1 smooths
-#: imbalance between origins.
-CHUNKS_PER_WORKER = 4
-
-#: Backends whose workers replay whole origin batches vectorized: each
-#: worker gets ONE contiguous chunk (maximal batch width, one plan
-#: replay) instead of several small ones — sharding and batching then
-#: multiply rather than compete for batch width.
-VECTORIZED_BACKENDS = frozenset({"batched", "compiled"})
-
-#: One origin's recorded fragments: (best routes, offered routes) —
-#: RouteBlocks under the columnar plane, route lists otherwise.
+#: One origin's recorded fragments: (best routes, offered routes) as
+#: columnar RouteBlocks.
 Fragments = Tuple[Sequence[PropagatedRoute], Sequence[PropagatedRoute]]
 
 
@@ -119,7 +105,6 @@ def sharded_fragments(
     record_at: Optional[FrozenSet[int]],
     record_alternatives_at: FrozenSet[int],
     workers: Optional[int],
-    backend: Optional[str] = None,
 ) -> List[Fragments]:
     """Recorded fragments for *origins*, in origin order, sharded
     across *workers* processes.
@@ -132,27 +117,16 @@ def sharded_fragments(
     """
     origins = list(origins)
     worker_count = resolve_workers(workers)
-    if backend is not None:
-        from repro.bgp.propagation import BACKENDS
-        if backend not in BACKENDS:
-            raise ValueError(f"unknown propagation backend {backend!r} "
-                             f"(choose from {BACKENDS})")
 
     if worker_count <= 1 or len(origins) < 2:
         engine = context.engine(record_at=record_at,
-                                record_alternatives_at=record_alternatives_at,
-                                backend=backend)
+                                record_alternatives_at=record_alternatives_at)
         return engine.batch_fragments(origins)
 
-    effective_backend = backend if backend is not None else context.backend
-    vectorized = effective_backend in VECTORIZED_BACKENDS
-    # Vectorized workers replay the parent's compiled plan: build it
-    # once here and ship it in the snapshot instead of once per worker.
-    snapshot = snapshot_context(context, include_plan=vectorized)
-    if backend is not None and backend != snapshot.backend:
-        snapshot = replace(snapshot, backend=backend)
-    chunks_per_worker = 1 if vectorized else CHUNKS_PER_WORKER
-    chunks = chunked(origins, worker_count * chunks_per_worker)
+    # Workers replay the parent's compiled plan: build it once here and
+    # ship it in the snapshot instead of once per worker.
+    snapshot = snapshot_context(context, include_plan=True)
+    chunks = chunked(origins, worker_count)
     fragments: List[Fragments] = []
     with ProcessPoolExecutor(
         max_workers=min(worker_count, len(chunks)),
@@ -170,16 +144,13 @@ def sharded_propagate(
     record_at: Optional[Iterable[int]],
     record_alternatives_at: Iterable[int],
     workers: Optional[int],
-    backend: Optional[str] = None,
 ) -> PropagationResult:
     """Propagate *origins*, sharded across *workers* processes.
 
     Falls back to the in-process engine for ``workers <= 1`` (or a
     single origin).  The sharded path produces a result bit-identical to
     the fallback: fragments are merged in origin order, replicating the
-    single-process recording sequence exactly.  *backend* overrides the
-    context's propagation backend for this call — parent engine and
-    worker snapshots alike — without mutating the context.
+    single-process recording sequence exactly.
     """
     origins = list(origins)
     worker_count = resolve_workers(workers)
@@ -190,12 +161,11 @@ def sharded_propagate(
         # In-process fast path keeps PropagationEngine.propagate's
         # origin-spec bookkeeping (and its isolated-origin handling).
         engine = context.engine(record_at=record,
-                                record_alternatives_at=record_alt,
-                                backend=backend)
+                                record_alternatives_at=record_alt)
         return engine.propagate(origins)
 
     fragments = sharded_fragments(context, origins, record, record_alt,
-                                  workers, backend=backend)
+                                  workers)
     result = PropagationResult()
     for spec, (best, offered) in zip(origins, fragments):
         result._record_origin(spec)

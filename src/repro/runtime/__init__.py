@@ -11,13 +11,12 @@ of materialising per-route objects:
   never copies a path or a community bag per AS;
 * :class:`CSRIndex` — a compressed-sparse-row adjacency index built once
   per topology, pre-partitioned into the three valley-free phases;
-* :class:`FrontierPropagator` — the array-based frontier BFS the
-  :class:`~repro.bgp.propagation.PropagationEngine` runs on;
-* :class:`PropagationPlan` / :class:`BatchedPropagator` — the vectorized
-  multi-origin backend: the plan compiles the CSR index once per
-  topology, batches of origins replay it as level-synchronous numpy
-  sweeps, bit-identical to the frontier engine (gate on
-  :func:`numpy_available`);
+* :class:`FrontierPropagator` / :class:`CompiledPropagator` — the two
+  propagation kernels the :class:`~repro.bgp.propagation.
+  PropagationEngine` picks between by batch size: the per-origin
+  frontier BFS, and the multi-origin kernel that replays a
+  :class:`PropagationPlan` (the CSR index compiled once per topology)
+  as level-synchronous numpy sweeps, bit-identical to the frontier;
 * :class:`BitsetIndex` — member-population bitmasks used by the
   reachability/link-inference layer;
 * :class:`PipelineContext` — owns the interners, the index and the
@@ -28,13 +27,12 @@ of materialising per-route objects:
   (:func:`snapshot_context` / :func:`restore_context`).
 """
 
-from repro.runtime.batched import (
-    BatchedPropagator,
-    BatchState,
-    PropagationPlan,
-    numpy_available,
-)
 from repro.runtime.bitset import BitsetIndex
+from repro.runtime.compiled import (
+    BatchState,
+    CompiledPropagator,
+    PropagationPlan,
+)
 from repro.runtime.context import PipelineContext
 from repro.runtime.csr import CSRIndex
 from repro.runtime.reachmatrix import ReachabilityMatrix, ReachabilityPlane
@@ -48,15 +46,14 @@ from repro.runtime.snapshot import (
 from repro.runtime.stores import CommunityBagStore, PathStore
 
 __all__ = [
-    "BatchedPropagator",
     "BatchState",
     "BitsetIndex",
     "CommunityBagStore",
+    "CompiledPropagator",
     "ContextSnapshot",
     "CSRIndex",
     "FrontierPropagator",
     "Interner",
-    "numpy_available",
     "OriginState",
     "PathStore",
     "PipelineContext",

@@ -14,22 +14,12 @@ from __future__ import annotations
 from typing import Callable, Dict, Hashable, Iterable, Optional, Tuple
 
 from repro.runtime.bitset import BitsetIndex
+from repro.runtime.compiled import PropagationPlan
 from repro.runtime.csr import CSRIndex
 from repro.runtime.frontier import FrontierPropagator
 from repro.runtime.interning import Interner
 from repro.runtime.stores import PathStore
 
-
-#: Propagation backends a context can default its engines to (the full
-#: selector semantics live in :mod:`repro.bgp.propagation`).
-PROPAGATION_BACKENDS = ("frontier", "batched", "compiled", "reference")
-DEFAULT_BACKEND = "frontier"
-
-#: MLP inference backends (the selector semantics live in
-#: :mod:`repro.core.engine`): the per-IXP object engine, or the
-#: vectorized bitset-matrix plane of :mod:`repro.core.planes`.
-INFERENCE_BACKENDS = ("object", "bitset")
-DEFAULT_INFERENCE_BACKEND = "object"
 
 #: Bounded sizes of the context-level inference caches.
 _MAX_INFERENCE_PLANE_ENTRIES = 8
@@ -169,25 +159,11 @@ class PipelineContext:
     """Shared interners, adjacency index and memoised propagation."""
 
     def __init__(self, index: CSRIndex,
-                 backend: str = DEFAULT_BACKEND,
-                 inference_backend: str = DEFAULT_INFERENCE_BACKEND,
                  epoch_provider: Optional[Callable[[], Hashable]] = None,
                  route_cache_max_bytes: Optional[int] = None,
                  ) -> None:
-        if backend not in PROPAGATION_BACKENDS:
-            raise ValueError(
-                f"unknown propagation backend {backend!r} "
-                f"(choose from {PROPAGATION_BACKENDS})")
-        if inference_backend not in INFERENCE_BACKENDS:
-            raise ValueError(
-                f"unknown inference backend {inference_backend!r} "
-                f"(choose from {INFERENCE_BACKENDS})")
         #: the CSR adjacency index (owns the ASN interner and bag store).
         self.index = index
-        #: default propagation backend for engines built off this context.
-        self.backend = backend
-        #: default MLP inference backend for engines built off this context.
-        self.inference_backend = inference_backend
         #: ASN interner (node ids ascend with ASN value).
         self.asns = index.asns
         #: community-bag store shared with the index's edge bags.
@@ -212,7 +188,7 @@ class PipelineContext:
         #: post-mutation lookup can never return a stale block.
         self._epoch_provider = epoch_provider
         self._member_indices: Dict[Hashable, Tuple[frozenset, BitsetIndex]] = {}
-        #: bitset-backend observation planes: (PlaneCacheKey, planes)
+        #: collected inference observation planes: (PlaneCacheKey, planes)
         #: pairs, newest last (see repro.core.planes.PlaneCacheKey).
         self._inference_planes: list = []
         #: (inference result, ReachabilityMatrix) pairs, newest last.
@@ -222,24 +198,18 @@ class PipelineContext:
 
     @classmethod
     def from_adjacencies(cls, adjacencies: Iterable[object],
-                         backend: str = DEFAULT_BACKEND,
-                         inference_backend: str = DEFAULT_INFERENCE_BACKEND,
                          route_cache_max_bytes: Optional[int] = None,
                          ) -> "PipelineContext":
         """Build a context from directed adjacency records."""
-        return cls(CSRIndex.from_adjacencies(adjacencies), backend=backend,
-                   inference_backend=inference_backend,
+        return cls(CSRIndex.from_adjacencies(adjacencies),
                    route_cache_max_bytes=route_cache_max_bytes)
 
     @classmethod
     def from_graph(cls, graph, rs_community_provider=None,
-                   backend: str = DEFAULT_BACKEND,
-                   inference_backend: str = DEFAULT_INFERENCE_BACKEND,
                    ) -> "PipelineContext":
         """Build a context from an :class:`~repro.topology.as_graph.ASGraph`."""
         return cls(graph.build_index(
-            rs_community_provider=rs_community_provider), backend=backend,
-            inference_backend=inference_backend)
+            rs_community_provider=rs_community_provider))
 
     # -- propagation ---------------------------------------------------------
 
@@ -254,25 +224,21 @@ class PipelineContext:
     @property
     def plan(self):
         """The (lazily compiled, cached)
-        :class:`~repro.runtime.batched.PropagationPlan` of this
-        context's index — the batched backend's per-topology schedule,
-        reused across every batch and engine."""
+        :class:`~repro.runtime.compiled.PropagationPlan` of this
+        context's index — the multi-origin kernel's per-topology
+        schedule, reused across every batch and engine."""
         if self._plan is None:
-            from repro.runtime.batched import PropagationPlan
             self._plan = PropagationPlan(self.index)
         return self._plan
 
-    def engine(self, record_at=None, record_alternatives_at=None,
-               backend=None):
+    def engine(self, record_at=None, record_alternatives_at=None):
         """A :class:`~repro.bgp.propagation.PropagationEngine` sharing
-        this context's index, stores and memoised routes; *backend*
-        defaults to the context's own."""
+        this context's index, stores and memoised routes."""
         from repro.bgp.propagation import PropagationEngine
         return PropagationEngine(
             record_at=record_at,
             record_alternatives_at=record_alternatives_at,
             context=self,
-            backend=backend,
         )
 
     @property
@@ -329,7 +295,7 @@ class PipelineContext:
         return None
 
     def store_inference_planes(self, key, value) -> None:
-        """Remember the bitset observation planes computed under *key*."""
+        """Remember the observation planes computed under *key*."""
         self._inference_planes.append((key, value))
         if len(self._inference_planes) > _MAX_INFERENCE_PLANE_ENTRIES:
             self._inference_planes.pop(0)
@@ -338,7 +304,7 @@ class PipelineContext:
         """The (cached) :class:`~repro.runtime.reachmatrix.ReachabilityMatrix`
         of *result* — the shared artifact the section-5 analyses consume.
 
-        Keyed by result identity: the bitset engine pre-populates the
+        Keyed by result identity: the inference engine pre-populates the
         cache with its natively built planes, so the usual call pattern
         (inference stage -> reachability stage) never rebuilds."""
         for stored, matrix in self._reachability_matrices:

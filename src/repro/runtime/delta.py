@@ -5,9 +5,9 @@ join/leave — can only change the routes of origins whose valley-free
 propagation cone crosses the changed edge or policy.  This module
 computes that affected set directly on the CSR index and patches a
 prior :class:`~repro.bgp.propagation.PropagationResult`: only affected
-origins are re-run through the (frontier/batched/compiled) kernels,
-every other origin's columnar :class:`RouteBlock` is reused
-byte-for-byte from the baseline.
+origins are re-run through the propagation kernels, every other
+origin's columnar :class:`RouteBlock` is reused byte-for-byte from the
+baseline.
 
 Affected-set soundness
 ----------------------
@@ -74,16 +74,13 @@ from typing import (
     Tuple,
 )
 
-try:  # optional, mirrors runtime/fragments.py — block scans need it,
-    import numpy as np  # the object-fragment fallback does not.
-except ImportError:  # pragma: no cover - exercised via object fragments
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.bgp.propagation import OriginSpec, PropagationResult
 from repro.runtime.csr import CSRIndex, PhaseEdges
 
 #: One origin's recorded fragments, as the engine returns them:
-#: ``(best, offered)`` RouteBlocks (or plain route lists without numpy).
+#: ``(best, offered)`` RouteBlocks.
 Fragments = Tuple[Sequence, Sequence]
 
 #: Computes fragments for the stale origins, in spec order — typically
@@ -226,30 +223,19 @@ def _observer_below(index: CSRIndex, asn: int,
 def _block_touches(block, pair_set: Set[Tuple[int, int]],
                    visit_set: Set[int]) -> bool:
     """Does one fragment block contain any pair as an adjacent path hop,
-    or visit any of the ASNs?  Columnar fast path, object fallback."""
-    if hasattr(block, "link_pairs"):
-        values = block.path_values
-        for asn in visit_set:
-            if bool((values == asn).any()):
-                return True
-        if pair_set:
-            lo, hi = block.link_pairs()
-            if len(lo):
-                hit = np.zeros(len(lo), dtype=bool)
-                for low, high in pair_set:
-                    hit |= (lo == low) & (hi == high)
-                if bool(hit.any()):
-                    return True
-        return False
-    for route in block:
-        path = route.path
-        if visit_set and any(asn in visit_set for asn in path):
+    or visit any of the ASNs?"""
+    values = block.path_values
+    for asn in visit_set:
+        if bool((values == asn).any()):
             return True
-        if pair_set:
-            for left, right in zip(path, path[1:]):
-                if left != right and \
-                        (min(left, right), max(left, right)) in pair_set:
-                    return True
+    if pair_set:
+        lo, hi = block.link_pairs()
+        if len(lo):
+            hit = np.zeros(len(lo), dtype=bool)
+            for low, high in pair_set:
+                hit |= (lo == low) & (hi == high)
+            if bool(hit.any()):
+                return True
     return False
 
 

@@ -20,20 +20,13 @@ fragments columnar instead:
   walk over all path ids of a batch, replacing the per-route scalar
   ``materialize`` calls.  ``PathTable.gather`` then slices per-row CSR
   views out of the walked table with a single ragged gather.
-
-Like the rest of ``runtime``, numpy is optional: the module imports
-without it, and the engine falls back to eager object fragments when
-``fragments_available()`` is false.
 """
 
 from __future__ import annotations
 
 from typing import Hashable, Iterable, Iterator, List, Sequence, Tuple
 
-try:  # optional dependency, mirrors runtime/batched.py
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via fragments_available
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 __all__ = [
     "RouteBlock",
@@ -42,24 +35,11 @@ __all__ = [
     "walk_paths",
     "intern_bags",
     "block_from_columns",
-    "fragments_available",
 ]
 
 #: Lazily resolved to avoid a module-level cycle: ``bgp.propagation``
 #: imports this module, and only row materialisation needs the class.
 _ROUTE_CLS = None
-
-
-def fragments_available() -> bool:
-    """True when the columnar fragment plane can be used (numpy present)."""
-    return np is not None
-
-
-def _require_numpy() -> None:
-    if np is None:  # pragma: no cover - numpy is present in CI
-        raise RuntimeError(
-            "columnar route fragments require numpy; "
-            "use the object fragment path instead")
 
 
 def _route_class():
@@ -78,7 +58,6 @@ def walk_paths(heads, parents, pids):
     measuring chain lengths, then writing heads), each iterating only
     ``max path length`` times with numpy doing the per-chain work.
     """
-    _require_numpy()
     heads = np.asarray(heads, dtype=np.int64)
     parents = np.asarray(parents, dtype=np.int64)
     pids = np.asarray(pids, dtype=np.int64)
@@ -117,7 +96,6 @@ class PathTable:
     __slots__ = ("_pids", "_offsets", "_values", "_lengths")
 
     def __init__(self, heads, parents, pids) -> None:
-        _require_numpy()
         pids = np.unique(np.asarray(pids, dtype=np.int64))
         if len(pids) and pids[0] < 0:
             pids = pids[pids >= 0]
@@ -157,7 +135,6 @@ def intern_bags(bag_ids, bag_value):
     table makes the block independent of the store (and picklable
     without dragging the context along).
     """
-    _require_numpy()
     bag_ids = np.asarray(bag_ids, dtype=np.int64)
     if len(bag_ids) == 0:
         return np.empty(0, dtype=np.int32), ()
@@ -210,7 +187,6 @@ class RouteBlock:
     @classmethod
     def empty(cls) -> "RouteBlock":
         """A zero-row block."""
-        _require_numpy()
         return cls(
             asn=np.empty(0, dtype=np.int64),
             provenance=np.empty(0, dtype=np.int16),
@@ -229,7 +205,6 @@ class RouteBlock:
         The originals are kept as the block's row views, so identity
         (and any interned path/bag sharing they carry) is preserved.
         """
-        _require_numpy()
         routes = list(routes)
         count = len(routes)
         bag_index: dict = {}
@@ -463,7 +438,6 @@ class ObservationIndex:
 
     def __init__(self, best_blocks: Sequence[RouteBlock],
                  offered_blocks: Sequence[RouteBlock]) -> None:
-        _require_numpy()
         self._b_asn, self._b_pos, self._b_row = \
             self._sorted_side(best_blocks, with_rank=False)
         asn, pos, self._o_row = self._sorted_side(offered_blocks,
@@ -586,7 +560,6 @@ def block_from_columns(asns, provenance, learned_from, pids, bag_ids,
     block-local table; paths come out of *path_table* (walked once per
     batch).  All columns must already be recorded-observer filtered.
     """
-    _require_numpy()
     pids = np.asarray(pids, dtype=np.int64)
     local_bags, bag_values = intern_bags(bag_ids, bag_value)
     offsets, values = path_table.gather(pids)

@@ -1,15 +1,16 @@
 """Array-based frontier BFS over the CSR index.
 
-This is the data plane of the valley-free propagation engine.  Per-AS
+This is the per-origin kernel of the valley-free propagation engine
+(the engine runs it for small batches, see
+:data:`~repro.bgp.propagation.COMPILED_MIN_ORIGINS`).  Per-AS
 state lives in parallel arrays indexed by node id — provenance class,
 path length, learned-from node, path id, community-bag id — and the
 three phases (customer climb, one-hop peering, provider descent) are
 bucket-queue BFS sweeps over the pre-partitioned phase edges of the
 :class:`~repro.runtime.csr.CSRIndex`.
 
-Best-route semantics match the object-graph reference engine
-(:class:`~repro.bgp.reference_propagation.ReferencePropagationEngine`)
-exactly — provenance, path, communities, learned-from: within a phase
+Best-route semantics match the object-graph reference engine the test
+suite keeps as an oracle (``tests/oracle/propagation.py``) exactly — provenance, path, communities, learned-from: within a phase
 shorter paths win, across phases earlier phases win, ties break on the
 lowest exporting neighbour (node ids ascend with ASNs, so comparing ids
 *is* comparing ASNs), and the pop order replicates the reference heap.

@@ -14,12 +14,9 @@ set, per-IXP link sets, multi-IXP overlap, link provenance, per-member
 peer counts and densities), so the whole figure suite runs off one
 artifact instead of re-walking the inference result object.
 
-Reciprocal-ALLOW link inference is ``M & M.T``: with numpy the rows are
-unpacked into a boolean matrix, AND-ed with its transpose and the upper
-triangle is read out in one pass; without numpy the same answer comes
-from the integer-bitmask kernel
-(:func:`repro.runtime.bitset.reciprocal_pairs`).  Both paths emit the
-identical sorted pair tuple.
+Reciprocal-ALLOW link inference is ``M & M.T``: the rows are unpacked
+into a boolean matrix, AND-ed with its transpose and the upper triangle
+is read out in one pass, as a sorted pair tuple.
 """
 
 from __future__ import annotations
@@ -28,12 +25,9 @@ from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
-from repro.runtime.bitset import BitsetIndex, iter_bits, reciprocal_pairs
+import numpy as _np
 
-try:  # pragma: no cover - exercised via numpy_available()
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+from repro.runtime.bitset import BitsetIndex, iter_bits
 
 #: An inferred MLP link: an ordered (lower ASN, higher ASN) pair.
 Link = Tuple[int, int]
@@ -77,7 +71,6 @@ def packed_words(size: int) -> int:
 
 def pack_mask(mask: int, size: int):
     """One integer bitmask as a ``(words,)`` :data:`PACKED_DTYPE` row."""
-    assert _np is not None
     nbytes = packed_words(size) * 8
     return _np.frombuffer(mask.to_bytes(nbytes, "little"),
                           dtype=PACKED_DTYPE).copy()
@@ -94,7 +87,6 @@ def pack_rows(rows: Mapping[int, int], size: int):
     Uncovered rows (bits without an entry) pack as all-zero words —
     exactly how :func:`rows_to_bool_matrix` treated them.
     """
-    assert _np is not None
     words = packed_words(size)
     packed = _np.zeros((size, words), dtype=PACKED_DTYPE)
     nbytes = words * 8
@@ -112,7 +104,6 @@ def packed_to_bool_matrix(packed, size: int):
     Python-integer traffic, which is what makes this usable directly on
     an mmap'd artifact plane.
     """
-    assert _np is not None
     if size == 0:
         return _np.zeros((0, 0), dtype=bool)
     as_bytes = _np.ascontiguousarray(packed).view(_np.uint8)
@@ -122,7 +113,6 @@ def packed_to_bool_matrix(packed, size: int):
 
 def rows_to_bool_matrix(rows: Mapping[int, int], size: int):
     """Unpack integer bitmask rows into an (size x size) numpy bool matrix."""
-    assert _np is not None
     return packed_to_bool_matrix(pack_rows(rows, size), size)
 
 
@@ -136,7 +126,6 @@ def reciprocal_links_packed(packed, universe: Tuple[int, ...],
     row-major order — which *is* ascending sorted-pair order because
     the universe is sorted.
     """
-    assert _np is not None
     size = len(universe)
     if size == 0:
         return ()
@@ -154,19 +143,11 @@ def reciprocal_links_packed(packed, universe: Tuple[int, ...],
 
 def reciprocal_links(rows: Mapping[int, int], universe: Tuple[int, ...],
                      require_reciprocity: bool = True) -> Tuple[Link, ...]:
-    """The sorted reciprocal-ALLOW pairs of the given ALLOW rows.
-
-    With numpy the rows are packed into a uint64 plane and handed to
-    :func:`reciprocal_links_packed`; the integer-bitmask fallback
-    (:func:`~repro.runtime.bitset.reciprocal_pairs`) produces the
-    identical tuple on installs without numpy.
-    """
-    size = len(universe)
-    if _np is None or size == 0:
-        return tuple(sorted(reciprocal_pairs(
-            dict(rows), universe, require_reciprocity)))
+    """The sorted reciprocal-ALLOW pairs of the given ALLOW rows: the
+    rows are packed into a uint64 plane and handed to
+    :func:`reciprocal_links_packed`."""
     return reciprocal_links_packed(
-        pack_rows(rows, size), universe, require_reciprocity)
+        pack_rows(rows, len(universe)), universe, require_reciprocity)
 
 
 class PackedRows(MappingABC):
@@ -227,8 +208,7 @@ class PackedRows(MappingABC):
 #
 # One definition of the derived link views, used by both the
 # ReachabilityMatrix and core's MLPInferenceResult memo sites (the
-# differential tests compare the two across backends, so the
-# derivations must never drift apart).
+# tests compare the two, so the derivations must never drift apart).
 
 
 def links_union(links_by_ixp: Mapping[str, Tuple[Link, ...]]
@@ -344,33 +324,24 @@ class ReachabilityPlane:
     def packed(self):
         """The ``(members, words)`` :data:`PACKED_DTYPE` ALLOW plane.
 
-        Packed once from ``allow_rows`` and memoised (None without
-        numpy); artifact-loaded planes carry their mmap'd plane from
-        construction and never touch Python integers here.  The plane
-        must not be mutated after the first call.
+        Packed once from ``allow_rows`` and memoised; artifact-loaded
+        planes carry their mmap'd plane from construction and never
+        touch Python integers here.  The plane must not be mutated
+        after the first call.
         """
-        if self._packed is None and _np is not None:
+        if self._packed is None:
             self._packed = pack_rows(self.allow_rows, len(self.index))
         return self._packed
 
     # -- link inference ------------------------------------------------------
 
     def links(self, require_reciprocity: bool = True) -> Tuple[Link, ...]:
-        """Reciprocal-ALLOW links of this plane (memoised per flag).
-
-        Runs on the packed uint64 plane when numpy is importable; the
-        integer-bitmask kernel answers identically without it.
-        """
+        """Reciprocal-ALLOW links of this plane (memoised per flag), from
+        the packed uint64 plane."""
         cached = self._links.get(require_reciprocity)
         if cached is None:
-            packed = self.packed()
-            if packed is not None:
-                cached = reciprocal_links_packed(
-                    packed, self.index.universe, require_reciprocity)
-            else:
-                cached = reciprocal_links(
-                    self.allow_rows, self.index.universe,
-                    require_reciprocity)
+            cached = reciprocal_links_packed(
+                self.packed(), self.index.universe, require_reciprocity)
             self._links[require_reciprocity] = cached
         return cached
 
@@ -456,13 +427,15 @@ class ReachabilityMatrix:
 
     def __init__(self, planes: Dict[str, ReachabilityPlane],
                  links_by_ixp: Optional[Dict[str, Tuple[Link, ...]]] = None,
-                 built_by: str = "object") -> None:
+                 built_by: str = "bitset") -> None:
         #: ixp name -> plane.
         self.planes = dict(planes)
-        #: inference backend that produced the planes (provenance).
+        #: how the planes were produced (provenance only): "bitset" for
+        #: the inference engine's native planes, "result" when rebuilt
+        #: from a result object, or what a loaded artifact recorded.
         self.built_by = built_by
-        #: per-IXP link tuples — the result's links (identical across
-        #: backends); computed from the planes when not supplied.
+        #: per-IXP link tuples — the result's links; computed from the
+        #: planes when not supplied.
         self._links_by_ixp: Dict[str, Tuple[Link, ...]] = (
             dict(links_by_ixp) if links_by_ixp is not None
             else {name: plane.links() for name, plane in self.planes.items()})
@@ -472,8 +445,8 @@ class ReachabilityMatrix:
 
     @classmethod
     def from_result(cls, result, context: Optional[object] = None,
-                    built_by: Optional[str] = None) -> "ReachabilityMatrix":
-        """Build the matrix from an inference result (any backend).
+                    built_by: str = "result") -> "ReachabilityMatrix":
+        """Build the matrix from an inference result.
 
         *result* is duck-typed (``repro.core.engine.MLPInferenceResult``
         shaped) so the runtime layer stays import-free of core; *context*
@@ -512,9 +485,7 @@ class ReachabilityMatrix:
                     plane.third_party_mask |= 1 << bit
             planes[ixp_name] = plane
             links[ixp_name] = tuple(inference.links)
-        return cls(planes, links_by_ixp=links,
-                   built_by=built_by if built_by is not None
-                   else getattr(result, "inference_backend", "object"))
+        return cls(planes, links_by_ixp=links, built_by=built_by)
 
     # -- shared link views ---------------------------------------------------
 

@@ -50,16 +50,11 @@ class ContextSnapshot:
     peer_phase: PhaseArrays
     provider_phase: PhaseArrays
     num_edges: int
-    #: propagation backend the restored context defaults its engines to.
-    backend: str = "frontier"
-    #: MLP inference backend the restored context defaults its engines
-    #: to (workers inherit the parent's data-plane selection).
-    inference_backend: str = "object"
-    #: the parent's compiled :class:`~repro.runtime.batched
-    #: .PropagationPlan`, when one was already built — numpy arrays
+    #: the parent's compiled :class:`~repro.runtime.compiled
+    #: .PropagationPlan`, when one was built or asked for — numpy arrays
     #: pickle as raw buffers, so shipping the plan saves every worker
-    #: the per-process schedule compilation (None when the parent never
-    #: built one, e.g. frontier-only runs or numpy-less installs).
+    #: the per-process schedule compilation (None otherwise: restored
+    #: contexts then compile it lazily on first use).
     plan: object = None
 
     @property
@@ -84,19 +79,14 @@ def snapshot_context(context: "PipelineContext",
     """Capture the context's index in compact, picklable form.
 
     With *include_plan* the context's
-    :class:`~repro.runtime.batched.PropagationPlan` is built (if numpy
-    is available) and shipped alongside the index, so restored worker
-    contexts replay it instead of recompiling the schedule; otherwise a
-    plan is shipped only when the context already built one.
+    :class:`~repro.runtime.compiled.PropagationPlan` is built and
+    shipped alongside the index, so restored worker contexts replay it
+    instead of recompiling the schedule; otherwise a plan is shipped
+    only when the context already built one.
     """
     index = context.index
     bag_values = tuple(index.bags._values)
-    plan = getattr(context, "_plan", None)
-    if plan is None and include_plan:
-        try:
-            plan = context.plan
-        except RuntimeError:  # no numpy: workers fall back to frontier
-            plan = None
+    plan = context.plan if include_plan else context._plan
     return ContextSnapshot(
         node_asns=array("q", index.node_asns),
         bag_values=bag_values,
@@ -104,8 +94,6 @@ def snapshot_context(context: "PipelineContext",
         peer_phase=_pack_phase(index.peer_edges),
         provider_phase=_pack_phase(index.provider_edges),
         num_edges=index.num_edges,
-        backend=getattr(context, "backend", "frontier"),
-        inference_backend=getattr(context, "inference_backend", "object"),
         plan=plan,
     )
 
@@ -131,8 +119,7 @@ def restore_context(snapshot: ContextSnapshot) -> "PipelineContext":
         provider_edges=_unpack_phase(snapshot.provider_phase),
         num_edges=snapshot.num_edges,
     )
-    context = PipelineContext(index, backend=snapshot.backend,
-                              inference_backend=snapshot.inference_backend)
+    context = PipelineContext(index)
     if snapshot.plan is not None:
         # Seed the lazily built schedule: ids were preserved exactly,
         # so the shipped plan is the one this context would compile.

@@ -113,10 +113,6 @@ class Scenario:
     #: Shared runtime context (interners, CSR index, memoised routes);
     #: threaded through propagation and the inference engine.
     context: Optional[PipelineContext] = None
-    #: Propagation backend the scenario was built with ("frontier",
-    #: "batched" or "reference"); recorded for provenance and threaded
-    #: into the inference engine.
-    backend: str = "frontier"
 
     # -- ground truth -----------------------------------------------------------------
 
@@ -174,13 +170,8 @@ class Scenario:
         self,
         connectivity: Optional[Dict[str, ConnectivityReport]] = None,
         use_ground_truth_relationships: bool = True,
-        inference_backend: Optional[str] = None,
     ) -> MLPInferenceEngine:
-        """Build the inference engine from discovered (or supplied) data.
-
-        *inference_backend* selects the inference data plane ("object"
-        or "bitset"); ``None`` defers to the runtime context's default.
-        """
+        """Build the inference engine from discovered (or supplied) data."""
         if connectivity is None:
             connectivity = self.discover_connectivity()
         rs_members = {name: set(report.members)
@@ -193,8 +184,6 @@ class Scenario:
             mappers=self.mappers(),
             relationships=relationships,
             context=self.context,
-            backend=self.backend,
-            inference_backend=inference_backend,
         )
 
     def run_inference(
@@ -203,16 +192,13 @@ class Scenario:
         use_active: bool = True,
         require_reciprocity: bool = True,
         workers: Optional[int] = None,
-        inference_backend: Optional[str] = None,
     ) -> MLPInferenceResult:
         """Run the end-to-end inference pipeline of section 4.
 
-        ``workers > 1`` shards the per-IXP passive/active inference
-        across a process pool (identical results, deterministic order).
-        ``inference_backend`` selects the data plane ("object" or
-        "bitset", bit-identical outputs).
+        ``workers`` is accepted for interface parity with the sharded
+        stages; the inference itself runs in-process.
         """
-        engine = self.make_engine(inference_backend=inference_backend)
+        engine = self.make_engine()
         passive_entries = self.archive.clean_stable_entries() if use_passive else None
         rs_lgs = self.rs_looking_glasses if use_active else {}
         third_party = self.third_party_lgs if use_active else {}
@@ -277,17 +263,15 @@ def stage_propagation(
     internet: GeneratedInternet,
     ixps_artifact: Dict[str, object],
     workers: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> Dict[str, object]:
     """Pick observation points and run valley-free propagation.
 
     The per-origin runs are embarrassingly parallel; with ``workers >
     1`` they are sharded as origin batches across a process pool (worker
     contexts rebuilt from a :mod:`repro.runtime.snapshot`), with results
-    bit-identical to the single-process path.  *backend* selects the
-    propagation data plane (frontier BFS per origin, vectorized batched
-    sweeps, or the object-graph reference oracle); all backends build
-    equivalent artifacts but are fingerprinted separately.
+    bit-identical to the single-process path.  The artifact's
+    ``"backend"`` entry is provenance only: ``"auto"``, the engine's
+    batch-size kernel selection.
     """
     graph = internet.graph
     route_servers: Dict[str, RouteServer] = ixps_artifact["route_servers"]
@@ -311,10 +295,8 @@ def stage_propagation(
         policy = route_server.member_policy(asn)
         return policy.communities_for(route_server.scheme, None, route_server.mapper)
 
-    from repro.bgp.propagation import DEFAULT_BACKEND
     context = PipelineContext.from_graph(
-        graph, rs_community_provider=rs_communities,
-        backend=backend if backend is not None else DEFAULT_BACKEND)
+        graph, rs_community_provider=rs_communities)
     # Salt the graph/route-server mutation counters into the context's
     # route-cache keys: a lookup after any policy, membership or
     # topology mutation can never return a pre-mutation block.
@@ -329,7 +311,7 @@ def stage_propagation(
 
     return {
         "context": context,
-        "backend": context.backend,
+        "backend": "auto",
         "propagation": propagation,
         "vantage_points": vantage_points,
         "lg_hosts": lg_hosts,
@@ -423,7 +405,6 @@ def stage_scenario(
         traceroute=traceroute,
         vantage_points=propagation_artifact["vantage_points"],
         context=propagation_artifact["context"],
-        backend=propagation_artifact.get("backend", "frontier"),
     )
 
 
@@ -739,9 +720,7 @@ def _run_inference_stage(run):
     scenario: Scenario = run.artifact("scenario")
     connectivity = run.artifact("connectivity")
     options = run.inference_options
-    engine = scenario.make_engine(
-        connectivity=connectivity,
-        inference_backend=getattr(run, "inference_backend", None))
+    engine = scenario.make_engine(connectivity=connectivity)
     passive_entries = scenario.archive.clean_stable_entries() \
         if options.use_passive else None
     rs_lgs = scenario.rs_looking_glasses if options.use_active else {}
@@ -789,7 +768,6 @@ def stage_timeline(run):
         internet.graph, ixps_artifact["route_servers"],
         propagation_artifact["propagation"],
         record_at, record_alternatives_at,
-        backend=propagation_artifact["backend"],
         workers=run.workers,
         context=propagation_artifact["context"])
     return replay.replay(events)
@@ -827,16 +805,11 @@ STAGE_LIBRARY: Dict[str, Stage] = {
             "propagation",
             fn=lambda run: stage_propagation(
                 run.config, run.artifact("topology"), run.artifact("ixps"),
-                workers=run.workers, backend=getattr(run, "backend", None)),
+                workers=run.workers),
             deps=("topology", "ixps"),
             config_keys=("vantage_point_fraction", "full_feed_fraction",
                          "third_party_lgs_per_ixp", "num_traceroute_monitors",
                          "num_validation_lgs"),
-            # The backend namespace salts this fingerprint (and, via the
-            # dependency cascade, everything downstream), so artifacts
-            # from different propagation backends never alias in a
-            # shared cache.
-            options_key="backend",
             persist=True,
         ),
         Stage(
@@ -879,10 +852,9 @@ STAGE_LIBRARY: Dict[str, Stage] = {
             "inference",
             fn=_run_inference_stage,
             deps=("scenario", "connectivity"),
-            # The options namespace carries the InferenceOptions repr
-            # *and* the inference-backend selector, so artifacts from
-            # different inference data planes never alias in a shared
-            # cache (while every upstream stage stays shared).
+            # The options namespace carries the InferenceOptions repr,
+            # so the ablations never alias in a shared cache (while
+            # every upstream stage stays shared).
             options_key="inference",
             persist=True,
         ),

@@ -562,19 +562,16 @@ def mutation_epoch_provider(
 
 
 def build_context(graph: ASGraph, route_servers: Dict[str, RouteServer],
-                  backend: Optional[str] = None,
                   rs_provider: Optional[Callable] = None) -> PipelineContext:
     """A propagation context over the current graph/RS state, with the
     mutation epoch bound (exactly what the propagation stage builds).
 
     *rs_provider* lets a replay reuse one memoised community provider
     across events instead of re-encoding every policy per rebuild."""
-    from repro.bgp.propagation import DEFAULT_BACKEND
     if rs_provider is None:
         rs_provider = rs_community_provider(route_servers)
     context = PipelineContext.from_graph(
-        graph, rs_community_provider=rs_provider,
-        backend=backend if backend is not None else DEFAULT_BACKEND)
+        graph, rs_community_provider=rs_provider)
     context.bind_epoch(mutation_epoch_provider(graph, route_servers))
     return context
 
@@ -592,13 +589,12 @@ def rebuild_propagation(
     route_servers: Dict[str, RouteServer],
     record_at: Optional[FrozenSet[int]],
     record_alternatives_at: FrozenSet[int],
-    backend: Optional[str] = None,
     workers: Optional[int] = None,
 ):
     """Full from-scratch propagation of the current state (the delta
     path's ground truth).  Returns ``(context, result)``."""
     from repro.pipeline.shard import sharded_propagate
-    context = build_context(graph, route_servers, backend=backend)
+    context = build_context(graph, route_servers)
     origins = origin_specs_of(graph)
     result = sharded_propagate(context, origins, record_at,
                                record_alternatives_at, workers)
@@ -674,7 +670,6 @@ class TimelineReplay:
         baseline,
         record_at: Optional[Iterable[int]],
         record_alternatives_at: Iterable[int],
-        backend: Optional[str] = None,
         workers: Optional[int] = None,
         context: Optional[PipelineContext] = None,
     ) -> None:
@@ -690,9 +685,7 @@ class TimelineReplay:
         self._rs_provider = rs_community_provider(self.route_servers)
         if context is None:
             context = build_context(self.graph, self.route_servers,
-                                    backend=backend,
                                     rs_provider=self._rs_provider)
-        self.backend = backend if backend is not None else context.backend
         #: context over the *current* replay state; its index doubles as
         #: the next event's pre-event index.
         self.context = context
@@ -717,7 +710,6 @@ class TimelineReplay:
             else:
                 self.context = build_context(self.graph,
                                              self.route_servers,
-                                             backend=self.backend,
                                              rs_provider=self._rs_provider)
         origins = origin_specs_of(self.graph)
         records = None if self.record_at is None else \
@@ -780,7 +772,7 @@ class TimelineReplay:
     def _context_over(self, index) -> PipelineContext:
         """A context over a spliced index, epoch-bound like
         :func:`build_context`."""
-        context = PipelineContext(index, backend=self.backend)
+        context = PipelineContext(index)
         context.bind_epoch(mutation_epoch_provider(self.graph,
                                                    self.route_servers))
         return context

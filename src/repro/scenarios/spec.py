@@ -113,16 +113,6 @@ class ScenarioSpec:
     base_seed: int = 20130501
     #: Size used when the caller does not supply one.
     default_size: str = "full"
-    #: Propagation backend pin ("frontier"/"batched"/"reference"); None
-    #: lets :class:`~repro.pipeline.run.ScenarioRun` default to the
-    #: frontier engine.  The resolved backend is salted into the
-    #: propagation stage's fingerprint.
-    backend: Optional[str] = None
-    #: Inference backend pin ("object"/"bitset"); None lets
-    #: :class:`~repro.pipeline.run.ScenarioRun` default to the object
-    #: engine.  The resolved backend is salted into the inference
-    #: stage's fingerprint (upstream stages stay shared).
-    inference_backend: Optional[str] = None
     #: Event timeline replayed by the ``timeline`` stage after the
     #: baseline propagation (:class:`~repro.scenarios.events.
     #: TimelineSpec`, resolved against :data:`~repro.scenarios.events.

@@ -46,16 +46,13 @@ def workload_sizes(scenario: str = "europe2013") -> List[str]:
 
 def scenario_run(size: str = "small", seed: Optional[int] = None, *,
                  scenario: str = "europe2013",
-                 workers=None, backend=None, inference_backend=None,
-                 cache=None, cache_dir=None):
+                 workers=None, cache=None, cache_dir=None):
     """A :class:`~repro.pipeline.run.ScenarioRun` for a named workload.
 
     This is the canonical entry point for executing a workload through
     the staged pipeline: the scenario resolves through the registry,
     stages resolve lazily, artifacts land in *cache* (or a fresh one),
-    ``workers`` shards the parallel stages, ``backend`` selects the
-    propagation data plane and ``inference_backend`` the MLP inference
-    data plane.  ``seed`` defaults to the spec's own ``base_seed`` (the
+    and ``workers`` shards the parallel stages.  ``seed`` defaults to the spec's own ``base_seed`` (the
     family's declared identity).
     """
     spec = get_scenario(scenario)
@@ -64,17 +61,13 @@ def scenario_run(size: str = "small", seed: Optional[int] = None, *,
             f"unknown workload {size!r} (choose from {sorted(spec.sizes)})")
     from repro.pipeline.run import ScenarioRun
     return ScenarioRun(spec.config(size, seed), scenario=spec,
-                       workers=workers, backend=backend,
-                       inference_backend=inference_backend, cache=cache,
-                       cache_dir=cache_dir)
+                       workers=workers, cache=cache, cache_dir=cache_dir)
 
 
 def scenario_matrix(size: str = "tiny", seed: Optional[int] = None, *,
-                    workers=None, backend=None, inference_backend=None,
-                    cache=None):
+                    workers=None, cache=None):
     """One :class:`~repro.pipeline.run.ScenarioRun` per registered
     scenario family, in name order — the CI smoke matrix."""
     return [scenario_run(size, seed, scenario=name, workers=workers,
-                         backend=backend, inference_backend=inference_backend,
                          cache=cache)
             for name in scenario_names()]

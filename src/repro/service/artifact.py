@@ -48,6 +48,8 @@ import os
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
+import numpy as _np
+
 from repro.runtime.bitset import BitsetIndex, iter_bits
 from repro.runtime.reachmatrix import (
     PACKED_DTYPE,
@@ -59,10 +61,6 @@ from repro.runtime.reachmatrix import (
     unpack_mask,
 )
 
-try:  # pragma: no cover - exercised via numpy_available()
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 FORMAT_NAME = "repro-reachability-matrix"
 FORMAT_VERSION = 1
@@ -74,13 +72,6 @@ INDEX_DTYPE = "<i8"
 
 class ArtifactFormatError(RuntimeError):
     """The directory is not a loadable reachability artifact."""
-
-
-def _require_numpy() -> None:
-    if _np is None:
-        raise RuntimeError(
-            "the service artifact requires numpy (install repro[numpy]); "
-            "in-process queries remain available via ReachabilityMatrix")
 
 
 # -- saving --------------------------------------------------------------------
@@ -137,7 +128,6 @@ def save_matrix(matrix: ReachabilityMatrix,
     finds a parseable header is guaranteed complete column files.
     Existing artifact files in the directory are overwritten.
     """
-    _require_numpy()
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
@@ -355,7 +345,6 @@ def load_matrix(directory: Union[str, Path],
     header or malformed columns, so a truncated artifact is a clean
     failure instead of silently wrong answers.
     """
-    _require_numpy()
     directory = Path(directory)
     header_path = directory / "header.json"
     if not header_path.is_file():

@@ -50,7 +50,22 @@ ENDPOINTS = ("has_link", "links_of", "peer_counts", "member_densities",
              "table2", "summary")
 
 _STATUS_TEXT = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                405: "Method Not Allowed"}
+                405: "Method Not Allowed",
+                431: "Request Header Fields Too Large"}
+
+#: Seconds a connection may sit idle waiting for (the rest of) a request
+#: before the daemon closes it, so idle clients cannot pin connections.
+IDLE_TIMEOUT_S = 30.0
+#: Longest accepted request or header line, in bytes (the stream
+#: reader's buffer limit).  A longer request line is answered 400, a
+#: longer header line 431, and the connection is closed.
+MAX_LINE_BYTES = 8192
+#: Most header lines accepted per request; one more is answered 431.
+MAX_HEADERS = 100
+#: Seconds a rejected connection keeps discarding the client's unread
+#: input after the error reply, so closing does not reset the
+#: connection before the client has read the reply.
+LINGER_S = 1.0
 
 
 class QueryService:
@@ -237,12 +252,40 @@ def warm_service(scenarios: Sequence[str],
 # -- HTTP front ----------------------------------------------------------------
 
 
+class _RequestRejected(Exception):
+    """A request the daemon answers with an error and then closes."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+        self.message = message
+
+
+async def _read_line(reader: asyncio.StreamReader, status: int) -> bytes:
+    """One request/header line within the idle timeout; an over-long
+    line is rejected with *status*."""
+    try:
+        return await asyncio.wait_for(reader.readline(), IDLE_TIMEOUT_S)
+    except ValueError:  # the line outgrew the reader's MAX_LINE_BYTES
+        raise _RequestRejected(status, f"line longer than "
+                                       f"{MAX_LINE_BYTES} bytes") from None
+
+
+def _response(status: int, payload, keep_alive: bool) -> bytes:
+    body = json.dumps(payload).encode("utf-8")
+    return (f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'OK')}\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            f"Connection: {'keep-alive' if keep_alive else 'close'}"
+            f"\r\n\r\n").encode("latin-1") + body
+
+
 async def _handle_connection(service: QueryService,
                              reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
     try:
         while True:
-            request_line = await reader.readline()
+            request_line = await _read_line(reader, 400)
             if not request_line or request_line in (b"\r\n", b"\n"):
                 break
             try:
@@ -251,10 +294,15 @@ async def _handle_connection(service: QueryService,
             except ValueError:
                 break
             keep_alive = True
+            headers = 0
             while True:  # drain headers
-                header = await reader.readline()
+                header = await _read_line(reader, 431)
                 if not header or header in (b"\r\n", b"\n"):
                     break
+                headers += 1
+                if headers > MAX_HEADERS:
+                    raise _RequestRejected(
+                        431, f"more than {MAX_HEADERS} header lines")
                 if header.lower().startswith(b"connection:") and \
                         b"close" in header.lower():
                     keep_alive = False
@@ -262,16 +310,23 @@ async def _handle_connection(service: QueryService,
                 status, payload = 405, {"error": "only GET is supported"}
             else:
                 status, payload = service.dispatch(target)
-            body = json.dumps(payload).encode("utf-8")
-            writer.write(
-                f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'OK')}\r\n"
-                f"Content-Type: application/json\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                f"Connection: {'keep-alive' if keep_alive else 'close'}"
-                f"\r\n\r\n".encode("latin-1") + body)
+            writer.write(_response(status, payload, keep_alive))
             await writer.drain()
             if not keep_alive:
                 break
+    except _RequestRejected as rejected:
+        try:
+            writer.write(_response(rejected.status,
+                                   {"error": rejected.message}, False))
+            writer.write_eof()
+            await writer.drain()
+            while await asyncio.wait_for(reader.read(1 << 16), LINGER_S):
+                pass
+        except (asyncio.TimeoutError, ConnectionResetError,
+                BrokenPipeError):
+            pass
+    except asyncio.TimeoutError:  # idle client: drop the connection
+        pass
     except (ConnectionResetError, BrokenPipeError):  # client went away
         pass
     finally:
@@ -298,7 +353,7 @@ async def start_server(service: QueryService, host: str = "127.0.0.1",
 
     kwargs = {"reuse_port": True} if reuse_port else {}
     return await asyncio.start_server(handler, host=host, port=port,
-                                      **kwargs)
+                                      limit=MAX_LINE_BYTES, **kwargs)
 
 
 def bound_port(server: asyncio.AbstractServer) -> int:

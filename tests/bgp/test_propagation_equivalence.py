@@ -1,7 +1,7 @@
-"""Property-style equivalence: frontier engine vs object-graph reference.
+"""Property-style equivalence: frontier kernel vs object-graph reference.
 
-The array-based frontier engine (:class:`PropagationEngine`) must
-produce exactly the same best routes — provenance, AS path, transitive
+The engine pinned to its array-based frontier kernel
+(:mod:`tests.oracle.kernels`) must produce exactly the same best routes — provenance, AS path, transitive
 communities, learned-from neighbour — as the retained seed
 implementation (:class:`ReferencePropagationEngine`) on any topology.
 Randomized small internets across several seeds exercise the corners:
@@ -23,7 +23,9 @@ from repro.bgp.propagation import (
     PropagationEngine,
     bidirectional_adjacencies,
 )
-from repro.bgp.reference_propagation import ReferencePropagationEngine
+
+from tests.oracle.kernels import forced_kernel
+from tests.oracle.propagation import ReferencePropagationEngine
 
 
 def random_internet(rng, num_ases=28):
@@ -107,7 +109,8 @@ def test_frontier_engine_matches_reference(seed):
     asns, adjacencies = random_internet(rng)
     origins = random_origins(rng, asns)
 
-    fast = PropagationEngine(adjacencies).propagate(origins)
+    with forced_kernel("frontier"):
+        fast = PropagationEngine(adjacencies).propagate(origins)
     reference = ReferencePropagationEngine(adjacencies).propagate(origins)
 
     for origin in origins:
@@ -134,9 +137,10 @@ def test_frontier_engine_matches_reference_with_recording(seed):
     observers = rng.sample(asns, k=8)
     alt_observers = observers[:3]
 
-    fast = PropagationEngine(
-        adjacencies, record_at=observers,
-        record_alternatives_at=alt_observers).propagate(origins)
+    with forced_kernel("frontier"):
+        fast = PropagationEngine(
+            adjacencies, record_at=observers,
+            record_alternatives_at=alt_observers).propagate(origins)
     reference = ReferencePropagationEngine(
         adjacencies, record_at=observers,
         record_alternatives_at=alt_observers).propagate(origins)

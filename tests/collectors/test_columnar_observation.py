@@ -5,9 +5,8 @@ The columnar collection pipeline (``RibEntryTable``-backed
 ``ObservationIndex`` fast paths and bulk looking-glass loads) must be
 *bit-identical* to the retained object implementations — same entries,
 same orderings, same RNG draws, same query tables — on generator-built
-internets across randomized regime knobs and every propagation backend.
-The whole module also runs under the CI ``REPRO_NO_NUMBA`` matrix leg,
-which pins the pure-numpy compiled path the same way.
+internets across randomized regime knobs, with the propagation engine
+pinned to each kernel in turn (:mod:`tests.oracle.kernels`).
 """
 
 from __future__ import annotations
@@ -22,18 +21,16 @@ from repro.collectors.archive import CollectorArchive, MeasurementWindow
 from repro.collectors.route_collector import RouteCollector
 from repro.collectors.vantage_point import FeedType, VantagePoint
 from repro.ixp.looking_glass import ASLookingGlass, LGRoute
-from repro.runtime.batched import numpy_available
 from repro.runtime.context import PipelineContext
 from repro.topology.generator import GeneratorConfig, InternetGenerator
 
-requires_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="columnar plane requires numpy")
+from tests.oracle.kernels import KERNELS, forced_kernel
 
-PROPAGATION_BACKENDS = ("frontier", "batched", "compiled")
+PROPAGATION_BACKENDS = KERNELS
 
 
 def _random_generator_config(rng) -> GeneratorConfig:
-    """A seeded random regime (same spirit as the backend differential
+    """A seeded random regime (same spirit as the kernel differential
     suite): scale plus hypergiant / peering knobs."""
     return GeneratorConfig(
         seed=rng.randrange(1 << 30),
@@ -62,10 +59,11 @@ def _build_observation(seed: int, backend: str):
     vantage_asns = sorted(rng.sample(asns, min(12, len(asns))))
     hosts = sorted(rng.sample(asns, min(6, len(asns))))
     record_at = sorted(set(vantage_asns) | set(hosts))
-    context = PipelineContext.from_graph(graph, backend=backend)
+    context = PipelineContext.from_graph(graph)
     engine = context.engine(record_at=record_at,
                             record_alternatives_at=hosts)
-    propagation = engine.propagate(origins)
+    with forced_kernel(backend):
+        propagation = engine.propagate(origins)
     feeds = [(asn, FeedType.FULL if index % 3 == 0
               else FeedType.CUSTOMER_ONLY)
              for index, asn in enumerate(vantage_asns)]
@@ -115,14 +113,13 @@ def lg_table(lg: ASLookingGlass):
 # -- archive: columnar vs object oracle ---------------------------------------
 
 
-@requires_numpy
 @pytest.mark.parametrize("backend", PROPAGATION_BACKENDS)
 @pytest.mark.parametrize("seed", (2013, 8451))
 def test_columnar_archive_matches_object_oracle(seed, backend):
     """Entries, per-day dumps, stable/clean-stable selections, synthetic
     updates and visible links are field-identical and order-identical
     between the column store and the object archive, on every
-    propagation backend."""
+    propagation kernel."""
     propagation, feeds, _hosts = _build_observation(seed, backend)
     columnar = _build_archive(propagation, feeds, seed, columnar=None)
     oracle = _build_archive(propagation, feeds, seed, columnar=False)
@@ -146,7 +143,6 @@ def test_columnar_archive_matches_object_oracle(seed, backend):
     assert columnar.visible_as_links() == oracle.visible_as_links()
 
 
-@requires_numpy
 @pytest.mark.parametrize("seed", (31337,))
 def test_columnar_archive_matches_object_fallback_path(seed, monkeypatch):
     """When the propagation result cannot serve columns (the no-numpy
@@ -164,7 +160,6 @@ def test_columnar_archive_matches_object_fallback_path(seed, monkeypatch):
         entry_keys(oracle.clean_stable_entries(2))
 
 
-@requires_numpy
 def test_columnar_archive_pickle_roundtrip_preserves_entries():
     """Pickled archives reload with identical entries and stable
     selections (lazy row views and interners rebuild)."""
@@ -178,7 +173,6 @@ def test_columnar_archive_pickle_roundtrip_preserves_entries():
     assert clone.visible_as_links() == archive.visible_as_links()
 
 
-@requires_numpy
 def test_shared_aspath_identity_feeds_passive_memo():
     """Within the column store one interned ``ASPath`` object backs every
     entry with that path — the identity-keyed memo in the passive plane
@@ -196,7 +190,6 @@ def test_shared_aspath_identity_feeds_passive_memo():
 # -- looking glasses: fused bulk loads vs route-by-route ----------------------
 
 
-@requires_numpy
 @pytest.mark.parametrize("backend", PROPAGATION_BACKENDS)
 @pytest.mark.parametrize("seed", (4242,))
 def test_bulk_lg_loads_match_route_by_route(seed, backend):
@@ -236,7 +229,6 @@ def test_bulk_lg_loads_match_route_by_route(seed, backend):
     assert checked, "differential never exercised a populated LG"
 
 
-@requires_numpy
 def test_bulk_lg_interleaves_with_eager_loads():
     """Bulk groups flush correctly when eager operations interleave:
     load_route after load_route_blocks, then mark_best_paths."""
@@ -271,7 +263,6 @@ def test_bulk_lg_interleaves_with_eager_loads():
 # -- propagation fast paths ----------------------------------------------------
 
 
-@requires_numpy
 @pytest.mark.parametrize("backend", PROPAGATION_BACKENDS)
 def test_observation_index_fast_paths_match_fold(backend):
     """``all_paths``/``best_route`` served from the ObservationIndex are

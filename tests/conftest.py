@@ -22,6 +22,16 @@ def small_scenario():
 
 
 @pytest.fixture(scope="session")
+def bench_run():
+    """The europe2013 scenario run at the ``bench`` size (the acceptance
+    size of the differential suites), resolved lazily."""
+    from repro.pipeline import ArtifactCache, ScenarioRun
+    from repro.scenarios.spec import get_scenario
+    return ScenarioRun(get_scenario("europe2013").config("bench"),
+                       cache=ArtifactCache())
+
+
+@pytest.fixture(scope="session")
 def inference_result(small_scenario):
     """Full inference (passive + active) over the small scenario."""
     return small_scenario.run_inference()

@@ -1,14 +1,13 @@
-"""Differential harness: bitset inference backend vs the object engine.
+"""Differential harness: production inference vs the object oracle.
 
 Every registered scenario (at tiny size) and randomized europe2013
 regimes (generator-knob strategy mirroring
 ``tests/runtime/test_batched.py``) must produce **bit-identical**
-inference under both backends: links, per-IXP link sets, Table 2 rows,
-reachability objects (mode / listed / provenance / prefix counts) and
-active query spend.  The pipeline layer must fingerprint the two
-backends apart (no artifact aliasing) while sharing every upstream
-stage, and the derived-view caches of the result object must not
-re-sort on repeated access.
+inference from the production engine (the bitset observation planes)
+and the per-IXP object oracle (:mod:`tests.oracle.inference`): links,
+per-IXP link sets, Table 2 rows, reachability objects (mode / listed /
+provenance / prefix counts) and active query spend.  The derived-view
+caches of the result object must not re-sort on repeated access.
 """
 
 from __future__ import annotations
@@ -18,21 +17,19 @@ import random
 import pytest
 
 from repro.pipeline import ArtifactCache, ScenarioRun
-from repro.runtime.context import INFERENCE_BACKENDS, PipelineContext
-from repro.runtime.snapshot import restore_context, snapshot_context
 from repro.scenarios.base import ScenarioConfig
 from repro.scenarios.spec import get_scenario, scenario_names
 from repro.scenarios.workloads import scenario_run
 from repro.topology.generator import GeneratorConfig
+
+from tests.oracle.inference import object_inference, run_object_inference
 
 
 def assert_bit_identical(obj, bit):
     """Full-result equivalence: links, Table 2, provenance, queries.
 
     The granular asserts localise a failure; the final
-    ``identical_to`` call is the authoritative shared predicate (the
-    same one the benches and ``run_all.py`` gate on), so this helper
-    can never check less than the benchmark gates do.
+    ``identical_to`` call is the authoritative shared predicate.
     """
     assert obj.all_links() == bit.all_links()
     assert obj.links_by_ixp() == bit.links_by_ixp()
@@ -55,14 +52,10 @@ def assert_bit_identical(obj, bit):
 
 @pytest.mark.parametrize("name", scenario_names())
 def test_backends_identical_on_registered_scenarios(name):
-    """Object and bitset inference agree on every registered family at
-    tiny size (shared cache: upstream stages are computed once)."""
-    cache = ArtifactCache()
-    obj = scenario_run("tiny", scenario=name, cache=cache,
-                       inference_backend="object").inference()
-    bit = scenario_run("tiny", scenario=name, cache=cache,
-                       inference_backend="bitset").inference()
-    assert_bit_identical(obj, bit)
+    """The object oracle and production inference agree on every
+    registered family at tiny size (same scenario artifacts)."""
+    run = scenario_run("tiny", scenario=name, cache=ArtifactCache())
+    assert_bit_identical(run_object_inference(run), run.inference())
 
 
 # -- randomized regimes (generator-knob strategy) ------------------------------
@@ -107,106 +100,54 @@ def test_backends_identical_on_random_regimes(seed):
     """Property-based differential: randomized generator/measurement
     knobs (including an aggressive inconsistent-member fraction, which
     exercises the mixed-policy merge fallback) produce bit-identical
-    inference under both backends — including the reciprocity ablation.
+    inference from production and the oracle — including the
+    reciprocity ablation.
     """
     rng = random.Random(seed)
     config = _random_scenario_config(rng)
-    cache = ArtifactCache()
-    runs = {backend: ScenarioRun(config, cache=cache,
-                                 inference_backend=backend)
-            for backend in INFERENCE_BACKENDS}
-    assert_bit_identical(runs["object"].inference(),
-                         runs["bitset"].inference())
+    run = ScenarioRun(config, cache=ArtifactCache())
+    assert_bit_identical(run_object_inference(run), run.inference())
 
-    scenario = runs["object"].scenario()
-    ablation_obj = scenario.run_inference(require_reciprocity=False,
-                                          inference_backend="object")
-    ablation_bit = scenario.run_inference(require_reciprocity=False,
-                                          inference_backend="bitset")
+    scenario = run.scenario()
+    ablation_obj = object_inference(scenario, require_reciprocity=False)
+    ablation_bit = scenario.run_inference(require_reciprocity=False)
     assert ablation_obj.all_links() == ablation_bit.all_links()
     assert ablation_obj.links_by_ixp() == ablation_bit.links_by_ixp()
 
 
+def test_backends_identical_at_bench_size(bench_run):
+    """Acceptance size: production inference on the europe2013 bench
+    scenario is bit-identical to the object oracle."""
+    assert_bit_identical(run_object_inference(bench_run),
+                         bench_run.inference())
+
+
 def test_backends_identical_without_passive_or_active():
-    """The use_passive / use_active ablations agree across backends."""
+    """The use_passive / use_active ablations agree with the oracle."""
     run = scenario_run("tiny", cache=ArtifactCache())
     scenario = run.scenario()
     for kwargs in ({"use_passive": False}, {"use_active": False}):
-        obj = scenario.run_inference(inference_backend="object", **kwargs)
-        bit = scenario.run_inference(inference_backend="bitset", **kwargs)
+        obj = object_inference(scenario, **kwargs)
+        bit = scenario.run_inference(**kwargs)
         assert_bit_identical(obj, bit)
 
 
 def test_bitset_backend_with_workers_matches():
-    """workers is accepted by the bitset path (plane runs in-process)
-    and the result still matches the sharded object path."""
+    """workers is accepted by production inference (the planes run
+    in-process) and the result still matches the per-IXP sharded
+    oracle."""
     run = scenario_run("tiny", cache=ArtifactCache())
     scenario = run.scenario()
-    obj = scenario.run_inference(workers=2, inference_backend="object")
-    bit = scenario.run_inference(workers=2, inference_backend="bitset")
+    obj = object_inference(scenario, workers=2)
+    bit = scenario.run_inference(workers=2)
     assert_bit_identical(obj, bit)
 
 
-# -- pipeline fingerprinting ---------------------------------------------------
-
-
-def test_inference_fingerprints_salted_per_backend():
-    """Inference-stage artifacts never alias across backends while every
-    upstream stage (topology .. connectivity) is shared."""
-    cache = ArtifactCache()
-    config = get_scenario("europe2013").config("tiny")
-    obj_run = ScenarioRun(config, cache=cache, inference_backend="object")
-    bit_run = ScenarioRun(config, cache=cache, inference_backend="bitset")
-
-    upstream = ("topology", "ixps", "propagation", "collectors",
-                "viewpoints", "registries", "scenario", "connectivity")
-    for stage in upstream:
-        assert obj_run.fingerprint(stage) == bit_run.fingerprint(stage), stage
-    for stage in ("inference", "reachability", "analyses"):
-        assert obj_run.fingerprint(stage) != bit_run.fingerprint(stage), stage
-
-    obj_run.inference()
-    bit_run.inference()
-    statuses = bit_run.stage_statuses()
-    assert statuses["inference"] == "computed"
-    assert all(statuses[stage] == "memory" for stage in
-               ("scenario", "connectivity"))
-
-    # A third run under the object backend hits the object artifact.
-    warm = ScenarioRun(config, cache=cache, inference_backend="object")
-    warm.inference()
-    assert warm.stage_statuses()["inference"] == "memory"
-
-
 def test_unknown_inference_backend_rejected():
-    with pytest.raises(ValueError, match="unknown inference backend"):
+    """No inference-backend knob remains: passing one is rejected."""
+    with pytest.raises(TypeError, match="inference_backend"):
         ScenarioRun(get_scenario("europe2013").config("tiny"),
-                    inference_backend="abacus")
-    from repro.bgp.policy import Relationship
-    from repro.bgp.propagation import Adjacency
-    adjacencies = [Adjacency(1, 2, Relationship.PEER),
-                   Adjacency(2, 1, Relationship.PEER)]
-    with pytest.raises(ValueError, match="unknown inference backend"):
-        PipelineContext.from_adjacencies(adjacencies,
-                                         inference_backend="abacus")
-
-
-def test_spec_pin_selects_inference_backend():
-    spec = get_scenario("europe2013").with_overrides(
-        name="europe2013-bitset-pin", inference_backend="bitset")
-    run = ScenarioRun(spec.config("tiny"), scenario=spec)
-    assert run.inference_backend == "bitset"
-
-
-def test_snapshot_carries_inference_backend():
-    from repro.bgp.policy import Relationship
-    from repro.bgp.propagation import Adjacency
-    adjacencies = [Adjacency(1, 2, Relationship.PEER),
-                   Adjacency(2, 1, Relationship.PEER)]
-    context = PipelineContext.from_adjacencies(
-        adjacencies, inference_backend="bitset")
-    restored = restore_context(snapshot_context(context))
-    assert restored.inference_backend == "bitset"
+                    inference_backend="object")
 
 
 # -- context-level plane cache -------------------------------------------------
@@ -215,21 +156,19 @@ def test_snapshot_carries_inference_backend():
 def test_bitset_planes_cached_on_context():
     """Repeated bitset runs on one scenario reuse the observation
     planes; ablation keys (use_passive off) add a separate entry."""
-    run = scenario_run("tiny", cache=ArtifactCache(),
-                       inference_backend="bitset")
+    run = scenario_run("tiny", cache=ArtifactCache())
     scenario = run.scenario()
     context = scenario.context
-    first = scenario.run_inference(inference_backend="bitset")
+    first = scenario.run_inference()
     entries_after_first = context.stats()["inference_plane_entries"]
-    second = scenario.run_inference(inference_backend="bitset")
+    second = scenario.run_inference()
     assert context.stats()["inference_plane_entries"] == entries_after_first
     assert_bit_identical(first, second)
     # The reciprocity ablation shares the planes (applied downstream).
-    scenario.run_inference(require_reciprocity=False,
-                           inference_backend="bitset")
+    scenario.run_inference(require_reciprocity=False)
     assert context.stats()["inference_plane_entries"] == entries_after_first
     # A different collection surface is a different key.
-    scenario.run_inference(use_passive=False, inference_backend="bitset")
+    scenario.run_inference(use_passive=False)
     assert context.stats()["inference_plane_entries"] == entries_after_first + 1
 
 
@@ -237,16 +176,15 @@ def test_plane_cache_invalidated_by_lg_view_change():
     """Mutating route-server state visible through a looking glass
     between runs must not serve stale cached planes: the LG view
     signature in the cache key forces a recollection (a new cache
-    entry), keeping the bitset backend identical to the re-querying
-    object backend."""
+    entry), keeping production identical to the re-querying object
+    oracle."""
     from repro.bgp.prefix import Prefix
 
     run = scenario_run("tiny", cache=ArtifactCache())
     scenario = run.scenario()
     context = scenario.context
-    first = scenario.run_inference(inference_backend="bitset")
-    assert first.identical_to(scenario.run_inference(
-        inference_backend="object"))
+    first = scenario.run_inference()
+    assert first.identical_to(object_inference(scenario))
     entries_before = context.stats()["inference_plane_entries"]
 
     ixp_name = sorted(scenario.rs_looking_glasses)[0]
@@ -255,8 +193,8 @@ def test_plane_cache_invalidated_by_lg_view_change():
     route_server.announce(member, Prefix.from_octets(203, 0, 113, 0, 24),
                           (member,))
 
-    obj = scenario.run_inference(inference_backend="object")
-    bit = scenario.run_inference(inference_backend="bitset")
+    obj = object_inference(scenario)
+    bit = scenario.run_inference()
     # The mutated LG view is a different cache key -> fresh collection.
     assert context.stats()["inference_plane_entries"] == entries_before + 1
     assert obj.identical_to(bit)

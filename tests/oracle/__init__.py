@@ -1,0 +1,14 @@
+"""Test-only oracles the production pipeline is checked against.
+
+* :mod:`tests.oracle.propagation` — the object-graph reference
+  propagation engine (the seed implementation of the valley-free
+  three-phase computation) and the CSR-index-to-adjacency inverse that
+  builds it over any production context;
+* :mod:`tests.oracle.inference` — the per-IXP object inference engine
+  (passive/active step functions, ``merge_observations`` and
+  ``infer_links`` per IXP, optionally sharded per IXP);
+* :mod:`tests.oracle.kernels` — pins the propagation engine to one
+  kernel so the differential suites can compare kernels directly.
+
+None of this ships in ``src/``: production keeps one path per layer.
+"""

@@ -1,0 +1,253 @@
+"""The per-IXP object inference engine, kept as the oracle.
+
+Production inference (:class:`~repro.core.engine.MLPInferenceEngine`)
+runs on the interned observation planes of :mod:`repro.core.planes`.
+This module keeps the original object implementation of the same
+pipeline: per IXP, the public step functions build one
+:class:`~repro.core.reachability.PolicyObservation` per observed
+(member, prefix) pair, merge them with
+:func:`~repro.core.reachability.merge_observations` and infer links
+with :func:`~repro.core.reachability.infer_links`.  ``workers > 1``
+shards the IXPs across a process pool, exactly as the object engine
+did.  The differential suites require the two engines to produce
+bit-identical results (:meth:`MLPInferenceResult.identical_to`).
+"""
+
+from __future__ import annotations
+
+from concurrent.futures import ProcessPoolExecutor
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+
+from repro.bgp.messages import RibEntry
+from repro.core.active import ActiveInference, collect_from_third_party_lg
+from repro.core.engine import (
+    IXPInference,
+    Link,
+    MLPInferenceEngine,
+    MLPInferenceResult,
+)
+from repro.core.passive import PassiveInference, PassiveObservation
+from repro.core.reachability import (
+    MemberReachability,
+    PolicyObservation,
+    infer_links,
+    merge_observations,
+)
+from repro.ixp.looking_glass import ASLookingGlass, RouteServerLookingGlass
+from repro.pipeline.shard import resolve_workers
+
+
+class ObjectInferenceEngine(MLPInferenceEngine):
+    """The object-level inference pipeline (same constructor and result
+    type as the production engine)."""
+
+    def run(
+        self,
+        passive_entries: Optional[Iterable[RibEntry]] = None,
+        rs_looking_glasses: Optional[Mapping[str, RouteServerLookingGlass]] = None,
+        third_party_lgs: Optional[Mapping[str, Sequence[ASLookingGlass]]] = None,
+        require_reciprocity: bool = True,
+        workers: Optional[int] = None,
+    ) -> MLPInferenceResult:
+        rs_looking_glasses = dict(rs_looking_glasses or {})
+        third_party_lgs = {name: list(lgs)
+                           for name, lgs in (third_party_lgs or {}).items()}
+        passive_by_ixp = self._run_passive(passive_entries)
+        result = MLPInferenceResult()
+        # IXPs are processed in name order so run output (and any caches
+        # populated along the way) is independent of mapping order.
+        items = sorted(self.rs_members.items())
+        worker_count = resolve_workers(workers)
+        if worker_count > 1 and len(items) > 1:
+            payloads = [
+                (ixp_name, members, passive_by_ixp.get(ixp_name, []),
+                 rs_looking_glasses.get(ixp_name),
+                 third_party_lgs.get(ixp_name, []), require_reciprocity)
+                for ixp_name, members in items]
+            with ProcessPoolExecutor(
+                max_workers=min(worker_count, len(items)),
+                initializer=_init_inference_worker,
+                initargs=(self,),
+            ) as pool:
+                for inference in pool.map(_infer_ixp_task, payloads):
+                    result.per_ixp[inference.ixp_name] = inference
+        else:
+            for ixp_name, members in items:
+                result.per_ixp[ixp_name] = self._infer_ixp(
+                    ixp_name, members, passive_by_ixp.get(ixp_name, []),
+                    rs_looking_glasses.get(ixp_name),
+                    third_party_lgs.get(ixp_name, []), require_reciprocity)
+        return result
+
+    def _infer_ixp(
+        self,
+        ixp_name: str,
+        members: Set[int],
+        passive_observations: Sequence[PassiveObservation],
+        rs_lg: Optional[RouteServerLookingGlass],
+        third_party: Sequence[ASLookingGlass],
+        require_reciprocity: bool,
+    ) -> IXPInference:
+        """One IXP's passive/active merge and link inference — the unit
+        of work the sharded path distributes."""
+        inference = IXPInference(ixp_name=ixp_name, members=set(members))
+        observations: List[PolicyObservation] = []
+
+        if passive_observations:
+            passive = PassiveInference(self.interpreter, self.relationships)
+            observations.extend(passive.policy_observations(passive_observations))
+            inference.passive_members = {
+                o.setter_asn for o in passive_observations}
+
+        covered_prefixes = {
+            o.setter_asn: set() for o in passive_observations}
+        for observation in passive_observations:
+            covered_prefixes.setdefault(observation.setter_asn, set()).add(
+                observation.prefix)
+
+        if rs_lg is not None:
+            active = ActiveInference(
+                rs_lg,
+                sample_fraction=self.sample_fraction,
+                max_prefixes_per_member=self.max_prefixes_per_member)
+            collection = active.collect(
+                skip_members=inference.passive_members,
+                covered_prefixes=covered_prefixes)
+            observations.extend(
+                collection.policy_observations(self.interpreter))
+            inference.active_members = collection.members_with_communities()
+            inference.active_queries = collection.total_queries
+            # The LG summary is authoritative connectivity data.
+            inference.members |= collection.members
+        else:
+            for lg in third_party:
+                collection = collect_from_third_party_lg(
+                    ixp_name, lg, members, self.interpreter)
+                observations.extend(
+                    collection.policy_observations(self.interpreter))
+                inference.active_members |= collection.members_with_communities()
+                inference.active_queries += collection.total_queries
+
+        inference.reachabilities = self._merge(ixp_name, observations,
+                                               inference.members)
+        inference.links = self._infer_links(
+            ixp_name, inference.reachabilities, inference.members,
+            require_reciprocity)
+        return inference
+
+    def __getstate__(self):
+        # The runtime context holds process-local caches (and is shared
+        # with other engines); workers rebuild member indices on demand.
+        state = self.__dict__.copy()
+        state["context"] = None
+        return state
+
+    def _run_passive(
+        self, passive_entries: Optional[Iterable[RibEntry]]
+    ) -> Dict[str, List[PassiveObservation]]:
+        if passive_entries is None:
+            return {}
+        passive = PassiveInference(self.interpreter, self.relationships)
+        observations = passive.extract(passive_entries)
+        by_ixp: Dict[str, List[PassiveObservation]] = {}
+        for observation in observations:
+            by_ixp.setdefault(observation.ixp_name, []).append(observation)
+        return by_ixp
+
+    def _merge(
+        self,
+        ixp_name: str,
+        observations: Sequence[PolicyObservation],
+        members: Set[int],
+    ) -> Dict[int, MemberReachability]:
+        by_member: Dict[int, List[PolicyObservation]] = {}
+        for observation in observations:
+            if observation.ixp_name != ixp_name:
+                continue
+            if members and observation.member_asn not in members:
+                continue
+            by_member.setdefault(observation.member_asn, []).append(observation)
+        reachabilities: Dict[int, MemberReachability] = {}
+        for member_asn, member_observations in by_member.items():
+            merged = merge_observations(member_observations, members)
+            if merged is not None:
+                reachabilities[member_asn] = merged
+        return reachabilities
+
+    def _infer_links(
+        self,
+        ixp_name: str,
+        reachabilities: Dict[int, MemberReachability],
+        members: Set[int],
+        require_reciprocity: bool,
+    ) -> Tuple[Link, ...]:
+        return tuple(sorted(infer_links(
+            reachabilities, members,
+            index=self._member_index(ixp_name, members),
+            require_reciprocity=require_reciprocity)))
+
+
+def object_engine(scenario, connectivity=None) -> ObjectInferenceEngine:
+    """The oracle engine over *scenario*, built exactly like
+    :meth:`~repro.scenarios.base.Scenario.make_engine` builds the
+    production one."""
+    production = scenario.make_engine(connectivity=connectivity)
+    return ObjectInferenceEngine(
+        registry=production.registry,
+        rs_members=production.rs_members,
+        mappers=production.interpreter.mappers,
+        relationships=production.relationships,
+        sample_fraction=production.sample_fraction,
+        max_prefixes_per_member=production.max_prefixes_per_member,
+        context=production.context,
+    )
+
+
+def object_inference(scenario, use_passive: bool = True,
+                     use_active: bool = True,
+                     require_reciprocity: bool = True,
+                     workers: Optional[int] = None,
+                     connectivity=None) -> MLPInferenceResult:
+    """:meth:`~repro.scenarios.base.Scenario.run_inference` through the
+    object oracle."""
+    engine = object_engine(scenario, connectivity=connectivity)
+    return engine.run(
+        passive_entries=scenario.archive.clean_stable_entries()
+        if use_passive else None,
+        rs_looking_glasses=scenario.rs_looking_glasses if use_active else {},
+        third_party_lgs=scenario.third_party_lgs if use_active else {},
+        require_reciprocity=require_reciprocity,
+        workers=workers,
+    )
+
+
+def run_object_inference(run) -> MLPInferenceResult:
+    """The oracle's result for a :class:`~repro.pipeline.run.ScenarioRun`
+    (the inference stage's inputs and options, object engine)."""
+    options = run.inference_options
+    return object_inference(run.artifact("scenario"),
+                            use_passive=options.use_passive,
+                            use_active=options.use_active,
+                            require_reciprocity=options.require_reciprocity,
+                            connectivity=run.artifact("connectivity"))
+
+
+# -- sharded-run worker plumbing ----------------------------------------------
+
+_WORKER_ENGINE: Optional[ObjectInferenceEngine] = None
+
+
+def _init_inference_worker(engine: ObjectInferenceEngine) -> None:
+    """Pool initializer: one pickled engine copy per worker process."""
+    global _WORKER_ENGINE
+    _WORKER_ENGINE = engine
+
+
+def _infer_ixp_task(payload) -> IXPInference:
+    """Run one IXP's inference inside a worker."""
+    assert _WORKER_ENGINE is not None, "inference worker not initialised"
+    (ixp_name, members, passive_observations, rs_lg, third_party,
+     require_reciprocity) = payload
+    return _WORKER_ENGINE._infer_ixp(
+        ixp_name, members, passive_observations, rs_lg, third_party,
+        require_reciprocity)

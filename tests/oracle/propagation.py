@@ -3,10 +3,16 @@
 This is the seed implementation of the three-phase valley-free
 computation, materialising a :class:`PropagatedRoute` (tuple path +
 frozenset communities) for every candidate.  It is quadratic in memory
-at scale and has been replaced by the array-based frontier engine in
-:mod:`repro.bgp.propagation`; it is retained verbatim so the equivalence
-property tests can check the rewrite against it on randomized
-topologies, and as executable documentation of the algorithm.
+at scale and production runs the array kernels of
+:mod:`repro.bgp.propagation` instead; it is retained verbatim so the
+differential tests can check both production kernels against it on
+randomized topologies, and as executable documentation of the
+algorithm.
+
+:func:`adjacencies_from_index` turns any production context's CSR index
+back into adjacency records, so the oracle can be built over exactly
+the topology a pipeline run propagated
+(:meth:`ReferencePropagationEngine.from_context`).
 """
 
 from __future__ import annotations
@@ -25,6 +31,126 @@ from repro.bgp.propagation import (
     PropagatedRoute,
     PropagationResult,
 )
+from repro.runtime.frontier import (
+    REL_CUSTOMER,
+    REL_PEER,
+    REL_PROVIDER,
+    REL_RS_PEER,
+    REL_SIBLING,
+)
+
+_REL_OF_CODE = {
+    REL_CUSTOMER: Relationship.CUSTOMER,
+    REL_PROVIDER: Relationship.PROVIDER,
+    REL_PEER: Relationship.PEER,
+    REL_RS_PEER: Relationship.RS_PEER,
+    REL_SIBLING: Relationship.SIBLING,
+}
+
+
+def object_fragments(context, specs: Iterable[OriginSpec],
+                     record_at: Optional[Iterable[int]] = None,
+                     record_alternatives_at: Optional[Iterable[int]] = None,
+                     ) -> List[Tuple[List[PropagatedRoute],
+                                     List[PropagatedRoute]]]:
+    """Per-origin (best, offered) routes as eager object lists: the
+    frontier kernel's state materialised route by route through the
+    scalar :meth:`~repro.runtime.stores.PathStore.materialize` — the
+    pre-columnar recording path the :class:`~repro.runtime.fragments.
+    RouteBlock` plane must reproduce exactly (content and order)."""
+    index = context.index
+    bags = context.bags
+    propagator = context.propagator
+    node_asns = index.node_asns
+    recordable = set(record_at) if record_at is not None else None
+    alt_nodes = frozenset(index.id_of[asn]
+                          for asn in (record_alternatives_at or ())
+                          if asn in index.id_of)
+    fragments = []
+    for spec in specs:
+        origin_bag = bags.intern(frozenset(spec.communities)) \
+            if spec.communities else bags.EMPTY
+        node = index.id_of.get(spec.asn)
+        if node is None:
+            own = [] if recordable is not None and spec.asn not in recordable \
+                else [PropagatedRoute(spec.asn, (spec.asn,),
+                                      bags.value(origin_bag), CLASS_ORIGIN,
+                                      None)]
+            fragments.append((own, []))
+            continue
+        state = propagator.run(node, origin_bag, alt_nodes)
+        materialize = context.paths.materialize
+        best = []
+        for touched in state.touched:
+            asn = node_asns[touched]
+            if recordable is not None and asn not in recordable:
+                continue
+            learned = state.frm[touched]
+            best.append(PropagatedRoute(
+                asn, materialize(state.pid[touched]),
+                bags.value(state.bag[touched]), int(state.cls[touched]),
+                node_asns[learned] if learned >= 0 else None))
+        offered = []
+        for target, ccls, _clen, exporter, path_id, bag_id in state.offers:
+            asn = node_asns[target]
+            if recordable is not None and asn not in recordable:
+                continue
+            offered.append(PropagatedRoute(
+                asn, materialize(path_id), bags.value(bag_id), ccls,
+                node_asns[exporter]))
+        fragments.append((best, offered))
+    return fragments
+
+
+def object_result(context, specs: Iterable[OriginSpec],
+                  record_at: Optional[Iterable[int]] = None,
+                  record_alternatives_at: Optional[Iterable[int]] = None,
+                  ) -> PropagationResult:
+    """:func:`object_fragments` recorded into an eagerly folded
+    :class:`PropagationResult`."""
+    specs = list(specs)
+    result = PropagationResult()
+    for spec, (best, offered) in zip(specs, object_fragments(
+            context, specs, record_at, record_alternatives_at)):
+        result._record_origin(spec)
+        result._record_fragments(spec.asn, best, offered)
+    return result
+
+
+def adjacencies_from_index(index) -> List[Adjacency]:
+    """Reconstruct directed :class:`Adjacency` records from a CSR index.
+
+    The semantic inverse of
+    :meth:`~repro.runtime.csr.CSRIndex.from_adjacencies`.  Sibling edges
+    appear in both the customer and provider phase blocks and are
+    emitted once; a transparent route server is reconstructed as
+    ``via_rs_asn=None``, which is indistinguishable in propagation
+    semantics.
+    """
+    node_asns = index.node_asns
+    bag_value = index.bags.value
+    adjacencies: List[Adjacency] = []
+    # Customer + peer phases cover every relationship except PROVIDER
+    # (siblings are deduplicated out of the provider phase).
+    for phase, skip_siblings in ((index.customer_edges, False),
+                                 (index.peer_edges, False),
+                                 (index.provider_edges, True)):
+        indptr, targets, rels, bags, vias = phase
+        for source in range(index.num_nodes):
+            for edge in range(indptr[source], indptr[source + 1]):
+                rel = rels[edge]
+                if skip_siblings and rel == REL_SIBLING:
+                    continue
+                via = vias[edge]
+                adjacencies.append(Adjacency(
+                    source=node_asns[source],
+                    target=node_asns[targets[edge]],
+                    relationship=_REL_OF_CODE[rel],
+                    communities=bag_value(bags[edge]),
+                    via_rs_asn=via if via >= 0 else None,
+                    rs_transparent=via < 0,
+                ))
+    return adjacencies
 
 
 class ReferencePropagationEngine:
@@ -52,7 +178,28 @@ class ReferencePropagationEngine:
         self._record_at = set(record_at) if record_at is not None else None
         self._record_alt_at = set(record_alternatives_at or ())
 
+    @classmethod
+    def from_context(cls, context, record_at=None,
+                     record_alternatives_at=None) -> "ReferencePropagationEngine":
+        """The oracle over a production context's topology."""
+        return cls(adjacencies_from_index(context.index),
+                   record_at=record_at,
+                   record_alternatives_at=record_alternatives_at)
+
     # -- public API ----------------------------------------------------------
+
+    def origin_fragments(
+        self, spec: OriginSpec
+    ) -> Tuple[List[PropagatedRoute], List[PropagatedRoute]]:
+        """One origin's recorded (best, offered) routes as plain lists,
+        in the oracle's recording order."""
+        result = self.propagate_origin(spec)
+        origin = spec.asn
+        best = [routes[origin] for routes in result._best.values()
+                if origin in routes]
+        offered = [route for routes in result._alternatives.values()
+                   for route in routes.get(origin, ())]
+        return best, offered
 
     def nodes(self) -> Set[int]:
         """All ASNs known to the engine."""

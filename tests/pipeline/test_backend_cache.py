@@ -1,24 +1,21 @@
-"""Backend selection through the staged pipeline and its caches.
+"""Propagation kernels through the staged pipeline and its caches.
 
-The propagation backend is part of the propagation stage's fingerprint
-(namespace ``backend``), so artifacts computed by different backends
-never alias in a shared :class:`ArtifactCache` — even though they are
-equivalent — and everything downstream of propagation re-keys with it
-while the topology/ixps stages stay shared.
+There is no backend selector: the engine picks its kernel per batch
+(:data:`~repro.bgp.propagation.COMPILED_MIN_ORIGINS`), so the kernel is
+not part of any fingerprint.  These tests pin the engine to one kernel
+(:mod:`tests.oracle.kernels`) and require identical pipeline results,
+single-process and sharded alike.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bgp.propagation import BACKENDS
 from repro.pipeline import ArtifactCache, ScenarioRun
-from repro.runtime.batched import numpy_available
 from repro.scenarios.spec import get_scenario
 from repro.scenarios.workloads import scenario_run
 
-requires_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="batched backend requires numpy")
+from tests.oracle.kernels import forced_kernel
 
 
 def tiny_config():
@@ -26,94 +23,32 @@ def tiny_config():
 
 
 class TestBackendFingerprints:
-    def test_backend_salts_propagation_and_downstream(self):
-        fingerprints = {
-            backend: ScenarioRun(tiny_config(),
-                                 backend=backend).fingerprints()
-            for backend in ("frontier", "batched", "compiled")}
-        pairs = [("frontier", "batched"), ("frontier", "compiled"),
-                 ("batched", "compiled")]
-        for left, right in pairs:
-            fp_left, fp_right = fingerprints[left], fingerprints[right]
-            # Upstream of propagation: shared.
-            assert fp_left["topology"] == fp_right["topology"]
-            assert fp_left["ixps"] == fp_right["ixps"]
-            # Propagation and everything downstream: re-keyed.
-            for stage in ("propagation", "collectors", "viewpoints",
-                          "scenario", "connectivity", "inference",
-                          "analyses"):
-                assert fp_left[stage] != fp_right[stage], (left, right,
-                                                           stage)
-
-    def test_default_backend_is_frontier(self):
-        run = ScenarioRun(tiny_config())
-        assert run.backend == "frontier"
-        assert run.fingerprints() == ScenarioRun(
-            tiny_config(), backend="frontier").fingerprints()
-
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown propagation backend"):
-            ScenarioRun(tiny_config(), backend="warp-drive")
-
-    def test_spec_can_pin_backend(self):
-        pinned = get_scenario("europe2013").with_overrides(
-            name="europe2013-batched", backend="batched")
-        run = ScenarioRun(tiny_config(), scenario=pinned)
-        assert run.backend == "batched"
-        # Explicit argument wins over the spec pin.
-        run = ScenarioRun(tiny_config(), scenario=pinned,
-                          backend="frontier")
-        assert run.backend == "frontier"
+        """No propagation-backend knob remains: passing one is rejected."""
+        with pytest.raises(TypeError, match="backend"):
+            ScenarioRun(tiny_config(), backend="compiled")
 
 
-@requires_numpy
 class TestBackendArtifactIsolation:
-    def test_backends_never_share_cached_propagation_artifacts(self):
-        """A batched run against a frontier-warmed cache recomputes
-        propagation (and downstream) but reuses topology/ixps."""
-        cache = ArtifactCache()
-        frontier = ScenarioRun(tiny_config(), backend="frontier",
-                               cache=cache)
-        frontier.artifact("propagation")
-        batched = ScenarioRun(tiny_config(), backend="batched", cache=cache)
-        batched.artifact("propagation")
-        statuses = batched.stage_statuses()
-        assert statuses["topology"] == "memory"
-        assert statuses["ixps"] == "memory"
-        assert statuses["propagation"] == "computed"
-        # Same backend again: full warm hit.
-        warm = ScenarioRun(tiny_config(), backend="batched", cache=cache)
-        warm.artifact("propagation")
-        assert warm.stage_statuses()["propagation"] == "memory"
-
-    def test_backend_threaded_into_scenario_and_engine(self):
-        run = ScenarioRun(tiny_config(), backend="batched")
-        scenario = run.scenario()
-        assert scenario.backend == "batched"
-        assert scenario.context.backend == "batched"
-        assert scenario.make_engine().backend == "batched"
-
     @pytest.mark.parametrize("backend", ["batched", "compiled"])
     def test_vector_pipeline_results_equal_frontier(self, backend):
-        cache = ArtifactCache()
-        frontier = ScenarioRun(tiny_config(), backend="frontier",
-                               cache=cache).inference()
-        vectorized = ScenarioRun(tiny_config(), backend=backend,
-                                 cache=cache).inference()
+        """The production rule (``batched``) and the compiled kernel
+        everywhere give the frontier kernel's inference."""
+        with forced_kernel("frontier"):
+            frontier = ScenarioRun(tiny_config(),
+                                   cache=ArtifactCache()).inference()
+        with forced_kernel(backend):
+            vectorized = ScenarioRun(tiny_config(),
+                                     cache=ArtifactCache()).inference()
         assert frontier.all_links() == vectorized.all_links()
         assert frontier.links_by_ixp() == vectorized.links_by_ixp()
 
     @pytest.mark.parametrize("backend", ["batched", "compiled"])
     def test_sharded_propagation_identical_to_single_process(self, backend):
-        single = scenario_run("tiny", backend=backend,
-                              cache=ArtifactCache())
-        sharded = scenario_run("tiny", backend=backend, workers=2,
-                               cache=ArtifactCache())
-        assert single.inference().all_links() == \
-            sharded.inference().all_links()
+        with forced_kernel(backend):
+            single = scenario_run("tiny", cache=ArtifactCache())
+            sharded = scenario_run("tiny", workers=2, cache=ArtifactCache())
+            assert single.inference().all_links() == \
+                sharded.inference().all_links()
         # Worker counts are an execution detail: fingerprints agree.
         assert single.fingerprints() == sharded.fingerprints()
-
-
-def test_backends_constant_matches_engine():
-    assert BACKENDS == ("frontier", "batched", "compiled", "reference")

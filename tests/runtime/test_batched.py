@@ -1,11 +1,14 @@
-"""Differential harness: batched backend vs frontier vs reference.
+"""Differential harness: the production batch path vs frontier vs oracle.
 
-The batched engine must reproduce the frontier engine *exactly* —
-fragment content and order, Adj-RIB-In offers, touched order — on
-arbitrary policy-annotated topologies, and all three backends must
-agree on links and visibility over generator-built internets across
-randomized regime knobs.  Every future backend gets trust the same way:
-add it to :data:`ALL_BACKENDS` and the whole suite exercises it.
+The engine picks its kernel per ``batch_fragments`` call by batch size
+(:data:`~repro.bgp.propagation.COMPILED_MIN_ORIGINS`).  Whatever it
+picks must reproduce the frontier kernel *exactly* — fragment content
+and order, Adj-RIB-In offers, touched order — on arbitrary
+policy-annotated topologies, and every kernel must agree with the
+object-graph reference oracle (:mod:`tests.oracle.propagation`) on links
+and best routes — on every registered scenario at tiny size and on
+generator-built internets across randomized regime knobs.  Kernel names follow :mod:`tests.oracle.kernels`: ``frontier``
+and ``compiled`` pin one kernel, ``batched`` is the production rule.
 """
 
 from __future__ import annotations
@@ -14,30 +17,32 @@ import random
 
 import pytest
 
+from repro.bgp import propagation
 from repro.bgp.communities import Community
 from repro.bgp.policy import Relationship
 from repro.bgp.prefix import Prefix
 from repro.bgp.propagation import (
-    BACKENDS,
     Adjacency,
     OriginSpec,
     PropagationEngine,
-    adjacencies_from_index,
     bidirectional_adjacencies,
 )
-from repro.runtime.batched import (
+from repro.pipeline import ArtifactCache, ScenarioRun
+from repro.runtime.compiled import (
     BatchedPathStore,
+    CompiledPropagator,
     PropagationPlan,
-    numpy_available,
 )
 from repro.runtime.context import PipelineContext
-from repro.runtime.snapshot import restore_context, snapshot_context
+from repro.runtime.frontier import FrontierPropagator
+from repro.scenarios.spec import get_scenario, scenario_names
 from repro.topology.generator import GeneratorConfig, InternetGenerator
 
-requires_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="batched backend requires numpy")
-
-ALL_BACKENDS = BACKENDS
+from tests.oracle.kernels import KERNELS, forced_kernel
+from tests.oracle.propagation import (
+    ReferencePropagationEngine,
+    adjacencies_from_index,
+)
 
 
 def random_internet(rng, num_ases=30):
@@ -105,56 +110,82 @@ def fragment_key(routes):
             for r in routes]
 
 
+def route_key(route):
+    return (route.asn, route.path, route.communities, route.provenance,
+            route.learned_from)
+
+
+def by_observer(routes):
+    """Order-insensitive content of a best-route fragment."""
+    return {route.asn: route_key(route) for route in routes}
+
+
+def production_fragments(engine, origins):
+    """*origins* through the production rule in two calls: a batch one
+    short of the threshold (frontier) and the rest (compiled)."""
+    split = propagation.COMPILED_MIN_ORIGINS - 1
+    return (engine.batch_fragments(origins[:split])
+            + engine.batch_fragments(origins[split:]))
+
+
+def frontier_engine(adjacencies, **record):
+    return PipelineContext.from_adjacencies(adjacencies).engine(**record)
+
+
+def frontier_fragments(engine, origins):
+    with forced_kernel("frontier"):
+        return engine.batch_fragments(origins)
+
+
 # -- exact frontier equivalence ------------------------------------------------
 
 
-@requires_numpy
 @pytest.mark.parametrize("seed", [1, 7, 20130507, 424242, 999983])
 def test_batched_fragments_bit_identical_to_frontier(seed):
-    """Best fragments AND offered (Adj-RIB-In) fragments match the
-    frontier engine exactly, including discovery/offer order."""
+    """Best fragments AND offered (Adj-RIB-In) fragments of the
+    production batch path — one batch below the kernel threshold, one at
+    or above it — match the frontier kernel exactly, including
+    discovery/offer order."""
     rng = random.Random(seed)
     asns, adjacencies = random_internet(rng)
-    origins = random_origins(rng, asns)
+    origins = random_origins(
+        rng, asns, count=2 * propagation.COMPILED_MIN_ORIGINS - 1)
     observers = rng.sample(asns, k=12)
     alt = observers[:5]
 
-    frontier = PipelineContext.from_adjacencies(adjacencies).engine(
+    frontier = frontier_engine(adjacencies, record_at=observers,
+                               record_alternatives_at=alt)
+    production = PipelineContext.from_adjacencies(adjacencies).engine(
         record_at=observers, record_alternatives_at=alt)
-    batched = PipelineContext.from_adjacencies(adjacencies).engine(
-        record_at=observers, record_alternatives_at=alt, backend="batched")
     for spec, got_f, got_b in zip(origins,
-                                  frontier.batch_fragments(origins),
-                                  batched.batch_fragments(origins)):
+                                  frontier_fragments(frontier, origins),
+                                  production_fragments(production, origins)):
         assert fragment_key(got_f[0]) == fragment_key(got_b[0]), \
             (seed, spec.asn, "best")
         assert fragment_key(got_f[1]) == fragment_key(got_b[1]), \
             (seed, spec.asn, "offered")
 
 
-@requires_numpy
 @pytest.mark.parametrize("seed", [3, 31337])
 def test_batched_record_everything_matches_frontier(seed):
     """record_at=None (record every AS) is also bit-identical."""
     rng = random.Random(seed)
     asns, adjacencies = random_internet(rng, num_ases=40)
     origins = random_origins(rng, asns, count=15)
-    frontier = PipelineContext.from_adjacencies(adjacencies).engine()
-    batched = PipelineContext.from_adjacencies(adjacencies).engine(
-        backend="batched")
-    for got_f, got_b in zip(frontier.batch_fragments(origins),
-                            batched.batch_fragments(origins)):
+    frontier = frontier_engine(adjacencies)
+    production = PipelineContext.from_adjacencies(adjacencies).engine()
+    for got_f, got_b in zip(frontier_fragments(frontier, origins),
+                            production_fragments(production, origins)):
         assert fragment_key(got_f[0]) == fragment_key(got_b[0])
 
 
-@requires_numpy
 def test_batched_propagation_result_matches_frontier():
     rng = random.Random(99)
     asns, adjacencies = random_internet(rng)
     origins = random_origins(rng, asns)
-    fast = PropagationEngine(adjacencies).propagate(origins)
-    batched = PropagationEngine(adjacencies, backend="batched").propagate(
-        origins)
+    with forced_kernel("frontier"):
+        fast = PropagationEngine(adjacencies).propagate(origins)
+    batched = PropagationEngine(adjacencies).propagate(origins)
     assert fast.visible_links() == batched.visible_links()
     for origin in origins:
         for asn in asns:
@@ -165,7 +196,148 @@ def test_batched_propagation_result_matches_frontier():
                 assert fragment_key([route_f]) == fragment_key([route_b])
 
 
-# -- property-based three-backend differential --------------------------------
+@pytest.mark.parametrize("name", scenario_names())
+def test_production_matches_reference_on_registered_scenarios(name):
+    """Every registered scenario's tiny-size propagation artifact equals
+    the reference oracle run over the same context: visible links and
+    every recorded observer's best route to every origin."""
+    from repro.scenarios.events import origin_specs_of, record_sets
+    run = ScenarioRun(get_scenario(name).config("tiny"), scenario=name,
+                      cache=ArtifactCache())
+    propagation = run.artifact("propagation")
+    record_at, record_alt = record_sets(propagation)
+    origins = origin_specs_of(run.artifact("topology").graph)
+    production = propagation["propagation"]
+    reference = ReferencePropagationEngine.from_context(
+        propagation["context"], record_at=record_at,
+        record_alternatives_at=record_alt).propagate(origins)
+    assert production.visible_links() == reference.visible_links()
+    for spec in origins:
+        for observer in record_at:
+            got = production.best_route(observer, spec.asn)
+            want = reference.best_route(observer, spec.asn)
+            assert (got is None) == (want is None), (spec.asn, observer)
+            if want is not None:
+                assert route_key(got) == route_key(want), \
+                    (spec.asn, observer)
+
+
+def test_production_fragments_match_frontier_at_bench_size(bench_run):
+    """Acceptance size: the europe2013 bench scenario's full origin set
+    through the production rule equals the frontier kernel, best and
+    offered fragments alike."""
+    from repro.scenarios.events import origin_specs_of, record_sets
+    propagation = bench_run.artifact("propagation")
+    record_at, record_alt = record_sets(propagation)
+    context = propagation["context"]
+    origins = origin_specs_of(bench_run.artifact("topology").graph)
+    production = [fragments for fragments in
+                  propagation["propagation"].recorded_fragments().values()]
+    frontier = context.engine(record_at=record_at,
+                              record_alternatives_at=record_alt)
+    context.clear_propagation_cache()
+    assert len(production) == len(origins)
+    for spec, got_b, got_f in zip(origins, production,
+                                  frontier_fragments(frontier, origins)):
+        assert fragment_key(got_b[0]) == fragment_key(got_f[0]), spec.asn
+        assert fragment_key(got_b[1]) == fragment_key(got_f[1]), spec.asn
+
+
+# -- kernel selection ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [8, 2024])
+def test_kernel_selection_boundary(seed, monkeypatch):
+    """A batch of K-1 uncached origins runs the frontier kernel, a batch
+    of K (and a full sweep) the compiled kernel, and every batch matches
+    the reference oracle's fragments."""
+    threshold = propagation.COMPILED_MIN_ORIGINS
+    calls = []
+    frontier_run = FrontierPropagator.run
+    compiled_run = CompiledPropagator.run_batch
+
+    def spy_frontier(self, *args, **kwargs):
+        calls.append("frontier")
+        return frontier_run(self, *args, **kwargs)
+
+    def spy_compiled(self, *args, **kwargs):
+        calls.append("compiled")
+        return compiled_run(self, *args, **kwargs)
+
+    monkeypatch.setattr(FrontierPropagator, "run", spy_frontier)
+    monkeypatch.setattr(CompiledPropagator, "run_batch", spy_compiled)
+
+    rng = random.Random(seed)
+    asns, adjacencies = random_internet(rng, num_ases=40)
+    observers = rng.sample(asns, k=15)
+    alt = observers[:6]
+    origins = random_origins(rng, asns, count=len(asns))
+    oracle = ReferencePropagationEngine(
+        adjacencies, record_at=observers, record_alternatives_at=alt)
+
+    batches = [(origins[:threshold - 1], ["frontier"] * (threshold - 1)),
+               (origins[:threshold], ["compiled"]),
+               (origins, ["compiled"])]
+    for batch, expected in batches:
+        # A fresh context per batch: no cache hits shrink the batch.
+        engine = PipelineContext.from_adjacencies(adjacencies).engine(
+            record_at=observers, record_alternatives_at=alt)
+        calls.clear()
+        fragments = engine.batch_fragments(batch)
+        assert calls == expected, (len(batch), calls)
+        for spec, (best, offered) in zip(batch, fragments):
+            want_best, want_offered = oracle.origin_fragments(spec)
+            assert by_observer(best) == by_observer(want_best), spec.asn
+            # The oracle re-offers unchanged candidates on re-pops; the
+            # kernels suppress those exact duplicates.
+            assert {route_key(r) for r in offered} == \
+                {route_key(r) for r in want_offered}, spec.asn
+
+
+def test_cache_hits_do_not_count_towards_the_threshold(monkeypatch):
+    """Kernel selection counts *uncached* origins only: re-asking for a
+    wide batch whose members are memoised except for one runs that one
+    origin on the frontier kernel."""
+    rng = random.Random(15)
+    asns, adjacencies = random_internet(rng)
+    origins = random_origins(rng, asns, count=12)
+    engine = PipelineContext.from_adjacencies(adjacencies).engine(
+        record_at=asns[:10])
+    engine.batch_fragments(origins[:-1])
+    calls = []
+    frontier_run = FrontierPropagator.run
+
+    def spy_frontier(self, *args, **kwargs):
+        calls.append("frontier")
+        return frontier_run(self, *args, **kwargs)
+
+    monkeypatch.setattr(FrontierPropagator, "run", spy_frontier)
+    monkeypatch.setattr(CompiledPropagator, "run_batch",
+                        lambda *args, **kwargs: pytest.fail("compiled ran"))
+    engine.batch_fragments(origins)
+    assert calls == ["frontier"]
+
+
+def test_route_cache_shared_by_both_kernels():
+    """Fragments memoised by one kernel answer the other: the cache key
+    carries no kernel, because both kernels produce identical blocks."""
+    rng = random.Random(14)
+    asns, adjacencies = random_internet(rng)
+    origins = random_origins(rng, asns, count=3)
+    context = PipelineContext.from_adjacencies(adjacencies)
+    observers = asns[:8]
+    with forced_kernel("compiled"):
+        first = context.engine(record_at=observers).batch_fragments(origins)
+    assert len(context.route_cache) == len(origins)
+    hits = context.route_cache.hits
+    with forced_kernel("frontier"):
+        again = context.engine(record_at=observers).batch_fragments(origins)
+    assert len(context.route_cache) == len(origins)
+    assert context.route_cache.hits == hits + len(origins)
+    assert all(a is b for a, b in zip(first, again))
+
+
+# -- property-based kernel/oracle differential ---------------------------------
 
 
 def _random_generator_config(rng) -> GeneratorConfig:
@@ -192,12 +364,12 @@ def _random_generator_config(rng) -> GeneratorConfig:
     )
 
 
-@requires_numpy
 @pytest.mark.parametrize("seed", [2013, 4242, 77])
 def test_backends_agree_on_generated_internets(seed):
-    """Frontier, batched and reference backends produce identical links
-    and visibility sets (and frontier/batched identical best routes) on
-    generator-built internets across randomized regime knobs."""
+    """Every kernel (frontier, production rule, compiled) and the
+    reference oracle produce identical links, visibility sets and best
+    routes on generator-built internets across randomized regime
+    knobs."""
     rng = random.Random(seed)
     config = _random_generator_config(rng)
     internet = InternetGenerator(config).generate()
@@ -209,30 +381,31 @@ def test_backends_agree_on_generated_internets(seed):
     observers = sorted(rng.sample(graph.asns(), k=min(30, len(graph))))
 
     results = {}
-    for backend in ALL_BACKENDS:
-        context = PipelineContext.from_graph(graph, backend=backend)
-        engine = context.engine(record_at=observers)
-        results[backend] = engine.propagate(origins)
+    for kernel in KERNELS:
+        with forced_kernel(kernel):
+            context = PipelineContext.from_graph(graph)
+            results[kernel] = context.engine(
+                record_at=observers).propagate(origins)
+    results["reference"] = ReferencePropagationEngine.from_context(
+        PipelineContext.from_graph(graph),
+        record_at=observers).propagate(origins)
 
     frontier = results["frontier"]
-    for backend in ALL_BACKENDS[1:]:
-        assert frontier.visible_links() == results[backend].visible_links(), \
-            (seed, backend)
+    for name, result in results.items():
+        assert frontier.visible_links() == result.visible_links(), \
+            (seed, name)
     for origin in origins:
         for asn in observers:
             route_f = frontier.best_route(asn, origin.asn)
-            route_b = results["batched"].best_route(asn, origin.asn)
-            route_r = results["reference"].best_route(asn, origin.asn)
-            assert (route_f is None) == (route_b is None) == (route_r is None)
-            if route_f is None:
-                continue
-            assert fragment_key([route_f]) == fragment_key([route_b]), \
-                (seed, origin.asn, asn)
-            assert fragment_key([route_f]) == fragment_key([route_r]), \
-                (seed, origin.asn, asn)
+            for name, result in results.items():
+                route = result.best_route(asn, origin.asn)
+                assert (route_f is None) == (route is None), (seed, name)
+                if route_f is not None:
+                    assert fragment_key([route_f]) == \
+                        fragment_key([route]), (seed, name, origin.asn, asn)
 
 
-# -- reference-backend plumbing ------------------------------------------------
+# -- reference oracle plumbing -------------------------------------------------
 
 
 def test_adjacencies_from_index_round_trip():
@@ -250,28 +423,31 @@ def test_adjacencies_from_index_round_trip():
 
 
 def test_reference_backend_selector():
+    """The reference oracle built over a production context agrees with
+    the production engine."""
     rng = random.Random(6)
     asns, adjacencies = random_internet(rng)
     origins = random_origins(rng, asns, count=5)
-    frontier = PropagationEngine(adjacencies).propagate(origins)
-    reference = PropagationEngine(
-        adjacencies, backend="reference").propagate(origins)
-    assert frontier.visible_links() == reference.visible_links()
+    context = PipelineContext.from_adjacencies(adjacencies)
+    production = context.engine().propagate(origins)
+    reference = ReferencePropagationEngine.from_context(
+        context).propagate(origins)
+    assert production.visible_links() == reference.visible_links()
 
 
 # -- unit-level pieces ---------------------------------------------------------
 
 
 def test_unknown_backend_rejected():
+    """No backend knob remains: the engine and the context reject one."""
     adjacencies = [Adjacency(1, 2, Relationship.PEER),
                    Adjacency(2, 1, Relationship.PEER)]
-    with pytest.raises(ValueError, match="unknown propagation backend"):
-        PropagationEngine(adjacencies, backend="warp-drive")
-    with pytest.raises(ValueError, match="unknown propagation backend"):
-        PipelineContext.from_adjacencies(adjacencies, backend="warp-drive")
+    with pytest.raises(TypeError, match="backend"):
+        PropagationEngine(adjacencies, backend="compiled")
+    with pytest.raises(TypeError, match="backend"):
+        PipelineContext.from_adjacencies(adjacencies, backend="compiled")
 
 
-@requires_numpy
 def test_plan_is_cached_on_context():
     rng = random.Random(11)
     _asns, adjacencies = random_internet(rng)
@@ -285,7 +461,6 @@ def test_plan_is_cached_on_context():
             == context.index.customer_edges.num_edges)
 
 
-@requires_numpy
 def test_batched_path_store_matches_tuple_semantics():
     import numpy as np
     store = BatchedPathStore(capacity=2)
@@ -297,40 +472,3 @@ def test_batched_path_store_matches_tuple_semantics():
     assert store.materialize(int(ids[0])) == (10,)
     assert store.materialize(-1) == ()
     assert len(store) == 4
-
-
-def test_snapshot_carries_backend():
-    rng = random.Random(12)
-    _asns, adjacencies = random_internet(rng)
-    context = PipelineContext.from_adjacencies(adjacencies,
-                                               backend="batched")
-    restored = restore_context(snapshot_context(context))
-    assert restored.backend == "batched"
-    assert restored.engine().backend == "batched"
-
-
-@requires_numpy
-def test_engine_inherits_context_backend_and_can_override():
-    rng = random.Random(13)
-    _asns, adjacencies = random_internet(rng)
-    context = PipelineContext.from_adjacencies(adjacencies,
-                                               backend="batched")
-    assert context.engine().backend == "batched"
-    assert context.engine(backend="frontier").backend == "frontier"
-
-
-@requires_numpy
-def test_route_cache_is_partitioned_per_backend():
-    """Two backends on one shared context never alias memoised
-    fragments (the cache key carries the backend)."""
-    rng = random.Random(14)
-    asns, adjacencies = random_internet(rng)
-    origins = random_origins(rng, asns, count=3)
-    context = PipelineContext.from_adjacencies(adjacencies)
-    observers = asns[:8]
-    context.engine(record_at=observers).batch_fragments(origins)
-    cached_before = len(context.route_cache)
-    assert cached_before == len(origins)
-    context.engine(record_at=observers,
-                   backend="batched").batch_fragments(origins)
-    assert len(context.route_cache) == 2 * cached_before

@@ -1,12 +1,14 @@
-"""Differential and unit suite for the fused compiled backend.
+"""Differential and unit suite for the compiled multi-origin kernel.
 
-The compiled backend must reproduce the frontier engine *exactly* —
-fragment content and order, Adj-RIB-In offers, touched order — just
-like the batched backend it subclasses, while running its rounds
-through narrow planes and the fused resolve.  This module adds the
-compiled-specific surfaces on top of the shared three-backend suite in
-``test_batched.py``: the int32/int64 promotion rule, the path-id
-overflow guard, the numba probe, and the plan-shipping snapshot path.
+The compiled kernel must reproduce the frontier kernel *exactly* —
+fragment content and order, Adj-RIB-In offers, touched order — while
+running its rounds through narrow planes and the fused resolve.  The
+tests here pin the engine to one kernel per side
+(:mod:`tests.oracle.kernels`), so even batches below the production
+threshold run compiled.  This module adds the compiled-specific
+surfaces on top of the production-rule suite in ``test_batched.py``:
+the int32/int64 promotion rule, the path-id overflow guard, the numba
+probe, and the plan-shipping snapshot path.
 """
 
 from __future__ import annotations
@@ -17,40 +19,44 @@ import pytest
 
 from repro.bgp.policy import Relationship
 from repro.bgp.propagation import Adjacency, OriginSpec, PropagationEngine
-from repro.runtime.batched import (
-    INT32_MAX,
-    BatchedPathStore,
-    BatchedPropagator,
-    PathIdOverflow,
-    fit_dtype,
-    numpy_available,
-)
 from repro.runtime.compiled import (
     HAS_NUMBA,
+    INT32_MAX,
     NUMBA_DISABLE_ENV,
+    BatchedPathStore,
     CompiledPropagator,
+    PathIdOverflow,
     _probe_numba,
     _py_winner_touch,
-    compiled_available,
     compiled_batch_size,
+    fit_dtype,
 )
 from repro.runtime.context import PipelineContext
 from repro.runtime.snapshot import restore_context, snapshot_context
 
+from tests.oracle.kernels import forced_kernel
 from tests.runtime.test_batched import (
     fragment_key,
     random_internet,
     random_origins,
 )
 
-requires_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="compiled backend requires numpy")
+
+def pinned(engine, origins, kernel):
+    """``engine.batch_fragments(origins)`` with the engine pinned to
+    *kernel*."""
+    with forced_kernel(kernel):
+        return engine.batch_fragments(origins)
+
+
+def pinned_propagate(engine, origins, kernel):
+    with forced_kernel(kernel):
+        return engine.propagate(origins)
 
 
 # -- exact frontier equivalence ------------------------------------------------
 
 
-@requires_numpy
 @pytest.mark.parametrize("seed", [1, 7, 20130507, 424242, 999983])
 def test_compiled_fragments_bit_identical_to_frontier(seed):
     """Best AND offered fragments match the frontier engine exactly,
@@ -64,38 +70,36 @@ def test_compiled_fragments_bit_identical_to_frontier(seed):
     frontier = PipelineContext.from_adjacencies(adjacencies).engine(
         record_at=observers, record_alternatives_at=alt)
     compiled = PipelineContext.from_adjacencies(adjacencies).engine(
-        record_at=observers, record_alternatives_at=alt, backend="compiled")
+        record_at=observers, record_alternatives_at=alt)
     for spec, got_f, got_c in zip(origins,
-                                  frontier.batch_fragments(origins),
-                                  compiled.batch_fragments(origins)):
+                                  pinned(frontier, origins, "frontier"),
+                                  pinned(compiled, origins, "compiled")):
         assert fragment_key(got_f[0]) == fragment_key(got_c[0]), \
             (seed, spec.asn, "best")
         assert fragment_key(got_f[1]) == fragment_key(got_c[1]), \
             (seed, spec.asn, "offered")
 
 
-@requires_numpy
 @pytest.mark.parametrize("seed", [3, 31337])
 def test_compiled_record_everything_matches_frontier(seed):
     rng = random.Random(seed)
     asns, adjacencies = random_internet(rng, num_ases=40)
     origins = random_origins(rng, asns, count=15)
     frontier = PipelineContext.from_adjacencies(adjacencies).engine()
-    compiled = PipelineContext.from_adjacencies(adjacencies).engine(
-        backend="compiled")
-    for got_f, got_c in zip(frontier.batch_fragments(origins),
-                            compiled.batch_fragments(origins)):
+    compiled = PipelineContext.from_adjacencies(adjacencies).engine()
+    for got_f, got_c in zip(pinned(frontier, origins, "frontier"),
+                            pinned(compiled, origins, "compiled")):
         assert fragment_key(got_f[0]) == fragment_key(got_c[0])
 
 
-@requires_numpy
 def test_compiled_propagation_result_matches_frontier():
     rng = random.Random(99)
     asns, adjacencies = random_internet(rng)
     origins = random_origins(rng, asns)
-    fast = PropagationEngine(adjacencies).propagate(origins)
-    compiled = PropagationEngine(adjacencies, backend="compiled").propagate(
-        origins)
+    fast = pinned_propagate(PropagationEngine(adjacencies), origins,
+                            "frontier")
+    compiled = pinned_propagate(PropagationEngine(adjacencies), origins,
+                                "compiled")
     assert fast.visible_links() == compiled.visible_links()
     for origin in origins:
         for asn in asns:
@@ -109,7 +113,6 @@ def test_compiled_propagation_result_matches_frontier():
 # -- int32/int64 promotion rule ------------------------------------------------
 
 
-@requires_numpy
 def test_fit_dtype_boundaries():
     import numpy as np
     assert fit_dtype(0) is np.int32
@@ -120,7 +123,6 @@ def test_fit_dtype_boundaries():
     assert fit_dtype(-1) is np.int64
 
 
-@requires_numpy
 def test_small_plan_uses_int32_planes():
     import numpy as np
     rng = random.Random(8)
@@ -147,7 +149,6 @@ def _chain_adjacencies(num_ases, extra_peers=0, rng=None):
     return asns, adjacencies
 
 
-@requires_numpy
 @pytest.mark.parametrize("seed", [21, 1203])
 def test_int64_key_fallback_stays_bit_identical(seed):
     """Topologies whose packed key range exceeds int32 (node counts
@@ -163,13 +164,12 @@ def test_int64_key_fallback_stays_bit_identical(seed):
     observers = rng.sample(asns, k=25)
     frontier = PipelineContext.from_adjacencies(adjacencies).engine(
         record_at=observers)
-    compiled = context.engine(record_at=observers, backend="compiled")
-    for got_f, got_c in zip(frontier.batch_fragments(origins),
-                            compiled.batch_fragments(origins)):
+    compiled = context.engine(record_at=observers)
+    for got_f, got_c in zip(pinned(frontier, origins, "frontier"),
+                            pinned(compiled, origins, "compiled")):
         assert fragment_key(got_f[0]) == fragment_key(got_c[0])
 
 
-@requires_numpy
 def test_huge_asns_promote_via_arrays():
     """4-byte ASNs above 2**31 force the via arrays (which hold raw
     ASNs) to int64 while propagation stays exact."""
@@ -195,16 +195,15 @@ def test_huge_asns_promote_via_arrays():
     origins = [OriginSpec(asn=asns[0],
                           prefixes=[Prefix.from_octets(10, 0, 0, 0, 24)])]
     frontier = PipelineContext.from_adjacencies(adjacencies).engine()
-    compiled = context.engine(backend="compiled")
-    for got_f, got_c in zip(frontier.batch_fragments(origins),
-                            compiled.batch_fragments(origins)):
+    compiled = context.engine()
+    for got_f, got_c in zip(pinned(frontier, origins, "frontier"),
+                            pinned(compiled, origins, "compiled")):
         assert fragment_key(got_f[0]) == fragment_key(got_c[0])
 
 
 # -- path-id overflow guard ----------------------------------------------------
 
 
-@requires_numpy
 def test_path_store_id_limit_raises_instead_of_wrapping():
     import numpy as np
     store = BatchedPathStore(capacity=4, id_limit=3)
@@ -215,7 +214,6 @@ def test_path_store_id_limit_raises_instead_of_wrapping():
     assert len(store) == 2
 
 
-@requires_numpy
 def test_compiled_retries_batch_in_int64_on_overflow():
     """A path-id overflow inside a narrow-plane batch transparently
     re-runs the batch with int64 planes, bit-identically."""
@@ -237,10 +235,9 @@ def test_compiled_retries_batch_in_int64_on_overflow():
     nodes = [context.index.id_of[o.asn] for o in origins]
     batch = propagator.run_batch(nodes, [0] * len(nodes))
     assert propagator._dtype is np.int64  # promotion is sticky
-    reference = BatchedPropagator(context.plan, context.bags).run_batch(
+    reference = CompiledPropagator(context.plan, context.bags).run_batch(
         nodes, [0] * len(nodes))
     assert np.array_equal(batch.cls, reference.cls)
-    assert np.array_equal(batch.length, reference.length)
     assert np.array_equal(batch.frm, reference.frm)
     for row in range(len(nodes)):
         assert list(batch.touched[row]) == list(reference.touched[row])
@@ -249,7 +246,6 @@ def test_compiled_retries_batch_in_int64_on_overflow():
 # -- fused winner/touch kernel -------------------------------------------------
 
 
-@requires_numpy
 def test_winner_touch_kernel_matches_sequential_semantics():
     """The fused scatter marks exactly the frontier's sequential
     acceptance: per target, the smallest key wins with earliest
@@ -296,31 +292,23 @@ def test_has_numba_is_a_bool():
     assert isinstance(HAS_NUMBA, bool)
 
 
-@requires_numpy
-def test_compiled_available_tracks_numpy():
-    assert compiled_available() is True
-
-
-@requires_numpy
 def test_compiled_backend_selectable_without_numba(monkeypatch):
-    """Selecting the compiled backend never raises regardless of numba:
-    force the pure-numpy fused path and check it still propagates."""
+    """The compiled kernel runs regardless of numba: force the numpy
+    fused path and check it still propagates bit-identically."""
     monkeypatch.setattr(CompiledPropagator, "_use_jit", False)
     rng = random.Random(31)
     asns, adjacencies = random_internet(rng)
     origins = random_origins(rng, asns, count=4)
     frontier = PipelineContext.from_adjacencies(adjacencies).engine()
-    compiled = PipelineContext.from_adjacencies(adjacencies).engine(
-        backend="compiled")
-    for got_f, got_c in zip(frontier.batch_fragments(origins),
-                            compiled.batch_fragments(origins)):
+    compiled = PipelineContext.from_adjacencies(adjacencies).engine()
+    for got_f, got_c in zip(pinned(frontier, origins, "frontier"),
+                            pinned(compiled, origins, "compiled")):
         assert fragment_key(got_f[0]) == fragment_key(got_c[0])
 
 
 # -- batch sizing --------------------------------------------------------------
 
 
-@requires_numpy
 def test_compiled_batch_size_positive_and_budgeted():
     rng = random.Random(41)
     _asns, adjacencies = random_internet(rng)
@@ -336,21 +324,17 @@ def test_compiled_batch_size_positive_and_budgeted():
 # -- plan shipping through snapshots ------------------------------------------
 
 
-@requires_numpy
 def test_snapshot_ships_plan_when_asked():
     rng = random.Random(43)
     _asns, adjacencies = random_internet(rng)
-    context = PipelineContext.from_adjacencies(adjacencies,
-                                               backend="compiled")
+    context = PipelineContext.from_adjacencies(adjacencies)
     snapshot = snapshot_context(context, include_plan=True)
     assert snapshot.plan is not None
     restored = restore_context(snapshot)
     # The restored context replays the shipped schedule, no recompile.
     assert restored._plan is snapshot.plan
-    assert restored.backend == "compiled"
 
 
-@requires_numpy
 def test_snapshot_without_plan_stays_lazy():
     rng = random.Random(47)
     _asns, adjacencies = random_internet(rng)

@@ -2,11 +2,12 @@
 
 The columnar plane must be invisible to consumers: RouteBlock-backed
 fragments iterate into the same routes, in the same order, with the same
-provenance/communities/learned_from as the eager object path, across all
-three production backends — and blocks must survive pickling (the shard
-worker boundary) bit-identically.  The object oracle is the frontier
-engine with the columnar plane forced off, i.e. the exact pre-columnar
-materialisation code path.
+provenance/communities/learned_from as eager object fragments, whichever
+kernel produced them (:mod:`tests.oracle.kernels`) — and blocks must
+survive pickling (the shard worker boundary) bit-identically.  The
+object oracle is the frontier kernel's state materialised route by
+route (:func:`tests.oracle.propagation.object_fragments`), i.e. the
+exact pre-columnar recording path.
 """
 
 from __future__ import annotations
@@ -16,61 +17,41 @@ import random
 
 import pytest
 
-import repro.bgp.propagation as propagation_module
 from repro.bgp.propagation import OriginSpec, RouteBlock
 from repro.runtime.context import PipelineContext
-from repro.runtime.fragments import (
-    PathTable,
-    fragments_available,
-    walk_paths,
-)
+from repro.runtime.fragments import PathTable, walk_paths
 from repro.runtime.stores import PathStore
 
+from tests.oracle import propagation as oracle
+from tests.oracle.kernels import KERNELS, forced_kernel
 from tests.runtime.test_batched import (
     fragment_key,
     random_internet,
     random_origins,
 )
 
-requires_numpy = pytest.mark.skipif(
-    not fragments_available(), reason="columnar fragments require numpy")
-
-BLOCK_BACKENDS = ("frontier", "batched", "compiled")
+BLOCK_BACKENDS = KERNELS
 
 
-def object_fragments(adjacencies, origins, monkeypatch, **kwargs):
-    """Fragments from a frontier engine with the columnar plane forced
-    off — the pre-columnar per-route materialisation path, used as the
-    oracle.  The patch is undone before returning so the engines under
-    test keep the plane on."""
-    monkeypatch.setattr(propagation_module, "fragments_available",
-                        lambda: False)
-    try:
-        engine = PipelineContext.from_adjacencies(adjacencies).engine(**kwargs)
-        return engine.batch_fragments(origins)
-    finally:
-        monkeypatch.undo()
+def object_fragments(adjacencies, origins, **kwargs):
+    """The eager object fragments of *origins* (the oracle)."""
+    return oracle.object_fragments(
+        PipelineContext.from_adjacencies(adjacencies), origins, **kwargs)
 
 
-def object_result(adjacencies, origins, monkeypatch, **kwargs):
+def object_result(adjacencies, origins, **kwargs):
     """Like :func:`object_fragments` but a full eagerly recorded
     :class:`PropagationResult`."""
-    monkeypatch.setattr(propagation_module, "fragments_available",
-                        lambda: False)
-    try:
-        engine = PipelineContext.from_adjacencies(adjacencies).engine(**kwargs)
-        return engine.propagate(origins)
-    finally:
-        monkeypatch.undo()
+    return oracle.object_result(
+        PipelineContext.from_adjacencies(adjacencies), origins, **kwargs)
 
 
 # -- vectorized chain walk -----------------------------------------------------
 
 
-@requires_numpy
 @pytest.mark.parametrize("seed", [3, 11, 20131209])
 def test_walk_paths_matches_scalar_materialize(seed):
-    np = pytest.importorskip("numpy")
+    import numpy as np
     rng = random.Random(seed)
     store = PathStore()
     pids = []
@@ -85,9 +66,8 @@ def test_walk_paths_matches_scalar_materialize(seed):
         assert tuple(values[offsets[row]:offsets[row + 1]]) == expected
 
 
-@requires_numpy
 def test_path_table_gather_handles_repeats_and_missing():
-    np = pytest.importorskip("numpy")
+    import numpy as np
     store = PathStore()
     a = store.cons(64500)
     b = store.cons(64501, a)
@@ -103,10 +83,9 @@ def test_path_table_gather_handles_repeats_and_missing():
 # -- block/object differential across backends ---------------------------------
 
 
-@requires_numpy
 @pytest.mark.parametrize("backend", BLOCK_BACKENDS)
 @pytest.mark.parametrize("seed", [5, 77, 20130507, 424242])
-def test_blocks_bit_identical_to_object_fragments(seed, backend, monkeypatch):
+def test_blocks_bit_identical_to_object_fragments(seed, backend):
     """RouteBlock-backed fragments iterate into exactly the routes the
     eager object path produced: content, provenance and order, for best
     fragments and Adj-RIB-In offers alike."""
@@ -117,12 +96,13 @@ def test_blocks_bit_identical_to_object_fragments(seed, backend, monkeypatch):
     alt = observers[:5]
 
     expected_fragments = object_fragments(
-        adjacencies, origins, monkeypatch,
+        adjacencies, origins,
         record_at=observers, record_alternatives_at=alt)
     columnar = PipelineContext.from_adjacencies(adjacencies).engine(
-        record_at=observers, record_alternatives_at=alt, backend=backend)
-    for spec, got, expected in zip(origins,
-                                   columnar.batch_fragments(origins),
+        record_at=observers, record_alternatives_at=alt)
+    with forced_kernel(backend):
+        got_fragments = columnar.batch_fragments(origins)
+    for spec, got, expected in zip(origins, got_fragments,
                                    expected_fragments):
         assert isinstance(got[0], RouteBlock), (backend, spec.asn)
         assert isinstance(got[1], RouteBlock), (backend, spec.asn)
@@ -132,9 +112,8 @@ def test_blocks_bit_identical_to_object_fragments(seed, backend, monkeypatch):
             (seed, backend, spec.asn, "offered")
 
 
-@requires_numpy
 @pytest.mark.parametrize("backend", BLOCK_BACKENDS)
-def test_result_api_matches_object_path(backend, monkeypatch):
+def test_result_api_matches_object_path(backend):
     """The lazily indexed result answers observers/routes/links exactly
     like the eagerly recorded one, including dict orders."""
     rng = random.Random(1234)
@@ -142,10 +121,10 @@ def test_result_api_matches_object_path(backend, monkeypatch):
     origins = random_origins(rng, asns)
     observers = rng.sample(asns, k=10)
 
-    expected = object_result(adjacencies, origins, monkeypatch,
-                             record_at=observers)
-    columnar = PipelineContext.from_adjacencies(adjacencies).engine(
-        record_at=observers, backend=backend).propagate(origins)
+    expected = object_result(adjacencies, origins, record_at=observers)
+    with forced_kernel(backend):
+        columnar = PipelineContext.from_adjacencies(adjacencies).engine(
+            record_at=observers).propagate(origins)
     # Columnar fast path first, before any object-level access indexes
     # the result.
     assert columnar.visible_links() == expected.visible_links()
@@ -159,14 +138,13 @@ def test_result_api_matches_object_path(backend, monkeypatch):
             == [origin for origin, _route in expected.iter_routes_at(observer)]
 
 
-@requires_numpy
 def test_iter_best_columns_matches_iter_routes():
     rng = random.Random(99)
     asns, adjacencies = random_internet(rng)
     origins = random_origins(rng, asns)
     observers = rng.sample(asns, k=8)
     result = PipelineContext.from_adjacencies(adjacencies).engine(
-        record_at=observers, backend="batched").propagate(origins)
+        record_at=observers).propagate(origins)
     for observer in observers:
         triples = result.iter_best_columns_at(observer)
         assert triples is not None
@@ -182,13 +160,12 @@ def test_iter_best_columns_matches_iter_routes():
 # -- lazy-view contract --------------------------------------------------------
 
 
-@requires_numpy
 def test_lazy_row_views_are_cached_and_sliceable():
     rng = random.Random(7)
     asns, adjacencies = random_internet(rng)
     origins = random_origins(rng, asns, count=3)
     engine = PipelineContext.from_adjacencies(adjacencies).engine(
-        record_at=asns[:6], backend="frontier")
+        record_at=asns[:6])
     best, offered = engine.batch_fragments(origins)[0]
     assert len(best) == len(best.asn)
     if len(best):
@@ -201,7 +178,6 @@ def test_lazy_row_views_are_cached_and_sliceable():
     assert isinstance(offered, RouteBlock)
 
 
-@requires_numpy
 def test_isolated_origin_is_a_block():
     rng = random.Random(13)
     asns, adjacencies = random_internet(rng)
@@ -219,7 +195,6 @@ def test_isolated_origin_is_a_block():
 # -- pickling (the shard worker boundary) --------------------------------------
 
 
-@requires_numpy
 @pytest.mark.parametrize("backend", BLOCK_BACKENDS)
 def test_block_pickle_round_trip(backend):
     """Blocks cross process boundaries as arrays; the restored block
@@ -229,9 +204,10 @@ def test_block_pickle_round_trip(backend):
     origins = random_origins(rng, asns)
     observers = rng.sample(asns, k=12)
     engine = PipelineContext.from_adjacencies(adjacencies).engine(
-        record_at=observers, record_alternatives_at=observers[:4],
-        backend=backend)
-    for spec, (best, offered) in zip(origins, engine.batch_fragments(origins)):
+        record_at=observers, record_alternatives_at=observers[:4])
+    with forced_kernel(backend):
+        fragments = engine.batch_fragments(origins)
+    for spec, (best, offered) in zip(origins, fragments):
         for block in (best, offered):
             clone = pickle.loads(pickle.dumps(block))
             assert isinstance(clone, RouteBlock)
@@ -244,7 +220,6 @@ def test_block_pickle_round_trip(backend):
 # -- route-cache accounting ----------------------------------------------------
 
 
-@requires_numpy
 def test_route_cache_hits_skip_recompute():
     """Repeated batch_fragments over the same origins is pure cache:
     hit counters move, miss counters and entries do not, and the very
@@ -253,7 +228,7 @@ def test_route_cache_hits_skip_recompute():
     asns, adjacencies = random_internet(rng)
     origins = random_origins(rng, asns)
     context = PipelineContext.from_adjacencies(adjacencies)
-    engine = context.engine(record_at=asns[:10], backend="batched")
+    engine = context.engine(record_at=asns[:10])
     cache = context.route_cache
 
     first = engine.batch_fragments(origins)

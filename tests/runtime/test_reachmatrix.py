@@ -1,6 +1,6 @@
 """The reachability plane: kernels, derived views, context caching.
 
-The matrix is trusted the same way the propagation backends are: its
+The matrix is trusted the same way the propagation kernels are: its
 link kernel is differentially tested against the integer-bitmask
 reference, and every derived view (densities, openness, exclusions,
 link provenance) is checked against the object-level computation it
@@ -21,7 +21,6 @@ from repro.analysis.repellers import RepellerAnalysis
 from repro.analysis.estimation import estimates_from_matrix, measured_densities
 from repro.core.reachability import infer_links
 from repro.runtime.bitset import BitsetIndex, reciprocal_pairs
-from repro.runtime.batched import numpy_available
 from repro.runtime.reachmatrix import (
     ReachabilityMatrix,
     allow_mask_for,
@@ -226,8 +225,7 @@ def test_context_caches_matrix_per_result(small_scenario, inference_result):
     assert stats["reachability_matrices"] >= 1
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy-only check")
 def test_numpy_available_marker():
-    """The CI environment provides numpy, so the M & M.T fast path (not
-    just the bitmask fallback) is what the suite exercises."""
+    """numpy is a hard dependency: the M & M.T kernel is the only link
+    path."""
     import numpy  # noqa: F401

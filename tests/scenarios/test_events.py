@@ -27,7 +27,9 @@ from repro.scenarios.events import (
 from repro.scenarios.spec import get_scenario, scenario_names
 from repro.topology.as_graph import LinkType
 
-PRODUCTION_BACKENDS = ("frontier", "batched", "compiled")
+from tests.oracle.kernels import KERNELS, forced_kernel
+
+PRODUCTION_BACKENDS = KERNELS
 
 
 @pytest.fixture(scope="module")
@@ -264,15 +266,17 @@ def test_random_event_sequence_delta_matches_rebuild(tiny_baseline, backend):
                            graph, route_servers, length=6)
 
     replay = TimelineReplay(graph, route_servers, tiny_baseline["baseline"],
-                            record_at, record_alt, backend=backend)
+                            record_at, record_alt)
     rebuild_graph, rebuild_servers = copy.deepcopy((graph, route_servers))
     rebuild_state = ReplayState(rebuild_graph, rebuild_servers)
     for index, event in enumerate(events):
-        report = replay.apply(event)
+        # The replay's recomputes run on the pinned kernel; the rebuild
+        # it is checked against runs the production rule.
+        with forced_kernel(backend):
+            report = replay.apply(event)
         rebuild_state.apply(event)
         _, full = rebuild_propagation(rebuild_graph, rebuild_servers,
-                                      record_at, record_alt,
-                                      backend=backend)
+                                      record_at, record_alt)
         assert_results_identical(replay.result, full,
                                  (backend, index, event))
         assert report.recomputed + report.reused == report.total
@@ -291,12 +295,12 @@ def test_registered_family_delta_matches_rebuild(tiny_baseline, family):
                                          seed=20130508),
                             graph, route_servers)
     replay = TimelineReplay(graph, route_servers, tiny_baseline["baseline"],
-                            record_at, record_alt, backend="frontier")
+                            record_at, record_alt)
     replay.replay(events)
     rebuild_graph, rebuild_servers = copy.deepcopy((graph, route_servers))
     rebuild_state = ReplayState(rebuild_graph, rebuild_servers)
     for event in events:
         rebuild_state.apply(event)
     _, full = rebuild_propagation(rebuild_graph, rebuild_servers,
-                                  record_at, record_alt, backend="frontier")
+                                  record_at, record_alt)
     assert_results_identical(replay.result, full, family)

@@ -9,9 +9,8 @@ came from, on every registered scenario.
 
 import json
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.pipeline import ArtifactCache, ScenarioRun
 from repro.runtime.reachmatrix import (

@@ -1,13 +1,14 @@
 """Query daemon: dispatch semantics, HTTP front, warm-up, load client."""
 
 import json
+import socket
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
-np = pytest.importorskip("numpy")
-
+from repro.service import daemon
 from repro.service.artifact import load_matrix
 from repro.service.daemon import (
     ENDPOINTS,
@@ -135,6 +136,74 @@ class TestHttpFront:
         row = report.row()
         assert set(row) == {"endpoint", "requests", "errors",
                             "p50_us", "p99_us", "qps"}
+
+
+def _raw_exchange(port: int, payload: bytes, timeout: float = 10.0) -> bytes:
+    """Send *payload* on a raw socket and read until the server closes."""
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        if payload:
+            sock.sendall(payload)
+        chunks = []
+        while True:
+            chunk = sock.recv(1 << 16)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+def _status_of(reply: bytes) -> int:
+    return int(reply.split(b"\r\n", 1)[0].split()[1])
+
+
+class TestRequestLimits:
+    def test_idle_client_is_dropped(self, warm, monkeypatch):
+        monkeypatch.setattr(daemon, "IDLE_TIMEOUT_S", 0.2)
+        service, _ = warm
+        with ServerThread(service) as server:
+            # Nothing sent: the daemon closes the connection, no reply.
+            assert _raw_exchange(server.port, b"", timeout=5.0) == b""
+            # Idle after a complete request: the reply, then the close.
+            reply = _raw_exchange(server.port,
+                                  b"GET /health HTTP/1.1\r\n\r\n",
+                                  timeout=5.0)
+            assert _status_of(reply) == 200
+
+    def test_header_flood_is_rejected(self, warm):
+        service, _ = warm
+        flood = b"GET /health HTTP/1.1\r\n" + b"".join(
+            b"X-Flood-%d: x\r\n" % i for i in range(1000)) + b"\r\n"
+        with ServerThread(service) as server:
+            reply = _raw_exchange(server.port, flood)
+        assert _status_of(reply) == 431
+        assert b"Connection: close" in reply
+
+    def test_long_request_line_is_rejected(self, warm):
+        service, _ = warm
+        line = b"GET /q/europe2013/has_link?a=" + b"1" * 100_000 + \
+            b"&b=2 HTTP/1.1\r\n\r\n"
+        with ServerThread(service) as server:
+            reply = _raw_exchange(server.port, line)
+        assert _status_of(reply) == 400
+
+    def test_long_header_line_is_rejected(self, warm):
+        service, _ = warm
+        request = (b"GET /health HTTP/1.1\r\nX-Big: "
+                   + b"y" * (2 * daemon.MAX_LINE_BYTES) + b"\r\n\r\n")
+        with ServerThread(service) as server:
+            reply = _raw_exchange(server.port, request)
+        assert _status_of(reply) == 431
+
+    def test_headers_up_to_the_cap_are_served(self, warm):
+        service, _ = warm
+        request = b"GET /health HTTP/1.1\r\n" + b"".join(
+            b"X-H-%d: x\r\n" % i for i in range(daemon.MAX_HEADERS)) + \
+            b"Connection: close\r\n\r\n"
+        with ServerThread(service) as server:
+            # MAX_HEADERS custom headers plus Connection: one over the
+            # cap is rejected, so drop one and expect a normal answer.
+            reply = _raw_exchange(server.port, request.replace(
+                b"X-H-0: x\r\n", b"", 1))
+        assert _status_of(reply) == 200
 
 
 class TestWarmService:
