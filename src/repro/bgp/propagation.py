@@ -31,9 +31,15 @@ frontier BFS (:class:`~repro.runtime.frontier.FrontierPropagator`),
 which has no per-batch set-up cost; at or above it the fused
 multi-origin kernel (:class:`~repro.runtime.compiled.
 CompiledPropagator`), which amortises its per-round cost over the
-batch.  Routes are only materialised into tuples/frozensets for the
-ASes actually recorded.  The test suite keeps the original object-graph
-engine as an oracle and checks both kernels against it.
+batch.
+
+Recorded routes stay columnar: :class:`PropagationResult` is one
+store of per-origin (best, offered) :class:`RouteBlock` pairs, and
+every reader answers from one :class:`~repro.runtime.fragments.
+ObservationIndex` over them.  Route objects exist only as the blocks'
+cached row views, built for the object-level readers.  The test suite
+keeps the original object-graph engine and its dict-fold result as the
+oracle and checks both kernels and every reader against them.
 
 Route-server peering is modelled with directed :class:`Adjacency` entries
 carrying the RS communities the exporting member attached, so the
@@ -178,274 +184,112 @@ class OriginSpec:
 class PropagationResult:
     """Routes recorded at the requested observation ASes.
 
-    The result maps ``(observer_asn, origin_asn)`` to the
-    :class:`PropagatedRoute` the observer selected as best, plus — for
-    observers registered with ``record_alternatives`` — the list of all
-    candidate routes offered to them (their Adj-RIB-In).
-
-    Fragments arrive columnar (:class:`~repro.runtime.fragments.
-    RouteBlock`) from the engine and stay columnar until an object-level
-    accessor is called: the per-observer dicts are folded lazily, in
-    recording order, so bulk consumers (``visible_links``, the
-    collector/inference fast paths) never build per-route objects at
-    all.
+    One columnar store: each origin is recorded once, as the (best,
+    offered) :class:`~repro.runtime.fragments.RouteBlock` pair the
+    engine produced, and every reader answers from one
+    :class:`~repro.runtime.fragments.ObservationIndex` over those
+    blocks (built on the first read after a recording).  Best routes
+    are keyed by ``(observer_asn, origin_asn)``; observers registered
+    with ``record_alternatives`` also hold every candidate route
+    offered to them (their Adj-RIB-In).  Route objects exist only as
+    the blocks' cached row views, built by the object-level readers;
+    bulk consumers (``visible_links``, the collectors, the looking
+    glasses, the inference planes) read the columns.
     """
 
     def __init__(self) -> None:
-        self._best: Dict[int, Dict[int, PropagatedRoute]] = {}
-        self._alternatives: Dict[int, Dict[int, List[PropagatedRoute]]] = {}
-        self._origins: Dict[int, OriginSpec] = {}
-        #: recorded fragments not yet folded into the dicts, in
-        #: recording order: (origin, best, offered) triples.
-        self._pending: List[Tuple[int, Sequence, Sequence]] = []
-        #: every block-backed recording, kept after indexing so the
-        #: columnar fast paths survive object-level access.
-        self._block_records: List[Tuple[int, RouteBlock, RouteBlock]] = []
-        #: origin -> (best, offered) exactly as recorded, kept for the
-        #: delta-propagation plane (unaffected fragments are reused
-        #: byte-for-byte when an event timeline patches a result).
-        self._fragment_records: Dict[int, Tuple[Sequence, Sequence]] = {}
-        #: False once routes were recorded outside the fragment
-        #: protocol (``_record_best``/``_record_alternative``) — such
-        #: results cannot serve as a delta-patching baseline.
-        self._fragments_complete = True
-        #: True while every recorded fragment is a RouteBlock (the
-        #: precondition for the columnar fast paths).
-        self._columnar = True
-        #: (record count, ObservationIndex) — the per-(observer, origin)
-        #: CSR index over the block records, built on first use.
-        self._obs_index: Optional[Tuple[int, ObservationIndex]] = None
-        #: ((record count, origin count), origin -> position, aligned)
-        self._origin_pos: Optional[Tuple[Tuple[int, int],
-                                         Optional[Dict[int, int]], bool]] = None
+        #: (spec, best, offered) per origin, in recording order.
+        self._records: List[Tuple[OriginSpec, RouteBlock, RouteBlock]] = []
+        #: origin ASN -> position in ``_records``.
+        self._position: Dict[int, int] = {}
+        #: the per-(observer, origin) index over ``_records``; None
+        #: until the first read after a recording.
+        self._index: Optional[ObservationIndex] = None
 
     # -- population (used by the engine) ------------------------------------
 
-    def _record_fragments(self, origin: int, best: Sequence,
-                          offered: Sequence) -> None:
-        """Record one origin's (best, offered) fragments.
+    def _record(self, spec: OriginSpec, best: RouteBlock,
+                offered: RouteBlock) -> None:
+        """Record one origin's (best, offered) blocks.
 
-        RouteBlocks stay columnar; folding into the per-observer dicts
-        is deferred to the first object-level read.
+        Raises ``TypeError`` for a fragment that is not a
+        :class:`RouteBlock` and ``ValueError`` for an origin that is
+        already recorded.
         """
-        self._pending.append((origin, best, offered))
-        self._fragment_records[origin] = (best, offered)
-        if isinstance(best, RouteBlock) and isinstance(offered, RouteBlock):
-            self._block_records.append((origin, best, offered))
-        else:
-            self._columnar = False
+        if not (isinstance(best, RouteBlock)
+                and isinstance(offered, RouteBlock)):
+            raise TypeError("fragments must be RouteBlocks")
+        if spec.asn in self._position:
+            raise ValueError(f"origin {spec.asn} is already recorded")
+        self._position[spec.asn] = len(self._records)
+        self._records.append((spec, best, offered))
+        self._index = None
 
-    def _record_best(self, origin: int, route: PropagatedRoute) -> None:
-        self._ensure_indexed()
-        self._columnar = False
-        self._fragments_complete = False
-        self._best.setdefault(route.asn, {})[origin] = route
-
-    def _record_alternative(self, origin: int, route: PropagatedRoute) -> None:
-        self._ensure_indexed()
-        self._columnar = False
-        self._fragments_complete = False
-        per_as = self._alternatives.setdefault(route.asn, {})
-        per_as.setdefault(origin, []).append(route)
-
-    def _record_origin(self, spec: OriginSpec) -> None:
-        self._origins[spec.asn] = spec
-
-    def _ensure_indexed(self) -> None:
-        """Fold pending fragments into the per-observer dicts.
-
-        Rows are materialised in recording order, so observer/origin
-        dict insertion orders are identical to the eager path.  Runs of
-        block-backed recordings are folded with one grouped pass per
-        side (sort by observer, visit groups in first-appearance order)
-        instead of a ``dict.setdefault`` per route; list-backed
-        recordings fall back to the route-by-route fold, flushing any
-        accumulated blocks first so overall recording order holds.
-        """
-        if not self._pending:
-            return
-        pending, self._pending = self._pending, []
-        best_index = self._best
-        alt_index = self._alternatives
-        batch: List[Tuple[int, RouteBlock, RouteBlock]] = []
-        for origin, best, offered in pending:
-            if isinstance(best, RouteBlock) and isinstance(offered, RouteBlock):
-                batch.append((origin, best, offered))
-                continue
-            if batch:
-                self._fold_block_batch(batch)
-                batch = []
-            for route in best:
-                best_index.setdefault(route.asn, {})[origin] = route
-            for route in offered:
-                alt_index.setdefault(route.asn, {}).setdefault(
-                    origin, []).append(route)
-        if batch:
-            self._fold_block_batch(batch)
-
-    def _fold_block_batch(
-            self, batch: List[Tuple[int, RouteBlock, RouteBlock]]) -> None:
-        """Grouped dict fold of consecutive block-backed recordings.
-
-        Equivalent to the route-by-route fold: per side, rows are
-        grouped by observer with one stable sort over the concatenated
-        ``asn`` columns, observers are visited in first-appearance
-        (concatenation) order, and each group's rows arrive in
-        ``(record, row)`` order — reproducing every dict insertion
-        order, including last-write-wins on duplicate keys.
-        """
-        origins = [origin for origin, _best, _offered in batch]
-        for side, target in ((1, self._best), (2, self._alternatives)):
-            blocks = [record[side] for record in batch]
-            parts = [i for i, block in enumerate(blocks) if len(block.asn)]
-            if not parts:
-                continue
-            routes = {i: blocks[i].routes_list() for i in parts}
-            asn = np.concatenate([blocks[i].asn for i in parts])
-            pos = np.repeat(np.asarray(parts, dtype=np.int64),
-                            [len(blocks[i].asn) for i in parts])
-            row = np.concatenate([np.arange(len(blocks[i].asn),
-                                            dtype=np.int64) for i in parts])
-            order = np.argsort(asn, kind="stable")
-            asn_s = asn[order].tolist()
-            pos_s = pos[order].tolist()
-            row_s = row[order].tolist()
-            change = np.nonzero(asn[order][1:] != asn[order][:-1])[0] + 1
-            starts = np.concatenate(([0], change))
-            ends = np.concatenate((change, [len(asn_s)]))
-            visit = np.argsort(order[starts], kind="stable")
-            if side == 1:
-                for g in visit.tolist():
-                    observer = asn_s[starts[g]]
-                    inner = target.get(observer)
-                    if inner is None:
-                        inner = target[observer] = {}
-                    for i in range(starts[g], ends[g]):
-                        p = pos_s[i]
-                        inner[origins[p]] = routes[p][row_s[i]]
-            else:
-                for g in visit.tolist():
-                    observer = asn_s[starts[g]]
-                    inner = target.get(observer)
-                    if inner is None:
-                        inner = target[observer] = {}
-                    for i in range(starts[g], ends[g]):
-                        p = pos_s[i]
-                        candidates = inner.get(origins[p])
-                        if candidates is None:
-                            candidates = inner[origins[p]] = []
-                        candidates.append(routes[p][row_s[i]])
+    def _observation_index(self) -> ObservationIndex:
+        if self._index is None:
+            self._index = ObservationIndex(
+                [best for _spec, best, _offered in self._records],
+                [offered for _spec, _best, offered in self._records])
+        return self._index
 
     # -- read API ------------------------------------------------------------
 
     def origins(self) -> List[int]:
-        """All origin ASNs that were propagated."""
-        return list(self._origins)
+        """All origin ASNs that were propagated, in recording order."""
+        return list(self._position)
 
     def origin_spec(self, origin_asn: int) -> OriginSpec:
         """The :class:`OriginSpec` for *origin_asn*."""
-        return self._origins[origin_asn]
+        return self._records[self._position[origin_asn]][0]
 
-    def recorded_fragments(self) -> Dict[int, Tuple[Sequence, Sequence]]:
-        """Origin -> (best, offered) fragments exactly as recorded.
+    def recorded_fragments(self) -> Dict[int, Tuple[RouteBlock, RouteBlock]]:
+        """Origin -> (best, offered) blocks exactly as recorded.
 
         This is the delta-propagation baseline: when an event timeline
-        patches a result, unaffected origins' fragments are taken from
+        patches a result, unaffected origins' blocks are taken from
         here unchanged (block identity preserved) and only affected
-        origins are recomputed.  Raises when routes were ever recorded
-        outside the fragment protocol — such a result has no complete
-        per-origin fragment decomposition to patch.
+        origins are recomputed.
         """
-        if not self._fragments_complete:
-            raise ValueError(
-                "result mixes fragment and per-route recordings; "
-                "it cannot serve as a delta-propagation baseline")
-        return dict(self._fragment_records)
+        return {spec.asn: (best, offered)
+                for spec, best, offered in self._records}
 
     def observers(self) -> List[int]:
-        """All ASes with recorded routes."""
-        self._ensure_indexed()
-        return list(self._best)
+        """All ASes holding a best route, in first-recorded order."""
+        return self._observation_index().observers()
 
-    def _observation_index(self) -> Optional[ObservationIndex]:
-        """The per-(observer, origin) CSR index over the block records,
-        built once per record-count and rebuilt only when more
-        fragments arrive.  None when the result is not fully
-        block-backed (callers fall back to the dict fold)."""
-        if not self._columnar or not self._block_records:
-            return None
-        cached = self._obs_index
-        if cached is not None and cached[0] == len(self._block_records):
-            return cached[1]
-        index = ObservationIndex(
-            [best for _origin, best, _offered in self._block_records],
-            [offered for _origin, _best, offered in self._block_records])
-        self._obs_index = (len(self._block_records), index)
-        return index
-
-    def _origin_positions(self) -> Tuple[Optional[Dict[int, int]], bool]:
-        """Origin -> block-record position, plus whether the records
-        align 1:1 with ``origins()`` order.  The mapping is None when an
-        origin was recorded twice (no unique position exists)."""
-        key = (len(self._block_records), len(self._origins))
-        cached = self._origin_pos
-        if cached is not None and cached[0] == key:
-            return cached[1], cached[2]
-        positions: Optional[Dict[int, int]] = {}
-        for pos, (origin, _best, _offered) in enumerate(self._block_records):
-            if origin in positions:
-                positions = None
-                break
-            positions[origin] = pos
-        aligned = positions is not None and \
-            list(positions) == list(self._origins)
-        self._origin_pos = (key, positions, aligned)
-        return positions, aligned
-
-    def best_route(self, observer_asn: int, origin_asn: int) -> Optional[PropagatedRoute]:
+    def best_route(self, observer_asn: int,
+                   origin_asn: int) -> Optional[PropagatedRoute]:
         """Best route held by *observer_asn* towards *origin_asn*."""
-        index = self._observation_index()
-        if index is not None:
-            positions, _aligned = self._origin_positions()
-            if positions is not None:
-                pos = positions.get(origin_asn)
-                if pos is None:
-                    return None
-                row = index.best_row(observer_asn, pos)
-                if row is None:
-                    return None
-                return self._block_records[pos][1].route(row)
-        self._ensure_indexed()
-        return self._best.get(observer_asn, {}).get(origin_asn)
+        pos = self._position.get(origin_asn)
+        if pos is None:
+            return None
+        row = self._observation_index().best_row(observer_asn, pos)
+        return None if row is None else self._records[pos][1].route(row)
+
+    def iter_best_columns_at(
+            self, observer_asn: int) -> List[Tuple[int, RouteBlock, int]]:
+        """The observer's best routes as ``(origin_asn, block, row)``
+        triples in origin recording order, without materialising route
+        objects."""
+        records = self._records
+        return [(records[pos][0].asn, records[pos][1], row)
+                for pos, row in self._observation_index().best_refs(
+                    observer_asn)]
+
+    def iter_routes_at(
+            self, observer_asn: int) -> List[Tuple[int, PropagatedRoute]]:
+        """``(origin ASN, best route)`` pairs at *observer_asn*, in
+        origin recording order."""
+        return [(origin, block.route(row)) for origin, block, row
+                in self.iter_best_columns_at(observer_asn)]
 
     def routes_at(self, observer_asn: int) -> Dict[int, PropagatedRoute]:
         """Mapping origin ASN -> best route at *observer_asn*."""
-        self._ensure_indexed()
-        return dict(self._best.get(observer_asn, {}))
+        return dict(self.iter_routes_at(observer_asn))
 
-    def iter_routes_at(self, observer_asn: int) -> Iterable[Tuple[int, PropagatedRoute]]:
-        """Iterate ``(origin ASN, best route)`` pairs at *observer_asn*
-        without copying the underlying mapping."""
-        self._ensure_indexed()
-        return self._best.get(observer_asn, {}).items()
-
-    def iter_best_columns_at(self, observer_asn: int):
-        """Columnar fast path for per-observer consumers.
-
-        Returns ``(origin_asn, block, row)`` triples in recording order
-        — the same pairs :meth:`iter_routes_at` yields, without
-        materialising route objects — or ``None`` when the result is
-        not fully block-backed (callers then fall back to the object
-        API).
-        """
-        index = self._observation_index()
-        if index is None:
-            return None
-        records = self._block_records
-        return [(records[pos][0], records[pos][1], row)
-                for pos, row in index.best_refs(observer_asn)]
-
-    def observation_groups_at(self, observer_asn: int):
+    def observation_groups_at(
+            self, observer_asn: int
+    ) -> List[Tuple[int, RouteBlock, List[int]]]:
         """The observer's full view as columnar groups, one per origin.
 
         Returns ``(origin_asn, block, rows)`` triples in origin
@@ -453,74 +297,53 @@ class PropagationResult:
         way :meth:`all_paths` sorts, so ``rows[0]`` is the group's best
         path.  Groups come from the offered block where the observer
         holds offered routes, with the same best-route fallback as
-        ``all_paths``.  None when the result is not fully block-backed
-        or block records don't map 1:1 onto ``origins()`` (callers
-        fall back to the object API).
+        ``all_paths``.
         """
-        index = self._observation_index()
-        if index is None:
-            return None
-        positions, aligned = self._origin_positions()
-        if positions is None or not aligned:
-            return None
-        records = self._block_records
+        records = self._records
         groups = []
-        for pos, rows, from_offers in index.merged_groups(observer_asn):
-            origin, best, offered = records[pos]
-            groups.append((origin, offered if from_offers else best, rows))
+        for pos, rows, from_offers in \
+                self._observation_index().merged_groups(observer_asn):
+            spec, best, offered = records[pos]
+            groups.append((spec.asn, offered if from_offers else best, rows))
         return groups
 
-    def all_paths(self, observer_asn: int, origin_asn: int) -> List[PropagatedRoute]:
+    def all_paths(self, observer_asn: int,
+                  origin_asn: int) -> List[PropagatedRoute]:
         """All candidate routes offered to *observer_asn* for *origin_asn*
         (best first).  Falls back to the best route only when alternatives
         were not recorded for this observer."""
+        pos = self._position.get(origin_asn)
+        if pos is None:
+            return []
         index = self._observation_index()
-        if index is not None:
-            positions, _aligned = self._origin_positions()
-            if positions is not None:
-                pos = positions.get(origin_asn)
-                if pos is None:
-                    return []
-                rows = index.offered_rows(observer_asn, pos)
-                if rows is not None:
-                    offered = self._block_records[pos][2]
-                    return [offered.route(row) for row in rows]
-                row = index.best_row(observer_asn, pos)
-                return [self._block_records[pos][1].route(row)] \
-                    if row is not None else []
-        self._ensure_indexed()
-        alternatives = self._alternatives.get(observer_asn, {}).get(origin_asn)
-        if alternatives:
-            ordered = sorted(
-                alternatives,
-                key=lambda r: (r.provenance, len(r.path), r.learned_from or -1),
-            )
-            return ordered
-        best = self.best_route(observer_asn, origin_asn)
-        return [best] if best is not None else []
+        _spec, best, offered = self._records[pos]
+        rows = index.offered_rows(observer_asn, pos)
+        if rows is not None:
+            return [offered.route(row) for row in rows]
+        row = index.best_row(observer_asn, pos)
+        return [] if row is None else [best.route(row)]
 
-    def visible_links(self, observer_asns: Optional[Iterable[int]] = None) -> Set[Tuple[int, int]]:
+    def visible_links(self, observer_asns: Optional[Iterable[int]] = None
+                      ) -> Set[Tuple[int, int]]:
         """AS links appearing in the best paths of the given observers
         (all recorded observers by default)."""
-        if observer_asns is None and self._columnar and self._block_records:
+        if observer_asns is None:
             return self._links_from_blocks()
-        self._ensure_indexed()
-        observers = list(observer_asns) if observer_asns is not None else self.observers()
         links: Set[Tuple[int, int]] = set()
-        for observer in observers:
-            for route in self._best.get(observer, {}).values():
-                path = route.path
+        for observer in observer_asns:
+            for _origin, block, row in self.iter_best_columns_at(observer):
+                path = block.path(row)
                 for left, right in zip(path, path[1:]):
                     if left != right:
                         links.add((min(left, right), max(left, right)))
         return links
 
     def _links_from_blocks(self) -> Set[Tuple[int, int]]:
-        """Columnar ``visible_links``: adjacent pairs straight from the
+        """Every best path's links: adjacent pairs straight from the
         CSR path columns, deduplicated as packed uint64 keys."""
         packed_chunks = []
         links: Set[Tuple[int, int]] = set()
-        for _origin, best, _offered in self._block_records:
+        for _spec, best, _offered in self._records:
             lo, hi = best.link_pairs()
             if not len(lo):
                 continue
@@ -538,19 +361,11 @@ class PropagationResult:
         return links
 
     def __getstate__(self):
-        # The observation index and origin-position caches are cheap to
-        # rebuild and would otherwise bloat persisted/shipped artifacts.
+        # The observation index is cheap to rebuild and would otherwise
+        # bloat persisted/shipped artifacts.
         state = self.__dict__.copy()
-        state["_obs_index"] = None
-        state["_origin_pos"] = None
+        state["_index"] = None
         return state
-
-    def __setstate__(self, state) -> None:
-        state.setdefault("_obs_index", None)
-        state.setdefault("_origin_pos", None)
-        # Dropped cache of pre-index versions of this class.
-        state.pop("_observer_rows", None)
-        self.__dict__.update(state)
 
 
 class PropagationEngine:
@@ -628,10 +443,9 @@ class PropagationEngine:
         """Propagate every origin and return the recorded routes."""
         origins = list(origins)
         result = PropagationResult()
-        for spec, (best_routes, offered_routes) in zip(
-                origins, self.batch_fragments(origins)):
-            result._record_origin(spec)
-            result._record_fragments(spec.asn, best_routes, offered_routes)
+        for spec, (best, offered) in zip(origins,
+                                         self.batch_fragments(origins)):
+            result._record(spec, best, offered)
         return result
 
     def propagate_origin(self, spec: OriginSpec) -> PropagationResult:

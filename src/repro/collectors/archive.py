@@ -7,16 +7,14 @@ leaks).  :class:`CollectorArchive` reproduces that pipeline: it stores
 dumps per day, synthesises update noise, and can return the stable
 entries that survive the transient filter.
 
-Like the propagation plane, the archive is columnar where it can be:
-``collect`` on a block-backed :class:`PropagationResult` interns the
-window into a :class:`RibEntryTable` (parallel peer / prefix-id /
+The archive is one column store.  ``collect`` interns every vantage
+point's feed, straight from the propagation result's route-block
+columns, into a :class:`RibEntryTable` (parallel peer / prefix-id /
 path-id / bag-id / collector-id / timestamp columns over value tables)
 instead of building one :class:`RibEntry` per day per route, and the
 transient filter runs as one grouped numpy pass over the key columns.
-``RibEntry`` survives as a lazy row view — materialised on first
-object-level access, cached, value-identical to the eager path — and
-the object implementation (``columnar=False``) is retained in full as
-the reference oracle.
+``RibEntry`` exists only as a lazy row view, materialised on first
+object-level access and cached.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.bgp.attributes import ASPath
-from repro.bgp.messages import RibEntry, UpdateMessage, WithdrawMessage
+from repro.bgp.messages import RibEntry, UpdateMessage
 from repro.bgp.prefix import Prefix
 from repro.bgp.propagation import PropagationResult
 from repro.collectors.route_collector import RouteCollector
@@ -109,13 +107,6 @@ class RibEntryTable:
             self.paths.append(ASPath.from_tuple(asns))
         return pid
 
-    def intern_path(self, path: ASPath) -> int:
-        pid = self._path_ids.get(path.asns)
-        if pid is None:
-            pid = self._path_ids[path.asns] = len(self.paths)
-            self.paths.append(path)
-        return pid
-
     def intern_bag(self, communities: frozenset) -> int:
         bid = self._bag_ids.get(communities)
         if bid is None:
@@ -142,18 +133,6 @@ class RibEntryTable:
         self.bag_id.append(bag_id)
         self.coll_id.append(coll_id)
         self.timestamp.append(timestamp)
-        return row
-
-    def append_entry(self, entry: RibEntry) -> int:
-        """Append a :class:`RibEntry`, interning its values; the entry
-        object itself becomes the row's cached view."""
-        row = self.append(entry.peer_asn,
-                          self.intern_prefix(entry.prefix),
-                          self.intern_path(entry.as_path),
-                          self.intern_bag(entry.communities),
-                          self.intern_collector(entry.collector),
-                          entry.timestamp)
-        self._entries[row] = entry
         return row
 
     def extend(self, peers: Sequence[int], prefix_ids: Sequence[int],
@@ -226,29 +205,22 @@ class RibEntryTable:
 class CollectorArchive:
     """Archived dumps and updates of one or more collectors.
 
-    ``columnar=None`` (the default) auto-selects the column-store
-    representation when numpy is importable and the propagation result
-    is block-backed; ``columnar=False`` pins the object representation
-    — the reference oracle the differential tests compare against.
+    An archive holds one measurement window of one propagation result:
+    :meth:`collect` runs once, and a second call raises ``ValueError``.
     """
 
     def __init__(self, collectors: Iterable[RouteCollector],
                  window: Optional[MeasurementWindow] = None,
-                 seed: int = 7,
-                 columnar: Optional[bool] = None) -> None:
+                 seed: int = 7) -> None:
         self.collectors = list(collectors)
         self.window = window or MeasurementWindow()
         self._rng = random.Random(seed)
-        self._columnar = True if columnar is None else columnar
-        #: day -> list of RIB entries (object mode)
-        self._dumps: Dict[int, List[RibEntry]] = {}
-        #: column store + day -> row positions (columnar mode); exactly
-        #: one of (_dumps, _table) is ever populated.
-        self._table: Optional[RibEntryTable] = None
+        self._table = RibEntryTable()
+        #: day -> row positions of that day's dump in ``_table``.
         self._day_rows: Dict[int, List[int]] = {}
         self._updates: List[UpdateMessage] = []
-        #: min_days -> stable / clean-stable entry lists (cleared on
-        #: every archive mutation).
+        self._collected = False
+        #: min_days -> stable / clean-stable entry lists.
         self._stable_cache: Dict[int, List[RibEntry]] = {}
         self._clean_cache: Dict[int, List[RibEntry]] = {}
 
@@ -258,109 +230,41 @@ class CollectorArchive:
                 transient_fraction: float = 0.0) -> None:
         """Record a table dump for every day of the window.
 
-        ``transient_fraction`` injects short-lived entries (present on a
-        single day only) to exercise the transient-path filter.
+        Every vantage point's feed is interned once; each day's dump
+        references the shared base rows.  ``transient_fraction`` injects
+        short-lived entries (present on a single day only) to exercise
+        the transient-path filter.
         """
-        self._invalidate()
-        if self._columnar and self._table is None and not self._dumps \
-                and self._collect_columnar(propagation, transient_fraction):
-            return
-        self._demote_to_objects()
-        base_entries: List[RibEntry] = []
-        for collector in self.collectors:
-            base_entries.extend(collector.table_dump(propagation))
-        for day in self.window.days():
-            day_entries = [RibEntry(
-                peer_asn=e.peer_asn, prefix=e.prefix, as_path=e.as_path,
-                communities=e.communities, collector=e.collector,
-                timestamp=float(day)) for e in base_entries]
-            self._dumps[day] = day_entries
-        if transient_fraction > 0 and base_entries:
-            self._inject_transients(base_entries, transient_fraction)
-        self._synthesise_updates(base_entries)
-
-    def _collect_columnar(self, propagation: PropagationResult,
-                          transient_fraction: float) -> bool:
-        """Columnar ``collect``: intern every vantage point's feed once,
-        then reference the shared base columns from each day's dump.
-
-        Commits nothing (and returns False) when any collector cannot
-        export columns — the object path then runs instead.  The RNG is
-        first consumed after the commit point, so a fallback collect
-        draws the exact same sample sequence.
-        """
-        table = RibEntryTable()
+        if self._collected:
+            raise ValueError("archive already collected; build a new "
+                             "CollectorArchive per propagation result")
+        self._collected = True
+        self._stable_cache.clear()
+        self._clean_cache.clear()
+        table = self._table
         base: Tuple[List[int], List[int], List[int], List[int], List[int]] = \
             ([], [], [], [], [])
         for collector in self.collectors:
             coll_id = table.intern_collector(collector.name)
-            rows = collector.export_rows(propagation, table)
-            if rows is None:
-                return False
-            peers, prefix_ids, path_ids, bag_ids = rows
+            peers, prefix_ids, path_ids, bag_ids = \
+                collector.export_rows(propagation, table)
             base[0].extend(peers)
             base[1].extend(prefix_ids)
             base[2].extend(path_ids)
             base[3].extend(bag_ids)
             base[4].extend([coll_id] * len(peers))
-        self._table = table
-        self._day_rows = {}
         count = len(base[0])
         for day in self.window.days():
             start = table.extend(base[0], base[1], base[2], base[3],
                                  base[4], float(day))
             self._day_rows[day] = list(range(start, start + count))
         if transient_fraction > 0 and count:
-            self._inject_transients_columnar(base, transient_fraction)
-        self._synthesise_updates_columnar(base)
-        return True
+            self._inject_transients(base, transient_fraction)
+        self._synthesise_updates(base)
 
-    def add_entry(self, day: int, entry: RibEntry) -> None:
-        """Add a single entry to a specific day's dump."""
-        self._invalidate()
-        if self._table is not None:
-            row = self._table.append_entry(entry)
-            self._day_rows.setdefault(day, []).append(row)
-        else:
-            self._dumps.setdefault(day, []).append(entry)
-
-    def _invalidate(self) -> None:
-        """Drop the stable-entry memos after an archive mutation."""
-        self._stable_cache.clear()
-        self._clean_cache.clear()
-
-    def _demote_to_objects(self) -> None:
-        """Materialise the column store into per-day entry lists.
-
-        Escape hatch for call patterns the columnar mode does not model
-        (a second ``collect`` on a populated archive); day order and
-        per-day row order are preserved exactly.
-        """
-        if self._table is None:
-            return
-        table, self._table = self._table, None
-        day_rows, self._day_rows = self._day_rows, {}
-        for day, rows in day_rows.items():
-            self._dumps[day] = [table.entry(row) for row in rows]
-
-    def _inject_transients(self, base_entries: Sequence[RibEntry],
-                           fraction: float) -> None:
-        count = max(1, int(len(base_entries) * fraction))
-        chosen = self._rng.sample(list(base_entries), min(count, len(base_entries)))
-        day = self._rng.choice(self.window.days())
-        for entry in chosen:
-            # A transient: same prefix/VP but a slightly different, short-lived path.
-            mangled_path = ASPath(entry.as_path.asns[:1] + entry.as_path.asns)
-            self._dumps[day].append(RibEntry(
-                peer_asn=entry.peer_asn, prefix=entry.prefix,
-                as_path=mangled_path, communities=entry.communities,
-                collector=entry.collector, timestamp=float(day)))
-
-    def _inject_transients_columnar(self, base, fraction: float) -> None:
-        """Columnar transient injection: identical RNG draws to the
-        object path — ``sample``/``choice`` outcomes depend only on the
-        population size, so sampling row indices picks the same rows
-        the object path picks entries."""
+    def _inject_transients(self, base, fraction: float) -> None:
+        """Append, on one random day, a short-lived variant (first hop
+        prepended) of a random sample of the base rows."""
         peers, prefix_ids, path_ids, bag_ids, coll_ids = base
         count = max(1, int(len(peers) * fraction))
         chosen = self._rng.sample(range(len(peers)), min(count, len(peers)))
@@ -375,22 +279,7 @@ class CollectorArchive:
                 peers[i], prefix_ids[i], mangled, bag_ids[i],
                 coll_ids[i], timestamp))
 
-    def _synthesise_updates(self, base_entries: Sequence[RibEntry]) -> None:
-        if not base_entries:
-            return
-        sample_size = min(len(base_entries), max(1, len(base_entries) // 20))
-        for entry in self._rng.sample(list(base_entries), sample_size):
-            day = self._rng.choice(self.window.days())
-            self._updates.append(UpdateMessage(
-                timestamp=day + self._rng.random(),
-                peer_asn=entry.peer_asn,
-                prefix=entry.prefix,
-                as_path=entry.as_path,
-                communities=entry.communities,
-                collector=entry.collector,
-            ))
-
-    def _synthesise_updates_columnar(self, base) -> None:
+    def _synthesise_updates(self, base) -> None:
         peers, prefix_ids, path_ids, bag_ids, coll_ids = base
         if not peers:
             return
@@ -412,23 +301,14 @@ class CollectorArchive:
 
     def dump_for_day(self, day: int) -> List[RibEntry]:
         """The RIB dump archived for *day*."""
-        if self._table is not None:
-            table = self._table
-            return [table.entry(row) for row in self._day_rows.get(day, ())]
-        return list(self._dumps.get(day, []))
+        entry = self._table.entry
+        return [entry(row) for row in self._day_rows.get(day, ())]
 
     def all_entries(self) -> List[RibEntry]:
         """Every archived RIB entry across the window."""
-        result: List[RibEntry] = []
-        if self._table is not None:
-            table = self._table
-            for day in sorted(self._day_rows):
-                result.extend(table.entry(row)
-                              for row in self._day_rows[day])
-            return result
-        for day in sorted(self._dumps):
-            result.extend(self._dumps[day])
-        return result
+        entry = self._table.entry
+        return [entry(row) for day in sorted(self._day_rows)
+                for row in self._day_rows[day]]
 
     def updates(self) -> List[UpdateMessage]:
         """The archived update messages."""
@@ -438,44 +318,23 @@ class CollectorArchive:
         """Entries whose (vantage point, prefix, path) persisted for at
         least *min_days* days — the transient-path filter of section 5.
 
-        The result is memoised per archive state (and per *min_days*):
-        every inference run re-reads the same window, so the filter
-        walk runs once, not once per run.  Treat the returned list as
-        read-only; it is invalidated by :meth:`collect`/:meth:`add_entry`.
+        The filter is one grouped pass over the key columns: rows are
+        scanned in day order, then per-day row order; groups are value
+        keys (prefix and path ids are value-interned); qualifying
+        groups are emitted by first scan appearance.  The result is
+        memoised per *min_days* — every inference run re-reads the same
+        window, so the filter runs once, not once per run.  Treat the
+        returned list as read-only.
         """
         cached = self._stable_cache.get(min_days)
         if cached is not None:
             return cached
-        if self._table is not None:
-            result = self._stable_columnar(min_days)
-        else:
-            persistence: Dict[Tuple[int, Prefix, Tuple[int, ...]], Set[int]] = {}
-            samples: Dict[Tuple[int, Prefix, Tuple[int, ...]], RibEntry] = {}
-            for day, entries in self._dumps.items():
-                for entry in entries:
-                    key = (entry.peer_asn, entry.prefix, entry.as_path.asns)
-                    persistence.setdefault(key, set()).add(day)
-                    samples.setdefault(key, entry)
-            effective_min = min(min_days, len(self._dumps)) if self._dumps else min_days
-            result = [samples[key] for key, days in persistence.items()
-                      if len(days) >= effective_min]
-        self._stable_cache[min_days] = result
-        return result
-
-    def _stable_columnar(self, min_days: int) -> List[RibEntry]:
-        """The transient filter as one grouped pass over the key columns.
-
-        The scan order (day insertion order, then per-day row order)
-        matches the object walk over ``_dumps.items()``, groups are the
-        same value keys — prefix and path ids are value-interned — and
-        qualifying groups are emitted by first scan appearance, so the
-        result list is element-for-element identical to the dict fold.
-        """
         day_items = list(self._day_rows.items())
         effective_min = min(min_days, len(day_items)) if day_items else min_days
         total = sum(len(rows) for _day, rows in day_items)
         if not total:
-            return []
+            self._stable_cache[min_days] = result = []
+            return result
         scan_pos = np.concatenate(
             [np.asarray(rows, dtype=np.int64) for _day, rows in day_items
              if rows])
@@ -504,8 +363,10 @@ class CollectorArchive:
         first_scan = np.minimum.reduceat(order, starts)
         selected = np.sort(first_scan[distinct_days >= effective_min])
         entry = self._table.entry
-        positions = scan_pos[selected].tolist()
-        return [entry(position) for position in positions]
+        result = [entry(position)
+                  for position in scan_pos[selected].tolist()]
+        self._stable_cache[min_days] = result
+        return result
 
     def clean_stable_entries(self, min_days: int = 2) -> List[RibEntry]:
         """Stable entries that also pass the reserved-ASN / cycle filters
@@ -514,8 +375,8 @@ class CollectorArchive:
         on this list's identity, which the memo keeps stable).
 
         Cleanliness itself is memoised per shared ``ASPath`` object
-        (one per interned path id in columnar mode), so the filter
-        walks each distinct path once, not once per entry."""
+        (one per interned path id), so the filter walks each distinct
+        path once, not once per entry."""
         cached = self._clean_cache.get(min_days)
         if cached is not None:
             return cached
@@ -526,13 +387,9 @@ class CollectorArchive:
 
     def visible_as_links(self) -> Set[Tuple[int, int]]:
         """AS links visible anywhere in the archived dumps."""
+        # Every interned path is referenced by at least one row, so the
+        # union over the path table equals the per-entry union.
         links: Set[Tuple[int, int]] = set()
-        if self._table is not None:
-            # Every interned path is referenced by at least one row, so
-            # the union over the path table equals the per-entry union.
-            for path in self._table.paths:
-                links.update(path.links())
-            return links
-        for entry in self.all_entries():
-            links.update(entry.as_path.links())
+        for path in self._table.paths:
+            links.update(path.links())
         return links

@@ -3,11 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Set, Tuple
+from typing import List
 
-from repro.bgp.attributes import ASPath
-from repro.bgp.messages import RibEntry, UpdateMessage
-from repro.bgp.prefix import Prefix
 from repro.bgp.propagation import PropagationResult
 from repro.collectors.vantage_point import VantagePoint
 
@@ -29,42 +26,19 @@ class RouteCollector:
         """ASNs of all vantage points feeding the collector."""
         return sorted(vp.asn for vp in self.vantage_points)
 
-    def table_dump(self, propagation: PropagationResult,
-                   timestamp: float = 0.0) -> List[RibEntry]:
-        """Produce a RIB dump: the concatenation of every vantage point's
-        exported table at *timestamp*."""
-        return list(self.iter_table_dump(propagation, timestamp))
-
-    def iter_table_dump(self, propagation: PropagationResult,
-                        timestamp: float = 0.0) -> Iterable[RibEntry]:
-        """Stream the RIB dump vantage point by vantage point, without
-        materialising the concatenated table."""
-        for vantage_point in self.vantage_points:
-            yield from vantage_point.exported_routes(propagation, timestamp)
-
     def export_rows(self, propagation: PropagationResult, table):
-        """Columnar :meth:`table_dump`: every vantage point's feed as
+        """The collector's RIB dump: every vantage point's feed as
         parallel ``(peers, prefix_ids, path_ids, bag_ids)`` columns
-        interned into *table*, in dump order.  None when any vantage
-        point cannot export columns (callers fall back to objects)."""
+        interned into *table*, in dump order (see
+        :meth:`VantagePoint.export_rows`)."""
         peers: List[int] = []
         prefix_ids: List[int] = []
         path_ids: List[int] = []
         bag_ids: List[int] = []
         for vantage_point in self.vantage_points:
             rows = vantage_point.export_rows(propagation, table)
-            if rows is None:
-                return None
             peers.extend(rows[0])
             prefix_ids.extend(rows[1])
             path_ids.extend(rows[2])
             bag_ids.extend(rows[3])
         return peers, prefix_ids, path_ids, bag_ids
-
-    def visible_as_links(self, propagation: PropagationResult) -> Set[Tuple[int, int]]:
-        """AS links visible in the collector's dump (plus the VP-collector
-        adjacency is excluded, as in real topology extractions)."""
-        links: Set[Tuple[int, int]] = set()
-        for entry in self.iter_table_dump(propagation):
-            links.update(entry.as_path.links())
-        return links

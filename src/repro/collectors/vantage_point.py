@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import List
 
-from repro.bgp.messages import RibEntry
-from repro.bgp.attributes import ASPath
-from repro.bgp.propagation import CLASS_CUSTOMER, PropagatedRoute, PropagationResult
+from repro.bgp.propagation import CLASS_CUSTOMER, PropagationResult
 
 
 class FeedType(enum.Enum):
@@ -32,78 +30,29 @@ class VantagePoint:
     feed_type: FeedType = FeedType.CUSTOMER_ONLY
     collector: str = "route-views"
 
-    def exported_routes(self, propagation: PropagationResult,
-                        timestamp: float = 0.0) -> List[RibEntry]:
-        """The RIB entries this vantage point exports to its collector,
-        derived from the routes it holds in the propagation result.
-
-        Columnar results are read straight from the route-block columns
-        (no ``PropagatedRoute`` objects); one ``ASPath`` is shared by
-        every prefix of an origin, which also lets downstream passive
-        extraction memoise on path identity.
-        """
-        entries: List[RibEntry] = []
-        columns = getattr(propagation, "iter_best_columns_at", None)
-        triples = columns(self.asn) if columns is not None else None
-        if triples is None:
-            for origin, route in propagation.iter_routes_at(self.asn):
-                if not self._exports(route):
-                    continue
-                spec = propagation.origin_spec(origin)
-                for prefix in spec.prefixes:
-                    entries.append(RibEntry(
-                        peer_asn=self.asn,
-                        prefix=prefix,
-                        as_path=ASPath(route.path),
-                        communities=route.communities,
-                        collector=self.collector,
-                        timestamp=timestamp,
-                    ))
-            return entries
-        full = self.feed_type is FeedType.FULL
-        for origin, block, row in triples:
-            if not full and block.provenance_at(row) > CLASS_CUSTOMER:
-                continue
-            spec = propagation.origin_spec(origin)
-            if not spec.prefixes:
-                continue
-            as_path = ASPath(block.path(row))
-            communities = block.communities_at(row)
-            for prefix in spec.prefixes:
-                entries.append(RibEntry(
-                    peer_asn=self.asn,
-                    prefix=prefix,
-                    as_path=as_path,
-                    communities=communities,
-                    collector=self.collector,
-                    timestamp=timestamp,
-                ))
-        return entries
-
     def export_rows(self, propagation: PropagationResult, table):
-        """Columnar :meth:`exported_routes`: intern this feed into a
-        :class:`~repro.collectors.archive.RibEntryTable` and return the
-        parallel ``(peers, prefix_ids, path_ids, bag_ids)`` row columns,
-        in exactly the order ``exported_routes`` emits entries.
+        """The RIB entries this vantage point exports to its collector,
+        derived from the best routes it holds in *propagation*.
 
-        Returns None when the propagation result is not block-backed —
-        the archive then falls back to the object collect.
+        The feed is interned into a
+        :class:`~repro.collectors.archive.RibEntryTable` straight from
+        the route-block columns (no ``PropagatedRoute`` objects) and
+        returned as parallel ``(peers, prefix_ids, path_ids, bag_ids)``
+        row columns, one row per (route, prefix) in origin recording
+        order.  One interned path is shared by every prefix of an
+        origin, which lets downstream passive extraction memoise on
+        path identity.
         """
-        columns = getattr(propagation, "iter_best_columns_at", None)
-        triples = columns(self.asn) if columns is not None else None
-        if triples is None:
-            return None
         full = self.feed_type is FeedType.FULL
         asn = self.asn
         peers: List[int] = []
         prefix_ids: List[int] = []
         path_ids: List[int] = []
         bag_ids: List[int] = []
-        for origin, block, row in triples:
+        for origin, block, row in propagation.iter_best_columns_at(asn):
             if not full and block.provenance_at(row) > CLASS_CUSTOMER:
                 continue
-            spec = propagation.origin_spec(origin)
-            prefixes = spec.prefixes
+            prefixes = propagation.origin_spec(origin).prefixes
             if not prefixes:
                 continue
             path_id = table.intern_path_tuple(block.path(row))
@@ -115,8 +64,3 @@ class VantagePoint:
             path_ids.extend([path_id] * count)
             bag_ids.extend([bag_id] * count)
         return peers, prefix_ids, path_ids, bag_ids
-
-    def _exports(self, route: PropagatedRoute) -> bool:
-        if self.feed_type is FeedType.FULL:
-            return True
-        return route.provenance <= CLASS_CUSTOMER

@@ -168,9 +168,7 @@ def sharded_propagate(
                                   workers)
     result = PropagationResult()
     for spec, (best, offered) in zip(origins, fragments):
-        result._record_origin(spec)
-        # Blocks stay columnar through the merge; the result folds
-        # them into its dicts lazily, in this exact recording order
-        # (bit-identical to single-process).
-        result._record_fragments(spec.asn, best, offered)
+        # Recording in origin order reproduces the single-process
+        # result exactly.
+        result._record(spec, best, offered)
     return result

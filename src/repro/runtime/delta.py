@@ -76,12 +76,12 @@ from typing import (
 
 import numpy as np
 
-from repro.bgp.propagation import OriginSpec, PropagationResult
+from repro.bgp.propagation import OriginSpec, PropagationResult, RouteBlock
 from repro.runtime.csr import CSRIndex, PhaseEdges
 
 #: One origin's recorded fragments, as the engine returns them:
 #: ``(best, offered)`` RouteBlocks.
-Fragments = Tuple[Sequence, Sequence]
+Fragments = Tuple[RouteBlock, RouteBlock]
 
 #: Computes fragments for the stale origins, in spec order — typically
 #: ``engine.batch_fragments`` or a sharded equivalent.
@@ -349,8 +349,7 @@ def patched_result(
     result = PropagationResult()
     for spec in origin_specs:
         best, offered = fresh.get(spec.asn) or prior_map[spec.asn]
-        result._record_origin(spec)
-        result._record_fragments(spec.asn, best, offered)
+        result._record(spec, best, offered)
     stats = DeltaStats(total=len(origin_specs),
                        recomputed=len(recompute),
                        reused=len(origin_specs) - len(recompute))
@@ -358,24 +357,7 @@ def patched_result(
 
 
 def fragments_equivalent(a: Fragments, b: Fragments) -> bool:
-    """Semantic equality of two ``(best, offered)`` fragment pairs.
-
-    RouteBlocks compare via :meth:`RouteBlock.equivalent_to` (ignoring
-    batch-local ``pid``/``bag_id`` numbering); plain route lists compare
-    row by row on the route fields.
-    """
-    for mine, theirs in zip(a, b):
-        if hasattr(mine, "equivalent_to") and hasattr(theirs, "equivalent_to"):
-            if not mine.equivalent_to(theirs):
-                return False
-            continue
-        mine, theirs = list(mine), list(theirs)
-        if len(mine) != len(theirs):
-            return False
-        for left, right in zip(mine, theirs):
-            if (left.asn, left.path, left.communities, left.provenance,
-                    left.learned_from) != \
-                    (right.asn, right.path, right.communities,
-                     right.provenance, right.learned_from):
-                return False
-    return True
+    """Semantic equality of two ``(best, offered)`` block pairs, via
+    :meth:`RouteBlock.equivalent_to` (batch-local ``pid``/``bag_id``
+    numbering is ignored)."""
+    return all(mine.equivalent_to(theirs) for mine, theirs in zip(a, b))

@@ -348,34 +348,6 @@ class RouteBlock:
             )
         return route
 
-    def routes_list(self) -> List[object]:
-        """Every row view of the block, materialised in one pass.
-
-        Equivalent to ``[self.route(i) for i in range(len(self))]`` but
-        hoists the scalar-column lookups out of the per-row call; rows
-        already materialised by :meth:`route` are reused, and the cache
-        is shared both ways.
-        """
-        rows = self._rows
-        count = len(self.asn)
-        if rows is None:
-            rows = self._rows = [None] * count
-        if count and None in rows:
-            cls = _route_class()
-            asns, provs, learned, bags, offsets, values = self._scalar_columns()
-            bag_values = self.bag_values
-            for i in range(count):
-                if rows[i] is None:
-                    exporter = learned[i]
-                    rows[i] = cls(
-                        asn=asns[i],
-                        path=tuple(values[offsets[i]:offsets[i + 1]]),
-                        communities=bag_values[bags[i]],
-                        provenance=provs[i],
-                        learned_from=exporter if exporter >= 0 else None,
-                    )
-        return list(rows)
-
     def __len__(self) -> int:
         return len(self.asn)
 
@@ -419,9 +391,9 @@ class ObservationIndex:
 
     Built once from the best/offered :class:`RouteBlock` pairs a
     propagation recorded (one pair per origin, in recording order), it
-    answers the observation-plane queries — "which routes does observer
-    X hold, per origin" — straight from the columns, replacing the
-    per-route ``dict.setdefault`` fold of the object path.
+    answers every :class:`~repro.bgp.propagation.PropagationResult`
+    query — "which routes does observer X hold, per origin" — straight
+    from the columns.
 
     Layout: both sides are the row-wise concatenation of every block's
     columns plus a ``pos`` column (the block's position in recording
@@ -480,7 +452,7 @@ class ObservationIndex:
             prov = np.concatenate([b.provenance for b in parts])
             plen = np.concatenate([np.diff(b.path_offsets) for b in parts])
             learned = np.concatenate([b.learned_from for b in parts])
-            # The object path sorts on ``route.learned_from or -1``:
+            # ``all_paths`` ranks on ``route.learned_from or -1``:
             # both None (encoded -1) and exporter 0 collapse to -1.
             learned = np.where(learned == 0, -1, learned)
             order = np.lexsort((learned, plen, prov, pos, asn))
@@ -489,6 +461,21 @@ class ObservationIndex:
         return asn[order], pos[order], row[order]
 
     # -- queries -----------------------------------------------------------
+
+    def observers(self) -> List[int]:
+        """Observers holding a best route, in first-recorded order.
+
+        The best side is stably sorted by ASN, so each observer's first
+        row is its earliest ``(pos, row)``; ordering those first rows
+        restores recording order.
+        """
+        asn = self._b_asn
+        if not len(asn):
+            return []
+        starts = np.concatenate(
+            ([0], np.nonzero(asn[1:] != asn[:-1])[0] + 1))
+        order = np.lexsort((self._b_row[starts], self._b_pos[starts]))
+        return asn[starts][order].tolist()
 
     def best_refs(self, observer: int) -> List[Tuple[int, int]]:
         """``(pos, row)`` of the observer's best routes, recording order."""
@@ -501,8 +488,7 @@ class ObservationIndex:
         """Best-route row for (observer, origin position), or None.
 
         Multiple rows (never produced by the engines, but legal in a
-        hand-built block) resolve to the last one — matching the
-        last-write-wins dict fold of the object path.
+        hand-built block) resolve to the last one.
         """
         lo = int(np.searchsorted(self._b_asn, observer, side="left"))
         hi = int(np.searchsorted(self._b_asn, observer, side="right"))

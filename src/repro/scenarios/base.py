@@ -40,7 +40,7 @@ from repro.core.connectivity import ConnectivityDiscovery, ConnectivityReport
 from repro.core.engine import MLPInferenceEngine, MLPInferenceResult
 from repro.ixp.community_schemes import CommunityScheme, SchemeRegistry
 from repro.ixp.ixp import IXP
-from repro.ixp.looking_glass import ASLookingGlass, LGRoute, RouteServerLookingGlass
+from repro.ixp.looking_glass import ASLookingGlass, RouteServerLookingGlass
 from repro.ixp.member import MemberExportPolicy
 from repro.ixp.route_server import RouteServer
 from repro.measurement.geolocation import GeolocationDB
@@ -625,35 +625,14 @@ def _build_validation_lgs_and_peeringdb(
         lg = ASLookingGlass(asn=asn, display_all_paths=display_all,
                             name=f"AS{asn}-lg")
         # Load the AS's BGP view from the propagation result: every offered
-        # path (its Adj-RIB-In) when recorded, the best path otherwise.
-        groups = propagation.observation_groups_at(asn)
-        if groups is not None:
-            # Columnar fast path: one bulk load per origin, straight
-            # from the route-block columns.  Group rows arrive in
-            # ``all_paths`` order, whose head minimises (provenance,
-            # path length) — i.e. rows[0] is exactly the object loop's
-            # ``best_key`` route.
-            for origin, block, rows in groups:
-                prefixes = propagation.origin_spec(origin).prefixes
-                if prefixes:
-                    lg.load_route_blocks(prefixes, block, rows)
-        else:
-            for origin in propagation.origins():
-                routes = propagation.all_paths(asn, origin)
-                if not routes:
-                    continue
-                spec = propagation.origin_spec(origin)
-                best_key = min(range(len(routes)), key=lambda i: (
-                    routes[i].provenance, len(routes[i].path)))
-                for index, route in enumerate(routes):
-                    for prefix in spec.prefixes:
-                        lg.load_route(LGRoute(
-                            prefix=prefix,
-                            as_path=route.path,
-                            communities=route.communities,
-                            best=(index == best_key),
-                            learned_from=route.learned_from,
-                        ))
+        # path (its Adj-RIB-In) when recorded, the best path otherwise —
+        # one bulk load per origin, straight from the route-block
+        # columns.  Group rows arrive in ``all_paths`` order, so rows[0]
+        # is the best path.
+        for origin, block, rows in propagation.observation_groups_at(asn):
+            prefixes = propagation.origin_spec(origin).prefixes
+            if prefixes:
+                lg.load_route_blocks(prefixes, block, rows)
         validation_lgs.append(lg)
         peeringdb.add_looking_glass(asn, f"https://lg.as{asn}.example.net",
                                     display_all_paths=display_all)
@@ -810,6 +789,9 @@ STAGE_LIBRARY: Dict[str, Stage] = {
             config_keys=("vantage_point_fraction", "full_feed_fraction",
                          "third_party_lgs_per_ixp", "num_traceroute_monitors",
                          "num_validation_lgs"),
+            # Bumped with every PropagationResult pickle layout change,
+            # so a disk cache never unpickles an old layout.
+            version=2,
             persist=True,
         ),
         Stage(

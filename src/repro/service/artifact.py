@@ -1,4 +1,4 @@
-"""The mmap-able on-disk reachability artifact (schema version 1).
+"""The mmap-able on-disk reachability artifact (schema version 2).
 
 The query daemon must serve has_link / peer-count / density queries
 from N worker processes without N copies of the reachability matrix.
@@ -26,8 +26,10 @@ One artifact is a *directory*::
     peer_offsets.npy          # (P+1,) <i8  CSR offsets into neighbors
     peer_neighbors.npy        # (E,)   <i8  per-AS sorted peer lists
 
-``header.json`` carries ``format``/``version``/``endianness`` plus the
-per-IXP metadata needed to rebuild a bit-identical
+``header.json`` carries ``format``/``version``/``endianness``, the
+sha256 of every ``.npy`` column (``load_matrix`` refuses a column whose
+bytes do not match), plus the per-IXP metadata needed to rebuild a
+bit-identical
 :class:`~repro.runtime.reachmatrix.ReachabilityPlane` (merged policies,
 source/provenance sets, looking-glass query spend) and, optionally, the
 scenario's Table 2 rows so the daemon can answer ``table2`` without the
@@ -43,6 +45,7 @@ registered scenario it loads.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -63,7 +66,7 @@ from repro.runtime.reachmatrix import (
 
 
 FORMAT_NAME = "repro-reachability-matrix"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 ENDIANNESS = "little"
 
 #: Index dtype of every non-mask array (links, members, CSR).
@@ -100,6 +103,14 @@ def _link_csr(links) -> Tuple["_np.ndarray", "_np.ndarray", "_np.ndarray"]:
             dst.astype(INDEX_DTYPE))
 
 
+def _save_array(directory: Path, name: str, array,
+                digests: Dict[str, str]) -> None:
+    """Write one column and record its sha256 for the header."""
+    path = directory / name
+    _np.save(path, array)
+    digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def _plane_payload(plane: ReachabilityPlane) -> Dict[str, object]:
     """The JSON-safe metadata of one plane (everything non-columnar)."""
     return {
@@ -122,7 +133,7 @@ def save_matrix(matrix: ReachabilityMatrix,
                 scenario: Optional[str] = None,
                 size: Optional[str] = None,
                 table2: Optional[List[Dict[str, object]]] = None) -> Path:
-    """Write *matrix* as a version-1 artifact directory; returns its path.
+    """Write *matrix* as a version-2 artifact directory; returns its path.
 
     ``header.json`` is written last (atomic rename), so a reader that
     finds a parseable header is guaranteed complete column files.
@@ -133,6 +144,7 @@ def save_matrix(matrix: ReachabilityMatrix,
 
     ixp_names = sorted(matrix.planes)
     ixps: List[Dict[str, object]] = []
+    digests: Dict[str, str] = {}
     for i, name in enumerate(ixp_names):
         plane = matrix.planes[name]
         size_m = plane.num_members
@@ -158,20 +170,20 @@ def save_matrix(matrix: ReachabilityMatrix,
             counts[bit, 2] = value
         plane_links = _np.array(
             matrix.links_of(name), dtype=INDEX_DTYPE).reshape(-1, 2)
-        _np.save(directory / f"plane_{i:02d}_members.npy", members)
-        _np.save(directory / f"plane_{i:02d}_allow.npy", allow)
-        _np.save(directory / f"plane_{i:02d}_masks.npy", masks)
-        _np.save(directory / f"plane_{i:02d}_counts.npy", counts)
-        _np.save(directory / f"plane_{i:02d}_links.npy", plane_links)
+        for column, array in (("members", members), ("allow", allow),
+                              ("masks", masks), ("counts", counts),
+                              ("links", plane_links)):
+            _save_array(directory, f"plane_{i:02d}_{column}.npy", array,
+                        digests)
         ixps.append(_plane_payload(plane))
 
     all_links = _np.array(
         matrix.all_links(), dtype=INDEX_DTYPE).reshape(-1, 2)
     peer_asns, peer_offsets, peer_neighbors = _link_csr(all_links)
-    _np.save(directory / "links.npy", all_links)
-    _np.save(directory / "peer_asns.npy", peer_asns)
-    _np.save(directory / "peer_offsets.npy", peer_offsets)
-    _np.save(directory / "peer_neighbors.npy", peer_neighbors)
+    for name, array in (("links", all_links), ("peer_asns", peer_asns),
+                        ("peer_offsets", peer_offsets),
+                        ("peer_neighbors", peer_neighbors)):
+        _save_array(directory, f"{name}.npy", array, digests)
 
     header = {
         "format": FORMAT_NAME,
@@ -185,6 +197,7 @@ def save_matrix(matrix: ReachabilityMatrix,
         "num_links": int(len(all_links)),
         "table2": table2,
         "ixps": ixps,
+        "sha256": digests,
     }
     header_path = directory / "header.json"
     tmp = header_path.with_suffix(f".tmp.{os.getpid()}")
@@ -196,19 +209,34 @@ def save_matrix(matrix: ReachabilityMatrix,
 # -- loading -------------------------------------------------------------------
 
 
-def _load_array(directory: Path, name: str, mmap: bool):
-    path = directory / name
-    if not path.is_file():
-        raise ArtifactFormatError(f"missing artifact column {name}")
-    return _np.load(path, mmap_mode="r" if mmap else None)
+def _column_loader(directory: Path, header: Dict[str, object], mmap: bool):
+    """``load(name)``: one column of the artifact, refused with
+    :class:`ArtifactFormatError` when it is missing or its bytes do not
+    match the sha256 the header recorded for it."""
+    digests = header.get("sha256")
+    if not isinstance(digests, dict):
+        raise ArtifactFormatError(
+            f"{directory} header has no column checksums")
+
+    def load(name: str):
+        path = directory / name
+        if not path.is_file():
+            raise ArtifactFormatError(f"missing artifact column {name}")
+        if hashlib.sha256(path.read_bytes()).hexdigest() != digests.get(name):
+            raise ArtifactFormatError(
+                f"artifact column {name} does not match its sha256 in "
+                "header.json")
+        return _np.load(path, mmap_mode="r" if mmap else None)
+
+    return load
 
 
-def _load_plane(directory: Path, i: int, payload: Dict[str, object],
-                mmap: bool) -> ReachabilityPlane:
-    members = _load_array(directory, f"plane_{i:02d}_members.npy", mmap)
-    allow = _load_array(directory, f"plane_{i:02d}_allow.npy", mmap)
-    masks = _load_array(directory, f"plane_{i:02d}_masks.npy", mmap)
-    counts = _load_array(directory, f"plane_{i:02d}_counts.npy", mmap)
+def _load_plane(load, i: int,
+                payload: Dict[str, object]) -> ReachabilityPlane:
+    members = load(f"plane_{i:02d}_members.npy")
+    allow = load(f"plane_{i:02d}_allow.npy")
+    masks = load(f"plane_{i:02d}_masks.npy")
+    counts = load(f"plane_{i:02d}_counts.npy")
     size = int(payload["num_members"])
     if members.shape != (size,) or allow.shape != (size,
                                                    packed_words(size)):
@@ -342,7 +370,8 @@ def load_matrix(directory: Union[str, Path],
     """Load an artifact directory (mmap'd by default) into a handle.
 
     Raises :class:`ArtifactFormatError` on a missing/incompatible
-    header or malformed columns, so a truncated artifact is a clean
+    header, a column whose bytes do not match its recorded sha256, or
+    malformed columns, so a truncated or corrupted artifact is a clean
     failure instead of silently wrong answers.
     """
     directory = Path(directory)
@@ -366,13 +395,13 @@ def load_matrix(directory: Union[str, Path],
         raise ArtifactFormatError(
             f"unsupported endianness {header.get('endianness')!r}")
 
+    load = _column_loader(directory, header, mmap)
     planes: Dict[str, ReachabilityPlane] = {}
     links_by_ixp: Dict[str, Tuple[Tuple[int, int], ...]] = {}
     for i, payload in enumerate(header["ixps"]):
-        plane = _load_plane(directory, i, payload, mmap)
+        plane = _load_plane(load, i, payload)
         planes[plane.ixp_name] = plane
-        plane_links = _load_array(directory, f"plane_{i:02d}_links.npy",
-                                  mmap)
+        plane_links = load(f"plane_{i:02d}_links.npy")
         links_by_ixp[plane.ixp_name] = tuple(
             (int(a), int(b)) for a, b in plane_links)
     matrix = ReachabilityMatrix(planes, links_by_ixp=links_by_ixp,
@@ -382,10 +411,10 @@ def load_matrix(directory: Union[str, Path],
         directory=directory,
         header=header,
         matrix=matrix,
-        all_links=_load_array(directory, "links.npy", mmap),
-        peer_asns=_load_array(directory, "peer_asns.npy", mmap),
-        peer_offsets=_load_array(directory, "peer_offsets.npy", mmap),
-        peer_neighbors=_load_array(directory, "peer_neighbors.npy", mmap),
+        all_links=load("links.npy"),
+        peer_asns=load("peer_asns.npy"),
+        peer_offsets=load("peer_offsets.npy"),
+        peer_neighbors=load("peer_neighbors.npy"),
     )
 
 

@@ -109,7 +109,11 @@ class QueryService:
 
     def dispatch(self, target: str) -> Tuple[int, dict]:
         """Resolve one request target to ``(status, payload)``."""
-        parts = urlsplit(target)
+        try:
+            parts = urlsplit(target)
+        except ValueError as error:  # e.g. "//[": an unclosed IPv6 host
+            self._count("bad_request")
+            return 400, {"error": f"malformed request target: {error}"}
         path = [p for p in parts.path.split("/") if p]
         params = parse_qs(parts.query)
         try:
@@ -292,7 +296,9 @@ async def _handle_connection(service: QueryService,
                 method, target, _version = \
                     request_line.decode("latin-1").split(None, 2)
             except ValueError:
-                break
+                raise _RequestRejected(
+                    400, "request line must be METHOD TARGET VERSION") \
+                    from None
             keep_alive = True
             headers = 0
             while True:  # drain headers

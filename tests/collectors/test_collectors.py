@@ -11,7 +11,11 @@ from repro.bgp.propagation import (
     PropagationEngine,
     bidirectional_adjacencies,
 )
-from repro.collectors.archive import CollectorArchive, MeasurementWindow
+from repro.collectors.archive import (
+    CollectorArchive,
+    MeasurementWindow,
+    RibEntryTable,
+)
 from repro.collectors.route_collector import RouteCollector
 from repro.collectors.vantage_point import FeedType, VantagePoint
 
@@ -36,35 +40,53 @@ def propagation():
     return engine.propagate(origins)
 
 
+def exported(vantage_point, propagation):
+    """The vantage point's feed, decoded from its ``export_rows``
+    columns as ``(peer, prefix, as_path, communities)`` rows."""
+    table = RibEntryTable()
+    peers, prefix_ids, path_ids, bag_ids = \
+        vantage_point.export_rows(propagation, table)
+    return [(peer, table.prefixes[prefix_id], table.paths[path_id],
+             table.bags[bag_id])
+            for peer, prefix_id, path_id, bag_id
+            in zip(peers, prefix_ids, path_ids, bag_ids)]
+
+
 class TestVantagePoint:
     def test_customer_only_feed_excludes_peer_routes(self, propagation):
         vp = VantagePoint(asn=30, feed_type=FeedType.CUSTOMER_ONLY)
-        entries = vp.exported_routes(propagation)
-        origins = {entry.as_path.origin_asn for entry in entries}
+        rows = exported(vp, propagation)
+        origins = {path.origin_asn for _peer, _prefix, path, _bag in rows}
         # 30 learned 10's route from an RS peer: not exported on a peer-like feed.
         assert 10 not in origins
         assert 40 in origins and 30 in origins
+        assert {peer for peer, _prefix, _path, _bag in rows} == {30}
 
     def test_full_feed_includes_everything(self, propagation):
         vp = VantagePoint(asn=30, feed_type=FeedType.FULL)
-        origins = {e.as_path.origin_asn for e in vp.exported_routes(propagation)}
+        origins = {path.origin_asn
+                   for _peer, _prefix, path, _bag in exported(vp, propagation)}
         assert {10, 30, 40} <= origins
 
     def test_communities_survive_to_the_feed(self, propagation):
         vp = VantagePoint(asn=40, feed_type=FeedType.FULL)
-        entries = {e.as_path.origin_asn: e for e in vp.exported_routes(propagation)}
+        bags = {path.origin_asn: bag
+                for _peer, _prefix, path, bag in exported(vp, propagation)}
         # 40 gets 10's route through its provider 30, which learned it via
         # the route server: the RS community must still be attached.
-        assert Community(6695, 6695) in entries[10].communities
+        assert Community(6695, 6695) in bags[10]
 
 
 class TestRouteCollector:
     def test_table_dump_and_links(self, propagation):
         collector = RouteCollector(name="route-views")
         collector.add_vantage_point(VantagePoint(asn=40, feed_type=FeedType.FULL))
-        dump = collector.table_dump(propagation)
+        archive = CollectorArchive([collector],
+                                   window=MeasurementWindow(num_days=1))
+        archive.collect(propagation)
+        dump = archive.dump_for_day(1)
         assert dump and all(entry.collector == "route-views" for entry in dump)
-        links = collector.visible_as_links(propagation)
+        links = archive.visible_as_links()
         assert (30, 40) in links and (20, 30) in links
         assert collector.peer_asns() == [40]
 

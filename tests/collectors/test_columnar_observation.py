@@ -1,12 +1,16 @@
-"""Differential harness: columnar observation plane vs object oracle.
+"""Differential harness: the columnar observation plane vs the oracles.
 
-The columnar collection pipeline (``RibEntryTable``-backed
-``CollectorArchive``, vantage-point ``export_rows``, the propagation
-``ObservationIndex`` fast paths and bulk looking-glass loads) must be
-*bit-identical* to the retained object implementations — same entries,
-same orderings, same RNG draws, same query tables — on generator-built
-internets across randomized regime knobs, with the propagation engine
-pinned to each kernel in turn (:mod:`tests.oracle.kernels`).
+Production builds every observation from route-block columns: the
+:class:`PropagationResult` readers answer from its ``ObservationIndex``,
+the ``RibEntryTable``-backed ``CollectorArchive`` collects through
+vantage-point ``export_rows``, and validation looking glasses load
+whole origins at once.  Each must be *bit-identical* to the seed's
+object implementation kept in :mod:`tests.oracle` — the dict-fold
+``ObjectResult``, the object archive and the route-by-route looking
+glass — with the same entries, orderings, RNG draws and query tables,
+on generator-built internets across randomized regime knobs, with the
+propagation engine pinned to each kernel in turn
+(:mod:`tests.oracle.kernels`).
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ from repro.runtime.context import PipelineContext
 from repro.topology.generator import GeneratorConfig, InternetGenerator
 
 from tests.oracle.kernels import KERNELS, forced_kernel
+from tests.oracle.observation import ObjectArchive, route_by_route_lg
+from tests.oracle.propagation import object_result
 
 PROPAGATION_BACKENDS = KERNELS
 
@@ -46,7 +52,12 @@ def _random_generator_config(rng) -> GeneratorConfig:
 
 def _build_observation(seed: int, backend: str):
     """A propagated random internet plus vantage-point and validation
-    host draws: the inputs both collection implementations consume."""
+    host draws: the inputs both observation implementations consume.
+
+    Returns the production result, the oracle :class:`ObjectResult`
+    over the same context and recording sets, the vantage-point feeds
+    and the alternative-recording (validation) hosts.
+    """
     rng = random.Random(seed)
     config = _random_generator_config(rng)
     internet = InternetGenerator(config).generate()
@@ -64,27 +75,47 @@ def _build_observation(seed: int, backend: str):
                             record_alternatives_at=hosts)
     with forced_kernel(backend):
         propagation = engine.propagate(origins)
+    oracle = object_result(context, origins, record_at=record_at,
+                           record_alternatives_at=hosts)
     feeds = [(asn, FeedType.FULL if index % 3 == 0
               else FeedType.CUSTOMER_ONLY)
              for index, asn in enumerate(vantage_asns)]
-    return propagation, feeds, hosts
+    return propagation, oracle, feeds, hosts
 
 
-def _build_archive(propagation, feeds, seed: int, columnar,
-                   transient_fraction: float = 0.1) -> CollectorArchive:
-    """One archive over two collectors, like the scenario layer builds —
-    fresh VantagePoint objects per archive so nothing is shared."""
+def _collectors(feeds):
+    """Two collectors like the scenario layer builds — fresh
+    VantagePoint objects per archive so nothing is shared."""
     route_views = RouteCollector(name="route-views")
     ripe_ris = RouteCollector(name="rrc00")
     for index, (asn, feed_type) in enumerate(feeds):
         collector = route_views if index % 2 == 0 else ripe_ris
         collector.add_vantage_point(VantagePoint(asn=asn,
                                                  feed_type=feed_type))
-    archive = CollectorArchive([route_views, ripe_ris],
+    return [route_views, ripe_ris]
+
+
+def _build_archive(propagation, feeds, seed: int,
+                   transient_fraction: float = 0.1) -> CollectorArchive:
+    archive = CollectorArchive(_collectors(feeds),
                                window=MeasurementWindow(num_days=5),
-                               seed=seed, columnar=columnar)
+                               seed=seed)
     archive.collect(propagation, transient_fraction=transient_fraction)
     return archive
+
+
+def _build_oracle_archive(oracle, feeds, seed: int,
+                          transient_fraction: float = 0.1) -> ObjectArchive:
+    archive = ObjectArchive(_collectors(feeds),
+                            window=MeasurementWindow(num_days=5), seed=seed)
+    archive.collect(oracle, transient_fraction=transient_fraction)
+    return archive
+
+
+def route_key(route):
+    """Full field-wise signature of a propagated route."""
+    return (route.asn, route.path, route.communities, route.provenance,
+            route.learned_from)
 
 
 def entry_key(entry):
@@ -110,7 +141,86 @@ def lg_table(lg: ASLookingGlass):
     return rows
 
 
-# -- archive: columnar vs object oracle ---------------------------------------
+# -- propagation result: ObservationIndex readers vs the dict fold ------------
+
+
+@pytest.mark.parametrize("backend", PROPAGATION_BACKENDS)
+def test_observation_index_fast_paths_match_fold(backend):
+    """``all_paths``/``best_route`` served from the ObservationIndex
+    equal the oracle's dict-fold answers for every (host, origin) pair,
+    including pairs the result never recorded."""
+    propagation, oracle, _feeds, hosts = _build_observation(555, backend)
+    outsider = -1  # records nothing
+    for asn in hosts + [outsider]:
+        for origin in oracle.origins() + [outsider]:
+            best = propagation.best_route(asn, origin)
+            want = oracle.best_route(asn, origin)
+            assert (best is None) == (want is None), (asn, origin)
+            if want is not None:
+                assert route_key(best) == route_key(want), (asn, origin)
+            assert [route_key(r) for r in propagation.all_paths(asn, origin)] \
+                == [route_key(r) for r in oracle.all_paths(asn, origin)], \
+                (asn, origin)
+
+
+@pytest.mark.parametrize("backend", PROPAGATION_BACKENDS)
+@pytest.mark.parametrize("seed", (555, 2013, 8451))
+def test_result_readers_match_object_result(seed, backend):
+    """Every other reader of the columnar result answers exactly like
+    the oracle's dict fold: same origins and observers in the same
+    order, same best routes per observer in the same origin order, same
+    links and same recorded fragments."""
+    propagation, oracle, feeds, hosts = _build_observation(seed, backend)
+    vantage_asns = [asn for asn, _feed in feeds]
+    outsider = -1  # records nothing
+    assert propagation.origins() == oracle.origins()
+    assert propagation.observers() == oracle.observers()
+
+    for observer in propagation.observers() + [outsider]:
+        got = [(origin, route_key(route)) for origin, route
+               in propagation.iter_routes_at(observer)]
+        want = [(origin, route_key(route)) for origin, route
+                in oracle.iter_routes_at(observer)]
+        assert got == want, observer
+        routes = propagation.routes_at(observer)
+        assert list(routes) == list(oracle.routes_at(observer)), observer
+        assert {origin: route_key(route)
+                for origin, route in routes.items()} == \
+            dict(want), observer
+
+    for observers in (None, [], vantage_asns, hosts, [outsider]):
+        assert propagation.visible_links(observers) == \
+            oracle.visible_links(observers), observers
+
+    got_fragments = propagation.recorded_fragments()
+    want_fragments = oracle.recorded_fragments()
+    assert list(got_fragments) == list(want_fragments)
+    for origin, (best, offered) in got_fragments.items():
+        want_best, want_offered = want_fragments[origin]
+        assert [route_key(r) for r in best] == \
+            [route_key(r) for r in want_best], origin
+        assert [route_key(r) for r in offered] == \
+            [route_key(r) for r in want_offered], origin
+
+
+def test_empty_result_answers_from_an_empty_index():
+    """A result with no recorded origin answers every reader with an
+    empty value, never None."""
+    from repro.bgp.propagation import PropagationResult
+    result = PropagationResult()
+    assert result.origins() == [] and result.observers() == []
+    assert result.recorded_fragments() == {}
+    assert result.visible_links() == set()
+    assert result.visible_links([1, 2]) == set()
+    assert result.iter_best_columns_at(1) == []
+    assert result.iter_routes_at(1) == []
+    assert result.routes_at(1) == {}
+    assert result.observation_groups_at(1) == []
+    assert result.all_paths(1, 2) == []
+    assert result.best_route(1, 2) is None
+
+
+# -- archive: column store vs object oracle ------------------------------------
 
 
 @pytest.mark.parametrize("backend", PROPAGATION_BACKENDS)
@@ -118,13 +228,12 @@ def lg_table(lg: ASLookingGlass):
 def test_columnar_archive_matches_object_oracle(seed, backend):
     """Entries, per-day dumps, stable/clean-stable selections, synthetic
     updates and visible links are field-identical and order-identical
-    between the column store and the object archive, on every
-    propagation kernel."""
-    propagation, feeds, _hosts = _build_observation(seed, backend)
-    columnar = _build_archive(propagation, feeds, seed, columnar=None)
-    oracle = _build_archive(propagation, feeds, seed, columnar=False)
-    assert columnar._table is not None, "columnar collect did not engage"
-    assert oracle._table is None
+    between the column store over the production result and the object
+    archive over the oracle result, on every propagation kernel."""
+    propagation, oracle_result, feeds, _hosts = \
+        _build_observation(seed, backend)
+    columnar = _build_archive(propagation, feeds, seed)
+    oracle = _build_oracle_archive(oracle_result, feeds, seed)
 
     assert entry_keys(columnar.all_entries()) == \
         entry_keys(oracle.all_entries())
@@ -143,28 +252,26 @@ def test_columnar_archive_matches_object_oracle(seed, backend):
     assert columnar.visible_as_links() == oracle.visible_as_links()
 
 
-@pytest.mark.parametrize("seed", (31337,))
-def test_columnar_archive_matches_object_fallback_path(seed, monkeypatch):
-    """When the propagation result cannot serve columns (the no-numpy
-    object-fragment path), the columnar archive transparently falls back
-    to the object collect and still matches the oracle."""
-    propagation, feeds, _hosts = _build_observation(seed, "frontier")
-    monkeypatch.setattr(type(propagation), "iter_best_columns_at",
-                        lambda self, asn: None)
-    fallback = _build_archive(propagation, feeds, seed, columnar=None)
-    oracle = _build_archive(propagation, feeds, seed, columnar=False)
-    assert fallback._table is None, "fallback should demote to objects"
-    assert entry_keys(fallback.all_entries()) == \
-        entry_keys(oracle.all_entries())
-    assert entry_keys(fallback.clean_stable_entries(2)) == \
-        entry_keys(oracle.clean_stable_entries(2))
+def test_second_collect_is_rejected():
+    """An archive holds one window of one result: collecting again
+    raises and leaves the archived entries untouched."""
+    propagation, _oracle, feeds, _hosts = _build_observation(2013,
+                                                             "frontier")
+    archive = _build_archive(propagation, feeds, 2013)
+    entries = entry_keys(archive.all_entries())
+    stable = archive.stable_entries(2)
+    with pytest.raises(ValueError, match="already collected"):
+        archive.collect(propagation)
+    assert entry_keys(archive.all_entries()) == entries
+    assert archive.stable_entries(2) is stable
 
 
 def test_columnar_archive_pickle_roundtrip_preserves_entries():
     """Pickled archives reload with identical entries and stable
     selections (lazy row views and interners rebuild)."""
-    propagation, feeds, _hosts = _build_observation(424242, "frontier")
-    archive = _build_archive(propagation, feeds, 424242, columnar=None)
+    propagation, _oracle, feeds, _hosts = _build_observation(424242,
+                                                             "frontier")
+    archive = _build_archive(propagation, feeds, 424242)
     clone = pickle.loads(pickle.dumps(archive))
     assert entry_keys(clone.all_entries()) == \
         entry_keys(archive.all_entries())
@@ -177,8 +284,8 @@ def test_shared_aspath_identity_feeds_passive_memo():
     """Within the column store one interned ``ASPath`` object backs every
     entry with that path — the identity-keyed memo in the passive plane
     depends on exactly this sharing."""
-    propagation, feeds, _hosts = _build_observation(77, "frontier")
-    archive = _build_archive(propagation, feeds, 77, columnar=None)
+    propagation, _oracle, feeds, _hosts = _build_observation(77, "frontier")
+    archive = _build_archive(propagation, feeds, 77)
     by_asns = {}
     for entry in archive.all_entries():
         seen = by_asns.setdefault(entry.as_path.asns, entry.as_path)
@@ -187,42 +294,26 @@ def test_shared_aspath_identity_feeds_passive_memo():
     assert archive.clean_stable_entries(2) is archive.clean_stable_entries(2)
 
 
-# -- looking glasses: fused bulk loads vs route-by-route ----------------------
+# -- looking glasses: bulk loads vs route-by-route -----------------------------
 
 
 @pytest.mark.parametrize("backend", PROPAGATION_BACKENDS)
 @pytest.mark.parametrize("seed", (4242,))
 def test_bulk_lg_loads_match_route_by_route(seed, backend):
     """A validation LG fed by ``load_route_blocks`` from
-    ``observation_groups_at`` answers every query identically to one fed
-    route-by-route from ``all_paths`` — the exact object loop the fused
-    scenario stage replaced."""
-    propagation, _feeds, hosts = _build_observation(seed, backend)
+    ``observation_groups_at`` (what the scenario's viewpoints stage
+    does) answers every query identically to one fed route by route
+    from the oracle result's ``all_paths``."""
+    propagation, oracle_result, _feeds, hosts = \
+        _build_observation(seed, backend)
     checked = 0
     for asn in hosts:
-        groups = propagation.observation_groups_at(asn)
-        assert groups is not None, "block-backed result must serve groups"
         fused = ASLookingGlass(asn=asn, display_all_paths=True)
-        for origin, block, rows in groups:
+        for origin, block, rows in propagation.observation_groups_at(asn):
             prefixes = propagation.origin_spec(origin).prefixes
             if prefixes:
                 fused.load_route_blocks(prefixes, block, rows)
-        oracle = ASLookingGlass(asn=asn, display_all_paths=True)
-        for origin in propagation.origins():
-            routes = propagation.all_paths(asn, origin)
-            if not routes:
-                continue
-            prefixes = propagation.origin_spec(origin).prefixes
-            best_key = min(range(len(routes)),
-                           key=lambda i: (routes[i].provenance,
-                                          len(routes[i].path)))
-            for prefix in prefixes:
-                for index, route in enumerate(routes):
-                    oracle.load_route(LGRoute(
-                        prefix=prefix, as_path=route.path,
-                        communities=route.communities,
-                        best=(index == best_key),
-                        learned_from=route.learned_from))
+        oracle = route_by_route_lg(oracle_result, asn)
         assert fused.prefixes() == oracle.prefixes(), asn
         assert lg_table(fused) == lg_table(oracle), asn
         checked += len(fused.prefixes())
@@ -232,16 +323,14 @@ def test_bulk_lg_loads_match_route_by_route(seed, backend):
 def test_bulk_lg_interleaves_with_eager_loads():
     """Bulk groups flush correctly when eager operations interleave:
     load_route after load_route_blocks, then mark_best_paths."""
-    propagation, _feeds, hosts = _build_observation(99, "frontier")
+    propagation, _oracle, _feeds, hosts = _build_observation(99, "frontier")
     asn = hosts[0]
-    groups = propagation.observation_groups_at(asn)
-    assert groups is not None
     lg = ASLookingGlass(asn=asn, display_all_paths=True)
     oracle = ASLookingGlass(asn=asn, display_all_paths=True)
     extra = LGRoute(prefix=propagation.origin_spec(
         propagation.origins()[0]).prefixes[0],
         as_path=(65001, 65000), best=False)
-    for origin, block, rows in groups:
+    for origin, block, rows in propagation.observation_groups_at(asn):
         prefixes = propagation.origin_spec(origin).prefixes
         if prefixes:
             lg.load_route_blocks(prefixes, block, rows)
@@ -258,32 +347,3 @@ def test_bulk_lg_interleaves_with_eager_loads():
     lg.mark_best_paths()
     oracle.mark_best_paths()
     assert lg_table(lg) == lg_table(oracle)
-
-
-# -- propagation fast paths ----------------------------------------------------
-
-
-@pytest.mark.parametrize("backend", PROPAGATION_BACKENDS)
-def test_observation_index_fast_paths_match_fold(backend):
-    """``all_paths``/``best_route`` served from the ObservationIndex are
-    identical — as objects, not just values — to the folded-dict answers
-    the object walk produces."""
-    propagation, _feeds, hosts = _build_observation(555, backend)
-    origins = propagation.origins()
-    for asn in hosts:
-        for origin in origins:
-            fast = propagation.all_paths(asn, origin)
-            propagation._ensure_indexed()
-            index = propagation._observation_index()
-            assert index is not None
-            slow_best = propagation._best.get(asn, {}).get(origin)
-            assert propagation.best_route(asn, origin) is slow_best
-            offered = propagation._alternatives.get(asn, {}).get(origin)
-            if offered is None:
-                expected = [slow_best] if slow_best is not None else []
-            else:
-                expected = sorted(
-                    offered, key=lambda r: (r.provenance, len(r.path),
-                                            r.learned_from or -1))
-            assert [id(r) for r in fast] == [id(r) for r in expected], \
-                (asn, origin)

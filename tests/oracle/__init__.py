@@ -2,8 +2,12 @@
 
 * :mod:`tests.oracle.propagation` — the object-graph reference
   propagation engine (the seed implementation of the valley-free
-  three-phase computation) and the CSR-index-to-adjacency inverse that
-  builds it over any production context;
+  three-phase computation), the dict-fold ``ObjectResult`` it returns,
+  and the CSR-index-to-adjacency inverse that builds it over any
+  production context;
+* :mod:`tests.oracle.observation` — the object collector archive and
+  the route-by-route validation looking glass, fed from any result's
+  object API;
 * :mod:`tests.oracle.inference` — the per-IXP object inference engine
   (passive/active step functions, ``merge_observations`` and
   ``infer_links`` per IXP, optionally sharded per IXP);

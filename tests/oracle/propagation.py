@@ -9,6 +9,13 @@ differential tests can check both production kernels against it on
 randomized topologies, and as executable documentation of the
 algorithm.
 
+Its results are :class:`ObjectResult` objects: the seed's dict-fold result,
+every recorded route folded eagerly into per-observer dicts in
+recording order.  Production's columnar
+:class:`~repro.bgp.propagation.PropagationResult` must answer every
+reader exactly like it (:func:`object_result` builds one from the
+frontier kernel's state, route by route).
+
 :func:`adjacencies_from_index` turns any production context's CSR index
 back into adjacency records, so the oracle can be built over exactly
 the topology a pipeline run propagated
@@ -18,7 +25,7 @@ the topology a pipeline run propagated
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.bgp.policy import Relationship
 from repro.bgp.propagation import (
@@ -29,7 +36,6 @@ from repro.bgp.propagation import (
     CLASS_PROVIDER,
     OriginSpec,
     PropagatedRoute,
-    PropagationResult,
 )
 from repro.runtime.frontier import (
     REL_CUSTOMER,
@@ -102,18 +108,90 @@ def object_fragments(context, specs: Iterable[OriginSpec],
     return fragments
 
 
+class ObjectResult:
+    """The dict-fold propagation result (the seed's result API).
+
+    Every recorded route is folded, in recording order, into
+    ``observer -> {origin: best route}`` and ``observer -> {origin:
+    [offered routes]}`` dicts, so every reader's iteration order is the
+    dicts' insertion order.
+    """
+
+    def __init__(self) -> None:
+        self._origins: Dict[int, OriginSpec] = {}
+        self._fragments: Dict[int, Tuple[List[PropagatedRoute],
+                                         List[PropagatedRoute]]] = {}
+        self._best: Dict[int, Dict[int, PropagatedRoute]] = {}
+        self._alternatives: Dict[int, Dict[int, List[PropagatedRoute]]] = {}
+
+    def record(self, spec: OriginSpec, best: Sequence[PropagatedRoute],
+               offered: Sequence[PropagatedRoute]) -> None:
+        """Fold one origin's (best, offered) routes into the dicts."""
+        origin = spec.asn
+        self._origins[origin] = spec
+        self._fragments[origin] = (list(best), list(offered))
+        for route in best:
+            self._best.setdefault(route.asn, {})[origin] = route
+        for route in offered:
+            self._alternatives.setdefault(route.asn, {}).setdefault(
+                origin, []).append(route)
+
+    def origins(self) -> List[int]:
+        return list(self._origins)
+
+    def origin_spec(self, origin_asn: int) -> OriginSpec:
+        return self._origins[origin_asn]
+
+    def recorded_fragments(self):
+        return dict(self._fragments)
+
+    def observers(self) -> List[int]:
+        return list(self._best)
+
+    def best_route(self, observer_asn: int,
+                   origin_asn: int) -> Optional[PropagatedRoute]:
+        return self._best.get(observer_asn, {}).get(origin_asn)
+
+    def routes_at(self, observer_asn: int) -> Dict[int, PropagatedRoute]:
+        return dict(self._best.get(observer_asn, {}))
+
+    def iter_routes_at(self, observer_asn: int):
+        return self._best.get(observer_asn, {}).items()
+
+    def all_paths(self, observer_asn: int,
+                  origin_asn: int) -> List[PropagatedRoute]:
+        alternatives = self._alternatives.get(observer_asn, {}).get(
+            origin_asn)
+        if alternatives:
+            return sorted(alternatives, key=lambda r: (
+                r.provenance, len(r.path), r.learned_from or -1))
+        best = self.best_route(observer_asn, origin_asn)
+        return [best] if best is not None else []
+
+    def visible_links(self, observer_asns: Optional[Iterable[int]] = None
+                      ) -> Set[Tuple[int, int]]:
+        observers = list(observer_asns) if observer_asns is not None \
+            else self.observers()
+        links: Set[Tuple[int, int]] = set()
+        for observer in observers:
+            for route in self._best.get(observer, {}).values():
+                path = route.path
+                for left, right in zip(path, path[1:]):
+                    if left != right:
+                        links.add((min(left, right), max(left, right)))
+        return links
+
+
 def object_result(context, specs: Iterable[OriginSpec],
                   record_at: Optional[Iterable[int]] = None,
                   record_alternatives_at: Optional[Iterable[int]] = None,
-                  ) -> PropagationResult:
-    """:func:`object_fragments` recorded into an eagerly folded
-    :class:`PropagationResult`."""
+                  ) -> ObjectResult:
+    """:func:`object_fragments` folded into an :class:`ObjectResult`."""
     specs = list(specs)
-    result = PropagationResult()
+    result = ObjectResult()
     for spec, (best, offered) in zip(specs, object_fragments(
             context, specs, record_at, record_alternatives_at)):
-        result._record_origin(spec)
-        result._record_fragments(spec.asn, best, offered)
+        result.record(spec, best, offered)
     return result
 
 
@@ -193,33 +271,26 @@ class ReferencePropagationEngine:
     ) -> Tuple[List[PropagatedRoute], List[PropagatedRoute]]:
         """One origin's recorded (best, offered) routes as plain lists,
         in the oracle's recording order."""
-        result = self.propagate_origin(spec)
-        origin = spec.asn
-        best = [routes[origin] for routes in result._best.values()
-                if origin in routes]
-        offered = [route for routes in result._alternatives.values()
-                   for route in routes.get(origin, ())]
-        return best, offered
+        return self.propagate_origin(spec).recorded_fragments()[spec.asn]
 
     def nodes(self) -> Set[int]:
         """All ASNs known to the engine."""
         return set(self._nodes)
 
-    def propagate(self, origins: Iterable[OriginSpec]) -> PropagationResult:
+    def propagate(self, origins: Iterable[OriginSpec]) -> ObjectResult:
         """Propagate every origin and return the recorded routes."""
-        result = PropagationResult()
+        result = ObjectResult()
         for spec in origins:
-            result._record_origin(spec)
             self._propagate_one(spec, result)
         return result
 
-    def propagate_origin(self, spec: OriginSpec) -> PropagationResult:
+    def propagate_origin(self, spec: OriginSpec) -> ObjectResult:
         """Propagate a single origin (convenience wrapper)."""
         return self.propagate([spec])
 
     # -- internals -----------------------------------------------------------
 
-    def _propagate_one(self, spec: OriginSpec, result: PropagationResult) -> None:
+    def _propagate_one(self, spec: OriginSpec, result: ObjectResult) -> None:
         origin = spec.asn
 
         state: Dict[int, PropagatedRoute] = {}
@@ -401,13 +472,12 @@ class ReferencePropagationEngine:
         spec: OriginSpec,
         state: Dict[int, PropagatedRoute],
         offers: Dict[int, List[PropagatedRoute]],
-        result: PropagationResult,
+        result: ObjectResult,
     ) -> None:
         recordable = self._record_at
-        for asn, route in state.items():
-            if recordable is None or asn in recordable:
-                result._record_best(spec.asn, route)
-        for asn, candidates in offers.items():
-            if recordable is None or asn in recordable:
-                for candidate in candidates:
-                    result._record_alternative(spec.asn, candidate)
+        best = [route for asn, route in state.items()
+                if recordable is None or asn in recordable]
+        offered = [candidate for asn, candidates in offers.items()
+                   if recordable is None or asn in recordable
+                   for candidate in candidates]
+        result.record(spec, best, offered)

@@ -333,13 +333,17 @@ def test_patched_result_recomputes_new_origins_and_drops_gone_ones():
     assert set(patched.recorded_fragments()) == {1, 2, 3, 4, 5, 99}
 
 
-def test_recorded_fragments_rejects_mixed_recording():
+def test_repeated_origin_is_rejected():
+    """Each origin is recorded once: a second recording of the same
+    origin raises and leaves the result unchanged."""
     graph = two_trees()
     _, result = propagate_all(graph)
-    route = result.recorded_fragments()[6][0][0]
-    result._record_best(6, route)  # object-path recording taints it
-    with pytest.raises(ValueError):
-        result.recorded_fragments()
+    before = result.recorded_fragments()
+    best, offered = before[6]
+    with pytest.raises(ValueError, match="already recorded"):
+        result._record(result.origin_spec(6), best, offered)
+    assert result.recorded_fragments() == before
+    assert result.origins() == list(before)
 
 
 # ---------------------------------------------------------------------------

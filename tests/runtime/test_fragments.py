@@ -40,8 +40,8 @@ def object_fragments(adjacencies, origins, **kwargs):
 
 
 def object_result(adjacencies, origins, **kwargs):
-    """Like :func:`object_fragments` but a full eagerly recorded
-    :class:`PropagationResult`."""
+    """Like :func:`object_fragments` but folded into the oracle's
+    dict-fold :class:`~tests.oracle.propagation.ObjectResult`."""
     return oracle.object_result(
         PipelineContext.from_adjacencies(adjacencies), origins, **kwargs)
 
@@ -114,8 +114,8 @@ def test_blocks_bit_identical_to_object_fragments(seed, backend):
 
 @pytest.mark.parametrize("backend", BLOCK_BACKENDS)
 def test_result_api_matches_object_path(backend):
-    """The lazily indexed result answers observers/routes/links exactly
-    like the eagerly recorded one, including dict orders."""
+    """The columnar result answers observers/routes/links exactly like
+    the oracle's dict fold, including dict orders."""
     rng = random.Random(1234)
     asns, adjacencies = random_internet(rng)
     origins = random_origins(rng, asns)
@@ -125,8 +125,6 @@ def test_result_api_matches_object_path(backend):
     with forced_kernel(backend):
         columnar = PipelineContext.from_adjacencies(adjacencies).engine(
             record_at=observers).propagate(origins)
-    # Columnar fast path first, before any object-level access indexes
-    # the result.
     assert columnar.visible_links() == expected.visible_links()
     assert columnar.observers() == expected.observers()
     for observer in observers:

@@ -119,6 +119,28 @@ class TestTampering:
         with pytest.raises(ArtifactFormatError, match="header"):
             load_matrix(clone)
 
+    def test_flipped_column_byte_is_rejected(self, artifact, tmp_path):
+        """One flipped byte in any saved column fails its header
+        checksum, whether the column is mmap'd or read."""
+        import shutil
+        header = json.loads((artifact / "header.json").read_text())
+        assert set(header["sha256"]) == \
+            {path.name for path in artifact.glob("*.npy")}
+        for name in ("plane_00_allow.npy", "peer_neighbors.npy"):
+            clone = tmp_path / name
+            shutil.copytree(artifact, clone)
+            column = bytearray((clone / name).read_bytes())
+            column[-1] ^= 0x01  # the last data byte, past the npy header
+            (clone / name).write_bytes(bytes(column))
+            for mmap in (True, False):
+                with pytest.raises(ArtifactFormatError, match=name):
+                    load_matrix(clone, mmap=mmap)
+
+    def test_missing_checksums_are_rejected(self, artifact, tmp_path):
+        clone = self._patched(artifact, tmp_path, sha256=None)
+        with pytest.raises(ArtifactFormatError, match="checksum"):
+            load_matrix(clone)
+
     def test_missing_plane_file_is_rejected(self, artifact, tmp_path):
         import shutil
         clone = tmp_path / "clone"

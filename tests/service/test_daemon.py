@@ -1,5 +1,6 @@
 """Query daemon: dispatch semantics, HTTP front, warm-up, load client."""
 
+import hashlib
 import json
 import socket
 import urllib.error
@@ -7,6 +8,8 @@ import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, seed, settings
+from hypothesis import strategies as st
 
 from repro.service import daemon
 from repro.service.artifact import load_matrix
@@ -206,6 +209,90 @@ class TestRequestLimits:
         assert _status_of(reply) == 200
 
 
+def _send_and_close(port: int, payload: bytes,
+                    timeout: float = 10.0) -> bytes:
+    """Send *payload*, half-close, and read until the server closes."""
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        sock.sendall(payload)
+        sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while True:
+            chunk = sock.recv(1 << 16)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+def _parse_replies(stream: bytes):
+    """Split a reply stream into HTTP/1.1 responses with JSON bodies;
+    returns their statuses.  Anything unparsable fails the test."""
+    statuses = []
+    while stream:
+        head, separator, rest = stream.partition(b"\r\n\r\n")
+        assert separator, stream[:200]
+        status_line, *header_lines = head.decode("latin-1").split("\r\n")
+        version, status, _reason = status_line.split(" ", 2)
+        assert version == "HTTP/1.1", status_line
+        headers = dict(line.split(": ", 1) for line in header_lines)
+        length = int(headers["Content-Length"])
+        assert len(rest) >= length, (status_line, len(rest), length)
+        json.loads(rest[:length])
+        statuses.append(int(status))
+        stream = rest[length:]
+    return statuses
+
+
+#: Text without CR/LF (one HTTP line per generated piece).
+_WORDS = st.text(st.characters(blacklist_characters="\r\n",
+                               blacklist_categories=("Cs",)), max_size=24)
+_TARGETS = st.one_of(
+    st.sampled_from(["/", "/health", "/stats", "/scenarios", "//[",
+                     "/q/europe2013/has_link?a=1&b=2",
+                     "/q/europe2013/links_of?asn=x", "/q/nowhere/summary",
+                     "/q/europe2013/bogus", "http://[::1/health"]),
+    st.builds("/q/europe2013/{}?{}".format, st.sampled_from(ENDPOINTS),
+              _WORDS),
+    _WORDS)
+_METHODS = st.one_of(st.sampled_from(["GET", "POST", "HEAD", "get"]), _WORDS)
+_VERSIONS = st.one_of(st.sampled_from(["HTTP/1.1", "HTTP/1.0"]), _WORDS)
+_REQUEST_LINES = st.one_of(
+    st.builds("{} {} {}".format, _METHODS, _TARGETS, _VERSIONS),
+    st.builds("{} {}".format, _METHODS, _TARGETS),
+    _WORDS.filter(bool))
+_HEADERS = st.lists(st.one_of(
+    st.builds("{}: {}".format, _WORDS, _WORDS),
+    st.just("Connection: close"),
+    st.just("X-Big: " + "y" * daemon.MAX_LINE_BYTES),
+    _WORDS), max_size=6)
+
+
+class TestRequestFuzz:
+    @pytest.fixture(scope="class")
+    def server(self, warm):
+        service, _ = warm
+        with ServerThread(service) as server:
+            yield server
+
+    @seed(20130507)
+    @settings(max_examples=150, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(request_line=_REQUEST_LINES, headers=_HEADERS)
+    @example(request_line="GET //[ HTTP/1.1", headers=[])
+    @example(request_line="GET /health", headers=[])
+    def test_random_requests_get_http_replies(self, server, request_line,
+                                              headers):
+        """Any request line and headers get well-formed HTTP replies
+        with a known status, and the daemon keeps serving."""
+        payload = "\r\n".join([request_line, *headers, "", ""])
+        replies = _parse_replies(_send_and_close(
+            server.port, payload.encode("utf-8")))
+        assert replies, payload
+        assert set(replies) <= {200, 400, 404, 405, 431}, replies
+        health = _parse_replies(_send_and_close(
+            server.port, b"GET /health HTTP/1.1\r\n\r\n"))
+        assert health == [200]
+
+
 class TestWarmService:
     def test_artifacts_land_under_root_and_reload(self, warm, tmp_path):
         _, directories = warm
@@ -215,14 +302,20 @@ class TestWarmService:
         assert handle.scenario == "europe2013"
 
     def test_verify_catches_doctored_artifacts(self, tmp_path):
-        # Flip one packed word on disk; warm-up with verify=True must
-        # refuse to serve the doctored artifact.
+        # Flip one packed word on disk and re-record its checksum, so
+        # the doctored artifact loads; warm-up with verify=True must
+        # still refuse to serve it.
         service, (directory,) = warm_service(
             ["europe2013"], size="tiny",
             artifact_root=tmp_path / "a", verify=False)
-        allow = np.load(directory / "plane_00_allow.npy")
+        column = directory / "plane_00_allow.npy"
+        allow = np.load(column)
         allow[0, 0] ^= 1
-        np.save(directory / "plane_00_allow.npy", allow)
+        np.save(column, allow)
+        header = json.loads((directory / "header.json").read_text())
+        header["sha256"][column.name] = \
+            hashlib.sha256(column.read_bytes()).hexdigest()
+        (directory / "header.json").write_text(json.dumps(header))
         from repro.pipeline import ScenarioRun
         from repro.scenarios.spec import get_scenario
         from repro.service.artifact import verify_identity
