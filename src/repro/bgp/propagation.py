@@ -63,6 +63,8 @@ from repro.runtime.fragments import (
     PathTable,
     RouteBlock,
     block_from_columns,
+    key_links,
+    unpack_links,
 )
 from repro.runtime.frontier import (
     CLASS_CUSTOMER,
@@ -339,25 +341,21 @@ class PropagationResult:
         return links
 
     def _links_from_blocks(self) -> Set[Tuple[int, int]]:
-        """Every best path's links: adjacent pairs straight from the
-        CSR path columns, deduplicated as packed uint64 keys."""
+        """Every best path's links, deduplicated over the blocks' cached
+        packed keys (:meth:`RouteBlock.link_keys`)."""
         packed_chunks = []
         links: Set[Tuple[int, int]] = set()
+        key_links(best for _spec, best, _offered in self._records)
         for _spec, best, _offered in self._records:
-            lo, hi = best.link_pairs()
-            if not len(lo):
-                continue
-            if int(hi.max()) < (1 << 32):
-                packed_chunks.append(
-                    (lo.astype(np.uint64) << np.uint64(32))
-                    | hi.astype(np.uint64))
-            else:  # ASNs beyond 32 bits: packing would collide
+            keys = best.link_keys()
+            if keys is None:  # ASNs beyond 32 bits: packing would collide
+                lo, hi = best.link_pairs()
                 links.update(zip(lo.tolist(), hi.tolist()))
+            elif len(keys):
+                packed_chunks.append(keys)
         if packed_chunks:
-            packed = np.unique(np.concatenate(packed_chunks))
-            los = (packed >> np.uint64(32)).astype(np.int64).tolist()
-            his = (packed & np.uint64(0xFFFFFFFF)).astype(np.int64).tolist()
-            links.update(zip(los, his))
+            los, his = unpack_links(np.unique(np.concatenate(packed_chunks)))
+            links.update(zip(los.tolist(), his.tolist()))
         return links
 
     def __getstate__(self):

@@ -25,8 +25,11 @@ fragments can change — per change kind:
   observer downstream of it, so the crossing is always visible in the
   prior blocks).  Likewise an edited member's route-server communities
   ride only routes whose path visits the member.
-  :func:`origins_touching` scans the prior result's columnar blocks for
-  those pairs/nodes.
+  :func:`origins_touching` looks those pairs/nodes up in one vectorized
+  pass over the prior result's blocks: removed pairs against each
+  block's cached packed link keys (:meth:`RouteBlock.link_keys`, built
+  once per block and reused with it from result to result), visited
+  nodes against the raw path values.
 * **Added edges use the first-crossing argument plus export scoping.**
   A new route through an added edge must reach one endpoint via
   pre-event edges.  What crosses, and where the change can surface, is
@@ -78,6 +81,7 @@ import numpy as np
 
 from repro.bgp.propagation import OriginSpec, PropagationResult, RouteBlock
 from repro.runtime.csr import CSRIndex, PhaseEdges
+from repro.runtime.fragments import MAX_KEYED, key_links, pack_links
 
 #: One origin's recorded fragments, as the engine returns them:
 #: ``(best, offered)`` RouteBlocks.
@@ -220,23 +224,36 @@ def _observer_below(index: CSRIndex, asn: int,
     return False
 
 
-def _block_touches(block, pair_set: Set[Tuple[int, int]],
-                   visit_set: Set[int]) -> bool:
-    """Does one fragment block contain any pair as an adjacent path hop,
-    or visit any of the ASNs?"""
-    values = block.path_values
-    for asn in visit_set:
-        if bool((values == asn).any()):
-            return True
-    if pair_set:
-        lo, hi = block.link_pairs()
-        if len(lo):
-            hit = np.zeros(len(lo), dtype=bool)
-            for low, high in pair_set:
-                hit |= (lo == low) & (hi == high)
-            if bool(hit.any()):
-                return True
-    return False
+def _pair_keys(pairs: Sequence[Tuple[int, int]]) -> np.ndarray:
+    """Sorted link keys (:func:`~repro.runtime.fragments.pack_links`)
+    of undirected *pairs*.  A pair outside the 32-bit key space can
+    match no keyed block and is left out."""
+    lo = np.array([min(a, b) for a, b in pairs], dtype=np.int64)
+    hi = np.array([max(a, b) for a, b in pairs], dtype=np.int64)
+    fits = (lo >= 0) & (hi <= MAX_KEYED)
+    return np.unique(pack_links(lo[fits], hi[fits]))
+
+
+#: Blocks per membership test in :func:`origins_touching`: bounds the
+#: concatenated copy and the test's temporaries (a sort-based test
+#: holds several copies) whatever the result's size.
+_CHUNK_BLOCKS = 128
+
+
+def _holding(columns: List[np.ndarray], query: np.ndarray) -> np.ndarray:
+    """Per column: does it hold any value of *query*?  One membership
+    test per chunk of concatenated columns; hits map back to their
+    column through the cumulative column lengths."""
+    held = np.zeros(len(columns), dtype=bool)
+    for first in range(0, len(columns), _CHUNK_BLOCKS):
+        chunk = columns[first:first + _CHUNK_BLOCKS]
+        ends = np.cumsum([len(column) for column in chunk])
+        # kind="sort" keeps a few-value query on numpy's compare loop;
+        # the default would first build a table over the query's range.
+        hits = np.flatnonzero(np.isin(np.concatenate(chunk), query,
+                                      kind="sort"))
+        held[first + np.searchsorted(ends, hits, side="right")] = True
+    return held
 
 
 def origins_touching(
@@ -245,22 +262,42 @@ def origins_touching(
     visits: Iterable[int] = (),
 ) -> Set[int]:
     """Origins whose recorded fragments cross any of *pairs* (as an
-    adjacent undirected path hop) or visit any ASN in *visits*.
+    adjacent undirected path hop within one row; ``(a, a)`` prepends
+    never match) or visit any ASN in *visits*, in the best **or** the
+    offered block.
 
     This is the exact affected set for edge removals and for policy/bag
-    edits (see the module docstring); it scans the prior result's
-    recorded best **and** offered blocks.
+    edits (see the module docstring).  It is answered in one vectorized
+    pass per query kind: the blocks' cached link keys
+    (:meth:`RouteBlock.link_keys`; blocks not keyed yet are keyed
+    together by :func:`~repro.runtime.fragments.key_links`) or raw path
+    values are concatenated in recording order and tested against the
+    sorted query.  A block whose path values do not fit the 32-bit key
+    space cannot be keyed and counts as crossing every pair — sound,
+    since recomputing an origin never changes its fragments.
     """
-    pair_set = {(min(a, b), max(a, b)) for a, b in pairs}
-    visit_set = set(visits)
-    if not pair_set and not visit_set:
+    pairs = list(pairs)
+    visit_query = np.unique(np.fromiter(visits, dtype=np.int64))
+    if not pairs and not len(visit_query):
         return set()
-    touched: Set[int] = set()
-    for origin, (best, offered) in prior.recorded_fragments().items():
-        if _block_touches(best, pair_set, visit_set) or \
-                _block_touches(offered, pair_set, visit_set):
-            touched.add(origin)
-    return touched
+    fragments = prior.recorded_fragments()
+    blocks = [block for pair in fragments.values() for block in pair]
+    touched = np.zeros(len(blocks), dtype=bool)
+    if pairs:
+        key_links(blocks)
+        keys = [block.link_keys() for block in blocks]
+        for position, column in enumerate(keys):
+            if column is None:
+                touched[position] = True
+                keys[position] = np.empty(0, dtype=np.uint64)
+        touched |= _holding(keys, _pair_keys(pairs))
+    if len(visit_query):
+        touched |= _holding([block.path_values for block in blocks],
+                            visit_query)
+    # Blocks alternate best, offered per origin in recording order.
+    per_origin = touched.reshape(-1, 2).any(axis=1)
+    return {origin for origin, hit in zip(fragments, per_origin.tolist())
+            if hit}
 
 
 #: Link-change kinds accepted by :func:`affected_update`.

@@ -15,7 +15,8 @@ fragments columnar instead:
   re-interning).  A block behaves as a sequence of
   ``PropagatedRoute``s — rows are materialised lazily and cached — so
   every object-level consumer keeps working, while bulk consumers read
-  the columns directly.
+  the columns directly (or its cached packed link keys, the column the
+  delta affected-set lookup and ``visible_links`` share).
 * :func:`walk_paths` / :class:`PathTable` — ONE vectorized cons-chain
   walk over all path ids of a batch, replacing the per-route scalar
   ``materialize`` calls.  ``PathTable.gather`` then slices per-row CSR
@@ -35,7 +36,17 @@ __all__ = [
     "walk_paths",
     "intern_bags",
     "block_from_columns",
+    "key_links",
+    "pack_links",
+    "unpack_links",
 ]
+
+#: Largest value a link key packs (:func:`pack_links`): the 32-bit ASN
+#: space.
+MAX_KEYED = (1 << 32) - 1
+
+#: ``RouteBlock._link_keys`` of a block whose pairs cannot be packed.
+_UNKEYABLE = object()
 
 #: Lazily resolved to avoid a module-level cycle: ``bgp.propagation``
 #: imports this module, and only row materialisation needs the class.
@@ -166,7 +177,7 @@ class RouteBlock:
 
     __slots__ = ("asn", "provenance", "learned_from", "bag_id", "pid",
                  "path_offsets", "path_values", "bag_values",
-                 "_rows", "_scalars")
+                 "_rows", "_scalars", "_link_keys")
 
     def __init__(self, asn, provenance, learned_from, bag_id, pid,
                  path_offsets, path_values,
@@ -181,6 +192,7 @@ class RouteBlock:
         self.bag_values = bag_values
         self._rows: List[object] = None  # type: ignore[assignment]
         self._scalars = None
+        self._link_keys = None
 
     # -- construction ------------------------------------------------------
 
@@ -310,23 +322,28 @@ class RouteBlock:
         """Undirected ``(lo, hi)`` ASN pair arrays adjacent in any path.
 
         Pairs spanning row boundaries are masked out via the CSR
-        offsets; ``left == right`` (prepended-origin) pairs are dropped
-        to match the object-path ``visible_links`` semantics.  Pairs are
-        not deduplicated — callers union across blocks anyway.
+        offsets (empty rows included); ``left == right``
+        (prepended-origin) pairs are dropped to match the object-path
+        ``visible_links`` semantics.  Pairs are not deduplicated —
+        callers union across blocks anyway.
         """
-        values = self.path_values
-        if len(values) < 2:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        left = values[:-1]
-        right = values[1:]
-        valid = left != right
-        boundaries = self.path_offsets[1:-1] - 1
-        if len(boundaries):
-            valid[boundaries[boundaries >= 0]] = False
-        lo = np.minimum(left, right)[valid]
-        hi = np.maximum(left, right)[valid]
+        lo, hi, _cells = _row_pairs(self.path_values, self.path_offsets)
         return lo, hi
+
+    def link_keys(self):
+        """:meth:`link_pairs` packed as uint64 keys ``(lo << 32) | hi``
+        (same order, duplicates kept), or ``None`` when a pair holds a
+        value outside ``[0, 2**32)`` — not an ASN; packing would collide.
+
+        Built on first use (see :func:`key_links`) and cached: a block
+        is immutable and delta replay reuses it by identity from result
+        to result, so each block is keyed once in its life (pickling
+        drops the cache).
+        """
+        if self._link_keys is None:
+            key_links((self,))
+        keys = self._link_keys
+        return None if keys is _UNKEYABLE else keys
 
     # -- sequence protocol (lazy row views) --------------------------------
 
@@ -384,6 +401,7 @@ class RouteBlock:
          self.bag_values) = state
         self._rows = None
         self._scalars = None
+        self._link_keys = None
 
 
 class ObservationIndex:
@@ -536,6 +554,78 @@ class ObservationIndex:
                       for pos, row in best_by_pos.items())
         groups.sort(key=lambda group: group[0])
         return groups
+
+
+def _row_pairs(values, offsets):
+    """``(lo, hi, cells)`` of the undirected adjacent pairs within the
+    CSR rows *offsets* over *values*; ``cells`` holds each pair's first
+    cell.  Pairs across a row boundary and ``left == right`` prepends
+    are dropped."""
+    if len(values) < 2:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty
+    left = values[:-1]
+    right = values[1:]
+    valid = left != right
+    # Row i ends at offsets[i + 1] - 1; the pair starting there
+    # crosses into the next row (none exists after the last cell).
+    boundaries = offsets[1:-1] - 1
+    valid[boundaries[(boundaries >= 0)
+                     & (boundaries < len(valid))]] = False
+    cells = np.flatnonzero(valid)
+    return (np.minimum(left, right)[cells], np.maximum(left, right)[cells],
+            cells)
+
+
+def pack_links(lo, hi):
+    """uint64 link keys ``(lo << 32) | hi`` of undirected ASN pairs
+    (``lo <= hi``, both in ``[0, MAX_KEYED]``)."""
+    lo = np.asarray(lo, dtype=np.int64)
+    hi = np.asarray(hi, dtype=np.int64)
+    return ((lo << 32) | hi).view(np.uint64)
+
+
+def unpack_links(keys):
+    """The ``(lo, hi)`` int64 arrays :func:`pack_links` packed."""
+    return ((keys >> np.uint64(32)).astype(np.int64),
+            (keys & np.uint64(MAX_KEYED)).astype(np.int64))
+
+
+#: Blocks keyed per vectorized pass in :func:`key_links`: bounds the
+#: pass's temporaries (a few copies of the chunk's path cells).
+_KEY_CHUNK_BLOCKS = 128
+
+
+def key_links(blocks: Iterable[RouteBlock]) -> None:
+    """Cache :meth:`RouteBlock.link_keys` on every block of *blocks*
+    that has none, in one vectorized pass per chunk of blocks.
+
+    The chunk's rows are concatenated (a block's last row ends where
+    the next block's first begins, so no pair crosses blocks), paired
+    and packed at once, then cut back per block.  After a wide delta
+    event every block of the result is fresh; keying them this way
+    costs a few numpy calls per chunk instead of per block.
+    """
+    pending = [block for block in blocks if block._link_keys is None]
+    for first in range(0, len(pending), _KEY_CHUNK_BLOCKS):
+        chunk = pending[first:first + _KEY_CHUNK_BLOCKS]
+        # starts[i]: block i's first cell in the concatenation.
+        starts = np.zeros(len(chunk) + 1, dtype=np.int64)
+        np.cumsum([len(block.path_values) for block in chunk],
+                  out=starts[1:])
+        values = np.concatenate([block.path_values for block in chunk])
+        offsets = np.concatenate(
+            [starts[:1]] + [block.path_offsets[1:] + start for block, start
+                            in zip(chunk, starts[:-1].tolist())])
+        lo, hi, cells = _row_pairs(values, offsets)
+        outside = cells[(lo < 0) | (hi > MAX_KEYED)]
+        unkeyable = set(
+            (np.searchsorted(starts, outside, side="right") - 1).tolist())
+        keys = pack_links(lo, hi)
+        bounds = np.searchsorted(cells, starts).tolist()
+        for index, block in enumerate(chunk):
+            block._link_keys = _UNKEYABLE if index in unkeyable \
+                else keys[bounds[index]:bounds[index + 1]].copy()
 
 
 def block_from_columns(asns, provenance, learned_from, pids, bag_ids,

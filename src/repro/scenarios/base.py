@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.bgp.asn import Private16BitMapper
-from repro.bgp.communities import Community
 from repro.bgp.prefix import Prefix
 from repro.bgp.policy import Relationship
 from repro.bgp.propagation import OriginSpec, PropagationResult
@@ -288,20 +287,12 @@ def stage_propagation(
     for hosts in lg_hosts.values():
         record_at.update(hosts)
 
-    def rs_communities(asn: int, ixp_name: str) -> FrozenSet[Community]:
-        route_server = route_servers.get(ixp_name)
-        if route_server is None or not route_server.is_member(asn):
-            return frozenset()
-        policy = route_server.member_policy(asn)
-        return policy.communities_for(route_server.scheme, None, route_server.mapper)
-
-    context = PipelineContext.from_graph(
-        graph, rs_community_provider=rs_communities)
-    # Salt the graph/route-server mutation counters into the context's
-    # route-cache keys: a lookup after any policy, membership or
-    # topology mutation can never return a pre-mutation block.
-    from repro.scenarios.events import mutation_epoch_provider
-    context.bind_epoch(mutation_epoch_provider(graph, route_servers))
+    # The memoised RS-community provider, with the graph/route-server
+    # mutation counters salted into the route-cache keys: a lookup
+    # after any policy, membership or topology mutation can never
+    # return a pre-mutation block.
+    from repro.scenarios.events import build_context
+    context = build_context(graph, route_servers)
     origins = [OriginSpec(asn=node.asn, prefixes=list(node.prefixes))
                for node in graph.nodes() if node.prefixes]
 

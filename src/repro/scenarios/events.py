@@ -525,7 +525,8 @@ def rs_community_provider(
     route_servers: Dict[str, RouteServer],
 ) -> Callable:
     """The per-(ASN, IXP) RS-community closure propagation indexes with
-    (identical to the propagation stage's).
+    (the propagation stage's and every replay's, via
+    :func:`build_context`).
 
     Memoised per policy *object*: policies are replaced, never mutated
     in place (:func:`_apply_policy_edit` and ``add_member`` both install
@@ -564,7 +565,7 @@ def mutation_epoch_provider(
 def build_context(graph: ASGraph, route_servers: Dict[str, RouteServer],
                   rs_provider: Optional[Callable] = None) -> PipelineContext:
     """A propagation context over the current graph/RS state, with the
-    mutation epoch bound (exactly what the propagation stage builds).
+    mutation epoch bound (the propagation stage builds its context here).
 
     *rs_provider* lets a replay reuse one memoised community provider
     across events instead of re-encoding every policy per rebuild."""
@@ -612,6 +613,11 @@ def _link_change(link: ASLink) -> LinkChange:
     return (KIND_OTHER, link.a, link.b)
 
 
+#: :attr:`EventReport.reindex` values: the event's CSR index change.
+REINDEX_SPLICE = "splice"    #: link delta spliced into the prior index
+REINDEX_REBUILD = "rebuild"  #: from-scratch rebuild (splice fallback)
+
+
 @dataclass(frozen=True)
 class EventReport:
     """Per-event replay accounting."""
@@ -624,6 +630,9 @@ class EventReport:
     reused: int          #: origins whose blocks were reused byte-for-byte
     links_changed: int
     seconds: float       #: wall time of the delta apply (incl. reindex)
+    #: how the CSR index changed: :data:`REINDEX_SPLICE`,
+    #: :data:`REINDEX_REBUILD`, or ``None`` when it was kept as is.
+    reindex: Optional[str] = None
 
     @property
     def affected_fraction(self) -> float:
@@ -647,6 +656,7 @@ class TimelineReport:
             "reused": report.reused,
             "affected_fraction": round(report.affected_fraction, 4),
             "links_changed": report.links_changed,
+            "reindex": report.reindex,
             "seconds": report.seconds,
         } for report in self.reports]
 
@@ -660,7 +670,9 @@ class TimelineReplay:
     :meth:`apply` computes the affected frontier on the *pre-event*
     index, rebuilds the index only when the event changed topology or
     policy, and patches the previous result through
-    :func:`repro.runtime.delta.patched_result`.
+    :func:`repro.runtime.delta.patched_result`.  The origin spec list
+    is kept across events and re-derived only after an event that
+    dirtied an origin's spec (prefix churn).
     """
 
     def __init__(
@@ -689,6 +701,8 @@ class TimelineReplay:
         #: context over the *current* replay state; its index doubles as
         #: the next event's pre-event index.
         self.context = context
+        #: the current state's origin specs (:func:`origin_specs_of`).
+        self._origins = origin_specs_of(self.graph)
         self.result = baseline
         self.reports: List[EventReport] = []
 
@@ -698,6 +712,7 @@ class TimelineReplay:
         pre_index = self.context.index
         prior = self.result
         effect = self.state.apply(event)
+        reindex = None
         if effect.touches_index:
             # Topology/policy changed: splice the link delta (and any
             # tainted members' re-derived edge bags) into the CSR —
@@ -707,11 +722,15 @@ class TimelineReplay:
             index = self._spliced_index(pre_index, effect)
             if index is not None:
                 self.context = self._context_over(index)
+                reindex = REINDEX_SPLICE
             else:
                 self.context = build_context(self.graph,
                                              self.route_servers,
                                              rs_provider=self._rs_provider)
-        origins = origin_specs_of(self.graph)
+                reindex = REINDEX_REBUILD
+        if effect.dirty_origins:
+            self._origins = origin_specs_of(self.graph)
+        origins = self._origins
         records = None if self.record_at is None else \
             self.record_at | self.record_alternatives_at
         affected = affected_update(
@@ -728,7 +747,8 @@ class TimelineReplay:
             index=len(self.reports), event=event,
             affected=len(stale), total=stats.total,
             recomputed=stats.recomputed, reused=stats.reused,
-            links_changed=effect.links_changed, seconds=seconds)
+            links_changed=effect.links_changed, seconds=seconds,
+            reindex=reindex)
         self.reports.append(report)
         return report
 

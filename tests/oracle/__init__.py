@@ -12,7 +12,10 @@
   (passive/active step functions, ``merge_observations`` and
   ``infer_links`` per IXP, optionally sharded per IXP);
 * :mod:`tests.oracle.kernels` — pins the propagation engine to one
-  kernel so the differential suites can compare kernels directly.
+  kernel so the differential suites can compare kernels directly;
+* :mod:`tests.oracle.delta` — the per-block scan for the delta
+  affected set (removed pairs and visited ASNs), the reference for the
+  one-pass lookup over cached link keys.
 
 None of this ships in ``src/``: production keeps one path per layer.
 """

@@ -3,13 +3,24 @@
 The equivalence of full timeline replays against from-scratch rebuilds
 lives in ``tests/scenarios/test_events.py``; here the affected-set
 machinery and the result-patching contract are exercised directly on
-small hand-built topologies.
+small hand-built topologies and blocks, and the one-pass
+``origins_touching`` lookup is diffed against the per-block scan oracle
+(:mod:`tests.oracle.delta`) on the europe2013 tiny baseline.
 """
+
+import pickle
 
 import pytest
 
-from repro.bgp.propagation import OriginSpec
+from repro.bgp.propagation import (
+    CLASS_CUSTOMER,
+    OriginSpec,
+    PropagatedRoute,
+    PropagationResult,
+    RouteBlock,
+)
 from repro.bgp.prefix import Prefix
+from repro.pipeline.run import ScenarioRun
 from repro.runtime.context import PipelineContext
 from repro.runtime.delta import (
     DeltaStats,
@@ -23,7 +34,11 @@ from repro.runtime.delta import (
     origins_touching,
     patched_result,
 )
+from repro.scenarios.events import build_context, record_sets
+from repro.scenarios.spec import get_scenario
 from repro.topology.as_graph import ASGraph, ASLink, ASNode, LinkType
+
+from tests.oracle import delta as oracle
 
 
 def two_trees(peer_link: bool = False) -> ASGraph:
@@ -120,10 +135,11 @@ def test_origins_touching_finds_paths_crossing_an_edge():
     touching = origins_touching(result, pairs=[(3, 1)])
     # 6 climbs through 3 -> 1; every origin descends 1 -> 3 towards 6.
     assert 6 in touching and 5 in touching
-    # No recorded path crosses 3-1 for... every origin does here (dense);
-    # but the edge 5-2 is only crossed by routes entering/leaving tree 2.
+    # Recording everywhere, every origin crosses 5-2 as well: observer
+    # 5 learns every other origin from its only provider 2, and 5's own
+    # announcement leaves through 2.
     not_touching = set(ALL_ASNS) - origins_touching(result, pairs=[(5, 2)])
-    assert not_touching == set()  # with a peer link all origins reach 5
+    assert not_touching == set()
     assert origins_touching(result) == set()
 
 
@@ -132,6 +148,78 @@ def test_origins_touching_node_visits():
     _, result = propagate_all(graph)
     touching = origins_touching(result, visits=[2])
     assert touching == {2, 5}
+
+
+def block_of(*paths):
+    """A hand-built block with one row per AS path (observer first)."""
+    return RouteBlock.from_routes(
+        PropagatedRoute(asn=path[0], path=tuple(path),
+                        communities=frozenset(), provenance=CLASS_CUSTOMER,
+                        learned_from=path[1] if len(path) > 1 else None)
+        for path in paths)
+
+
+def result_of(records):
+    """A result recording ``origin -> (best paths, offered paths)``."""
+    result = PropagationResult()
+    for origin, (best, offered) in records.items():
+        result._record(OriginSpec(asn=origin, prefixes=[]),
+                       block_of(*best), block_of(*offered))
+    return result
+
+
+def test_origins_touching_ignores_pairs_across_row_boundaries():
+    # Cell neighbours across a row, block or origin boundary are not
+    # hops: 7|3 ends one row and starts the next, 7|9 ends origin 7's
+    # best block and starts its offered block, 7|4 ends origin 7's
+    # offered block and starts origin 8's best block.
+    result = result_of({
+        7: ([(1, 7), (3, 5, 7)], [(9, 6, 7)]),
+        8: ([(4, 8)], []),
+    })
+    for pair in [(3, 7), (7, 9), (4, 7)]:
+        assert origins_touching(result, pairs=[pair]) == set(), pair
+        assert oracle.origins_touching(result, pairs=[pair]) == set(), pair
+    assert origins_touching(result, pairs=[(5, 3)]) == {7}
+    assert origins_touching(result, pairs=[(8, 4)]) == {8}
+
+
+def test_origins_touching_never_matches_a_prepend():
+    result = result_of({7: ([(1, 7, 7), (7, 7)], [(2, 7, 7)])})
+    assert origins_touching(result, pairs=[(7, 7)]) == set()
+    assert oracle.origins_touching(result, pairs=[(7, 7)]) == set()
+    assert origins_touching(result, pairs=[(7, 1)]) == {7}
+    assert origins_touching(result, pairs=[(7, 7), (2, 7)]) == {7}
+
+
+def test_origins_touching_matches_offered_only_crossings():
+    result = result_of({
+        7: ([(1, 2, 7)], [(1, 2, 7), (1, 3, 7)]),
+        8: ([(1, 2, 8)], [(1, 2, 8)]),
+    })
+    assert origins_touching(result, pairs=[(3, 1)]) == {7}
+    assert oracle.origins_touching(result, pairs=[(3, 1)]) == {7}
+    assert origins_touching(result, visits=[3]) == {7}
+    assert origins_touching(result, pairs=[(1, 2)]) == {7, 8}
+
+
+def test_unkeyable_block_counts_as_touching_every_pair():
+    """Path values beyond 32 bits (not ASNs) cannot be packed: such a
+    block answers every pair query as crossing (recomputing an origin is
+    always sound), while visits and ``visible_links`` stay exact."""
+    huge = 1 << 40
+    result = result_of({
+        7: ([(1, huge, 7)], []),
+        8: ([(1, 2, 8)], []),
+    })
+    best = result.recorded_fragments()[7][0]
+    assert best.link_keys() is None
+    assert origins_touching(result, pairs=[(1, 2)]) == {7, 8}
+    assert oracle.origins_touching(result, pairs=[(1, 2)]) == {8}
+    assert origins_touching(result, pairs=[(1, huge)]) == {7}
+    assert origins_touching(result, visits=[huge]) == {7}
+    assert origins_touching(result, visits=[2]) == {8}
+    assert result.visible_links() == {(1, huge), (7, huge), (1, 2), (2, 8)}
 
 
 def test_removal_exactness_against_brute_force():
@@ -151,6 +239,138 @@ def test_removal_exactness_against_brute_force():
                 assert fragments_equivalent(before_map[origin],
                                             after_map[origin]), \
                     (link, origin)
+
+
+# ---------------------------------------------------------------------------
+# origins_touching vs the per-block scan oracle (europe2013 tiny)
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def europe_tiny():
+    """The europe2013 tiny baseline: graph, route servers and the
+    propagation artifact (alternatives recorded at the validation
+    hosts, so offered blocks are populated)."""
+    run = ScenarioRun(scenario="europe2013",
+                      config=get_scenario("europe2013").config("tiny"))
+    return {
+        "graph": run.artifact("topology").graph,
+        "route_servers": run.artifact("ixps")["route_servers"],
+        "propagation": run.artifact("propagation"),
+    }
+
+
+def touching_queries(graph, route_servers):
+    """``(pairs, visits)`` queries: every graph link as a removed pair,
+    every RS member as a visit, and one multi-pair query per RS member
+    holding its RS links at that IXP (what a ``MemberLeave`` removes)."""
+    queries = [([(link.a, link.b)], ()) for link in graph.links()]
+    for ixp, route_server in route_servers.items():
+        for member in route_server.members():
+            queries.append(((), (member,)))
+            pairs = [(link.a, link.b)
+                     for link in graph.links(LinkType.RS_P2P)
+                     if link.ixp == ixp and member in link.endpoints]
+            if pairs:
+                queries.append((pairs, ()))
+    return queries
+
+
+class _ScanView:
+    """*result* as the oracle scan reads it, with each block's
+    ``link_pairs()`` derived once (blocks are immutable; the scan
+    re-derives them on every call), restricted per query to the origins
+    holding both ends of a queried pair or a visited ASN — no other
+    origin can match, so the scan's answer is unchanged."""
+
+    class _Block:
+        __slots__ = ("path_values", "_pairs")
+
+        def __init__(self, block):
+            self.path_values = block.path_values
+            self._pairs = block.link_pairs()
+
+        def link_pairs(self):
+            return self._pairs
+
+    def __init__(self, result):
+        self._fragments = {
+            origin: (self._Block(best), self._Block(offered))
+            for origin, (best, offered) in
+            result.recorded_fragments().items()}
+        self._values = {
+            origin: set(best.path_values.tolist())
+            | set(offered.path_values.tolist())
+            for origin, (best, offered) in self._fragments.items()}
+        self._keep = None
+
+    def recorded_fragments(self):
+        return {origin: self._fragments[origin] for origin in self._keep}
+
+    def origins_touching(self, pairs, visits):
+        self._keep = [origin for origin, values in self._values.items()
+                      if any(a in values and b in values for a, b in pairs)
+                      or not values.isdisjoint(visits)]
+        return oracle.origins_touching(self, pairs=pairs, visits=visits)
+
+
+def assert_touching_matches(result, queries, expected):
+    for (pairs, visits), want in zip(queries, expected):
+        assert origins_touching(result, pairs=pairs, visits=visits) \
+            == want, (pairs, visits)
+
+
+def test_origins_touching_matches_scan_oracle(europe_tiny):
+    graph = europe_tiny["graph"]
+    prior = europe_tiny["propagation"]["propagation"]
+    assert any(len(offered)
+               for _best, offered in prior.recorded_fragments().values())
+    queries = touching_queries(graph, europe_tiny["route_servers"])
+    view = _ScanView(prior)
+    expected = [view.origins_touching(pairs, visits)
+                for pairs, visits in queries]
+    assert any(expected)
+    assert_touching_matches(prior, queries, expected)
+
+    # A pickle round trip drops every block's cached keys; the answers
+    # rebuilt from the restored columns are the same.
+    restored = pickle.loads(pickle.dumps(prior))
+    for best, offered in restored.recorded_fragments().values():
+        assert best._link_keys is None and offered._link_keys is None
+    assert_touching_matches(restored, queries, expected)
+
+
+def test_origins_touching_on_a_patched_result(europe_tiny):
+    """Reused blocks keep the keys the prior lookups cached, freshly
+    computed ones are keyed on the next lookup: the mixture answers
+    like the scan oracle."""
+    graph = europe_tiny["graph"]
+    route_servers = europe_tiny["route_servers"]
+    propagation = europe_tiny["propagation"]
+    prior = propagation["propagation"]
+    origins_touching(prior, pairs=[(1, 2)])  # keys every prior block
+    record_at, record_alternatives_at = record_sets(propagation)
+    # A fresh context: its empty route cache recomputes new blocks.
+    engine = build_context(graph, route_servers).engine(
+        record_at=record_at, record_alternatives_at=record_alternatives_at)
+    specs = [prior.origin_spec(origin) for origin in prior.origins()]
+    stale = set(prior.origins()[::3])
+    patched, stats = patched_result(prior, specs, stale,
+                                    engine.batch_fragments)
+    assert 0 < stats.recomputed < stats.total
+    prior_map = prior.recorded_fragments()
+    for origin, (best, offered) in patched.recorded_fragments().items():
+        if origin in stale:
+            assert best is not prior_map[origin][0]
+            assert best._link_keys is None
+        else:
+            assert best is prior_map[origin][0]
+            assert best._link_keys is not None
+    queries = touching_queries(graph, route_servers)
+    view = _ScanView(patched)
+    expected = [view.origins_touching(pairs, visits)
+                for pairs, visits in queries]
+    assert_touching_matches(patched, queries, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,67 @@ def test_block_pickle_round_trip(backend):
             assert clone.bag_values == block.bag_values
 
 
+# -- link pairs and their cached keys ------------------------------------------
+
+
+def test_link_keys_pack_link_pairs_once():
+    """``link_keys`` is ``link_pairs`` packed as ``(lo << 32) | hi``,
+    same order, built once per block; pickling drops the cache."""
+    import numpy as np
+    rng = random.Random(20130501)
+    asns, adjacencies = random_internet(rng)
+    origins = random_origins(rng, asns)
+    observers = rng.sample(asns, k=12)
+    engine = PipelineContext.from_adjacencies(adjacencies).engine(
+        record_at=observers, record_alternatives_at=observers[:4])
+    keyed = 0
+    for best, offered in engine.batch_fragments(origins):
+        for block in (best, offered):
+            keys = block.link_keys()
+            keyed += len(keys)
+            assert keys.dtype == np.uint64
+            lo, hi = block.link_pairs()
+            assert (keys >> np.uint64(32)).tolist() == lo.tolist()
+            assert (keys & np.uint64(0xFFFFFFFF)).tolist() == hi.tolist()
+            assert block.link_keys() is keys
+            clone = pickle.loads(pickle.dumps(block))
+            assert clone._link_keys is None
+            assert clone.link_keys().tolist() == keys.tolist()
+    assert keyed
+
+
+def test_link_pairs_skip_empty_rows():
+    """Empty rows (no received path) anywhere in a block, last row
+    included, neither join their neighbours nor break the walk."""
+    import numpy as np
+
+    def block(offsets, values):
+        rows = len(offsets) - 1
+        return RouteBlock(
+            asn=np.arange(rows, dtype=np.int64),
+            provenance=np.zeros(rows, dtype=np.int16),
+            learned_from=np.full(rows, -1, dtype=np.int64),
+            bag_id=np.zeros(rows, dtype=np.int32),
+            pid=np.full(rows, -1, dtype=np.int64),
+            path_offsets=np.asarray(offsets, dtype=np.int64),
+            path_values=np.asarray(values, dtype=np.int64),
+            bag_values=(frozenset(),))
+
+    def pairs(b):
+        lo, hi = b.link_pairs()
+        return list(zip(lo.tolist(), hi.tolist()))
+
+    assert pairs(block([0, 3, 3], [1, 2, 3])) == [(1, 2), (2, 3)]
+    assert pairs(block([0, 0, 2], [5, 4])) == [(4, 5)]
+    assert pairs(block([0, 2, 2, 4], [1, 2, 3, 4])) == [(1, 2), (3, 4)]
+    assert pairs(block([0, 1, 1], [9])) == []
+    assert block([0, 3, 3], [1, 2, 3]).link_keys().tolist() == [
+        (1 << 32) | 2, (2 << 32) | 3]
+    # Values outside the 32-bit ASN space cannot be packed.
+    assert block([0, 2], [1, 1 << 32]).link_keys() is None
+    assert block([0, 2], [-1, 4]).link_keys() is None
+
+
 # -- route-cache accounting ----------------------------------------------------
 
 

@@ -179,11 +179,55 @@ def test_timeline_stage_replays_and_reports(tiny_baseline):
     assert len(report.reports) == 8
     rows = report.rows()
     assert {"event", "affected", "recomputed", "reused",
-            "affected_fraction", "links_changed", "seconds"} \
+            "affected_fraction", "links_changed", "reindex", "seconds"} \
         <= set(rows[0])
     for event_report in report.reports:
         assert event_report.recomputed + event_report.reused \
             == event_report.total
+
+
+def test_report_records_how_the_index_changed(tiny_baseline):
+    """A splice, the splice's fallback to a full rebuild (an endpoint
+    losing its last link leaves the interned node set) and an untouched
+    index are each reported; the rebuilt state still matches a
+    from-scratch propagation."""
+    graph = tiny_baseline["graph"]
+    route_servers = tiny_baseline["route_servers"]
+    record_at = tiny_baseline["record_at"]
+    record_alt = tiny_baseline["record_alt"]
+    stub = next(asn for asn in sorted(graph.asns())
+                if graph.degree(asn) == 1 and graph.get_as(asn).prefixes)
+    (neighbour,) = graph.neighbours(stub)
+    spliced = next(link for link in sorted(graph.links(),
+                                           key=lambda l: l.endpoints)
+                   if graph.degree(link.a) > 1 and graph.degree(link.b) > 1)
+    events = [SessionDown(spliced.a, spliced.b),
+              SessionDown(stub, neighbour),
+              PrefixChurn(asn=stub, prefix="198.51.100.0/24")]
+    replay = TimelineReplay(graph, route_servers, tiny_baseline["baseline"],
+                            record_at, record_alt)
+    specs = []
+    for event in events:
+        replay.apply(event)
+        specs.append({origin: replay.result.origin_spec(origin)
+                      for origin in replay.result.origins()})
+    assert [r.reindex for r in replay.reports] == ["splice", "rebuild", None]
+    report = replay.replay([])
+    assert [row["reindex"] for row in report.rows()] \
+        == ["splice", "rebuild", None]
+    # Origin specs carry over between events (same objects) until an
+    # event dirties one: the prefix churn re-derives the list.
+    assert all(specs[1][origin] is spec
+               for origin, spec in specs[0].items())
+    assert specs[2][stub] != specs[1][stub]
+
+    rebuild_graph, rebuild_servers = copy.deepcopy((graph, route_servers))
+    rebuild_state = ReplayState(rebuild_graph, rebuild_servers)
+    for event in events:
+        rebuild_state.apply(event)
+    _, full = rebuild_propagation(rebuild_graph, rebuild_servers,
+                                  record_at, record_alt)
+    assert_results_identical(replay.result, full, "reindex")
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +295,8 @@ def assert_results_identical(mine, theirs, label):
     mine_map = mine.recorded_fragments()
     theirs_map = theirs.recorded_fragments()
     assert list(mine_map) == list(theirs_map), label
+    assert [mine.origin_spec(origin) for origin in mine_map] \
+        == [theirs.origin_spec(origin) for origin in theirs_map], label
     for origin in mine_map:
         assert fragments_equivalent(mine_map[origin], theirs_map[origin]), \
             (label, origin)
