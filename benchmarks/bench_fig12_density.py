@@ -1,13 +1,14 @@
 """Figure 12: per-member peering density at each route server."""
 
-from repro.analysis.density import density_from_matrix
+from repro.analysis.density import density_per_ixp
 
 
 def test_peering_density(scenario, reachability, benchmark):
     members_by_ixp = {name: scenario.graph.rs_members_of_ixp(name)
                       for name in reachability.planes}
 
-    report = benchmark(density_from_matrix, reachability, members_by_ixp, True)
+    report = benchmark(density_per_ixp, reachability.links_by_ixp(),
+                       members_by_ixp, True)
 
     print("\nFigure 12 — mean peering density per RS member per IXP")
     full_data_ixps = [name for name in scenario.rs_looking_glasses

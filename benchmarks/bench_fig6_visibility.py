@@ -13,8 +13,8 @@ def test_visibility_comparison(scenario, reachability, benchmark):
 
     def analyse():
         traceroute_links = scenario.traceroute_links()
-        analysis = VisibilityAnalysis.from_matrix(
-            reachability, bgp_links, traceroute_links)
+        analysis = VisibilityAnalysis(
+            reachability.all_links(), bgp_links, traceroute_links)
         return analysis, analysis.report.summary()
 
     analysis, summary = benchmark(analyse)

@@ -8,7 +8,7 @@ def test_customer_degree_distribution(scenario, reachability, benchmark):
     analysis = DegreeAnalysis(
         lambda asn: graph.transit_degree(asn) if graph.has_as(asn) else 0)
 
-    stats = benchmark(analysis.analyse_matrix, reachability)
+    stats = benchmark(analysis.analyse, reachability.all_links())
 
     summary = stats.summary()
     print("\nFigure 7 — customer degrees on inferred MLP links")

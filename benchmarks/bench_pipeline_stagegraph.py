@@ -1,13 +1,11 @@
-"""Stage-graph pipeline overheads: warm-cache re-runs and snapshots.
+"""Stage-graph pipeline overhead: warm-cache re-runs.
 
-Measures the two costs the staged pipeline introduces on top of the raw
+Measures the cost the staged pipeline introduces on top of the raw
 computation: resolving stages against a warm artifact cache (the price
-of an incremental re-run that recomputes nothing upstream), and the
-context snapshot roundtrip that sharded stages pay per worker.
+of an incremental re-run that recomputes nothing upstream).
 """
 
 from repro.pipeline import AnalysisOptions, ArtifactCache, ScenarioRun
-from repro.runtime.snapshot import restore_context, snapshot_context
 from repro.scenarios.workloads import small_scenario_config
 
 
@@ -28,11 +26,3 @@ def test_warm_cache_rerun(benchmark):
     assert set(summaries) == {"table2"}
     assert all(status == "memory" for stage, status in statuses.items()
                if stage != "analyses")
-
-
-def test_context_snapshot_roundtrip(scenario, benchmark):
-    def roundtrip():
-        return restore_context(snapshot_context(scenario.context))
-
-    restored = benchmark(roundtrip)
-    assert restored.index.summary() == scenario.context.index.summary()

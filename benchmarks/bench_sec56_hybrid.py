@@ -13,7 +13,8 @@ def test_hybrid_relationships(scenario, reachability, benchmark):
         graph.relationship,
         hybrid_evidence=lambda link: link in truth_hybrid)
 
-    report = benchmark(analysis.analyse_matrix, reachability)
+    report = benchmark(analysis.analyse, reachability.all_links(),
+                       reachability.link_ixps())
 
     print("\nSection 5.6 — hybrid relationships")
     print(f"  inferred RS links that overlap a c2p relationship: "

@@ -42,8 +42,7 @@ def print_timeline(run) -> None:
           f"over {origins} origins")
 
 
-def run_survey(scenario_name: str, size: str, workers=None,
-               events=None) -> None:
+def run_survey(scenario_name: str, size: str, events=None) -> None:
     """Build one scenario, run inference, print the survey tables."""
     spec = get_scenario(scenario_name)
     if events is not None:
@@ -57,9 +56,9 @@ def run_survey(scenario_name: str, size: str, workers=None,
         print(f"  {spec.description}")
     if events is not None:
         from repro.pipeline.run import ScenarioRun
-        run = ScenarioRun(spec.config(size), scenario=spec, workers=workers)
+        run = ScenarioRun(spec.config(size), scenario=spec)
     else:
-        run = scenario_run(size, scenario=scenario_name, workers=workers)
+        run = scenario_run(size, scenario=scenario_name)
     scenario = run.scenario()
     print(f"  {len(scenario.graph)} ASes, "
           f"{len(scenario.ground_truth_links())} ground-truth MLP pairs")
@@ -108,8 +107,6 @@ def main(argv=None) -> None:
                         help="registered scenario family (see --list)")
     parser.add_argument("--size", default="small",
                         help="size-table row (tiny/small/bench/medium/large/full)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="shard the parallel stages across N processes")
     parser.add_argument("--events", default=None, metavar="FAMILY",
                         help="replay an event-timeline family (churn, "
                              "failover, flap-storm) over the scenario and "
@@ -126,8 +123,7 @@ def main(argv=None) -> None:
             print(f"{'':<20} sizes: {sizes}")
         return
 
-    run_survey(args.scenario, args.size, workers=args.workers,
-               events=args.events)
+    run_survey(args.scenario, args.size, events=args.events)
 
 
 if __name__ == "__main__":

@@ -89,9 +89,3 @@ class DegreeAnalysis:
             stats.smallest_degrees.append(min(degree_a, degree_b))
             stats.largest_degrees.append(max(degree_a, degree_b))
         return stats
-
-    def analyse_matrix(self, matrix) -> LinkDegreeStats:
-        """Figure 7 from the shared
-        :class:`~repro.runtime.reachmatrix.ReachabilityMatrix` artifact
-        (its memoised de-duplicated global link set)."""
-        return self.analyse(matrix.all_links())

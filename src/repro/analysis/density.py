@@ -10,7 +10,7 @@ select for open peering.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
 
 Link = Tuple[int, int]
 
@@ -74,22 +74,3 @@ def density_per_ixp(
             values.append(density)
         report.per_member[ixp_name] = values
     return report
-
-
-def density_from_matrix(
-    matrix,
-    members_by_ixp: Optional[Mapping[str, Sequence[int]]] = None,
-    only_members_with_links: bool = False,
-) -> DensityReport:
-    """Figure 12 from the shared
-    :class:`~repro.runtime.reachmatrix.ReachabilityMatrix` artifact.
-
-    The per-IXP link sets come from the matrix's memoised views; the
-    member population defaults to each plane's universe (pass
-    *members_by_ixp* to reproduce a ground-truth population exactly).
-    """
-    if members_by_ixp is None:
-        members_by_ixp = {name: plane.index.universe
-                          for name, plane in matrix.planes.items()}
-    return density_per_ixp(matrix.links_by_ixp(), members_by_ixp,
-                           only_members_with_links=only_members_with_links)

@@ -72,13 +72,6 @@ class HybridRelationshipAnalysis:
         #: Optional oracle standing in for relationship-tagging communities.
         self.hybrid_evidence = hybrid_evidence
 
-    def analyse_matrix(self, matrix) -> HybridReport:
-        """Section 5.6 from the shared
-        :class:`~repro.runtime.reachmatrix.ReachabilityMatrix` artifact:
-        the memoised global link set plus its per-link IXP provenance
-        (no per-figure rebuild of the link -> IXPs mapping)."""
-        return self.analyse(matrix.all_links(), matrix.link_ixps())
-
     def analyse(
         self,
         mlp_links: Iterable[Link],

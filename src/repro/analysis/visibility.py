@@ -97,18 +97,6 @@ class VisibilityAnalysis:
             traceroute_links={self._norm(link) for link in traceroute_links},
         )
 
-    @classmethod
-    def from_matrix(
-        cls,
-        matrix,
-        bgp_links: Iterable[Link],
-        traceroute_links: Iterable[Link] = (),
-    ) -> "VisibilityAnalysis":
-        """Figure 6 from the shared
-        :class:`~repro.runtime.reachmatrix.ReachabilityMatrix` artifact
-        (its memoised global link set) instead of a raw link iterable."""
-        return cls(matrix.all_links(), bgp_links, traceroute_links)
-
     @staticmethod
     def _norm(link: Link) -> Link:
         return (min(link), max(link))

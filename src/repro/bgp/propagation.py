@@ -463,11 +463,10 @@ class PropagationEngine:
     ) -> List[Tuple[RouteBlock, RouteBlock]]:
         """The recorded (best, offered) fragments for a batch of origins.
 
-        This is the unit of work the sharded pipeline distributes across
-        worker processes.  Each fragment is a
-        :class:`~repro.runtime.fragments.RouteBlock` — columnar, cheap
-        to pickle (a handful of arrays instead of thousands of route
-        tuples) and iterable as lazy ``PropagatedRoute`` views.  The
+        Each fragment is a :class:`~repro.runtime.fragments.RouteBlock`
+        — columnar, cheap to pickle (a handful of arrays instead of
+        thousands of route tuples) and iterable as lazy
+        ``PropagatedRoute`` views.  The
         cache misses of the whole batch are propagated together by one
         kernel, picked by their count (:data:`COMPILED_MIN_ORIGINS`).
         """

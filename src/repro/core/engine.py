@@ -283,7 +283,6 @@ class MLPInferenceEngine:
         rs_looking_glasses: Optional[Mapping[str, RouteServerLookingGlass]] = None,
         third_party_lgs: Optional[Mapping[str, Sequence[ASLookingGlass]]] = None,
         require_reciprocity: bool = True,
-        workers: Optional[int] = None,
     ) -> MLPInferenceResult:
         """Run passive extraction, active collection and link inference.
 
@@ -295,11 +294,7 @@ class MLPInferenceEngine:
         (cached on the context, see :class:`~repro.core.planes.
         PlaneCacheKey`) and links come from the reciprocal ``M & M.T``
         kernel; ``require_reciprocity`` is applied downstream of the
-        plane cache, so the ablation shares the collected planes.  The
-        whole computation runs in-process — the post-collection
-        arithmetic is too cheap to shard — so ``workers`` is accepted
-        for interface parity with the sharded pipeline stages and
-        otherwise ignored.
+        plane cache, so the ablation shares the collected planes.
         """
         rs_looking_glasses = dict(rs_looking_glasses or {})
         third_party_lgs = {name: list(lgs)

@@ -389,22 +389,3 @@ def build_reachability_plane(
             plane.observation_counts[bit] = \
                 plane.observation_counts.get(bit, 0) + 1
     return plane
-
-
-def reachabilities_from_plane(plane: ReachabilityPlane
-                              ) -> Dict[int, MemberReachability]:
-    """The object-level view of a plane (bit-identical reconstruction)."""
-    universe = plane.index.universe
-    result: Dict[int, MemberReachability] = {}
-    for bit in sorted(plane.policies):
-        mode, listed = plane.policies[bit]
-        result[universe[bit]] = MemberReachability(
-            member_asn=universe[bit],
-            ixp_name=plane.ixp_name,
-            mode=mode,
-            listed=listed,
-            sources=plane.sources.get(bit, frozenset()),
-            prefixes_observed=plane.prefixes_observed.get(bit, 0),
-            inconsistent_prefixes=plane.inconsistent.get(bit, 0),
-        )
-    return result

@@ -1,4 +1,4 @@
-"""Staged scenario pipeline: artifact-cached stage graph + sharding.
+"""Staged scenario pipeline: an artifact-cached stage graph.
 
 The pipeline package turns the monolithic per-scenario pass into a
 declarative stage graph:
@@ -12,12 +12,10 @@ declarative stage graph:
 * :class:`ScenarioRun` (``run.py``) — binds any registered
   :class:`~repro.scenarios.spec.ScenarioSpec` (by name or object, with
   its :class:`~repro.scenarios.base.ScenarioConfig`) to the spec's
-  declared stage graph and executes stages on demand;
-* ``shard.py`` — multi-process execution of the per-origin propagation
-  sweep with worker contexts rebuilt from compact
-  :mod:`repro.runtime.snapshot` captures;
+  declared stage graph and executes stages on demand, every stage in
+  one process;
 * ``analyses.py`` — the per-figure analysis registry (Table 2,
-  figures 6/7/12) with optional per-figure sharding.
+  figures 6/7/12).
 """
 
 from repro.pipeline.analyses import AnalysisOptions, run_analyses
@@ -28,7 +26,6 @@ from repro.pipeline.run import (
     StageEvent,
     europe2013_stage_graph,
 )
-from repro.pipeline.shard import sharded_propagate
 from repro.pipeline.stage import Stage, StageGraph
 
 __all__ = [
@@ -41,5 +38,4 @@ __all__ = [
     "StageGraph",
     "europe2013_stage_graph",
     "run_analyses",
-    "sharded_propagate",
 ]

@@ -5,17 +5,12 @@ a small, picklable summary dict — the numbers behind one table or
 figure of the paper.  The shared
 :class:`~repro.runtime.reachmatrix.ReachabilityMatrix` artifact carries
 the memoised link views every figure consumes (global link set, per-IXP
-links), so no figure re-walks the inference result object.  Figures are
-independent of one another, so :func:`run_analyses` can fan them out
-across a process pool: the scenario/inference/matrix triple is shipped
-once per worker through the pool initializer, tasks are just figure
-names, and the result dict is assembled in the requested figure order
-regardless of completion order.
+links), so no figure re-walks the inference result object.
+:func:`run_analyses` computes the requested figures in order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
@@ -88,30 +83,13 @@ FIGURES: Dict[str, Callable] = {
 }
 
 
-# -- sharded execution ---------------------------------------------------------
-
-_WORKER_STATE = None
-
-
-def _init_analysis_worker(scenario, inference, matrix, options) -> None:
-    global _WORKER_STATE
-    _WORKER_STATE = (scenario, inference, matrix, options)
-
-
-def _run_figure(name: str) -> dict:
-    assert _WORKER_STATE is not None, "analysis worker not initialised"
-    scenario, inference, matrix, options = _WORKER_STATE
-    return FIGURES[name](scenario, inference, matrix, options)
-
-
 def run_analyses(
     scenario,
     inference,
     options: Optional[AnalysisOptions] = None,
-    workers: Optional[int] = None,
     matrix: Optional[ReachabilityMatrix] = None,
 ) -> Dict[str, dict]:
-    """Compute the requested figure summaries, optionally sharded.
+    """Compute the requested figure summaries, in the requested order.
 
     *matrix* is the shared reachability artifact; when omitted it is
     built once from the inference result, so every figure still reads
@@ -125,17 +103,5 @@ def run_analyses(
                          f"(available: {sorted(FIGURES)})")
     if matrix is None:
         matrix = ReachabilityMatrix.from_result(inference)
-
-    from repro.pipeline.shard import resolve_workers
-    worker_count = resolve_workers(workers)
-    if worker_count > 1 and len(names) > 1:
-        with ProcessPoolExecutor(
-            max_workers=min(worker_count, len(names)),
-            initializer=_init_analysis_worker,
-            initargs=(scenario, inference, matrix, options),
-        ) as pool:
-            summaries = list(pool.map(_run_figure, names))
-    else:
-        summaries = [FIGURES[name](scenario, inference, matrix, options)
-                     for name in names]
-    return dict(zip(names, summaries))
+    return {name: FIGURES[name](scenario, inference, matrix, options)
+            for name in names}

@@ -31,12 +31,6 @@ is unchanged — re-running with only an analysis knob changed recomputes
     tweaked = ScenarioRun(cfg, cache=cache,
                           analysis_options=AnalysisOptions(figures=("table2",)))
     tweaked.analyses()               # every upstream stage is a cache hit
-
-``workers`` shards the embarrassingly parallel stages (per-origin
-propagation, per-figure analyses) across process pools; it is an
-execution detail and deliberately not part of any
-fingerprint — sharded and single-process runs produce identical
-artifacts (asserted by the pipeline test suite).
 """
 
 from __future__ import annotations
@@ -103,7 +97,6 @@ class ScenarioRun:
         scenario: Union[str, "ScenarioSpec", None] = None,
         inference_options: Optional[InferenceOptions] = None,
         analysis_options: Optional[AnalysisOptions] = None,
-        workers: Optional[int] = None,
         cache: Optional[ArtifactCache] = None,
         cache_dir: Optional[Union[str, Path]] = None,
         graph: Optional[StageGraph] = None,
@@ -113,7 +106,6 @@ class ScenarioRun:
         self.inference_options = inference_options or InferenceOptions()
         self.analysis_options = analysis_options or AnalysisOptions(
             figures=self.spec.analyses)
-        self.workers = workers
         self.cache = cache if cache is not None else ArtifactCache(
             Path(cache_dir) if cache_dir is not None else None)
         self.graph = graph or self.spec.stage_graph()

@@ -129,10 +129,8 @@ class StageGraph:
         a deterministic string form; ``options_repr`` does the same per
         options namespace; ``salt`` namespaces the whole graph (the
         scenario name, so families with coincidentally equal configs
-        never collide in a shared artifact cache).  Execution details
-        (worker counts, cache placement) are deliberately absent:
-        sharded and single-process runs share fingerprints because they
-        produce identical artifacts.
+        never collide in a shared artifact cache).  Cache placement is
+        deliberately absent: memory and disk caches share fingerprints.
         """
         result: Dict[str, str] = {}
         for name in self._order:

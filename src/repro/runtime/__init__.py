@@ -4,8 +4,7 @@ Every layer of the reproduction (bgp -> topology -> collectors/ixp ->
 core -> scenarios) works against the primitives in this package instead
 of materialising per-route objects:
 
-* :class:`Interner` — dense integer ids for ASNs, prefixes and
-  community values;
+* :class:`Interner` — dense integer ids for ASNs and prefixes;
 * :class:`PathStore` / :class:`CommunityBagStore` — structure-shared AS
   paths (cons cells) and memoised community-set unions, so propagation
   never copies a path or a community bag per AS;
@@ -21,10 +20,8 @@ of materialising per-route objects:
   reachability/link-inference layer;
 * :class:`PipelineContext` — owns the interners, the index and the
   memoised per-origin propagation results, and is threaded through the
-  whole pipeline;
-* :class:`ContextSnapshot` — a compact, picklable capture of a context
-  that sharded pipeline stages ship to worker processes
-  (:func:`snapshot_context` / :func:`restore_context`).
+  whole pipeline; the disk cache pickles it with the propagation
+  artifact.
 """
 
 from repro.runtime.bitset import BitsetIndex
@@ -38,11 +35,6 @@ from repro.runtime.csr import CSRIndex
 from repro.runtime.reachmatrix import ReachabilityMatrix, ReachabilityPlane
 from repro.runtime.frontier import FrontierPropagator, OriginState
 from repro.runtime.interning import Interner
-from repro.runtime.snapshot import (
-    ContextSnapshot,
-    restore_context,
-    snapshot_context,
-)
 from repro.runtime.stores import CommunityBagStore, PathStore
 
 __all__ = [
@@ -50,7 +42,6 @@ __all__ = [
     "BitsetIndex",
     "CommunityBagStore",
     "CompiledPropagator",
-    "ContextSnapshot",
     "CSRIndex",
     "FrontierPropagator",
     "Interner",
@@ -60,6 +51,4 @@ __all__ = [
     "PropagationPlan",
     "ReachabilityMatrix",
     "ReachabilityPlane",
-    "restore_context",
-    "snapshot_context",
 ]

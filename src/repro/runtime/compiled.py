@@ -58,12 +58,7 @@ Mechanics
 * **fused rounds** — winner selection and first-touch detection share
   one scatter pass over the candidates (candidate positions double as
   tie-break ranks), and origin rows are recovered only for the handful
-  of selected candidates.  With numba installed the scatter pass is a
-  compiled ``@njit`` loop (:func:`_winner_touch_kernel`); otherwise the
-  numpy twin runs.  :data:`HAS_NUMBA` probes for numba once (the
-  ``REPRO_NO_NUMBA`` environment variable forces the probe off), and a
-  numba kernel that fails at first use permanently falls back to the
-  numpy twin for the process.
+  of selected candidates.
 
 The differential suites under ``tests/`` pin the kernel bit-identical
 to the frontier engine and to the object-graph reference oracle.
@@ -71,7 +66,6 @@ to the frontier engine and to the object-graph reference oracle.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -86,8 +80,6 @@ from repro.runtime.frontier import (
 from repro.runtime.stores import CommunityBagStore
 
 __all__ = [
-    "HAS_NUMBA",
-    "NUMBA_DISABLE_ENV",
     "BatchState",
     "BatchedPathStore",
     "CompiledPropagator",
@@ -102,28 +94,6 @@ _HUGE = (1 << 62)
 
 #: Largest value an int32 plane/schedule cell can hold.
 INT32_MAX = (1 << 31) - 1
-
-#: Environment variable that forces the numpy fused path even when
-#: numba is importable.
-NUMBA_DISABLE_ENV = "REPRO_NO_NUMBA"
-
-
-def _probe_numba():
-    if os.environ.get(NUMBA_DISABLE_ENV):
-        return None
-    try:
-        import numba
-    except Exception:  # pragma: no cover - any broken install counts as absent
-        return None
-    return numba
-
-
-_numba = _probe_numba()
-
-#: Whether the fused rounds run through compiled numba kernels in this
-#: interpreter.  False means the numpy fused path carries the kernel —
-#: same results.
-HAS_NUMBA = _numba is not None
 
 
 class PathIdOverflow(RuntimeError):
@@ -514,49 +484,6 @@ class _Arrays:
         self.work_pos = np.full(flat, -1, dtype=np.int64)
 
 
-def _py_winner_touch(flat, key, newly, work_key, work_touch):
-    """One fused scatter pass: per-target winner + first-touch marks.
-
-    The numba twin of the numpy reductions in
-    :meth:`CompiledPropagator._resolve`: a single loop walks the
-    candidates once to scatter the packed (key, position) minimum and
-    the first-touch position, then once more to emit the marks.
-    Candidate position breaks key ties, so the earliest candidate in CSR
-    edge order wins — exactly the frontier's sequential acceptance.
-    """
-    n = flat.shape[0]
-    winner = np.zeros(n, dtype=np.uint8)
-    first = np.zeros(n, dtype=np.uint8)
-    for i in range(n):
-        f = flat[i]
-        work_key[f] = _HUGE
-        work_touch[f] = _HUGE
-    for i in range(n):
-        f = flat[i]
-        packed = np.int64(key[i]) * n + i
-        if packed < work_key[f]:
-            work_key[f] = packed
-        if newly[i] and i < work_touch[f]:
-            work_touch[f] = i
-    for i in range(n):
-        f = flat[i]
-        if np.int64(key[i]) * n + i == work_key[f]:
-            winner[i] = 1
-        if newly[i] and work_touch[f] == i:
-            first[i] = 1
-    return winner, first
-
-
-if HAS_NUMBA:  # pragma: no cover - exercised only where numba is installed
-    try:
-        _winner_touch_kernel = _numba.njit(cache=False)(_py_winner_touch)
-    except Exception:
-        HAS_NUMBA = False
-        _winner_touch_kernel = None
-else:
-    _winner_touch_kernel = None
-
-
 #: Default origins per batch: wide enough to amortise each level
 #: round's fixed numpy dispatch cost, narrow enough that the per-round
 #: candidate arrays stay small.  Measured on the bench-size europe2013
@@ -584,11 +511,6 @@ def compiled_batch_size(plan: PropagationPlan,
 
 class CompiledPropagator:
     """Replay the compiled plan for a whole batch of origins at once."""
-
-    #: Process-wide lever: flipped off permanently if the numba kernel
-    #: ever fails to compile or execute, so a broken numba install
-    #: degrades to the numpy twin instead of failing the run.
-    _use_jit = HAS_NUMBA
 
     def __init__(self, plan: PropagationPlan,
                  bags: CommunityBagStore) -> None:
@@ -943,8 +865,7 @@ class CompiledPropagator:
         then adopted only if strictly below the target's current key.
         Offers into alternative-tracking nodes are recorded for every
         candidate, winner or not, in candidate order.  Winner selection
-        and first-touch detection run in one fused scatter pass
-        (numba-compiled when available).
+        and first-touch detection run in one fused scatter pass.
 
         With *in_queue* (bucket-drain rounds, where ``work_pos`` holds
         the exporters' queue positions), an adoption landing on a queue
@@ -1007,35 +928,26 @@ class CompiledPropagator:
         # packed (key, position) scatter fits int64 whenever
         # unset_key * n does — a static bound, no per-round reduction.
         packable = plan.unset_key < _HUGE // n
-        winner = first = None
-        if self._use_jit and packable:
-            try:
-                winner_u8, first_u8 = _winner_touch_kernel(
-                    flat, key, newly, state.work_key, state.work_touch)
-                winner = winner_u8.view(bool)
-                first = first_u8.view(bool)
-            except Exception:  # pragma: no cover - broken numba installs
-                type(self)._use_jit = False
-        if winner is None:
-            idx = self._identity(n)
-            work_key = state.work_key
-            if packable:
-                combined = key * np.int64(n) + idx
-                work_key[flat] = _HUGE
-                np.minimum.at(work_key, flat, combined)
-                winner = combined == work_key[flat]
-            else:  # pragma: no cover - needs astronomically large topologies
-                work_key[flat] = _HUGE
-                np.minimum.at(work_key, flat, key)
-                min_key = key == work_key[flat]
-                work_key[flat] = _HUGE
-                np.minimum.at(work_key, flat, np.where(min_key, idx, _HUGE))
-                winner = idx == work_key[flat]
-            if any_new:
-                work_touch = state.work_touch
-                work_touch[flat] = _HUGE
-                np.minimum.at(work_touch, flat, np.where(newly, idx, _HUGE))
-                first = newly & (idx == work_touch[flat])
+        idx = self._identity(n)
+        work_key = state.work_key
+        if packable:
+            combined = key * np.int64(n) + idx
+            work_key[flat] = _HUGE
+            np.minimum.at(work_key, flat, combined)
+            winner = combined == work_key[flat]
+        else:  # pragma: no cover - needs astronomically large topologies
+            work_key[flat] = _HUGE
+            np.minimum.at(work_key, flat, key)
+            min_key = key == work_key[flat]
+            work_key[flat] = _HUGE
+            np.minimum.at(work_key, flat, np.where(min_key, idx, _HUGE))
+            winner = idx == work_key[flat]
+        first = None
+        if any_new:
+            work_touch = state.work_touch
+            work_touch[flat] = _HUGE
+            np.minimum.at(work_touch, flat, np.where(newly, idx, _HUGE))
+            first = newly & (idx == work_touch[flat])
 
         if any_new:
             fidx = np.nonzero(first)[0]

@@ -4,9 +4,9 @@ A :class:`PipelineContext` is created once per topology (usually via
 :meth:`from_graph`) and threaded through the whole measurement pipeline:
 the propagation engine reads its CSR index and stores, collectors and
 looking glasses read propagation fragments memoised per origin, and the
-inference layer reuses its member bitset indices and prefix/community
-interners.  Everything downstream of the context speaks integer ids and
-only converts back to ASNs/prefixes/communities at result boundaries.
+inference layer reuses its member bitset indices and prefix interner.
+Everything downstream of the context speaks integer ids and only
+converts back to ASNs/prefixes/communities at result boundaries.
 """
 
 from __future__ import annotations
@@ -172,8 +172,6 @@ class PipelineContext:
         self.paths = PathStore()
         #: prefix id space for layers that want dense prefix ids.
         self.prefixes: Interner = Interner()
-        #: community-value id space for scheme-level bookkeeping.
-        self.communities: Interner = Interner()
         self._propagator: Optional[FrontierPropagator] = None
         self._plan = None
         #: (origin, origin bag, record signature, epoch) -> recorded
@@ -343,7 +341,6 @@ class PipelineContext:
         summary = self.index.summary()
         summary.update({
             "interned_prefixes": len(self.prefixes),
-            "interned_communities": len(self.communities),
             "memoized_origins": len(self._route_cache),
             "route_cache_bytes": self._route_cache.bytes,
             "route_cache_hits": self._route_cache.hits,

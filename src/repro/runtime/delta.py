@@ -88,7 +88,7 @@ from repro.runtime.fragments import MAX_KEYED, key_links, pack_links
 Fragments = Tuple[RouteBlock, RouteBlock]
 
 #: Computes fragments for the stale origins, in spec order — typically
-#: ``engine.batch_fragments`` or a sharded equivalent.
+#: ``engine.batch_fragments``.
 FragmentsFn = Callable[[Sequence[OriginSpec]], List[Fragments]]
 
 
@@ -163,19 +163,6 @@ def affected_origins(
         if (node is not None and marked[node]) or asn in seed_asns:
             affected.add(asn)
     return frozenset(affected)
-
-
-def _forward_closure(marked: bytearray, frontier: List[int],
-                     phase: PhaseEdges) -> None:
-    """Mark, in place, everything reachable from *frontier* over *phase*."""
-    indptr, targets = phase.indptr, phase.targets
-    while frontier:
-        node = frontier.pop()
-        for edge in range(indptr[node], indptr[node + 1]):
-            target = targets[edge]
-            if not marked[target]:
-                marked[target] = 1
-                frontier.append(target)
 
 
 def customer_cone(index: CSRIndex, asn: int) -> FrozenSet[int]:

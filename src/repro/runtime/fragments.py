@@ -388,7 +388,7 @@ class RouteBlock:
                 f"{len(self.path_values)} path cells, "
                 f"{len(self.bag_values)} bags)")
 
-    # -- pickling (cache-free: blocks cross shard worker boundaries) -------
+    # -- pickling (cache-free: blocks travel through the disk cache) -------
 
     def __getstate__(self):
         return (self.asn, self.provenance, self.learned_from, self.bag_id,

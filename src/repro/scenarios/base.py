@@ -190,13 +190,8 @@ class Scenario:
         use_passive: bool = True,
         use_active: bool = True,
         require_reciprocity: bool = True,
-        workers: Optional[int] = None,
     ) -> MLPInferenceResult:
-        """Run the end-to-end inference pipeline of section 4.
-
-        ``workers`` is accepted for interface parity with the sharded
-        stages; the inference itself runs in-process.
-        """
+        """Run the end-to-end inference pipeline of section 4."""
         engine = self.make_engine()
         passive_entries = self.archive.clean_stable_entries() if use_passive else None
         rs_lgs = self.rs_looking_glasses if use_active else {}
@@ -206,7 +201,6 @@ class Scenario:
             rs_looking_glasses=rs_lgs,
             third_party_lgs=third_party,
             require_reciprocity=require_reciprocity,
-            workers=workers,
         )
 
     def reachability_matrix(self, result: MLPInferenceResult):
@@ -261,16 +255,11 @@ def stage_propagation(
     config: ScenarioConfig,
     internet: GeneratedInternet,
     ixps_artifact: Dict[str, object],
-    workers: Optional[int] = None,
 ) -> Dict[str, object]:
     """Pick observation points and run valley-free propagation.
 
-    The per-origin runs are embarrassingly parallel; with ``workers >
-    1`` they are sharded as origin batches across a process pool (worker
-    contexts rebuilt from a :mod:`repro.runtime.snapshot`), with results
-    bit-identical to the single-process path.  The artifact's
-    ``"backend"`` entry is provenance only: ``"auto"``, the engine's
-    batch-size kernel selection.
+    The artifact's ``"backend"`` entry is provenance only: ``"auto"``,
+    the engine's batch-size kernel selection.
     """
     graph = internet.graph
     route_servers: Dict[str, RouteServer] = ixps_artifact["route_servers"]
@@ -296,9 +285,9 @@ def stage_propagation(
     origins = [OriginSpec(asn=node.asn, prefixes=list(node.prefixes))
                for node in graph.nodes() if node.prefixes]
 
-    from repro.pipeline.shard import sharded_propagate
-    propagation = sharded_propagate(
-        context, origins, record_at, set(validation_hosts), workers)
+    propagation = context.engine(
+        record_at=record_at, record_alternatives_at=validation_hosts,
+    ).propagate(origins)
 
     return {
         "context": context,
@@ -700,7 +689,6 @@ def _run_inference_stage(run):
         rs_looking_glasses=rs_lgs,
         third_party_lgs=third_party,
         require_reciprocity=options.require_reciprocity,
-        workers=run.workers,
     )
 
 
@@ -738,7 +726,6 @@ def stage_timeline(run):
         internet.graph, ixps_artifact["route_servers"],
         propagation_artifact["propagation"],
         record_at, record_alternatives_at,
-        workers=run.workers,
         context=propagation_artifact["context"])
     return replay.replay(events)
 
@@ -747,7 +734,7 @@ def _run_analyses_stage(run):
     from repro.pipeline.analyses import run_analyses
     return run_analyses(
         run.artifact("scenario"), run.artifact("inference"),
-        options=run.analysis_options, workers=run.workers,
+        options=run.analysis_options,
         matrix=run.artifact("reachability"))
 
 
@@ -774,8 +761,7 @@ STAGE_LIBRARY: Dict[str, Stage] = {
         Stage(
             "propagation",
             fn=lambda run: stage_propagation(
-                run.config, run.artifact("topology"), run.artifact("ixps"),
-                workers=run.workers),
+                run.config, run.artifact("topology"), run.artifact("ixps")),
             deps=("topology", "ixps"),
             config_keys=("vantage_point_fraction", "full_feed_fraction",
                          "third_party_lgs_per_ixp", "num_traceroute_monitors",

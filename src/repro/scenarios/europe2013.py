@@ -49,16 +49,14 @@ __all__ = [
 
 def build_europe2013(
     config: Optional[ScenarioConfig] = None,
-    workers: Optional[int] = None,
 ) -> Scenario:
     """Assemble the full Europe-2013 scenario.
 
     This is a convenience wrapper over the staged pipeline: it executes
     the registered ``europe2013`` spec's stage graph through a fresh
     :class:`~repro.pipeline.run.ScenarioRun` (no shared cache) and
-    returns the assembled :class:`Scenario`.  ``workers`` shards the
-    propagation stage across a process pool.
+    returns the assembled :class:`Scenario`.
     """
     from repro.pipeline.run import ScenarioRun
-    return ScenarioRun(config or ScenarioConfig(), scenario="europe2013",
-                       workers=workers).scenario()
+    return ScenarioRun(config or ScenarioConfig(),
+                       scenario="europe2013").scenario()

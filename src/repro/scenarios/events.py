@@ -590,15 +590,13 @@ def rebuild_propagation(
     route_servers: Dict[str, RouteServer],
     record_at: Optional[FrozenSet[int]],
     record_alternatives_at: FrozenSet[int],
-    workers: Optional[int] = None,
 ):
     """Full from-scratch propagation of the current state (the delta
     path's ground truth).  Returns ``(context, result)``."""
-    from repro.pipeline.shard import sharded_propagate
     context = build_context(graph, route_servers)
-    origins = origin_specs_of(graph)
-    result = sharded_propagate(context, origins, record_at,
-                               record_alternatives_at, workers)
+    result = context.engine(
+        record_at=record_at, record_alternatives_at=record_alternatives_at,
+    ).propagate(origin_specs_of(graph))
     return context, result
 
 
@@ -682,7 +680,6 @@ class TimelineReplay:
         baseline,
         record_at: Optional[Iterable[int]],
         record_alternatives_at: Iterable[int],
-        workers: Optional[int] = None,
         context: Optional[PipelineContext] = None,
     ) -> None:
         self.graph, self.route_servers = copy.deepcopy(
@@ -691,7 +688,6 @@ class TimelineReplay:
         self.record_at = frozenset(record_at) \
             if record_at is not None else None
         self.record_alternatives_at = frozenset(record_alternatives_at or ())
-        self.workers = workers
         #: memoised RS-community closure, shared across every index
         #: (re)build of this replay.
         self._rs_provider = rs_community_provider(self.route_servers)
@@ -798,12 +794,6 @@ class TimelineReplay:
         return context
 
     def _fragments_fn(self, specs):
-        if specs and len(specs) > 1 and self.workers is not None:
-            from repro.pipeline.shard import resolve_workers, sharded_fragments
-            if resolve_workers(self.workers) > 1:
-                return sharded_fragments(
-                    self.context, specs, self.record_at,
-                    self.record_alternatives_at, self.workers)
         engine = self.context.engine(
             record_at=self.record_at,
             record_alternatives_at=self.record_alternatives_at)

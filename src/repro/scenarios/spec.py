@@ -6,7 +6,7 @@ factory), how the underlying Internet is generated (topology phase
 selection and generator knobs), what the measurement surface looks like
 (collectors, looking glasses, traceroute monitors) and which analyses
 make up its evaluation suite.  Everything else — stage bodies,
-fingerprints, caching, sharding — is scenario-generic and lives in
+fingerprints, caching — is scenario-generic and lives in
 :mod:`repro.scenarios.base` and :mod:`repro.pipeline`.
 
 A spec is *declarative*: it produces plain

@@ -46,13 +46,13 @@ def workload_sizes(scenario: str = "europe2013") -> List[str]:
 
 def scenario_run(size: str = "small", seed: Optional[int] = None, *,
                  scenario: str = "europe2013",
-                 workers=None, cache=None, cache_dir=None):
+                 cache=None, cache_dir=None):
     """A :class:`~repro.pipeline.run.ScenarioRun` for a named workload.
 
     This is the canonical entry point for executing a workload through
     the staged pipeline: the scenario resolves through the registry,
-    stages resolve lazily, artifacts land in *cache* (or a fresh one),
-    and ``workers`` shards the parallel stages.  ``seed`` defaults to the spec's own ``base_seed`` (the
+    stages resolve lazily and artifacts land in *cache* (or a fresh
+    one).  ``seed`` defaults to the spec's own ``base_seed`` (the
     family's declared identity).
     """
     spec = get_scenario(scenario)
@@ -61,13 +61,12 @@ def scenario_run(size: str = "small", seed: Optional[int] = None, *,
             f"unknown workload {size!r} (choose from {sorted(spec.sizes)})")
     from repro.pipeline.run import ScenarioRun
     return ScenarioRun(spec.config(size, seed), scenario=spec,
-                       workers=workers, cache=cache, cache_dir=cache_dir)
+                       cache=cache, cache_dir=cache_dir)
 
 
 def scenario_matrix(size: str = "tiny", seed: Optional[int] = None, *,
-                    workers=None, cache=None):
+                    cache=None):
     """One :class:`~repro.pipeline.run.ScenarioRun` per registered
     scenario family, in name order — the CI smoke matrix."""
-    return [scenario_run(size, seed, scenario=name, workers=workers,
-                         cache=cache)
+    return [scenario_run(size, seed, scenario=name, cache=cache)
             for name in scenario_names()]

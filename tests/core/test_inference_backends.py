@@ -132,17 +132,6 @@ def test_backends_identical_without_passive_or_active():
         assert_bit_identical(obj, bit)
 
 
-def test_bitset_backend_with_workers_matches():
-    """workers is accepted by production inference (the planes run
-    in-process) and the result still matches the per-IXP sharded
-    oracle."""
-    run = scenario_run("tiny", cache=ArtifactCache())
-    scenario = run.scenario()
-    obj = object_inference(scenario, workers=2)
-    bit = scenario.run_inference(workers=2)
-    assert_bit_identical(obj, bit)
-
-
 def test_unknown_inference_backend_rejected():
     """No inference-backend knob remains: passing one is rejected."""
     with pytest.raises(TypeError, match="inference_backend"):

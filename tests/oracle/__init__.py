@@ -10,7 +10,7 @@
   object API;
 * :mod:`tests.oracle.inference` — the per-IXP object inference engine
   (passive/active step functions, ``merge_observations`` and
-  ``infer_links`` per IXP, optionally sharded per IXP);
+  ``infer_links`` per IXP);
 * :mod:`tests.oracle.kernels` — pins the propagation engine to one
   kernel so the differential suites can compare kernels directly;
 * :mod:`tests.oracle.delta` — the per-block scan for the delta

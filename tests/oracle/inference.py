@@ -7,15 +7,13 @@ pipeline: per IXP, the public step functions build one
 :class:`~repro.core.reachability.PolicyObservation` per observed
 (member, prefix) pair, merge them with
 :func:`~repro.core.reachability.merge_observations` and infer links
-with :func:`~repro.core.reachability.infer_links`.  ``workers > 1``
-shards the IXPs across a process pool, exactly as the object engine
-did.  The differential suites require the two engines to produce
-bit-identical results (:meth:`MLPInferenceResult.identical_to`).
+with :func:`~repro.core.reachability.infer_links`.  The differential
+suites require the two engines to produce bit-identical results
+(:meth:`MLPInferenceResult.identical_to`).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.bgp.messages import RibEntry
@@ -34,7 +32,6 @@ from repro.core.reachability import (
     merge_observations,
 )
 from repro.ixp.looking_glass import ASLookingGlass, RouteServerLookingGlass
-from repro.pipeline.shard import resolve_workers
 
 
 class ObjectInferenceEngine(MLPInferenceEngine):
@@ -47,7 +44,6 @@ class ObjectInferenceEngine(MLPInferenceEngine):
         rs_looking_glasses: Optional[Mapping[str, RouteServerLookingGlass]] = None,
         third_party_lgs: Optional[Mapping[str, Sequence[ASLookingGlass]]] = None,
         require_reciprocity: bool = True,
-        workers: Optional[int] = None,
     ) -> MLPInferenceResult:
         rs_looking_glasses = dict(rs_looking_glasses or {})
         third_party_lgs = {name: list(lgs)
@@ -56,27 +52,11 @@ class ObjectInferenceEngine(MLPInferenceEngine):
         result = MLPInferenceResult()
         # IXPs are processed in name order so run output (and any caches
         # populated along the way) is independent of mapping order.
-        items = sorted(self.rs_members.items())
-        worker_count = resolve_workers(workers)
-        if worker_count > 1 and len(items) > 1:
-            payloads = [
-                (ixp_name, members, passive_by_ixp.get(ixp_name, []),
-                 rs_looking_glasses.get(ixp_name),
-                 third_party_lgs.get(ixp_name, []), require_reciprocity)
-                for ixp_name, members in items]
-            with ProcessPoolExecutor(
-                max_workers=min(worker_count, len(items)),
-                initializer=_init_inference_worker,
-                initargs=(self,),
-            ) as pool:
-                for inference in pool.map(_infer_ixp_task, payloads):
-                    result.per_ixp[inference.ixp_name] = inference
-        else:
-            for ixp_name, members in items:
-                result.per_ixp[ixp_name] = self._infer_ixp(
-                    ixp_name, members, passive_by_ixp.get(ixp_name, []),
-                    rs_looking_glasses.get(ixp_name),
-                    third_party_lgs.get(ixp_name, []), require_reciprocity)
+        for ixp_name, members in sorted(self.rs_members.items()):
+            result.per_ixp[ixp_name] = self._infer_ixp(
+                ixp_name, members, passive_by_ixp.get(ixp_name, []),
+                rs_looking_glasses.get(ixp_name),
+                third_party_lgs.get(ixp_name, []), require_reciprocity)
         return result
 
     def _infer_ixp(
@@ -88,8 +68,7 @@ class ObjectInferenceEngine(MLPInferenceEngine):
         third_party: Sequence[ASLookingGlass],
         require_reciprocity: bool,
     ) -> IXPInference:
-        """One IXP's passive/active merge and link inference — the unit
-        of work the sharded path distributes."""
+        """One IXP's passive/active merge and link inference."""
         inference = IXPInference(ixp_name=ixp_name, members=set(members))
         observations: List[PolicyObservation] = []
 
@@ -134,13 +113,6 @@ class ObjectInferenceEngine(MLPInferenceEngine):
             ixp_name, inference.reachabilities, inference.members,
             require_reciprocity)
         return inference
-
-    def __getstate__(self):
-        # The runtime context holds process-local caches (and is shared
-        # with other engines); workers rebuild member indices on demand.
-        state = self.__dict__.copy()
-        state["context"] = None
-        return state
 
     def _run_passive(
         self, passive_entries: Optional[Iterable[RibEntry]]
@@ -206,7 +178,6 @@ def object_engine(scenario, connectivity=None) -> ObjectInferenceEngine:
 def object_inference(scenario, use_passive: bool = True,
                      use_active: bool = True,
                      require_reciprocity: bool = True,
-                     workers: Optional[int] = None,
                      connectivity=None) -> MLPInferenceResult:
     """:meth:`~repro.scenarios.base.Scenario.run_inference` through the
     object oracle."""
@@ -217,7 +188,6 @@ def object_inference(scenario, use_passive: bool = True,
         rs_looking_glasses=scenario.rs_looking_glasses if use_active else {},
         third_party_lgs=scenario.third_party_lgs if use_active else {},
         require_reciprocity=require_reciprocity,
-        workers=workers,
     )
 
 
@@ -230,24 +200,3 @@ def run_object_inference(run) -> MLPInferenceResult:
                             use_active=options.use_active,
                             require_reciprocity=options.require_reciprocity,
                             connectivity=run.artifact("connectivity"))
-
-
-# -- sharded-run worker plumbing ----------------------------------------------
-
-_WORKER_ENGINE: Optional[ObjectInferenceEngine] = None
-
-
-def _init_inference_worker(engine: ObjectInferenceEngine) -> None:
-    """Pool initializer: one pickled engine copy per worker process."""
-    global _WORKER_ENGINE
-    _WORKER_ENGINE = engine
-
-
-def _infer_ixp_task(payload) -> IXPInference:
-    """Run one IXP's inference inside a worker."""
-    assert _WORKER_ENGINE is not None, "inference worker not initialised"
-    (ixp_name, members, passive_observations, rs_lg, third_party,
-     require_reciprocity) = payload
-    return _WORKER_ENGINE._infer_ixp(
-        ixp_name, members, passive_observations, rs_lg, third_party,
-        require_reciprocity)

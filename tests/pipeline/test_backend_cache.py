@@ -3,8 +3,7 @@
 There is no backend selector: the engine picks its kernel per batch
 (:data:`~repro.bgp.propagation.COMPILED_MIN_ORIGINS`), so the kernel is
 not part of any fingerprint.  These tests pin the engine to one kernel
-(:mod:`tests.oracle.kernels`) and require identical pipeline results,
-single-process and sharded alike.
+(:mod:`tests.oracle.kernels`) and require identical pipeline results.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import pytest
 
 from repro.pipeline import ArtifactCache, ScenarioRun
 from repro.scenarios.spec import get_scenario
-from repro.scenarios.workloads import scenario_run
 
 from tests.oracle.kernels import forced_kernel
 
@@ -42,13 +40,3 @@ class TestBackendArtifactIsolation:
                                      cache=ArtifactCache()).inference()
         assert frontier.all_links() == vectorized.all_links()
         assert frontier.links_by_ixp() == vectorized.links_by_ixp()
-
-    @pytest.mark.parametrize("backend", ["batched", "compiled"])
-    def test_sharded_propagation_identical_to_single_process(self, backend):
-        with forced_kernel(backend):
-            single = scenario_run("tiny", cache=ArtifactCache())
-            sharded = scenario_run("tiny", workers=2, cache=ArtifactCache())
-            assert single.inference().all_links() == \
-                sharded.inference().all_links()
-        # Worker counts are an execution detail: fingerprints agree.
-        assert single.fingerprints() == sharded.fingerprints()

@@ -13,7 +13,12 @@ from repro.pipeline import (
     StageGraph,
     europe2013_stage_graph,
 )
+from repro.runtime.delta import fragments_equivalent
+from repro.scenarios.events import TimelineReplay, record_sets
+from repro.scenarios.spec import get_scenario
 from repro.scenarios.workloads import scenario_run, small_scenario_config
+
+from tests.oracle.kernels import forced_kernel
 
 
 @pytest.fixture(scope="module")
@@ -69,10 +74,21 @@ class TestFingerprints:
         b = ScenarioRun(small_scenario_config())
         assert a.fingerprints() == b.fingerprints()
 
-    def test_workers_do_not_change_fingerprints(self):
-        a = ScenarioRun(small_scenario_config())
-        b = ScenarioRun(small_scenario_config(), workers=4)
-        assert a.fingerprints() == b.fingerprints()
+    def test_workers_knob_rejected(self, cold_run):
+        """Every stage runs in-process: no entry point takes a worker
+        count any more."""
+        with pytest.raises(TypeError, match="workers"):
+            ScenarioRun(small_scenario_config(), workers=2)
+        with pytest.raises(TypeError, match="workers"):
+            scenario_run("tiny", workers=2)
+        propagation = cold_run.artifact("propagation")
+        record_at, record_alternatives_at = record_sets(propagation)
+        with pytest.raises(TypeError, match="workers"):
+            TimelineReplay(
+                cold_run.artifact("topology").graph,
+                cold_run.artifact("ixps")["route_servers"],
+                propagation["propagation"], record_at,
+                record_alternatives_at, workers=2)
 
     def test_generator_change_invalidates_everything(self):
         base = ScenarioRun(small_scenario_config(seed=1)).fingerprints()
@@ -188,6 +204,39 @@ class TestDiskCache:
         assert statuses["inference"] == "computed"
         assert statuses["topology"] == "disk"
         assert statuses["propagation"] == "disk"
+
+    def test_unpickled_context_propagates_identically(self, tmp_path):
+        """The disk cache pickles the propagation artifact together with
+        its PipelineContext: the context a later session unpickles must
+        rebuild the same index and recompute the same blocks on both
+        kernels."""
+        config = get_scenario("europe2013").config("tiny")
+        first = ScenarioRun(config, cache=ArtifactCache(tmp_path))
+        built = first.artifact("propagation")
+        second = ScenarioRun(config, cache=ArtifactCache(tmp_path))
+        loaded = second.artifact("propagation")
+        assert second.stage_statuses() == {"propagation": "disk"}
+        context = loaded["context"]
+        assert context.index.summary() == built["context"].index.summary()
+
+        expected = built["propagation"].recorded_fragments()
+        origins = [loaded["propagation"].origin_spec(asn)
+                   for asn in expected]
+        record_at, record_alternatives_at = record_sets(loaded)
+        engine = context.engine(
+            record_at=record_at,
+            record_alternatives_at=record_alternatives_at)
+        context.route_cache.clear()
+        with forced_kernel("frontier"):
+            [one] = engine.batch_fragments(origins[:1])
+        assert fragments_equivalent(one, expected[origins[0].asn])
+        context.route_cache.clear()
+        with forced_kernel("compiled"):
+            every = engine.batch_fragments(origins)
+        assert len(every) == len(expected) > 1
+        for spec, fragments in zip(origins, every):
+            assert fragments_equivalent(fragments, expected[spec.asn]), \
+                spec.asn
 
 
 class TestWorkloadEntryPoint:

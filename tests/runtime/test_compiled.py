@@ -7,8 +7,8 @@ tests here pin the engine to one kernel per side
 (:mod:`tests.oracle.kernels`), so even batches below the production
 threshold run compiled.  This module adds the compiled-specific
 surfaces on top of the production-rule suite in ``test_batched.py``:
-the int32/int64 promotion rule, the path-id overflow guard, the numba
-probe, and the plan-shipping snapshot path.
+the int32/int64 promotion rule, the path-id overflow guard and batch
+sizing.
 """
 
 from __future__ import annotations
@@ -20,19 +20,14 @@ import pytest
 from repro.bgp.policy import Relationship
 from repro.bgp.propagation import Adjacency, OriginSpec, PropagationEngine
 from repro.runtime.compiled import (
-    HAS_NUMBA,
     INT32_MAX,
-    NUMBA_DISABLE_ENV,
     BatchedPathStore,
     CompiledPropagator,
     PathIdOverflow,
-    _probe_numba,
-    _py_winner_touch,
     compiled_batch_size,
     fit_dtype,
 )
 from repro.runtime.context import PipelineContext
-from repro.runtime.snapshot import restore_context, snapshot_context
 
 from tests.oracle.kernels import forced_kernel
 from tests.runtime.test_batched import (
@@ -243,69 +238,6 @@ def test_compiled_retries_batch_in_int64_on_overflow():
         assert list(batch.touched[row]) == list(reference.touched[row])
 
 
-# -- fused winner/touch kernel -------------------------------------------------
-
-
-def test_winner_touch_kernel_matches_sequential_semantics():
-    """The fused scatter marks exactly the frontier's sequential
-    acceptance: per target, the smallest key wins with earliest
-    candidate breaking ties, and the first candidate touching an
-    untouched target is marked."""
-    import numpy as np
-    rng = random.Random(23)
-    num_targets = 17
-    n = 120
-    flat = np.array([rng.randrange(num_targets) for _ in range(n)],
-                    dtype=np.int64)
-    key = np.array([rng.randrange(50) for _ in range(n)], dtype=np.int64)
-    newly = np.array([rng.random() < 0.4 for _ in range(n)])
-    work_key = np.zeros(num_targets, dtype=np.int64)
-    work_touch = np.zeros(num_targets, dtype=np.int64)
-    winner, first = _py_winner_touch(flat, key, newly, work_key, work_touch)
-
-    best = {}
-    seen = set()
-    expect_winner = [False] * n
-    expect_first = [False] * n
-    for i in range(n):
-        target = int(flat[i])
-        if target not in best or key[i] < key[best[target]]:
-            best[target] = i
-        if newly[i] and target not in seen:
-            seen.add(target)
-            expect_first[i] = True
-    for i in best.values():
-        expect_winner[i] = True
-    assert winner.view(bool).tolist() == expect_winner
-    assert first.tolist() == [1 if f else 0 for f in expect_first]
-
-
-# -- capability probe and degradation -----------------------------------------
-
-
-def test_probe_respects_disable_env(monkeypatch):
-    monkeypatch.setenv(NUMBA_DISABLE_ENV, "1")
-    assert _probe_numba() is None
-
-
-def test_has_numba_is_a_bool():
-    assert isinstance(HAS_NUMBA, bool)
-
-
-def test_compiled_backend_selectable_without_numba(monkeypatch):
-    """The compiled kernel runs regardless of numba: force the numpy
-    fused path and check it still propagates bit-identically."""
-    monkeypatch.setattr(CompiledPropagator, "_use_jit", False)
-    rng = random.Random(31)
-    asns, adjacencies = random_internet(rng)
-    origins = random_origins(rng, asns, count=4)
-    frontier = PipelineContext.from_adjacencies(adjacencies).engine()
-    compiled = PipelineContext.from_adjacencies(adjacencies).engine()
-    for got_f, got_c in zip(pinned(frontier, origins, "frontier"),
-                            pinned(compiled, origins, "compiled")):
-        assert fragment_key(got_f[0]) == fragment_key(got_c[0])
-
-
 # -- batch sizing --------------------------------------------------------------
 
 
@@ -319,27 +251,3 @@ def test_compiled_batch_size_positive_and_budgeted():
     assert compiled_batch_size(plan, budget_bytes=1) == 1
     assert compiled_batch_size(plan, budget_bytes=1 << 40) == \
         compiled_batch_size(plan)
-
-
-# -- plan shipping through snapshots ------------------------------------------
-
-
-def test_snapshot_ships_plan_when_asked():
-    rng = random.Random(43)
-    _asns, adjacencies = random_internet(rng)
-    context = PipelineContext.from_adjacencies(adjacencies)
-    snapshot = snapshot_context(context, include_plan=True)
-    assert snapshot.plan is not None
-    restored = restore_context(snapshot)
-    # The restored context replays the shipped schedule, no recompile.
-    assert restored._plan is snapshot.plan
-
-
-def test_snapshot_without_plan_stays_lazy():
-    rng = random.Random(47)
-    _asns, adjacencies = random_internet(rng)
-    context = PipelineContext.from_adjacencies(adjacencies)
-    snapshot = snapshot_context(context)
-    assert snapshot.plan is None
-    restored = restore_context(snapshot)
-    assert restored._plan is None

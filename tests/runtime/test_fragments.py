@@ -4,7 +4,7 @@ The columnar plane must be invisible to consumers: RouteBlock-backed
 fragments iterate into the same routes, in the same order, with the same
 provenance/communities/learned_from as eager object fragments, whichever
 kernel produced them (:mod:`tests.oracle.kernels`) — and blocks must
-survive pickling (the shard worker boundary) bit-identically.  The
+survive pickling (the disk cache boundary) bit-identically.  The
 object oracle is the frontier kernel's state materialised route by
 route (:func:`tests.oracle.propagation.object_fragments`), i.e. the
 exact pre-columnar recording path.
@@ -190,13 +190,13 @@ def test_isolated_origin_is_a_block():
     assert len(offered) == 0
 
 
-# -- pickling (the shard worker boundary) --------------------------------------
+# -- pickling (the disk cache boundary) ----------------------------------------
 
 
 @pytest.mark.parametrize("backend", BLOCK_BACKENDS)
 def test_block_pickle_round_trip(backend):
-    """Blocks cross process boundaries as arrays; the restored block
-    must yield bit-identical routes without any store attached."""
+    """Blocks pickle as arrays; the restored block must yield
+    bit-identical routes without any store attached."""
     rng = random.Random(20131209)
     asns, adjacencies = random_internet(rng)
     origins = random_origins(rng, asns)

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from repro.analysis.density import density_from_matrix, density_per_ixp
+from repro.analysis.density import density_per_ixp
 from repro.analysis.hybrid import HybridRelationshipAnalysis
 from repro.analysis.policies import PolicyAnalysis
 from repro.analysis.repellers import RepellerAnalysis
@@ -112,8 +112,8 @@ def test_matrix_density_matches_object_path(small_scenario, matrix,
     object_report = density_per_ixp(inference_result.links_by_ixp(),
                                     members_by_ixp,
                                     only_members_with_links=True)
-    matrix_report = density_from_matrix(matrix, members_by_ixp,
-                                        only_members_with_links=True)
+    matrix_report = density_per_ixp(matrix.links_by_ixp(), members_by_ixp,
+                                    only_members_with_links=True)
     assert matrix_report.per_member == object_report.per_member
     assert matrix_report.mean_densities() == object_report.mean_densities()
 
@@ -159,7 +159,7 @@ def test_matrix_hybrid_matches_object_path(small_scenario, matrix,
         for link in links:
             link_ixps.setdefault(link, []).append(name)
     object_report = analysis.analyse(inference_result.all_links(), link_ixps)
-    matrix_report = analysis.analyse_matrix(matrix)
+    matrix_report = analysis.analyse(matrix.all_links(), matrix.link_ixps())
     assert [c.link for c in matrix_report.candidates] == \
         [c.link for c in object_report.candidates]
     assert [c.ixps for c in matrix_report.candidates] == \

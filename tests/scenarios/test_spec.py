@@ -8,8 +8,7 @@ The acceptance-critical properties:
   the configs);
 * every registered family instantiates end-to-end through
   :class:`~repro.pipeline.run.ScenarioRun` at tiny scale, with warm
-  re-runs hitting the cache and ``workers > 1`` sharding producing
-  identical links.
+  re-runs hitting the cache.
 """
 
 from __future__ import annotations
@@ -184,15 +183,15 @@ class TestStageDeclarations:
 
 
 class TestFamiliesEndToEnd:
-    """Every new family runs end-to-end with caching and sharding."""
+    """Every new family runs end-to-end with caching."""
 
     @pytest.fixture(scope="class")
     def family_runs(self):
-        """Per-family: (cold sharded run, warm re-run) over one cache."""
+        """Per-family: (cold run, warm re-run) over one cache."""
         runs = {}
         for name in NEW_FAMILIES:
             cache = ArtifactCache()
-            cold = scenario_run("tiny", scenario=name, cache=cache, workers=2)
+            cold = scenario_run("tiny", scenario=name, cache=cache)
             cold.analyses()
             warm = scenario_run("tiny", scenario=name, cache=cache)
             warm.analyses()
@@ -211,15 +210,6 @@ class TestFamiliesEndToEnd:
     def test_warm_rerun_hits_memory_cache(self, family_runs, name):
         _, warm = family_runs[name]
         assert set(warm.stage_statuses().values()) == {"memory"}
-
-    @pytest.mark.parametrize("name", NEW_FAMILIES)
-    def test_sharded_run_matches_single_process(self, family_runs, name):
-        cold, _ = family_runs[name]
-        single = scenario_run("tiny", scenario=name, cache=ArtifactCache())
-        assert cold.inference().all_links() == single.inference().all_links()
-        assert cold.inference().links_by_ixp() == \
-            single.inference().links_by_ixp()
-        assert cold.analyses() == single.analyses()
 
     def test_families_produce_distinct_ecosystems(self, family_runs):
         link_sets = {name: family_runs[name][0].inference().all_links()
