@@ -61,6 +61,7 @@ from repro.runtime.reachmatrix import (
     multi_ixp_overlap,
     peer_counts_of,
 )
+from repro.topology.relationships import RelationshipMap
 
 
 @dataclass
@@ -267,7 +268,7 @@ class MLPInferenceEngine:
             name: set(members) for name, members in rs_members.items()}
         self.interpreter = RSCommunityInterpreter(
             registry, self.rs_members, mappers=mappers)
-        self.relationships = dict(relationships or {})
+        self.relationships = RelationshipMap.of(relationships)
         self.sample_fraction = sample_fraction
         self.max_prefixes_per_member = max_prefixes_per_member
         #: Optional shared runtime context; when present its cached

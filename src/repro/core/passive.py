@@ -28,6 +28,7 @@ from repro.bgp.policy import Relationship
 from repro.bgp.prefix import Prefix
 from repro.core.communities import RSCommunityInterpreter
 from repro.core.reachability import PolicyObservation
+from repro.topology.relationships import RelationshipMap
 
 
 @dataclass(frozen=True)
@@ -63,9 +64,9 @@ class PassiveInference:
         relationships: Optional[Mapping[Tuple[int, int], Relationship]] = None,
     ) -> None:
         self.interpreter = interpreter
-        #: Ordered-pair relationship map used for the >2-participant case;
-        #: typically produced by :class:`RelationshipInference`.
-        self.relationships = dict(relationships or {})
+        #: Ordered-pair relationship map used for the >2-participant case
+        #: (read-only; a graph's snapshot is kept as is, not copied).
+        self.relationships = RelationshipMap.of(relationships)
         self.stats = PassiveStats()
         # The same AS path recurs once per prefix the feeder exports, so
         # setter pin-pointing is memoised per (IXP, path).  The cache is

@@ -115,8 +115,8 @@ class PlaneCacheKey:
     by a view signature capturing their membership/route-table sizes,
     so re-announcements between runs force recollection), the sampling
     knobs, and the interpretation inputs (members, relationships,
-    registry, mappers, by value).  ``matches`` errs on the side of
-    recomputation.
+    registry, mappers, by value; a graph's relationship snapshot matches
+    itself by identity).  ``matches`` errs on the side of recomputation.
     """
 
     passive_entries: Optional[Sequence[RibEntry]]
@@ -151,7 +151,8 @@ class PlaneCacheKey:
                 and self.registry is other.registry
                 and self.registry_version == other.registry_version
                 and self.mappers == other.mappers
-                and self.relationships == other.relationships)
+                and (self.relationships is other.relationships
+                     or self.relationships == other.relationships))
 
 
 def lg_view_signature(

@@ -49,7 +49,7 @@ from repro.registries.irr import ASSet, AutNumPolicy, IRRDatabase
 from repro.registries.peeringdb import PeeringDB, PeeringDBRecord
 from repro.runtime.context import PipelineContext
 from repro.topology.as_graph import ASGraph, ASType, PeeringPolicy
-from repro.topology.customer_cone import customer_cone
+from repro.topology.customer_cone import customer_cones
 from repro.topology.generator import (
     GeneratedInternet,
     GeneratorConfig,
@@ -119,11 +119,6 @@ class Scenario:
         """All ground-truth MLP pairs across the IXPs."""
         return self.internet.all_mlp_links()
 
-    def ground_truth_links_by_ixp(self) -> Dict[str, Set[Tuple[int, int]]]:
-        """Per-IXP ground-truth MLP pairs."""
-        return {name: set(pairs)
-                for name, pairs in self.internet.mlp_ground_truth.items()}
-
     def rs_members_by_ixp(self) -> Dict[str, List[int]]:
         """Ground-truth RS membership per IXP."""
         return {spec.name: self.graph.rs_members_of_ixp(spec.name)
@@ -138,7 +133,7 @@ class Scenario:
         return {name: rs.mapper for name, rs in self.route_servers.items()}
 
     def relationship_map(self) -> Dict[Tuple[int, int], Relationship]:
-        """Ground-truth ordered-pair relationship map."""
+        """Ground-truth ordered-pair relationship map (the graph's snapshot)."""
         return self.graph.relationship_map()
 
     # -- public views -----------------------------------------------------------------
@@ -216,10 +211,6 @@ class Scenario:
     def origin_prefixes(self) -> Dict[int, List[Prefix]]:
         """Prefixes originated by every AS."""
         return {node.asn: list(node.prefixes) for node in self.graph.nodes()}
-
-    def ixp_summary(self) -> List[Dict[str, object]]:
-        """Per-IXP summary (members, RS members, LG availability)."""
-        return [self.ixps[spec.name].summary() for spec in self.internet.ixp_specs]
 
 
 def _as_set_name(ixp_name: str) -> str:
@@ -442,6 +433,8 @@ def _announce_routes(
     customer cone's prefixes, tagged per its export policy; a tiny
     fraction of members deviates on one prefix (the <0.5% inconsistency)."""
     graph = internet.graph
+    cones = customer_cones(graph, {asn for spec in internet.ixp_specs
+                                   for asn in graph.rs_members_of_ixp(spec.name)})
     for spec in internet.ixp_specs:
         route_server = route_servers[spec.name]
         members = graph.rs_members_of_ixp(spec.name)
@@ -449,7 +442,7 @@ def _announce_routes(
             own_prefixes = graph.prefixes_of(asn)
             announced: List[Tuple[Prefix, Tuple[int, ...]]] = [
                 (prefix, (asn,)) for prefix in own_prefixes]
-            cone = sorted(customer_cone(graph, asn) - {asn})
+            cone = sorted(cones[asn] - {asn})
             for customer in cone:
                 for prefix in graph.prefixes_of(customer):
                     if rng.random() < config.cone_prefix_fraction:

@@ -17,7 +17,14 @@ from repro.bgp.policy import Relationship
 from repro.bgp.prefix import Prefix
 from repro.bgp.propagation import Adjacency
 from repro.runtime.csr import CSRIndex
-from repro.topology.relationships import LinkType
+from repro.topology.relationships import (
+    LINK_RELATIONSHIPS,
+    LinkType,
+    RelationshipMap,
+)
+
+#: The typed neighbour map of an AS without neighbours (never written).
+_NO_NEIGHBOURS: Dict[int, Relationship] = {}
 
 
 class PeeringPolicy(enum.Enum):
@@ -66,10 +73,6 @@ class ASNode:
     #: True if the AS registers its policy/scope in the PeeringDB substrate.
     in_peeringdb: bool = True
 
-    def is_stub(self) -> bool:
-        """True if the AS provides transit to nobody (set by the graph)."""
-        return self.as_type in (ASType.STUB, ASType.CONTENT)
-
 
 @dataclass(frozen=True)
 class ASLink:
@@ -114,56 +117,53 @@ def link_adjacencies(link: ASLink,
     export (:meth:`ASGraph.propagation_adjacencies`) and the incremental
     index splice (:meth:`~repro.runtime.csr.CSRIndex.spliced`) both go
     through here, so an event-driven single-link update attaches exactly
-    the records a from-scratch rebuild would.
+    the records a from-scratch rebuild would.  Relationships come from
+    :data:`~repro.topology.relationships.LINK_RELATIONSHIPS`.
     """
-    if link.link_type is LinkType.C2P:
-        customer, provider = link.a, link.b
-        return [
-            Adjacency(source=customer, target=provider,
-                      relationship=Relationship.CUSTOMER),
-            Adjacency(source=provider, target=customer,
-                      relationship=Relationship.PROVIDER),
-        ]
-    if link.link_type is LinkType.SIBLING:
-        return [
-            Adjacency(source=link.a, target=link.b,
-                      relationship=Relationship.SIBLING),
-            Adjacency(source=link.b, target=link.a,
-                      relationship=Relationship.SIBLING),
-        ]
-    if link.link_type is LinkType.P2P:
-        return [
-            Adjacency(source=link.a, target=link.b,
-                      relationship=Relationship.PEER, ixp=link.ixp),
-            Adjacency(source=link.b, target=link.a,
-                      relationship=Relationship.PEER, ixp=link.ixp),
-        ]
-    # RS_P2P: each direction carries the exporter's RS communities.
-    communities_ab = frozenset()
-    communities_ba = frozenset()
-    if rs_community_provider is not None and link.ixp is not None:
+    rel_ab, rel_ba = LINK_RELATIONSHIPS[link.link_type]
+    ixp = link.ixp if link.link_type.is_peering else None
+    communities_ab = communities_ba = frozenset()
+    if link.link_type is LinkType.RS_P2P and \
+            rs_community_provider is not None and link.ixp is not None:
         communities_ab = frozenset(rs_community_provider(link.a, link.ixp))
         communities_ba = frozenset(rs_community_provider(link.b, link.ixp))
     return [
-        Adjacency(source=link.a, target=link.b,
-                  relationship=Relationship.RS_PEER, ixp=link.ixp,
-                  communities=communities_ab),
-        Adjacency(source=link.b, target=link.a,
-                  relationship=Relationship.RS_PEER, ixp=link.ixp,
-                  communities=communities_ba),
+        Adjacency(source=link.a, target=link.b, relationship=rel_ba,
+                  ixp=ixp, communities=communities_ab),
+        Adjacency(source=link.b, target=link.a, relationship=rel_ab,
+                  ixp=ixp, communities=communities_ba),
     ]
 
 
 class ASGraph:
-    """Mutable AS-level topology with relationship annotations."""
+    """Mutable AS-level topology with relationship annotations.
+
+    Relationship queries read one typed neighbour map (ASN -> neighbour
+    -> the neighbour's relationship seen from the ASN), derived from the
+    links: pickles and deep copies leave it out and rebuild it.
+    """
 
     def __init__(self) -> None:
         self._nodes: Dict[int, ASNode] = {}
         self._links: Dict[Tuple[int, int], ASLink] = {}
-        self._neighbours: Dict[int, Set[int]] = {}
-        #: bumped on every mutation; invalidates the cached CSR index.
+        self._neighbours: Dict[int, Dict[int, Relationship]] = {}
+        #: bumped on every mutation; invalidates the cached CSR index
+        #: and the relationship-map snapshot.
         self._version = 0
         self._index_cache: Optional[Tuple[int, CSRIndex]] = None
+        self._relationship_cache: Optional[Tuple[int, RelationshipMap]] = None
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = self.__dict__.copy()
+        del state["_neighbours"], state["_relationship_cache"]
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._relationship_cache = None
+        self._neighbours = {asn: {} for asn in self._nodes}
+        for link in self._links.values():
+            self._relate(link)
 
     @property
     def version(self) -> int:
@@ -179,7 +179,7 @@ class ASGraph:
     def add_as(self, node: ASNode) -> ASNode:
         """Add (or replace) an AS."""
         self._nodes[node.asn] = node
-        self._neighbours.setdefault(node.asn, set())
+        self._neighbours.setdefault(node.asn, {})
         self._version += 1
         return node
 
@@ -214,10 +214,15 @@ class ASGraph:
         if link.a == link.b:
             raise ValueError("self-loops are not allowed")
         self._links[link.endpoints] = link
-        self._neighbours[link.a].add(link.b)
-        self._neighbours[link.b].add(link.a)
+        self._relate(link)
         self._version += 1
         return link
+
+    def _relate(self, link: ASLink) -> None:
+        """Record *link* in the typed neighbour map of both ends."""
+        rel_ab, rel_ba = LINK_RELATIONSHIPS[link.link_type]
+        self._neighbours[link.a][link.b] = rel_ab
+        self._neighbours[link.b][link.a] = rel_ba
 
     def add_c2p(self, customer: int, provider: int) -> ASLink:
         """Convenience: add a customer-to-provider link."""
@@ -243,8 +248,8 @@ class ASGraph:
         link = self._links.pop(key, None)
         if link is None:
             return False
-        self._neighbours[link.a].discard(link.b)
-        self._neighbours[link.b].discard(link.a)
+        del self._neighbours[link.a][link.b]
+        del self._neighbours[link.b][link.a]
         self._version += 1
         return True
 
@@ -266,76 +271,55 @@ class ASGraph:
 
     def neighbours(self, asn: int) -> Set[int]:
         """ASNs adjacent to *asn*."""
-        return set(self._neighbours.get(asn, set()))
+        return set(self._neighbours.get(asn, _NO_NEIGHBOURS))
 
     def degree(self, asn: int) -> int:
         """Total degree of *asn*."""
-        return len(self._neighbours.get(asn, set()))
+        return len(self._neighbours.get(asn, _NO_NEIGHBOURS))
+
+    def _typed(self, asn: int, *relationships: Relationship) -> List[int]:
+        """Sorted neighbours of *asn* related to it by *relationships*."""
+        return sorted(other for other, rel
+                      in self._neighbours.get(asn, _NO_NEIGHBOURS).items()
+                      if rel in relationships)
 
     def customers(self, asn: int) -> List[int]:
         """Direct customers of *asn*."""
-        result = []
-        for other in self._neighbours.get(asn, set()):
-            link = self.get_link(asn, other)
-            if link and link.link_type is LinkType.C2P and link.b == asn:
-                result.append(other)
-        return sorted(result)
+        return self._typed(asn, Relationship.CUSTOMER)
 
     def providers(self, asn: int) -> List[int]:
         """Direct providers of *asn*."""
-        result = []
-        for other in self._neighbours.get(asn, set()):
-            link = self.get_link(asn, other)
-            if link and link.link_type is LinkType.C2P and link.a == asn:
-                result.append(other)
-        return sorted(result)
+        return self._typed(asn, Relationship.PROVIDER)
 
     def peers(self, asn: int, include_rs: bool = True) -> List[int]:
         """Peers of *asn* (bilateral, plus route-server peers by default)."""
-        result = []
-        for other in self._neighbours.get(asn, set()):
-            link = self.get_link(asn, other)
-            if link is None:
-                continue
-            if link.link_type is LinkType.P2P or (
-                include_rs and link.link_type is LinkType.RS_P2P
-            ):
-                result.append(other)
-        return sorted(result)
+        if include_rs:
+            return self._typed(asn, Relationship.PEER, Relationship.RS_PEER)
+        return self._typed(asn, Relationship.PEER)
 
     def siblings(self, asn: int) -> List[int]:
         """Sibling ASes of *asn*."""
-        result = []
-        for other in self._neighbours.get(asn, set()):
-            link = self.get_link(asn, other)
-            if link and link.link_type is LinkType.SIBLING:
-                result.append(other)
-        return sorted(result)
+        return self._typed(asn, Relationship.SIBLING)
 
     def relationship(self, local: int, remote: int) -> Optional[Relationship]:
         """Relationship of *remote* as seen from *local*, or None."""
-        link = self.get_link(local, remote)
-        if link is None:
-            return None
-        if link.link_type is LinkType.C2P:
-            return Relationship.CUSTOMER if link.a == remote else Relationship.PROVIDER
-        if link.link_type is LinkType.P2P:
-            return Relationship.PEER
-        if link.link_type is LinkType.RS_P2P:
-            return Relationship.RS_PEER
-        return Relationship.SIBLING
+        return self._neighbours.get(local, _NO_NEIGHBOURS).get(remote)
 
-    def relationship_map(self) -> Dict[Tuple[int, int], Relationship]:
-        """Ordered-pair relationship map usable by the valley-free checker."""
+    def relationship_map(self) -> RelationshipMap:
+        """Ordered-pair relationship map usable by the valley-free checker:
+        a read-only snapshot in link order, the same object until the
+        graph's :attr:`version` changes."""
+        cached = self._relationship_cache
+        if cached is not None and cached[0] == self._version:
+            return cached[1]
         result: Dict[Tuple[int, int], Relationship] = {}
         for link in self._links.values():
-            rel_ab = self.relationship(link.a, link.b)
-            rel_ba = self.relationship(link.b, link.a)
-            if rel_ab is not None:
-                result[(link.a, link.b)] = rel_ab
-            if rel_ba is not None:
-                result[(link.b, link.a)] = rel_ba
-        return result
+            rel_ab, rel_ba = LINK_RELATIONSHIPS[link.link_type]
+            result[(link.a, link.b)] = rel_ab
+            result[(link.b, link.a)] = rel_ba
+        snapshot = RelationshipMap(result)
+        self._relationship_cache = (self._version, snapshot)
+        return snapshot
 
     # -- derived structures ------------------------------------------------------
 

@@ -16,39 +16,31 @@ from repro.topology.as_graph import ASGraph
 def customer_cone(graph: ASGraph, asn: int) -> Set[int]:
     """The customer cone of *asn*: itself plus every AS reachable by
     repeatedly following provider->customer links."""
-    cone: Set[int] = {asn}
-    frontier: List[int] = [asn]
-    while frontier:
-        current = frontier.pop()
-        for customer in graph.customers(current):
-            if customer not in cone:
-                cone.add(customer)
-                frontier.append(customer)
-    return cone
+    return customer_cones(graph, (asn,))[asn]
 
 
 def customer_cones(graph: ASGraph, asns: Iterable[int] = None) -> Dict[int, Set[int]]:
     """Customer cones for the requested ASes (all ASes by default).
 
-    Cones are computed bottom-up so shared sub-cones are reused.
+    One walk per AS, over customer lists shared between the walks, so a
+    provider loop yields the same cones as walking each AS alone.
     """
     targets = list(asns) if asns is not None else graph.asns()
-    cache: Dict[int, Set[int]] = {}
-
-    def compute(asn: int, stack: Set[int]) -> Set[int]:
-        if asn in cache:
-            return cache[asn]
-        if asn in stack:
-            # Provider loop (shouldn't happen in a sane hierarchy); break it.
-            return {asn}
-        stack = stack | {asn}
-        cone: Set[int] = {asn}
-        for customer in graph.customers(asn):
-            cone |= compute(customer, stack)
-        cache[asn] = cone
-        return cone
-
-    return {asn: compute(asn, set()) for asn in targets}
+    below: Dict[int, List[int]] = {}
+    cones: Dict[int, Set[int]] = {}
+    for asn in targets:
+        cone = {asn}
+        frontier = [asn]
+        while frontier:
+            current = frontier.pop()
+            if current not in below:
+                below[current] = graph.customers(current)
+            for customer in below[current]:
+                if customer not in cone:
+                    cone.add(customer)
+                    frontier.append(customer)
+        cones[asn] = cone
+    return cones
 
 
 def customer_degree(graph: ASGraph, asn: int) -> int:

@@ -13,7 +13,7 @@ with sibling links allowed anywhere.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.bgp.policy import Relationship
 
@@ -32,15 +32,43 @@ class LinkType(enum.Enum):
         return self in (LinkType.P2P, LinkType.RS_P2P)
 
 
+#: The one link-type rule: for a link ``(a, b)`` (for c2p, *a* is the
+#: customer), the relationship of *b* seen from *a* and of *a* from *b*.
+LINK_RELATIONSHIPS: Dict[LinkType, Tuple[Relationship, Relationship]] = {
+    LinkType.C2P: (Relationship.PROVIDER, Relationship.CUSTOMER),
+    LinkType.P2P: (Relationship.PEER, Relationship.PEER),
+    LinkType.RS_P2P: (Relationship.RS_PEER, Relationship.RS_PEER),
+    LinkType.SIBLING: (Relationship.SIBLING, Relationship.SIBLING),
+}
+
+
+class RelationshipMap(dict):
+    """A read-only ordered-pair map, ``(a, b)`` -> the relationship of *b*
+    seen from *a*: writes raise ``TypeError``, and pickles and copies are
+    rebuilt from a plain dict of the items."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("RelationshipMap is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = \
+        setdefault = update = _read_only
+
+    def __reduce__(self):
+        return (RelationshipMap, (dict(self),))
+
+    @classmethod
+    def of(cls, relationships: Optional[Mapping] = None) -> "RelationshipMap":
+        """*relationships* itself if it is one, else a read-only copy."""
+        return relationships if isinstance(relationships, cls) \
+            else cls(relationships or {})
+
+
 def link_type_from_relationship(relationship: Relationship) -> LinkType:
     """Map a session relationship to the equivalent link type."""
-    if relationship in (Relationship.CUSTOMER, Relationship.PROVIDER):
-        return LinkType.C2P
-    if relationship is Relationship.PEER:
-        return LinkType.P2P
-    if relationship is Relationship.RS_PEER:
-        return LinkType.RS_P2P
-    return LinkType.SIBLING
+    return next(link_type for link_type, pair in LINK_RELATIONSHIPS.items()
+                if relationship in pair)
 
 
 #: step codes used by the path classifier

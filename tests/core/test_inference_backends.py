@@ -12,15 +12,18 @@ caches of the result object must not re-sort on repeated access.
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
 
+from repro.core.engine import MLPInferenceEngine
 from repro.pipeline import ArtifactCache, ScenarioRun
 from repro.scenarios.base import ScenarioConfig
 from repro.scenarios.spec import get_scenario, scenario_names
 from repro.scenarios.workloads import scenario_run
 from repro.topology.generator import GeneratorConfig
+from repro.topology.relationships import LinkType
 
 from tests.oracle.inference import object_inference, run_object_inference
 
@@ -187,6 +190,85 @@ def test_plane_cache_invalidated_by_lg_view_change():
     # The mutated LG view is a different cache key -> fresh collection.
     assert context.stats()["inference_plane_entries"] == entries_before + 1
     assert obj.identical_to(bit)
+
+
+def _recorded_plane_lookups(context, monkeypatch):
+    """What each ``cached_inference_planes`` call answers, in order."""
+    answers = []
+    lookup = context.cached_inference_planes
+
+    def recording(key):
+        answers.append(lookup(key))
+        return answers[-1]
+
+    monkeypatch.setattr(context, "cached_inference_planes", recording)
+    return answers
+
+
+def test_plane_cache_misses_after_a_relationship_change(monkeypatch):
+    """The engine holds the graph's relationship snapshot by identity;
+    a graph mutation must still miss the plane cache.  (A live view of
+    the graph would match its own stored key and serve planes pinned on
+    stale relationships.)"""
+    scenario = scenario_run("tiny", cache=ArtifactCache()).scenario()
+    context = scenario.context
+    answers = _recorded_plane_lookups(context, monkeypatch)
+    scenario.run_inference()
+    scenario.run_inference()
+    assert answers[-1] is not None
+    assert scenario.make_engine().relationships is \
+        scenario.graph.relationship_map()
+    entries = context.stats()["inference_plane_entries"]
+
+    link = scenario.graph.links(LinkType.C2P)[0]
+    assert scenario.graph.remove_link(link.a, link.b)
+    scenario.run_inference()
+    assert answers[-1] is None
+    assert context.stats()["inference_plane_entries"] == entries + 1
+
+
+def test_caller_relationship_dict_is_copied_and_compared_by_value(
+        monkeypatch):
+    """A plain dict is copied on the way in and matched by value: equal
+    maps share planes, and mutating the caller's dict changes nothing."""
+    scenario = scenario_run("tiny", cache=ArtifactCache()).scenario()
+    answers = _recorded_plane_lookups(scenario.context, monkeypatch)
+    base = scenario.make_engine()
+    relationships = dict(scenario.relationship_map())
+
+    def run_with(relationships):
+        engine = MLPInferenceEngine(
+            registry=base.registry, rs_members=base.rs_members,
+            mappers=base.interpreter.mappers, relationships=relationships,
+            context=scenario.context)
+        assert engine.relationships is not relationships
+        result = engine.run(
+            passive_entries=scenario.archive.clean_stable_entries(),
+            rs_looking_glasses=scenario.rs_looking_glasses,
+            third_party_lgs=scenario.third_party_lgs)
+        relationships.clear()
+        return result
+
+    first = run_with(relationships)
+    assert answers[-1] is None
+    second = run_with(dict(scenario.relationship_map()))
+    assert answers[-1] is not None
+    assert first.identical_to(second)
+    assert scenario.run_inference().identical_to(first)
+    assert answers[-1] is not None
+
+
+def test_context_and_graph_pickle_after_inference():
+    """The plane cache keys hold the relationship snapshot, so it must
+    pickle with the context (a ``types.MappingProxyType`` would not)."""
+    scenario = scenario_run("tiny", cache=ArtifactCache()).scenario()
+    scenario.run_inference()
+    context, graph = pickle.loads(
+        pickle.dumps((scenario.context, scenario.graph)))
+    assert context.stats()["inference_plane_entries"] == \
+        scenario.context.stats()["inference_plane_entries"]
+    assert list(graph.relationship_map().items()) == \
+        list(scenario.graph.relationship_map().items())
 
 
 def test_table2_fallback_without_table2_figure():

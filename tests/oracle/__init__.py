@@ -15,7 +15,11 @@
   kernel so the differential suites can compare kernels directly;
 * :mod:`tests.oracle.delta` — the per-block scan for the delta
   affected set (removed pairs and visited ASNs), the reference for the
-  one-pass lookup over cached link keys.
+  one-pass lookup over cached link keys;
+* :mod:`tests.oracle.topology` — the link-object walk behind the AS
+  graph's relationship queries (per-neighbour link lookups, the
+  link-order relationship map, the per-call customer-cone BFS), the
+  reference for the graph's typed neighbour map.
 
 None of this ships in ``src/``: production keeps one path per layer.
 """
