@@ -1,10 +1,10 @@
 """BGP substrate: the protocol-level building blocks used by the paper.
 
 This package provides the data-plane-free model of BGP that everything
-else is built on: ASNs, IPv4 prefixes, the community attribute, routes,
-RIBs with the BGP decision process, Gao-Rexford import/export policies,
-and a valley-free propagation engine that produces the AS paths (with
-transitive communities) observed by route collectors and looking glasses.
+else is built on: ASNs, IPv4 prefixes, the community attribute, AS
+paths, Gao-Rexford import/export policies, and a valley-free propagation
+engine that produces the AS paths (with transitive communities) observed
+by route collectors and looking glasses.
 """
 
 from repro.bgp.asn import (
@@ -20,8 +20,6 @@ from repro.bgp.asn import (
 from repro.bgp.prefix import Prefix
 from repro.bgp.communities import Community
 from repro.bgp.attributes import ASPath, Origin
-from repro.bgp.route import Route
-from repro.bgp.rib import AdjRIBIn, LocRIB, RIB
 from repro.bgp.policy import (
     Relationship,
     export_allowed,
@@ -29,8 +27,7 @@ from repro.bgp.policy import (
     ImportPolicy,
     ExportPolicy,
 )
-from repro.bgp.session import Session, SessionType
-from repro.bgp.messages import UpdateMessage, WithdrawMessage
+from repro.bgp.messages import UpdateMessage
 from repro.bgp.propagation import PropagationEngine, PropagationResult
 
 __all__ = [
@@ -46,19 +43,12 @@ __all__ = [
     "Community",
     "ASPath",
     "Origin",
-    "Route",
-    "AdjRIBIn",
-    "LocRIB",
-    "RIB",
     "Relationship",
     "export_allowed",
     "default_local_pref",
     "ImportPolicy",
     "ExportPolicy",
-    "Session",
-    "SessionType",
     "UpdateMessage",
-    "WithdrawMessage",
     "PropagationEngine",
     "PropagationResult",
 ]

@@ -1,4 +1,4 @@
-"""BGP UPDATE / WITHDRAW message objects.
+"""BGP UPDATE messages and RIB dump entries.
 
 Collectors archive both periodic table dumps and streams of update
 messages; the paper accumulates "daily BGP table dumps and update
@@ -8,7 +8,7 @@ message objects carry the timestamp needed for that filtering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, Optional, Tuple
 
 from repro.bgp.attributes import ASPath
@@ -39,16 +39,6 @@ class UpdateMessage:
     def is_clean(self) -> bool:
         """True if the AS path passes the reserved-ASN and cycle filters."""
         return self.as_path.is_clean()
-
-
-@dataclass(frozen=True)
-class WithdrawMessage:
-    """A BGP withdrawal observed by a collector."""
-
-    timestamp: float
-    peer_asn: int
-    prefix: Prefix
-    collector: Optional[str] = None
 
 
 @dataclass(frozen=True)

@@ -1,67 +1,10 @@
-"""BGP session model.
+"""BGP session counts of the paper's figure 1.
 
-Sessions tie together two ASNs, a relationship, and the import/export
-policies applied on each side.  The :class:`SessionType` distinction lets
-the analyses count bilateral versus multilateral (route-server) sessions,
-which is the subject of the paper's figure 1.
+A full mesh of bilateral sessions grows quadratically with the number
+of peers; peering through route servers grows linearly.
 """
 
 from __future__ import annotations
-
-import enum
-from dataclasses import dataclass, field
-from typing import Optional
-
-from repro.bgp.policy import ExportPolicy, ImportPolicy, Relationship
-
-
-class SessionType(enum.Enum):
-    """How the BGP session is realised."""
-
-    TRANSIT = "transit"          #: customer-provider session
-    BILATERAL = "bilateral"      #: direct peer-to-peer session
-    ROUTE_SERVER = "route-server"  #: member <-> IXP route server session
-    COLLECTOR = "collector"      #: vantage point -> route collector session
-    SIBLING = "sibling"          #: intra-organisation session
-
-
-@dataclass
-class Session:
-    """A BGP session between ``local_asn`` and ``remote_asn``.
-
-    ``relationship`` is expressed from the local AS's point of view, e.g.
-    ``Relationship.CUSTOMER`` means the remote AS is our customer.
-    """
-
-    local_asn: int
-    remote_asn: int
-    relationship: Relationship
-    session_type: SessionType = SessionType.TRANSIT
-    import_policy: ImportPolicy = field(default_factory=ImportPolicy)
-    export_policy: ExportPolicy = field(default_factory=ExportPolicy)
-    ixp: Optional[str] = None
-
-    def reversed(self) -> "Session":
-        """The same session seen from the remote AS (fresh default policies)."""
-        return Session(
-            local_asn=self.remote_asn,
-            remote_asn=self.local_asn,
-            relationship=self.relationship.inverse(),
-            session_type=self.session_type,
-            ixp=self.ixp,
-        )
-
-    @property
-    def endpoints(self) -> tuple:
-        """Sorted (asn, asn) endpoint tuple identifying the adjacency."""
-        return (min(self.local_asn, self.remote_asn),
-                max(self.local_asn, self.remote_asn))
-
-    def __str__(self) -> str:
-        return (
-            f"{self.local_asn}->{self.remote_asn} "
-            f"({self.relationship.value}, {self.session_type.value})"
-        )
 
 
 def bilateral_session_count(num_peers: int) -> int:

@@ -13,6 +13,8 @@ columns, into a :class:`RibEntryTable` (parallel peer / prefix-id /
 path-id / bag-id / collector-id / timestamp columns over value tables)
 instead of building one :class:`RibEntry` per day per route, and the
 transient filter runs as one grouped numpy pass over the key columns.
+The stable selections are :class:`StableEntries` views: row positions
+over the table, which the inference engine reads column by column.
 ``RibEntry`` exists only as a lazy row view, materialised on first
 object-level access and cached.
 """
@@ -20,8 +22,9 @@ object-level access and cached.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -202,6 +205,43 @@ class RibEntryTable:
                 f"{len(self.bags)} bags)")
 
 
+class StableEntries(SequenceABC):
+    """A read-only sequence of archived rows: the result of the stable
+    selections (:meth:`CollectorArchive.stable_entries`,
+    :meth:`CollectorArchive.clean_stable_entries`).
+
+    ``rows`` holds the selected row positions of ``table`` in selection
+    order (a read-only int64 array).  Indexing or iterating the view
+    materialises each row's cached :class:`RibEntry`
+    (:meth:`RibEntryTable.entry`); bulk readers such as
+    :func:`~repro.core.planes.extract_passive_planes` read the table's
+    columns at ``rows`` and never build one.
+    """
+
+    __slots__ = ("table", "rows")
+
+    def __init__(self, table: RibEntryTable, rows: np.ndarray) -> None:
+        rows = np.asarray(rows, dtype=np.int64)
+        rows.flags.writeable = False
+        self.table = table
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            entry = self.table.entry
+            return [entry(row) for row in self.rows[index].tolist()]
+        return self.table.entry(int(self.rows[index]))
+
+    def __iter__(self) -> Iterator[RibEntry]:
+        return map(self.table.entry, self.rows.tolist())
+
+    def __repr__(self) -> str:
+        return f"StableEntries({len(self.rows)} rows)"
+
+
 class CollectorArchive:
     """Archived dumps and updates of one or more collectors.
 
@@ -220,9 +260,9 @@ class CollectorArchive:
         self._day_rows: Dict[int, List[int]] = {}
         self._updates: List[UpdateMessage] = []
         self._collected = False
-        #: min_days -> stable / clean-stable entry lists.
-        self._stable_cache: Dict[int, List[RibEntry]] = {}
-        self._clean_cache: Dict[int, List[RibEntry]] = {}
+        #: min_days -> stable / clean-stable row views.
+        self._stable_cache: Dict[int, StableEntries] = {}
+        self._clean_cache: Dict[int, StableEntries] = {}
 
     # -- population ------------------------------------------------------------------
 
@@ -314,17 +354,17 @@ class CollectorArchive:
         """The archived update messages."""
         return list(self._updates)
 
-    def stable_entries(self, min_days: int = 2) -> List[RibEntry]:
+    def stable_entries(self, min_days: int = 2) -> StableEntries:
         """Entries whose (vantage point, prefix, path) persisted for at
         least *min_days* days — the transient-path filter of section 5.
 
         The filter is one grouped pass over the key columns: rows are
         scanned in day order, then per-day row order; groups are value
         keys (prefix and path ids are value-interned); qualifying
-        groups are emitted by first scan appearance.  The result is
-        memoised per *min_days* — every inference run re-reads the same
-        window, so the filter runs once, not once per run.  Treat the
-        returned list as read-only.
+        groups are emitted by first scan appearance.  The result is a
+        read-only :class:`StableEntries` view memoised per *min_days* —
+        every inference run re-reads the same window, so the filter
+        runs once, not once per run.
         """
         cached = self._stable_cache.get(min_days)
         if cached is not None:
@@ -333,7 +373,8 @@ class CollectorArchive:
         effective_min = min(min_days, len(day_items)) if day_items else min_days
         total = sum(len(rows) for _day, rows in day_items)
         if not total:
-            self._stable_cache[min_days] = result = []
+            self._stable_cache[min_days] = result = StableEntries(
+                self._table, np.zeros(0, dtype=np.int64))
             return result
         scan_pos = np.concatenate(
             [np.asarray(rows, dtype=np.int64) for _day, rows in day_items
@@ -362,26 +403,30 @@ class CollectorArchive:
             day_change.astype(np.int64), starts)
         first_scan = np.minimum.reduceat(order, starts)
         selected = np.sort(first_scan[distinct_days >= effective_min])
-        entry = self._table.entry
-        result = [entry(position)
-                  for position in scan_pos[selected].tolist()]
+        result = StableEntries(self._table, scan_pos[selected])
         self._stable_cache[min_days] = result
         return result
 
-    def clean_stable_entries(self, min_days: int = 2) -> List[RibEntry]:
+    def clean_stable_entries(self, min_days: int = 2) -> StableEntries:
         """Stable entries that also pass the reserved-ASN / cycle filters
         (memoised alongside :meth:`stable_entries`; the inference
         engine additionally keys its context-level observation planes
-        on this list's identity, which the memo keeps stable).
+        on this view's identity, which the memo keeps stable).
 
-        Cleanliness itself is memoised per shared ``ASPath`` object
-        (one per interned path id), so the filter walks each distinct
-        path once, not once per entry."""
+        Cleanliness is a per-path mask over the distinct stable path
+        ids (memoised per shared ``ASPath`` object), so the filter
+        walks each distinct path once, not once per entry."""
         cached = self._clean_cache.get(min_days)
         if cached is not None:
             return cached
-        result = [entry for entry in self.stable_entries(min_days)
-                  if entry.is_clean()]
+        stable = self.stable_entries(min_days).rows
+        table = self._table
+        path_ids = table.key_arrays()[2][stable]
+        clean = np.zeros(len(table.paths), dtype=bool)
+        distinct = np.unique(path_ids)
+        clean[distinct] = [table.paths[path_id].is_clean()
+                           for path_id in distinct.tolist()]
+        result = StableEntries(table, stable[clean[path_ids]])
         self._clean_cache[min_days] = result
         return result
 

@@ -32,8 +32,8 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 #: An inferred MLP link: an ordered (lower ASN, higher ASN) pair.
 Link = Tuple[int, int]
 
-from repro.bgp.messages import RibEntry
 from repro.bgp.policy import Relationship
+from repro.collectors.archive import StableEntries
 from repro.core.active import ActiveInference, collect_from_third_party_lg
 from repro.core.communities import RSCommunityInterpreter
 from repro.core.planes import (
@@ -280,13 +280,16 @@ class MLPInferenceEngine:
 
     def run(
         self,
-        passive_entries: Optional[Iterable[RibEntry]] = None,
+        passive_entries: Optional[StableEntries] = None,
         rs_looking_glasses: Optional[Mapping[str, RouteServerLookingGlass]] = None,
         third_party_lgs: Optional[Mapping[str, Sequence[ASLookingGlass]]] = None,
         require_reciprocity: bool = True,
     ) -> MLPInferenceResult:
         """Run passive extraction, active collection and link inference.
 
+        ``passive_entries`` is an archive's stable view
+        (:meth:`~repro.collectors.archive.CollectorArchive.
+        clean_stable_entries`); anything else raises ``TypeError``.
         ``require_reciprocity`` exposes the paper's reciprocity assumption
         as an ablation switch: when False, a single direction of ALLOW is
         enough to infer a link.
@@ -297,15 +300,17 @@ class MLPInferenceEngine:
         kernel; ``require_reciprocity`` is applied downstream of the
         plane cache, so the ablation shares the collected planes.
         """
+        if passive_entries is not None and \
+                not isinstance(passive_entries, StableEntries):
+            raise TypeError(
+                "passive_entries must be a CollectorArchive stable view "
+                "(clean_stable_entries()), not "
+                f"{type(passive_entries).__name__}")
         rs_looking_glasses = dict(rs_looking_glasses or {})
         third_party_lgs = {name: list(lgs)
                            for name, lgs in (third_party_lgs or {}).items()}
-        entries = None
-        if passive_entries is not None:
-            entries = passive_entries if isinstance(passive_entries, list) \
-                else list(passive_entries)
         key = PlaneCacheKey(
-            passive_entries=entries,
+            passive_entries=passive_entries,
             rs_looking_glasses=rs_looking_glasses,
             third_party_lgs=third_party_lgs,
             sample_fraction=self.sample_fraction,
@@ -321,7 +326,7 @@ class MLPInferenceEngine:
             merged = self.context.cached_inference_planes(key)
         if merged is None:
             merged = self._build_merged_planes(
-                entries, rs_looking_glasses, third_party_lgs)
+                passive_entries, rs_looking_glasses, third_party_lgs)
             if self.context is not None:
                 self.context.store_inference_planes(key, merged)
 
@@ -351,7 +356,7 @@ class MLPInferenceEngine:
 
     def _build_merged_planes(
         self,
-        passive_entries: Optional[List[RibEntry]],
+        passive_entries: Optional[StableEntries],
         rs_looking_glasses: Dict[str, RouteServerLookingGlass],
         third_party_lgs: Dict[str, List[ASLookingGlass]],
     ):

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
+from repro.bgp.attributes import ASPath
 from repro.bgp.communities import Community
 from repro.bgp.messages import RibEntry
 from repro.bgp.policy import Relationship
@@ -101,7 +102,7 @@ class PassiveInference:
                     self.stats.entries_without_rs_communities += 1
                 continue
             ixp_name = identification.ixp_name
-            setter = self.identify_setter(ixp_name, entry)
+            setter = self.identify_setter(ixp_name, entry.as_path)
             if setter is None:
                 self.stats.entries_without_setter += 1
                 continue
@@ -120,8 +121,8 @@ class PassiveInference:
 
     # -- setter identification ----------------------------------------------------------
 
-    def identify_setter(self, ixp_name: str, entry: RibEntry) -> Optional[int]:
-        """Pin-point the RS setter on the entry's AS path (section 4.2).
+    def identify_setter(self, ixp_name: str, as_path: ASPath) -> Optional[int]:
+        """Pin-point the RS setter on an entry's AS path (section 4.2).
 
         The path is ordered observer-side first, origin last.  The three
         cases: fewer than two IXP participants -> unknown; exactly two ->
@@ -130,12 +131,12 @@ class PassiveInference:
         adjacent participants with a p2p relationship.
         """
         epoch = self.interpreter.cache_epoch
-        cache_key = (ixp_name, entry.as_path.asns)
+        cache_key = (ixp_name, as_path.asns)
         cached = self._setter_cache.get(cache_key)
         if cached is not None and cached[0] == epoch:
             return cached[1]
         members = self.interpreter.rs_members.get(ixp_name, set())
-        path = entry.as_path.deduplicated().asns
+        path = as_path.deduplicated().asns
         participant_positions = [index for index, asn in enumerate(path)
                                  if asn in members]
         if len(participant_positions) < 2:

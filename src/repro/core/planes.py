@@ -8,11 +8,11 @@ public step functions of :mod:`repro.core.passive`,
 :class:`~repro.core.engine.MLPInferenceEngine` runs this module
 instead: observations become
 ``(member, prefix id, policy id, source code)`` tuples over shared
-interners, passive extraction is fused (clean-filter, IXP attribution,
-setter pin-pointing and community interpretation collapse into one memo
-keyed on the distinct ``(AS path, community bag)`` pairs — collector
-archives repeat each pair once per exported prefix), and the merged
-per-member policies scatter into a
+interners, passive extraction reads the collector archive's columns
+(IXP identification per distinct community bag, clean filter and setter
+pin-pointing per distinct (IXP, AS path), rows scattered from arrays —
+collector archives repeat each path once per exported prefix), and the
+merged per-member policies scatter into a
 :class:`~repro.runtime.reachmatrix.ReachabilityPlane` whose reciprocal
 ``M & M.T`` kernel emits the links.
 
@@ -27,11 +27,14 @@ inconsistent-announcement handling can never drift.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.bgp.messages import RibEntry
+import numpy as np
+
 from repro.bgp.policy import Relationship
 from repro.bgp.prefix import Prefix
+from repro.collectors.archive import StableEntries
 from repro.core.communities import RSCommunityInterpreter
 from repro.core.passive import PassiveInference
 from repro.core.reachability import (
@@ -110,7 +113,7 @@ class PlaneCacheKey:
     """Identity of one bitset-plane computation on a shared context.
 
     Two engine runs may reuse cached planes only when every collection
-    input is the same: the passive entry list (by object identity — the
+    input is the same: the passive stable view (by object identity — the
     archive memoises it), the looking glasses (by identity per LG *and*
     by a view signature capturing their membership/route-table sizes,
     so re-announcements between runs force recollection), the sampling
@@ -119,7 +122,7 @@ class PlaneCacheKey:
     itself by identity).  ``matches`` errs on the side of recomputation.
     """
 
-    passive_entries: Optional[Sequence[RibEntry]]
+    passive_entries: Optional[StableEntries]
     rs_looking_glasses: Mapping[str, object]
     third_party_lgs: Mapping[str, Sequence[object]]
     sample_fraction: float
@@ -181,89 +184,119 @@ def lg_view_signature(
 
 
 def extract_passive_planes(
-    entries: Optional[Sequence[RibEntry]],
+    entries: Optional[StableEntries],
     interpreter: RSCommunityInterpreter,
     relationships: Mapping[Tuple[int, int], Relationship],
     prefixes: Interner,
     policies: PolicyTable,
     planes: Dict[str, ObservationPlane],
 ) -> None:
-    """Scatter archived RIB entries into per-IXP observation planes.
+    """Scatter an archive's stable rows into per-IXP observation planes.
 
-    Fuses ``PassiveInference.extract`` + ``policy_observations`` into
-    one pass: per distinct (AS path, community bag) the clean filter,
-    IXP attribution, setter pin-pointing and policy interpretation run
-    once; every further entry carrying the pair only appends an
-    interned row.  Row content and order are identical to the object
-    path's per-IXP observation lists.
+    Fuses ``PassiveInference.extract`` + ``policy_observations`` over
+    the archive's columns at the view's rows, without materialising a
+    :class:`~repro.bgp.messages.RibEntry`: IXP identification runs once
+    per distinct community bag, the clean filter and setter
+    pin-pointing once per distinct (IXP, AS path), policy interpretation
+    once per bag that reaches a surviving row, and the surviving rows
+    scatter from arrays.  Prefixes and policies are interned in
+    first-surviving-row order, so the interners and every plane's rows
+    (content and order) equal the per-entry pipeline's.
     """
-    if entries is None:
+    if entries is None or not len(entries):
         return
-    passive = PassiveInference(interpreter, relationships)
-    # (path asns, community bag) -> None (filtered) or
-    # (ixp name, setter ASN, policy id).
-    skeletons: Dict[Tuple[Tuple[int, ...], FrozenSet], Optional[Tuple]] = {}
-    # Identity layer over the value memo: columnar propagation shares
-    # one ASPath/bag object per (origin, observer) across prefixes, and
-    # the archive's RibEntryTable value-interns paths/bags so *every*
-    # entry with the same path shares one object — the common repeat
-    # resolves on two id() lookups without hashing the path tuple.
-    # Safe because *entries* holds every keyed object alive for the
-    # whole pass (ids cannot be reused).
-    id_skeletons: Dict[Tuple[int, int], Optional[Tuple]] = {}
-    for entry in entries:
-        ident = (id(entry.as_path), id(entry.communities))
-        skeleton = id_skeletons.get(ident, _MISS)
-        if skeleton is _MISS:
-            key = (entry.as_path.asns, entry.communities)
-            skeleton = skeletons.get(key, _MISS)
-            if skeleton is _MISS:
-                skeleton = _passive_skeleton(
-                    entry, interpreter, passive, policies)
-                skeletons[key] = skeleton
-            id_skeletons[ident] = skeleton
-        if skeleton is None:
+    table = entries.table
+    rows = entries.rows
+    _, prefix_column, path_column = table.key_arrays()
+    path_ids = path_column[rows]
+    bag_column = table.bag_id
+    bag_ids = np.fromiter(map(bag_column.__getitem__, rows.tolist()),
+                          dtype=np.int64, count=len(rows))
+
+    # The IXP each distinct bag identifies (-1: empty or unattributable).
+    bags, bag_of_row = np.unique(bag_ids, return_inverse=True)
+    ixp_names: List[str] = []
+    ixp_codes: Dict[str, int] = {}
+    bag_ixp = np.full(len(bags), -1, dtype=np.int64)
+    for position, bag_id in enumerate(bags.tolist()):
+        communities = table.bags[bag_id]
+        if not communities:
             continue
-        ixp_name, setter, policy_id = skeleton
+        identification = interpreter.identify_unique_ixp(communities)
+        if identification is None:
+            continue
+        name = identification.ixp_name
+        if name not in ixp_codes:
+            ixp_codes[name] = len(ixp_names)
+            ixp_names.append(name)
+        bag_ixp[position] = ixp_codes[name]
+    row_ixp = bag_ixp[bag_of_row]
+    attributed = np.flatnonzero(row_ixp >= 0)
+
+    # The setter per distinct (IXP, path) (-1: dirty path or no setter).
+    num_paths = len(table.paths)
+    keys, key_of_row = np.unique(
+        row_ixp[attributed] * num_paths + path_ids[attributed],
+        return_inverse=True)
+    passive = PassiveInference(interpreter, relationships)
+    key_setter = np.full(len(keys), -1, dtype=np.int64)
+    for position, key in enumerate(keys.tolist()):
+        code, path_id = divmod(key, num_paths)
+        path = table.paths[path_id]
+        if path.is_clean():
+            setter = passive.identify_setter(ixp_names[code], path)
+            if setter is not None:
+                key_setter[position] = setter
+    row_setter = key_setter[key_of_row]
+    survivors = attributed[row_setter >= 0]
+    setters = row_setter[row_setter >= 0]
+
+    # Policies per surviving bag and prefixes, in first-row order.
+    survivor_bags = bag_of_row[survivors]
+    bag_policy = np.zeros(len(bags), dtype=np.int64)
+    for position in _first_seen(survivor_bags):
+        ixp_name = ixp_names[bag_ixp[position]]
+        rs_communities = interpreter.rs_communities_only(
+            ixp_name, table.bags[bags[position]])
+        interpreted = interpreter.interpret_for_ixp(ixp_name, rs_communities)
+        if interpreted is None:
+            bag_policy[position] = policies.intern(*DEFAULT_POLICY)
+        else:
+            bag_policy[position] = policies.intern(interpreted.mode,
+                                                   interpreted.listed)
+    policy_ids = bag_policy[survivor_bags]
+    table_prefixes = prefix_column[rows[survivors]]
+    prefix_of = np.zeros(len(table.prefixes), dtype=np.int64)
+    for prefix_id in _first_seen(table_prefixes):
+        prefix_of[prefix_id] = prefixes.intern(table.prefixes[prefix_id])
+    prefix_ids = prefix_of[table_prefixes]
+
+    # Scatter the rows, plane by plane in first-row order.
+    survivor_ixps = row_ixp[survivors]
+    num_prefixes = len(table.prefixes)
+    for code in _first_seen(survivor_ixps):
+        ixp_name = ixp_names[code]
+        in_ixp = survivor_ixps == code
+        plane_setters = setters[in_ixp]
         plane = planes.get(ixp_name)
         if plane is None:
             plane = planes[ixp_name] = ObservationPlane(ixp_name=ixp_name)
-        plane.rows.append((setter, prefixes.intern(entry.prefix),
-                           policy_id, PASSIVE))
-        plane.passive_members.add(setter)
-        plane.covered_prefixes.setdefault(setter, set()).add(entry.prefix)
+        plane.rows.extend(zip(plane_setters.tolist(),
+                              prefix_ids[in_ixp].tolist(),
+                              policy_ids[in_ixp].tolist(),
+                              repeat(PASSIVE)))
+        plane.passive_members.update(plane_setters.tolist())
+        covered = plane.covered_prefixes
+        for pair in _first_seen(plane_setters * num_prefixes
+                                + table_prefixes[in_ixp]):
+            setter, prefix_id = divmod(pair, num_prefixes)
+            covered.setdefault(setter, set()).add(table.prefixes[prefix_id])
 
 
-_MISS = object()
-
-
-def _passive_skeleton(
-    entry: RibEntry,
-    interpreter: RSCommunityInterpreter,
-    passive: PassiveInference,
-    policies: PolicyTable,
-) -> Optional[Tuple[str, int, int]]:
-    """The prefix-independent outcome of the passive pipeline for one
-    distinct (AS path, community bag) pair."""
-    if not entry.is_clean():
-        return None
-    if not entry.communities:
-        return None
-    identification = interpreter.identify_unique_ixp(entry.communities)
-    if identification is None:
-        return None
-    ixp_name = identification.ixp_name
-    setter = passive.identify_setter(ixp_name, entry)
-    if setter is None:
-        return None
-    rs_communities = interpreter.rs_communities_only(
-        ixp_name, entry.communities)
-    interpreted = interpreter.interpret_for_ixp(ixp_name, rs_communities)
-    if interpreted is None:
-        policy_id = policies.intern(*DEFAULT_POLICY)
-    else:
-        policy_id = policies.intern(interpreted.mode, interpreted.listed)
-    return ixp_name, setter, policy_id
+def _first_seen(values: np.ndarray) -> List[int]:
+    """The distinct *values* in order of first occurrence."""
+    distinct, first = np.unique(values, return_index=True)
+    return distinct[np.argsort(first)].tolist()
 
 
 def rows_from_raw_observations(

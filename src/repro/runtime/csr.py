@@ -19,7 +19,9 @@ layout, so the frontier BFS never tests relationships in its inner loop:
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.bgp.policy import Relationship
 from repro.runtime.frontier import (
@@ -32,13 +34,33 @@ from repro.runtime.frontier import (
 from repro.runtime.interning import Interner
 from repro.runtime.stores import CommunityBagStore
 
-_REL_CODE = {
+#: Relationship -> REL_* code.
+REL_CODE = {
     Relationship.CUSTOMER: REL_CUSTOMER,
     Relationship.PROVIDER: REL_PROVIDER,
     Relationship.PEER: REL_PEER,
     Relationship.RS_PEER: REL_RS_PEER,
     Relationship.SIBLING: REL_SIBLING,
 }
+
+#: The REL_* codes of the customer, peer and provider phase.
+_PHASE_RELS = ((REL_CUSTOMER, REL_SIBLING), (REL_PEER, REL_RS_PEER),
+               (REL_PROVIDER, REL_SIBLING))
+
+
+class DirectedEdges(NamedTuple):
+    """Directed propagation edges as parallel columns in ASN space: the
+    input of :meth:`CSRIndex.from_edges` and :meth:`CSRIndex.spliced`."""
+
+    sources: Sequence[int]  #: exporting ASN per edge
+    targets: Sequence[int]  #: importing ASN per edge
+    rels: Sequence[int]     #: REL_* code of the exporter, seen by the importer
+    bags: Sequence[int]     #: community-bag id attached on the edge (0 = none)
+    vias: Sequence[int]     #: RS ASN inserted in the path, -1 when transparent
+
+
+#: No edges (the default of :meth:`CSRIndex.spliced`'s *retagged*).
+NO_EDGES = DirectedEdges((), (), (), (), ())
 
 
 class PhaseEdges(NamedTuple):
@@ -88,6 +110,42 @@ class CSRIndex:
     # -- construction --------------------------------------------------------
 
     @classmethod
+    def from_edges(cls, edges: DirectedEdges,
+                   bags: CommunityBagStore) -> "CSRIndex":
+        """Assemble the index from directed edge columns in ASN space.
+
+        The one assembler of every full build: node ids are the sorted
+        distinct endpoint ASNs, and each phase holds its edges in a
+        stable ``(source, target)`` order, so duplicate pairs keep their
+        input order.  *bags* is the store ``edges.bags`` refer to.
+        """
+        sources = np.asarray(edges.sources, dtype=np.int64)
+        targets = np.asarray(edges.targets, dtype=np.int64)
+        rels = np.asarray(edges.rels, dtype=np.int64)
+        edge_bags = np.asarray(edges.bags, dtype=np.int64)
+        vias = np.asarray(edges.vias, dtype=np.int64)
+        node_asns = np.unique(np.concatenate((sources, targets)))
+        num_nodes = len(node_asns)
+        source_ids = np.searchsorted(node_asns, sources)
+        target_ids = np.searchsorted(node_asns, targets)
+        phases = []
+        for phase_rels in _PHASE_RELS:
+            selected = np.flatnonzero(np.isin(rels, phase_rels))
+            order = selected[np.lexsort((target_ids[selected],
+                                         source_ids[selected]))]
+            indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+            np.cumsum(np.bincount(source_ids[order], minlength=num_nodes),
+                      out=indptr[1:])
+            phases.append(PhaseEdges(
+                indptr=indptr.tolist(),
+                targets=target_ids[order].tolist(),
+                rels=rels[order].tolist(),
+                bags=edge_bags[order].tolist(),
+                vias=vias[order].tolist()))
+        return cls(Interner(node_asns.tolist()), bags, *phases,
+                   num_edges=len(sources))
+
+    @classmethod
     def from_adjacencies(
         cls,
         adjacencies: Iterable[object],
@@ -98,59 +156,40 @@ class CSRIndex:
         Records are duck-typed: anything exposing ``source``, ``target``,
         ``relationship``, ``communities``, ``via_rs_asn`` and
         ``rs_transparent`` works (notably
-        :class:`~repro.bgp.propagation.Adjacency`).
+        :class:`~repro.bgp.propagation.Adjacency`).  Their bags are
+        interned in record order, then :meth:`from_edges` assembles.
         """
-        adjacency_list = list(adjacencies)
         bags = bags if bags is not None else CommunityBagStore()
-
-        asn_set = set()
-        for adj in adjacency_list:
-            asn_set.add(adj.source)
-            asn_set.add(adj.target)
-        asns = Interner(sorted(asn_set))
-        id_of = asns.id_map
-        num_nodes = len(asns)
-
-        # (source, target, rel, bag, via) records per phase.
-        phase_records: Tuple[List[Tuple[int, int, int, int, int]], ...] = (
-            [], [], [])
-        for adj in adjacency_list:
-            rel = _REL_CODE[adj.relationship]
-            source = id_of[adj.source]
-            target = id_of[adj.target]
+        edges = DirectedEdges([], [], [], [], [])
+        for adj in adjacencies:
+            edges.sources.append(adj.source)
+            edges.targets.append(adj.target)
+            edges.rels.append(REL_CODE[adj.relationship])
             communities = adj.communities
-            bag = bags.intern(frozenset(communities)) if communities else 0
+            edges.bags.append(
+                bags.intern(frozenset(communities)) if communities else 0)
             via = adj.via_rs_asn
-            via_asn = via if (via is not None and not adj.rs_transparent) else -1
-            record = (source, target, rel, bag, via_asn)
-            if rel == REL_CUSTOMER or rel == REL_SIBLING:
-                phase_records[0].append(record)
-            if rel == REL_PEER or rel == REL_RS_PEER:
-                phase_records[1].append(record)
-            if rel == REL_PROVIDER or rel == REL_SIBLING:
-                phase_records[2].append(record)
-
-        phases = tuple(_build_phase(records, num_nodes)
-                       for records in phase_records)
-        return cls(asns, bags, phases[0], phases[1], phases[2],
-                   num_edges=len(adjacency_list))
+            edges.vias.append(
+                via if (via is not None and not adj.rs_transparent) else -1)
+        return cls.from_edges(edges, bags)
 
     # -- incremental maintenance ---------------------------------------------
 
-    def spliced(self, removed: Iterable[object], added: Iterable[object],
-                retagged: Iterable[object] = ()) -> "CSRIndex":
+    def spliced(self, removed: DirectedEdges, added: DirectedEdges,
+                retagged: DirectedEdges = NO_EDGES) -> "CSRIndex":
         """A new index equal to a from-scratch build after an edge delta.
 
-        *removed*/*added* are directed adjacency records (same duck type
-        as :meth:`from_adjacencies`); *retagged* records keep their row
-        but get their edge annotations (bag, via) re-derived — the
-        policy-edit case, where a member's RS communities change on
+        *removed*/*added* are directed edge columns whose bag ids refer
+        to this index's store (:func:`~repro.topology.as_graph.
+        link_edges` interns into ``index.bags``); *retagged* edges keep
+        their row but get their annotations (rel, bag, via) replaced —
+        the policy-edit case, where a member's RS communities change on
         edges whose adjacency is untouched.  The phase arrays are copied
         and each change is applied at the sorted ``(source, target)``
-        position a full rebuild's stable sort would have produced, so
-        the result is structurally identical to
-        ``from_adjacencies(post_change_adjacencies)`` — that is what
-        makes event-driven delta recompute bit-identical to a rebuild.
+        position a full build's stable sort would have produced, so
+        the result is structurally identical to a from-scratch build of
+        the post-change edges — that is what makes event-driven delta
+        recompute bit-identical to a rebuild.
 
         The ASN interner is shared (node ids must not shift) and the bag
         store is shared and appended to (existing bag ids stay valid for
@@ -162,18 +201,9 @@ class CSRIndex:
         id_of = self.id_of
         changes: Tuple[list, list, list] = ([], [], [])
         delta = 0
-        for sign, adjacencies in ((-1, removed), (+1, added), (0, retagged)):
-            for adj in adjacencies:
-                rel = _REL_CODE[adj.relationship]
-                source = id_of[adj.source]
-                target = id_of[adj.target]
-                communities = adj.communities
-                bag = self.bags.intern(frozenset(communities)) \
-                    if communities else 0
-                via = adj.via_rs_asn
-                via_asn = via if (via is not None
-                                  and not adj.rs_transparent) else -1
-                record = (sign, source, target, rel, bag, via_asn)
+        for sign, edges in ((-1, removed), (+1, added), (0, retagged)):
+            for source, target, rel, bag, via in zip(*edges):
+                record = (sign, id_of[source], id_of[target], rel, bag, via)
                 delta += sign
                 if rel == REL_CUSTOMER or rel == REL_SIBLING:
                     changes[0].append(record)
@@ -245,21 +275,3 @@ def _splice_phase(phase: PhaseEdges, changes: List[tuple]) -> PhaseEdges:
     return PhaseEdges(indptr=indptr, targets=targets, rels=rels,
                       bags=bags, vias=vias)
 
-
-def _build_phase(
-    records: List[Tuple[int, int, int, int, int]],
-    num_nodes: int,
-) -> PhaseEdges:
-    records.sort(key=lambda record: (record[0], record[1]))
-    indptr = [0] * (num_nodes + 1)
-    for source, _, _, _, _ in records:
-        indptr[source + 1] += 1
-    for node in range(num_nodes):
-        indptr[node + 1] += indptr[node]
-    return PhaseEdges(
-        indptr=indptr,
-        targets=[record[1] for record in records],
-        rels=[record[2] for record in records],
-        bags=[record[3] for record in records],
-        vias=[record[4] for record in records],
-    )

@@ -62,8 +62,7 @@ from repro.runtime.delta import (
     affected_update,
     patched_result,
 )
-from repro.topology.as_graph import (ASGraph, ASLink, LinkType,
-                                     link_adjacencies)
+from repro.topology.as_graph import ASGraph, ASLink, LinkType, link_edges
 
 
 # ---------------------------------------------------------------------------
@@ -773,14 +772,13 @@ class TimelineReplay:
                 link = self.graph.get_link(member, other)
                 if link is not None and link.link_type is LinkType.RS_P2P:
                     retag_links.append(link)
+        bags = index.bags
+        removed = link_edges(effect.removed_links, bags)
+        added = link_edges(effect.added_links, bags, self._rs_provider)
+        retagged = link_edges(
+            [link for link in retag_links if link not in effect.added_links],
+            bags, self._rs_provider)
         try:
-            removed = [adj for link in effect.removed_links
-                       for adj in link_adjacencies(link)]
-            added = [adj for link in effect.added_links
-                     for adj in link_adjacencies(link, self._rs_provider)]
-            retagged = [adj for link in retag_links
-                        if link not in effect.added_links
-                        for adj in link_adjacencies(link, self._rs_provider)]
             return index.spliced(removed, added, retagged)
         except KeyError:
             return None  # un-interned endpoint: node joined the edge set

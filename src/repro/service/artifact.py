@@ -231,29 +231,42 @@ def _column_loader(directory: Path, header: Dict[str, object], mmap: bool):
     return load
 
 
+def _column(load, name: str, dtype: str, shape: Tuple[Optional[int], ...]):
+    """Column *name* (via ``load``), refused with
+    :class:`ArtifactFormatError` unless it has exactly *dtype* and
+    *shape* (``None``: any length on that axis)."""
+    array = load(name)
+    if array.dtype != _np.dtype(dtype):
+        raise ArtifactFormatError(
+            f"artifact column {name} has dtype {array.dtype}, "
+            f"expected {dtype}")
+    if array.ndim != len(shape) or any(
+            want is not None and got != want
+            for got, want in zip(array.shape, shape)):
+        expected = tuple("*" if want is None else want for want in shape)
+        raise ArtifactFormatError(
+            f"artifact column {name} has shape {array.shape}, "
+            f"expected {expected}")
+    return array
+
+
 def _load_plane(load, i: int,
                 payload: Dict[str, object]) -> ReachabilityPlane:
-    members = load(f"plane_{i:02d}_members.npy")
-    allow = load(f"plane_{i:02d}_allow.npy")
-    masks = load(f"plane_{i:02d}_masks.npy")
-    counts = load(f"plane_{i:02d}_counts.npy")
     size = int(payload["num_members"])
-    if members.shape != (size,) or allow.shape != (size,
-                                                   packed_words(size)):
-        raise ArtifactFormatError(
-            f"plane {payload['name']!r} column shapes do not match header")
-    index = BitsetIndex(int(asn) for asn in members)
-    if index.universe != tuple(int(asn) for asn in members):
+    words = packed_words(size)
+    prefix = f"plane_{i:02d}_"
+    members = _column(load, prefix + "members.npy", INDEX_DTYPE, (size,))
+    allow = _column(load, prefix + "allow.npy", PACKED_DTYPE, (size, words))
+    masks = _column(load, prefix + "masks.npy", PACKED_DTYPE, (4, words))
+    counts = _column(load, prefix + "counts.npy", INDEX_DTYPE, (size, 3))
+    universe = tuple(members.tolist())
+    index = BitsetIndex(universe)
+    if index.universe != universe:
         raise ArtifactFormatError(
             f"plane {payload['name']!r} members are not sorted-unique")
     covered_mask = unpack_mask(masks[0])
     row_bits = tuple(iter_bits(covered_mask))
-    prefixes = {int(bit): int(counts[bit, 0]) for bit in range(size)
-                if counts[bit, 0] >= 0}
-    inconsistent = {int(bit): int(counts[bit, 1]) for bit in range(size)
-                    if counts[bit, 1] >= 0}
-    observations = {int(bit): int(counts[bit, 2]) for bit in range(size)
-                    if counts[bit, 2] > 0}
+    prefixes, inconsistent, observations = counts.T.tolist()
     return ReachabilityPlane(
         ixp_name=str(payload["name"]),
         index=index,
@@ -263,8 +276,10 @@ def _load_plane(load, i: int,
                   in dict(payload["policies"]).items()},
         sources={int(bit): frozenset(values)
                  for bit, values in dict(payload["sources"]).items()},
-        prefixes_observed=prefixes,
-        inconsistent=inconsistent,
+        prefixes_observed={bit: value for bit, value in enumerate(prefixes)
+                           if value >= 0},
+        inconsistent={bit: value for bit, value in enumerate(inconsistent)
+                      if value >= 0},
         covered_mask=covered_mask,
         passive_mask=unpack_mask(masks[1]),
         active_mask=unpack_mask(masks[2]),
@@ -274,7 +289,9 @@ def _load_plane(load, i: int,
         active_members=frozenset(int(v)
                                  for v in payload["active_members"]),
         active_queries=int(payload["active_queries"]),
-        observation_counts=observations,
+        observation_counts={bit: value
+                            for bit, value in enumerate(observations)
+                            if value > 0},
         _packed=allow,
     )
 
@@ -371,8 +388,11 @@ def load_matrix(directory: Union[str, Path],
 
     Raises :class:`ArtifactFormatError` on a missing/incompatible
     header, a column whose bytes do not match its recorded sha256, or
-    malformed columns, so a truncated or corrupted artifact is a clean
-    failure instead of silently wrong answers.
+    malformed columns — every column's dtype and shape are checked
+    against the schema before it is read, and the error names the
+    column — so a truncated or corrupted artifact is a clean failure
+    instead of silently wrong answers.  Each column is converted to
+    Python values once (``tolist``), never element by element.
     """
     directory = Path(directory)
     header_path = directory / "header.json"
@@ -401,20 +421,24 @@ def load_matrix(directory: Union[str, Path],
     for i, payload in enumerate(header["ixps"]):
         plane = _load_plane(load, i, payload)
         planes[plane.ixp_name] = plane
-        plane_links = load(f"plane_{i:02d}_links.npy")
-        links_by_ixp[plane.ixp_name] = tuple(
-            (int(a), int(b)) for a, b in plane_links)
+        plane_links = _column(load, f"plane_{i:02d}_links.npy",
+                              INDEX_DTYPE, (None, 2))
+        links_by_ixp[plane.ixp_name] = tuple(map(tuple,
+                                                 plane_links.tolist()))
     matrix = ReachabilityMatrix(planes, links_by_ixp=links_by_ixp,
                                 built_by=str(header.get("built_by",
                                                         "artifact")))
+    peer_asns = _column(load, "peer_asns.npy", INDEX_DTYPE, (None,))
     return ArtifactHandle(
         directory=directory,
         header=header,
         matrix=matrix,
-        all_links=load("links.npy"),
-        peer_asns=load("peer_asns.npy"),
-        peer_offsets=load("peer_offsets.npy"),
-        peer_neighbors=load("peer_neighbors.npy"),
+        all_links=_column(load, "links.npy", INDEX_DTYPE, (None, 2)),
+        peer_asns=peer_asns,
+        peer_offsets=_column(load, "peer_offsets.npy", INDEX_DTYPE,
+                             (len(peer_asns) + 1,)),
+        peer_neighbors=_column(load, "peer_neighbors.npy", INDEX_DTYPE,
+                               (None,)),
     )
 
 

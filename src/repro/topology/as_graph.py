@@ -15,8 +15,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.bgp.policy import Relationship
 from repro.bgp.prefix import Prefix
-from repro.bgp.propagation import Adjacency
-from repro.runtime.csr import CSRIndex
+from repro.runtime.csr import REL_CODE, CSRIndex, DirectedEdges
+from repro.runtime.stores import CommunityBagStore
 from repro.topology.relationships import (
     LINK_RELATIONSHIPS,
     LinkType,
@@ -25,6 +25,14 @@ from repro.topology.relationships import (
 
 #: The typed neighbour map of an AS without neighbours (never written).
 _NO_NEIGHBOURS: Dict[int, Relationship] = {}
+
+#: Per link type, the REL_* codes of a link's edges a->b and b->a: how
+#: the importer sees the exporter.
+_EDGE_RELS: Dict[LinkType, Tuple[int, int]] = {
+    link_type: (REL_CODE[rel_ba], REL_CODE[rel_ab])
+    for link_type, (rel_ab, rel_ba) in LINK_RELATIONSHIPS.items()}
+#: The bag ids of a link's two edges when it carries no communities.
+_NO_BAGS = (0, 0)
 
 
 class PeeringPolicy(enum.Enum):
@@ -109,30 +117,43 @@ class ASLink:
         return f"{self.a}-{self.b} ({self.link_type.value})"
 
 
-def link_adjacencies(link: ASLink,
-                     rs_community_provider=None) -> List[Adjacency]:
-    """The directed propagation adjacencies of one link.
+def link_edges(links: Iterable[ASLink], bags: CommunityBagStore,
+               rs_community_provider=None) -> DirectedEdges:
+    """The directed propagation edges of *links*, as index columns.
 
-    The single source of the link -> adjacency mapping: the full-graph
-    export (:meth:`ASGraph.propagation_adjacencies`) and the incremental
-    index splice (:meth:`~repro.runtime.csr.CSRIndex.spliced`) both go
+    The single source of the link -> edge rule: the full build
+    (:meth:`ASGraph.build_index`) and the replay's incremental index
+    splice (:meth:`~repro.runtime.csr.CSRIndex.spliced`) both go
     through here, so an event-driven single-link update attaches exactly
-    the records a from-scratch rebuild would.  Relationships come from
-    :data:`~repro.topology.relationships.LINK_RELATIONSHIPS`.
+    the edges a from-scratch rebuild would.  Each link yields a->b, then
+    b->a, with relationships from
+    :data:`~repro.topology.relationships.LINK_RELATIONSHIPS`.  The edges
+    of an rs-p2p link carry their exporter's route-server communities:
+    ``rs_community_provider(exporter, ixp)`` is called for *a*, then
+    *b*, and the non-empty results are interned into *bags* in that
+    order.  Every other edge carries bag 0; no edge inserts an RS ASN.
     """
-    rel_ab, rel_ba = LINK_RELATIONSHIPS[link.link_type]
-    ixp = link.ixp if link.link_type.is_peering else None
-    communities_ab = communities_ba = frozenset()
-    if link.link_type is LinkType.RS_P2P and \
-            rs_community_provider is not None and link.ixp is not None:
-        communities_ab = frozenset(rs_community_provider(link.a, link.ixp))
-        communities_ba = frozenset(rs_community_provider(link.b, link.ixp))
-    return [
-        Adjacency(source=link.a, target=link.b, relationship=rel_ba,
-                  ixp=ixp, communities=communities_ab),
-        Adjacency(source=link.b, target=link.a, relationship=rel_ab,
-                  ixp=ixp, communities=communities_ba),
-    ]
+    sources: List[int] = []
+    targets: List[int] = []
+    rels: List[int] = []
+    edge_bags: List[int] = []
+    intern = bags.intern
+    for link in links:
+        a, b, link_type = link.a, link.b, link.link_type
+        sources += (a, b)
+        targets += (b, a)
+        rels += _EDGE_RELS[link_type]
+        if link_type is LinkType.RS_P2P and \
+                rs_community_provider is not None and link.ixp is not None:
+            communities_ab = rs_community_provider(a, link.ixp)
+            communities_ba = rs_community_provider(b, link.ixp)
+            edge_bags += (
+                intern(frozenset(communities_ab)) if communities_ab else 0,
+                intern(frozenset(communities_ba)) if communities_ba else 0)
+        else:
+            edge_bags += _NO_BAGS
+    return DirectedEdges(sources, targets, rels, edge_bags,
+                         [-1] * len(sources))
 
 
 class ASGraph:
@@ -344,32 +365,12 @@ class ASGraph:
         """Prefixes originated by *asn*."""
         return list(self._nodes[asn].prefixes)
 
-    # -- propagation export -------------------------------------------------------
-
-    def propagation_adjacencies(
-        self,
-        include_link_types: Optional[Iterable[LinkType]] = None,
-        rs_community_provider=None,
-    ) -> List[Adjacency]:
-        """Convert the graph into directed adjacencies for the
-        :class:`~repro.bgp.propagation.PropagationEngine`.
-
-        ``rs_community_provider`` is an optional callable
-        ``(exporter_asn, ixp_name) -> frozenset[Community]`` used to attach
-        the exporter's route-server communities to rs-p2p edges; route
-        servers do exactly this in the real system, which is what makes the
-        communities visible in collector feeds.
-        """
-        allowed = set(include_link_types) if include_link_types is not None else None
-        adjacencies: List[Adjacency] = []
-        for link in self._links.values():
-            if allowed is not None and link.link_type not in allowed:
-                continue
-            adjacencies.extend(link_adjacencies(link, rs_community_provider))
-        return adjacencies
+    # -- propagation index ---------------------------------------------------------
 
     def build_index(self, rs_community_provider=None) -> CSRIndex:
-        """Build (or fetch the cached) CSR adjacency index of the graph.
+        """Build (or fetch the cached) CSR adjacency index of the graph:
+        one pass over the links (:func:`link_edges`), then
+        :meth:`~repro.runtime.csr.CSRIndex.from_edges`.
 
         The index is the once-per-topology structure the frontier
         propagation engine runs on (see :mod:`repro.runtime`).  It is
@@ -377,16 +378,21 @@ class ASGraph:
         ``rs_community_provider`` is involved; indices with route-server
         communities attached are rebuilt on demand because the provider
         callable's output is not observable by the cache.
+        ``rs_community_provider`` is a callable ``(exporter_asn,
+        ixp_name) -> frozenset[Community]``: route servers attach the
+        exporter's communities on rs-p2p edges, which is what makes
+        them visible in collector feeds.
         """
+        if rs_community_provider is None and self._index_cache is not None \
+                and self._index_cache[0] == self._version:
+            return self._index_cache[1]
+        bags = CommunityBagStore()
+        index = CSRIndex.from_edges(
+            link_edges(self._links.values(), bags, rs_community_provider),
+            bags)
         if rs_community_provider is None:
-            if self._index_cache is not None and \
-                    self._index_cache[0] == self._version:
-                return self._index_cache[1]
-            index = CSRIndex.from_adjacencies(self.propagation_adjacencies())
             self._index_cache = (self._version, index)
-            return index
-        return CSRIndex.from_adjacencies(self.propagation_adjacencies(
-            rs_community_provider=rs_community_provider))
+        return index
 
     # -- summary -------------------------------------------------------------------
 

@@ -12,8 +12,6 @@ from repro.bgp.policy import (
 )
 from repro.bgp.prefix import Prefix
 from repro.bgp.session import (
-    Session,
-    SessionType,
     bilateral_session_count,
     multilateral_session_count,
 )
@@ -107,19 +105,6 @@ class TestPolicies:
 
 
 class TestSession:
-    def test_reversed_session(self):
-        session = Session(local_asn=1, remote_asn=2,
-                          relationship=Relationship.CUSTOMER,
-                          session_type=SessionType.TRANSIT)
-        reverse = session.reversed()
-        assert reverse.local_asn == 2 and reverse.remote_asn == 1
-        assert reverse.relationship is Relationship.PROVIDER
-
-    def test_endpoints_sorted(self):
-        session = Session(local_asn=9, remote_asn=2,
-                          relationship=Relationship.PEER)
-        assert session.endpoints == (2, 9)
-
     def test_session_counts_figure1(self):
         # Figure 1: six ASes in a full mesh need 15 bilateral sessions but
         # only 12 sessions with two route servers.

@@ -180,8 +180,8 @@ class TestSetterCacheScoping:
         with_second_pair = PassiveInference(engine.interpreter, {
             (300, 200): Relationship.PROVIDER,
             (200, 100): Relationship.PEER})
-        assert with_first_pair.identify_setter("DE-CIX", entry) == 200
-        assert with_second_pair.identify_setter("DE-CIX", entry) == 100
+        assert with_first_pair.identify_setter("DE-CIX", entry.as_path) == 200
+        assert with_second_pair.identify_setter("DE-CIX", entry.as_path) == 100
 
     def test_setter_cache_invalidated_by_membership_update(self):
         from repro.bgp.attributes import ASPath
@@ -194,13 +194,13 @@ class TestSetterCacheScoping:
         entry = RibEntry(peer_asn=300, prefix=Prefix.parse("10.0.0.0/24"),
                          as_path=ASPath((300, 200, 100)))
         # Two participants: the one closer to the origin is the setter.
-        assert passive.identify_setter("DE-CIX", entry) == 100
+        assert passive.identify_setter("DE-CIX", entry.as_path) == 100
         # AS300 joins the RS: three participants, no known p2p pair ->
         # the conservative fallback, not the stale cached answer.
         interpreter.update_members("DE-CIX", {100, 200, 300})
-        assert passive.identify_setter("DE-CIX", entry) == 100  # fallback
+        assert passive.identify_setter("DE-CIX", entry.as_path) == 100  # fallback
         interpreter.update_members("DE-CIX", {200, 300})
-        assert passive.identify_setter("DE-CIX", entry) == 200
+        assert passive.identify_setter("DE-CIX", entry.as_path) == 200
 
 
 class TestEndToEndDeterminism:

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.bgp.prefix import Prefix
-from repro.bgp.propagation import OriginSpec, PropagationEngine, bidirectional_adjacencies
+from repro.bgp.propagation import OriginSpec
 from repro.bgp.policy import Relationship
 from repro.measurement.geolocation import GeolocationDB
 from repro.measurement.traceroute import TracerouteCampaign, TracerouteConfig
+from repro.runtime.context import PipelineContext
 from repro.topology.as_graph import ASGraph, ASNode
 from repro.topology.relationships import LinkType
 
@@ -19,8 +20,7 @@ def rs_world():
     graph.add_c2p(10, 20)
     graph.add_p2p(20, 30, ixp="DE-CIX", multilateral=True)
     graph.add_c2p(40, 30)
-    adjacencies = graph.propagation_adjacencies()
-    engine = PropagationEngine(adjacencies)
+    engine = PipelineContext.from_graph(graph).engine()
     origins = [OriginSpec(asn=10, prefixes=[Prefix.parse("11.0.0.0/24")])]
     propagation = engine.propagate(origins)
     return graph, propagation

@@ -10,7 +10,8 @@
   object API;
 * :mod:`tests.oracle.inference` — the per-IXP object inference engine
   (passive/active step functions, ``merge_observations`` and
-  ``infer_links`` per IXP);
+  ``infer_links`` per IXP) and the entry-by-entry passive extraction
+  into observation planes, the reference for the column reader;
 * :mod:`tests.oracle.kernels` — pins the propagation engine to one
   kernel so the differential suites can compare kernels directly;
 * :mod:`tests.oracle.delta` — the per-block scan for the delta
@@ -19,7 +20,9 @@
 * :mod:`tests.oracle.topology` — the link-object walk behind the AS
   graph's relationship queries (per-neighbour link lookups, the
   link-order relationship map, the per-call customer-cone BFS), the
-  reference for the graph's typed neighbour map.
+  reference for the graph's typed neighbour map, and the
+  record-by-record CSR index build (two ``Adjacency`` objects per link,
+  a sort per phase), the reference for the column assembler.
 
 None of this ships in ``src/``: production keeps one path per layer.
 """

@@ -10,14 +10,22 @@ pipeline: per IXP, the public step functions build one
 with :func:`~repro.core.reachability.infer_links`.  The differential
 suites require the two engines to produce bit-identical results
 (:meth:`MLPInferenceResult.identical_to`).
+
+:func:`extract_passive_planes` is the entry-list oracle of the
+production passive extraction (:func:`repro.core.planes.
+extract_passive_planes`, which reads the archive's columns): the same
+observation planes, policy table and prefix interner, built one
+:class:`~repro.bgp.messages.RibEntry` at a time.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.bgp.messages import RibEntry
+from repro.bgp.policy import Relationship
 from repro.core.active import ActiveInference, collect_from_third_party_lg
+from repro.core.communities import RSCommunityInterpreter
 from repro.core.engine import (
     IXPInference,
     Link,
@@ -25,6 +33,12 @@ from repro.core.engine import (
     MLPInferenceResult,
 )
 from repro.core.passive import PassiveInference, PassiveObservation
+from repro.core.planes import (
+    DEFAULT_POLICY,
+    PASSIVE,
+    ObservationPlane,
+    PolicyTable,
+)
 from repro.core.reachability import (
     MemberReachability,
     PolicyObservation,
@@ -32,6 +46,7 @@ from repro.core.reachability import (
     merge_observations,
 )
 from repro.ixp.looking_glass import ASLookingGlass, RouteServerLookingGlass
+from repro.runtime.interning import Interner
 
 
 class ObjectInferenceEngine(MLPInferenceEngine):
@@ -200,3 +215,92 @@ def run_object_inference(run) -> MLPInferenceResult:
                             use_active=options.use_active,
                             require_reciprocity=options.require_reciprocity,
                             connectivity=run.artifact("connectivity"))
+
+
+# -- the entry-list passive extraction -------------------------------------------
+
+
+def extract_passive_planes(
+    entries: Optional[Sequence[RibEntry]],
+    interpreter: RSCommunityInterpreter,
+    relationships: Mapping[Tuple[int, int], Relationship],
+    prefixes: Interner,
+    policies: PolicyTable,
+    planes: Dict[str, ObservationPlane],
+) -> None:
+    """Scatter archived RIB entries into per-IXP observation planes, one
+    entry at a time.
+
+    Per distinct (AS path, community bag) the clean filter, IXP
+    attribution, setter pin-pointing and policy interpretation run once
+    (:func:`_passive_skeleton`); every further entry carrying the pair
+    only appends an interned row.  Row content and order are identical
+    to the object path's per-IXP observation lists.
+    """
+    if entries is None:
+        return
+    passive = PassiveInference(interpreter, relationships)
+    # (path asns, community bag) -> None (filtered) or
+    # (ixp name, setter ASN, policy id).
+    skeletons: Dict[Tuple[Tuple[int, ...], FrozenSet], Optional[Tuple]] = {}
+    # Identity layer over the value memo: columnar propagation shares
+    # one ASPath/bag object per (origin, observer) across prefixes, and
+    # the archive's RibEntryTable value-interns paths/bags so *every*
+    # entry with the same path shares one object — the common repeat
+    # resolves on two id() lookups without hashing the path tuple.
+    # Safe because *entries* holds every keyed object alive for the
+    # whole pass (ids cannot be reused).
+    id_skeletons: Dict[Tuple[int, int], Optional[Tuple]] = {}
+    for entry in entries:
+        ident = (id(entry.as_path), id(entry.communities))
+        skeleton = id_skeletons.get(ident, _MISS)
+        if skeleton is _MISS:
+            key = (entry.as_path.asns, entry.communities)
+            skeleton = skeletons.get(key, _MISS)
+            if skeleton is _MISS:
+                skeleton = _passive_skeleton(
+                    entry, interpreter, passive, policies)
+                skeletons[key] = skeleton
+            id_skeletons[ident] = skeleton
+        if skeleton is None:
+            continue
+        ixp_name, setter, policy_id = skeleton
+        plane = planes.get(ixp_name)
+        if plane is None:
+            plane = planes[ixp_name] = ObservationPlane(ixp_name=ixp_name)
+        plane.rows.append((setter, prefixes.intern(entry.prefix),
+                           policy_id, PASSIVE))
+        plane.passive_members.add(setter)
+        plane.covered_prefixes.setdefault(setter, set()).add(entry.prefix)
+
+
+_MISS = object()
+
+
+def _passive_skeleton(
+    entry: RibEntry,
+    interpreter: RSCommunityInterpreter,
+    passive: PassiveInference,
+    policies: PolicyTable,
+) -> Optional[Tuple[str, int, int]]:
+    """The prefix-independent outcome of the passive pipeline for one
+    distinct (AS path, community bag) pair."""
+    if not entry.is_clean():
+        return None
+    if not entry.communities:
+        return None
+    identification = interpreter.identify_unique_ixp(entry.communities)
+    if identification is None:
+        return None
+    ixp_name = identification.ixp_name
+    setter = passive.identify_setter(ixp_name, entry.as_path)
+    if setter is None:
+        return None
+    rs_communities = interpreter.rs_communities_only(
+        ixp_name, entry.communities)
+    interpreted = interpreter.interpret_for_ixp(ixp_name, rs_communities)
+    if interpreted is None:
+        policy_id = policies.intern(*DEFAULT_POLICY)
+    else:
+        policy_id = policies.intern(interpreted.mode, interpreted.listed)
+    return ixp_name, setter, policy_id

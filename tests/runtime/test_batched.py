@@ -34,6 +34,7 @@ from repro.runtime.compiled import (
     PropagationPlan,
 )
 from repro.runtime.context import PipelineContext
+from repro.runtime.csr import CSRIndex
 from repro.runtime.frontier import FrontierPropagator
 from repro.scenarios.spec import get_scenario, scenario_names
 from repro.topology.generator import GeneratorConfig, InternetGenerator
@@ -43,6 +44,7 @@ from tests.oracle.propagation import (
     ReferencePropagationEngine,
     adjacencies_from_index,
 )
+from tests.oracle.topology import index_differences, record_index
 
 
 def random_internet(rng, num_ases=30):
@@ -406,6 +408,20 @@ def test_backends_agree_on_generated_internets(seed):
 
 
 # -- reference oracle plumbing -------------------------------------------------
+
+
+@pytest.mark.parametrize("seed, num_ases", [
+    (1, 30), (7, 30), (20130507, 30), (424242, 30), (999983, 30),
+    (3, 40), (31337, 40)])
+def test_from_adjacencies_matches_record_oracle(seed, num_ases):
+    """The column assembler over adjacency records equals the
+    record-by-record build field by field, on random topologies with
+    RS-peer edges through opaque (non-transparent) route servers."""
+    _, adjacencies = random_internet(random.Random(seed), num_ases=num_ases)
+    assert any(adj.via_rs_asn is not None and not adj.rs_transparent
+               for adj in adjacencies)
+    assert index_differences(CSRIndex.from_adjacencies(adjacencies),
+                             record_index(adjacencies)) == []
 
 
 def test_adjacencies_from_index_round_trip():

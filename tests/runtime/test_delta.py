@@ -22,6 +22,7 @@ from repro.bgp.propagation import (
 from repro.bgp.prefix import Prefix
 from repro.pipeline.run import ScenarioRun
 from repro.runtime.context import PipelineContext
+from repro.runtime.csr import NO_EDGES
 from repro.runtime.delta import (
     DeltaStats,
     KIND_C2P,
@@ -36,7 +37,8 @@ from repro.runtime.delta import (
 )
 from repro.scenarios.events import build_context, record_sets
 from repro.scenarios.spec import get_scenario
-from repro.topology.as_graph import ASGraph, ASLink, ASNode, LinkType
+from repro.topology.as_graph import (ASGraph, ASLink, ASNode, LinkType,
+                                     link_edges)
 
 from tests.oracle import delta as oracle
 
@@ -450,16 +452,14 @@ def assert_index_identical(spliced, fresh):
 def test_spliced_index_matches_fresh_build_per_link():
     """Removing then re-adding every link via splice reproduces the
     from-scratch build's arrays exactly."""
-    from repro.topology.as_graph import link_adjacencies
-
     graph = two_trees(peer_link=True)
     graph.add_link(ASLink(4, 6, LinkType.SIBLING))
     index = graph.build_index()
     for link in list(graph.links()):
         if graph.degree(link.a) == 1 or graph.degree(link.b) == 1:
             continue  # node would leave the edge set: rebuild territory
-        adjacencies = link_adjacencies(link)
-        without = index.spliced(adjacencies, [])
+        edges = link_edges([link], index.bags)
+        without = index.spliced(edges, NO_EDGES)
         mutated = ASGraph()
         for node in graph.nodes():
             mutated.add_as(ASNode(asn=node.asn,
@@ -468,13 +468,11 @@ def test_spliced_index_matches_fresh_build_per_link():
             if other_link is not link:
                 mutated.add_link(other_link)
         assert_index_identical(without, mutated.build_index())
-        back = without.spliced([], adjacencies)
+        back = without.spliced(NO_EDGES, edges)
         assert_index_identical(back, graph.build_index())
 
 
 def test_spliced_index_rejects_unknown_edges():
-    from repro.topology.as_graph import link_adjacencies
-
     graph = two_trees()
     index = graph.build_index()
     missing = ASGraph()
@@ -482,15 +480,14 @@ def test_spliced_index_rejects_unknown_edges():
         missing.add_as(ASNode(asn=asn))
     phantom = missing.add_p2p(3, 4)
     with pytest.raises(KeyError):  # removal of an edge that is not there
-        index.spliced(link_adjacencies(phantom), [])
+        index.spliced(link_edges([phantom], index.bags), NO_EDGES)
     present = graph.get_link(3, 1)
     with pytest.raises(KeyError):  # double insertion of a present edge
-        index.spliced([], link_adjacencies(present))
+        index.spliced(NO_EDGES, link_edges([present], index.bags))
 
 
 def test_spliced_index_retags_edge_bags_in_place():
     from repro.bgp.communities import Community
-    from repro.topology.as_graph import link_adjacencies
 
     graph = two_trees()
     graph.add_p2p(1, 2, ixp="IX", multilateral=True)
@@ -499,8 +496,8 @@ def test_spliced_index_retags_edge_bags_in_place():
     index = graph.build_index(
         rs_community_provider=lambda asn, ixp: first.get(asn, frozenset()))
     link = graph.get_link(1, 2)
-    retagged = index.spliced([], [], link_adjacencies(
-        link, lambda asn, ixp: second.get(asn, frozenset())))
+    retagged = index.spliced(NO_EDGES, NO_EDGES, link_edges(
+        [link], index.bags, lambda asn, ixp: second.get(asn, frozenset())))
     fresh = graph.build_index(
         rs_community_provider=lambda asn, ixp: second.get(asn, frozenset()))
     assert_index_identical(retagged, fresh)

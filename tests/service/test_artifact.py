@@ -148,3 +148,54 @@ class TestTampering:
         (clone / "plane_00_allow.npy").unlink()
         with pytest.raises(ArtifactFormatError):
             load_matrix(clone)
+
+    # -- column dtypes and shapes (checksums rewritten to match) -----------
+
+    def _rewritten(self, artifact, tmp_path, name, array):
+        """A copy of *artifact* whose column *name* is *array*, with the
+        header checksum rewritten to match, so only the column's dtype
+        and shape checks can refuse it."""
+        import hashlib
+        import shutil
+        clone = tmp_path / "clone"
+        shutil.copytree(artifact, clone)
+        np.save(clone / name, array)
+        header = json.loads((clone / "header.json").read_text())
+        header["sha256"][name] = hashlib.sha256(
+            (clone / name).read_bytes()).hexdigest()
+        (clone / "header.json").write_text(json.dumps(header))
+        return clone
+
+    @pytest.mark.parametrize("defect", ["1-D", "3 columns", "float"])
+    def test_malformed_links_column_is_rejected(self, artifact, tmp_path,
+                                                defect):
+        links = np.load(artifact / "plane_00_links.npy")
+        assert links.shape[0] > 0
+        malformed = {
+            "1-D": links.ravel(),
+            "3 columns": np.hstack([links, links[:, :1]]),
+            "float": links.astype("<f8"),
+        }[defect]
+        clone = self._rewritten(artifact, tmp_path, "plane_00_links.npy",
+                                malformed)
+        for mmap in (True, False):
+            with pytest.raises(ArtifactFormatError,
+                               match="plane_00_links.npy"):
+                load_matrix(clone, mmap=mmap)
+
+    def test_unsorted_members_are_rejected(self, artifact, tmp_path):
+        members = np.load(artifact / "plane_00_members.npy")
+        assert len(members) > 1
+        clone = self._rewritten(artifact, tmp_path, "plane_00_members.npy",
+                                members[::-1].copy())
+        with pytest.raises(ArtifactFormatError, match="sorted"):
+            load_matrix(clone)
+
+    @pytest.mark.parametrize("column", ["members", "allow"])
+    def test_members_allow_shape_mismatch_is_rejected(self, artifact,
+                                                      tmp_path, column):
+        name = f"plane_00_{column}.npy"
+        short = np.load(artifact / name)[:-1].copy()
+        clone = self._rewritten(artifact, tmp_path, name, short)
+        with pytest.raises(ArtifactFormatError, match="shape"):
+            load_matrix(clone)

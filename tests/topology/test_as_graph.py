@@ -4,7 +4,9 @@ import pytest
 
 from repro.bgp.policy import Relationship
 from repro.bgp.prefix import Prefix
-from repro.topology.as_graph import ASGraph, ASLink, ASNode, ASType
+from repro.runtime.frontier import REL_CUSTOMER, REL_PROVIDER, REL_RS_PEER
+from repro.runtime.stores import CommunityBagStore
+from repro.topology.as_graph import ASGraph, ASLink, ASNode, ASType, link_edges
 from repro.topology.relationships import LinkType
 
 
@@ -101,9 +103,15 @@ class TestIXPAnnotations:
 
 class TestPropagationExport:
     def test_adjacency_export_counts(self, graph):
-        adjacencies = graph.propagation_adjacencies()
-        # Every link yields two directed adjacencies.
-        assert len(adjacencies) == 2 * graph.num_links()
+        edges = link_edges(graph.links(), CommunityBagStore())
+        # Every link yields two directed edges, a->b then b->a.
+        assert len(edges.sources) == 2 * graph.num_links()
+        assert list(zip(edges.sources, edges.targets))[:2] == [(10, 20),
+                                                               (20, 10)]
+        # 20 imports from its customer 10, and 10 from its provider 20.
+        assert edges.rels[:2] == [REL_CUSTOMER, REL_PROVIDER]
+        assert set(edges.vias) == {-1}
+        assert graph.build_index().num_edges == 2 * graph.num_links()
 
     def test_rs_community_provider_called_for_rs_links(self, graph):
         from repro.bgp.communities import Community
@@ -113,12 +121,19 @@ class TestPropagationExport:
             calls.append((asn, ixp))
             return frozenset({Community(6695, asn if asn < 65536 else 0)})
 
-        adjacencies = graph.propagation_adjacencies(rs_community_provider=provider)
-        rs_edges = [a for a in adjacencies
-                    if a.relationship is Relationship.RS_PEER]
-        assert len(rs_edges) == 2
-        assert all(edge.communities for edge in rs_edges)
-        assert ("DE-CIX" in {ixp for _, ixp in calls})
+        bags = CommunityBagStore()
+        edges = link_edges(graph.links(), bags,
+                           rs_community_provider=provider)
+        rs_bags = [bag for bag, rel in zip(edges.bags, edges.rels)
+                   if rel == REL_RS_PEER]
+        assert len(rs_bags) == 2
+        # Once per RS-link end, a then b; each edge carries its
+        # exporter's communities and every other edge none.
+        assert calls == [(20, "DE-CIX"), (40, "DE-CIX")]
+        assert [bags.value(bag) for bag in rs_bags] == [
+            frozenset({Community(6695, 20)}),
+            frozenset({Community(6695, 40)})]
+        assert sum(1 for bag in edges.bags if bag) == 2
 
     def test_summary(self, graph):
         summary = graph.summary()

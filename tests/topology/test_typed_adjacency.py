@@ -5,8 +5,10 @@ Differential: 200 seeded random mutations of the europe2013 tiny graph
 new and replaced ASes), each followed by a comparison of every query for
 every AS with :mod:`tests.oracle.topology`; every twentieth mutation the
 comparison is repeated on a pickle round trip and on a deep copy, whose
-typed map is rebuilt from the links.  Plus the relationship-map snapshot
-contract: identity-stable per graph version, read-only, picklable.
+typed map is rebuilt from the links, and the graph's CSR index build is
+compared field by field with the record oracle.  Plus the
+relationship-map snapshot contract: identity-stable per graph version,
+read-only, picklable.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from typing import Iterator
 
 import pytest
 
+from repro.bgp.communities import Community
 from repro.bgp.policy import Relationship
 from repro.pipeline import ArtifactCache, ScenarioRun
 from repro.scenarios.spec import get_scenario
@@ -25,7 +28,11 @@ from repro.topology.as_graph import ASGraph, ASLink, ASNode
 from repro.topology.customer_cone import customer_cone
 from repro.topology.relationships import LinkType, RelationshipMap
 
-from tests.oracle.topology import differences
+from tests.oracle.topology import (
+    differences,
+    graph_record_index,
+    index_differences,
+)
 
 MUTATIONS = 200
 ROUND_TRIP_EVERY = 20
@@ -73,6 +80,14 @@ def _mutations(graph: ASGraph, rng: random.Random) -> Iterator[str]:
             next_asn += 1
 
 
+def _rs_communities(asn: int, ixp: str) -> frozenset:
+    """A route-server community provider: one community per exporter,
+    none for every seventh ASN."""
+    if asn % 7 == 0:
+        return frozenset()
+    return frozenset({Community(len(ixp), asn & 0xFFFF)})
+
+
 def _has_provider_loop(graph: ASGraph) -> bool:
     return any(asn in customer_cone(graph, customer)
                for asn in graph.asns() for customer in graph.customers(asn))
@@ -91,6 +106,10 @@ def test_typed_adjacency_matches_link_walk_under_mutation(tiny_graph):
             copied = copy.deepcopy(graph)
             assert differences(copied) == [], f"deep-copied at step {step}"
             assert restored.version == copied.version == graph.version
+            assert index_differences(
+                graph.build_index(_rs_communities),
+                graph_record_index(graph, _rs_communities)) == [], \
+                f"index at step {step}"
             loops += _has_provider_loop(graph)
     # The walk reaches the case a memoised cone walk gets wrong.
     assert loops
