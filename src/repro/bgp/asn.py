@@ -14,6 +14,7 @@ classification helpers the paper relies on:
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 #: AS_TRANS, the placeholder ASN used by old BGP speakers for 32-bit ASNs.
@@ -139,6 +140,13 @@ class Private16BitMapper:
     def mapping(self) -> Dict[int, int]:
         """Return a copy of the 32-bit ASN -> alias mapping."""
         return dict(self._forward)
+
+    def copy(self) -> "Private16BitMapper":
+        """A mapper that registers independently of this one."""
+        clone = copy.copy(self)
+        clone._forward = dict(self._forward)
+        clone._reverse = dict(self._reverse)
+        return clone
 
     def try_alias_for(self, asn: int) -> Optional[int]:
         """Like :meth:`alias_for` but returns None when unregistered."""

@@ -62,7 +62,7 @@ from repro.runtime.fragments import (
     ObservationIndex,
     PathTable,
     RouteBlock,
-    block_from_columns,
+    blocks_from_columns,
     key_links,
     unpack_links,
 )
@@ -558,104 +558,71 @@ class PropagationEngine:
 
     def _batch_blocks(self, batch, mask) -> List[Tuple]:
         """All (best, offered) :class:`RouteBlock`s of one compiled
-        batch.
+        batch, from two :func:`blocks_from_columns` runs (best rows,
+        then offers) over one chain walk (:class:`PathTable`).
 
-        ONE chain walk (:class:`PathTable`) covers every recorded path
-        id — touched and offered — and recorded-observer filtering is
-        the boolean *mask* applied to the column arrays, not a
-        per-route membership test.
+        Recorded-observer filtering is the boolean *mask* applied once
+        to the batch's flat (row, node) pairs, before one gather reads
+        the flat planes.
         """
         node_asns = self._node_asn_array()
-        bag_value = self._bags.value
-        (off_to, off_cls, _off_len, off_frm, off_pid, off_bag), bounds = \
+        rows, nodes = batch.touched_columns()
+        o_rows, o_to, o_cls, _o_len, o_frm, o_pid, o_bag = \
             batch.offer_columns()
-        touched = [batch.touched_array(row, mask)
-                   for row in range(batch.num_origins)]
-        pid_chunks = [batch.pid[row][nodes]
-                      for row, nodes in enumerate(touched)]
-        if len(off_pid):
-            pid_chunks.append(off_pid)
+        if mask is not None:
+            keep = mask[nodes]
+            rows, nodes = rows[keep], nodes[keep]
+            keep = mask[o_to]
+            o_rows, o_to, o_cls, o_frm, o_pid, o_bag = (
+                o_rows[keep], o_to[keep], o_cls[keep], o_frm[keep],
+                o_pid[keep], o_bag[keep])
+        flat = rows * batch.cls.shape[1] + nodes
+        frm = batch.frm.ravel()[flat]
+        pid = batch.pid.ravel()[flat]
         heads, parents = batch.paths.columns()
-        table = PathTable(heads, parents, np.concatenate(pid_chunks))
-        blocks: List[Tuple] = []
-        for row in range(batch.num_origins):
-            nodes = touched[row]
-            frm = batch.frm[row][nodes]
-            best = block_from_columns(
-                asns=node_asns[nodes],
-                provenance=batch.cls[row][nodes],
-                learned_from=np.where(
-                    frm >= 0, node_asns[np.maximum(frm, 0)], -1),
-                pids=batch.pid[row][nodes],
-                bag_ids=batch.bag[row][nodes],
-                bag_value=bag_value,
-                path_table=table)
-            row_slice = slice(int(bounds[row]), int(bounds[row + 1]))
-            o_to = off_to[row_slice]
-            o_cls = off_cls[row_slice]
-            o_frm = off_frm[row_slice]
-            o_pid = off_pid[row_slice]
-            o_bag = off_bag[row_slice]
-            if mask is not None and len(o_to):
-                keep = mask[o_to]
-                o_to, o_cls, o_frm, o_pid, o_bag = (
-                    o_to[keep], o_cls[keep], o_frm[keep], o_pid[keep],
-                    o_bag[keep])
-            offered = block_from_columns(
-                asns=node_asns[o_to],
-                provenance=o_cls,
-                learned_from=node_asns[o_frm],
-                pids=o_pid,
-                bag_ids=o_bag,
-                bag_value=bag_value,
-                path_table=table)
-            blocks.append((best, offered))
-        return blocks
+        table = PathTable(heads, parents, np.concatenate((pid, o_pid)))
+        count = batch.num_origins
+        best = blocks_from_columns(
+            np.bincount(rows, minlength=count), node_asns[nodes],
+            batch.cls.ravel()[flat],
+            np.where(frm >= 0, node_asns[np.maximum(frm, 0)], -1), pid,
+            batch.bag.ravel()[flat], self._bags.value, table)
+        offered = blocks_from_columns(
+            np.bincount(o_rows, minlength=count), node_asns[o_to], o_cls,
+            node_asns[o_frm], o_pid, o_bag, self._bags.value, table)
+        return list(zip(best, offered))
 
     def _frontier_block(self, state: OriginState, mask) -> Tuple:
-        """One frontier origin's state as (best, offered) RouteBlocks.
+        """One frontier origin's state as (best, offered) RouteBlocks:
+        one :func:`blocks_from_columns` run of two blocks.
 
         The frontier propagator keeps full per-node python lists; they
-        convert to arrays once per origin (C-speed) and are then
-        gathered columnar, with the per-origin path store walked once.
+        convert to arrays once per origin (C-speed), with the
+        per-origin path store walked once.
         """
         node_asns = self._node_asn_array()
-        bag_value = self._bags.value
         nodes = np.asarray(state.touched, dtype=np.int64)
-        if mask is not None and len(nodes):
+        offers = np.asarray(state.offers, dtype=np.int64).reshape(-1, 6)
+        if mask is not None:
             nodes = nodes[mask[nodes]]
-        cls_plane = np.asarray(state.cls, dtype=np.int64)
-        frm_plane = np.asarray(state.frm, dtype=np.int64)
-        pid_plane = np.asarray(state.pid, dtype=np.int64)
-        bag_plane = np.asarray(state.bag, dtype=np.int64)
-        if state.offers:
-            offer_columns = np.asarray(state.offers, dtype=np.int64)
-            if mask is not None:
-                offer_columns = offer_columns[mask[offer_columns[:, 0]]]
-        else:
-            offer_columns = np.empty((0, 6), dtype=np.int64)
+            offers = offers[mask[offers[:, 0]]]
+
+        def rows(plane, offer_column):
+            """The best rows' values in per-node *plane*, then the
+            offers' *offer_column*."""
+            return np.concatenate((np.asarray(plane, dtype=np.int64)[nodes],
+                                   offers[:, offer_column]))
+
+        frm = rows(state.frm, 3)
+        pids = rows(state.pid, 4)
         heads, parents = self._paths.columns()
-        best_pids = pid_plane[nodes]
-        table = PathTable(heads, parents,
-                          np.concatenate((best_pids, offer_columns[:, 4])))
-        frm = frm_plane[nodes]
-        best = block_from_columns(
-            asns=node_asns[nodes],
-            provenance=cls_plane[nodes],
-            learned_from=np.where(
-                frm >= 0, node_asns[np.maximum(frm, 0)], -1),
-            pids=best_pids,
-            bag_ids=bag_plane[nodes],
-            bag_value=bag_value,
-            path_table=table)
-        offered = block_from_columns(
-            asns=node_asns[offer_columns[:, 0]],
-            provenance=offer_columns[:, 1],
-            learned_from=node_asns[offer_columns[:, 3]],
-            pids=offer_columns[:, 4],
-            bag_ids=offer_columns[:, 5],
-            bag_value=bag_value,
-            path_table=table)
+        best, offered = blocks_from_columns(
+            (len(nodes), len(offers)),
+            node_asns[np.concatenate((nodes, offers[:, 0]))],
+            rows(state.cls, 1),
+            np.where(frm >= 0, node_asns[np.maximum(frm, 0)], -1), pids,
+            rows(state.bag, 5), self._bags.value,
+            PathTable(heads, parents, pids))
         return best, offered
 
     def _compiled_propagator(self):

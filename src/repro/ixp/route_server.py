@@ -11,6 +11,7 @@ was genuinely encoded on the wire.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
@@ -72,6 +73,24 @@ class RouteServer:
         #: change; caches keyed on looking-glass views (e.g. the
         #: inference engine's observation planes) validate against it.
         self.version = 0
+
+    def copy(self) -> "RouteServer":
+        """A copy that mutates independently of this route server: the
+        member, IP and reverse-IP maps, the RIB (two levels deep), the
+        private-ASN mapper and the classify cache are copied; the
+        scheme, the member policies (replaced on change, never written)
+        and the frozen RIB entries are shared.  Equal to
+        ``copy.deepcopy(route_server)``, without walking every object.
+        """
+        clone = copy.copy(self)
+        clone.mapper = self.mapper.copy()
+        clone._members = dict(self._members)
+        clone._member_ips = dict(self._member_ips)
+        clone._ip_to_member = dict(self._ip_to_member)
+        clone._rib = {prefix: dict(routes)
+                      for prefix, routes in self._rib.items()}
+        clone._classify_cache = dict(self._classify_cache)
+        return clone
 
     # -- membership ---------------------------------------------------------------
 

@@ -321,16 +321,15 @@ class BatchedPathStore:
 class BatchState:
     """The outcome of one batch run, row-per-origin.
 
-    ``cls``/``frm``/``pid``/``bag`` are ``(origins x nodes)`` planes; ``paths`` is the store whose cells the ``pid`` plane
-    references.  ``touched`` (per-row discovery-ordered node arrays) is
-    assembled on first access, so a raw sweep never pays for it;
-    :meth:`touched_array` and :meth:`offer_columns` are the columnar
-    feeds the engine builds :class:`~repro.runtime.fragments.RouteBlock`
-    fragments from.
+    ``cls``/``frm``/``pid``/``bag`` are ``(origins x nodes)`` planes;
+    ``paths`` is the store whose cells the ``pid`` plane references.
+    :meth:`touched_columns` and :meth:`offer_columns` are the flat,
+    row-sorted feeds the engine assembles
+    :class:`~repro.runtime.fragments.RouteBlock` fragments from.
     """
 
     __slots__ = ("paths", "cls", "frm", "pid", "bag",
-                 "num_origins", "_onodes", "_touched_chunks", "_touched",
+                 "num_origins", "_onodes", "_touched_chunks",
                  "_offer_chunks")
 
     def __init__(self, paths, cls, frm, pid, bag, onodes,
@@ -343,63 +342,30 @@ class BatchState:
         self.num_origins = len(onodes)
         self._onodes = onodes
         self._touched_chunks = touched_chunks
-        self._touched = None
         self._offer_chunks = offer_chunks
 
-    @property
-    def touched(self) -> List:
-        """Per-row touched node arrays in discovery order (origin first)."""
-        if self._touched is None:
-            self._touched = _per_origin_touched(
-                self.num_origins, self._onodes, self._touched_chunks)
-        return self._touched
-
-    def touched_array(self, row: int, mask=None):
-        """Touched node ids of *row* in discovery order as an array,
-        optionally restricted to a boolean node *mask*."""
-        touched = self.touched[row]
-        if mask is not None:
-            touched = touched[mask[touched]]
-        return touched
+    def touched_columns(self):
+        """``(rows, nodes)`` of every node holding a route, sorted
+        stably by row: per row the origin first, then discovery order."""
+        rows = np.concatenate(
+            [np.arange(self.num_origins, dtype=np.int64)]
+            + [chunk[0] for chunk in self._touched_chunks])
+        nodes = np.concatenate(
+            [self._onodes] + [chunk[1] for chunk in self._touched_chunks])
+        order = np.argsort(rows, kind="stable")
+        return rows[order], nodes[order]
 
     def offer_columns(self):
-        """Offers as batch-wide column arrays plus per-row bounds.
-
-        Returns ``((to, cls, len, frm, pid, bag), bounds)`` where the six
-        parallel arrays are sorted stably by origin row — per row, in
-        the order the sweep recorded them — and ``bounds`` holds the
-        exclusive per-row end offsets (``bounds[row]:bounds[row + 1]``
-        slices row *row*).
-        """
-        bounds = np.zeros(self.num_origins + 1, dtype=np.int64)
+        """Offers as batch-wide ``(row, to, cls, len, frm, pid, bag)``
+        columns, sorted stably by origin row — per row, in the order
+        the sweep recorded them."""
         if not self._offer_chunks:
-            empty = np.empty(0, dtype=np.int64)
-            return (empty,) * 6, bounds
-        if len(self._offer_chunks) == 1:
-            columns = list(self._offer_chunks[0])
-        else:
-            columns = [
-                np.concatenate([chunk[col] for chunk in self._offer_chunks])
-                for col in range(7)]
-        rows = np.asarray(columns[0])
-        order = np.argsort(rows, kind="stable")
-        np.cumsum(np.bincount(rows, minlength=self.num_origins),
-                  out=bounds[1:])
-        return tuple(np.asarray(column)[order]
-                     for column in columns[1:]), bounds
-
-
-def _per_origin_touched(num_origins: int, onodes, touched_chunks) -> List:
-    """Per-row discovery-ordered touched arrays from adoption chunks."""
-    if not touched_chunks:
-        return [onodes[row:row + 1] for row in range(num_origins)]
-    rows = np.concatenate([chunk[0] for chunk in touched_chunks])
-    nodes = np.concatenate([chunk[1] for chunk in touched_chunks])
-    order = np.argsort(rows, kind="stable")
-    counts = np.bincount(rows, minlength=num_origins)
-    groups = np.split(nodes[order], np.cumsum(counts)[:-1])
-    return [np.concatenate((onodes[row:row + 1], group))
-            for row, group in enumerate(groups)]
+            return (np.empty(0, dtype=np.int64),) * 7
+        columns = [
+            np.concatenate([chunk[col] for chunk in self._offer_chunks])
+            for col in range(7)]
+        order = np.argsort(columns[0], kind="stable")
+        return tuple(column[order] for column in columns)
 
 
 class UnionTable:

@@ -21,11 +21,14 @@ fragments columnar instead:
   walk over all path ids of a batch, replacing the per-route scalar
   ``materialize`` calls.  ``PathTable.gather`` then slices per-row CSR
   views out of the walked table with a single ragged gather.
+* :func:`blocks_from_columns` — the one block assembler: a run of
+  consecutive blocks from flat store-level columns, with a fixed number
+  of numpy calls per run (not per block).
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -34,8 +37,7 @@ __all__ = [
     "PathTable",
     "ObservationIndex",
     "walk_paths",
-    "intern_bags",
-    "block_from_columns",
+    "blocks_from_columns",
     "key_links",
     "pack_links",
     "unpack_links",
@@ -101,17 +103,18 @@ class PathTable:
 
     Built from a path store's ``(heads, parents)`` columns and the union
     of every pid a batch will record (negative ids — "no path" — are
-    dropped and gather as empty rows).
+    dropped and gather as empty rows).  Repeats are dropped by marking
+    the store's cells, which also leaves the walked ids sorted.
     """
 
     __slots__ = ("_pids", "_offsets", "_values", "_lengths")
 
     def __init__(self, heads, parents, pids) -> None:
-        pids = np.unique(np.asarray(pids, dtype=np.int64))
-        if len(pids) and pids[0] < 0:
-            pids = pids[pids >= 0]
-        self._pids = pids
-        self._offsets, self._values = walk_paths(heads, parents, pids)
+        pids = np.asarray(pids, dtype=np.int64)
+        mark = np.zeros(len(heads), dtype=bool)
+        mark[pids[pids >= 0]] = True
+        self._pids = np.flatnonzero(mark)
+        self._offsets, self._values = walk_paths(heads, parents, self._pids)
         self._lengths = np.diff(self._offsets)
 
     def gather(self, pids):
@@ -137,21 +140,6 @@ class PathTable:
         shift = np.repeat(starts - offsets[:-1], lengths)
         values = self._values[shift + np.arange(total, dtype=np.int64)]
         return offsets, values
-
-
-def intern_bags(bag_ids, bag_value):
-    """Map store-level *bag_ids* to block-local ids + a value table.
-
-    Each distinct store id resolves ``bag_value`` once; the returned
-    table makes the block independent of the store (and picklable
-    without dragging the context along).
-    """
-    bag_ids = np.asarray(bag_ids, dtype=np.int64)
-    if len(bag_ids) == 0:
-        return np.empty(0, dtype=np.int32), ()
-    unique, inverse = np.unique(bag_ids, return_inverse=True)
-    values = tuple(bag_value(int(bid)) for bid in unique.tolist())
-    return inverse.astype(np.int32, copy=False), values
 
 
 class RouteBlock:
@@ -628,24 +616,54 @@ def key_links(blocks: Iterable[RouteBlock]) -> None:
                 else keys[bounds[index]:bounds[index + 1]].copy()
 
 
-def block_from_columns(asns, provenance, learned_from, pids, bag_ids,
-                       bag_value, path_table: PathTable) -> RouteBlock:
-    """Assemble a :class:`RouteBlock` from store-level parallel columns.
+def blocks_from_columns(counts, asns, provenance, learned_from, pids,
+                        bag_ids, bag_value,
+                        path_table: PathTable) -> List[RouteBlock]:
+    """Assemble consecutive route blocks from flat store-level columns:
+    block ``i`` is a :class:`RouteBlock` of the next ``counts[i]`` rows.
 
-    *bag_ids* are store-level ids resolved through *bag_value* into a
-    block-local table; paths come out of *path_table* (walked once per
-    batch).  All columns must already be recorded-observer filtered.
+    The columns must already be recorded-observer filtered.  Block-local
+    bag ids come from one ``np.unique`` over ``(block, store bag id)``
+    keys, so each block's :attr:`~RouteBlock.bag_values` lists its bags
+    in ascending store-id order (each resolved once through
+    *bag_value*), and one :meth:`PathTable.gather` covers every row:
+    past that, a block costs slices and an offset rebase.  Block columns
+    are views into the run's arrays, which are made read-only (including
+    column arrays passed in as is) so no block can write into its
+    neighbours.
     """
+    counts = np.asarray(counts, dtype=np.int64)
+    num_blocks = len(counts)
+    bounds = np.zeros(num_blocks + 1, dtype=np.int64)
+    np.cumsum(counts, out=bounds[1:])
+    block_ids = np.arange(num_blocks, dtype=np.int64)
+    owner = np.repeat(block_ids, counts)
+    bag_ids = np.asarray(bag_ids, dtype=np.int64)
+    span = int(bag_ids.max()) + 1 if len(bag_ids) else 1
+    keys, local = np.unique(owner * span + bag_ids, return_inverse=True)
+    # Keys sort by (block, bag id): each block's bags are one run.
+    firsts = np.searchsorted(keys, np.arange(num_blocks + 1) * span)
+    bag_table = [bag_value(bid) for bid in (keys % span).tolist()]
     pids = np.asarray(pids, dtype=np.int64)
-    local_bags, bag_values = intern_bags(bag_ids, bag_value)
     offsets, values = path_table.gather(pids)
-    return RouteBlock(
-        asn=np.asarray(asns, dtype=np.int64),
-        provenance=np.asarray(provenance).astype(np.int16, copy=False),
-        learned_from=np.asarray(learned_from, dtype=np.int64),
-        bag_id=local_bags,
-        pid=pids,
-        path_offsets=offsets,
-        path_values=values,
-        bag_values=bag_values,
-    )
+    # Every block's ``count + 1`` offsets back to back, each run rebased
+    # to its block's first cell.
+    cut = np.repeat(block_ids, counts + 1)
+    rebased = offsets[np.arange(len(cut)) - cut] - offsets[bounds[cut]]
+    columns = (np.asarray(asns, dtype=np.int64),
+               np.asarray(provenance).astype(np.int16, copy=False),
+               np.asarray(learned_from, dtype=np.int64),
+               (local - firsts[owner]).astype(np.int32), pids)
+    for array in columns + (rebased, values):
+        array.flags.writeable = False
+    asns, provenance, learned_from, local, pids = columns
+    rows = bounds.tolist()
+    cells = offsets[bounds].tolist()
+    firsts = firsts.tolist()
+    return [RouteBlock(
+        asn=asns[lo:hi], provenance=provenance[lo:hi],
+        learned_from=learned_from[lo:hi], bag_id=local[lo:hi],
+        pid=pids[lo:hi], path_offsets=rebased[lo + block:hi + block + 1],
+        path_values=values[cells[block]:cells[block + 1]],
+        bag_values=tuple(bag_table[firsts[block]:firsts[block + 1]]))
+        for block, (lo, hi) in enumerate(zip(rows, rows[1:]))]

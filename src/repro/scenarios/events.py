@@ -33,7 +33,6 @@ them.
 
 from __future__ import annotations
 
-import copy
 import random
 import time
 from dataclasses import dataclass
@@ -170,6 +169,17 @@ class EventEffect:
         return bool(self.removed_links or self.added_links or self.tainted)
 
 
+class ImpossibleEventError(ValueError):
+    """An event that cannot apply to the current state (a down on a
+    missing link, a join by a member, ...).  Raised before the event
+    mutates anything, so the state stays as it was."""
+
+    def __init__(self, event: Event, reason: str) -> None:
+        super().__init__(f"impossible event {event!r}: {reason}")
+        self.event = event
+        self.reason = reason
+
+
 # ---------------------------------------------------------------------------
 # the event interpreter
 # ---------------------------------------------------------------------------
@@ -193,7 +203,9 @@ class ReplayState:
         self.down_links: Dict[Tuple[int, int], ASLink] = {}
 
     def apply(self, event: Event) -> EventEffect:
-        """Apply *event*; returns what it touched."""
+        """Apply *event*; returns what it touched.  Raises
+        :class:`ImpossibleEventError`, state untouched, when the event
+        cannot apply."""
         handler = _HANDLERS.get(type(event))
         if handler is None:
             raise TypeError(f"unknown event type {type(event).__name__}")
@@ -255,7 +267,7 @@ class ReplayState:
 def _apply_session_down(state: ReplayState, event: SessionDown) -> EventEffect:
     link = state.graph.get_link(event.a, event.b)
     if link is None:
-        return EventEffect()
+        raise ImpossibleEventError(event, "no link to take down")
     state.graph.remove_link(event.a, event.b)
     state.down_links[link.endpoints] = link
     return EventEffect(removed_links=(link,))
@@ -263,9 +275,11 @@ def _apply_session_down(state: ReplayState, event: SessionDown) -> EventEffect:
 
 def _apply_session_up(state: ReplayState, event: SessionUp) -> EventEffect:
     key = (min(event.a, event.b), max(event.a, event.b))
-    link = state.down_links.pop(key, None)
-    if link is None or state.graph.get_link(event.a, event.b) is not None:
-        return EventEffect()
+    if key not in state.down_links:
+        raise ImpossibleEventError(event, "no session down to restore")
+    if state.graph.has_link(event.a, event.b):
+        raise ImpossibleEventError(event, "link already present")
+    link = state.down_links.pop(key)
     state.graph.add_link(link)
     return EventEffect(added_links=(link,))
 
@@ -273,7 +287,7 @@ def _apply_session_up(state: ReplayState, event: SessionUp) -> EventEffect:
 def _apply_policy_edit(state: ReplayState, event: PolicyEdit) -> EventEffect:
     route_server = state.route_servers[event.ixp]
     if not route_server.is_member(event.member):
-        return EventEffect()
+        raise ImpossibleEventError(event, "not an RS member")
     policy = MemberExportPolicy(
         member_asn=event.member, ixp_name=event.ixp,
         mode=event.mode, listed=frozenset(event.listed))
@@ -298,7 +312,7 @@ def _apply_policy_edit(state: ReplayState, event: PolicyEdit) -> EventEffect:
 def _apply_member_join(state: ReplayState, event: MemberJoin) -> EventEffect:
     route_server = state.route_servers[event.ixp]
     if route_server.is_member(event.member):
-        return EventEffect()
+        raise ImpossibleEventError(event, "already an RS member")
     node = state.graph.get_as(event.member)
     route_server.add_member(event.member)
     node.ixps.add(event.ixp)
@@ -314,7 +328,7 @@ def _apply_member_join(state: ReplayState, event: MemberJoin) -> EventEffect:
 def _apply_member_leave(state: ReplayState, event: MemberLeave) -> EventEffect:
     route_server = state.route_servers[event.ixp]
     if not route_server.is_member(event.member):
-        return EventEffect()
+        raise ImpossibleEventError(event, "not an RS member")
     others = route_server.member_set() - {event.member}
     route_server.remove_member(event.member)
     state.graph.get_as(event.member).rs_memberships.discard(event.ixp)
@@ -328,7 +342,7 @@ def _apply_prefix_churn(state: ReplayState, event: PrefixChurn) -> EventEffect:
     prefix = Prefix.parse(event.prefix)
     if event.withdraw:
         if prefix not in node.prefixes:
-            return EventEffect()
+            raise ImpossibleEventError(event, "prefix not announced")
         node.prefixes.remove(prefix)
         for ixp_name in sorted(node.rs_memberships):
             route_server = state.route_servers.get(ixp_name)
@@ -336,7 +350,7 @@ def _apply_prefix_churn(state: ReplayState, event: PrefixChurn) -> EventEffect:
                 route_server.withdraw(event.asn, prefix)
     else:
         if prefix in node.prefixes:
-            return EventEffect()
+            raise ImpossibleEventError(event, "prefix already announced")
         node.prefixes.append(prefix)
         for ixp_name in sorted(node.rs_memberships):
             route_server = state.route_servers.get(ixp_name)
@@ -661,9 +675,12 @@ class TimelineReport:
 class TimelineReplay:
     """Incremental replay of an event timeline over a baseline result.
 
-    Owns deepcopies of the baseline graph and route servers (one
-    ``deepcopy`` of the pair, preserving their cross-references), so
-    cached pipeline artifacts are never mutated.  Each
+    Owns structural copies of the baseline graph and route servers
+    (:meth:`ASGraph.copy`, :meth:`RouteServer.copy`: every mutable
+    container copied, frozen leaves shared), so cached pipeline
+    artifacts are never mutated.  An impossible event raises
+    :class:`ImpossibleEventError` from :meth:`apply` with the replay
+    unchanged.  Each
     :meth:`apply` computes the affected frontier on the *pre-event*
     index, rebuilds the index only when the event changed topology or
     policy, and patches the previous result through
@@ -681,8 +698,9 @@ class TimelineReplay:
         record_alternatives_at: Iterable[int],
         context: Optional[PipelineContext] = None,
     ) -> None:
-        self.graph, self.route_servers = copy.deepcopy(
-            (graph, route_servers))
+        self.graph = graph.copy()
+        self.route_servers = {name: route_server.copy()
+                              for name, route_server in route_servers.items()}
         self.state = ReplayState(self.graph, self.route_servers)
         self.record_at = frozenset(record_at) \
             if record_at is not None else None

@@ -32,6 +32,23 @@ def bench_run():
 
 
 @pytest.fixture(scope="session")
+def churn_baseline():
+    """The europe2013-churn tiny replay baseline: ``(graph,
+    route_servers, propagation result, record_at, record_alt)``.
+    Replays copy it; no test may mutate it."""
+    from repro.pipeline import ArtifactCache, ScenarioRun
+    from repro.scenarios.events import record_sets
+    from repro.scenarios.spec import get_scenario
+    spec = get_scenario("europe2013-churn")
+    run = ScenarioRun(spec.config("tiny"), scenario=spec.name,
+                      cache=ArtifactCache())
+    propagation = run.artifact("propagation")
+    scenario = run.scenario()
+    return (scenario.graph, scenario.route_servers,
+            propagation["propagation"], *record_sets(propagation))
+
+
+@pytest.fixture(scope="session")
 def inference_result(small_scenario):
     """Full inference (passive + active) over the small scenario."""
     return small_scenario.run_inference()

@@ -14,6 +14,11 @@
   into observation planes, the reference for the column reader;
 * :mod:`tests.oracle.kernels` — pins the propagation engine to one
   kernel so the differential suites can compare kernels directly;
+* :mod:`tests.oracle.blocks` — the per-block route-block assembly
+  (``intern_bags`` + one path gather per block, per-row touched arrays
+  and observer masks), the reference for the batch-wide
+  ``blocks_from_columns``, with a context manager pinning the engine to
+  it and a byte-level block comparison;
 * :mod:`tests.oracle.delta` — the per-block scan for the delta
   affected set (removed pairs and visited ASNs), the reference for the
   one-pass lookup over cached link keys;

@@ -234,8 +234,9 @@ def test_compiled_retries_batch_in_int64_on_overflow():
         nodes, [0] * len(nodes))
     assert np.array_equal(batch.cls, reference.cls)
     assert np.array_equal(batch.frm, reference.frm)
-    for row in range(len(nodes)):
-        assert list(batch.touched[row]) == list(reference.touched[row])
+    for got, expected in zip(batch.touched_columns(),
+                             reference.touched_columns()):
+        assert np.array_equal(got, expected)
 
 
 # -- batch sizing --------------------------------------------------------------

@@ -2,6 +2,7 @@
 bit-identity of incremental replay against from-scratch rebuilds."""
 
 import copy
+import pickle
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from repro.pipeline.run import ScenarioRun
 from repro.runtime.delta import fragments_equivalent
 from repro.scenarios.events import (
     EVENT_FAMILIES,
+    ImpossibleEventError,
     MemberJoin,
     MemberLeave,
     PolicyEdit,
@@ -102,8 +104,9 @@ def test_session_flap_restores_the_exact_link(tiny_baseline):
     effect = state.apply(SessionUp(link.a, link.b))
     assert effect.added_links == (link,)
     assert graph.get_link(link.a, link.b) == link
-    # A second up is a no-op (nothing left in the flap registry).
-    assert not state.apply(SessionUp(link.a, link.b)).touches_index
+    # A second up is impossible (nothing left in the flap registry).
+    with pytest.raises(ImpossibleEventError, match="no session down"):
+        state.apply(SessionUp(link.a, link.b))
 
 
 def test_pair_recompute_never_resurrects_a_downed_session(tiny_baseline):
@@ -133,9 +136,9 @@ def test_prefix_churn_only_dirties_the_origin(tiny_baseline):
     effect = state.apply(PrefixChurn(asn=asn, prefix="198.51.100.0/24"))
     assert not effect.touches_index
     assert effect.dirty_origins == {asn}
-    # Announcing the same prefix again is a no-op.
-    effect = state.apply(PrefixChurn(asn=asn, prefix="198.51.100.0/24"))
-    assert effect.dirty_origins == frozenset()
+    # Announcing the same prefix again is impossible.
+    with pytest.raises(ImpossibleEventError, match="already announced"):
+        state.apply(PrefixChurn(asn=asn, prefix="198.51.100.0/24"))
     effect = state.apply(PrefixChurn(asn=asn, prefix="198.51.100.0/24",
                                      withdraw=True))
     assert effect.dirty_origins == {asn}
@@ -350,3 +353,99 @@ def test_registered_family_delta_matches_rebuild(tiny_baseline, family):
     _, full = rebuild_propagation(rebuild_graph, rebuild_servers,
                                   record_at, record_alt)
     assert_results_identical(replay.result, full, family)
+
+
+# ---------------------------------------------------------------------------
+# impossible events: a typed error, raised before any mutation
+# ---------------------------------------------------------------------------
+
+
+def _first_link(graph):
+    return sorted(graph.links(), key=lambda link: link.endpoints)[0]
+
+
+def _no_link(replay):
+    asns = replay.graph.asns()
+    a, b = next((a, b) for a in asns for b in asns
+                if a < b and not replay.graph.has_link(a, b))
+    return SessionDown(a, b)
+
+
+def _up_never_down(replay):
+    link = _first_link(replay.graph)
+    return SessionUp(link.a, link.b)
+
+
+def _up_link_present(replay):
+    # The flapped session is back in the graph (added outside the event
+    # stream) while the flap registry still holds it.
+    link = _first_link(replay.graph)
+    replay.apply(SessionDown(link.a, link.b))
+    replay.graph.add_link(link)
+    return SessionUp(link.a, link.b)
+
+
+def _rs_outsider(replay):
+    ixp = sorted(replay.route_servers)[0]
+    route_server = replay.route_servers[ixp]
+    return ixp, next(asn for asn in replay.graph.asns()
+                     if not route_server.is_member(asn))
+
+
+def _rs_member(replay):
+    ixp = sorted(replay.route_servers)[0]
+    return ixp, replay.route_servers[ixp].members()[0]
+
+
+def _announcer(replay):
+    return next(node for node in replay.graph.nodes() if node.prefixes)
+
+
+IMPOSSIBLE = {
+    "down-missing-link": (_no_link, "no link to take down"),
+    "up-never-down": (_up_never_down, "no session down to restore"),
+    "up-link-present": (_up_link_present, "link already present"),
+    "edit-non-member": (lambda replay: PolicyEdit(*_rs_outsider(replay)),
+                        "not an RS member"),
+    "join-member": (lambda replay: MemberJoin(*_rs_member(replay)),
+                    "already an RS member"),
+    "leave-non-member": (lambda replay: MemberLeave(*_rs_outsider(replay)),
+                         "not an RS member"),
+    "withdraw-missing-prefix": (
+        lambda replay: PrefixChurn(asn=_announcer(replay).asn,
+                                   prefix="203.0.113.0/24", withdraw=True),
+        "prefix not announced"),
+    "duplicate-announce": (
+        lambda replay: PrefixChurn(
+            asn=_announcer(replay).asn,
+            prefix=str(_announcer(replay).prefixes[0])),
+        "prefix already announced"),
+}
+
+
+def state_pickle(state):
+    return pickle.dumps((state.graph, state.route_servers, state.down_links))
+
+
+@pytest.mark.parametrize("case", sorted(IMPOSSIBLE))
+def test_impossible_event_raises_before_any_mutation(tiny_baseline, case):
+    make, reason = IMPOSSIBLE[case]
+    replay = TimelineReplay(tiny_baseline["graph"],
+                            tiny_baseline["route_servers"],
+                            tiny_baseline["baseline"],
+                            tiny_baseline["record_at"],
+                            tiny_baseline["record_alt"])
+    event = make(replay)
+    before = state_pickle(replay.state)
+    reports, result = list(replay.reports), replay.result
+    with pytest.raises(ImpossibleEventError, match=reason) as error:
+        replay.apply(event)
+    assert error.value.event == event
+    assert isinstance(error.value, ValueError)
+    assert state_pickle(replay.state) == before
+    assert replay.reports == reports and replay.result is result
+    # The replay goes on with the next valid event.
+    report = replay.apply(PrefixChurn(asn=_announcer(replay).asn,
+                                      prefix="198.51.100.0/24"))
+    assert replay.reports == reports + [report]
+    assert report.recomputed == 1
