@@ -11,7 +11,8 @@ def test_reciprocity_ablation(scenario, benchmark):
     def run_both():
         strict = scenario.run_inference(require_reciprocity=True)
         loose = scenario.run_inference(require_reciprocity=False)
-        return set(strict.all_links()), set(loose.all_links())
+        return (set(strict.matrix.all_links()),
+                set(loose.matrix.all_links()))
 
     strict_links, loose_links = benchmark.pedantic(run_both, rounds=1,
                                                    iterations=1)

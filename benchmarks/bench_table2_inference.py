@@ -26,10 +26,10 @@ def test_table2_inference(scenario, benchmark):
     for row in rows:
         print(f"  {row['IXP']:<10} {row['LG']:>3} {row['ASes']:>6} {row['RS']:>5} "
               f"{row['Pasv']:>6} {row['Active']:>7} {row['Links']:>8}")
-    total = set(result.all_links())
+    total = set(result.matrix.all_links())
     truth = scenario.ground_truth_links()
     print(f"  total unique links inferred: {len(total)}")
-    print(f"  links counted at multiple IXPs: {len(result.multi_ixp_links())}")
+    print(f"  links counted at multiple IXPs: {len(result.matrix.multi_ixp_links())}")
     print(f"  precision vs ground truth: {len(total & truth) / len(total):.3f}")
 
     assert len(rows) == 13

@@ -3,12 +3,12 @@
 from repro.core.validation import LinkValidator
 
 
-def test_link_validation(scenario, inference, benchmark):
+def test_link_validation(scenario, reachability, benchmark):
     link_ixp = {}
-    for name, links in inference.links_by_ixp().items():
+    for name, links in reachability.links_by_ixp().items():
         for link in links:
             link_ixp.setdefault(link, name)
-    links = sorted(inference.all_links())
+    links = sorted(reachability.all_links())
 
     validator = LinkValidator(
         looking_glasses=scenario.validation_lgs,

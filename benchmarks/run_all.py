@@ -157,7 +157,7 @@ def run_scenario_matrix(size: str = "tiny",
                 "ok": True,
                 "wall_seconds": round(best, 3),
                 "reps": max(1, reps),
-                "links": len(result.all_links()),
+                "links": len(result.matrix.all_links()),
                 "ixps": len(result.per_ixp),
             }
         except Exception as error:  # keep the trajectory for the rest

@@ -55,9 +55,9 @@ def main() -> None:
 
     print("\nrunning the full inference with passive data only ...")
     result = scenario.run_inference(use_active=False)
-    print(f"  links inferred passively: {len(result.all_links())}")
+    print(f"  links inferred passively: {len(result.matrix.all_links())}")
     combined = scenario.run_inference()
-    print(f"  links with active queries added: {len(combined.all_links())}")
+    print(f"  links with active queries added: {len(combined.matrix.all_links())}")
 
 
 if __name__ == "__main__":

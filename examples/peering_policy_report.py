@@ -43,14 +43,13 @@ def main() -> None:
     print(f"  single IXP + its RS: {matrix.fraction_single_ixp_with_rs():.1%}")
     print(f"  no RS anywhere:      {matrix.fraction_no_rs():.1%}")
 
-    reach = {name: inf.reachabilities for name, inf in result.per_ixp.items()}
     members = {name: graph.rs_members_of_ixp(name) for name in result.per_ixp}
-    openness = analysis.export_openness_by_policy(reach, members)
+    openness = analysis.export_openness_from_matrix(result.matrix, members)
     print("\nfigure 11 — mean export openness by policy")
     for policy, mean in sorted(PolicyAnalysis.mean_openness(openness).items()):
         print(f"  {policy:<12} {mean:.1%}")
 
-    density = density_per_ixp(result.links_by_ixp(), members,
+    density = density_per_ixp(result.matrix.links_by_ixp(), members,
                               only_members_with_links=True)
     print("\nfigure 12 — mean RS peering density (IXPs with an RS LG)")
     for name in scenario.rs_looking_glasses:
@@ -59,7 +58,7 @@ def main() -> None:
     repellers = RepellerAnalysis(
         customer_cone=lambda asn: customer_cone(graph, asn),
         direct_customers=lambda asn: set(graph.customers(asn)))
-    report = repellers.analyse(reach, members)
+    report = repellers.analyse_matrix(result.matrix, members)
     hypergiants = set(scenario.internet.hypergiants)
     print("\nfigure 13 — most-excluded networks (repellers)")
     for asn, count in report.top_repellers(5):

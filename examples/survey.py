@@ -76,7 +76,7 @@ def run_survey(scenario_name: str, size: str, events=None) -> None:
               f"{row['RS']:>5} {row['Pasv']:>6} {row['Active']:>7} "
               f"{row['Links']:>8}")
 
-    inferred = set(result.all_links())
+    inferred = set(result.matrix.all_links())
     truth = scenario.ground_truth_links()
     visibility = VisibilityAnalysis(
         inferred, scenario.public_bgp_links(), scenario.traceroute_links())

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.core.reachability import MemberReachability
 from repro.registries.peeringdb import PeeringDB
 from repro.topology.as_graph import ASGraph, PeeringPolicy
 
@@ -141,41 +140,20 @@ class PolicyAnalysis:
 
     # -- figure 11 ----------------------------------------------------------------------
 
-    def export_openness_by_policy(
-        self,
-        reachabilities: Mapping[str, Mapping[int, MemberReachability]],
-        rs_members: Mapping[str, Sequence[int]],
-    ) -> Dict[str, List[float]]:
-        """Figure 11: per self-reported policy, the list of per-(member,
-        IXP) fractions of RS members allowed to receive routes."""
-        result: Dict[str, List[float]] = {}
-        for ixp_name, per_member in reachabilities.items():
-            members = list(rs_members.get(ixp_name, []))
-            if not members:
-                continue
-            for asn, reachability in per_member.items():
-                policy = self.peeringdb.policy_of(asn)
-                if policy is PeeringPolicy.UNKNOWN:
-                    continue
-                openness = reachability.openness(members)
-                result.setdefault(policy.value, []).append(openness)
-        return result
-
     def export_openness_from_matrix(
         self,
         matrix,
         rs_members: Optional[Mapping[str, Sequence[int]]] = None,
     ) -> Dict[str, List[float]]:
-        """Figure 11 from the shared
-        :class:`~repro.runtime.reachmatrix.ReachabilityMatrix` artifact.
+        """Figure 11: per self-reported policy, the list of per-(member,
+        IXP) fractions of RS members allowed to receive routes, from a
+        :class:`~repro.runtime.reachmatrix.ReachabilityMatrix`.
 
-        Pass *rs_members* (the populations the object path is called
-        with) to reproduce :meth:`export_openness_by_policy` exactly —
-        the plane then answers from the exact merged policy.  Without
-        it, the population defaults to each plane's member universe
-        (answered from the row popcount), which can be a superset of a
-        ground-truth RS-member list when the looking-glass summary
-        surfaced additional members.
+        With *rs_members* (the population per IXP) each plane answers
+        from the exact merged policy.  Without it, the population
+        defaults to each plane's member universe (answered from the row
+        popcount), which can be a superset of a ground-truth RS-member
+        list when the looking-glass summary surfaced additional members.
         """
         result: Dict[str, List[float]] = {}
         for ixp_name in sorted(matrix.planes):

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
-from repro.core.reachability import MemberReachability
 from repro.registries.peeringdb import PeeringDB
 from repro.topology.as_graph import GeographicScope
 
@@ -69,7 +68,7 @@ class RepellerReport:
 
 
 class RepellerAnalysis:
-    """Derive repeller statistics from reconstructed reachabilities."""
+    """Derive repeller statistics from the reconstructed export policies."""
 
     def __init__(
         self,
@@ -79,35 +78,20 @@ class RepellerAnalysis:
         self.customer_cone = customer_cone
         self.direct_customers = direct_customers
 
-    def analyse(
-        self,
-        reachabilities_by_ixp: Mapping[str, Mapping[int, MemberReachability]],
-        rs_members_by_ixp: Mapping[str, Iterable[int]],
-    ) -> RepellerReport:
-        """Count EXCLUDE applications across every route server."""
-        report = RepellerReport()
-        for ixp_name, per_member in reachabilities_by_ixp.items():
-            members = set(rs_members_by_ixp.get(ixp_name, ()))
-            per_blocker = ((blocker, reachability.mode, reachability.listed)
-                           for blocker, reachability in per_member.items())
-            self._count_exclusions(report, per_blocker, members)
-        return report
-
     def analyse_matrix(
         self,
         matrix,
         rs_members_by_ixp: Optional[Mapping[str, Iterable[int]]] = None,
     ) -> RepellerReport:
-        """Repeller statistics from the shared
-        :class:`~repro.runtime.reachmatrix.ReachabilityMatrix` artifact.
+        """Count EXCLUDE applications across every route server of a
+        :class:`~repro.runtime.reachmatrix.ReachabilityMatrix`.
 
         Each plane carries the exact merged ``(mode, listed)`` policy
-        per covered member, so with an explicit *rs_members_by_ixp* the
-        counting is identical to :meth:`analyse` over the inference
-        result's reachability objects.  Without it, the population
-        defaults to each plane's member universe — which can be a
-        superset of a ground-truth RS-member list when the
-        looking-glass summary surfaced additional members.
+        per covered member; an ``all-except`` row blocks every listed
+        AS in the population.  The population is *rs_members_by_ixp*'s
+        list per IXP when given, else the plane's member universe —
+        which can be a superset of a ground-truth RS-member list when
+        the looking-glass summary surfaced additional members.
         """
         report = RepellerReport()
         for ixp_name in sorted(matrix.planes):
@@ -117,27 +101,19 @@ class RepellerAnalysis:
             else:
                 members = set(plane.index.universe)
             universe = plane.index.universe
-            per_blocker = ((universe[bit], mode, listed)
-                           for bit, (mode, listed)
-                           in plane.policies.items())
-            self._count_exclusions(report, per_blocker, members)
+            for bit, (mode, listed) in plane.policies.items():
+                if mode != "all-except":
+                    continue
+                blocker = universe[bit]
+                for blocked in set(listed) & members:
+                    report.total_exclusions += 1
+                    report.blocking_frequency[blocked] = \
+                        report.blocking_frequency.get(blocked, 0) + 1
+                    report.blockers.setdefault(blocked, set()).add(blocker)
+                    if self.customer_cone is not None and \
+                            blocked in self.customer_cone(blocker):
+                        report.customer_cone_exclusions += 1
+                    if self.direct_customers is not None and \
+                            blocked in self.direct_customers(blocker):
+                        report.provider_blocks_customer += 1
         return report
-
-    def _count_exclusions(self, report: RepellerReport, per_blocker,
-                          members: Set[int]) -> None:
-        """Fold (blocker, mode, listed) rows into the report."""
-        for blocker, mode, listed in per_blocker:
-            if mode != "all-except":
-                continue
-            blocked_members = set(listed) & members
-            for blocked in blocked_members:
-                report.total_exclusions += 1
-                report.blocking_frequency[blocked] = \
-                    report.blocking_frequency.get(blocked, 0) + 1
-                report.blockers.setdefault(blocked, set()).add(blocker)
-                if self.customer_cone is not None and \
-                        blocked in self.customer_cone(blocker):
-                    report.customer_cone_exclusions += 1
-                if self.direct_customers is not None and \
-                        blocked in self.direct_customers(blocker):
-                    report.provider_blocks_customer += 1

@@ -10,10 +10,11 @@ across any number of IXPs:
 4. merge all observations into per-member reachability sets N_a;
 5. infer a p2p link for every pair of members with reciprocal ALLOW.
 
-The result object keeps per-IXP detail (Table 2's columns) plus the
-de-duplicated global link set, and records the provenance of every
-member's reachability so the cost and visibility analyses can be
-reproduced.
+The result object keeps per-IXP detail (Table 2's columns) and records
+the provenance of every member's reachability so the cost and
+visibility analyses can be reproduced; the global link views live on
+the :class:`~repro.runtime.reachmatrix.ReachabilityMatrix` it carries
+(``result.matrix``), built from the same planes as the per-IXP links.
 
 Steps 2-5 run on the interned observation planes of
 :mod:`repro.core.planes`: observations become integer rows, members
@@ -54,13 +55,7 @@ from repro.ixp.looking_glass import ASLookingGlass, RouteServerLookingGlass
 from repro.runtime.bitset import BitsetIndex
 from repro.runtime.context import PipelineContext
 from repro.runtime.interning import Interner
-from repro.runtime.reachmatrix import (
-    ReachabilityMatrix,
-    link_provenance,
-    links_union,
-    multi_ixp_overlap,
-    peer_counts_of,
-)
+from repro.runtime.reachmatrix import ReachabilityMatrix
 from repro.topology.relationships import RelationshipMap
 
 
@@ -130,79 +125,19 @@ class IXPInference:
 class MLPInferenceResult:
     """The combined result across all IXPs.
 
-    Results are immutable once the engine returns them; the derived
-    views below (``all_links``, ``multi_ixp_links``, ``link_ixps``,
-    ``peer_counts``, ``all_member_asns``) are computed once and
-    memoised, so repeated consumers (every figure analysis reads the
-    global link set) never re-sort.
+    ``per_ixp`` holds one :class:`IXPInference` per IXP; ``matrix`` is
+    the :class:`~repro.runtime.reachmatrix.ReachabilityMatrix` built
+    from the same planes, which answers every global link view (link
+    set, per-IXP links, multi-IXP overlap, link provenance, peer
+    counts).  Results are immutable once the engine returns them.
     """
 
-    per_ixp: Dict[str, IXPInference] = field(default_factory=dict)
-    _derived: Dict[str, object] = field(
-        default_factory=dict, repr=False, compare=False)
+    per_ixp: Dict[str, IXPInference]
+    matrix: ReachabilityMatrix
 
     def ixp(self, ixp_name: str) -> IXPInference:
         """The per-IXP inference for *ixp_name*."""
         return self.per_ixp[ixp_name]
-
-    def ixp_names(self) -> List[str]:
-        """All IXPs with an inference, sorted by link count (descending,
-        ties broken by name so the ordering is deterministic)."""
-        return sorted(self.per_ixp,
-                      key=lambda name: (-self.per_ixp[name].num_links, name))
-
-    def all_links(self) -> Tuple[Link, ...]:
-        """De-duplicated union of the per-IXP links, ascending (memoised)."""
-        cached = self._derived.get("all_links")
-        if cached is None:
-            cached = links_union(self.links_by_ixp())
-            self._derived["all_links"] = cached
-        return cached
-
-    def links_by_ixp(self) -> Dict[str, Tuple[Link, ...]]:
-        """Per-IXP sorted link tuples."""
-        return {name: inference.links
-                for name, inference in self.per_ixp.items()}
-
-    def link_ixps(self) -> Dict[Link, Tuple[str, ...]]:
-        """Link -> sorted names of the IXPs it was inferred at (memoised)
-        — cheap link provenance for the hybrid/overlap analyses.  Treat
-        the returned mapping as read-only."""
-        cached = self._derived.get("link_ixps")
-        if cached is None:
-            cached = link_provenance(self.links_by_ixp())
-            self._derived["link_ixps"] = cached
-        return cached
-
-    def ixps_of_link(self, a: int, b: int) -> Tuple[str, ...]:
-        """The IXPs that inferred the (unordered) pair, sorted by name."""
-        return self.link_ixps().get((min(a, b), max(a, b)), ())
-
-    def multi_ixp_links(self) -> Tuple[Link, ...]:
-        """Links inferred at more than one IXP (the overlap the paper
-        quantifies: 11,821 links appear at multiple IXPs), ascending
-        (memoised)."""
-        cached = self._derived.get("multi_ixp_links")
-        if cached is None:
-            cached = multi_ixp_overlap(self.link_ixps())
-            self._derived["multi_ixp_links"] = cached
-        return cached
-
-    def all_member_asns(self) -> Tuple[int, ...]:
-        """Every ASN involved in at least one inferred link, ascending
-        (memoised)."""
-        cached = self._derived.get("all_member_asns")
-        if cached is None:
-            asns: Set[int] = set()
-            for link in self.all_links():
-                asns.update(link)
-            cached = tuple(sorted(asns))
-            self._derived["all_member_asns"] = cached
-        return cached
-
-    def total_links(self) -> int:
-        """Sum of per-IXP link counts (larger than the de-duplicated count)."""
-        return sum(inference.num_links for inference in self.per_ixp.values())
 
     def identical_to(self, other: "MLPInferenceResult") -> bool:
         """Full bit-identity with *other*: links, per-IXP link sets,
@@ -212,13 +147,12 @@ class MLPInferenceResult:
         when results grow new fields."""
         if set(self.per_ixp) != set(other.per_ixp):
             return False
-        if self.links_by_ixp() != other.links_by_ixp():
-            return False
         if self.table2() != other.table2():
             return False
         for name in self.per_ixp:
             left, right = self.per_ixp[name], other.per_ixp[name]
-            if (left.members != right.members
+            if (left.links != right.links
+                    or left.members != right.members
                     or left.passive_members != right.passive_members
                     or left.active_members != right.active_members
                     or left.active_queries != right.active_queries
@@ -226,16 +160,6 @@ class MLPInferenceResult:
                     or left.reachabilities != right.reachabilities):
                 return False
         return True
-
-    def peer_counts(self) -> Dict[int, int]:
-        """Per-AS number of distinct inferred MLP peers (figure 6's x-axis).
-        Keys are in ascending ASN order, so iteration is deterministic
-        (memoised; treat the returned mapping as read-only)."""
-        cached = self._derived.get("peer_counts")
-        if cached is None:
-            cached = peer_counts_of(self.all_links())
-            self._derived["peer_counts"] = cached
-        return cached
 
     def table2(self, ixp_ases: Optional[Mapping[str, int]] = None,
                ixp_has_lg: Optional[Mapping[str, bool]] = None) -> List[Dict[str, object]]:
@@ -330,13 +254,13 @@ class MLPInferenceEngine:
             if self.context is not None:
                 self.context.store_inference_planes(key, merged)
 
-        result = MLPInferenceResult()
+        per_ixp = {}
         matrix_planes = {}
         links_by_ixp = {}
         for ixp_name in sorted(self.rs_members):
             data = merged[ixp_name]
             links = data.plane.links(require_reciprocity)
-            result.per_ixp[ixp_name] = IXPInference(
+            per_ixp[ixp_name] = IXPInference(
                 ixp_name=ixp_name,
                 members=set(data.members),
                 passive_members=set(data.passive_members),
@@ -347,12 +271,11 @@ class MLPInferenceEngine:
             )
             matrix_planes[ixp_name] = data.plane
             links_by_ixp[ixp_name] = links
-        if self.context is not None:
-            self.context.store_reachability_matrix(
-                result, ReachabilityMatrix(
-                    matrix_planes, links_by_ixp=links_by_ixp,
-                    built_by="bitset"))
-        return result
+        return MLPInferenceResult(
+            per_ixp=per_ixp,
+            matrix=ReachabilityMatrix(matrix_planes,
+                                      links_by_ixp=links_by_ixp,
+                                      built_by="bitset"))
 
     def _build_merged_planes(
         self,

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.bgp.prefix import Prefix
-from repro.runtime.bitset import BitsetIndex, reciprocal_pairs
+from repro.runtime.bitset import BitsetIndex
+from repro.runtime.reachmatrix import allow_mask_for, reciprocal_links
 
 MODE_ALL_EXCEPT = "all-except"
 MODE_NONE_EXCEPT = "none-except"
@@ -67,23 +68,6 @@ class MemberReachability:
     def allowed_members(self, members: Iterable[int]) -> Set[int]:
         """N_a restricted to the given member population."""
         return {m for m in members if m != self.member_asn and self.allows(m)}
-
-    def allowed_mask(self, index: BitsetIndex) -> int:
-        """N_a as a bitmask over *index*'s member universe.
-
-        Bit *i* is set iff ``self.allows(index.universe[i])``; the data
-        plane of :func:`infer_links` works entirely on these masks and
-        only converts back to ASNs when emitting links.
-        """
-        listed_mask = index.mask_of(self.listed)
-        if self.mode == MODE_ALL_EXCEPT:
-            mask = index.full_mask & ~listed_mask
-        else:
-            mask = listed_mask
-        own_bit = index.bit_of.get(self.member_asn)
-        if own_bit is not None:
-            mask &= ~(1 << own_bit)
-        return mask
 
     def blocked_members(self, members: Iterable[int]) -> Set[int]:
         """Members explicitly not reachable through the route server."""
@@ -196,11 +180,12 @@ def infer_links(
     ``require_reciprocity=False`` — the paper's ablation — a single
     direction of ALLOW suffices).
 
-    The computation runs on member bitmasks: each N_a becomes an integer
-    mask over the sorted member universe (pass a pre-built *index* to
-    reuse one, e.g. from ``PipelineContext.member_index``), the masks
-    are transposed once, and reciprocity is a bitwise AND.  Links are
-    emitted in sorted-pair form.
+    Each N_a becomes an integer mask over the sorted member universe
+    (:func:`~repro.runtime.reachmatrix.allow_mask_for`; pass a pre-built
+    *index* to reuse one, e.g. from ``PipelineContext.member_index``)
+    and the links come out of the packed ``M & M.T`` kernel
+    (:func:`~repro.runtime.reachmatrix.reciprocal_links`) as sorted
+    pairs.
     """
     if index is None:
         index = BitsetIndex(members)
@@ -209,5 +194,6 @@ def infer_links(
     for bit, asn in enumerate(index.universe):
         reach = reachabilities.get(asn)
         if reach is not None:
-            masks[bit] = reach.allowed_mask(index)
-    return reciprocal_pairs(masks, index.universe, require_reciprocity)
+            masks[bit] = allow_mask_for(reach.mode, reach.listed, index,
+                                        member_asn=asn)
+    return set(reciprocal_links(masks, index.universe, require_reciprocity))

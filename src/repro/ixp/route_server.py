@@ -20,7 +20,8 @@ from repro.bgp.communities import Community
 from repro.bgp.prefix import Prefix
 from repro.ixp.community_schemes import CommunityScheme, RSAction
 from repro.ixp.member import MemberExportPolicy
-from repro.runtime.bitset import BitsetIndex, reciprocal_pairs
+from repro.runtime.bitset import BitsetIndex
+from repro.runtime.reachmatrix import reciprocal_links
 
 
 @dataclass(frozen=True)
@@ -336,7 +337,7 @@ class RouteServer:
 
         Computed on member bitmasks: each member's union of allowed
         targets over its announcements becomes one integer mask, and the
-        reciprocity check is a bitwise AND over the transposed masks.
+        pairs come out of the packed ``M & M.T`` kernel.
         """
         index = BitsetIndex(self._members)
         allowed: Dict[int, int] = {}
@@ -345,7 +346,7 @@ class RouteServer:
                 bit = index.bit_of[entry.member_asn]
                 allowed[bit] = allowed.get(bit, 0) | \
                     self._export_mask(index, entry)
-        return reciprocal_pairs(allowed, index.universe)
+        return set(reciprocal_links(allowed, index.universe))
 
     def peering_density(self) -> Dict[int, float]:
         """Per-member peering density: established RS peers over possible

@@ -1,12 +1,12 @@
 """Per-figure analysis stage: a registry of independent summaries.
 
-Each figure function maps ``(scenario, inference, matrix, options)`` to
-a small, picklable summary dict — the numbers behind one table or
-figure of the paper.  The shared
-:class:`~repro.runtime.reachmatrix.ReachabilityMatrix` artifact carries
-the memoised link views every figure consumes (global link set, per-IXP
-links), so no figure re-walks the inference result object.
-:func:`run_analyses` computes the requested figures in order.
+Each figure function maps ``(scenario, inference, options)`` to a
+small, picklable summary dict — the numbers behind one table or figure
+of the paper.  The result's
+:class:`~repro.runtime.reachmatrix.ReachabilityMatrix`
+(``inference.matrix``) carries the memoised link views every figure
+consumes (global link set, per-IXP links).  :func:`run_analyses`
+computes the requested figures in order.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from typing import Callable, Dict, Optional, Tuple
 from repro.analysis.degrees import DegreeAnalysis
 from repro.analysis.density import density_per_ixp
 from repro.analysis.visibility import VisibilityAnalysis
-from repro.runtime.reachmatrix import ReachabilityMatrix
 
 
 @dataclass(frozen=True)
@@ -32,45 +31,45 @@ class AnalysisOptions:
     density_only_members_with_links: bool = False
 
 
-def _analyse_table2(scenario, inference, matrix, options: AnalysisOptions) -> dict:
+def _analyse_table2(scenario, inference, options: AnalysisOptions) -> dict:
     graph = scenario.graph
     ixp_ases = {spec.name: len(graph.members_of_ixp(spec.name))
                 for spec in scenario.internet.ixp_specs}
     ixp_has_lg = {spec.name: spec.name in scenario.rs_looking_glasses
                   for spec in scenario.internet.ixp_specs}
     return {"rows": inference.table2(ixp_ases=ixp_ases, ixp_has_lg=ixp_has_lg),
-            "total_links": len(matrix.all_links()),
-            "multi_ixp_links": len(matrix.multi_ixp_links())}
+            "total_links": len(inference.matrix.all_links()),
+            "multi_ixp_links": len(inference.matrix.multi_ixp_links())}
 
 
-def _analyse_visibility(scenario, inference, matrix,
+def _analyse_visibility(scenario, inference,
                         options: AnalysisOptions) -> dict:
     analysis = VisibilityAnalysis(
-        mlp_links=matrix.all_links(),
+        mlp_links=inference.matrix.all_links(),
         bgp_links=scenario.public_bgp_links(),
         traceroute_links=scenario.traceroute_links(),
     )
     return analysis.report.summary()
 
 
-def _analyse_degrees(scenario, inference, matrix,
+def _analyse_degrees(scenario, inference,
                      options: AnalysisOptions) -> dict:
     graph = scenario.graph
     analysis = DegreeAnalysis(
         customer_degree=lambda asn: len(graph.customers(asn)))
-    stats = analysis.analyse(matrix.all_links())
+    stats = analysis.analyse(inference.matrix.all_links())
     summary = stats.summary()
     summary["small_degree"] = stats.fraction_small_degree(
         options.small_degree_threshold)
     return summary
 
 
-def _analyse_density(scenario, inference, matrix,
+def _analyse_density(scenario, inference,
                      options: AnalysisOptions) -> dict:
     members_by_ixp = {spec.name: scenario.graph.rs_members_of_ixp(spec.name)
                       for spec in scenario.internet.ixp_specs}
     report = density_per_ixp(
-        matrix.links_by_ixp(), members_by_ixp,
+        inference.matrix.links_by_ixp(), members_by_ixp,
         only_members_with_links=options.density_only_members_with_links)
     return {"mean_densities": report.mean_densities()}
 
@@ -87,21 +86,13 @@ def run_analyses(
     scenario,
     inference,
     options: Optional[AnalysisOptions] = None,
-    matrix: Optional[ReachabilityMatrix] = None,
 ) -> Dict[str, dict]:
-    """Compute the requested figure summaries, in the requested order.
-
-    *matrix* is the shared reachability artifact; when omitted it is
-    built once from the inference result, so every figure still reads
-    the same memoised link views.
-    """
+    """Compute the requested figure summaries, in the requested order."""
     options = options or AnalysisOptions()
     names = list(options.figures)
     unknown = [name for name in names if name not in FIGURES]
     if unknown:
         raise ValueError(f"unknown analysis figures: {unknown!r} "
                          f"(available: {sorted(FIGURES)})")
-    if matrix is None:
-        matrix = ReachabilityMatrix.from_result(inference)
-    return {name: FIGURES[name](scenario, inference, matrix, options)
+    return {name: FIGURES[name](scenario, inference, options)
             for name in names}

@@ -177,8 +177,9 @@ class ScenarioRun:
         return self.artifact("inference")
 
     def reachability(self):
-        """The shared :class:`~repro.runtime.reachmatrix.ReachabilityMatrix`
-        artifact (per-IXP ALLOW planes + provenance) of the inference."""
+        """The inference result's
+        :class:`~repro.runtime.reachmatrix.ReachabilityMatrix` (per-IXP
+        ALLOW planes + provenance): ``self.inference().matrix``."""
         return self.artifact("reachability")
 
     def analyses(self) -> Dict[str, dict]:
@@ -198,7 +199,6 @@ class ScenarioRun:
             return summaries["table2"]["rows"]
         from repro.pipeline.analyses import _analyse_table2
         return _analyse_table2(self.scenario(), self.inference(),
-                               self.reachability(),
                                self.analysis_options)["rows"]
 
     # -- export ---------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Bitmask index over a fixed member population.
 
 Reachability sets (the paper's N_a) and reciprocal-ALLOW link inference
-operate on IXP member populations of a few hundred ASes.  Representing
-each set as a Python integer bitmask over the sorted member list turns
-the pairwise reciprocity check into bit arithmetic and makes every
-derived ordering deterministic (bit position == rank of the ASN).
+operate on IXP member populations of a few hundred ASes.  Each set is a
+Python integer bitmask over the sorted member list, which makes every
+derived ordering deterministic (bit position == rank of the ASN); the
+reciprocity check runs on these masks packed into uint64 planes
+(:mod:`repro.runtime.reachmatrix`).
 """
 
 from __future__ import annotations
@@ -52,35 +53,3 @@ def iter_bits(mask: int) -> Iterator[int]:
         yield low.bit_length() - 1
         mask ^= low
 
-
-def reciprocal_pairs(
-    masks: Dict[int, int],
-    universe: Tuple[int, ...],
-    require_reciprocity: bool = True,
-) -> set:
-    """Emit the sorted value pairs whose ALLOW masks agree.
-
-    *masks* maps bit position -> outgoing mask ("bit *i* allows bit
-    *j*"); a missing entry means "allows nobody".  With
-    ``require_reciprocity`` a pair needs both directions, otherwise one
-    direction suffices.  This is the shared kernel behind both
-    reciprocal-ALLOW link inference (N_a sets) and the route server's
-    ground-truth ``served_pairs``.
-    """
-    allowed_by = [0] * len(universe)
-    for bit, mask in masks.items():
-        own = 1 << bit
-        for other in iter_bits(mask):
-            allowed_by[other] |= own
-
-    pairs = set()
-    for bit, value in enumerate(universe):
-        outgoing = masks.get(bit, 0)
-        if require_reciprocity:
-            mutual = outgoing & allowed_by[bit]
-        else:
-            mutual = outgoing | allowed_by[bit]
-        lower = mutual & ((1 << bit) - 1)
-        for other in iter_bits(lower):
-            pairs.add((universe[other], value))
-    return pairs

@@ -21,9 +21,8 @@ from repro.runtime.interning import Interner
 from repro.runtime.stores import PathStore
 
 
-#: Bounded sizes of the context-level inference caches.
+#: Bounded size of the context-level inference plane cache.
 _MAX_INFERENCE_PLANE_ENTRIES = 8
-_MAX_REACHABILITY_MATRICES = 4
 
 _MISS = object()
 
@@ -189,8 +188,6 @@ class PipelineContext:
         #: collected inference observation planes: (PlaneCacheKey, planes)
         #: pairs, newest last (see repro.core.planes.PlaneCacheKey).
         self._inference_planes: list = []
-        #: (inference result, ReachabilityMatrix) pairs, newest last.
-        self._reachability_matrices: list = []
 
     # -- construction --------------------------------------------------------
 
@@ -298,27 +295,6 @@ class PipelineContext:
         if len(self._inference_planes) > _MAX_INFERENCE_PLANE_ENTRIES:
             self._inference_planes.pop(0)
 
-    def reachability_matrix(self, result):
-        """The (cached) :class:`~repro.runtime.reachmatrix.ReachabilityMatrix`
-        of *result* — the shared artifact the section-5 analyses consume.
-
-        Keyed by result identity: the inference engine pre-populates the
-        cache with its natively built planes, so the usual call pattern
-        (inference stage -> reachability stage) never rebuilds."""
-        for stored, matrix in self._reachability_matrices:
-            if stored is result:
-                return matrix
-        from repro.runtime.reachmatrix import ReachabilityMatrix
-        matrix = ReachabilityMatrix.from_result(result, context=self)
-        self.store_reachability_matrix(result, matrix)
-        return matrix
-
-    def store_reachability_matrix(self, result, matrix) -> None:
-        """Associate a pre-built matrix with its inference result."""
-        self._reachability_matrices.append((result, matrix))
-        if len(self._reachability_matrices) > _MAX_REACHABILITY_MATRICES:
-            self._reachability_matrices.pop(0)
-
     def member_index(self, key: Hashable, members: Iterable[int]) -> BitsetIndex:
         """A (cached) :class:`BitsetIndex` over *members* under *key*.
 
@@ -348,7 +324,6 @@ class PipelineContext:
             "route_cache_evictions": self._route_cache.evictions,
             "member_indices": len(self._member_indices),
             "inference_plane_entries": len(self._inference_planes),
-            "reachability_matrices": len(self._reachability_matrices),
         })
         return summary
 

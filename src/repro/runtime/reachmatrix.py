@@ -11,8 +11,9 @@ behind it, per-member observation counts and the looking-glass query
 spend.  :class:`ReachabilityMatrix` bundles one plane per IXP and
 memoises every derived view the section-5 analyses consume (global link
 set, per-IXP link sets, multi-IXP overlap, link provenance, per-member
-peer counts and densities), so the whole figure suite runs off one
-artifact instead of re-walking the inference result object.
+peer counts), so the whole figure suite runs off one artifact.  The
+inference engine builds it from its planes and hands it out as
+``MLPInferenceResult.matrix``.
 
 Reciprocal-ALLOW link inference is ``M & M.T``: the rows are unpacked
 into a boolean matrix, AND-ed with its transpose and the upper triangle
@@ -49,8 +50,9 @@ def allow_mask_for(mode: str, listed: Iterable[int], index: BitsetIndex,
                    member_asn: Optional[int] = None) -> int:
     """N_a as a bitmask over *index* for a merged (mode, listed) policy.
 
-    Mirrors ``MemberReachability.allowed_mask``: listed values unknown to
-    the index are ignored, and the member's own bit is always cleared.
+    Bit *i* is set iff the policy allows ``index.universe[i]``: listed
+    values unknown to the index are ignored, and *member_asn*'s own bit
+    is always cleared.
     """
     listed_mask = index.mask_of(listed)
     if mode == MODE_ALL_EXCEPT:
@@ -84,8 +86,8 @@ def unpack_mask(row) -> int:
 def pack_rows(rows: Mapping[int, int], size: int):
     """Integer bitmask rows as a packed ``(size, words)`` uint64 plane.
 
-    Uncovered rows (bits without an entry) pack as all-zero words —
-    exactly how :func:`rows_to_bool_matrix` treated them.
+    Uncovered rows (bits without an entry) pack as all-zero words, i.e.
+    "allows nobody".
     """
     words = packed_words(size)
     packed = _np.zeros((size, words), dtype=PACKED_DTYPE)
@@ -109,11 +111,6 @@ def packed_to_bool_matrix(packed, size: int):
     as_bytes = _np.ascontiguousarray(packed).view(_np.uint8)
     return _np.unpackbits(as_bytes, axis=1, bitorder="little",
                           count=size).view(bool)
-
-
-def rows_to_bool_matrix(rows: Mapping[int, int], size: int):
-    """Unpack integer bitmask rows into an (size x size) numpy bool matrix."""
-    return packed_to_bool_matrix(pack_rows(rows, size), size)
 
 
 def reciprocal_links_packed(packed, universe: Tuple[int, ...],
@@ -145,7 +142,13 @@ def reciprocal_links(rows: Mapping[int, int], universe: Tuple[int, ...],
                      require_reciprocity: bool = True) -> Tuple[Link, ...]:
     """The sorted reciprocal-ALLOW pairs of the given ALLOW rows: the
     rows are packed into a uint64 plane and handed to
-    :func:`reciprocal_links_packed`."""
+    :func:`reciprocal_links_packed`.
+
+    *rows* maps bit position -> outgoing mask ("bit *i* allows bit
+    *j*"); a missing row allows nobody.  The one link kernel in
+    ``src/``: every plane, ``core.reachability.infer_links`` and the
+    route server's ground-truth ``served_pairs`` run it.
+    """
     return reciprocal_links_packed(
         pack_rows(rows, len(universe)), universe, require_reciprocity)
 
@@ -202,48 +205,6 @@ class PackedRows(MappingABC):
 
     def __repr__(self) -> str:
         return f"PackedRows({len(self._bits)} rows)"
-
-
-# -- shared link-view derivations ---------------------------------------------
-#
-# One definition of the derived link views, used by both the
-# ReachabilityMatrix and core's MLPInferenceResult memo sites (the
-# tests compare the two, so the derivations must never drift apart).
-
-
-def links_union(links_by_ixp: Mapping[str, Tuple[Link, ...]]
-                ) -> Tuple[Link, ...]:
-    """De-duplicated union of per-IXP link tuples, ascending."""
-    merged: set = set()
-    for links in links_by_ixp.values():
-        merged.update(links)
-    return tuple(sorted(merged))
-
-
-def link_provenance(links_by_ixp: Mapping[str, Tuple[Link, ...]]
-                    ) -> Dict[Link, Tuple[str, ...]]:
-    """Link -> the sorted IXP names it was inferred at."""
-    provenance: Dict[Link, List[str]] = {}
-    for name in sorted(links_by_ixp):
-        for link in links_by_ixp[name]:
-            provenance.setdefault(link, []).append(name)
-    return {link: tuple(names) for link, names in provenance.items()}
-
-
-def multi_ixp_overlap(provenance: Mapping[Link, Tuple[str, ...]]
-                      ) -> Tuple[Link, ...]:
-    """The links present at more than one IXP, ascending."""
-    return tuple(sorted(link for link, ixps in provenance.items()
-                        if len(ixps) > 1))
-
-
-def peer_counts_of(links: Iterable[Link]) -> Dict[int, int]:
-    """Per-AS distinct peer counts, keyed in ascending ASN order."""
-    counts: Dict[int, int] = {}
-    for a, b in links:
-        counts[a] = counts.get(a, 0) + 1
-        counts[b] = counts.get(b, 0) + 1
-    return {asn: counts[asn] for asn in sorted(counts)}
 
 
 @dataclass
@@ -431,8 +392,8 @@ class ReachabilityMatrix:
         #: ixp name -> plane.
         self.planes = dict(planes)
         #: how the planes were produced (provenance only): "bitset" for
-        #: the inference engine's native planes, "result" when rebuilt
-        #: from a result object, or what a loaded artifact recorded.
+        #: the inference engine's planes, or what a loaded artifact
+        #: recorded.
         self.built_by = built_by
         #: per-IXP link tuples — the result's links; computed from the
         #: planes when not supplied.
@@ -440,52 +401,6 @@ class ReachabilityMatrix:
             dict(links_by_ixp) if links_by_ixp is not None
             else {name: plane.links() for name, plane in self.planes.items()})
         self._derived: Dict[str, object] = {}
-
-    # -- construction --------------------------------------------------------
-
-    @classmethod
-    def from_result(cls, result, context: Optional[object] = None,
-                    built_by: str = "result") -> "ReachabilityMatrix":
-        """Build the matrix from an inference result.
-
-        *result* is duck-typed (``repro.core.engine.MLPInferenceResult``
-        shaped) so the runtime layer stays import-free of core; *context*
-        supplies cached per-IXP member indices when available.
-        """
-        planes: Dict[str, ReachabilityPlane] = {}
-        links: Dict[str, Tuple[Link, ...]] = {}
-        for ixp_name in sorted(result.per_ixp):
-            inference = result.per_ixp[ixp_name]
-            if context is not None:
-                index = context.member_index(ixp_name, inference.members)
-            else:
-                index = BitsetIndex(inference.members)
-            plane = ReachabilityPlane(
-                ixp_name=ixp_name,
-                index=index,
-                passive_members=frozenset(inference.passive_members),
-                active_members=frozenset(inference.active_members),
-                passive_mask=index.mask_of(inference.passive_members),
-                active_mask=index.mask_of(inference.active_members),
-                active_queries=inference.active_queries,
-            )
-            for asn in sorted(inference.reachabilities):
-                reach = inference.reachabilities[asn]
-                bit = index.bit_of.get(asn)
-                if bit is None:
-                    continue
-                plane.allow_rows[bit] = allow_mask_for(
-                    reach.mode, reach.listed, index, member_asn=asn)
-                plane.policies[bit] = (reach.mode, reach.listed)
-                plane.sources[bit] = frozenset(reach.sources)
-                plane.prefixes_observed[bit] = reach.prefixes_observed
-                plane.inconsistent[bit] = reach.inconsistent_prefixes
-                plane.covered_mask |= 1 << bit
-                if "third-party" in reach.sources:
-                    plane.third_party_mask |= 1 << bit
-            planes[ixp_name] = plane
-            links[ixp_name] = tuple(inference.links)
-        return cls(planes, links_by_ixp=links, built_by=built_by)
 
     # -- shared link views ---------------------------------------------------
 
@@ -506,7 +421,10 @@ class ReachabilityMatrix:
         """De-duplicated union of the per-IXP links, ascending (memoised)."""
         cached = self._derived.get("all_links")
         if cached is None:
-            cached = links_union(self._links_by_ixp)
+            merged: set = set()
+            for links in self._links_by_ixp.values():
+                merged.update(links)
+            cached = tuple(sorted(merged))
             self._derived["all_links"] = cached
         return cached
 
@@ -514,7 +432,9 @@ class ReachabilityMatrix:
         """Links inferred at more than one IXP, ascending (memoised)."""
         cached = self._derived.get("multi_ixp_links")
         if cached is None:
-            cached = multi_ixp_overlap(self.link_ixps())
+            cached = tuple(sorted(link for link, ixps
+                                  in self.link_ixps().items()
+                                  if len(ixps) > 1))
             self._derived["multi_ixp_links"] = cached
         return cached
 
@@ -523,7 +443,12 @@ class ReachabilityMatrix:
         the link-provenance view the hybrid analysis consumes."""
         cached = self._derived.get("link_ixps")
         if cached is None:
-            cached = link_provenance(self._links_by_ixp)
+            provenance: Dict[Link, List[str]] = {}
+            for name in sorted(self._links_by_ixp):
+                for link in self._links_by_ixp[name]:
+                    provenance.setdefault(link, []).append(name)
+            cached = {link: tuple(names)
+                      for link, names in provenance.items()}
             self._derived["link_ixps"] = cached
         return cached
 
@@ -532,7 +457,11 @@ class ReachabilityMatrix:
         ascending ASN order (memoised)."""
         cached = self._derived.get("peer_counts")
         if cached is None:
-            cached = peer_counts_of(self.all_links())
+            counts: Dict[int, int] = {}
+            for a, b in self.all_links():
+                counts[a] = counts.get(a, 0) + 1
+                counts[b] = counts.get(b, 0) + 1
+            cached = {asn: counts[asn] for asn in sorted(counts)}
             self._derived["peer_counts"] = cached
         return cached
 

@@ -163,20 +163,17 @@ class Scenario:
     def make_engine(
         self,
         connectivity: Optional[Dict[str, ConnectivityReport]] = None,
-        use_ground_truth_relationships: bool = True,
     ) -> MLPInferenceEngine:
         """Build the inference engine from discovered (or supplied) data."""
         if connectivity is None:
             connectivity = self.discover_connectivity()
         rs_members = {name: set(report.members)
                       for name, report in connectivity.items()}
-        relationships = self.relationship_map() \
-            if use_ground_truth_relationships else {}
         return MLPInferenceEngine(
             registry=self.schemes,
             rs_members=rs_members,
             mappers=self.mappers(),
-            relationships=relationships,
+            relationships=self.relationship_map(),
             context=self.context,
         )
 
@@ -185,9 +182,11 @@ class Scenario:
         use_passive: bool = True,
         use_active: bool = True,
         require_reciprocity: bool = True,
+        connectivity: Optional[Dict[str, ConnectivityReport]] = None,
     ) -> MLPInferenceResult:
-        """Run the end-to-end inference pipeline of section 4."""
-        engine = self.make_engine()
+        """Run the end-to-end inference pipeline of section 4 (over
+        *connectivity* when given, else over a fresh discovery)."""
+        engine = self.make_engine(connectivity=connectivity)
         passive_entries = self.archive.clean_stable_entries() if use_passive else None
         rs_lgs = self.rs_looking_glasses if use_active else {}
         third_party = self.third_party_lgs if use_active else {}
@@ -199,12 +198,8 @@ class Scenario:
         )
 
     def reachability_matrix(self, result: MLPInferenceResult):
-        """The shared per-IXP reachability plane of *result* (cached on
-        the runtime context when one is attached)."""
-        from repro.runtime.reachmatrix import ReachabilityMatrix
-        if self.context is not None:
-            return self.context.reachability_matrix(result)
-        return ReachabilityMatrix.from_result(result)
+        """The per-IXP reachability planes of *result* (``result.matrix``)."""
+        return result.matrix
 
     # -- misc helpers ---------------------------------------------------------------------
 
@@ -670,24 +665,13 @@ def _build_geolocation(graph: ASGraph) -> GeolocationDB:
 
 def _run_inference_stage(run):
     scenario: Scenario = run.artifact("scenario")
-    connectivity = run.artifact("connectivity")
     options = run.inference_options
-    engine = scenario.make_engine(connectivity=connectivity)
-    passive_entries = scenario.archive.clean_stable_entries() \
-        if options.use_passive else None
-    rs_lgs = scenario.rs_looking_glasses if options.use_active else {}
-    third_party = scenario.third_party_lgs if options.use_active else {}
-    return engine.run(
-        passive_entries=passive_entries,
-        rs_looking_glasses=rs_lgs,
-        third_party_lgs=third_party,
+    return scenario.run_inference(
+        use_passive=options.use_passive,
+        use_active=options.use_active,
         require_reciprocity=options.require_reciprocity,
+        connectivity=run.artifact("connectivity"),
     )
-
-
-def _run_reachability_stage(run):
-    scenario: Scenario = run.artifact("scenario")
-    return scenario.reachability_matrix(run.artifact("inference"))
 
 
 def stage_timeline(run):
@@ -727,8 +711,7 @@ def _run_analyses_stage(run):
     from repro.pipeline.analyses import run_analyses
     return run_analyses(
         run.artifact("scenario"), run.artifact("inference"),
-        options=run.analysis_options,
-        matrix=run.artifact("reachability"))
+        options=run.analysis_options)
 
 
 #: Every known stage, keyed by name.  A scenario spec's ``stage_names``
@@ -808,12 +791,15 @@ STAGE_LIBRARY: Dict[str, Stage] = {
             # so the ablations never alias in a shared cache (while
             # every upstream stage stays shared).
             options_key="inference",
+            # Bumped with every MLPInferenceResult pickle layout change
+            # (2: the result carries its ReachabilityMatrix).
+            version=2,
             persist=True,
         ),
         Stage(
             "reachability",
-            fn=_run_reachability_stage,
-            deps=("scenario", "inference"),
+            fn=lambda run: run.artifact("inference").matrix,
+            deps=("inference",),
         ),
         Stage(
             "timeline",
@@ -827,7 +813,7 @@ STAGE_LIBRARY: Dict[str, Stage] = {
         Stage(
             "analyses",
             fn=_run_analyses_stage,
-            deps=("scenario", "inference", "reachability"),
+            deps=("scenario", "inference"),
             options_key="analysis",
         ),
     ]

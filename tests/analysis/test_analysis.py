@@ -84,7 +84,7 @@ class TestDegrees:
         graph = small_scenario.graph
         analysis = DegreeAnalysis(lambda asn: graph.transit_degree(asn)
                                   if graph.has_as(asn) else 0)
-        stats = analysis.analyse(inference_result.all_links())
+        stats = analysis.analyse(inference_result.matrix.all_links())
         summary = stats.summary()
         # Dense peering at the edge: most links involve small networks.
         assert summary["involves_stub"] > 0.3
@@ -107,7 +107,7 @@ class TestDensity:
     def test_on_scenario_band(self, small_scenario, inference_result):
         """Figure 12: density of RS peering should be high (paper: 0.79-0.95)."""
         report = density_per_ixp(
-            inference_result.links_by_ixp(),
+            inference_result.matrix.links_by_ixp(),
             {name: small_scenario.graph.rs_members_of_ixp(name)
              for name in inference_result.per_ixp},
             only_members_with_links=True)
@@ -139,11 +139,10 @@ class TestPolicies:
 
     def test_figure11_openness(self, small_scenario, inference_result):
         analysis = PolicyAnalysis(small_scenario.graph, small_scenario.peeringdb)
-        reach = {name: inf.reachabilities
-                 for name, inf in inference_result.per_ixp.items()}
         members = {name: small_scenario.graph.rs_members_of_ixp(name)
                    for name in inference_result.per_ixp}
-        openness = analysis.export_openness_by_policy(reach, members)
+        openness = analysis.export_openness_from_matrix(
+            inference_result.matrix, members)
         assert openness
         means = PolicyAnalysis.mean_openness(openness)
         if "open" in means and "restrictive" in means:
@@ -158,9 +157,8 @@ class TestRepellers:
         analysis = RepellerAnalysis(
             customer_cone=lambda asn: customer_cone(graph, asn),
             direct_customers=lambda asn: set(graph.customers(asn)))
-        report = analysis.analyse(
-            {name: inf.reachabilities
-             for name, inf in inference_result.per_ixp.items()},
+        report = analysis.analyse_matrix(
+            inference_result.matrix,
             {name: graph.rs_members_of_ixp(name)
              for name in inference_result.per_ixp})
         assert report.total_exclusions > 0
@@ -175,9 +173,8 @@ class TestRepellers:
         most frequently excluded networks."""
         graph = small_scenario.graph
         analysis = RepellerAnalysis()
-        report = analysis.analyse(
-            {name: inf.reachabilities
-             for name, inf in inference_result.per_ixp.items()},
+        report = analysis.analyse_matrix(
+            inference_result.matrix,
             {name: graph.rs_members_of_ixp(name)
              for name in inference_result.per_ixp})
         top = [asn for asn, _ in report.top_repellers(10)]
@@ -204,7 +201,7 @@ class TestHybrid:
     def test_on_scenario(self, small_scenario, inference_result):
         graph = small_scenario.graph
         analysis = HybridRelationshipAnalysis(graph.relationship)
-        report = analysis.analyse(inference_result.all_links())
+        report = analysis.analyse(inference_result.matrix.all_links())
         truth_hybrid = set()
         for pairs in small_scenario.internet.hybrid_pairs.values():
             truth_hybrid |= pairs

@@ -9,7 +9,7 @@ deterministically.
 
 import random
 
-from repro.core.engine import IXPInference, MLPInferenceResult
+from repro.core.engine import IXPInference
 from repro.core.reachability import (
     MODE_ALL_EXCEPT,
     MODE_NONE_EXCEPT,
@@ -19,6 +19,8 @@ from repro.core.reachability import (
     merge_observations,
 )
 from repro.bgp.prefix import Prefix
+from repro.runtime.bitset import BitsetIndex
+from repro.runtime.reachmatrix import ReachabilityMatrix, ReachabilityPlane
 
 
 def _observation(member, mode, listed, prefix_index=0):
@@ -109,21 +111,25 @@ class TestInferLinksDeterminism:
                            require_reciprocity=False) == expected
 
 
+def _matrix(links_by_ixp):
+    """A matrix over empty planes that reports the given per-IXP links."""
+    members = {name: {asn for link in links for asn in link}
+               for name, links in links_by_ixp.items()}
+    planes = {name: ReachabilityPlane(ixp_name=name,
+                                      index=BitsetIndex(members[name]))
+              for name in links_by_ixp}
+    return ReachabilityMatrix(planes, links_by_ixp=links_by_ixp)
+
+
 class TestResultOrderingDeterminism:
     def test_ixp_names_breaks_ties_by_name(self):
-        result = MLPInferenceResult()
-        for name in ("LINX", "AMS-IX", "DE-CIX"):
-            inference = IXPInference(ixp_name=name)
-            inference.links = ((1, 2),)
-            result.per_ixp[name] = inference
-        assert result.ixp_names() == ["AMS-IX", "DE-CIX", "LINX"]
+        matrix = _matrix({name: ((1, 2),)
+                          for name in ("LINX", "AMS-IX", "DE-CIX")})
+        assert matrix.ixp_names() == ["AMS-IX", "DE-CIX", "LINX"]
 
     def test_peer_counts_insertion_order_is_sorted(self):
-        result = MLPInferenceResult()
-        inference = IXPInference(ixp_name="DE-CIX")
-        inference.links = ((1, 9), (2, 3), (5, 9))
-        result.per_ixp["DE-CIX"] = inference
-        assert list(result.peer_counts()) == [1, 2, 3, 5, 9]
+        matrix = _matrix({"DE-CIX": ((1, 9), (2, 3), (5, 9))})
+        assert list(matrix.peer_counts()) == [1, 2, 3, 5, 9]
 
     def test_covered_members_is_sorted_tuple(self):
         inference = IXPInference(ixp_name="DE-CIX")
@@ -132,13 +138,11 @@ class TestResultOrderingDeterminism:
         assert inference.covered_members() == (1, 3, 5, 9)
 
     def test_all_member_asns_is_sorted_tuple(self):
-        result = MLPInferenceResult()
-        for name, links in (("DE-CIX", ((3, 9), (1, 2))),
-                            ("LINX", ((2, 7),))):
-            inference = IXPInference(ixp_name=name)
-            inference.links = links
-            result.per_ixp[name] = inference
-        assert result.all_member_asns() == (1, 2, 3, 7, 9)
+        """The ASNs on inferred links, ascending across IXPs: the keys
+        of the matrix's peer counts."""
+        matrix = _matrix({"DE-CIX": ((3, 9), (1, 2)), "LINX": ((2, 7),)})
+        assert tuple(matrix.peer_counts()) == (1, 2, 3, 7, 9)
+        assert matrix.all_links() == ((1, 2), (2, 7), (3, 9))
 
 
 class TestSetterCacheScoping:
@@ -207,8 +211,8 @@ class TestEndToEndDeterminism:
     def test_rerunning_inference_is_identical(self, small_scenario,
                                               inference_result):
         rerun = small_scenario.run_inference()
-        assert rerun.all_links() == inference_result.all_links()
-        assert rerun.ixp_names() == inference_result.ixp_names()
+        assert rerun.matrix.all_links() == inference_result.matrix.all_links()
+        assert rerun.matrix.ixp_names() == inference_result.matrix.ixp_names()
         assert rerun.table2() == inference_result.table2()
         for name in rerun.per_ixp:
             a = rerun.per_ixp[name]

@@ -62,19 +62,19 @@ class TestEngineOnScenario:
     def test_precision_against_ground_truth(self, small_scenario, inference_result):
         """At least 98% of inferred links must exist (the paper validates
         98.4%); with ground truth available we check exact precision."""
-        inferred = set(inference_result.all_links())
+        inferred = set(inference_result.matrix.all_links())
         truth = small_scenario.ground_truth_links()
         assert inferred
         true_positives = inferred & truth
         assert len(true_positives) / len(inferred) >= 0.98
 
     def test_recall_is_substantial(self, small_scenario, inference_result):
-        inferred = set(inference_result.all_links())
+        inferred = set(inference_result.matrix.all_links())
         truth = small_scenario.ground_truth_links()
         assert len(inferred & truth) / len(truth) >= 0.6
 
     def test_most_links_invisible_in_public_bgp(self, small_scenario, inference_result):
-        inferred = set(inference_result.all_links())
+        inferred = set(inference_result.matrix.all_links())
         bgp = small_scenario.public_bgp_links()
         fraction_visible = len(inferred & bgp) / len(inferred)
         assert fraction_visible < 0.5
@@ -94,16 +94,16 @@ class TestEngineOnScenario:
 
     def test_passive_only_finds_fewer_members_than_combined(self, small_scenario):
         passive_only = small_scenario.run_inference(use_active=False)
-        combined_links = small_scenario.run_inference().all_links()
-        assert len(passive_only.all_links()) <= len(combined_links)
+        combined_links = small_scenario.run_inference().matrix.all_links()
+        assert len(passive_only.matrix.all_links()) <= len(combined_links)
 
     def test_reciprocity_ablation_monotone(self, small_scenario):
         strict = small_scenario.run_inference()
         loose = small_scenario.run_inference(require_reciprocity=False)
-        assert set(strict.all_links()) <= set(loose.all_links())
+        assert set(strict.matrix.all_links()) <= set(loose.matrix.all_links())
 
     def test_links_are_sorted_tuples(self, inference_result):
-        all_links = inference_result.all_links()
+        all_links = inference_result.matrix.all_links()
         assert isinstance(all_links, tuple)
         assert list(all_links) == sorted(set(all_links))
         for inference in inference_result.per_ixp.values():
@@ -113,12 +113,15 @@ class TestEngineOnScenario:
 
     def test_multi_ixp_overlap_detected(self, inference_result):
         # Some ASes co-locate at several IXPs, so some links appear twice.
-        assert inference_result.total_links() >= len(inference_result.all_links())
+        matrix = inference_result.matrix
+        per_ixp_total = sum(len(links)
+                            for links in matrix.links_by_ixp().values())
+        assert per_ixp_total >= len(matrix.all_links())
 
 
 class TestLinkValidator:
     def test_validation_on_scenario(self, small_scenario, inference_result):
-        inferred = list(inference_result.all_links())[:400]
+        inferred = list(inference_result.matrix.all_links())[:400]
         validator = LinkValidator(
             looking_glasses=small_scenario.validation_lgs,
             origin_prefixes=small_scenario.origin_prefixes(),
@@ -133,7 +136,7 @@ class TestLinkValidator:
         assert set(rates) == {"all-paths", "best-path"}
 
     def test_confirmed_links_are_true_links(self, small_scenario, inference_result):
-        inferred = list(inference_result.all_links())[:300]
+        inferred = list(inference_result.matrix.all_links())[:300]
         validator = LinkValidator(
             looking_glasses=small_scenario.validation_lgs,
             origin_prefixes=small_scenario.origin_prefixes(),

@@ -7,7 +7,7 @@ inference from the production engine (the bitset observation planes)
 and the per-IXP object oracle (:mod:`tests.oracle.inference`): links,
 per-IXP link sets, Table 2 rows, reachability objects (mode / listed /
 provenance / prefix counts) and active query spend.  The derived-view
-caches of the result object must not re-sort on repeated access.
+caches of the result's matrix must not re-sort on repeated access.
 """
 
 from __future__ import annotations
@@ -34,13 +34,14 @@ def assert_bit_identical(obj, bit):
     The granular asserts localise a failure; the final
     ``identical_to`` call is the authoritative shared predicate.
     """
-    assert obj.all_links() == bit.all_links()
-    assert obj.links_by_ixp() == bit.links_by_ixp()
-    assert obj.multi_ixp_links() == bit.multi_ixp_links()
+    assert obj.matrix.all_links() == bit.matrix.all_links()
+    assert obj.matrix.links_by_ixp() == bit.matrix.links_by_ixp()
+    assert obj.matrix.multi_ixp_links() == bit.matrix.multi_ixp_links()
     assert obj.table2() == bit.table2()
-    assert obj.link_ixps() == bit.link_ixps()
+    assert obj.matrix.link_ixps() == bit.matrix.link_ixps()
     for name in obj.per_ixp:
         left, right = obj.per_ixp[name], bit.per_ixp[name]
+        assert left.links == right.links, name
         assert left.members == right.members, name
         assert left.passive_members == right.passive_members, name
         assert left.active_members == right.active_members, name
@@ -114,8 +115,9 @@ def test_backends_identical_on_random_regimes(seed):
     scenario = run.scenario()
     ablation_obj = object_inference(scenario, require_reciprocity=False)
     ablation_bit = scenario.run_inference(require_reciprocity=False)
-    assert ablation_obj.all_links() == ablation_bit.all_links()
-    assert ablation_obj.links_by_ixp() == ablation_bit.links_by_ixp()
+    assert ablation_obj.matrix.all_links() == ablation_bit.matrix.all_links()
+    assert ablation_obj.matrix.links_by_ixp() == \
+        ablation_bit.matrix.links_by_ixp()
 
 
 def test_backends_identical_at_bench_size(bench_run):
@@ -289,18 +291,17 @@ def test_table2_fallback_without_table2_figure():
 
 def test_result_views_are_memoised():
     result = scenario_run("tiny", cache=ArtifactCache()).inference()
-    assert result.all_links() is result.all_links()
-    assert result.multi_ixp_links() is result.multi_ixp_links()
-    assert result.link_ixps() is result.link_ixps()
-    assert result.peer_counts() is result.peer_counts()
-    assert result.all_member_asns() is result.all_member_asns()
+    matrix = result.matrix
+    assert matrix.all_links() is matrix.all_links()
+    assert matrix.multi_ixp_links() is matrix.multi_ixp_links()
+    assert matrix.link_ixps() is matrix.link_ixps()
+    assert matrix.peer_counts() is matrix.peer_counts()
     some_ixp = next(iter(result.per_ixp.values()))
     assert some_ixp.link_set() is some_ixp.link_set()
     if some_ixp.links:
         a, b = some_ixp.links[0]
         assert some_ixp.has_link(a, b) and some_ixp.has_link(b, a)
-        assert result.ixps_of_link(a, b)
-        assert some_ixp.ixp_name in result.ixps_of_link(a, b)
+        assert some_ixp.ixp_name in matrix.link_ixps()[(a, b)]
     covered = some_ixp.covered_members()
     if covered:
         assert some_ixp.provenance_of(covered[0])

@@ -10,8 +10,14 @@
   object API;
 * :mod:`tests.oracle.inference` — the per-IXP object inference engine
   (passive/active step functions, ``merge_observations`` and
-  ``infer_links`` per IXP) and the entry-by-entry passive extraction
-  into observation planes, the reference for the column reader;
+  ``infer_links`` per IXP), whose result carries a matrix rebuilt from
+  its objects (``matrix_from_inferences``), and the entry-by-entry
+  passive extraction into observation planes, the reference for the
+  column reader;
+* :mod:`tests.oracle.reachability` — the integer-bitmask reciprocal
+  kernel (the reference for the packed ``M & M.T`` kernel) and the
+  figure 11 / figure 13 walks over ``MemberReachability`` objects (the
+  references for the matrix's openness and repeller entries);
 * :mod:`tests.oracle.kernels` — pins the propagation engine to one
   kernel so the differential suites can compare kernels directly;
 * :mod:`tests.oracle.blocks` — the per-block route-block assembly

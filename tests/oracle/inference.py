@@ -9,7 +9,11 @@ pipeline: per IXP, the public step functions build one
 :func:`~repro.core.reachability.merge_observations` and infer links
 with :func:`~repro.core.reachability.infer_links`.  The differential
 suites require the two engines to produce bit-identical results
-(:meth:`MLPInferenceResult.identical_to`).
+(:meth:`MLPInferenceResult.identical_to`).  The oracle's result carries
+a :class:`~repro.runtime.reachmatrix.ReachabilityMatrix` rebuilt from
+its per-IXP objects (:func:`matrix_from_inferences`, ``built_by
+"result"``); it has no observation counts, which only the engine's
+planes record.
 
 :func:`extract_passive_planes` is the entry-list oracle of the
 production passive extraction (:func:`repro.core.planes.
@@ -46,7 +50,13 @@ from repro.core.reachability import (
     merge_observations,
 )
 from repro.ixp.looking_glass import ASLookingGlass, RouteServerLookingGlass
+from repro.runtime.bitset import BitsetIndex
 from repro.runtime.interning import Interner
+from repro.runtime.reachmatrix import (
+    ReachabilityMatrix,
+    ReachabilityPlane,
+    allow_mask_for,
+)
 
 
 class ObjectInferenceEngine(MLPInferenceEngine):
@@ -64,15 +74,17 @@ class ObjectInferenceEngine(MLPInferenceEngine):
         third_party_lgs = {name: list(lgs)
                            for name, lgs in (third_party_lgs or {}).items()}
         passive_by_ixp = self._run_passive(passive_entries)
-        result = MLPInferenceResult()
+        per_ixp: Dict[str, IXPInference] = {}
         # IXPs are processed in name order so run output (and any caches
         # populated along the way) is independent of mapping order.
         for ixp_name, members in sorted(self.rs_members.items()):
-            result.per_ixp[ixp_name] = self._infer_ixp(
+            per_ixp[ixp_name] = self._infer_ixp(
                 ixp_name, members, passive_by_ixp.get(ixp_name, []),
                 rs_looking_glasses.get(ixp_name),
                 third_party_lgs.get(ixp_name, []), require_reciprocity)
-        return result
+        return MLPInferenceResult(
+            per_ixp=per_ixp,
+            matrix=matrix_from_inferences(per_ixp, context=self.context))
 
     def _infer_ixp(
         self,
@@ -174,6 +186,49 @@ class ObjectInferenceEngine(MLPInferenceEngine):
             require_reciprocity=require_reciprocity)))
 
 
+def matrix_from_inferences(per_ixp: Mapping[str, IXPInference],
+                           context=None) -> ReachabilityMatrix:
+    """A :class:`ReachabilityMatrix` rebuilt from per-IXP inference
+    objects (``built_by="result"``): one ALLOW row per covered member
+    from its merged ``(mode, listed)`` policy, the provenance masks and
+    the query spend.  *context* supplies cached per-IXP member indices
+    when available.  Observation counts stay empty."""
+    planes: Dict[str, ReachabilityPlane] = {}
+    links: Dict[str, Tuple[Link, ...]] = {}
+    for ixp_name in sorted(per_ixp):
+        inference = per_ixp[ixp_name]
+        if context is not None:
+            index = context.member_index(ixp_name, inference.members)
+        else:
+            index = BitsetIndex(inference.members)
+        plane = ReachabilityPlane(
+            ixp_name=ixp_name,
+            index=index,
+            passive_members=frozenset(inference.passive_members),
+            active_members=frozenset(inference.active_members),
+            passive_mask=index.mask_of(inference.passive_members),
+            active_mask=index.mask_of(inference.active_members),
+            active_queries=inference.active_queries,
+        )
+        for asn in sorted(inference.reachabilities):
+            reach = inference.reachabilities[asn]
+            bit = index.bit_of.get(asn)
+            if bit is None:
+                continue
+            plane.allow_rows[bit] = allow_mask_for(
+                reach.mode, reach.listed, index, member_asn=asn)
+            plane.policies[bit] = (reach.mode, reach.listed)
+            plane.sources[bit] = frozenset(reach.sources)
+            plane.prefixes_observed[bit] = reach.prefixes_observed
+            plane.inconsistent[bit] = reach.inconsistent_prefixes
+            plane.covered_mask |= 1 << bit
+            if "third-party" in reach.sources:
+                plane.third_party_mask |= 1 << bit
+        planes[ixp_name] = plane
+        links[ixp_name] = tuple(inference.links)
+    return ReachabilityMatrix(planes, links_by_ixp=links, built_by="result")
+
+
 def object_engine(scenario, connectivity=None) -> ObjectInferenceEngine:
     """The oracle engine over *scenario*, built exactly like
     :meth:`~repro.scenarios.base.Scenario.make_engine` builds the
@@ -194,8 +249,8 @@ def object_inference(scenario, use_passive: bool = True,
                      use_active: bool = True,
                      require_reciprocity: bool = True,
                      connectivity=None) -> MLPInferenceResult:
-    """:meth:`~repro.scenarios.base.Scenario.run_inference` through the
-    object oracle."""
+    """:meth:`~repro.scenarios.base.Scenario.run_inference` (same
+    signature) through the object oracle."""
     engine = object_engine(scenario, connectivity=connectivity)
     return engine.run(
         passive_entries=scenario.archive.clean_stable_entries()

@@ -38,5 +38,6 @@ class TestBackendArtifactIsolation:
         with forced_kernel(backend):
             vectorized = ScenarioRun(tiny_config(),
                                      cache=ArtifactCache()).inference()
-        assert frontier.all_links() == vectorized.all_links()
-        assert frontier.links_by_ixp() == vectorized.links_by_ixp()
+        assert frontier.matrix.all_links() == vectorized.matrix.all_links()
+        assert frontier.matrix.links_by_ixp() == \
+            vectorized.matrix.links_by_ixp()

@@ -32,7 +32,8 @@ def cold_run(shared_cache):
     """A cold run that has resolved every stage once."""
     run = ScenarioRun(small_scenario_config(), cache=shared_cache)
     run.analyses()
-    run.timeline()      # leaf stage: nothing depends on it
+    run.reachability()  # leaf stages: nothing depends on them
+    run.timeline()
     return run
 
 
@@ -177,8 +178,33 @@ class TestDiskCache:
         second = ScenarioRun(config, cache=ArtifactCache(tmp_path))
         reloaded = second.inference()
         assert second.stage_statuses() == {"inference": "disk"}
-        assert reloaded.all_links() == result.all_links()
+        assert reloaded.matrix.all_links() == result.matrix.all_links()
         assert reloaded.table2() == result.table2()
+
+    def test_warm_disk_run_exports_the_cold_artifact(self, tmp_path):
+        """A second run over one disk cache (topology, propagation and
+        inference read from disk, as ``repro.service.daemon
+        --cache-dir`` does on a restart) exports the cold run's
+        reachability artifact byte for byte: the matrix travels with
+        the pickled inference result, observation counts and
+        ``built_by`` included."""
+        config = get_scenario("europe2013").config("tiny")
+        exported = {}
+        for name in ("cold", "warm"):
+            run = ScenarioRun(config, scenario="europe2013",
+                              cache=ArtifactCache(tmp_path / "cache"))
+            exported[name] = run.export_reachability(tmp_path / name,
+                                                     size="tiny")
+        statuses = run.stage_statuses()
+        for stage in ("topology", "propagation", "inference"):
+            assert statuses[stage] == "disk", (stage, statuses)
+        cold = sorted(path.name for path in exported["cold"].iterdir())
+        warm = sorted(path.name for path in exported["warm"].iterdir())
+        assert cold == warm
+        assert "header.json" in cold
+        for name in cold:
+            assert (exported["cold"] / name).read_bytes() == \
+                (exported["warm"] / name).read_bytes(), name
 
     def test_corrupt_disk_file_treated_as_miss(self, tmp_path):
         config = small_scenario_config()
@@ -188,7 +214,8 @@ class TestDiskCache:
         victim = ArtifactCache(tmp_path)._disk_path("inference", fingerprint)
         victim.write_bytes(b"not a pickle")
         recovered = ScenarioRun(config, cache=ArtifactCache(tmp_path))
-        assert recovered.inference().all_links() == result.all_links()
+        assert recovered.inference().matrix.all_links() == \
+            result.matrix.all_links()
         assert recovered.stage_statuses()["inference"] == "computed"
 
     def test_disk_miss_on_changed_options(self, tmp_path):

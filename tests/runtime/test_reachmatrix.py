@@ -1,10 +1,12 @@
-"""The reachability plane: kernels, derived views, context caching.
+"""The reachability plane: kernels, derived views, result ownership.
 
 The matrix is trusted the same way the propagation kernels are: its
 link kernel is differentially tested against the integer-bitmask
 reference, and every derived view (densities, openness, exclusions,
 link provenance) is checked against the object-level computation it
-replaces on a real end-to-end scenario.
+replaces on a real end-to-end scenario.  The engine's result carries
+the matrix it built (``result.matrix``), observation counts included,
+however many results one scenario produces.
 """
 
 from __future__ import annotations
@@ -20,11 +22,15 @@ from repro.analysis.policies import PolicyAnalysis
 from repro.analysis.repellers import RepellerAnalysis
 from repro.analysis.estimation import estimates_from_matrix, measured_densities
 from repro.core.reachability import infer_links
-from repro.runtime.bitset import BitsetIndex, reciprocal_pairs
-from repro.runtime.reachmatrix import (
-    ReachabilityMatrix,
-    allow_mask_for,
-    reciprocal_links,
+from repro.pipeline import ArtifactCache
+from repro.runtime.bitset import BitsetIndex
+from repro.runtime.reachmatrix import reciprocal_links
+from repro.scenarios.workloads import scenario_run
+
+from tests.oracle.reachability import (
+    export_openness_by_policy,
+    reciprocal_pairs,
+    repeller_report,
 )
 
 
@@ -66,16 +72,7 @@ def test_plane_links_match_infer_links(small_scenario, inference_result,
         assert plane.links(require) == expected, name
 
 
-def test_allow_mask_matches_member_reachability(inference_result):
-    for inference in inference_result.per_ixp.values():
-        index = BitsetIndex(inference.members)
-        for asn, reach in inference.reachabilities.items():
-            assert allow_mask_for(reach.mode, reach.listed, index,
-                                  member_asn=asn) == \
-                reach.allowed_mask(index), (inference.ixp_name, asn)
-
-
-# -- from_result and derived views ---------------------------------------------
+# -- the result's matrix and its derived views ---------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -84,12 +81,31 @@ def matrix(small_scenario, inference_result):
 
 
 def test_matrix_mirrors_result_links(matrix, inference_result):
-    assert matrix.all_links() == inference_result.all_links()
-    assert matrix.links_by_ixp() == inference_result.links_by_ixp()
-    assert matrix.multi_ixp_links() == inference_result.multi_ixp_links()
-    assert matrix.link_ixps() == inference_result.link_ixps()
-    assert matrix.peer_counts() == inference_result.peer_counts()
-    assert matrix.ixp_names() == inference_result.ixp_names()
+    """The matrix's link views are derived from the per-IXP links the
+    result reports, link by link."""
+    assert matrix is inference_result.matrix
+    per_ixp = {name: inference.links
+               for name, inference in inference_result.per_ixp.items()}
+    assert matrix.links_by_ixp() == per_ixp
+    union = set()
+    provenance = {}
+    for name in sorted(per_ixp):
+        union.update(per_ixp[name])
+        for link in per_ixp[name]:
+            provenance.setdefault(link, []).append(name)
+    assert matrix.all_links() == tuple(sorted(union))
+    assert matrix.link_ixps() == {link: tuple(names)
+                                  for link, names in provenance.items()}
+    assert matrix.multi_ixp_links() == tuple(sorted(
+        link for link, names in provenance.items() if len(names) > 1))
+    degree = {}
+    for a, b in union:
+        degree[a] = degree.get(a, 0) + 1
+        degree[b] = degree.get(b, 0) + 1
+    assert matrix.peer_counts() == degree
+    assert list(matrix.peer_counts()) == sorted(degree)
+    assert matrix.ixp_names() == sorted(
+        per_ixp, key=lambda name: (-len(per_ixp[name]), name))
 
 
 def test_matrix_provenance_planes(matrix, inference_result):
@@ -109,9 +125,10 @@ def test_matrix_density_matches_object_path(small_scenario, matrix,
     members_by_ixp = {
         spec.name: small_scenario.graph.rs_members_of_ixp(spec.name)
         for spec in small_scenario.internet.ixp_specs}
-    object_report = density_per_ixp(inference_result.links_by_ixp(),
-                                    members_by_ixp,
-                                    only_members_with_links=True)
+    object_report = density_per_ixp(
+        {name: inference.links
+         for name, inference in inference_result.per_ixp.items()},
+        members_by_ixp, only_members_with_links=True)
     matrix_report = density_per_ixp(matrix.links_by_ixp(), members_by_ixp,
                                     only_members_with_links=True)
     assert matrix_report.per_member == object_report.per_member
@@ -125,8 +142,8 @@ def test_matrix_openness_matches_object_path(small_scenario, matrix,
                for name in inference_result.per_ixp}
     reachabilities = {name: inf.reachabilities
                       for name, inf in inference_result.per_ixp.items()}
-    object_openness = analysis.export_openness_by_policy(
-        reachabilities, members)
+    object_openness = export_openness_by_policy(
+        small_scenario.peeringdb, reachabilities, members)
     matrix_openness = analysis.export_openness_from_matrix(matrix, members)
     assert set(object_openness) == set(matrix_openness)
     for policy in object_openness:
@@ -143,7 +160,7 @@ def test_matrix_repellers_match_object_path(small_scenario, matrix,
                for name in inference_result.per_ixp}
     reachabilities = {name: inf.reachabilities
                       for name, inf in inference_result.per_ixp.items()}
-    object_report = analysis.analyse(reachabilities, members)
+    object_report = repeller_report(reachabilities, members)
     matrix_report = analysis.analyse_matrix(matrix, members)
     assert matrix_report.blocking_frequency == object_report.blocking_frequency
     assert matrix_report.blockers == object_report.blockers
@@ -155,10 +172,10 @@ def test_matrix_hybrid_matches_object_path(small_scenario, matrix,
     graph = small_scenario.graph
     analysis = HybridRelationshipAnalysis(graph.relationship)
     link_ixps = {}
-    for name, links in inference_result.links_by_ixp().items():
-        for link in links:
+    for name, inference in inference_result.per_ixp.items():
+        for link in inference.links:
             link_ixps.setdefault(link, []).append(name)
-    object_report = analysis.analyse(inference_result.all_links(), link_ixps)
+    object_report = analysis.analyse(sorted(link_ixps), link_ixps)
     matrix_report = analysis.analyse(matrix.all_links(), matrix.link_ixps())
     assert [c.link for c in matrix_report.candidates] == \
         [c.link for c in object_report.candidates]
@@ -210,19 +227,42 @@ def test_matrix_pickles(matrix):
 def test_matrix_summary(matrix, inference_result):
     summary = matrix.summary()
     assert summary["ixps"] == len(inference_result.per_ixp)
-    assert summary["links"] == len(inference_result.all_links())
+    assert summary["links"] == len({
+        link for inference in inference_result.per_ixp.values()
+        for link in inference.links})
+    assert summary["built_by"] == "bitset"
 
 
-# -- context caching -----------------------------------------------------------
+# -- result ownership ----------------------------------------------------------
 
 
-def test_context_caches_matrix_per_result(small_scenario, inference_result):
-    context = small_scenario.context
-    assert context is not None
-    first = context.reachability_matrix(inference_result)
-    assert context.reachability_matrix(inference_result) is first
-    stats = context.stats()
-    assert stats["reachability_matrices"] >= 1
+def _observation_counts(matrix):
+    return {name: dict(plane.observation_counts)
+            for name, plane in matrix.planes.items()}
+
+
+def test_every_result_keeps_the_matrix_the_engine_built():
+    """Five inference runs on one scenario: each result carries the
+    engine's own planes (``built_by == "bitset"``) with the observation
+    counts the engine built, the first result as much as the last."""
+    scenario = scenario_run("tiny", cache=ArtifactCache()).scenario()
+    variants = [{}, {"require_reciprocity": False}, {"use_active": False},
+                {"use_passive": False}, {}]
+    results = [scenario.run_inference(**options) for options in variants]
+    for result in results:
+        matrix = scenario.reachability_matrix(result)
+        assert matrix is result.matrix
+        assert matrix.built_by == "bitset"
+        assert matrix.links_by_ixp() == {
+            name: inference.links
+            for name, inference in result.per_ixp.items()}
+    # An independent build of the same scenario (its own context and
+    # plane cache) counts the same observations.
+    fresh = scenario_run("tiny", cache=ArtifactCache()).inference().matrix
+    counts = _observation_counts(fresh)
+    assert any(counts.values())
+    assert _observation_counts(results[0].matrix) == counts
+    assert _observation_counts(results[-1].matrix) == counts
 
 
 def test_numpy_available_marker():

@@ -202,7 +202,7 @@ class TestFamiliesEndToEnd:
     def test_cold_run_infers_links(self, family_runs, name):
         cold, _ = family_runs[name]
         result = cold.inference()
-        assert len(result.all_links()) > 0
+        assert len(result.matrix.all_links()) > 0
         assert len(result.per_ixp) >= 1
         assert cold.spec.name == name
 
@@ -212,7 +212,7 @@ class TestFamiliesEndToEnd:
         assert set(warm.stage_statuses().values()) == {"memory"}
 
     def test_families_produce_distinct_ecosystems(self, family_runs):
-        link_sets = {name: family_runs[name][0].inference().all_links()
+        link_sets = {name: family_runs[name][0].inference().matrix.all_links()
                      for name in NEW_FAMILIES}
         values = list(link_sets.values())
         assert len({frozenset(v) for v in values}) == len(values)

@@ -30,7 +30,6 @@ import pytest
 
 from repro.pipeline import ArtifactCache, ScenarioRun
 from repro.pipeline.analyses import _analyse_table2
-from repro.runtime.reachmatrix import ReachabilityMatrix
 from repro.scenarios.spec import get_scenario, scenario_names
 
 from tests.oracle.inference import run_object_inference
@@ -131,12 +130,11 @@ def build_golden(name: str) -> dict:
     spec = get_scenario(name)
     run = ScenarioRun(spec.config(GOLDEN_SIZE), scenario=name,
                       cache=ArtifactCache())
-    production = link_pins(run.inference().all_links(), run.table2())
+    production = link_pins(run.inference().matrix.all_links(),
+                           run.table2())
     oracle_result = run_object_inference(run)
-    oracle = link_pins(oracle_result.all_links(), _analyse_table2(
-        run.scenario(), oracle_result,
-        ReachabilityMatrix.from_result(oracle_result),
-        run.analysis_options)["rows"])
+    oracle = link_pins(oracle_result.matrix.all_links(), _analyse_table2(
+        run.scenario(), oracle_result, run.analysis_options)["rows"])
     return {
         "scenario": name,
         "size": GOLDEN_SIZE,
@@ -213,7 +211,8 @@ def test_propagation_backends_match_golden_links(name, backend):
     with forced_kernel(backend):
         run = ScenarioRun(spec.config(GOLDEN_SIZE), scenario=name,
                           cache=ArtifactCache())
-        links = [[int(a), int(b)] for a, b in run.inference().all_links()]
+        links = [[int(a), int(b)]
+                 for a, b in run.inference().matrix.all_links()]
     golden = json.loads(golden_path(name).read_text())
     assert links_digest(links) == golden["links_sha256"], (
         f"{name}: {backend} links diverged from the golden")

@@ -54,7 +54,7 @@ class TestEndToEndNumbers:
         * the inferred set is several times larger than the p2p links
           visible in BGP paths (paper: 209% more peering links).
         """
-        inferred = set(inference_result.all_links())
+        inferred = set(inference_result.matrix.all_links())
         truth = small_scenario.ground_truth_links()
         bgp = small_scenario.public_bgp_links()
 
@@ -77,14 +77,16 @@ class TestEndToEndNumbers:
     def test_inference_is_deterministic(self, small_scenario):
         first = small_scenario.run_inference()
         second = small_scenario.run_inference()
-        assert first.all_links() == second.all_links()
+        assert first.matrix.all_links() == second.matrix.all_links()
 
     def test_passive_and_active_complement_each_other(self, small_scenario):
         both = small_scenario.run_inference()
         passive_only = small_scenario.run_inference(use_active=False)
         active_only = small_scenario.run_inference(use_passive=False)
-        assert len(both.all_links()) >= len(passive_only.all_links())
-        assert len(both.all_links()) >= len(active_only.all_links())
+        assert len(both.matrix.all_links()) >= \
+            len(passive_only.matrix.all_links())
+        assert len(both.matrix.all_links()) >= \
+            len(active_only.matrix.all_links())
         # Every IXP with a route-server LG should be fully covered actively.
         for name in small_scenario.rs_looking_glasses:
             inference = active_only.per_ixp[name]
