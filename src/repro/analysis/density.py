@@ -10,7 +10,7 @@ select for open peering.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 Link = Tuple[int, int]
 

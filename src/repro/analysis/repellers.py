@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.registries.peeringdb import PeeringDB
-from repro.topology.as_graph import GeographicScope
 
 
 @dataclass

@@ -14,7 +14,7 @@ answers the two questions of section 4.2:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.bgp.asn import Private16BitMapper

@@ -15,7 +15,7 @@ are available and records which one supplied each member.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, Optional, Set
 
 from repro.ixp.ixp import IXP
 from repro.ixp.looking_glass import RouteServerLookingGlass

@@ -135,10 +135,6 @@ class MLPInferenceResult:
     per_ixp: Dict[str, IXPInference]
     matrix: ReachabilityMatrix
 
-    def ixp(self, ixp_name: str) -> IXPInference:
-        """The per-IXP inference for *ixp_name*."""
-        return self.per_ixp[ixp_name]
-
     def identical_to(self, other: "MLPInferenceResult") -> bool:
         """Full bit-identity with *other*: links, per-IXP link sets,
         Table 2 rows, member/provenance sets, reachability objects and

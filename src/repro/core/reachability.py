@@ -15,8 +15,8 @@ consistent the member's announcements were (the paper found fewer than
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple
 
 from repro.bgp.prefix import Prefix
 from repro.runtime.bitset import BitsetIndex

@@ -12,9 +12,9 @@ database.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set
 
-from repro.registries.irr import AutNumPolicy, IRRDatabase
+from repro.registries.irr import IRRDatabase
 
 
 @dataclass

@@ -11,11 +11,10 @@ estimation of section 5.7, and whether the IXP publishes its member list
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.bgp.prefix import Prefix
 from repro.bgp.session import bilateral_session_count, multilateral_session_count
-from repro.ixp.community_schemes import CommunityScheme
 from repro.ixp.member import MemberExportPolicy
 from repro.ixp.route_server import RouteServer
 

@@ -21,12 +21,12 @@ be reproduced exactly, and an optional rate limit models the 1 query /
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.bgp.communities import Community
 from repro.bgp.prefix import Prefix
-from repro.ixp.route_server import RouteServer, RouteServerEntry
+from repro.ixp.route_server import RouteServer
 
 
 class RateLimitExceeded(RuntimeError):

@@ -11,7 +11,7 @@ prefixes); per-prefix overrides model that residual inconsistency.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Set
+from typing import Dict, FrozenSet, Iterable, Optional, Set
 
 from repro.bgp.asn import Private16BitMapper
 from repro.bgp.communities import Community

@@ -7,7 +7,6 @@ provides the region lookup and the greedy spread-maximising selection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.bgp.prefix import Prefix

@@ -15,7 +15,7 @@ uses in the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.registries.rpsl import RPSLObject, parse_as_references
 

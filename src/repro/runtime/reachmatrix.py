@@ -387,7 +387,7 @@ class ReachabilityMatrix:
     """
 
     def __init__(self, planes: Dict[str, ReachabilityPlane],
-                 links_by_ixp: Optional[Dict[str, Tuple[Link, ...]]] = None,
+                 links_by_ixp: Dict[str, Tuple[Link, ...]],
                  built_by: str = "bitset") -> None:
         #: ixp name -> plane.
         self.planes = dict(planes)
@@ -395,11 +395,8 @@ class ReachabilityMatrix:
         #: the inference engine's planes, or what a loaded artifact
         #: recorded.
         self.built_by = built_by
-        #: per-IXP link tuples — the result's links; computed from the
-        #: planes when not supplied.
-        self._links_by_ixp: Dict[str, Tuple[Link, ...]] = (
-            dict(links_by_ixp) if links_by_ixp is not None
-            else {name: plane.links() for name, plane in self.planes.items()})
+        #: per-IXP link tuples — the result's links.
+        self._links_by_ixp: Dict[str, Tuple[Link, ...]] = dict(links_by_ixp)
         self._derived: Dict[str, object] = {}
 
     # -- shared link views ---------------------------------------------------

@@ -48,7 +48,7 @@ from repro.pipeline.stage import Stage, StageGraph
 from repro.registries.irr import ASSet, AutNumPolicy, IRRDatabase
 from repro.registries.peeringdb import PeeringDB, PeeringDBRecord
 from repro.runtime.context import PipelineContext
-from repro.topology.as_graph import ASGraph, ASType, PeeringPolicy
+from repro.topology.as_graph import ASGraph, ASType
 from repro.topology.customer_cone import customer_cones
 from repro.topology.generator import (
     GeneratedInternet,

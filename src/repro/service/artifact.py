@@ -299,11 +299,12 @@ def _load_plane(load, i: int,
 class ArtifactHandle:
     """One loaded artifact: the matrix plus mmap'd query indexes.
 
-    ``has_link``/``links_of``/``peer_counts`` run off the CSR arrays
-    (two ``searchsorted`` calls against the mmap), so N daemon workers
-    answering them share one page-cache copy of every column; the
-    density view is derived lazily from the matrix and memoised
-    per process (it is a few hundred floats per IXP).
+    ``has_link``/``links_of``/``peer_counts`` run off the CSR columns,
+    kept as plain ``ndarray`` views of the mmap (the same pages, so N
+    daemon workers share one page-cache copy of every column) and read
+    with array methods plus one ``tolist()`` per answer, never element
+    by element; the density view is derived lazily from the matrix and
+    memoised per process (it is a few hundred floats per IXP).
     """
 
     def __init__(self, directory: Path, header: Dict[str, object],
@@ -313,9 +314,9 @@ class ArtifactHandle:
         self.header = header
         self.matrix = matrix
         self.all_links = all_links
-        self.peer_asns = peer_asns
-        self.peer_offsets = peer_offsets
-        self.peer_neighbors = peer_neighbors
+        self.peer_asns = peer_asns.view(_np.ndarray)
+        self.peer_offsets = peer_offsets.view(_np.ndarray)
+        self.peer_neighbors = peer_neighbors.view(_np.ndarray)
         self.scenario = header.get("scenario")
         self.size = header.get("size")
         self.table2 = header.get("table2")
@@ -328,32 +329,31 @@ class ArtifactHandle:
         return int(len(self.all_links))
 
     def _peer_slice(self, asn: int):
-        i = int(_np.searchsorted(self.peer_asns, asn))
-        if i >= len(self.peer_asns) or int(self.peer_asns[i]) != asn:
+        asns = self.peer_asns
+        i = asns.searchsorted(asn)
+        if i == len(asns) or asns[i] != asn:
             return None
-        return self.peer_neighbors[
-            int(self.peer_offsets[i]):int(self.peer_offsets[i + 1])]
+        start, stop = self.peer_offsets[i:i + 2].tolist()
+        return self.peer_neighbors[start:stop]
 
     def has_link(self, a: int, b: int) -> bool:
         """Whether the ordered/unordered pair (a, b) is an inferred link."""
         peers = self._peer_slice(int(a))
         if peers is None:
             return False
-        j = int(_np.searchsorted(peers, int(b)))
-        return j < len(peers) and int(peers[j]) == int(b)
+        b = int(b)
+        j = peers.searchsorted(b)
+        return bool(j < len(peers) and peers[j] == b)
 
     def links_of(self, asn: int) -> List[int]:
         """The sorted MLP peers of *asn* (empty when unknown)."""
         peers = self._peer_slice(int(asn))
-        if peers is None:
-            return []
-        return [int(p) for p in peers]
+        return [] if peers is None else peers.tolist()
 
     def peer_counts(self) -> Dict[int, int]:
         """Per-AS distinct peer counts, ascending ASN order."""
-        degrees = _np.diff(self.peer_offsets)
-        return {int(asn): int(degree)
-                for asn, degree in zip(self.peer_asns, degrees)}
+        return dict(zip(self.peer_asns.tolist(),
+                        _np.diff(self.peer_offsets).tolist()))
 
     def member_densities(self) -> Dict[str, Dict[int, float]]:
         """Per-IXP per-member peering densities (figure 12's raw data)."""

@@ -53,6 +53,8 @@ _STATUS_TEXT = {200: "OK", 400: "Bad Request", 404: "Not Found",
                 405: "Method Not Allowed",
                 431: "Request Header Fields Too Large"}
 
+#: Largest ASN a query parameter may name (32-bit ASNs, RFC 6793).
+MAX_ASN = 4294967295
 #: Seconds a connection may sit idle waiting for (the rest of) a request
 #: before the daemon closes it, so idle clients cannot pin connections.
 IDLE_TIMEOUT_S = 30.0
@@ -79,6 +81,10 @@ class QueryService:
 
     def __init__(self) -> None:
         self.handles: Dict[str, ArtifactHandle] = {}
+        #: (scenario, endpoint) -> the (status, payload) answer of every
+        #: parameter-free endpoint, built once per artifact and shared
+        #: by every request: callers must not mutate a payload.
+        self.answers: Dict[Tuple[str, str], Tuple[int, dict]] = {}
         self.counters: Dict[str, int] = {}
         self.started = time.time()
 
@@ -86,6 +92,22 @@ class QueryService:
 
     def add_handle(self, name: str, handle: ArtifactHandle) -> None:
         self.handles[name] = handle
+        counts = handle.peer_counts()
+        densities = {ixp: {str(asn): value for asn, value in sorted(per.items())}
+                     for ixp, per in sorted(handle.member_densities().items())}
+        self.answers.update({
+            (name, "peer_counts"): (200, {
+                "scenario": name, "ases": len(counts),
+                "counts": {str(asn): count for asn, count in counts.items()}}),
+            (name, "member_densities"): (200, {
+                "scenario": name, "densities": densities}),
+            (name, "table2"): (
+                (404, {"error": f"artifact for {name!r} was saved without "
+                                "Table 2 rows"})
+                if handle.table2 is None
+                else (200, {"scenario": name, "rows": handle.table2})),
+            (name, "summary"): (200, {"scenario": name, **handle.summary()}),
+        })
 
     def scenario_names(self) -> List[str]:
         return sorted(self.handles)
@@ -156,46 +178,34 @@ class QueryService:
                          "endpoints": list(ENDPOINTS)}
         self._count(endpoint)
         if endpoint == "has_link":
-            a = _int_param(params, "a")
-            b = _int_param(params, "b")
+            a = _asn_param(params, "a")
+            b = _asn_param(params, "b")
             return 200, {"scenario": scenario, "a": a, "b": b,
                          "has_link": handle.has_link(a, b)}
         if endpoint == "links_of":
-            asn = _int_param(params, "asn")
+            asn = _asn_param(params, "asn")
             peers = handle.links_of(asn)
             return 200, {"scenario": scenario, "asn": asn,
                          "count": len(peers), "peers": peers}
-        if endpoint == "peer_counts":
-            counts = handle.peer_counts()
-            return 200, {"scenario": scenario, "ases": len(counts),
-                         "counts": {str(asn): count
-                                    for asn, count in counts.items()}}
-        if endpoint == "member_densities":
-            densities = handle.member_densities()
-            return 200, {"scenario": scenario, "densities": {
-                ixp: {str(asn): value for asn, value in sorted(per.items())}
-                for ixp, per in sorted(densities.items())}}
-        if endpoint == "table2":
-            if handle.table2 is None:
-                return 404, {"error": f"artifact for {scenario!r} was "
-                                      "saved without Table 2 rows"}
-            return 200, {"scenario": scenario, "rows": handle.table2}
-        return 200, {"scenario": scenario, **handle.summary()}
+        return self.answers[scenario, endpoint]
 
 
 class _BadRequest(ValueError):
     """A malformed query parameter (mapped to HTTP 400)."""
 
 
-def _int_param(params: Dict[str, List[str]], name: str) -> int:
+def _asn_param(params: Dict[str, List[str]], name: str) -> int:
+    """Parameter *name* as an ASN: 1-10 ASCII digits, at most
+    :data:`MAX_ASN` (no sign, blank, ``_`` or non-ASCII digit)."""
     values = params.get(name)
     if not values:
         raise _BadRequest(f"missing required parameter {name!r}")
-    try:
-        return int(values[0])
-    except ValueError:
-        raise _BadRequest(
-            f"parameter {name!r} must be an integer, got {values[0]!r}")
+    value = values[0]
+    if len(value) <= 10 and value.isascii() and value.isdigit() \
+            and int(value) <= MAX_ASN:
+        return int(value)
+    raise _BadRequest(f"parameter {name!r} must be an ASN (1-10 digits, "
+                      f"at most {MAX_ASN}), got {value!r}")
 
 
 # -- warm-up -------------------------------------------------------------------

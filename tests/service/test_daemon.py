@@ -22,6 +22,20 @@ from repro.service.daemon import (
 from repro.service.loadgen import HttpClient, percentile, run_load
 
 
+#: (query, the parameter its 400 names): values that are not ASNs.
+NOT_ASNS = [
+    ("links_of?asn=1_001", "asn"),
+    ("links_of?asn=+1001", "asn"),
+    ("links_of?asn=%201001%20", "asn"),
+    ("links_of?asn=%D9%A1%D9%A0%D9%A0%D9%A1", "asn"),
+    ("links_of?asn=-5", "asn"),
+    ("links_of?asn=1099511627776", "asn"),
+    ("links_of?asn=00000001001", "asn"),
+    ("has_link?a=4294967296&b=1001", "a"),
+    ("has_link?a=1001&b=1e3", "b"),
+]
+
+
 @pytest.fixture(scope="module")
 def warm(tmp_path_factory):
     root = tmp_path_factory.mktemp("artifacts")
@@ -84,6 +98,19 @@ class TestDispatch:
         assert (status, "missing" in payload["error"]) == (400, True)
         status, payload = service.dispatch("/q/europe2013/has_link?a=x&b=1")
         assert status == 400
+        # Parameters are ASNs: 1-10 ASCII digits up to 2**32 - 1.  int()
+        # alone would read most of these as AS1001 or as an AS with no
+        # peers.
+        for query, name in NOT_ASNS:
+            status, payload = service.dispatch(f"/q/europe2013/{query}")
+            assert status == 400, query
+            assert f"parameter {name!r}" in payload["error"], query
+        assert service.dispatch(
+            "/q/europe2013/links_of?asn=1001")[1]["count"] > 0
+        status, payload = service.dispatch(
+            "/q/europe2013/has_link?a=4294967295&b=0001001")
+        assert (status, payload["a"], payload["b"]) == (200, 4294967295,
+                                                       1001)
 
     def test_stats_counts_requests(self, warm):
         service, _ = warm
@@ -249,7 +276,8 @@ _TARGETS = st.one_of(
     st.sampled_from(["/", "/health", "/stats", "/scenarios", "//[",
                      "/q/europe2013/has_link?a=1&b=2",
                      "/q/europe2013/links_of?asn=x", "/q/nowhere/summary",
-                     "/q/europe2013/bogus", "http://[::1/health"]),
+                     "/q/europe2013/bogus", "http://[::1/health",
+                     *(f"/q/europe2013/{query}" for query, _ in NOT_ASNS)]),
     st.builds("/q/europe2013/{}?{}".format, st.sampled_from(ENDPOINTS),
               _WORDS),
     _WORDS)
