@@ -33,11 +33,12 @@ class ConnectivityReport:
     sources: Dict[int, str] = field(default_factory=dict)
     complete: bool = True
 
-    def add(self, asn: int, source: str) -> None:
-        """Record *asn* as an RS member discovered through *source*."""
-        if asn not in self.members:
-            self.members.add(asn)
-            self.sources[asn] = source
+    def add_all(self, asns: Iterable[int], source: str) -> None:
+        """Record every ASN of *asns* not reported yet as an RS member
+        discovered through *source*, in order (an earlier source wins)."""
+        fresh = [asn for asn in asns if asn not in self.members]
+        self.members.update(fresh)
+        self.sources.update(dict.fromkeys(fresh, source))
 
     def members_from(self, source: str) -> Set[int]:
         """Members first discovered through *source*."""
@@ -74,16 +75,15 @@ class ConnectivityDiscovery:
         report = ConnectivityReport(ixp_name=ixp.name)
 
         if rs_lg is not None:
-            for _, asn in rs_lg.show_ip_bgp_summary():
-                report.add(asn, "lg")
+            report.add_all((asn for _, asn in rs_lg.show_ip_bgp_summary()),
+                           "lg")
 
         if self.irr is not None:
             as_set_name = self.as_set_names.get(ixp.name)
             if as_set_name:
                 as_set = self.irr.as_set(as_set_name)
                 if as_set is not None:
-                    for asn in sorted(as_set.members):
-                        report.add(asn, "as-set")
+                    report.add_all(sorted(as_set.members), "as-set")
 
         website_members = ixp.member_list()
         if website_members and ixp.has_route_server():
@@ -91,16 +91,15 @@ class ConnectivityDiscovery:
             # belong in the report, which the website itself cannot tell us.
             # Without an LG or as-set we conservatively take the website
             # members that the other sources did not already contradict.
-            for asn in website_members:
-                if asn in ixp.rs_members():
-                    report.add(asn, "website")
+            rs_members = set(ixp.rs_members())
+            report.add_all([asn for asn in website_members
+                            if asn in rs_members], "website")
 
         if not report.members and self.irr is not None and rs_asn is not None:
             # LINX-style fallback: search aut-num records referencing the
             # route-server ASN.  Partial by construction.
-            for asn in self.irr.ases_referencing(rs_asn):
-                if asn != rs_asn:
-                    report.add(asn, "irr-search")
+            report.add_all([asn for asn in self.irr.ases_referencing(rs_asn)
+                            if asn != rs_asn], "irr-search")
             report.complete = False
 
         if not report.members:

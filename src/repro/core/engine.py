@@ -253,6 +253,7 @@ class MLPInferenceEngine:
         per_ixp = {}
         matrix_planes = {}
         links_by_ixp = {}
+        keys_by_ixp = {}
         for ixp_name in sorted(self.rs_members):
             data = merged[ixp_name]
             links = data.plane.links(require_reciprocity)
@@ -267,10 +268,12 @@ class MLPInferenceEngine:
             )
             matrix_planes[ixp_name] = data.plane
             links_by_ixp[ixp_name] = links
+            keys_by_ixp[ixp_name] = data.plane.link_keys(require_reciprocity)
         return MLPInferenceResult(
             per_ixp=per_ixp,
             matrix=ReachabilityMatrix(matrix_planes,
                                       links_by_ixp=links_by_ixp,
+                                      keys_by_ixp=keys_by_ixp,
                                       built_by="bitset"))
 
     def _build_merged_planes(

@@ -54,10 +54,13 @@ def _analyse_visibility(scenario, inference,
 
 def _analyse_degrees(scenario, inference,
                      options: AnalysisOptions) -> dict:
+    # One customer count per distinct link endpoint (the peer-count
+    # keys): each ``graph.customers`` call sorts the AS's neighbour map.
     graph = scenario.graph
-    analysis = DegreeAnalysis(
-        customer_degree=lambda asn: len(graph.customers(asn)))
-    stats = analysis.analyse(inference.matrix.all_links())
+    matrix = inference.matrix
+    analysis = DegreeAnalysis.from_mapping(
+        {asn: len(graph.customers(asn)) for asn in matrix.peer_counts()})
+    stats = analysis.analyse(matrix.all_links())
     summary = stats.summary()
     summary["small_degree"] = stats.fraction_small_degree(
         options.small_degree_threshold)

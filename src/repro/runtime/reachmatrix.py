@@ -16,19 +16,27 @@ inference engine builds it from its planes and hands it out as
 ``MLPInferenceResult.matrix``.
 
 Reciprocal-ALLOW link inference is ``M & M.T``: the rows are unpacked
-into a boolean matrix, AND-ed with its transpose and the upper triangle
-is read out in one pass, as a sorted pair tuple.
+into a boolean matrix, AND-ed with its transpose and the strict upper
+triangle is read out in one pass (:func:`reciprocal_cells`).  A plane
+keeps its links in two forms built from that pass: ascending uint64
+keys in the one link-key format of :func:`~repro.runtime.fragments.
+pack_links`, and pair tuples of the universe's own int objects.  The
+matrix's global views (``all_links``, ``multi_ixp_links``,
+``link_ixps``, ``peer_counts``) come from one sort of the concatenated
+per-IXP keys.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as _np
 
 from repro.runtime.bitset import BitsetIndex, iter_bits
+from repro.runtime.fragments import MAX_KEYED, pack_links, unpack_links
 
 #: An inferred MLP link: an ordered (lower ASN, higher ASN) pair.
 Link = Tuple[int, int]
@@ -113,44 +121,75 @@ def packed_to_bool_matrix(packed, size: int):
                           count=size).view(bool)
 
 
-def reciprocal_links_packed(packed, universe: Tuple[int, ...],
-                            require_reciprocity: bool = True
-                            ) -> Tuple[Link, ...]:
-    """:func:`reciprocal_links` over a packed uint64 ALLOW plane.
+def reciprocal_cells(packed, size: int, require_reciprocity: bool = True):
+    """The ``(rows, cols)`` bit-index arrays of the reciprocal-ALLOW
+    pairs of a packed ``(size, words)`` uint64 ALLOW plane, ``rows <
+    cols``, in ascending row-major order.
 
-    The kernel the query service runs on mmap'd planes: unpack once,
-    ``M & M.T`` (or ``M | M.T``), read the upper triangle in ascending
-    row-major order — which *is* ascending sorted-pair order because
-    the universe is sorted.
+    The one link kernel in ``src/``: unpack once, ``M & M.T`` (or
+    ``M | M.T``), and read the strict upper triangle with one
+    ``np.triu``/``np.nonzero`` pass.  Over a sorted universe,
+    row-major order *is* ascending sorted-pair order.
     """
-    size = len(universe)
-    if size == 0:
-        return ()
     matrix = packed_to_bool_matrix(packed, size)
     if require_reciprocity:
         mutual = matrix & matrix.T
     else:
         mutual = matrix | matrix.T
-    # Row-major nonzero order == ascending (i, j); keeping i < j reads
-    # the upper triangle without allocating a third N x N buffer.
-    rows_idx, cols_idx = _np.nonzero(mutual)
-    return tuple((universe[int(i)], universe[int(j)])
-                 for i, j in zip(rows_idx, cols_idx) if i < j)
+    return _np.nonzero(_np.triu(mutual, 1))
+
+
+def _pairs_at(universe: Tuple[int, ...], rows, cols) -> Tuple[Link, ...]:
+    """``(universe[i], universe[j])`` for the index arrays *rows* and
+    *cols*, built from the universe's own int objects (an object-array
+    gather, no fresh Python ints)."""
+    values = _np.array(universe, dtype=object)
+    return tuple(zip(values[rows].tolist(), values[cols].tolist()))
+
+
+def _keyable_universe(universe: Tuple[int, ...]):
+    """The ascending *universe* as int64, or ``ValueError`` when an ASN
+    falls outside ``[0, MAX_KEYED]`` (a link key would wrap)."""
+    if universe and (universe[0] < 0 or universe[-1] > MAX_KEYED):
+        raise ValueError(
+            f"member ASNs {universe[0]}..{universe[-1]} fall outside the "
+            f"link-key range [0, {MAX_KEYED}]")
+    return _np.array(universe, dtype=_np.int64)
+
+
+def link_keys_of(links):
+    """uint64 link keys (:func:`~repro.runtime.fragments.pack_links`) of
+    ``(lo, hi)`` pairs: an ``(L, 2)`` array or a sequence of pairs, in
+    their order.  A value outside ``[0, MAX_KEYED]`` raises
+    ``ValueError`` (or ``OverflowError`` beyond int64), never wraps."""
+    array = _np.asarray(links, dtype=_np.int64).reshape(-1, 2)
+    if len(array) and (array.min() < 0 or array.max() > MAX_KEYED):
+        raise ValueError(
+            f"link ASNs outside the link-key range [0, {MAX_KEYED}]")
+    return pack_links(array[:, 0], array[:, 1])
+
+
+def link_rows(keys):
+    """The ``(L, 2)`` ``<i8`` ``(lo, hi)`` rows of link *keys* (the
+    artifact's link-column layout)."""
+    return _np.stack(unpack_links(keys), axis=1).astype("<i8", copy=False)
 
 
 def reciprocal_links(rows: Mapping[int, int], universe: Tuple[int, ...],
                      require_reciprocity: bool = True) -> Tuple[Link, ...]:
-    """The sorted reciprocal-ALLOW pairs of the given ALLOW rows: the
-    rows are packed into a uint64 plane and handed to
-    :func:`reciprocal_links_packed`.
+    """The sorted reciprocal-ALLOW pairs of the given ALLOW rows (the
+    :func:`reciprocal_cells` kernel over the packed rows).
 
     *rows* maps bit position -> outgoing mask ("bit *i* allows bit
-    *j*"); a missing row allows nobody.  The one link kernel in
-    ``src/``: every plane, ``core.reachability.infer_links`` and the
-    route server's ground-truth ``served_pairs`` run it.
+    *j*"); a missing row allows nobody.  ``core.reachability.
+    infer_links`` and the route server's ground-truth ``served_pairs``
+    run it; planes run the same kernel in :meth:`ReachabilityPlane.
+    links`.
     """
-    return reciprocal_links_packed(
-        pack_rows(rows, len(universe)), universe, require_reciprocity)
+    size = len(universe)
+    cells = reciprocal_cells(pack_rows(rows, size), size,
+                             require_reciprocity)
+    return _pairs_at(universe, *cells)
 
 
 class PackedRows(MappingABC):
@@ -250,7 +289,9 @@ class ReachabilityPlane:
     active_queries: int = 0
     #: member bit -> number of raw (prefix, policy) observations.
     observation_counts: Dict[int, int] = field(default_factory=dict)
-    _links: Dict[bool, Tuple[Link, ...]] = field(
+    #: require_reciprocity -> (sorted uint64 link keys, pair tuple),
+    #: built together on first use of either.
+    _links: Dict[bool, Tuple[object, Tuple[Link, ...]]] = field(
         default_factory=dict, repr=False, compare=False)
     #: lazily packed ``(members, words)`` uint64 ALLOW plane (the hot
     #: representation behind :meth:`links`/:meth:`allows`; mmap'd for
@@ -296,13 +337,27 @@ class ReachabilityPlane:
 
     # -- link inference ------------------------------------------------------
 
+    def link_keys(self, require_reciprocity: bool = True):
+        """Reciprocal-ALLOW links of this plane as ascending uint64 keys
+        (:func:`~repro.runtime.fragments.pack_links`), memoised per
+        flag; ``ValueError`` if a member ASN is not keyable."""
+        return self._reciprocal(require_reciprocity)[0]
+
     def links(self, require_reciprocity: bool = True) -> Tuple[Link, ...]:
-        """Reciprocal-ALLOW links of this plane (memoised per flag), from
-        the packed uint64 plane."""
+        """Reciprocal-ALLOW links of this plane as ascending pairs of the
+        universe's own int objects (memoised per flag, built in the same
+        pass as :meth:`link_keys`)."""
+        return self._reciprocal(require_reciprocity)[1]
+
+    def _reciprocal(self, require_reciprocity: bool):
         cached = self._links.get(require_reciprocity)
         if cached is None:
-            cached = reciprocal_links_packed(
-                self.packed(), self.index.universe, require_reciprocity)
+            universe = self.index.universe
+            asns = _keyable_universe(universe)
+            rows, cols = reciprocal_cells(self.packed(), len(universe),
+                                          require_reciprocity)
+            cached = (pack_links(asns[rows], asns[cols]),
+                      _pairs_at(universe, rows, cols))
             self._links[require_reciprocity] = cached
         return cached
 
@@ -384,10 +439,16 @@ class ReachabilityMatrix:
     visibility/degree/density figures and the hybrid/repeller reports
     all read from one shared computation instead of re-deriving the
     global link set per figure.
+
+    The per-IXP links come twice, as pair tuples and as uint64 keys
+    (:func:`~repro.runtime.fragments.pack_links`, same order).  The
+    global views derive from one sort of the concatenated keys and hand
+    out the pair objects the per-IXP tuples already hold.
     """
 
     def __init__(self, planes: Dict[str, ReachabilityPlane],
                  links_by_ixp: Dict[str, Tuple[Link, ...]],
+                 keys_by_ixp: Mapping[str, object],
                  built_by: str = "bitset") -> None:
         #: ixp name -> plane.
         self.planes = dict(planes)
@@ -397,6 +458,13 @@ class ReachabilityMatrix:
         self.built_by = built_by
         #: per-IXP link tuples — the result's links.
         self._links_by_ixp: Dict[str, Tuple[Link, ...]] = dict(links_by_ixp)
+        #: per-IXP uint64 link keys, row for row with the tuples.
+        self._keys_by_ixp = {name: _np.asarray(keys, dtype=_np.uint64)
+                             for name, keys in keys_by_ixp.items()}
+        if set(self._keys_by_ixp) != set(self._links_by_ixp) or any(
+                len(self._keys_by_ixp[name]) != len(links)
+                for name, links in self._links_by_ixp.items()):
+            raise ValueError("keys_by_ixp does not match links_by_ixp")
         self._derived: Dict[str, object] = {}
 
     # -- shared link views ---------------------------------------------------
@@ -414,14 +482,47 @@ class ReachabilityMatrix:
         """One IXP's sorted link tuple."""
         return self._links_by_ixp[ixp_name]
 
+    def link_keys_of(self, ixp_name: str):
+        """One IXP's links as uint64 keys (the order of :meth:`links_of`)."""
+        return self._keys_by_ixp[ixp_name]
+
+    def _merged(self):
+        """``(names, keys, order, starts)``: the per-IXP keys
+        concatenated in IXP-name order, stably sorted (``order`` maps a
+        sorted position to its concatenated one, so equal keys keep
+        IXP-name order), and the first sorted position of every
+        distinct key.  Not memoised: each view keeps only its own
+        result, so a matrix holds no per-link scratch arrays."""
+        names = sorted(self._keys_by_ixp)
+        keys = _np.concatenate(
+            [_np.zeros(0, dtype=_np.uint64)]
+            + [self._keys_by_ixp[name] for name in names])
+        order = _np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = _np.ones(len(keys), dtype=bool)
+        _np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        return names, keys, order, _np.flatnonzero(first)
+
+    def all_link_keys(self):
+        """The de-duplicated union of the per-IXP link keys, ascending:
+        row for row the keys of :meth:`all_links` (memoised)."""
+        cached = self._derived.get("all_link_keys")
+        if cached is None:
+            _, keys, _, starts = self._merged()
+            cached = self._derived["all_link_keys"] = keys[starts]
+        return cached
+
     def all_links(self) -> Tuple[Link, ...]:
-        """De-duplicated union of the per-IXP links, ascending (memoised)."""
+        """De-duplicated union of the per-IXP links, ascending (memoised):
+        the pair objects of the per-IXP tuples, first IXP by name wins."""
         cached = self._derived.get("all_links")
         if cached is None:
-            merged: set = set()
-            for links in self._links_by_ixp.values():
-                merged.update(links)
-            cached = tuple(sorted(merged))
+            names, keys, order, starts = self._merged()
+            pairs = _np.fromiter(
+                chain.from_iterable(self._links_by_ixp[name]
+                                    for name in names),
+                dtype=object, count=len(keys))
+            cached = tuple(pairs[order[starts]].tolist())
             self._derived["all_links"] = cached
         return cached
 
@@ -429,23 +530,34 @@ class ReachabilityMatrix:
         """Links inferred at more than one IXP, ascending (memoised)."""
         cached = self._derived.get("multi_ixp_links")
         if cached is None:
-            cached = tuple(sorted(link for link, ixps
-                                  in self.link_ixps().items()
-                                  if len(ixps) > 1))
+            _, keys, _, starts = self._merged()
+            counts = _np.diff(starts, append=len(keys))
+            links = self.all_links()
+            cached = tuple(map(links.__getitem__,
+                               _np.flatnonzero(counts > 1).tolist()))
             self._derived["multi_ixp_links"] = cached
         return cached
 
     def link_ixps(self) -> Dict[Link, Tuple[str, ...]]:
-        """Link -> the sorted IXP names it was inferred at (memoised) —
-        the link-provenance view the hybrid analysis consumes."""
+        """Link -> the sorted IXP names it was inferred at, keyed in
+        :meth:`all_links` order (memoised) — the link-provenance view
+        the hybrid analysis consumes."""
         cached = self._derived.get("link_ixps")
         if cached is None:
-            provenance: Dict[Link, List[str]] = {}
-            for name in sorted(self._links_by_ixp):
-                for link in self._links_by_ixp[name]:
-                    provenance.setdefault(link, []).append(name)
-            cached = {link: tuple(names)
-                      for link, names in provenance.items()}
+            names, keys, order, starts = self._merged()
+            owner = _np.repeat(
+                _np.arange(len(names)),
+                [len(self._keys_by_ixp[name]) for name in names])[order]
+            # Single-IXP links (most of them) share one tuple per IXP.
+            singles = [(name,) for name in names]
+            provenance = [singles[i] for i in owner[starts].tolist()]
+            counts = _np.diff(starts, append=len(keys))
+            for link in _np.flatnonzero(counts > 1).tolist():
+                start = int(starts[link])
+                provenance[link] = tuple(
+                    names[i] for i in
+                    owner[start:start + int(counts[link])].tolist())
+            cached = dict(zip(self.all_links(), provenance))
             self._derived["link_ixps"] = cached
         return cached
 
@@ -454,11 +566,10 @@ class ReachabilityMatrix:
         ascending ASN order (memoised)."""
         cached = self._derived.get("peer_counts")
         if cached is None:
-            counts: Dict[int, int] = {}
-            for a, b in self.all_links():
-                counts[a] = counts.get(a, 0) + 1
-                counts[b] = counts.get(b, 0) + 1
-            cached = {asn: counts[asn] for asn in sorted(counts)}
+            lo, hi = unpack_links(self.all_link_keys())
+            asns, counts = _np.unique(_np.concatenate([lo, hi]),
+                                      return_counts=True)
+            cached = dict(zip(asns.tolist(), counts.tolist()))
             self._derived["peer_counts"] = cached
         return cached
 

@@ -148,13 +148,16 @@ class Scenario:
 
     # -- inference plumbing --------------------------------------------------------------
 
-    def discover_connectivity(self) -> Dict[str, ConnectivityReport]:
-        """Run connectivity discovery over every IXP."""
+    def connectivity_discovery(self) -> ConnectivityDiscovery:
+        """The discovery over this scenario's IRR and IXP as-sets."""
         as_set_names = {spec.name: _as_set_name(spec.name)
                         for spec in self.internet.ixp_specs
                         if spec.publishes_member_list}
-        discovery = ConnectivityDiscovery(irr=self.irr, as_set_names=as_set_names)
-        return discovery.discover_all(
+        return ConnectivityDiscovery(irr=self.irr, as_set_names=as_set_names)
+
+    def discover_connectivity(self) -> Dict[str, ConnectivityReport]:
+        """Run connectivity discovery over every IXP."""
+        return self.connectivity_discovery().discover_all(
             self.ixps.values(),
             rs_lgs=self.rs_looking_glasses,
             rs_asns=self.rs_asns(),
@@ -792,8 +795,9 @@ STAGE_LIBRARY: Dict[str, Stage] = {
             # every upstream stage stays shared).
             options_key="inference",
             # Bumped with every MLPInferenceResult pickle layout change
-            # (2: the result carries its ReachabilityMatrix).
-            version=2,
+            # (2: the result carries its ReachabilityMatrix; 3: planes
+            # and matrix carry uint64 link keys).
+            version=3,
             persist=True,
         ),
         Stage(

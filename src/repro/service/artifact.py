@@ -59,6 +59,8 @@ from repro.runtime.reachmatrix import (
     PackedRows,
     ReachabilityMatrix,
     ReachabilityPlane,
+    link_keys_of,
+    link_rows,
     pack_mask,
     packed_words,
     unpack_mask,
@@ -168,8 +170,7 @@ def save_matrix(matrix: ReachabilityMatrix,
             counts[bit, 1] = value
         for bit, value in plane.observation_counts.items():
             counts[bit, 2] = value
-        plane_links = _np.array(
-            matrix.links_of(name), dtype=INDEX_DTYPE).reshape(-1, 2)
+        plane_links = link_rows(matrix.link_keys_of(name))
         for column, array in (("members", members), ("allow", allow),
                               ("masks", masks), ("counts", counts),
                               ("links", plane_links)):
@@ -177,8 +178,7 @@ def save_matrix(matrix: ReachabilityMatrix,
                         digests)
         ixps.append(_plane_payload(plane))
 
-    all_links = _np.array(
-        matrix.all_links(), dtype=INDEX_DTYPE).reshape(-1, 2)
+    all_links = link_rows(matrix.all_link_keys())
     peer_asns, peer_offsets, peer_neighbors = _link_csr(all_links)
     for name, array in (("links", all_links), ("peer_asns", peer_asns),
                         ("peer_offsets", peer_offsets),
@@ -418,14 +418,21 @@ def load_matrix(directory: Union[str, Path],
     load = _column_loader(directory, header, mmap)
     planes: Dict[str, ReachabilityPlane] = {}
     links_by_ixp: Dict[str, Tuple[Tuple[int, int], ...]] = {}
+    keys_by_ixp = {}
     for i, payload in enumerate(header["ixps"]):
         plane = _load_plane(load, i, payload)
         planes[plane.ixp_name] = plane
-        plane_links = _column(load, f"plane_{i:02d}_links.npy",
-                              INDEX_DTYPE, (None, 2))
+        name = f"plane_{i:02d}_links.npy"
+        plane_links = _column(load, name, INDEX_DTYPE, (None, 2))
+        try:
+            keys_by_ixp[plane.ixp_name] = link_keys_of(plane_links)
+        except ValueError as error:
+            raise ArtifactFormatError(
+                f"artifact column {name}: {error}") from error
         links_by_ixp[plane.ixp_name] = tuple(map(tuple,
                                                  plane_links.tolist()))
     matrix = ReachabilityMatrix(planes, links_by_ixp=links_by_ixp,
+                                keys_by_ixp=keys_by_ixp,
                                 built_by=str(header.get("built_by",
                                                         "artifact")))
     peer_asns = _column(load, "peer_asns.npy", INDEX_DTYPE, (None,))
@@ -490,8 +497,8 @@ def verify_identity(matrix: ReachabilityMatrix, handle: ArtifactHandle,
         problems.append("links_by_ixp differs")
     if matrix.all_links() != loaded.all_links():
         problems.append("all_links differs")
-    if matrix.all_links() != tuple((int(a), int(b))
-                                   for a, b in handle.all_links):
+    if not _np.array_equal(handle.all_links,
+                           link_rows(matrix.all_link_keys())):
         problems.append("links.npy differs from all_links")
     if matrix.multi_ixp_links() != loaded.multi_ixp_links():
         problems.append("multi_ixp_links differs")

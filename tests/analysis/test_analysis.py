@@ -1,5 +1,7 @@
 """Tests for the evaluation-section analyses (figures 5-13, sections 5.6-5.7)."""
 
+import json
+
 import pytest
 
 from repro.analysis.degrees import DegreeAnalysis
@@ -16,6 +18,7 @@ from repro.analysis.repellers import RepellerAnalysis
 from repro.analysis.visibility import VisibilityAnalysis
 from repro.bgp.policy import Relationship
 from repro.bgp.prefix import Prefix
+from repro.pipeline.analyses import AnalysisOptions, run_analyses
 from repro.topology.customer_cone import customer_cone
 
 
@@ -90,6 +93,21 @@ class TestDegrees:
         assert summary["involves_stub"] > 0.3
         assert summary["involves_stub"] >= summary["stub_stub"]
         assert summary["small_degree"] >= summary["involves_stub"]
+
+    def test_stage_summary_matches_per_link_walk(self, small_scenario,
+                                                 inference_result):
+        """The analyses stage counts customers once per distinct
+        endpoint; its figure-7 summary is byte-identical to counting
+        them at both ends of every link."""
+        graph = small_scenario.graph
+        stats = DegreeAnalysis(lambda asn: len(graph.customers(asn))) \
+            .analyse(inference_result.matrix.all_links())
+        expected = stats.summary()
+        expected["small_degree"] = stats.fraction_small_degree(10)
+        summary = run_analyses(small_scenario, inference_result,
+                               AnalysisOptions(figures=("degrees",)))
+        assert json.dumps(summary["degrees"]) == json.dumps(expected)
+        assert expected["links"] > 0
 
 
 class TestDensity:

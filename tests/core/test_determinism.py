@@ -20,7 +20,11 @@ from repro.core.reachability import (
 )
 from repro.bgp.prefix import Prefix
 from repro.runtime.bitset import BitsetIndex
-from repro.runtime.reachmatrix import ReachabilityMatrix, ReachabilityPlane
+from repro.runtime.reachmatrix import (
+    ReachabilityMatrix,
+    ReachabilityPlane,
+    link_keys_of,
+)
 
 
 def _observation(member, mode, listed, prefix_index=0):
@@ -118,7 +122,10 @@ def _matrix(links_by_ixp):
     planes = {name: ReachabilityPlane(ixp_name=name,
                                       index=BitsetIndex(members[name]))
               for name in links_by_ixp}
-    return ReachabilityMatrix(planes, links_by_ixp=links_by_ixp)
+    return ReachabilityMatrix(
+        planes, links_by_ixp=links_by_ixp,
+        keys_by_ixp={name: link_keys_of(links)
+                     for name, links in links_by_ixp.items()})
 
 
 class TestResultOrderingDeterminism:

@@ -56,6 +56,7 @@ from repro.runtime.reachmatrix import (
     ReachabilityMatrix,
     ReachabilityPlane,
     allow_mask_for,
+    link_keys_of,
 )
 
 
@@ -226,7 +227,11 @@ def matrix_from_inferences(per_ixp: Mapping[str, IXPInference],
                 plane.third_party_mask |= 1 << bit
         planes[ixp_name] = plane
         links[ixp_name] = tuple(inference.links)
-    return ReachabilityMatrix(planes, links_by_ixp=links, built_by="result")
+    return ReachabilityMatrix(
+        planes, links_by_ixp=links,
+        keys_by_ixp={name: link_keys_of(pairs)
+                     for name, pairs in links.items()},
+        built_by="result")
 
 
 def object_engine(scenario, connectivity=None) -> ObjectInferenceEngine:

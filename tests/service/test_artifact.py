@@ -183,6 +183,38 @@ class TestTampering:
                                match="plane_00_links.npy"):
                 load_matrix(clone, mmap=mmap)
 
+    @pytest.mark.parametrize("value", [-1, 2 ** 32])
+    def test_unkeyable_link_is_rejected(self, artifact, tmp_path, value):
+        """A link ASN outside the 32-bit key range is refused at load,
+        never wrapped into another link's key."""
+        links = np.load(artifact / "plane_00_links.npy")
+        links[0, 1] = value
+        clone = self._rewritten(artifact, tmp_path, "plane_00_links.npy",
+                                links)
+        with pytest.raises(ArtifactFormatError,
+                           match="plane_00_links.npy.*link-key range"):
+            load_matrix(clone)
+
+    @pytest.mark.parametrize("defect", ["swapped", "hi + 2**32",
+                                        "dropped row"])
+    def test_verify_catches_doctored_links_column(self, artifact, tmp_path,
+                                                  defect):
+        """``links.npy`` is served as is, so ``verify_identity`` compares
+        it with the built matrix value for value: a row whose packed key
+        would not change (``hi + 2**32`` on an odd ``lo``) is caught too."""
+        links = np.load(artifact / "links.npy")
+        if defect == "swapped":
+            links[0] = links[0, ::-1].copy()
+        elif defect == "hi + 2**32":
+            row = int(np.flatnonzero(links[:, 0] % 2 == 1)[0])
+            links[row, 1] += 2 ** 32
+        else:
+            links = links[:-1].copy()
+        clone = self._rewritten(artifact, tmp_path, "links.npy", links)
+        problems = verify_identity(build("europe2013").reachability(),
+                                   load_matrix(clone))
+        assert problems == ["links.npy differs from all_links"], problems
+
     def test_unsorted_members_are_rejected(self, artifact, tmp_path):
         members = np.load(artifact / "plane_00_members.npy")
         assert len(members) > 1
