@@ -17,6 +17,8 @@ from __future__ import annotations
 import copy
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
+import numpy as np
+
 #: AS_TRANS, the placeholder ASN used by old BGP speakers for 32-bit ASNs.
 AS_TRANS = 23456
 
@@ -68,6 +70,19 @@ def is_reserved_asn(asn: int) -> bool:
 def is_routable_asn(asn: int) -> bool:
     """Return True if *asn* may legitimately appear in a public AS path."""
     return not is_reserved_asn(asn) and not is_private_asn(asn)
+
+
+def routable_mask(asns) -> np.ndarray:
+    """:func:`is_routable_asn` over an int64 array, element by element."""
+    asns = np.asarray(asns, dtype=np.int64)
+    lo16, hi16 = PRIVATE_ASN_RANGE
+    lo32, hi32 = PRIVATE_ASN_32BIT_RANGE
+    lo, hi = _RESERVED_BLOCK
+    unusable = ((asns <= 0) | (asns >= MAX_ASN) | (asns == AS_TRANS)
+                | (asns == 0xFFFF) | ((asns >= lo) & (asns <= hi))
+                | ((asns >= lo16) & (asns <= hi16))
+                | ((asns >= lo32) & (asns <= hi32)))
+    return ~unusable
 
 
 class Private16BitMapper:

@@ -10,7 +10,9 @@ from __future__ import annotations
 import enum
 from typing import Iterable, Iterator, List, Sequence, Set, Tuple
 
-from repro.bgp.asn import is_routable_asn
+import numpy as np
+
+from repro.bgp.asn import is_routable_asn, routable_mask
 
 
 class Origin(enum.Enum):
@@ -187,3 +189,25 @@ def common_links(paths: Iterable[ASPath]) -> Set[Tuple[int, int]]:
     for path in paths:
         result.update(path.links())
     return result
+
+
+def clean_path_mask(offsets, values) -> np.ndarray:
+    """:meth:`ASPath.is_clean` of every row of the CSR path table
+    ``(offsets, values)``, in one vectorised pass over the cells:
+    empty paths, paths holding a non-routable ASN and paths that repeat
+    an ASN after prepends are collapsed (a cycle) are not clean."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    values = np.asarray(values, dtype=np.int64)
+    lengths = np.diff(offsets)
+    owner = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+    clean = lengths > 0
+    clean[owner[~routable_mask(values)]] = False
+    # Collapse prepends, then look for an ASN twice within a clean row:
+    # routable ASNs fit in 32 bits, so (row, ASN) packs into one key.
+    kept = np.ones(len(values), dtype=bool)
+    kept[1:] = (values[1:] != values[:-1]) | (owner[1:] != owner[:-1])
+    kept &= clean[owner]
+    keys = np.sort((owner[kept] << 32) | values[kept])
+    repeated = keys[1:][keys[1:] == keys[:-1]]
+    clean[repeated >> 32] = False
+    return clean

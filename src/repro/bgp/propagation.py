@@ -60,11 +60,13 @@ from repro.bgp.prefix import Prefix
 from repro.runtime.compiled import CompiledPropagator, compiled_batch_size
 from repro.runtime.fragments import (
     ObservationIndex,
+    ObserverView,
+    OriginPrefixes,
     PathTable,
     RouteBlock,
     blocks_from_columns,
-    key_links,
-    unpack_links,
+    distinct_links,
+    ragged_gather,
 )
 from repro.runtime.frontier import (
     CLASS_CUSTOMER,
@@ -204,9 +206,11 @@ class PropagationResult:
         self._records: List[Tuple[OriginSpec, RouteBlock, RouteBlock]] = []
         #: origin ASN -> position in ``_records``.
         self._position: Dict[int, int] = {}
-        #: the per-(observer, origin) index over ``_records``; None
-        #: until the first read after a recording.
+        #: the per-(observer, origin) index over ``_records`` and the
+        #: origins' prefix column; None until the first read after a
+        #: recording.
         self._index: Optional[ObservationIndex] = None
+        self._prefixes: Optional[OriginPrefixes] = None
 
     # -- population (used by the engine) ------------------------------------
 
@@ -226,13 +230,24 @@ class PropagationResult:
         self._position[spec.asn] = len(self._records)
         self._records.append((spec, best, offered))
         self._index = None
+        self._prefixes = None
 
-    def _observation_index(self) -> ObservationIndex:
+    def observation_index(self) -> ObservationIndex:
+        """The :class:`~repro.runtime.fragments.ObservationIndex` over
+        the recorded blocks (built on the first read)."""
         if self._index is None:
             self._index = ObservationIndex(
                 [best for _spec, best, _offered in self._records],
                 [offered for _spec, _best, offered in self._records])
         return self._index
+
+    def origin_prefixes(self) -> OriginPrefixes:
+        """The recorded origins' prefixes as one value-interned column,
+        indexed by origin position (built on the first read)."""
+        if self._prefixes is None:
+            self._prefixes = OriginPrefixes(
+                [spec.prefixes for spec, _best, _offered in self._records])
+        return self._prefixes
 
     # -- read API ------------------------------------------------------------
 
@@ -257,7 +272,7 @@ class PropagationResult:
 
     def observers(self) -> List[int]:
         """All ASes holding a best route, in first-recorded order."""
-        return self._observation_index().observers()
+        return self.observation_index().observers()
 
     def best_route(self, observer_asn: int,
                    origin_asn: int) -> Optional[PropagatedRoute]:
@@ -265,7 +280,7 @@ class PropagationResult:
         pos = self._position.get(origin_asn)
         if pos is None:
             return None
-        row = self._observation_index().best_row(observer_asn, pos)
+        row = self.observation_index().best_row(observer_asn, pos)
         return None if row is None else self._records[pos][1].route(row)
 
     def iter_best_columns_at(
@@ -275,7 +290,7 @@ class PropagationResult:
         objects."""
         records = self._records
         return [(records[pos][0].asn, records[pos][1], row)
-                for pos, row in self._observation_index().best_refs(
+                for pos, row in self.observation_index().best_refs(
                     observer_asn)]
 
     def iter_routes_at(
@@ -289,25 +304,13 @@ class PropagationResult:
         """Mapping origin ASN -> best route at *observer_asn*."""
         return dict(self.iter_routes_at(observer_asn))
 
-    def observation_groups_at(
-            self, observer_asn: int
-    ) -> List[Tuple[int, RouteBlock, List[int]]]:
-        """The observer's full view as columnar groups, one per origin.
-
-        Returns ``(origin_asn, block, rows)`` triples in origin
-        recording order — ``rows`` indexes *block* and is sorted the
-        way :meth:`all_paths` sorts, so ``rows[0]`` is the group's best
-        path.  Groups come from the offered block where the observer
-        holds offered routes, with the same best-route fallback as
-        ``all_paths``.
-        """
-        records = self._records
-        groups = []
-        for pos, rows, from_offers in \
-                self._observation_index().merged_groups(observer_asn):
-            spec, best, offered = records[pos]
-            groups.append((spec.asn, offered if from_offers else best, rows))
-        return groups
+    def observer_view(self, observer_asn: int) -> ObserverView:
+        """The observer's full view — per origin, its offered routes in
+        ``all_paths`` order where any were recorded, else its best
+        route — as one :class:`~repro.runtime.fragments.ObserverView`
+        of index arrays (no route objects)."""
+        return ObserverView(self.observation_index(),
+                            self.origin_prefixes(), observer_asn)
 
     def all_paths(self, observer_asn: int,
                   origin_asn: int) -> List[PropagatedRoute]:
@@ -317,7 +320,7 @@ class PropagationResult:
         pos = self._position.get(origin_asn)
         if pos is None:
             return []
-        index = self._observation_index()
+        index = self.observation_index()
         _spec, best, offered = self._records[pos]
         rows = index.offered_rows(observer_asn, pos)
         if rows is not None:
@@ -328,42 +331,31 @@ class PropagationResult:
     def visible_links(self, observer_asns: Optional[Iterable[int]] = None
                       ) -> Set[Tuple[int, int]]:
         """AS links appearing in the best paths of the given observers
-        (all recorded observers by default)."""
+        (all recorded observers by default), paired and deduplicated
+        over the index's best-side path cells
+        (:func:`~repro.runtime.fragments.distinct_links`)."""
+        index = self.observation_index()
+        columns = index.best_columns()
         if observer_asns is None:
-            return self._links_from_blocks()
-        links: Set[Tuple[int, int]] = set()
-        for observer in observer_asns:
-            for _origin, block, row in self.iter_best_columns_at(observer):
-                path = block.path(row)
-                for left, right in zip(path, path[1:]):
-                    if left != right:
-                        links.add((min(left, right), max(left, right)))
-        return links
-
-    def _links_from_blocks(self) -> Set[Tuple[int, int]]:
-        """Every best path's links, deduplicated over the blocks' cached
-        packed keys (:meth:`RouteBlock.link_keys`)."""
-        packed_chunks = []
-        links: Set[Tuple[int, int]] = set()
-        key_links(best for _spec, best, _offered in self._records)
-        for _spec, best, _offered in self._records:
-            keys = best.link_keys()
-            if keys is None:  # ASNs beyond 32 bits: packing would collide
-                lo, hi = best.link_pairs()
-                links.update(zip(lo.tolist(), hi.tolist()))
-            elif len(keys):
-                packed_chunks.append(keys)
-        if packed_chunks:
-            los, his = unpack_links(np.unique(np.concatenate(packed_chunks)))
-            links.update(zip(los.tolist(), his.tolist()))
-        return links
+            return distinct_links(columns.path_offsets, columns.path_values)
+        rows = [index.best_rows(observer)[1] for observer in observer_asns]
+        if not rows:
+            return set()
+        return distinct_links(*ragged_gather(
+            columns.path_offsets, columns.path_values, np.concatenate(rows)))
 
     def __getstate__(self):
-        # The observation index is cheap to rebuild and would otherwise
-        # bloat persisted/shipped artifacts.
+        # The observation index and the prefix column are cheap to
+        # rebuild and would otherwise bloat persisted/shipped artifacts
+        # (the pickled state keeps its layout: ``_index`` is None).
         state = self.__dict__.copy()
         state["_index"] = None
+        del state["_prefixes"]
         return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._prefixes = None
 
 
 class PropagationEngine:

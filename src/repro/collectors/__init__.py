@@ -10,7 +10,12 @@ inference of section 4.2 consumes.
 
 from repro.collectors.vantage_point import VantagePoint, FeedType
 from repro.collectors.route_collector import RouteCollector
-from repro.collectors.archive import CollectorArchive, MeasurementWindow
+from repro.collectors.archive import (
+    CollectorArchive,
+    MeasurementWindow,
+    RibDump,
+    gather_feeds,
+)
 
 __all__ = [
     "VantagePoint",
@@ -18,4 +23,6 @@ __all__ = [
     "RouteCollector",
     "CollectorArchive",
     "MeasurementWindow",
+    "RibDump",
+    "gather_feeds",
 ]

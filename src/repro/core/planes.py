@@ -9,9 +9,10 @@ public step functions of :mod:`repro.core.passive`,
 instead: observations become
 ``(member, prefix id, policy id, source code)`` tuples over shared
 interners, passive extraction reads the collector archive's columns
-(IXP identification per distinct community bag, clean filter and setter
-pin-pointing per distinct (IXP, AS path), rows scattered from arrays —
-collector archives repeat each path once per exported prefix), and the
+(IXP identification per distinct community bag, the archive's per-path
+clean mask and setter pin-pointing per distinct (IXP, AS path), rows
+scattered from arrays — collector archives repeat each path once per
+exported prefix), and the
 merged per-member policies scatter into a
 :class:`~repro.runtime.reachmatrix.ReachabilityPlane` whose reciprocal
 ``M & M.T`` kernel emits the links.
@@ -196,22 +197,18 @@ def extract_passive_planes(
     Fuses ``PassiveInference.extract`` + ``policy_observations`` over
     the archive's columns at the view's rows, without materialising a
     :class:`~repro.bgp.messages.RibEntry`: IXP identification runs once
-    per distinct community bag, the clean filter and setter
-    pin-pointing once per distinct (IXP, AS path), policy interpretation
-    once per bag that reaches a surviving row, and the surviving rows
-    scatter from arrays.  Prefixes and policies are interned in
+    per distinct community bag, setter pin-pointing once per distinct
+    (IXP, AS path) whose path passes the archive's clean mask
+    (:meth:`~repro.collectors.archive.RibEntryTable.clean_paths`),
+    policy interpretation once per bag that reaches a surviving row,
+    and the surviving rows scatter from arrays.  Prefixes and policies are interned in
     first-surviving-row order, so the interners and every plane's rows
     (content and order) equal the per-entry pipeline's.
     """
     if entries is None or not len(entries):
         return
     table = entries.table
-    rows = entries.rows
-    _, prefix_column, path_column = table.key_arrays()
-    path_ids = path_column[rows]
-    bag_column = table.bag_id
-    bag_ids = np.fromiter(map(bag_column.__getitem__, rows.tolist()),
-                          dtype=np.int64, count=len(rows))
+    table_prefixes, path_ids, bag_ids = table.columns_at(entries.rows)
 
     # The IXP each distinct bag identifies (-1: empty or unattributable).
     bags, bag_of_row = np.unique(bag_ids, return_inverse=True)
@@ -234,19 +231,18 @@ def extract_passive_planes(
     attributed = np.flatnonzero(row_ixp >= 0)
 
     # The setter per distinct (IXP, path) (-1: dirty path or no setter).
-    num_paths = len(table.paths)
+    num_paths = table.num_paths
     keys, key_of_row = np.unique(
         row_ixp[attributed] * num_paths + path_ids[attributed],
         return_inverse=True)
     passive = PassiveInference(interpreter, relationships)
     key_setter = np.full(len(keys), -1, dtype=np.int64)
-    for position, key in enumerate(keys.tolist()):
+    clean = np.flatnonzero(table.clean_paths()[keys % num_paths])
+    for position, key in zip(clean.tolist(), keys[clean].tolist()):
         code, path_id = divmod(key, num_paths)
-        path = table.paths[path_id]
-        if path.is_clean():
-            setter = passive.identify_setter(ixp_names[code], path)
-            if setter is not None:
-                key_setter[position] = setter
+        setter = passive.identify_setter(ixp_names[code], table.path(path_id))
+        if setter is not None:
+            key_setter[position] = setter
     row_setter = key_setter[key_of_row]
     survivors = attributed[row_setter >= 0]
     setters = row_setter[row_setter >= 0]
@@ -265,7 +261,7 @@ def extract_passive_planes(
             bag_policy[position] = policies.intern(interpreted.mode,
                                                    interpreted.listed)
     policy_ids = bag_policy[survivor_bags]
-    table_prefixes = prefix_column[rows[survivors]]
+    table_prefixes = table_prefixes[survivors]
     prefix_of = np.zeros(len(table.prefixes), dtype=np.int64)
     for prefix_id in _first_seen(table_prefixes):
         prefix_of[prefix_id] = prefixes.intern(table.prefixes[prefix_id])

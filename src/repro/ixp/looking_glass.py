@@ -22,7 +22,7 @@ be reproduced exactly, and an optional rate limit models the 1 query /
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.bgp.communities import Community
 from repro.bgp.prefix import Prefix
@@ -76,6 +76,14 @@ class LGQueryCounter:
         """Wall-clock time at the given query rate limit (section 4.3 uses
         one query per 10 seconds)."""
         return self.total * seconds_per_query
+
+
+def _lg_routes(prefix: Prefix, routes) -> List[LGRoute]:
+    """LGRoutes for *prefix* from ``(as_path, communities, best,
+    learned_from)`` tuples."""
+    return [LGRoute(prefix=prefix, as_path=as_path, communities=communities,
+                    best=best, learned_from=learned_from)
+            for as_path, communities, best, learned_from in routes]
 
 
 class RouteServerLookingGlass:
@@ -139,13 +147,12 @@ class ASLookingGlass:
         self.name = name or f"AS{asn}-lg"
         self.counter = LGQueryCounter(max_queries)
         self._routes: Dict[Prefix, List[LGRoute]] = {}
-        #: bulk loads awaiting materialisation: (prefixes, block, rows)
-        #: groups in load order.  Routes for a prefix materialise on the
-        #: first query for that prefix, so building a large validation
-        #: LG costs one list append per origin, not one LGRoute per
-        #: (route, prefix) pair.
-        self._groups: List[Tuple[Tuple[Prefix, ...], object, List[int]]] = []
-        self._group_index: Optional[Dict[Prefix, List[int]]] = None
+        #: a bulk-loaded view awaiting materialisation (an
+        #: :class:`~repro.runtime.fragments.ObserverView`): routes for a
+        #: prefix materialise on the first query for that prefix, so
+        #: loading a large validation LG costs one slice of index
+        #: arrays, not one LGRoute per (route, prefix) pair.
+        self._view = None
         self._view_cache: Dict[Prefix, List[LGRoute]] = {}
         #: monotonic mutation counter, bumped whenever the view changes;
         #: caches keyed on this LG's view validate against it.
@@ -155,72 +162,52 @@ class ASLookingGlass:
 
     def load_route(self, route: LGRoute) -> None:
         """Add one route to the LG's view."""
-        if self._groups:
-            self._flush_groups()
+        if self._view is not None:
+            self._flush_view()
         self._routes.setdefault(route.prefix, []).append(route)
         self.version += 1
 
-    def load_route_blocks(self, prefixes: Sequence[Prefix], block,
-                          rows: Sequence[int]) -> None:
-        """Bulk-load one origin's candidate routes for *prefixes*.
+    def load_view(self, view) -> None:
+        """Bulk-load an observer's whole view.
 
-        *rows* index a :class:`~repro.runtime.fragments.RouteBlock` in
-        ``all_paths`` order — the first row is displayed as the best
-        path.  Equivalent to ``load_route(LGRoute(...))`` per (row,
-        prefix) pair, but the LGRoutes only materialise when a prefix
-        is actually queried.
+        *view* is an :class:`~repro.runtime.fragments.ObserverView`
+        (``PropagationResult.observer_view``): per origin, its routes in
+        ``all_paths`` order — the first one is displayed as the best
+        path.  Equivalent to ``load_route(LGRoute(...))`` per (route,
+        prefix) pair, origin by origin, but the LGRoutes only
+        materialise when a prefix is actually queried.
         """
-        if not prefixes or not rows:
+        if not len(view):
             return
-        self._groups.append((tuple(prefixes), block, list(rows)))
-        self._group_index = None
+        if self._view is not None:
+            self._flush_view()
+        self._view = view
         self._view_cache.clear()
         self.version += 1
 
-    def _expand_group(self, prefix: Prefix, block,
-                      rows: Sequence[int]) -> List[LGRoute]:
-        """One group's LGRoutes for *prefix* (first row is best)."""
-        return [LGRoute(prefix=prefix,
-                        as_path=block.path(row),
-                        communities=block.communities_at(row),
-                        best=(index == 0),
-                        learned_from=block.learned_from_at(row))
-                for index, row in enumerate(rows)]
-
-    def _flush_groups(self) -> None:
-        """Materialise every pending bulk load into the eager view.
+    def _flush_view(self) -> None:
+        """Materialise the pending bulk view into the eager view.
 
         Called when eager-view operations (``load_route``,
-        ``mark_best_paths``) interleave with bulk loads; per-prefix
+        ``mark_best_paths``) interleave with a bulk load; per-prefix
         route order is exactly the order route-by-route loading would
         have produced.
         """
-        groups, self._groups = self._groups, []
-        self._group_index = None
+        view, self._view = self._view, None
         self._view_cache.clear()
-        for prefixes, block, rows in groups:
-            for prefix in prefixes:
-                bucket = self._routes.setdefault(prefix, [])
-                bucket.extend(self._expand_group(prefix, block, rows))
+        for prefix, routes in view.expand():
+            self._routes.setdefault(prefix, []).extend(
+                _lg_routes(prefix, routes))
 
     def _view_for(self, prefix: Prefix) -> List[LGRoute]:
-        """The full (eager + pending-group) route list for *prefix*."""
-        if not self._groups:
+        """The full (eager + pending bulk view) route list for *prefix*."""
+        if self._view is None:
             return self._routes.get(prefix, [])
         cached = self._view_cache.get(prefix)
         if cached is None:
-            index = self._group_index
-            if index is None:
-                index = self._group_index = {}
-                for group_id, (prefixes, _block, _rows) in \
-                        enumerate(self._groups):
-                    for name in prefixes:
-                        index.setdefault(name, []).append(group_id)
-            routes = list(self._routes.get(prefix, ()))
-            for group_id in index.get(prefix, ()):
-                _prefixes, block, rows = self._groups[group_id]
-                routes.extend(self._expand_group(prefix, block, rows))
-            cached = self._view_cache[prefix] = routes
+            cached = self._view_cache[prefix] = \
+                self._routes.get(prefix, []) + \
+                _lg_routes(prefix, self._view.routes_for(prefix))
         return cached
 
     def load_routes(self, routes: Iterable[LGRoute]) -> None:
@@ -253,8 +240,8 @@ class ASLookingGlass:
     def mark_best_paths(self) -> None:
         """Recompute the best flag: the shortest path (then lowest first
         hop) per prefix is marked best, everything else non-best."""
-        if self._groups:
-            self._flush_groups()
+        if self._view is not None:
+            self._flush_view()
         for prefix, routes in self._routes.items():
             if not routes:
                 continue
@@ -275,12 +262,11 @@ class ASLookingGlass:
 
     def prefixes(self) -> List[Prefix]:
         """Prefixes present in the LG's view (not a counted query)."""
-        if not self._groups:
+        if self._view is None:
             return sorted(self._routes)
-        names = set(self._routes)
-        for prefixes, _block, _rows in self._groups:
-            names.update(prefixes)
-        return sorted(names)
+        if not self._routes:
+            return self._view.prefix_list()
+        return sorted(set(self._routes).union(self._view.prefix_list()))
 
     def show_ip_bgp_prefix(self, prefix: Prefix) -> List[LGRoute]:
         """``show ip bgp <prefix>``: the paths this AS holds for *prefix*.

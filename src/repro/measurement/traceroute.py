@@ -47,16 +47,14 @@ class TracerouteCampaign:
         monitor's best BGP route (control plane == data plane in this
         model).  Each adjacent AS pair becomes a link, except pairs whose
         underlying adjacency is a route-server peering, which are replaced
-        per the configuration.
+        per the configuration.  The distinct pairs come from the result's
+        path columns (:meth:`PropagationResult.visible_links`); each is
+        resolved once.
         """
         links: Set[Tuple[int, int]] = set()
-        for monitor in self.config.monitor_asns:
-            for origin, route in propagation.iter_routes_at(monitor):
-                path = route.path
-                for left, right in zip(path, path[1:]):
-                    if left == right:
-                        continue
-                    links.update(self._resolve_hop(left, right))
+        for left, right in propagation.visible_links(
+                self.config.monitor_asns):
+            links.update(self._resolve_hop(left, right))
         return links
 
     def _resolve_hop(self, left: int, right: int) -> List[Tuple[int, int]]:

@@ -54,13 +54,12 @@ def _analyse_visibility(scenario, inference,
 
 def _analyse_degrees(scenario, inference,
                      options: AnalysisOptions) -> dict:
-    # One customer count per distinct link endpoint (the peer-count
-    # keys): each ``graph.customers`` call sorts the AS's neighbour map.
+    # One customer count per distinct link endpoint (each
+    # ``graph.customers`` call sorts the AS's neighbour map), gathered
+    # over the matrix's link keys.
     graph = scenario.graph
-    matrix = inference.matrix
-    analysis = DegreeAnalysis.from_mapping(
-        {asn: len(graph.customers(asn)) for asn in matrix.peer_counts()})
-    stats = analysis.analyse(matrix.all_links())
+    stats = DegreeAnalysis(lambda asn: len(graph.customers(asn))) \
+        .analyse_keys(inference.matrix.all_link_keys())
     summary = stats.summary()
     summary["small_degree"] = stats.fraction_small_degree(
         options.small_degree_threshold)

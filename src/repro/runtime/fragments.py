@@ -16,7 +16,7 @@ fragments columnar instead:
   ``PropagatedRoute``s — rows are materialised lazily and cached — so
   every object-level consumer keeps working, while bulk consumers read
   the columns directly (or its cached packed link keys, the column the
-  delta affected-set lookup and ``visible_links`` share).
+  delta affected-set lookup reads).
 * :func:`walk_paths` / :class:`PathTable` — ONE vectorized cons-chain
   walk over all path ids of a batch, replacing the per-route scalar
   ``materialize`` calls.  ``PathTable.gather`` then slices per-row CSR
@@ -24,11 +24,17 @@ fragments columnar instead:
 * :func:`blocks_from_columns` — the one block assembler: a run of
   consecutive blocks from flat store-level columns, with a fixed number
   of numpy calls per run (not per block).
+* :class:`ObservationIndex` — the per-observer index over a result's
+  blocks, with both sides' route columns concatenated on first use;
+  collector feeds are slices of it, and :class:`ObserverView` holds one
+  observer's whole view as index arrays for a looking glass.
+  :func:`intern_rows` and :func:`first_seen` intern gathered paths and
+  ids by value in first-seen order.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -36,10 +42,18 @@ __all__ = [
     "RouteBlock",
     "PathTable",
     "ObservationIndex",
+    "ObserverView",
+    "OriginPrefixes",
+    "SideColumns",
     "walk_paths",
     "blocks_from_columns",
+    "distinct_links",
+    "first_seen",
+    "intern_rows",
     "key_links",
     "pack_links",
+    "ragged_gather",
+    "sorted_member",
     "unpack_links",
 ]
 
@@ -248,7 +262,8 @@ class RouteBlock:
                    + self.path_values.nbytes)
 
     def _scalar_columns(self):
-        """Python-int copies of the columns (built once, cached)."""
+        """Python-int copies of the columns for the row views (built
+        once, cached)."""
         columns = self._scalars
         if columns is None:
             columns = self._scalars = (
@@ -256,29 +271,6 @@ class RouteBlock:
                 self.learned_from.tolist(), self.bag_id.tolist(),
                 self.path_offsets.tolist(), self.path_values.tolist())
         return columns
-
-    def asn_list(self) -> List[int]:
-        """Observer ASNs as a cached python list (row-scan fast path)."""
-        return self._scalar_columns()[0]
-
-    def path(self, row: int) -> Tuple[int, ...]:
-        """The AS path of *row* as a tuple, without building the route."""
-        _, _, _, _, offsets, values = self._scalar_columns()
-        return tuple(values[offsets[row]:offsets[row + 1]])
-
-    def communities_at(self, row: int) -> frozenset:
-        """The (shared) community frozenset of *row*."""
-        return self.bag_values[self._scalar_columns()[3][row]]
-
-    def provenance_at(self, row: int) -> int:
-        """The CLASS_* provenance of *row* as a python int."""
-        return self._scalar_columns()[1][row]
-
-    def learned_from_at(self, row: int):
-        """The exporter ASN of *row* (None for locally originated),
-        decoded the way row views decode the ``learned_from`` column."""
-        exporter = self._scalar_columns()[2][row]
-        return exporter if exporter >= 0 else None
 
     def equivalent_to(self, other: "RouteBlock") -> bool:
         """Semantic row equality with *other*: same observers, paths,
@@ -303,8 +295,9 @@ class RouteBlock:
         if self.bag_values == other.bag_values and \
                 np.array_equal(self.bag_id, other.bag_id):
             return True
-        return all(self.communities_at(row) == other.communities_at(row)
-                   for row in range(len(self.asn)))
+        return all(self.bag_values[mine] == other.bag_values[theirs]
+                   for mine, theirs in zip(self.bag_id.tolist(),
+                                           other.bag_id.tolist()))
 
     def link_pairs(self):
         """Undirected ``(lo, hi)`` ASN pair arrays adjacent in any path.
@@ -392,6 +385,18 @@ class RouteBlock:
         self._link_keys = None
 
 
+class SideColumns(NamedTuple):
+    """One side's route columns, every block's rows concatenated in
+    recording order (a row's *global* id is its position here)."""
+
+    provenance: np.ndarray
+    learned_from: np.ndarray
+    #: index into :attr:`ObservationIndex.bags` (value-interned).
+    bag: np.ndarray
+    path_offsets: np.ndarray
+    path_values: np.ndarray
+
+
 class ObservationIndex:
     """Per-(observer, origin-position) CSR index over recorded blocks.
 
@@ -402,24 +407,32 @@ class ObservationIndex:
     from the columns.
 
     Layout: both sides are the row-wise concatenation of every block's
-    columns plus a ``pos`` column (the block's position in recording
-    order, i.e. the origin's index).  The best side is stably sorted by
-    observer ASN, so each observer's rows appear in ``(pos, row)``
-    order.  The offered side is lexsorted by ``(asn, pos, provenance,
-    path length, learned_from)`` with ties keeping row order — exactly
-    the ``all_paths`` sort — and grouped into maximal ``(asn, pos)``
-    runs so one group IS one origin's sorted candidate list.
+    rows; a row is named by its *global* id (its position in that
+    concatenation) and carries a ``pos`` column (the block's position in
+    recording order, i.e. the origin's index).  The best side is stably
+    sorted by observer ASN, so each observer's rows appear in ``(pos,
+    row)`` order.  The offered side is lexsorted by ``(asn, pos,
+    provenance, path length, learned_from)`` with ties keeping row
+    order — exactly the ``all_paths`` sort — and grouped into maximal
+    ``(asn, pos)`` runs so one group IS one origin's sorted candidate
+    list.  The sides' route columns (:meth:`best_columns`,
+    :meth:`offered_columns`) are concatenated on first use, with every
+    block's community bags value-interned into one :attr:`bags` table.
     """
 
-    __slots__ = ("_b_asn", "_b_pos", "_b_row",
-                 "_o_row", "_g_asn", "_g_pos", "_g_start", "_g_end")
+    __slots__ = ("_blocks", "_b_asn", "_b_pos", "_b_glob", "_b_base",
+                 "_o_pos", "_o_glob", "_o_base",
+                 "_g_asn", "_g_pos", "_g_start", "_g_end",
+                 "_columns", "_bags")
 
     def __init__(self, best_blocks: Sequence[RouteBlock],
                  offered_blocks: Sequence[RouteBlock]) -> None:
-        self._b_asn, self._b_pos, self._b_row = \
-            self._sorted_side(best_blocks, with_rank=False)
-        asn, pos, self._o_row = self._sorted_side(offered_blocks,
-                                                  with_rank=True)
+        self._blocks = (list(best_blocks), list(offered_blocks))
+        self._b_asn, self._b_pos, self._b_glob, self._b_base = \
+            self._sorted_side(self._blocks[0], with_rank=False)
+        asn, pos, self._o_glob, self._o_base = \
+            self._sorted_side(self._blocks[1], with_rank=True)
+        self._o_pos = pos
         count = len(asn)
         if count:
             change = np.nonzero((asn[1:] != asn[:-1])
@@ -433,27 +446,31 @@ class ObservationIndex:
             empty = np.empty(0, dtype=np.int64)
             self._g_asn = self._g_pos = empty
             self._g_start = self._g_end = empty
+        self._columns = None
+        self._bags = None
 
     @staticmethod
     def _sorted_side(blocks, with_rank: bool):
         """Concatenate one side's columns and sort by observer ASN.
 
+        Returns the sorted ``(asn, pos, global id)`` columns and the
+        per-position first global id (``len(blocks) + 1`` bounds).
         Without *with_rank* the sort is a stable argsort (rows stay in
         global ``(pos, row)`` order per observer); with it, rows are
         additionally ranked by the ``all_paths`` key ``(provenance,
         path length, learned_from or -1)`` within each ``(asn, pos)``
         run, ties keeping recording order.
         """
+        lengths = np.fromiter((len(b.asn) for b in blocks), dtype=np.int64,
+                              count=len(blocks))
+        base = np.zeros(len(blocks) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=base[1:])
         parts = [b for b in blocks if len(b.asn)]
         if not parts:
             empty = np.empty(0, dtype=np.int64)
-            return empty, empty, empty
-        positions = [i for i, b in enumerate(blocks) if len(b.asn)]
+            return empty, empty, empty, base
         asn = np.concatenate([b.asn for b in parts])
-        pos = np.repeat(np.asarray(positions, dtype=np.int64),
-                        [len(b.asn) for b in parts])
-        row = np.concatenate([np.arange(len(b.asn), dtype=np.int64)
-                              for b in parts])
+        pos = np.repeat(np.arange(len(blocks), dtype=np.int64), lengths)
         if with_rank:
             prov = np.concatenate([b.provenance for b in parts])
             plen = np.concatenate([np.diff(b.path_offsets) for b in parts])
@@ -464,7 +481,11 @@ class ObservationIndex:
             order = np.lexsort((learned, plen, prov, pos, asn))
         else:
             order = np.argsort(asn, kind="stable")
-        return asn[order], pos[order], row[order]
+        return asn[order], pos[order], order, base
+
+    def _best_span(self, observer: int) -> Tuple[int, int]:
+        return (int(np.searchsorted(self._b_asn, observer, side="left")),
+                int(np.searchsorted(self._b_asn, observer, side="right")))
 
     # -- queries -----------------------------------------------------------
 
@@ -472,7 +493,7 @@ class ObservationIndex:
         """Observers holding a best route, in first-recorded order.
 
         The best side is stably sorted by ASN, so each observer's first
-        row is its earliest ``(pos, row)``; ordering those first rows
+        row is its earliest global id; ordering those first rows
         restores recording order.
         """
         asn = self._b_asn
@@ -480,15 +501,18 @@ class ObservationIndex:
             return []
         starts = np.concatenate(
             ([0], np.nonzero(asn[1:] != asn[:-1])[0] + 1))
-        order = np.lexsort((self._b_row[starts], self._b_pos[starts]))
-        return asn[starts][order].tolist()
+        return asn[starts][np.argsort(self._b_glob[starts])].tolist()
+
+    def best_rows(self, observer: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(pos, global id)`` columns of the observer's best routes,
+        in recording order (read-only slices of the index)."""
+        lo, hi = self._best_span(observer)
+        return self._b_pos[lo:hi], self._b_glob[lo:hi]
 
     def best_refs(self, observer: int) -> List[Tuple[int, int]]:
         """``(pos, row)`` of the observer's best routes, recording order."""
-        lo = int(np.searchsorted(self._b_asn, observer, side="left"))
-        hi = int(np.searchsorted(self._b_asn, observer, side="right"))
-        return list(zip(self._b_pos[lo:hi].tolist(),
-                        self._b_row[lo:hi].tolist()))
+        pos, glob = self.best_rows(observer)
+        return list(zip(pos.tolist(), (glob - self._b_base[pos]).tolist()))
 
     def best_row(self, observer: int, pos: int):
         """Best-route row for (observer, origin position), or None.
@@ -496,12 +520,11 @@ class ObservationIndex:
         Multiple rows (never produced by the engines, but legal in a
         hand-built block) resolve to the last one.
         """
-        lo = int(np.searchsorted(self._b_asn, observer, side="left"))
-        hi = int(np.searchsorted(self._b_asn, observer, side="right"))
+        lo, hi = self._best_span(observer)
         index = lo + int(np.searchsorted(self._b_pos[lo:hi], pos,
                                          side="right")) - 1
         if index >= lo and self._b_pos[index] == pos:
-            return int(self._b_row[index])
+            return int(self._b_glob[index] - self._b_base[pos])
         return None
 
     def offered_rows(self, observer: int, pos: int):
@@ -511,37 +534,348 @@ class ObservationIndex:
         hi = int(np.searchsorted(self._g_asn, observer, side="right"))
         index = lo + int(np.searchsorted(self._g_pos[lo:hi], pos))
         if index < hi and self._g_pos[index] == pos:
-            return self._o_row[self._g_start[index]:
-                               self._g_end[index]].tolist()
+            rows = self._o_glob[self._g_start[index]:self._g_end[index]]
+            return (rows - self._o_base[pos]).tolist()
         return None
 
-    def merged_groups(self, observer: int):
-        """The observer's full view, one entry per origin holding routes.
+    def view_rows(self, observer: int):
+        """The observer's full view as ``(pos, offered, glob, first)``
+        columns, one row per displayed route, in origin recording order.
 
-        Returns ``(pos, rows, from_offers)`` triples in origin recording
-        order: the sorted offered rows where any exist, else the single
-        best row — the same fallback ``all_paths`` applies.  The first
-        row of every group is the group's best path.
+        Per origin the rows are the sorted offered candidates where any
+        exist, else the single best row (the last one, as
+        :meth:`best_row`) — the fallback ``all_paths`` applies.
+        ``offered`` says which side ``glob`` indexes; ``first`` marks each
+        origin's first row, its best path.
         """
         glo = int(np.searchsorted(self._g_asn, observer, side="left"))
         ghi = int(np.searchsorted(self._g_asn, observer, side="right"))
-        blo = int(np.searchsorted(self._b_asn, observer, side="left"))
-        bhi = int(np.searchsorted(self._b_asn, observer, side="right"))
-        best_by_pos: dict = dict(zip(self._b_pos[blo:bhi].tolist(),
-                                     self._b_row[blo:bhi].tolist()))
-        o_row = self._o_row
-        starts = self._g_start
-        ends = self._g_end
-        groups = []
-        for index, pos in zip(range(glo, ghi),
-                              self._g_pos[glo:ghi].tolist()):
-            best_by_pos.pop(pos, None)
-            groups.append((pos, o_row[starts[index]:ends[index]].tolist(),
-                           True))
-        groups.extend((pos, [row], False)
-                      for pos, row in best_by_pos.items())
-        groups.sort(key=lambda group: group[0])
-        return groups
+        if glo < ghi:
+            start = int(self._g_start[glo])
+            end = int(self._g_end[ghi - 1])
+        else:
+            start = end = 0
+        o_pos = self._o_pos[start:end]
+        o_first = np.zeros(end - start, dtype=bool)
+        o_first[self._g_start[glo:ghi] - start] = True
+        b_pos, b_glob = self.best_rows(observer)
+        keep = np.ones(len(b_pos), dtype=bool)
+        keep[:-1] = b_pos[1:] != b_pos[:-1]
+        keep &= ~sorted_member(b_pos, self._g_pos[glo:ghi])
+        pos = np.concatenate((o_pos, b_pos[keep]))
+        order = np.argsort(pos, kind="stable")
+        offered = np.zeros(len(pos), dtype=bool)
+        offered[:len(o_pos)] = True
+        first = np.concatenate((o_first, np.ones(int(keep.sum()),
+                                                 dtype=bool)))
+        glob = np.concatenate((self._o_glob[start:end], b_glob[keep]))
+        return pos[order], offered[order], glob[order], first[order]
+
+    # -- route columns -----------------------------------------------------
+
+    @property
+    def bags(self) -> List[frozenset]:
+        """Every block's community bags, value-interned (both sides)."""
+        self._route_columns()
+        return self._bags
+
+    def best_columns(self) -> SideColumns:
+        """The best side's route columns (built once)."""
+        return self._route_columns()[0]
+
+    def offered_columns(self) -> SideColumns:
+        """The offered side's route columns (built once)."""
+        return self._route_columns()[1]
+
+    def _route_columns(self):
+        if self._columns is None:
+            ids: dict = {}
+            bags: List[frozenset] = []
+            local = []
+            for blocks in self._blocks:
+                for block in blocks:
+                    for bag in block.bag_values:
+                        bag_id = ids.get(bag)
+                        if bag_id is None:
+                            bag_id = ids[bag] = len(bags)
+                            bags.append(bag)
+                        local.append(bag_id)
+            local = np.asarray(local, dtype=np.int64)
+            offset = 0
+            columns = []
+            for blocks in self._blocks:
+                columns.append(_side_columns(blocks, local, offset))
+                offset += sum(len(block.bag_values) for block in blocks)
+            self._bags = bags
+            self._columns = tuple(columns)
+        return self._columns
+
+
+def _side_columns(blocks: Sequence[RouteBlock], local: np.ndarray,
+                  offset: int) -> SideColumns:
+    """Concatenate *blocks*' route columns; block bag ids map through
+    *local* (every block's bag table, flattened, starting at *offset*)."""
+    if not blocks:
+        empty = np.empty(0, dtype=np.int64)
+        return SideColumns(empty.astype(np.int16), empty, empty,
+                           np.zeros(1, dtype=np.int64), empty)
+    rows = np.fromiter((len(b.asn) for b in blocks), dtype=np.int64,
+                       count=len(blocks))
+    bag_base = np.zeros(len(blocks), dtype=np.int64)
+    np.cumsum([len(b.bag_values) for b in blocks[:-1]], out=bag_base[1:])
+    bag = local[np.repeat(bag_base + offset, rows)
+                + np.concatenate([b.bag_id for b in blocks])]
+    # Every block's offsets back to back; the differences across a
+    # block boundary (its last offset, the next block's leading 0) go.
+    offsets = np.concatenate([b.path_offsets for b in blocks])
+    lengths = np.delete(np.diff(offsets), np.cumsum(rows + 1)[:-1] - 1)
+    path_offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=path_offsets[1:])
+    return SideColumns(
+        np.concatenate([b.provenance for b in blocks]),
+        np.concatenate([b.learned_from for b in blocks]), bag,
+        path_offsets, np.concatenate([b.path_values for b in blocks]))
+
+
+def sorted_member(values, ordered) -> np.ndarray:
+    """``np.isin(values, ordered)`` for an ascending *ordered* array,
+    by binary search."""
+    where = np.searchsorted(ordered, values)
+    found = where < len(ordered)
+    found[found] = ordered[where[found]] == values[found]
+    return found
+
+
+def ragged_gather(offsets, values, rows):
+    """CSR ``(offsets, values)`` of *rows* of the CSR ``(offsets,
+    values)``, in *rows* order (one gather)."""
+    rows = np.asarray(rows, dtype=np.int64)
+    starts = offsets[rows]
+    lengths = offsets[rows + 1] - starts
+    out = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=out[1:])
+    shift = np.repeat(starts - out[:-1], lengths)
+    return out, values[shift + np.arange(int(out[-1]), dtype=np.int64)]
+
+
+def first_seen(values):
+    """``(ids, firsts)``: *values* numbered by first occurrence (equal
+    values share an id, ids count up in order of first appearance) and
+    the position of each id's first occurrence."""
+    values = np.asarray(values)
+    distinct, first, inverse = np.unique(values, return_index=True,
+                                         return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    rank = np.empty(len(distinct), dtype=np.int64)
+    rank[order] = np.arange(len(distinct), dtype=np.int64)
+    return rank[inverse.reshape(-1)], first[order]
+
+
+def _mix(x):
+    """splitmix64's finaliser over a uint64 array (wrapping)."""
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def intern_rows(offsets, values):
+    """:func:`first_seen` over the CSR rows ``(offsets, values)``
+    compared by value: ``(ids, firsts)`` with equal rows sharing an id.
+
+    Rows are bucketed by a 64-bit hash of their cells (position-salted,
+    summed per row), then every row is checked cell by cell against its
+    bucket's first row; a hash collision between different rows falls
+    back to exact tuple interning.
+    """
+    offsets = np.asarray(offsets, dtype=np.int64)
+    values = np.asarray(values, dtype=np.int64)
+    count = len(offsets) - 1
+    lengths = np.diff(offsets)
+    owner = np.repeat(np.arange(count, dtype=np.int64), lengths)
+    place = np.arange(len(values), dtype=np.int64) - offsets[owner]
+    cells = _mix(values.view(np.uint64) ^ _mix(place.view(np.uint64)))
+    hashes = _mix(lengths.view(np.uint64))
+    nonempty = np.flatnonzero(lengths)
+    if len(nonempty):
+        hashes[nonempty] += np.add.reduceat(cells, offsets[nonempty])
+    ids, firsts = first_seen(hashes)
+    head = firsts[ids]
+    if np.array_equal(lengths[head], lengths) and np.array_equal(
+            values[offsets[head][owner] + place], values):
+        return ids, firsts
+    flat = values.tolist()
+    bounds = offsets.tolist()
+    seen: dict = {}
+    keys = [seen.setdefault(tuple(flat[bounds[i]:bounds[i + 1]]), len(seen))
+            for i in range(count)]
+    return first_seen(np.asarray(keys, dtype=np.int64))
+
+
+class OriginPrefixes:
+    """Every recorded origin's prefixes as one value-interned column.
+
+    ``values`` lists the distinct prefixes in first-seen order over the
+    origins in recording order; origin position ``pos`` announces
+    ``flat[offsets[pos]:offsets[pos + 1]]`` (ids into ``values``, its
+    prefix list in order, repeats kept).  The query-side helpers
+    (:meth:`positions_of`, :meth:`sorted_ids`) are built on first use.
+    """
+
+    __slots__ = ("values", "offsets", "flat", "_positions", "_rank")
+
+    def __init__(self, prefix_lists: Sequence[Sequence[object]]) -> None:
+        ids: dict = {}
+        values: List[object] = []
+        flat: List[int] = []
+        for prefixes in prefix_lists:
+            for prefix in prefixes:
+                prefix_id = ids.get(prefix)
+                if prefix_id is None:
+                    prefix_id = ids[prefix] = len(values)
+                    values.append(prefix)
+                flat.append(prefix_id)
+        self.values = values
+        self.flat = np.asarray(flat, dtype=np.int64)
+        self.offsets = np.zeros(len(prefix_lists) + 1, dtype=np.int64)
+        np.cumsum([len(prefixes) for prefixes in prefix_lists],
+                  out=self.offsets[1:])
+        self._positions = None
+        self._rank = None
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Prefixes per origin position."""
+        return np.diff(self.offsets)
+
+    def ids_at(self, positions) -> np.ndarray:
+        """The prefix ids of *positions*, each origin's list in order."""
+        return ragged_gather(self.offsets, self.flat, positions)[1]
+
+    def positions_of(self, prefix) -> List[int]:
+        """Origin positions announcing *prefix*, ascending (an origin
+        listing it twice appears twice)."""
+        if self._positions is None:
+            positions: dict = {}
+            values = self.values
+            owners = np.repeat(np.arange(len(self.offsets) - 1),
+                               self.counts).tolist()
+            for pos, prefix_id in zip(owners, self.flat.tolist()):
+                positions.setdefault(values[prefix_id], []).append(pos)
+            self._positions = positions
+        return self._positions.get(prefix, [])
+
+    def sorted_ids(self, ids) -> List[int]:
+        """The distinct *ids*, ordered by their prefixes' sort order."""
+        if self._rank is None:
+            order = sorted(range(len(self.values)),
+                           key=self.values.__getitem__)
+            self._rank = (np.asarray(order, dtype=np.int64),
+                          np.argsort(order).astype(np.int64))
+        order, rank = self._rank
+        return order[np.unique(rank[np.asarray(ids, dtype=np.int64)])
+                     ].tolist()
+
+
+class ObserverView:
+    """One observer's whole view — every origin's displayed routes — as
+    index arrays into an :class:`ObservationIndex`'s route columns.
+
+    Built by one vectorised slice (:meth:`ObservationIndex.view_rows`);
+    it holds a fixed number of objects however many routes it covers.
+    Route tuples are decoded for the whole view on the first query
+    (:meth:`routes_for`, :meth:`expand`); until then nothing per route
+    exists.
+    """
+
+    __slots__ = ("index", "prefixes", "pos", "offered", "glob", "first",
+                 "_decoded")
+
+    def __init__(self, index: ObservationIndex, prefixes: OriginPrefixes,
+                 observer: int) -> None:
+        self.index = index
+        self.prefixes = prefixes
+        self.pos, self.offered, self.glob, self.first = \
+            index.view_rows(observer)
+        self._decoded = None
+
+    def __len__(self) -> int:
+        return len(self.pos)
+
+    def prefix_list(self) -> List[object]:
+        """The prefixes the view holds routes for, sorted."""
+        positions = self.pos[self.first]
+        return [self.prefixes.values[prefix_id] for prefix_id
+                in self.prefixes.sorted_ids(self.prefixes.ids_at(positions))]
+
+    def _decode(self):
+        """Per-row ``(path cells, offsets, bags, exporters)`` as python
+        lists plus ``pos -> (first row, end row)``, built once."""
+        if self._decoded is None:
+            index = self.index
+            count = len(self.pos)
+            sides = (index.best_columns(), index.offered_columns())
+            lengths = np.empty(count, dtype=np.int64)
+            bag = np.empty(count, dtype=np.int64)
+            learned = np.empty(count, dtype=np.int64)
+            masks = (~self.offered, self.offered)
+            for side, mask in zip(sides, masks):
+                glob = self.glob[mask]
+                lengths[mask] = (side.path_offsets[glob + 1]
+                                 - side.path_offsets[glob])
+                bag[mask] = side.bag[glob]
+                learned[mask] = side.learned_from[glob]
+            offsets = np.zeros(count + 1, dtype=np.int64)
+            np.cumsum(lengths, out=offsets[1:])
+            cells = np.empty(int(offsets[-1]), dtype=np.int64)
+            for side, mask in zip(sides, masks):
+                rows = np.flatnonzero(mask)
+                _, values = ragged_gather(side.path_offsets,
+                                          side.path_values, self.glob[rows])
+                _, target = ragged_gather(
+                    offsets, np.arange(len(cells), dtype=np.int64), rows)
+                cells[target] = values
+            bags = index.bags
+            starts = np.flatnonzero(self.first)
+            ends = np.append(starts[1:], count)
+            self._decoded = (
+                cells.tolist(), offsets.tolist(),
+                [bags[bag_id] for bag_id in bag.tolist()],
+                [None if exporter < 0 else exporter
+                 for exporter in learned.tolist()],
+                dict(zip(self.pos[starts].tolist(),
+                         zip(starts.tolist(), ends.tolist()))))
+        return self._decoded
+
+    def _group_routes(self, lo: int, hi: int):
+        cells, offsets, bags, learned, _groups = self._decoded
+        return [(tuple(cells[offsets[row]:offsets[row + 1]]), bags[row],
+                 row == lo, learned[row]) for row in range(lo, hi)]
+
+    def routes_for(self, prefix) -> List[tuple]:
+        """``(as_path, communities, best, learned_from)`` of every route
+        the view holds for *prefix*, origin by origin."""
+        positions = self.prefixes.positions_of(prefix)
+        if not positions:
+            return []
+        groups = self._decode()[4]
+        routes = []
+        for pos in positions:
+            span = groups.get(pos)
+            if span is not None:
+                routes.extend(self._group_routes(*span))
+        return routes
+
+    def expand(self):
+        """``(prefix, routes)`` per origin and prefix, in load order:
+        origins in recording order, each origin's prefixes in order."""
+        groups = self._decode()[4]
+        values = self.prefixes.values
+        offsets = self.prefixes.offsets
+        flat = self.prefixes.flat
+        for pos, span in groups.items():
+            routes = self._group_routes(*span)
+            for prefix_id in flat[offsets[pos]:offsets[pos + 1]].tolist():
+                yield values[prefix_id], routes
 
 
 def _row_pairs(values, offsets):
@@ -563,6 +897,18 @@ def _row_pairs(values, offsets):
     cells = np.flatnonzero(valid)
     return (np.minimum(left, right)[cells], np.maximum(left, right)[cells],
             cells)
+
+
+def distinct_links(offsets, values):
+    """The set of undirected ``(lo, hi)`` pairs adjacent in any CSR row
+    of ``(offsets, values)`` (prepends skipped), deduplicated as packed
+    link keys (:func:`pack_links`) when every value is keyable."""
+    lo, hi, _cells = _row_pairs(np.asarray(values, dtype=np.int64),
+                                np.asarray(offsets, dtype=np.int64))
+    if len(lo) and lo.min() >= 0 and hi.max() <= MAX_KEYED:
+        keys = np.sort(pack_links(lo, hi))
+        lo, hi = unpack_links(keys[np.append(True, keys[1:] != keys[:-1])])
+    return set(zip(lo.tolist(), hi.tolist()))
 
 
 def pack_links(lo, hi):

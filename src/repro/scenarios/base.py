@@ -597,13 +597,10 @@ def _build_validation_lgs_and_peeringdb(
                             name=f"AS{asn}-lg")
         # Load the AS's BGP view from the propagation result: every offered
         # path (its Adj-RIB-In) when recorded, the best path otherwise —
-        # one bulk load per origin, straight from the route-block
-        # columns.  Group rows arrive in ``all_paths`` order, so rows[0]
-        # is the best path.
-        for origin, block, rows in propagation.observation_groups_at(asn):
-            prefixes = propagation.origin_spec(origin).prefixes
-            if prefixes:
-                lg.load_route_blocks(prefixes, block, rows)
+        # one bulk load of index arrays over the result's route columns.
+        # Each origin's routes arrive in ``all_paths`` order, so the
+        # first is the best path.
+        lg.load_view(propagation.observer_view(asn))
         validation_lgs.append(lg)
         peeringdb.add_looking_glass(asn, f"https://lg.as{asn}.example.net",
                                     display_all_paths=display_all)

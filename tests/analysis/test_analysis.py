@@ -21,6 +21,8 @@ from repro.bgp.prefix import Prefix
 from repro.pipeline.analyses import AnalysisOptions, run_analyses
 from repro.topology.customer_cone import customer_cone
 
+from tests.oracle.degrees import per_link_summary
+
 
 class TestPrefixStats:
     def test_ccdf_and_fraction(self):
@@ -97,16 +99,20 @@ class TestDegrees:
     def test_stage_summary_matches_per_link_walk(self, small_scenario,
                                                  inference_result):
         """The analyses stage counts customers once per distinct
-        endpoint; its figure-7 summary is byte-identical to counting
-        them at both ends of every link."""
+        endpoint and gathers them over the link keys; its figure-7
+        summary is byte-identical to counting them at both ends of
+        every link (the per-link walk in :mod:`tests.oracle.degrees`),
+        and so is ``DegreeAnalysis.analyse`` over the link pairs."""
         graph = small_scenario.graph
-        stats = DegreeAnalysis(lambda asn: len(graph.customers(asn))) \
-            .analyse(inference_result.matrix.all_links())
-        expected = stats.summary()
-        expected["small_degree"] = stats.fraction_small_degree(10)
+        links = inference_result.matrix.all_links()
+        expected = per_link_summary(
+            links, lambda asn: len(graph.customers(asn)))
         summary = run_analyses(small_scenario, inference_result,
                                AnalysisOptions(figures=("degrees",)))
         assert json.dumps(summary["degrees"]) == json.dumps(expected)
+        stats = DegreeAnalysis(lambda asn: len(graph.customers(asn))) \
+            .analyse(links)
+        assert json.dumps(stats.summary()) == json.dumps(expected)
         assert expected["links"] > 0
 
 

@@ -9,6 +9,7 @@ from repro.bgp.asn import (
     is_private_asn,
     is_reserved_asn,
     is_routable_asn,
+    routable_mask,
 )
 
 
@@ -51,6 +52,14 @@ class TestClassification:
     def test_max_asn_boundary(self):
         assert is_reserved_asn(2**32 - 1)
         assert is_reserved_asn(2**32)
+
+    def test_routable_mask_matches_scalar_classification(self):
+        edges = [-5, 0, 1, 3356, AS_TRANS - 1, AS_TRANS, AS_TRANS + 1,
+                 63487, 63488, 64511, 64512, 65534, 65535, 65536, 131071,
+                 131072, 4199999999, 4200000000, 4294967294, 2**32 - 1,
+                 2**32, 2**40]
+        assert routable_mask(edges).tolist() == \
+            [is_routable_asn(asn) for asn in edges]
 
 
 class TestPrivate16BitMapper:

@@ -1,8 +1,11 @@
 """Tests for the AS_PATH attribute and its sanity filters."""
 
+import random
+
+import numpy as np
 import pytest
 
-from repro.bgp.attributes import ASPath, Origin, common_links
+from repro.bgp.attributes import ASPath, Origin, clean_path_mask, common_links
 
 
 class TestASPath:
@@ -74,3 +77,21 @@ class TestHelpers:
     def test_origin_enum_values(self):
         assert Origin.IGP.value == "igp"
         assert Origin.INCOMPLETE.value == "incomplete"
+
+
+def test_clean_path_mask_matches_is_clean():
+    """The vectorised filter agrees with ``ASPath.is_clean`` path by
+    path: empty paths, prepends, cycles, reserved and private ASNs."""
+    rng = random.Random(5)
+    pool = [1, 2, 3, 3356, 23456, 64512, 65535, 131071, 4200000000,
+            2**32 - 1]
+    paths = [(), (7,), (7, 7), (7, 8, 7), (7, 7, 8), (8, 7, 7, 8),
+             (23456,), (3356, 1299, 15169)]
+    paths += [tuple(rng.choice(pool) for _ in range(rng.randint(0, 6)))
+              for _ in range(300)]
+    offsets = np.zeros(len(paths) + 1, dtype=np.int64)
+    np.cumsum([len(path) for path in paths], out=offsets[1:])
+    values = np.asarray([asn for path in paths for asn in path],
+                        dtype=np.int64)
+    assert clean_path_mask(offsets, values).tolist() == \
+        [ASPath(path).is_clean() for path in paths]

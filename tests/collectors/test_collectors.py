@@ -11,10 +11,11 @@ from repro.bgp.propagation import (
     PropagationEngine,
     bidirectional_adjacencies,
 )
+from repro.bgp.attributes import ASPath
 from repro.collectors.archive import (
     CollectorArchive,
     MeasurementWindow,
-    RibEntryTable,
+    gather_feeds,
 )
 from repro.collectors.route_collector import RouteCollector
 from repro.collectors.vantage_point import FeedType, VantagePoint
@@ -41,15 +42,20 @@ def propagation():
 
 
 def exported(vantage_point, propagation):
-    """The vantage point's feed, decoded from its ``export_rows``
-    columns as ``(peer, prefix, as_path, communities)`` rows."""
-    table = RibEntryTable()
-    peers, prefix_ids, path_ids, bag_ids = \
-        vantage_point.export_rows(propagation, table)
-    return [(peer, table.prefixes[prefix_id], table.paths[path_id],
-             table.bags[bag_id])
+    """The vantage point's feed, gathered alone by ``gather_feeds`` and
+    decoded from the dump's columns as ``(peer, prefix, as_path,
+    communities)`` rows."""
+    collector = RouteCollector(name="route-views")
+    collector.add_vantage_point(vantage_point)
+    dump = gather_feeds([collector], propagation)
+    offsets = dump.path_offsets.tolist()
+    values = dump.path_values.tolist()
+    return [(peer, dump.prefixes[prefix_id],
+             ASPath(values[offsets[path_id]:offsets[path_id + 1]]),
+             dump.bags[bag_id])
             for peer, prefix_id, path_id, bag_id
-            in zip(peers, prefix_ids, path_ids, bag_ids)]
+            in zip(dump.peer.tolist(), dump.prefix_id.tolist(),
+                   dump.path_id.tolist(), dump.bag_id.tolist())]
 
 
 class TestVantagePoint:

@@ -2,9 +2,9 @@
 
 Production builds every observation from route-block columns: the
 :class:`PropagationResult` readers answer from its ``ObservationIndex``,
-the ``RibEntryTable``-backed ``CollectorArchive`` collects through
-vantage-point ``export_rows``, and validation looking glasses load
-whole origins at once.  Each must be *bit-identical* to the seed's
+the ``RibEntryTable``-backed ``CollectorArchive`` collects the feeds
+``gather_feeds`` slices from that index, and validation looking
+glasses load an observer's whole view at once (``observer_view``).  Each must be *bit-identical* to the seed's
 object implementation kept in :mod:`tests.oracle` — the dict-fold
 ``ObjectResult``, the object archive and the route-by-route looking
 glass — with the same entries, orderings, RNG draws and query tables,
@@ -215,7 +215,7 @@ def test_empty_result_answers_from_an_empty_index():
     assert result.iter_best_columns_at(1) == []
     assert result.iter_routes_at(1) == []
     assert result.routes_at(1) == {}
-    assert result.observation_groups_at(1) == []
+    assert len(result.observer_view(1)) == 0
     assert result.all_paths(1, 2) == []
     assert result.best_route(1, 2) is None
 
@@ -300,19 +300,16 @@ def test_shared_aspath_identity_feeds_passive_memo():
 @pytest.mark.parametrize("backend", PROPAGATION_BACKENDS)
 @pytest.mark.parametrize("seed", (4242,))
 def test_bulk_lg_loads_match_route_by_route(seed, backend):
-    """A validation LG fed by ``load_route_blocks`` from
-    ``observation_groups_at`` (what the scenario's viewpoints stage
-    does) answers every query identically to one fed route by route
-    from the oracle result's ``all_paths``."""
+    """A validation LG fed by ``load_view`` from ``observer_view``
+    (what the scenario's viewpoints stage does) answers every query
+    identically to one fed route by route from the oracle result's
+    ``all_paths``."""
     propagation, oracle_result, _feeds, hosts = \
         _build_observation(seed, backend)
     checked = 0
     for asn in hosts:
         fused = ASLookingGlass(asn=asn, display_all_paths=True)
-        for origin, block, rows in propagation.observation_groups_at(asn):
-            prefixes = propagation.origin_spec(origin).prefixes
-            if prefixes:
-                fused.load_route_blocks(prefixes, block, rows)
+        fused.load_view(propagation.observer_view(asn))
         oracle = route_by_route_lg(oracle_result, asn)
         assert fused.prefixes() == oracle.prefixes(), asn
         assert lg_table(fused) == lg_table(oracle), asn
@@ -321,29 +318,20 @@ def test_bulk_lg_loads_match_route_by_route(seed, backend):
 
 
 def test_bulk_lg_interleaves_with_eager_loads():
-    """Bulk groups flush correctly when eager operations interleave:
-    load_route after load_route_blocks, then mark_best_paths."""
-    propagation, _oracle, _feeds, hosts = _build_observation(99, "frontier")
+    """A bulk view flushes correctly when eager operations interleave:
+    load_route after load_view, then mark_best_paths."""
+    propagation, oracle_result, _feeds, hosts = \
+        _build_observation(99, "frontier")
     asn = hosts[0]
     lg = ASLookingGlass(asn=asn, display_all_paths=True)
-    oracle = ASLookingGlass(asn=asn, display_all_paths=True)
     extra = LGRoute(prefix=propagation.origin_spec(
         propagation.origins()[0]).prefixes[0],
         as_path=(65001, 65000), best=False)
-    for origin, block, rows in propagation.observation_groups_at(asn):
-        prefixes = propagation.origin_spec(origin).prefixes
-        if prefixes:
-            lg.load_route_blocks(prefixes, block, rows)
-            for prefix in prefixes:
-                for index, row in enumerate(rows):
-                    oracle.load_route(LGRoute(
-                        prefix=prefix, as_path=block.path(row),
-                        communities=block.communities_at(row),
-                        best=(index == 0),
-                        learned_from=block.learned_from_at(row)))
+    lg.load_view(propagation.observer_view(asn))
+    oracle = route_by_route_lg(oracle_result, asn)
     lg.load_route(extra)
     oracle.load_route(extra)
-    assert not lg._groups, "eager load must flush pending groups"
+    assert lg._view is None, "eager load must flush the pending view"
     lg.mark_best_paths()
     oracle.mark_best_paths()
     assert lg_table(lg) == lg_table(oracle)

@@ -27,6 +27,7 @@ from repro.collectors.archive import (
     MeasurementWindow,
     StableEntries,
 )
+from repro.collectors.route_collector import RouteCollector
 from repro.core.engine import MLPInferenceEngine
 from repro.core.passive import PassiveInference
 from repro.core.planes import PolicyTable, extract_passive_planes
@@ -36,6 +37,7 @@ from repro.runtime.interning import Interner
 from repro.scenarios.spec import get_scenario, scenario_names
 
 from tests.oracle import inference as oracle
+from tests.oracle.observation import dump_from_rows
 
 MIN_DAYS = (1, 2, 3, 99)
 
@@ -107,27 +109,20 @@ ROWS = [
 PREFIXES = [Prefix.parse(f"10.{i}.0.0/16") for i in range(4)]
 
 
-class HandMadeCollector:
-    """A collector whose dump is :data:`ROWS`, each with two prefixes."""
-
-    name = "hand-made"
-
-    def export_rows(self, propagation, table):
-        columns = ([], [], [], [])
-        for position, (_label, path, bag) in enumerate(ROWS):
-            for prefix in (PREFIXES[position % 4], PREFIXES[position % 3]):
-                columns[0].append(path[0])
-                columns[1].append(table.intern_prefix(prefix))
-                columns[2].append(table.intern_path_tuple(path))
-                columns[3].append(table.intern_bag(bag))
-        return columns
+def hand_made_dump():
+    """The dump of :data:`ROWS`, each with two prefixes, collected by
+    one ``hand-made`` collector from the path's first AS."""
+    return dump_from_rows(
+        (path[0], prefix, path, bag, "hand-made")
+        for position, (_label, path, bag) in enumerate(ROWS)
+        for prefix in (PREFIXES[position % 4], PREFIXES[position % 3]))
 
 
 @pytest.fixture(scope="module")
 def archive():
-    archive = CollectorArchive([HandMadeCollector()],
+    archive = CollectorArchive([RouteCollector(name="hand-made")],
                                window=MeasurementWindow(num_days=3), seed=3)
-    archive.collect(None, transient_fraction=0.5)
+    archive.record(hand_made_dump(), transient_fraction=0.5)
     return archive
 
 

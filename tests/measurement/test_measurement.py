@@ -7,9 +7,13 @@ from repro.bgp.propagation import OriginSpec
 from repro.bgp.policy import Relationship
 from repro.measurement.geolocation import GeolocationDB
 from repro.measurement.traceroute import TracerouteCampaign, TracerouteConfig
+from repro.pipeline import ArtifactCache, ScenarioRun
 from repro.runtime.context import PipelineContext
+from repro.scenarios.spec import get_scenario, scenario_names
 from repro.topology.as_graph import ASGraph, ASNode
 from repro.topology.relationships import LinkType
+
+from tests.oracle.observation import traceroute_links_by_route
 
 
 @pytest.fixture
@@ -61,6 +65,19 @@ class TestTraceroute:
             rs_asn_by_ixp={"DE-CIX": 6695})
         links = campaign.derive_links(propagation)
         assert (30, 40) in links and (10, 20) in links
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_campaign_links_match_hop_by_hop_walk(name):
+    """Each scenario's traceroute links, resolved once per distinct hop
+    from the path columns, equal the hop-by-hop walk over the
+    monitors' route objects."""
+    scenario = ScenarioRun(get_scenario(name).config("tiny"), scenario=name,
+                           cache=ArtifactCache()).scenario()
+    links = scenario.traceroute_links()
+    assert links
+    assert links == traceroute_links_by_route(scenario.traceroute,
+                                              scenario.propagation)
 
 
 class TestGeolocation:

@@ -7,7 +7,8 @@
   production context;
 * :mod:`tests.oracle.observation` — the object collector archive and
   the route-by-route validation looking glass, fed from any result's
-  object API;
+  object API, and the per-day grouped scan that pins the stable
+  views' row positions;
 * :mod:`tests.oracle.inference` — the per-IXP object inference engine
   (passive/active step functions, ``merge_observations`` and
   ``infer_links`` per IXP), whose result carries a matrix rebuilt from
@@ -18,6 +19,8 @@
   kernel (the reference for the packed ``M & M.T`` kernel) and the
   figure 11 / figure 13 walks over ``MemberReachability`` objects (the
   references for the matrix's openness and repeller entries);
+* :mod:`tests.oracle.degrees` — the figure 7 per-link degree walk,
+  the reference for the per-endpoint gather;
 * :mod:`tests.oracle.kernels` — pins the propagation engine to one
   kernel so the differential suites can compare kernels directly;
 * :mod:`tests.oracle.blocks` — the per-block route-block assembly

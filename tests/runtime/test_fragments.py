@@ -15,11 +15,13 @@ from __future__ import annotations
 import pickle
 import random
 
+import numpy as np
 import pytest
 
 from repro.bgp.propagation import OriginSpec, RouteBlock
+from repro.runtime import fragments
 from repro.runtime.context import PipelineContext
-from repro.runtime.fragments import PathTable, walk_paths
+from repro.runtime.fragments import PathTable, intern_rows, walk_paths
 from repro.runtime.stores import PathStore
 
 from tests.oracle import propagation as oracle
@@ -146,8 +148,12 @@ def test_iter_best_columns_matches_iter_routes():
     for observer in observers:
         triples = result.iter_best_columns_at(observer)
         assert triples is not None
-        columnar = [(origin, block.asn_list()[row], block.path(row),
-                     block.communities_at(row), block.provenance_at(row))
+        columnar = [(origin, int(block.asn[row]), tuple(
+                        block.path_values[block.path_offsets[row]:
+                                          block.path_offsets[row + 1]]
+                        .tolist()),
+                     block.bag_values[block.bag_id[row]],
+                     int(block.provenance[row]))
                     for origin, block, row in triples]
         objects = [(origin, route.asn, route.path, route.communities,
                     route.provenance)
@@ -168,9 +174,9 @@ def test_lazy_row_views_are_cached_and_sliceable():
     assert len(best) == len(best.asn)
     if len(best):
         assert best[0] is best[0]          # row views are built once
-        assert best[-1].asn == best.asn_list()[-1]
+        assert best[-1].asn == best.asn.tolist()[-1]
         assert best[:2] == [best[row] for row in range(min(2, len(best)))]
-        assert [r.asn for r in best] == best.asn_list()
+        assert [r.asn for r in best] == best.asn.tolist()
     with pytest.raises(IndexError):
         best[len(best)]
     assert isinstance(offered, RouteBlock)
@@ -310,3 +316,25 @@ def test_route_cache_hits_skip_recompute():
 
     context.clear_propagation_cache()
     assert len(cache) == 0 and cache.bytes == 0
+
+
+@pytest.mark.parametrize("collide", (False, True))
+def test_intern_rows_numbers_rows_by_value(monkeypatch, collide):
+    """Rows equal by value share an id, ids count up in first-seen
+    order; when every row hashes alike the exact fallback gives the
+    same numbering."""
+    rng = random.Random(3)
+    rows = [tuple(rng.randint(0, 4) for _ in range(rng.randint(0, 3)))
+            for _ in range(200)]
+    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in rows], out=offsets[1:])
+    values = np.asarray([cell for row in rows for cell in row],
+                        dtype=np.int64)
+    seen = {}
+    expected = [seen.setdefault(row, len(seen)) for row in rows]
+    firsts = [rows.index(row) for row in seen]
+    if collide:
+        monkeypatch.setattr(fragments, "_mix", lambda x: x & np.uint64(0))
+    ids, got_firsts = intern_rows(offsets, values)
+    assert ids.tolist() == expected
+    assert got_firsts.tolist() == firsts
