@@ -13,7 +13,7 @@ The package is organised around the paper's pipeline:
   and customer cones.
 * :mod:`repro.ixp` — IXP substrate: route servers, per-IXP BGP community
   schemes, looking glasses.
-* :mod:`repro.registries` — IRR/RPSL and PeeringDB-like registries.
+* :mod:`repro.registries` — IRR and PeeringDB-like registries.
 * :mod:`repro.collectors` — Route Views / RIPE RIS style route collectors.
 * :mod:`repro.measurement` — traceroute-derived links and geolocation.
 * :mod:`repro.core` — the paper's contribution: multilateral-peering (MLP)
@@ -22,50 +22,7 @@ The package is organised around the paper's pipeline:
   tables 2-3, sections 5.6-5.7).
 * :mod:`repro.scenarios` — ready-made synthetic ecosystems, most notably
   the "13 European IXPs, May 2013" scenario.
-
-The convenience re-exports below are resolved lazily so that importing
-:mod:`repro` stays cheap for callers that only need one substrate.
 """
-
-from typing import TYPE_CHECKING
 
 #: Kept in sync with pyproject.toml.
 __version__ = "1.1.0"
-
-__all__ = [
-    "MLPInferenceEngine",
-    "MLPInferenceResult",
-    "PipelineContext",
-    "build_europe2013",
-    "ScenarioConfig",
-    "__version__",
-]
-
-if TYPE_CHECKING:  # pragma: no cover - static imports for type checkers only
-    from repro.core.engine import MLPInferenceEngine, MLPInferenceResult
-    from repro.runtime.context import PipelineContext
-    from repro.scenarios.europe2013 import ScenarioConfig, build_europe2013
-
-_LAZY_EXPORTS = {
-    "MLPInferenceEngine": ("repro.core.engine", "MLPInferenceEngine"),
-    "MLPInferenceResult": ("repro.core.engine", "MLPInferenceResult"),
-    "PipelineContext": ("repro.runtime.context", "PipelineContext"),
-    "build_europe2013": ("repro.scenarios.europe2013", "build_europe2013"),
-    "ScenarioConfig": ("repro.scenarios.europe2013", "ScenarioConfig"),
-}
-
-
-def __getattr__(name: str):
-    """Resolve the lazy top-level exports (PEP 562)."""
-    try:
-        module_name, attribute = _LAZY_EXPORTS[name]
-    except KeyError:
-        raise AttributeError(f"module 'repro' has no attribute {name!r}") from None
-    import importlib
-
-    module = importlib.import_module(module_name)
-    return getattr(module, attribute)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY_EXPORTS))

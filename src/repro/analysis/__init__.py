@@ -8,7 +8,7 @@ hybrid relationships (section 5.6) and the global peering estimation
 (section 5.7).
 """
 
-from repro.analysis.prefix_stats import prefix_multiplicity_ccdf, PrefixStats
+from repro.analysis.prefix_stats import PrefixStats
 from repro.analysis.visibility import VisibilityAnalysis, VisibilityReport
 from repro.analysis.degrees import DegreeAnalysis, LinkDegreeStats
 from repro.analysis.policies import PolicyAnalysis, ParticipationByPolicy, MultiIXPMatrix
@@ -18,7 +18,6 @@ from repro.analysis.hybrid import HybridRelationshipAnalysis, HybridReport
 from repro.analysis.estimation import GlobalEstimator, IXPEstimate, EstimationReport
 
 __all__ = [
-    "prefix_multiplicity_ccdf",
     "PrefixStats",
     "VisibilityAnalysis",
     "VisibilityReport",

@@ -9,8 +9,8 @@ customers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -19,17 +19,13 @@ from repro.runtime.fragments import unpack_links
 Link = Tuple[int, int]
 
 
-def _no_degrees() -> np.ndarray:
-    return np.empty(0, dtype=np.int64)
-
-
 @dataclass
 class LinkDegreeStats:
     """Aggregate degree statistics over a set of links: per link, the
     smaller and the larger endpoint customer degree (int64 arrays)."""
 
-    smallest_degrees: np.ndarray = field(default_factory=_no_degrees)
-    largest_degrees: np.ndarray = field(default_factory=_no_degrees)
+    smallest_degrees: np.ndarray
+    largest_degrees: np.ndarray
 
     @property
     def num_links(self) -> int:
@@ -83,11 +79,6 @@ class DegreeAnalysis:
 
     def __init__(self, customer_degree: Callable[[int], int]) -> None:
         self.customer_degree = customer_degree
-
-    @classmethod
-    def from_mapping(cls, degrees: Mapping[int, int]) -> "DegreeAnalysis":
-        """Build from a plain ASN -> degree mapping (unknown ASes get 0)."""
-        return cls(lambda asn: degrees.get(asn, 0))
 
     def analyse(self, links: Iterable[Link]) -> LinkDegreeStats:
         """Compute per-link smallest/largest customer degrees."""

@@ -31,12 +31,6 @@ class DensityReport:
         """Mean density per IXP."""
         return {name: self.mean_density(name) for name in self.per_member}
 
-    def overall_link_density(self, ixp_name: str, num_members: int,
-                             num_links: int) -> float:
-        """Exchange-level density: links over possible pairs."""
-        possible = num_members * (num_members - 1) // 2
-        return num_links / possible if possible else 0.0
-
 
 def member_densities(links: Iterable[Link], members: Sequence[int]) -> Dict[int, float]:
     """Per-member density: established RS peers over possible RS peers."""

@@ -12,7 +12,7 @@ members.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 
 @dataclass
@@ -50,14 +50,6 @@ class EstimationReport:
                 + estimate.estimated_links
         return result
 
-    def summary(self) -> Dict[str, int]:
-        """Headline numbers (global peerings and unique AS peerings)."""
-        return {
-            "ixps": len(self.estimates),
-            "total_ixp_peerings": self.total_ixp_peerings,
-            "unique_peerings": self.unique_peerings,
-        }
-
 
 def measured_densities(matrix) -> Dict[str, Dict[str, float]]:
     """Per-IXP measured peering densities from the shared
@@ -89,26 +81,6 @@ def measured_densities(matrix) -> Dict[str, Dict[str, float]]:
                                     if densities else 0.0),
         }
     return result
-
-
-def estimates_from_matrix(matrix, region: str = "europe",
-                          pricing_by_ixp: Optional[Mapping[str, str]] = None
-                          ) -> List[IXPEstimate]:
-    """IXPEstimate rows for the measured IXPs of a reachability matrix
-    (member universes attached, enabling exact overlap accounting)."""
-    pricing_by_ixp = dict(pricing_by_ixp or {})
-    estimates = []
-    for ixp_name in sorted(matrix.planes):
-        plane = matrix.planes[ixp_name]
-        estimates.append(IXPEstimate(
-            name=ixp_name,
-            members=plane.num_members,
-            region=region,
-            pricing=pricing_by_ixp.get(ixp_name, "flat"),
-            has_route_server=True,
-            member_asns=set(plane.index.universe),
-        ))
-    return estimates
 
 
 class GlobalEstimator:

@@ -12,7 +12,7 @@ evidence is available.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Iterable, List, Mapping, Optional, Tuple
 
 from repro.bgp.policy import Relationship
 
@@ -50,13 +50,6 @@ class HybridReport:
     def num_confirmed(self) -> int:
         """Number of confirmed hybrid relationships."""
         return len(self.confirmed)
-
-    def summary(self) -> Dict[str, int]:
-        """Compact summary for reports."""
-        return {
-            "candidates": self.num_candidates,
-            "confirmed": self.num_confirmed,
-        }
 
 
 class HybridRelationshipAnalysis:

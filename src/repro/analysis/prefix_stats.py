@@ -9,7 +9,7 @@ optimisation of section 4.3 effective.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.bgp.prefix import Prefix
 from repro.ixp.route_server import RouteServer
@@ -22,11 +22,6 @@ class PrefixStats:
     ixp_name: str
     #: prefix -> number of members announcing it
     multiplicity: Dict[Prefix, int] = field(default_factory=dict)
-
-    @property
-    def num_prefixes(self) -> int:
-        """Number of distinct prefixes."""
-        return len(self.multiplicity)
 
     def fraction_multi_member(self) -> float:
         """Fraction of prefixes announced by more than one member."""
@@ -46,13 +41,6 @@ class PrefixStats:
             points.append((k, above / total))
         return points
 
-    def histogram(self) -> Dict[int, int]:
-        """Number of prefixes per multiplicity value."""
-        result: Dict[int, int] = {}
-        for count in self.multiplicity.values():
-            result[count] = result.get(count, 0) + 1
-        return result
-
 
 def prefix_stats_for_route_server(route_server: RouteServer) -> PrefixStats:
     """Compute the multiplicity distribution of a route server's RIB."""
@@ -60,16 +48,3 @@ def prefix_stats_for_route_server(route_server: RouteServer) -> PrefixStats:
     for prefix in route_server.prefixes():
         stats.multiplicity[prefix] = len(route_server.members_announcing(prefix))
     return stats
-
-
-def prefix_multiplicity_ccdf(
-    announced_prefixes: Mapping[int, Sequence[Prefix]],
-    ixp_name: str = "",
-    max_members: int = 10,
-) -> List[Tuple[int, float]]:
-    """CCDF from a member -> announced prefixes mapping (figure 5)."""
-    stats = PrefixStats(ixp_name=ixp_name)
-    for prefixes in announced_prefixes.values():
-        for prefix in set(prefixes):
-            stats.multiplicity[prefix] = stats.multiplicity.get(prefix, 0) + 1
-    return stats.ccdf(max_members)

@@ -52,23 +52,6 @@ class VisibilityReport:
         """Fraction of MLP links invisible in public BGP data (88% in the paper)."""
         return 1.0 - self.fraction_visible_in_bgp
 
-    @property
-    def fraction_visible_in_traceroute(self) -> float:
-        """Fraction of MLP links visible in traceroute-derived data."""
-        if not self.mlp_links:
-            return 0.0
-        return len(self.mlp_visible_in_traceroute) / len(self.mlp_links)
-
-    def additional_peering_fraction(self) -> float:
-        """How many times more peering links the MLP set reveals compared
-        with the peering links already visible in BGP (the paper reports
-        +209%)."""
-        visible_peering = len(self.bgp_links)
-        if visible_peering == 0:
-            return float("inf")
-        new_links = len(self.mlp_links - self.bgp_links)
-        return new_links / visible_peering
-
     def summary(self) -> Dict[str, float]:
         """Headline summary dictionary."""
         return {

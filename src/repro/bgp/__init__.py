@@ -2,7 +2,7 @@
 
 This package provides the data-plane-free model of BGP that everything
 else is built on: ASNs, IPv4 prefixes, the community attribute, AS
-paths, Gao-Rexford import/export policies, and a valley-free propagation
+paths, business relationships, and a valley-free propagation
 engine that produces the AS paths (with transitive communities) observed
 by route collectors and looking glasses.
 """
@@ -20,14 +20,7 @@ from repro.bgp.asn import (
 from repro.bgp.prefix import Prefix
 from repro.bgp.communities import Community
 from repro.bgp.attributes import ASPath, Origin
-from repro.bgp.policy import (
-    Relationship,
-    export_allowed,
-    default_local_pref,
-    ImportPolicy,
-    ExportPolicy,
-)
-from repro.bgp.messages import UpdateMessage
+from repro.bgp.policy import Relationship
 from repro.bgp.propagation import PropagationEngine, PropagationResult
 
 __all__ = [
@@ -44,11 +37,6 @@ __all__ = [
     "ASPath",
     "Origin",
     "Relationship",
-    "export_allowed",
-    "default_local_pref",
-    "ImportPolicy",
-    "ExportPolicy",
-    "UpdateMessage",
     "PropagationEngine",
     "PropagationResult",
 ]

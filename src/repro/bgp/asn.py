@@ -15,7 +15,7 @@ classification helpers the paper relies on:
 from __future__ import annotations
 
 import copy
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
@@ -129,11 +129,6 @@ class Private16BitMapper:
         self._reverse[alias] = asn
         return alias
 
-    def register_all(self, asns: Iterable[int]) -> None:
-        """Register every 32-bit ASN in *asns*."""
-        for asn in asns:
-            self.register(asn)
-
     def alias_for(self, asn: int) -> int:
         """Return the alias for *asn* (identity for 16-bit ASNs).
 
@@ -152,19 +147,9 @@ class Private16BitMapper:
         """
         return self._reverse.get(alias, alias)
 
-    def mapping(self) -> Dict[int, int]:
-        """Return a copy of the 32-bit ASN -> alias mapping."""
-        return dict(self._forward)
-
     def copy(self) -> "Private16BitMapper":
         """A mapper that registers independently of this one."""
         clone = copy.copy(self)
         clone._forward = dict(self._forward)
         clone._reverse = dict(self._reverse)
         return clone
-
-    def try_alias_for(self, asn: int) -> Optional[int]:
-        """Like :meth:`alias_for` but returns None when unregistered."""
-        if not is_32bit_asn(asn):
-            return asn
-        return self._forward.get(asn)

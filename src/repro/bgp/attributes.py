@@ -8,7 +8,7 @@ ASNs must be filtered before inference (section 5).
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -38,12 +38,6 @@ class ASPath:
         object.__setattr__(self, "_clean", None)
 
     @classmethod
-    def parse(cls, text: str) -> "ASPath":
-        """Parse a whitespace-separated AS path string."""
-        tokens = text.split()
-        return cls([int(token) for token in tokens])
-
-    @classmethod
     def from_tuple(cls, asns: Tuple[int, ...]) -> "ASPath":
         """Wrap an already-validated tuple of ints without re-coercing.
 
@@ -64,20 +58,6 @@ class ASPath:
         """The raw ASN sequence (observer-side first, origin last)."""
         return self._asns
 
-    @property
-    def origin_asn(self) -> int:
-        """The origin AS (last element)."""
-        if not self._asns:
-            raise ValueError("empty AS path has no origin")
-        return self._asns[-1]
-
-    @property
-    def first_hop(self) -> int:
-        """The neighbour AS the route was learned from (first element)."""
-        if not self._asns:
-            raise ValueError("empty AS path has no first hop")
-        return self._asns[0]
-
     def __len__(self) -> int:
         return len(self._asns)
 
@@ -92,10 +72,6 @@ class ASPath:
 
     # -- derived properties -------------------------------------------------
 
-    def unique_asns(self) -> Set[int]:
-        """Set of distinct ASNs on the path."""
-        return set(self._asns)
-
     def deduplicated(self) -> "ASPath":
         """Collapse consecutive duplicate ASNs (AS-path prepending)."""
         collapsed: List[int] = []
@@ -109,8 +85,8 @@ class ASPath:
         or path poisoning artefact, as opposed to benign prepending)."""
         if len(set(self._asns)) == len(self._asns):
             return False
-        deduped = self.deduplicated()
-        return len(deduped.unique_asns()) != len(deduped)
+        deduped = self.deduplicated()._asns
+        return len(set(deduped)) != len(deduped)
 
     def has_reserved_asn(self) -> bool:
         """True if the path contains a reserved, unassigned or private ASN."""
@@ -129,34 +105,6 @@ class ASPath:
                 and not self.has_cycle()
             object.__setattr__(self, "_clean", cached)
         return cached
-
-    def links(self) -> List[Tuple[int, int]]:
-        """Adjacent AS pairs on the (deduplicated) path, as sorted tuples."""
-        deduped = self.deduplicated()._asns
-        pairs: List[Tuple[int, int]] = []
-        for left, right in zip(deduped, deduped[1:]):
-            if left != right:
-                pairs.append((min(left, right), max(left, right)))
-        return pairs
-
-    def prepend(self, asn: int, count: int = 1) -> "ASPath":
-        """Return a new path with *asn* prepended *count* times."""
-        if count < 1:
-            raise ValueError("prepend count must be >= 1")
-        return ASPath((asn,) * count + self._asns)
-
-    def without(self, asn: int) -> "ASPath":
-        """Return a copy of the path with every occurrence of *asn* removed.
-
-        Used to model route servers that strip their own ASN from the path
-        (and, conversely, to test the 'RS ASN not removed' artefact the
-        paper observed in 3 validation cases).
-        """
-        return ASPath(tuple(a for a in self._asns if a != asn))
-
-    def index_of(self, asn: int) -> int:
-        """Index of the first occurrence of *asn* (ValueError if absent)."""
-        return self._asns.index(asn)
 
     # -- dunder ------------------------------------------------------------
 
@@ -181,14 +129,6 @@ class ASPath:
         # __setattr__ is blocked, so slot-state pickling cannot restore
         # instances; rebuild through the constructor instead.
         return (ASPath, (self._asns,))
-
-
-def common_links(paths: Iterable[ASPath]) -> Set[Tuple[int, int]]:
-    """Union of the AS links present in *paths* (sorted endpoint tuples)."""
-    result: Set[Tuple[int, int]] = set()
-    for path in paths:
-        result.update(path.links())
-    return result
 
 
 def clean_path_mask(offsets, values) -> np.ndarray:

@@ -9,17 +9,11 @@ source) encode an action in one half and a peer ASN in the other, e.g.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable
-
 
 class Community:
     """A single ``high:low`` BGP community value."""
 
     __slots__ = ("_high", "_low")
-
-    #: Well-known communities (RFC 1997).
-    NO_EXPORT_VALUE = 0xFFFFFF01
-    NO_ADVERTISE_VALUE = 0xFFFFFF02
 
     def __init__(self, high: int, low: int) -> None:
         if not 0 <= high <= 0xFFFF:
@@ -28,34 +22,6 @@ class Community:
             raise ValueError(f"community low half out of range: {low}")
         object.__setattr__(self, "_high", high)
         object.__setattr__(self, "_low", low)
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def parse(cls, text: str) -> "Community":
-        """Parse the canonical ``high:low`` representation."""
-        text = text.strip()
-        high_text, sep, low_text = text.partition(":")
-        if not sep or not high_text.isdigit() or not low_text.isdigit():
-            raise ValueError(f"invalid community {text!r}")
-        return cls(int(high_text), int(low_text))
-
-    @classmethod
-    def from_int(cls, value: int) -> "Community":
-        """Build a community from its packed 32-bit integer form."""
-        if not 0 <= value <= 0xFFFFFFFF:
-            raise ValueError(f"community value out of range: {value}")
-        return cls(value >> 16, value & 0xFFFF)
-
-    @classmethod
-    def no_export(cls) -> "Community":
-        """The well-known NO_EXPORT community."""
-        return cls.from_int(cls.NO_EXPORT_VALUE)
-
-    @classmethod
-    def no_advertise(cls) -> "Community":
-        """The well-known NO_ADVERTISE community."""
-        return cls.from_int(cls.NO_ADVERTISE_VALUE)
 
     # -- accessors ---------------------------------------------------------
 
@@ -73,10 +39,6 @@ class Community:
     def value(self) -> int:
         """Packed 32-bit integer form."""
         return (self._high << 16) | self._low
-
-    def is_well_known(self) -> bool:
-        """Return True for RFC 1997 well-known communities (0xFFFF high)."""
-        return self._high == 0xFFFF
 
     # -- dunder ------------------------------------------------------------
 
@@ -106,13 +68,3 @@ class Community:
         # __setattr__ is blocked, so slot-state pickling cannot restore
         # instances; rebuild through the constructor instead.
         return (Community, (self._high, self._low))
-
-
-def parse_community_set(text: str) -> FrozenSet[Community]:
-    """Parse a whitespace-separated list of ``high:low`` values."""
-    return frozenset(Community.parse(token) for token in text.split())
-
-
-def format_community_set(communities: Iterable[Community]) -> str:
-    """Render a community set in sorted ``high:low`` form."""
-    return " ".join(str(c) for c in sorted(communities))

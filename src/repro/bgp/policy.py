@@ -1,19 +1,9 @@
-"""Routing policies: business relationships and the Gao-Rexford rules.
-
-This module defines the relationship taxonomy the paper uses (c2p, p2p,
-sibling, plus the route-server peering flavour of p2p), the valley-free
-export rule, and configurable import/export policy objects attached to
-BGP sessions.
-"""
+"""Business relationships: the taxonomy the paper uses (c2p, p2p,
+sibling, plus the route-server peering flavour of p2p)."""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Set
-
-from repro.bgp.communities import Community
-from repro.bgp.prefix import Prefix
 
 
 class Relationship(enum.Enum):
@@ -30,121 +20,3 @@ class Relationship(enum.Enum):
     PEER = "peer"
     RS_PEER = "rs-peer"
     SIBLING = "sibling"
-
-    def inverse(self) -> "Relationship":
-        """The relationship as seen from the other side of the link."""
-        if self is Relationship.CUSTOMER:
-            return Relationship.PROVIDER
-        if self is Relationship.PROVIDER:
-            return Relationship.CUSTOMER
-        return self
-
-    @property
-    def is_peering(self) -> bool:
-        """True for settlement-free peering (bilateral or via route server)."""
-        return self in (Relationship.PEER, Relationship.RS_PEER)
-
-
-#: Default LOCAL_PREF values implementing 'prefer customer > peer > provider'.
-_DEFAULT_LOCAL_PREF = {
-    Relationship.CUSTOMER: 100,
-    Relationship.SIBLING: 95,
-    Relationship.PEER: 90,
-    Relationship.RS_PEER: 85,
-    Relationship.PROVIDER: 80,
-}
-
-
-def default_local_pref(relationship: Relationship) -> int:
-    """LOCAL_PREF assigned on import for a route learned over *relationship*.
-
-    Customers are preferred over peers, bilateral peers over route-server
-    peers (the paper found 14 of 70 validation ASes assign bilateral peers
-    a higher preference than RS peers), and peers over providers.
-    """
-    return _DEFAULT_LOCAL_PREF[relationship]
-
-
-def export_allowed(learned_from: Relationship, export_to: Relationship) -> bool:
-    """The Gao-Rexford / valley-free export rule.
-
-    A route learned from a customer (or originated locally, which callers
-    model as ``CUSTOMER``) may be exported to anyone; a route learned from
-    a peer or provider may only be exported to customers.  Sibling links
-    are transparent in both directions.
-    """
-    if export_to is Relationship.SIBLING:
-        return True
-    if learned_from in (Relationship.CUSTOMER, Relationship.SIBLING):
-        return True
-    return export_to is Relationship.CUSTOMER
-
-
-@dataclass
-class ImportPolicy:
-    """Per-session import policy.
-
-    ``local_pref`` overrides the relationship-derived default;
-    ``blocked_asns`` drops any route whose origin AS is listed (AS-path
-    inbound filtering, the counterpart of the paper's export filters);
-    ``blocked_prefixes`` drops exact-match prefixes.
-    """
-
-    local_pref: Optional[int] = None
-    blocked_asns: Set[int] = field(default_factory=set)
-    blocked_prefixes: Set[Prefix] = field(default_factory=set)
-
-    def accepts(self, prefix: Prefix, origin_asn: int) -> bool:
-        """Return True if a route for *prefix* originated by *origin_asn*
-        passes the import filter."""
-        if origin_asn in self.blocked_asns:
-            return False
-        if prefix in self.blocked_prefixes:
-            return False
-        return True
-
-    def effective_local_pref(self, relationship: Relationship) -> int:
-        """LOCAL_PREF to assign for a route accepted on this session."""
-        if self.local_pref is not None:
-            return self.local_pref
-        return default_local_pref(relationship)
-
-
-@dataclass
-class ExportPolicy:
-    """Per-session export policy.
-
-    ``announce_all`` short-circuits the valley-free restriction (used for
-    sessions towards route collectors configured as customer-like full
-    feeds); ``blocked_asns`` suppresses routes originated by the listed
-    ASes; ``added_communities`` are attached to every exported route
-    (this is how RS members tag their announcements with RS communities).
-    """
-
-    announce_all: bool = False
-    blocked_asns: Set[int] = field(default_factory=set)
-    blocked_prefixes: Set[Prefix] = field(default_factory=set)
-    added_communities: Set[Community] = field(default_factory=set)
-    strip_communities: bool = False
-
-    def allows(
-        self,
-        prefix: Prefix,
-        origin_asn: int,
-        learned_from: Relationship,
-        export_to: Relationship,
-    ) -> bool:
-        """Return True if the route may be exported on this session."""
-        if origin_asn in self.blocked_asns:
-            return False
-        if prefix in self.blocked_prefixes:
-            return False
-        if self.announce_all:
-            return True
-        return export_allowed(learned_from, export_to)
-
-    def communities_for(self, existing: Iterable[Community]) -> frozenset:
-        """Community set attached to the exported route."""
-        base: Set[Community] = set() if self.strip_communities else set(existing)
-        base.update(self.added_communities)
-        return frozenset(base)

@@ -8,8 +8,6 @@ network address rather than :mod:`ipaddress` objects.
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
-
 
 def _parse_ipv4(text: str) -> int:
     parts = text.split(".")
@@ -24,10 +22,6 @@ def _parse_ipv4(text: str) -> int:
             raise ValueError(f"invalid IPv4 address {text!r}")
         value = (value << 8) | octet
     return value
-
-
-def _format_ipv4(value: int) -> str:
-    return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
 
 
 class Prefix:
@@ -79,26 +73,6 @@ class Prefix:
         """Packed 32-bit network address (host bits zeroed)."""
         return self._network
 
-    @property
-    def length(self) -> int:
-        """Prefix length in bits."""
-        return self._length
-
-    @property
-    def network_address(self) -> str:
-        """Dotted-quad network address."""
-        return _format_ipv4(self._network)
-
-    @property
-    def broadcast(self) -> int:
-        """Packed address of the last host in the prefix."""
-        return self._network | (0xFFFFFFFF >> self._length if self._length else 0xFFFFFFFF)
-
-    @property
-    def num_addresses(self) -> int:
-        """Number of addresses covered by the prefix."""
-        return 1 << (32 - self._length)
-
     @staticmethod
     def _mask(length: int) -> int:
         if length == 0:
@@ -113,39 +87,12 @@ class Prefix:
             return False
         return (other._network & self._mask(self._length)) == self._network
 
-    def contains_address(self, address: int) -> bool:
-        """Return True if the packed *address* falls inside the prefix."""
-        return (address & self._mask(self._length)) == self._network
-
-    def overlaps(self, other: "Prefix") -> bool:
-        """Return True if the two prefixes share any address."""
-        return self.contains(other) or other.contains(self)
-
-    def supernet(self) -> "Prefix":
-        """Return the immediately covering prefix (one bit shorter)."""
-        if self._length == 0:
-            raise ValueError("0.0.0.0/0 has no supernet")
-        return Prefix(self._network, self._length - 1)
-
-    def subnets(self) -> Tuple["Prefix", "Prefix"]:
-        """Split into the two immediately more-specific prefixes."""
-        if self._length >= 32:
-            raise ValueError("/32 cannot be subdivided")
-        length = self._length + 1
-        low = Prefix(self._network, length)
-        high = Prefix(self._network | (1 << (32 - length)), length)
-        return low, high
-
-    def hosts(self, limit: int = 256) -> Iterator[str]:
-        """Yield up to *limit* dotted-quad host addresses inside the prefix."""
-        count = min(limit, self.num_addresses)
-        for offset in range(count):
-            yield _format_ipv4(self._network + offset)
-
     # -- dunder ------------------------------------------------------------
 
     def __str__(self) -> str:
-        return f"{self.network_address}/{self._length}"
+        octets = (str((self._network >> shift) & 0xFF)
+                  for shift in (24, 16, 8, 0))
+        return f"{'.'.join(octets)}/{self._length}"
 
     def __repr__(self) -> str:
         return f"Prefix({str(self)!r})"

@@ -88,7 +88,6 @@ __all__ = [
     "PropagationEngine",
     "PropagationResult",
     "RouteBlock",
-    "bidirectional_adjacencies",
 ]
 
 #: Kernel selection threshold: a ``batch_fragments`` call with at least
@@ -101,12 +100,6 @@ __all__ = [
 #: event does), and is 2.5-3x faster on full sweeps.
 COMPILED_MIN_ORIGINS = 8
 
-_CLASS_NAMES = {
-    CLASS_ORIGIN: "origin",
-    CLASS_CUSTOMER: "customer",
-    CLASS_PEER: "peer",
-    CLASS_PROVIDER: "provider",
-}
 
 
 @dataclass(frozen=True)
@@ -153,26 +146,6 @@ class PropagatedRoute:
         #: one of CLASS_ORIGIN / CLASS_CUSTOMER / CLASS_PEER / CLASS_PROVIDER
         self.provenance = provenance
         self.learned_from = learned_from
-
-    @property
-    def received_path(self) -> Tuple[int, ...]:
-        """The AS path as received (without the local ASN prepended)."""
-        return self.path[1:] if len(self.path) > 1 else self.path
-
-    @property
-    def provenance_name(self) -> str:
-        """Human-readable provenance class."""
-        return _CLASS_NAMES[self.provenance]
-
-    def exportable_to_peer_or_provider(self) -> bool:
-        """Valley-free: only own/customer routes go to peers and providers."""
-        return self.provenance <= CLASS_CUSTOMER
-
-    def __repr__(self) -> str:
-        return (
-            f"PropagatedRoute(asn={self.asn}, path={list(self.path)}, "
-            f"provenance={self.provenance_name})"
-        )
 
 
 @dataclass
@@ -255,10 +228,6 @@ class PropagationResult:
         """All origin ASNs that were propagated, in recording order."""
         return list(self._position)
 
-    def origin_spec(self, origin_asn: int) -> OriginSpec:
-        """The :class:`OriginSpec` for *origin_asn*."""
-        return self._records[self._position[origin_asn]][0]
-
     def recorded_fragments(self) -> Dict[int, Tuple[RouteBlock, RouteBlock]]:
         """Origin -> (best, offered) blocks exactly as recorded.
 
@@ -269,19 +238,6 @@ class PropagationResult:
         """
         return {spec.asn: (best, offered)
                 for spec, best, offered in self._records}
-
-    def observers(self) -> List[int]:
-        """All ASes holding a best route, in first-recorded order."""
-        return self.observation_index().observers()
-
-    def best_route(self, observer_asn: int,
-                   origin_asn: int) -> Optional[PropagatedRoute]:
-        """Best route held by *observer_asn* towards *origin_asn*."""
-        pos = self._position.get(origin_asn)
-        if pos is None:
-            return None
-        row = self.observation_index().best_row(observer_asn, pos)
-        return None if row is None else self._records[pos][1].route(row)
 
     def iter_best_columns_at(
             self, observer_asn: int) -> List[Tuple[int, RouteBlock, int]]:
@@ -311,22 +267,6 @@ class PropagationResult:
         of index arrays (no route objects)."""
         return ObserverView(self.observation_index(),
                             self.origin_prefixes(), observer_asn)
-
-    def all_paths(self, observer_asn: int,
-                  origin_asn: int) -> List[PropagatedRoute]:
-        """All candidate routes offered to *observer_asn* for *origin_asn*
-        (best first).  Falls back to the best route only when alternatives
-        were not recorded for this observer."""
-        pos = self._position.get(origin_asn)
-        if pos is None:
-            return []
-        index = self.observation_index()
-        _spec, best, offered = self._records[pos]
-        rows = index.offered_rows(observer_asn, pos)
-        if rows is not None:
-            return [offered.route(row) for row in rows]
-        row = index.best_row(observer_asn, pos)
-        return [] if row is None else [best.route(row)]
 
     def visible_links(self, observer_asns: Optional[Iterable[int]] = None
                       ) -> Set[Tuple[int, int]]:
@@ -359,46 +299,29 @@ class PropagationResult:
 
 
 class PropagationEngine:
-    """Propagate origins over a policy-annotated adjacency set.
+    """Propagate origins over a context's CSR index.
 
     Parameters
     ----------
-    adjacencies:
-        Directed :class:`Adjacency` entries.  For an ordinary undirected
-        link both directions must be supplied (use
-        :func:`bidirectional_adjacencies` for convenience).  May be
-        omitted when *context* carries a pre-built index.
+    context:
+        The :class:`~repro.runtime.context.PipelineContext` whose CSR
+        index, path/bag stores, compiled plan and per-origin route
+        memoisation the engine shares with every other engine created
+        from it (:meth:`~repro.runtime.context.PipelineContext.engine`).
     record_at:
         ASes whose resulting routes should be kept in the result.  If
         None, every AS is recorded (only advisable for small topologies).
     record_alternatives_at:
         Subset of observers for which all offered candidate routes (the
         Adj-RIB-In) are retained, not just the best one.
-    context:
-        Optional :class:`~repro.runtime.context.PipelineContext`.  When
-        given, the engine shares the context's CSR index, path/bag
-        stores, compiled plan and per-origin route memoisation with
-        every other engine created from the same context; when omitted a
-        private context is built from *adjacencies*.
     """
 
     def __init__(
         self,
-        adjacencies: Optional[Iterable[Adjacency]] = None,
+        context,
         record_at: Optional[Iterable[int]] = None,
         record_alternatives_at: Optional[Iterable[int]] = None,
-        context=None,
     ) -> None:
-        if context is None:
-            if adjacencies is None:
-                raise ValueError(
-                    "adjacencies are required when no context is given")
-            from repro.runtime.context import PipelineContext
-            context = PipelineContext.from_adjacencies(adjacencies)
-        elif adjacencies is not None:
-            raise ValueError(
-                "pass either adjacencies or a context with a built index, "
-                "not both")
         self._ctx = context
         self._index = context.index
         self._bags = context.bags
@@ -420,15 +343,6 @@ class PropagationEngine:
 
     # -- public API ----------------------------------------------------------
 
-    @property
-    def context(self):
-        """The :class:`PipelineContext` the engine runs on."""
-        return self._ctx
-
-    def nodes(self) -> Set[int]:
-        """All ASNs known to the engine."""
-        return set(self._index.node_asns)
-
     def propagate(self, origins: Iterable[OriginSpec]) -> PropagationResult:
         """Propagate every origin and return the recorded routes."""
         origins = list(origins)
@@ -438,17 +352,7 @@ class PropagationEngine:
             result._record(spec, best, offered)
         return result
 
-    def propagate_origin(self, spec: OriginSpec) -> PropagationResult:
-        """Propagate a single origin (convenience wrapper)."""
-        return self.propagate([spec])
-
     # -- internals -----------------------------------------------------------
-
-    def origin_fragments(
-        self, spec: OriginSpec
-    ) -> Tuple[RouteBlock, RouteBlock]:
-        """The recorded (best, offered) routes for one origin."""
-        return self.batch_fragments([spec])[0]
 
     def batch_fragments(
         self, specs: Sequence[OriginSpec]
@@ -483,18 +387,9 @@ class PropagationEngine:
             origin_node = self._index.id_of.get(origin)
             if origin_node is None:
                 # Origin is isolated; it still holds its own route.
-                if recordable is None or origin in recordable:
-                    own = [PropagatedRoute(
-                        asn=origin,
-                        path=(origin,),
-                        communities=self._bags.value(origin_bag),
-                        provenance=CLASS_ORIGIN,
-                        learned_from=None,
-                    )]
-                else:
-                    own = []
-                results[position] = (RouteBlock.from_routes(own),
-                                     RouteBlock.empty())
+                results[position] = _isolated_origin_blocks(
+                    origin, self._bags.value(origin_bag),
+                    recordable is None or origin in recordable)
                 continue
             key = (origin, origin_bag, self._record_sig, epoch)
             fragments = cache.get(key) if memoizable else None
@@ -637,19 +532,19 @@ class PropagationEngine:
         return self._record_mask
 
 
-def bidirectional_adjacencies(
-    asn_a: int,
-    asn_b: int,
-    relationship_of_b_seen_from_a: Relationship,
-) -> List[Adjacency]:
-    """Build the two directed adjacencies of an ordinary AS link.
-
-    ``relationship_of_b_seen_from_a`` follows the :class:`Relationship`
-    convention: ``CUSTOMER`` means *b* is *a*'s customer.
-    """
-    rel_ab = relationship_of_b_seen_from_a
-    # Route flow a->b: b learns from a, so b sees a as the inverse.
-    return [
-        Adjacency(source=asn_a, target=asn_b, relationship=rel_ab.inverse()),
-        Adjacency(source=asn_b, target=asn_a, relationship=rel_ab),
-    ]
+def _isolated_origin_blocks(origin: int, communities: frozenset,
+                            recorded: bool) -> Tuple[RouteBlock, RouteBlock]:
+    """The (best, offered) blocks of an origin without links: its own
+    route when *recorded*, and no offers."""
+    def block(rows: int, bag_values) -> RouteBlock:
+        return RouteBlock(
+            asn=np.full(rows, origin, dtype=np.int64),
+            provenance=np.full(rows, CLASS_ORIGIN, dtype=np.int16),
+            learned_from=np.full(rows, -1, dtype=np.int64),
+            bag_id=np.zeros(rows, dtype=np.int32),
+            pid=np.full(rows, -1, dtype=np.int64),
+            path_offsets=np.arange(rows + 1, dtype=np.int64),
+            path_values=np.full(rows, origin, dtype=np.int64),
+            bag_values=bag_values)
+    own = int(recorded)
+    return block(own, (communities,) * own), block(0, ())

@@ -31,7 +31,7 @@ from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tu
 import numpy as np
 
 from repro.bgp.attributes import ASPath, clean_path_mask
-from repro.bgp.messages import RibEntry, UpdateMessage
+from repro.bgp.messages import RibEntry
 from repro.bgp.propagation import CLASS_CUSTOMER, PropagationResult
 from repro.collectors.route_collector import RouteCollector
 from repro.collectors.vantage_point import FeedType
@@ -256,18 +256,6 @@ class RibEntryTable:
 
     # -- row positions -----------------------------------------------------
 
-    def day_rows(self, day: int) -> np.ndarray:
-        """Positions of *day*'s dump: the base rows, then that day's
-        transient rows."""
-        if day not in self.days:
-            return np.empty(0, dtype=np.int64)
-        count = self.base_count
-        first = self.days.index(day) * count
-        return np.concatenate((
-            np.arange(first, first + count, dtype=np.int64),
-            len(self.days) * count
-            + np.flatnonzero(self.transient_day == day)))
-
     def physical(self, rows) -> np.ndarray:
         """The physical row of every position in *rows*."""
         rows = np.asarray(rows, dtype=np.int64)
@@ -322,13 +310,6 @@ class RibEntryTable:
         return distinct_links(self.path_offsets, self.path_values)
 
     # -- row views ---------------------------------------------------------
-
-    def entry(self, row: int) -> RibEntry:
-        """The (cached) :class:`RibEntry` view of position *row*."""
-        entry = self._entries.get(row)
-        if entry is None:
-            entry = self.entries(np.asarray([row], dtype=np.int64))[0]
-        return entry
 
     def entries(self, rows) -> List[RibEntry]:
         """The (cached) :class:`RibEntry` views of positions *rows*."""
@@ -404,7 +385,7 @@ class StableEntries(SequenceABC):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return self.table.entries(self.rows[index])
-        return self.table.entry(int(self.rows[index]))
+        return self.table.entries(self.rows[[index]])[0]
 
     def __iter__(self) -> Iterator[RibEntry]:
         return iter(self.table.entries(self.rows))
@@ -431,7 +412,6 @@ class CollectorArchive:
         #: the synthesised updates: base row and timestamp of each.
         self._update_rows = np.empty(0, dtype=np.int64)
         self._update_times: List[float] = []
-        self._updates: Optional[List[UpdateMessage]] = None
         self._collected = False
         #: first base row of every distinct (peer, prefix, path) key,
         #: and first transient row of every key no base row holds.
@@ -485,35 +465,6 @@ class CollectorArchive:
                              "CollectorArchive per propagation result")
 
     # -- read API ---------------------------------------------------------------------
-
-    def dump_for_day(self, day: int) -> List[RibEntry]:
-        """The RIB dump archived for *day*."""
-        return self._table.entries(self._table.day_rows(day))
-
-    def all_entries(self) -> List[RibEntry]:
-        """Every archived RIB entry across the window."""
-        return [entry for day in sorted(self._table.days)
-                for entry in self.dump_for_day(day)]
-
-    def updates(self) -> List[UpdateMessage]:
-        """The archived update messages."""
-        if self._updates is None:
-            table = self._table
-            rows = self._update_rows
-            self._updates = [
-                UpdateMessage(
-                    timestamp=stamp, peer_asn=peer,
-                    prefix=table.prefixes[prefix_id],
-                    as_path=table.path(path_id),
-                    communities=table.bags[bag_id],
-                    collector=table.collectors[coll_id])
-                for stamp, peer, prefix_id, path_id, bag_id, coll_id in zip(
-                    self._update_times, table.peer[rows].tolist(),
-                    table.prefix_id[rows].tolist(),
-                    table.path_id[rows].tolist(),
-                    table.bag_id[rows].tolist(),
-                    table.coll_id[rows].tolist())]
-        return list(self._updates)
 
     def _first_rows(self) -> Tuple[np.ndarray, np.ndarray]:
         """Positions of the first row of every distinct (peer, prefix,

@@ -20,7 +20,3 @@ class RouteCollector:
         vantage_point.collector = self.name
         self.vantage_points.append(vantage_point)
         return vantage_point
-
-    def peer_asns(self) -> List[int]:
-        """ASNs of all vantage points feeding the collector."""
-        return sorted(vp.asn for vp in self.vantage_points)

@@ -171,13 +171,6 @@ class ThirdPartyCollection:
         """Members whose communities the third-party LG exposed."""
         return {asn for asn, obs in self.observations.items() if obs}
 
-    def policy_observations(
-        self, interpreter: RSCommunityInterpreter
-    ) -> List[PolicyObservation]:
-        """Interpret the raw observations into policy observations."""
-        return interpret_raw_observations(
-            interpreter, self.ixp_name, self.observations, "third-party")
-
 
 def collect_from_third_party_lg(
     ixp_name: str,

@@ -54,12 +54,6 @@ class InterpretedPolicy:
     listed: FrozenSet[int]         #: resolved real member ASNs
     unresolved: FrozenSet[int] = frozenset()  #: 16-bit values we could not resolve
 
-    def allows(self, peer_asn: int) -> bool:
-        """Whether the policy lets *peer_asn* receive the routes."""
-        if self.mode == "all-except":
-            return peer_asn not in self.listed
-        return peer_asn in self.listed
-
 
 class RSCommunityInterpreter:
     """Classify and attribute RS communities against known IXP schemes."""
@@ -132,12 +126,6 @@ class RSCommunityInterpreter:
         if self._registry_version_seen != self.registry.version or \
                 self._members_counts_seen != self._members_fingerprint():
             self.clear_caches()
-
-    def update_members(self, ixp_name: str, members: Iterable[int]) -> None:
-        """Replace the RS member population of *ixp_name* and invalidate
-        every memo that may embed the old population."""
-        self.rs_members[ixp_name] = set(members)
-        self.clear_caches()
 
     # -- per-IXP helpers ----------------------------------------------------------
 

@@ -40,13 +40,6 @@ class ConnectivityReport:
         self.members.update(fresh)
         self.sources.update(dict.fromkeys(fresh, source))
 
-    def members_from(self, source: str) -> Set[int]:
-        """Members first discovered through *source*."""
-        return {asn for asn, src in self.sources.items() if src == source}
-
-    def __len__(self) -> int:
-        return len(self.members)
-
 
 class ConnectivityDiscovery:
     """Merge the available connectivity sources for each IXP."""

@@ -28,7 +28,16 @@ steps as an oracle and checks this engine against it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 #: An inferred MLP link: an ordered (lower ASN, higher ASN) pair.
 Link = Tuple[int, int]
@@ -39,11 +48,11 @@ from repro.core.active import ActiveInference, collect_from_third_party_lg
 from repro.core.communities import RSCommunityInterpreter
 from repro.core.planes import (
     ACTIVE,
-    THIRD_PARTY,
     MergedPlane,
     ObservationPlane,
     PlaneCacheKey,
     PolicyTable,
+    THIRD_PARTY,
     build_reachability_plane,
     extract_passive_planes,
     merge_rows,
@@ -75,37 +84,11 @@ class IXPInference:
     reachabilities: Dict[int, MemberReachability] = field(default_factory=dict)
     links: Tuple[Link, ...] = ()
     active_queries: int = 0
-    #: memoised frozenset of ``links`` (treat the inference as immutable
-    #: once the engine returns it).
-    _link_set: Optional[FrozenSet[Link]] = field(
-        default=None, repr=False, compare=False)
 
     @property
     def num_links(self) -> int:
         """Number of MLP links inferred at this IXP."""
         return len(self.links)
-
-    def link_set(self) -> FrozenSet[Link]:
-        """The links as a (memoised) frozenset, for O(1) membership."""
-        if self._link_set is None:
-            self._link_set = frozenset(self.links)
-        return self._link_set
-
-    def has_link(self, a: int, b: int) -> bool:
-        """Whether the (unordered) pair was inferred at this IXP."""
-        return (min(a, b), max(a, b)) in self.link_set()
-
-    def provenance_of(self, member_asn: int) -> FrozenSet[str]:
-        """Observation sources behind a member's reachability
-        ("passive" / "active" / "third-party"; empty if uncovered)."""
-        reach = self.reachabilities.get(member_asn)
-        return frozenset(reach.sources) if reach is not None else frozenset()
-
-    def covered_members(self) -> Tuple[int, ...]:
-        """Members with a reconstructed reachability, in ascending ASN
-        order (a stable tuple, never a set — consumers must not depend
-        on set iteration order)."""
-        return tuple(sorted(self.reachabilities))
 
     def table2_row(self, num_ixp_ases: Optional[int] = None,
                    has_lg: Optional[bool] = None) -> Dict[str, object]:
@@ -134,28 +117,6 @@ class MLPInferenceResult:
 
     per_ixp: Dict[str, IXPInference]
     matrix: ReachabilityMatrix
-
-    def identical_to(self, other: "MLPInferenceResult") -> bool:
-        """Full bit-identity with *other*: links, per-IXP link sets,
-        Table 2 rows, member/provenance sets, reachability objects and
-        query spend.  This is the one authoritative predicate the
-        differential tests share — extend it here, not in a caller,
-        when results grow new fields."""
-        if set(self.per_ixp) != set(other.per_ixp):
-            return False
-        if self.table2() != other.table2():
-            return False
-        for name in self.per_ixp:
-            left, right = self.per_ixp[name], other.per_ixp[name]
-            if (left.links != right.links
-                    or left.members != right.members
-                    or left.passive_members != right.passive_members
-                    or left.active_members != right.active_members
-                    or left.active_queries != right.active_queries
-                    or left.covered_members() != right.covered_members()
-                    or left.reachabilities != right.reachabilities):
-                return False
-        return True
 
     def table2(self, ixp_ases: Optional[Mapping[str, int]] = None,
                ixp_has_lg: Optional[Mapping[str, bool]] = None) -> List[Dict[str, object]]:

@@ -159,9 +159,9 @@ class PassiveInference:
             if right_pos != left_pos + 1:
                 continue
             left, right = path[left_pos], path[right_pos]
-            relationship = self._relationship(left, right)
-            if relationship is None:
-                continue
+            # Peering reads the same from either end of the link.
+            relationship = self.relationships.get((left, right)) \
+                or self.relationships.get((right, left))
             if relationship in (Relationship.PEER, Relationship.RS_PEER):
                 p2p_pairs.append((left_pos, right_pos))
         if len(p2p_pairs) == 1:
@@ -172,15 +172,6 @@ class PassiveInference:
             return path[participant_positions[-1]]
         # More than one p2p pair should not happen on a valley-free path;
         # refuse to guess.
-        return None
-
-    def _relationship(self, left: int, right: int) -> Optional[Relationship]:
-        relationship = self.relationships.get((left, right))
-        if relationship is not None:
-            return relationship
-        inverse = self.relationships.get((right, left))
-        if inverse is not None:
-            return inverse.inverse()
         return None
 
     # -- conversion -------------------------------------------------------------------------
@@ -218,14 +209,4 @@ class PassiveInference:
         result: Dict[str, Set[int]] = {}
         for observation in observations:
             result.setdefault(observation.ixp_name, set()).add(observation.setter_asn)
-        return result
-
-    def covered_prefixes(
-        self, observations: Iterable[PassiveObservation]
-    ) -> Dict[str, Dict[int, Set[Prefix]]]:
-        """Per-IXP, per-member prefixes covered passively (P_passive_a)."""
-        result: Dict[str, Dict[int, Set[Prefix]]] = {}
-        for observation in observations:
-            per_ixp = result.setdefault(observation.ixp_name, {})
-            per_ixp.setdefault(observation.setter_asn, set()).add(observation.prefix)
         return result

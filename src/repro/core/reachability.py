@@ -69,22 +69,6 @@ class MemberReachability:
         """N_a restricted to the given member population."""
         return {m for m in members if m != self.member_asn and self.allows(m)}
 
-    def blocked_members(self, members: Iterable[int]) -> Set[int]:
-        """Members explicitly not reachable through the route server."""
-        return {m for m in members if m != self.member_asn and not self.allows(m)}
-
-    def openness(self, members: Sequence[int]) -> float:
-        """Fraction of other members allowed to receive routes (figure 11)."""
-        others = [m for m in members if m != self.member_asn]
-        if not others:
-            return 0.0
-        return len(self.allowed_members(others)) / len(others)
-
-    @property
-    def is_consistent(self) -> bool:
-        """True if every observed prefix carried the same policy."""
-        return self.inconsistent_prefixes == 0
-
 
 def merge_observations(
     observations: Sequence[PolicyObservation],

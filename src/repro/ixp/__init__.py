@@ -11,7 +11,6 @@ from repro.ixp.community_schemes import (
     RSAction,
     CommunityScheme,
     SchemeRegistry,
-    classify_against_schemes,
 )
 from repro.ixp.member import MemberExportPolicy
 from repro.ixp.route_server import RouteServer, RouteServerEntry
@@ -28,7 +27,6 @@ __all__ = [
     "RSAction",
     "CommunityScheme",
     "SchemeRegistry",
-    "classify_against_schemes",
     "MemberExportPolicy",
     "RouteServer",
     "RouteServerEntry",

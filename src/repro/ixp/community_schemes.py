@@ -120,14 +120,6 @@ class CommunityScheme:
 
     # -- encoding ---------------------------------------------------------------
 
-    def all_(self) -> Community:
-        """The ALL community."""
-        return self.all_community
-
-    def none(self) -> Community:
-        """The NONE community."""
-        return self.none_community
-
     def exclude(self, peer_asn: int, mapper: Optional[Private16BitMapper] = None) -> Community:
         """EXCLUDE community for *peer_asn* (mapped to 16 bits if needed)."""
         return Community(self.exclude_high, self._encode_peer(peer_asn, mapper))
@@ -256,33 +248,6 @@ class SchemeRegistry:
     def __len__(self) -> int:
         return len(self._schemes)
 
-    def ixp_names(self) -> List[str]:
-        """All registered IXP names."""
-        return sorted(self._schemes)
-
-    def schemes_for_rs_asn(self, rs_asn: int) -> List[CommunityScheme]:
-        """Schemes whose route server uses *rs_asn*."""
-        return [s for s in self._schemes.values() if s.rs_asn == rs_asn]
-
     def table1(self) -> List[Dict[str, str]]:
         """The registry rendered as the paper's Table 1."""
         return [self._schemes[name].table1_row() for name in sorted(self._schemes)]
-
-
-def classify_against_schemes(
-    communities: Iterable[Community],
-    registry: SchemeRegistry,
-) -> Dict[str, List[Tuple[Community, Classification]]]:
-    """Classify a community set under every scheme in *registry*.
-
-    Returns only the IXPs for which at least one community matched; the
-    caller (the passive-inference IXP identifier) decides which candidate
-    IXP actually applied the values.
-    """
-    matches: Dict[str, List[Tuple[Community, Classification]]] = {}
-    community_list = list(communities)
-    for scheme in registry:
-        classified = scheme.classify_set(community_list)
-        if classified:
-            matches[scheme.ixp_name] = classified
-    return matches

@@ -55,23 +55,12 @@ class IXP:
             return []
         return sorted(self.members)
 
-    def all_members(self) -> List[int]:
-        """The true member list, regardless of publication."""
-        return sorted(self.members)
-
     # -- route servers -------------------------------------------------------------------
 
     def add_route_server(self, route_server: RouteServer) -> RouteServer:
         """Attach a route server to this IXP."""
         self.route_servers.append(route_server)
         return route_server
-
-    @property
-    def route_server(self) -> RouteServer:
-        """The primary route server (ValueError if none configured)."""
-        if not self.route_servers:
-            raise ValueError(f"{self.name} has no route server")
-        return self.route_servers[0]
 
     def has_route_server(self) -> bool:
         """True if at least one route server is configured."""
@@ -120,24 +109,6 @@ class IXP:
             "members": members,
             "bilateral_sessions": bilateral_session_count(members),
             "multilateral_sessions": multilateral_session_count(members, servers),
-        }
-
-    def rs_participation_rate(self) -> float:
-        """Fraction of the IXP's members connected to a route server."""
-        if not self.members:
-            return 0.0
-        return self.num_rs_members() / len(self.members)
-
-    def summary(self) -> Dict[str, object]:
-        """Compact description used by reports and benchmarks."""
-        return {
-            "name": self.name,
-            "region": self.region,
-            "pricing": self.pricing,
-            "members": len(self.members),
-            "rs_members": self.num_rs_members(),
-            "route_servers": len(self.route_servers),
-            "has_lg": self.has_route_server(),
         }
 
 

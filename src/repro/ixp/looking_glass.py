@@ -22,7 +22,7 @@ be reproduced exactly, and an optional rate limit models the 1 query /
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.bgp.communities import Community
 from repro.bgp.prefix import Prefix
@@ -42,11 +42,6 @@ class LGRoute:
     communities: FrozenSet[Community] = frozenset()
     best: bool = False
     learned_from: Optional[int] = None
-
-    @property
-    def origin_asn(self) -> int:
-        """Origin AS of the displayed route."""
-        return self.as_path[-1] if self.as_path else -1
 
 
 class LGQueryCounter:
@@ -71,11 +66,6 @@ class LGQueryCounter:
     def reset(self) -> None:
         """Forget all recorded queries."""
         self.counts.clear()
-
-    def estimated_duration(self, seconds_per_query: float = 10.0) -> float:
-        """Wall-clock time at the given query rate limit (section 4.3 uses
-        one query per 10 seconds)."""
-        return self.total * seconds_per_query
 
 
 def _lg_routes(prefix: Prefix, routes) -> List[LGRoute]:
@@ -210,11 +200,6 @@ class ASLookingGlass:
                 _lg_routes(prefix, self._view.routes_for(prefix))
         return cached
 
-    def load_routes(self, routes: Iterable[LGRoute]) -> None:
-        """Add many routes to the LG's view."""
-        for route in routes:
-            self.load_route(route)
-
     def load_route_server_exports(self, route_server: RouteServer,
                                   best: bool = False) -> int:
         """Load everything *route_server* exports to this AS.
@@ -236,27 +221,6 @@ class ASLookingGlass:
             ))
             count += 1
         return count
-
-    def mark_best_paths(self) -> None:
-        """Recompute the best flag: the shortest path (then lowest first
-        hop) per prefix is marked best, everything else non-best."""
-        if self._view is not None:
-            self._flush_view()
-        for prefix, routes in self._routes.items():
-            if not routes:
-                continue
-            ordered = sorted(
-                routes,
-                key=lambda r: (0 if r.best else 1, len(r.as_path),
-                               r.as_path[0] if r.as_path else -1))
-            chosen = ordered[0]
-            self._routes[prefix] = [
-                LGRoute(prefix=r.prefix, as_path=r.as_path,
-                        communities=r.communities, best=(r is chosen),
-                        learned_from=r.learned_from)
-                for r in routes
-            ]
-        self.version += 1
 
     # -- queries ----------------------------------------------------------------------
 
@@ -282,13 +246,3 @@ class ASLookingGlass:
         if self.display_all_paths:
             return list(ordered)
         return [ordered[0]]
-
-    def visible_links(self, prefix: Prefix) -> List[Tuple[int, int]]:
-        """AS links visible in the paths returned for *prefix*."""
-        links = []
-        for route in self.show_ip_bgp_prefix(prefix):
-            path = route.as_path
-            for left, right in zip(path, path[1:]):
-                if left != right:
-                    links.append((min(left, right), max(left, right)))
-        return links

@@ -11,7 +11,7 @@ prefixes); per-prefix overrides model that residual inconsistency.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Optional, Set
+from typing import Dict, FrozenSet, Iterable, Optional
 
 from repro.bgp.asn import Private16BitMapper
 from repro.bgp.communities import Community
@@ -53,18 +53,6 @@ class MemberExportPolicy:
             return peer_asn not in policy.listed
         return peer_asn in policy.listed
 
-    def allowed_members(self, members: Iterable[int],
-                        prefix: Optional[Prefix] = None) -> Set[int]:
-        """Members (other than the announcer) allowed to receive routes."""
-        return {m for m in members
-                if m != self.member_asn and self.allows(m, prefix)}
-
-    def blocked_members(self, members: Iterable[int],
-                        prefix: Optional[Prefix] = None) -> Set[int]:
-        """Members explicitly prevented from receiving routes."""
-        return {m for m in members
-                if m != self.member_asn and not self.allows(m, prefix)}
-
     def _effective(self, prefix: Optional[Prefix]) -> "MemberExportPolicy":
         if prefix is not None and prefix in self.prefix_overrides:
             return self.prefix_overrides[prefix]
@@ -82,18 +70,6 @@ class MemberExportPolicy:
         policy = self._effective(prefix)
         return scheme.encode_policy(policy.mode, sorted(policy.listed), mapper)
 
-    def with_override(self, prefix: Prefix, mode: str,
-                      listed: Iterable[int]) -> "MemberExportPolicy":
-        """Return a copy with a per-prefix deviation added."""
-        override = MemberExportPolicy(
-            member_asn=self.member_asn, ixp_name=self.ixp_name,
-            mode=mode, listed=frozenset(listed))
-        overrides = dict(self.prefix_overrides)
-        overrides[prefix] = override
-        return MemberExportPolicy(
-            member_asn=self.member_asn, ixp_name=self.ixp_name,
-            mode=self.mode, listed=self.listed, prefix_overrides=overrides)
-
     # -- constructors -------------------------------------------------------------
 
     @classmethod
@@ -108,10 +84,3 @@ class MemberExportPolicy:
         """ALL + EXCLUDE policy."""
         return cls(member_asn=member_asn, ixp_name=ixp_name,
                    mode=MODE_ALL_EXCEPT, listed=frozenset(excluded))
-
-    @classmethod
-    def none_except(cls, member_asn: int, ixp_name: str,
-                    included: Iterable[int]) -> "MemberExportPolicy":
-        """NONE + INCLUDE policy."""
-        return cls(member_asn=member_asn, ixp_name=ixp_name,
-                   mode=MODE_NONE_EXCEPT, listed=frozenset(included))

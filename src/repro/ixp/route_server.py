@@ -20,8 +20,6 @@ from repro.bgp.communities import Community
 from repro.bgp.prefix import Prefix
 from repro.ixp.community_schemes import CommunityScheme, RSAction
 from repro.ixp.member import MemberExportPolicy
-from repro.runtime.bitset import BitsetIndex
-from repro.runtime.reachmatrix import reciprocal_links
 
 
 @dataclass(frozen=True)
@@ -32,11 +30,6 @@ class RouteServerEntry:
     prefix: Prefix
     as_path: Tuple[int, ...]
     communities: FrozenSet[Community]
-
-    @property
-    def origin_asn(self) -> int:
-        """Origin AS of the announced route."""
-        return self.as_path[-1] if self.as_path else self.member_asn
 
 
 class RouteServer:
@@ -192,11 +185,6 @@ class RouteServer:
         self.version += 1
         return entry
 
-    def announce_policy_prefixes(self, member_asn: int,
-                                 prefixes: Iterable[Prefix]) -> List[RouteServerEntry]:
-        """Announce every prefix in *prefixes* under the member's policy."""
-        return [self.announce(member_asn, prefix) for prefix in prefixes]
-
     def withdraw(self, member_asn: int, prefix: Prefix) -> bool:
         """Withdraw *prefix* previously announced by *member_asn*."""
         per_prefix = self._rib.get(prefix)
@@ -238,44 +226,14 @@ class RouteServer:
 
     # -- export filtering -----------------------------------------------------------------
 
-    def allowed_targets(self, entry: RouteServerEntry) -> Set[int]:
-        """Members that receive *entry*, derived from its communities.
-
-        The decision follows the scheme semantics: NONE + INCLUDE only
-        reaches the included members; otherwise every member except those
-        named by EXCLUDE communities receives the route.  Peer ASNs found
-        in communities are resolved through the private-ASN mapper so
-        32-bit members are filterable.
-        """
-        has_none, includes, excludes = self._classify(entry.communities)
-        others = set(self._members)
-        others.discard(entry.member_asn)
-        if has_none:
-            return others & includes
-        return others - excludes
-
     def _member_allowed(self, member_asn: int, entry: RouteServerEntry) -> bool:
-        """O(1) form of ``member_asn in allowed_targets(entry)``."""
+        """Whether the route server exports *entry* to *member_asn*."""
         if member_asn == entry.member_asn:
             return False
         has_none, includes, excludes = self._classify(entry.communities)
         if has_none:
             return member_asn in includes
         return member_asn not in excludes
-
-    def _export_mask(self, index: BitsetIndex, entry: RouteServerEntry) -> int:
-        """``allowed_targets(entry)`` as a bitmask over *index*.
-
-        Set, predicate and mask forms of the export rule all project the
-        same :meth:`_classify` triple, so a semantics change (e.g. a new
-        RSAction) lands in one place.
-        """
-        has_none, includes, excludes = self._classify(entry.communities)
-        if has_none:
-            mask = index.mask_of(includes)
-        else:
-            mask = index.full_mask & ~index.mask_of(excludes)
-        return mask & ~(1 << index.bit_of[entry.member_asn])
 
     def _classify(
         self, communities: FrozenSet[Community]
@@ -330,33 +288,3 @@ class RouteServer:
         return sorted(exported, key=lambda e: (e.prefix, e.member_asn))
 
     # -- ground truth ---------------------------------------------------------------------
-
-    def served_pairs(self) -> Set[Tuple[int, int]]:
-        """Ground-truth multilateral peering pairs: (a, b) such that both
-        directions are served by the route server for at least one prefix.
-
-        Computed on member bitmasks: each member's union of allowed
-        targets over its announcements becomes one integer mask, and the
-        pairs come out of the packed ``M & M.T`` kernel.
-        """
-        index = BitsetIndex(self._members)
-        allowed: Dict[int, int] = {}
-        for per_prefix in self._rib.values():
-            for entry in per_prefix.values():
-                bit = index.bit_of[entry.member_asn]
-                allowed[bit] = allowed.get(bit, 0) | \
-                    self._export_mask(index, entry)
-        return set(reciprocal_links(allowed, index.universe))
-
-    def peering_density(self) -> Dict[int, float]:
-        """Per-member peering density: established RS peers over possible
-        RS peers (figure 12)."""
-        members = self.members()
-        possible = len(members) - 1
-        if possible <= 0:
-            return {asn: 0.0 for asn in members}
-        degree: Dict[int, int] = {asn: 0 for asn in members}
-        for a, b in self.served_pairs():
-            degree[a] += 1
-            degree[b] += 1
-        return {asn: degree[asn] / possible for asn in members}

@@ -12,7 +12,7 @@ fabric and therefore dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.bgp.propagation import PropagationResult
 from repro.topology.as_graph import ASGraph
@@ -71,8 +71,3 @@ class TracerouteCampaign:
             (min(left, rs_asn), max(left, rs_asn)),
             (min(right, rs_asn), max(right, rs_asn)),
         ]
-
-    def member_rs_adjacencies(self, links: Iterable[Tuple[int, int]]) -> Set[Tuple[int, int]]:
-        """The subset of *links* that touch a route-server ASN."""
-        rs_asns = set(self.rs_asn_by_ixp.values())
-        return {link for link in links if link[0] in rs_asns or link[1] in rs_asns}

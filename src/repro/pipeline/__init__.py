@@ -24,7 +24,6 @@ from repro.pipeline.run import (
     InferenceOptions,
     ScenarioRun,
     StageEvent,
-    europe2013_stage_graph,
 )
 from repro.pipeline.stage import Stage, StageGraph
 
@@ -36,6 +35,5 @@ __all__ = [
     "Stage",
     "StageEvent",
     "StageGraph",
-    "europe2013_stage_graph",
     "run_analyses",
 ]

@@ -9,19 +9,65 @@ in via ``Stage.persist``.
 A shared :class:`ArtifactCache` instance can back any number of
 :class:`ScenarioRun` objects; fingerprints guarantee that runs only see
 artifacts produced under an identical configuration.
+
+A disk entry is :data:`MAGIC`, the sha256 of the pickle bytes, then the
+pickle bytes; a reader checks both before it unpickles, so a flipped
+bit, a short file or an entry of an older format is a miss.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, BinaryIO, Dict, Optional, Tuple
 
 #: Cache-lookup outcomes recorded in run events.
 STATUS_MEMORY = "memory"
 STATUS_DISK = "disk"
 STATUS_COMPUTED = "computed"
+
+#: Format tag every disk entry starts with.
+MAGIC = b"repro-artifact-cache 1\n"
+#: Bytes before the pickle: the tag and the pickle's sha256 digest.
+HEADER_SIZE = len(MAGIC) + hashlib.sha256().digest_size
+
+
+class _HashingWriter:
+    """A write-only file wrapper that hashes what passes through it."""
+
+    def __init__(self, handle: BinaryIO) -> None:
+        self.handle = handle
+        self.digest = hashlib.sha256()
+
+    def write(self, data) -> int:
+        self.digest.update(data)
+        return self.handle.write(data)
+
+
+def write_entry(handle: BinaryIO, payload: Any) -> None:
+    """Write *payload* as one disk entry: the header, then the pickle."""
+    handle.write(MAGIC + bytes(HEADER_SIZE - len(MAGIC)))
+    body = _HashingWriter(handle)
+    pickle.dump(payload, body, protocol=pickle.HIGHEST_PROTOCOL)
+    handle.seek(len(MAGIC))
+    handle.write(body.digest.digest())
+
+
+def read_entry(handle: BinaryIO) -> Any:
+    """The payload of one disk entry; ``ValueError`` when the header is
+    missing or short, or its digest does not match the pickle bytes."""
+    header = handle.read(HEADER_SIZE)
+    if len(header) < HEADER_SIZE or not header.startswith(MAGIC):
+        raise ValueError("not an artifact cache entry")
+    digest = hashlib.sha256()
+    for chunk in iter(lambda: handle.read(1 << 20), b""):
+        digest.update(chunk)
+    if digest.digest() != header[len(MAGIC):]:
+        raise ValueError("artifact cache entry digest mismatch")
+    handle.seek(HEADER_SIZE)
+    return pickle.load(handle)
 
 
 class ArtifactCache:
@@ -50,13 +96,13 @@ class ArtifactCache:
             if path.is_file():
                 try:
                     with path.open("rb") as handle:
-                        payload = pickle.load(handle)
+                        payload = read_entry(handle)
                 except Exception:
-                    # Truncated or corrupt (e.g. written by an
-                    # incompatible code version, or a partial write that
-                    # predates the atomic-rename protocol): delete the
-                    # entry so the next writer replaces it, and report a
-                    # miss so the caller recomputes.
+                    # Truncated, corrupt or headerless (e.g. written by
+                    # an incompatible code version, or a partial write
+                    # that predates the atomic-rename protocol): delete
+                    # the entry so the next writer replaces it, and
+                    # report a miss so the caller recomputes.
                     self._discard(path)
                     return None, None
                 if isinstance(payload, dict) and \
@@ -86,9 +132,8 @@ class ArtifactCache:
             tmp = path.with_suffix(f".tmp.{os.getpid()}")
             try:
                 with tmp.open("wb") as handle:
-                    pickle.dump(
-                        {"fingerprint": fingerprint, "artifact": value},
-                        handle, protocol=pickle.HIGHEST_PROTOCOL)
+                    write_entry(handle, {"fingerprint": fingerprint,
+                                         "artifact": value})
                     handle.flush()
                     os.fsync(handle.fileno())
             except BaseException:
@@ -97,10 +142,6 @@ class ArtifactCache:
             os.replace(tmp, path)
 
     # -- maintenance ----------------------------------------------------------
-
-    def clear_memory(self) -> None:
-        """Drop the in-memory layer (disk files are kept)."""
-        self._memory.clear()
 
     def __len__(self) -> int:
         return len(self._memory)

@@ -68,13 +68,6 @@ class StageEvent(NamedTuple):
     fingerprint: str
 
 
-def europe2013_stage_graph() -> StageGraph:
-    """The stage graph of the registered Europe-2013 scenario
-    (back-compat alias for ``get_scenario("europe2013").stage_graph()``)."""
-    from repro.scenarios.spec import get_scenario
-    return get_scenario("europe2013").stage_graph()
-
-
 def _resolve_spec(scenario: Union[str, "ScenarioSpec", None]) -> "ScenarioSpec":
     from repro.scenarios.spec import ScenarioSpec, get_scenario
     if scenario is None:
@@ -168,10 +161,6 @@ class ScenarioRun:
         """The assembled measurement environment."""
         return self.artifact("scenario")
 
-    def connectivity(self):
-        """Connectivity-discovery reports per IXP."""
-        return self.artifact("connectivity")
-
     def inference(self):
         """The end-to-end MLP inference result."""
         return self.artifact("inference")
@@ -230,16 +219,6 @@ class ScenarioRun:
         for event in self.events:
             summary[event.status] = summary.get(event.status, 0) + 1
         return summary
-
-    def runtime_stats(self) -> Dict[str, int]:
-        """Size/accounting counters of the scenario's runtime context
-        (interner sizes, route-cache entries/bytes/hits/misses, ...).
-
-        Resolves the scenario stage if it has not run yet; the
-        route-cache counters make memoisation behaviour observable from
-        a run handle (e.g. repeated propagation hitting cached blocks).
-        """
-        return self.scenario().context.stats()
 
     def __repr__(self) -> str:
         resolved = ", ".join(f"{e.stage}:{e.status}" for e in self.events)

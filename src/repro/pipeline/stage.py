@@ -4,7 +4,7 @@ A :class:`Stage` names one unit of the scenario pipeline (topology
 generation, route announcement, propagation, collector archiving,
 inference, analyses, ...), the stages it consumes (``deps``) and the
 configuration it reads (``config_keys`` naming
-:class:`~repro.scenarios.europe2013.ScenarioConfig` attributes, plus an
+:class:`~repro.scenarios.base.ScenarioConfig` attributes, plus an
 optional ``options_key`` naming a run-level options namespace).
 
 From those declarations the :class:`StageGraph` derives a deterministic
@@ -81,18 +81,6 @@ class StageGraph:
 
     def __len__(self) -> int:
         return len(self._stages)
-
-    def ancestors(self, name: str) -> List[str]:
-        """Transitive dependencies of *name*, in topological order."""
-        wanted = set()
-        frontier = [name]
-        while frontier:
-            current = frontier.pop()
-            for dep in self._stages[current].deps:
-                if dep not in wanted:
-                    wanted.add(dep)
-                    frontier.append(dep)
-        return [n for n in self._order if n in wanted]
 
     def _topological_order(self) -> Tuple[str, ...]:
         order: List[str] = []

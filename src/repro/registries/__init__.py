@@ -1,4 +1,4 @@
-"""Registry substrates: IRR/RPSL databases and a PeeringDB-like registry.
+"""Registry substrates: an IRR database and a PeeringDB-like registry.
 
 The paper uses registries for three purposes: discovering route-server
 members through RPSL AS-SET objects, validating the reciprocity
@@ -8,14 +8,10 @@ policies, geographic scope and looking-glass addresses from PeeringDB
 (sections 5.1, 5.2 and 5.5).
 """
 
-from repro.registries.rpsl import RPSLObject, parse_rpsl, serialise_rpsl
 from repro.registries.irr import IRRDatabase, AutNumPolicy, ASSet
 from repro.registries.peeringdb import PeeringDB, PeeringDBRecord, LookingGlassRecord
 
 __all__ = [
-    "RPSLObject",
-    "parse_rpsl",
-    "serialise_rpsl",
     "IRRDatabase",
     "AutNumPolicy",
     "ASSet",

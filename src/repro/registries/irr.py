@@ -15,9 +15,8 @@ uses in the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
-from repro.registries.rpsl import RPSLObject, parse_as_references
 
 
 @dataclass
@@ -37,14 +36,6 @@ class AutNumPolicy:
     rs_peers: Set[int] = field(default_factory=set)
     source: str = "RIPE"
     accurate: bool = True
-
-    def import_allows(self, peer_asn: int) -> bool:
-        """True if routes from *peer_asn* are accepted."""
-        return peer_asn not in self.blocked_import
-
-    def export_allows(self, peer_asn: int) -> bool:
-        """True if routes are announced to *peer_asn*."""
-        return peer_asn not in self.blocked_export
 
     def references_asn(self, asn: int) -> bool:
         """True if the policy references *asn* anywhere (used for the
@@ -84,50 +75,15 @@ class IRRDatabase:
         self._as_sets[as_set.name.upper()] = as_set
         return as_set
 
-    def load_rpsl_objects(self, objects: Iterable[RPSLObject]) -> int:
-        """Ingest parsed RPSL objects (aut-num and as-set classes only)."""
-        count = 0
-        for obj in objects:
-            if obj.object_class == "aut-num":
-                asn_text = obj.key.upper().lstrip("AS")
-                if not asn_text.isdigit():
-                    continue
-                policy = AutNumPolicy(asn=int(asn_text), source=obj.source)
-                for value in obj.values("import"):
-                    policy.rs_peers.update(parse_as_references(value))
-                for value in obj.values("export"):
-                    policy.rs_peers.update(parse_as_references(value))
-                self.register_aut_num(policy)
-                count += 1
-            elif obj.object_class == "as-set":
-                as_set = ASSet(name=obj.key, source=obj.source)
-                for value in obj.values("members"):
-                    as_set.members.update(parse_as_references(value))
-                self.register_as_set(as_set)
-                count += 1
-        return count
-
     # -- queries ---------------------------------------------------------------------
 
     def aut_num(self, asn: int) -> Optional[AutNumPolicy]:
         """The aut-num policy of *asn*, or None."""
         return self._aut_nums.get(asn)
 
-    def aut_nums(self) -> List[AutNumPolicy]:
-        """All registered aut-num policies."""
-        return [self._aut_nums[asn] for asn in sorted(self._aut_nums)]
-
     def as_set(self, name: str) -> Optional[ASSet]:
         """The as-set called *name*, or None."""
         return self._as_sets.get(name.upper())
-
-    def as_sets(self) -> List[ASSet]:
-        """All registered as-sets."""
-        return [self._as_sets[name] for name in sorted(self._as_sets)]
-
-    def find_as_sets_containing(self, asn: int) -> List[ASSet]:
-        """As-sets that list *asn* as a member."""
-        return [s for s in self._as_sets.values() if asn in s.members]
 
     def ases_referencing(self, asn: int) -> List[int]:
         """ASes whose aut-num policy references *asn*.

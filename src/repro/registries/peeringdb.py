@@ -9,7 +9,7 @@ the 70 validation LGs of section 5.1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.topology.as_graph import GeographicScope, PeeringPolicy
 
@@ -63,10 +63,6 @@ class PeeringDB:
         """The record of *asn*, or None if the network never registered."""
         return self._records.get(asn)
 
-    def records(self) -> List[PeeringDBRecord]:
-        """All records, ordered by ASN."""
-        return [self._records[asn] for asn in sorted(self._records)]
-
     def __len__(self) -> int:
         return len(self._records)
 
@@ -82,26 +78,3 @@ class PeeringDB:
         """Self-reported geographic scope (N/A when unregistered)."""
         record = self._records.get(asn)
         return record.scope if record else GeographicScope.NOT_AVAILABLE
-
-    def networks_with_policy(self, policy: PeeringPolicy) -> List[int]:
-        """ASNs that self-report *policy*."""
-        return sorted(asn for asn, record in self._records.items()
-                      if record.policy is policy)
-
-    def networks_at_ixp(self, ixp_name: str) -> List[int]:
-        """ASNs that list a presence at *ixp_name*."""
-        return sorted(asn for asn, record in self._records.items()
-                      if ixp_name in record.ixps)
-
-    def looking_glasses(self, relevant_asns: Optional[Iterable[int]] = None
-                        ) -> List[LookingGlassRecord]:
-        """All advertised looking glasses, optionally restricted to the
-        networks in *relevant_asns* (how the paper selected its 70
-        validation LGs)."""
-        wanted = set(relevant_asns) if relevant_asns is not None else None
-        result: List[LookingGlassRecord] = []
-        for asn in sorted(self._records):
-            if wanted is not None and asn not in wanted:
-                continue
-            result.extend(self._records[asn].looking_glasses)
-        return result

@@ -10,7 +10,7 @@ reciprocity check runs on these masks packed into uint64 planes
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, Tuple
 
 
 class BitsetIndex:
@@ -34,10 +34,6 @@ class BitsetIndex:
             if bit is not None:
                 mask |= 1 << bit
         return mask
-
-    def values_of(self, mask: int) -> List[int]:
-        """The values selected by *mask*, in sorted order."""
-        return [self.universe[bit] for bit in iter_bits(mask)]
 
     def __len__(self) -> int:
         return len(self.universe)

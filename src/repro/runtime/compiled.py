@@ -222,21 +222,6 @@ class PropagationPlan:
         """
         return fit_dtype(self.unset_key)
 
-    def summary(self) -> Dict[str, int]:
-        """Size statistics (benchmarks and reports)."""
-        return {
-            "nodes": self.num_nodes,
-            "customer_phase_edges": self.customer.num_edges,
-            "peer_phase_edges": self.peer.num_edges,
-            "provider_phase_edges": self.provider.num_edges,
-            "key_plane_bits": 8 * np.dtype(self.key_plane_dtype()).itemsize,
-        }
-
-    def __repr__(self) -> str:
-        edges = (self.customer.num_edges + self.peer.num_edges
-                 + self.provider.num_edges)
-        return f"PropagationPlan({self.num_nodes} nodes, {edges} phase edges)"
-
 
 class BatchedPathStore:
     """Cons-cell path store with vectorized allocation.
@@ -244,23 +229,20 @@ class BatchedPathStore:
     Same structure sharing as :class:`~repro.runtime.stores.PathStore`
     (cells are ``(head ASN, parent id)``), but cells for a whole
     relaxation round are allocated in one append and the backing buffers
-    are numpy arrays.  :meth:`materialize` converts to plain int tuples
-    with shared-suffix memoisation; bulk consumers read :meth:`columns`
-    instead.
+    are numpy arrays.  Consumers read the cells through :meth:`columns`.
 
     ``id_limit`` is the int32 overflow guard: callers that keep path ids
     in narrow planes pass ``INT32_MAX`` and :meth:`alloc` raises
     :class:`PathIdOverflow` instead of silently wrapping.
     """
 
-    __slots__ = ("_heads", "_parents", "_size", "_memo", "id_limit")
+    __slots__ = ("_heads", "_parents", "_size", "id_limit")
 
     def __init__(self, capacity: int = 1024,
                  id_limit: Optional[int] = None) -> None:
         self._heads = np.empty(capacity, dtype=np.int64)
         self._parents = np.empty(capacity, dtype=np.int64)
         self._size = 0
-        self._memo: Dict[int, Tuple[int, ...]] = {}
         self.id_limit = id_limit
 
     def alloc(self, heads, parents):
@@ -283,34 +265,13 @@ class BatchedPathStore:
         self._size = need
         return ids
 
-    def materialize(self, pid: int) -> Tuple[int, ...]:
-        """The tuple form of path *pid* (memoised, shared suffixes)."""
-        pid = int(pid)
-        if pid < 0:
-            return ()
-        memo = self._memo
-        cached = memo.get(pid)
-        if cached is not None:
-            return cached
-        chain: List[int] = []
-        cursor = pid
-        while cursor >= 0 and cursor not in memo:
-            chain.append(cursor)
-            cursor = int(self._parents[cursor])
-        suffix: Tuple[int, ...] = memo[cursor] if cursor >= 0 else ()
-        heads = self._heads
-        for cell in reversed(chain):
-            suffix = (int(heads[cell]),) + suffix
-            memo[cell] = suffix
-        return suffix
-
     def columns(self):
         """The live ``(heads, parents)`` cell columns (array views).
 
         Feed for the vectorized chain walk
         (:func:`repro.runtime.fragments.walk_paths`), which materialises
         every recorded path of a batch in one pass instead of N scalar
-        :meth:`materialize` calls.
+        chain walks.
         """
         return self._heads[:self._size], self._parents[:self._size]
 

@@ -83,10 +83,6 @@ class RouteCache:
         self.max_bytes = max_bytes
         self.evictions = 0
 
-    @property
-    def entries(self) -> int:
-        return len(self._entries)
-
     def get(self, key, default=None):
         value = self._entries.get(key, _MISS)
         if value is _MISS:
@@ -133,26 +129,6 @@ class RouteCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __bool__(self) -> bool:
-        return bool(self._entries)
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.bytes = 0
-
-    def stats(self) -> Dict[str, int]:
-        """Entry/byte/hit/miss/eviction counters as a plain dict."""
-        return {"entries": len(self._entries), "bytes": self.bytes,
-                "hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions, "max_bytes": self.max_bytes}
-
-    def __repr__(self) -> str:
-        bound = f", max {self.max_bytes}" if self.max_bytes is not None \
-            else ""
-        return (f"RouteCache({len(self._entries)} entries, "
-                f"{self.bytes} bytes{bound}, {self.hits} hits, "
-                f"{self.misses} misses, {self.evictions} evictions)")
-
 
 class PipelineContext:
     """Shared interners, adjacency index and memoised propagation."""
@@ -190,14 +166,6 @@ class PipelineContext:
         self._inference_planes: list = []
 
     # -- construction --------------------------------------------------------
-
-    @classmethod
-    def from_adjacencies(cls, adjacencies: Iterable[object],
-                         route_cache_max_bytes: Optional[int] = None,
-                         ) -> "PipelineContext":
-        """Build a context from directed adjacency records."""
-        return cls(CSRIndex.from_adjacencies(adjacencies),
-                   route_cache_max_bytes=route_cache_max_bytes)
 
     @classmethod
     def from_graph(cls, graph, rs_community_provider=None,
@@ -270,10 +238,6 @@ class PipelineContext:
         return self._epoch_provider() if self._epoch_provider is not None \
             else 0
 
-    def clear_propagation_cache(self) -> None:
-        """Drop all memoised per-origin propagation fragments."""
-        self._route_cache.clear()
-
     # -- inference support ---------------------------------------------------
 
     def cached_inference_planes(self, key):
@@ -311,22 +275,3 @@ class PipelineContext:
         return index
 
     # -- introspection -------------------------------------------------------
-
-    def stats(self) -> Dict[str, int]:
-        """Current sizes of the context-owned structures."""
-        summary = self.index.summary()
-        summary.update({
-            "interned_prefixes": len(self.prefixes),
-            "memoized_origins": len(self._route_cache),
-            "route_cache_bytes": self._route_cache.bytes,
-            "route_cache_hits": self._route_cache.hits,
-            "route_cache_misses": self._route_cache.misses,
-            "route_cache_evictions": self._route_cache.evictions,
-            "member_indices": len(self._member_indices),
-            "inference_plane_entries": len(self._inference_planes),
-        })
-        return summary
-
-    def __repr__(self) -> str:
-        return (f"PipelineContext({self.index.num_nodes} nodes, "
-                f"{len(self._route_cache)} memoized origins)")

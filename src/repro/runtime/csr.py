@@ -19,7 +19,7 @@ layout, so the frontier BFS never tests relationships in its inner loop:
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -71,10 +71,6 @@ class PhaseEdges(NamedTuple):
     rels: List[int]      #: REL_* code per edge
     bags: List[int]      #: community-bag id attached on the edge (0 = none)
     vias: List[int]      #: RS ASN inserted in the path, -1 when transparent
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.targets)
 
 
 class CSRIndex:
@@ -145,34 +141,6 @@ class CSRIndex:
         return cls(Interner(node_asns.tolist()), bags, *phases,
                    num_edges=len(sources))
 
-    @classmethod
-    def from_adjacencies(
-        cls,
-        adjacencies: Iterable[object],
-        bags: Optional[CommunityBagStore] = None,
-    ) -> "CSRIndex":
-        """Build the index from directed adjacency records.
-
-        Records are duck-typed: anything exposing ``source``, ``target``,
-        ``relationship``, ``communities``, ``via_rs_asn`` and
-        ``rs_transparent`` works (notably
-        :class:`~repro.bgp.propagation.Adjacency`).  Their bags are
-        interned in record order, then :meth:`from_edges` assembles.
-        """
-        bags = bags if bags is not None else CommunityBagStore()
-        edges = DirectedEdges([], [], [], [], [])
-        for adj in adjacencies:
-            edges.sources.append(adj.source)
-            edges.targets.append(adj.target)
-            edges.rels.append(REL_CODE[adj.relationship])
-            communities = adj.communities
-            edges.bags.append(
-                bags.intern(frozenset(communities)) if communities else 0)
-            via = adj.via_rs_asn
-            edges.vias.append(
-                via if (via is not None and not adj.rs_transparent) else -1)
-        return cls.from_edges(edges, bags)
-
     # -- incremental maintenance ---------------------------------------------
 
     def spliced(self, removed: DirectedEdges, added: DirectedEdges,
@@ -220,20 +188,6 @@ class CSRIndex:
                         phases[2], num_edges=self.num_edges + delta)
 
     # -- introspection -------------------------------------------------------
-
-    def summary(self) -> Dict[str, int]:
-        """Size statistics (used by benchmarks and reports)."""
-        return {
-            "nodes": self.num_nodes,
-            "edges": self.num_edges,
-            "customer_phase_edges": self.customer_edges.num_edges,
-            "peer_phase_edges": self.peer_edges.num_edges,
-            "provider_phase_edges": self.provider_edges.num_edges,
-            "community_bags": len(self.bags),
-        }
-
-    def __repr__(self) -> str:
-        return f"CSRIndex({self.num_nodes} nodes, {self.num_edges} edges)"
 
 
 def _splice_phase(phase: PhaseEdges, changes: List[tuple]) -> PhaseEdges:

@@ -343,10 +343,6 @@ class DeltaStats:
     recomputed: int  #: origins re-run through the kernels
     reused: int      #: origins whose baseline blocks were reused
 
-    @property
-    def recomputed_fraction(self) -> float:
-        return self.recomputed / self.total if self.total else 0.0
-
 
 def patched_result(
     prior: PropagationResult,
@@ -378,10 +374,3 @@ def patched_result(
                        recomputed=len(recompute),
                        reused=len(origin_specs) - len(recompute))
     return result, stats
-
-
-def fragments_equivalent(a: Fragments, b: Fragments) -> bool:
-    """Semantic equality of two ``(best, offered)`` block pairs, via
-    :meth:`RouteBlock.equivalent_to` (batch-local ``pid``/``bag_id``
-    numbering is ignored)."""
-    return all(mine.equivalent_to(theirs) for mine, theirs in zip(a, b))

@@ -198,59 +198,6 @@ class RouteBlock:
 
     # -- construction ------------------------------------------------------
 
-    @classmethod
-    def empty(cls) -> "RouteBlock":
-        """A zero-row block."""
-        return cls(
-            asn=np.empty(0, dtype=np.int64),
-            provenance=np.empty(0, dtype=np.int16),
-            learned_from=np.empty(0, dtype=np.int64),
-            bag_id=np.empty(0, dtype=np.int32),
-            pid=np.empty(0, dtype=np.int64),
-            path_offsets=np.zeros(1, dtype=np.int64),
-            path_values=np.empty(0, dtype=np.int64),
-            bag_values=(),
-        )
-
-    @classmethod
-    def from_routes(cls, routes: Iterable[object]) -> "RouteBlock":
-        """Columnar form of existing route objects.
-
-        The originals are kept as the block's row views, so identity
-        (and any interned path/bag sharing they carry) is preserved.
-        """
-        routes = list(routes)
-        count = len(routes)
-        bag_index: dict = {}
-        bag_values: List[frozenset] = []
-        bag_ids = np.empty(count, dtype=np.int32)
-        offsets = np.zeros(count + 1, dtype=np.int64)
-        for i, route in enumerate(routes):
-            bid = bag_index.get(route.communities)
-            if bid is None:
-                bid = bag_index[route.communities] = len(bag_values)
-                bag_values.append(route.communities)
-            bag_ids[i] = bid
-            offsets[i + 1] = offsets[i] + len(route.path)
-        values = np.fromiter(
-            (asn for route in routes for asn in route.path),
-            dtype=np.int64, count=int(offsets[-1]))
-        block = cls(
-            asn=np.fromiter((r.asn for r in routes), np.int64, count=count),
-            provenance=np.fromiter(
-                (r.provenance for r in routes), np.int16, count=count),
-            learned_from=np.fromiter(
-                (-1 if r.learned_from is None else r.learned_from
-                 for r in routes), np.int64, count=count),
-            bag_id=bag_ids,
-            pid=np.full(count, -1, dtype=np.int64),
-            path_offsets=offsets,
-            path_values=values,
-            bag_values=tuple(bag_values),
-        )
-        block._rows = routes
-        return block
-
     # -- columnar accessors ------------------------------------------------
 
     @property
@@ -272,48 +219,10 @@ class RouteBlock:
                 self.path_offsets.tolist(), self.path_values.tolist())
         return columns
 
-    def equivalent_to(self, other: "RouteBlock") -> bool:
-        """Semantic row equality with *other*: same observers, paths,
-        provenances, exporters and community bags, row for row.
-
-        Internal numbering (``pid``, the ``bag_id`` -> :attr:`bag_values`
-        indirection) is *not* compared — two blocks computed by different
-        batch compositions are equivalent as long as they describe the
-        same routes.  This is the contract delta patching is tested
-        against: a reused block and a recomputed one must compare equal.
-        """
-        if self is other:
-            return True
-        if len(self.asn) != len(other.asn):
-            return False
-        if not (np.array_equal(self.asn, other.asn)
-                and np.array_equal(self.provenance, other.provenance)
-                and np.array_equal(self.learned_from, other.learned_from)
-                and np.array_equal(self.path_offsets, other.path_offsets)
-                and np.array_equal(self.path_values, other.path_values)):
-            return False
-        if self.bag_values == other.bag_values and \
-                np.array_equal(self.bag_id, other.bag_id):
-            return True
-        return all(self.bag_values[mine] == other.bag_values[theirs]
-                   for mine, theirs in zip(self.bag_id.tolist(),
-                                           other.bag_id.tolist()))
-
-    def link_pairs(self):
-        """Undirected ``(lo, hi)`` ASN pair arrays adjacent in any path.
-
-        Pairs spanning row boundaries are masked out via the CSR
-        offsets (empty rows included); ``left == right``
-        (prepended-origin) pairs are dropped to match the object-path
-        ``visible_links`` semantics.  Pairs are not deduplicated —
-        callers union across blocks anyway.
-        """
-        lo, hi, _cells = _row_pairs(self.path_values, self.path_offsets)
-        return lo, hi
-
     def link_keys(self):
-        """:meth:`link_pairs` packed as uint64 keys ``(lo << 32) | hi``
-        (same order, duplicates kept), or ``None`` when a pair holds a
+        """The undirected ASN pairs adjacent in the block's paths
+        (within a row, prepends dropped) packed as uint64 keys
+        ``(lo << 32) | hi`` (duplicates kept), or ``None`` when a pair holds a
         value outside ``[0, 2**32)`` — not an ASN; packing would collide.
 
         Built on first use (see :func:`key_links`) and cached: a block
@@ -363,11 +272,6 @@ class RouteBlock:
     def __iter__(self) -> Iterator[object]:
         for row in range(len(self.asn)):
             yield self.route(row)
-
-    def __repr__(self) -> str:
-        return (f"RouteBlock({len(self.asn)} routes, "
-                f"{len(self.path_values)} path cells, "
-                f"{len(self.bag_values)} bags)")
 
     # -- pickling (cache-free: blocks travel through the disk cache) -------
 
@@ -489,20 +393,6 @@ class ObservationIndex:
 
     # -- queries -----------------------------------------------------------
 
-    def observers(self) -> List[int]:
-        """Observers holding a best route, in first-recorded order.
-
-        The best side is stably sorted by ASN, so each observer's first
-        row is its earliest global id; ordering those first rows
-        restores recording order.
-        """
-        asn = self._b_asn
-        if not len(asn):
-            return []
-        starts = np.concatenate(
-            ([0], np.nonzero(asn[1:] != asn[:-1])[0] + 1))
-        return asn[starts][np.argsort(self._b_glob[starts])].tolist()
-
     def best_rows(self, observer: int) -> Tuple[np.ndarray, np.ndarray]:
         """``(pos, global id)`` columns of the observer's best routes,
         in recording order (read-only slices of the index)."""
@@ -514,37 +404,14 @@ class ObservationIndex:
         pos, glob = self.best_rows(observer)
         return list(zip(pos.tolist(), (glob - self._b_base[pos]).tolist()))
 
-    def best_row(self, observer: int, pos: int):
-        """Best-route row for (observer, origin position), or None.
-
-        Multiple rows (never produced by the engines, but legal in a
-        hand-built block) resolve to the last one.
-        """
-        lo, hi = self._best_span(observer)
-        index = lo + int(np.searchsorted(self._b_pos[lo:hi], pos,
-                                         side="right")) - 1
-        if index >= lo and self._b_pos[index] == pos:
-            return int(self._b_glob[index] - self._b_base[pos])
-        return None
-
-    def offered_rows(self, observer: int, pos: int):
-        """Sorted candidate rows for (observer, origin position), or
-        None when the observer holds no offered route for that origin."""
-        lo = int(np.searchsorted(self._g_asn, observer, side="left"))
-        hi = int(np.searchsorted(self._g_asn, observer, side="right"))
-        index = lo + int(np.searchsorted(self._g_pos[lo:hi], pos))
-        if index < hi and self._g_pos[index] == pos:
-            rows = self._o_glob[self._g_start[index]:self._g_end[index]]
-            return (rows - self._o_base[pos]).tolist()
-        return None
-
     def view_rows(self, observer: int):
         """The observer's full view as ``(pos, offered, glob, first)``
         columns, one row per displayed route, in origin recording order.
 
         Per origin the rows are the sorted offered candidates where any
-        exist, else the single best row (the last one, as
-        :meth:`best_row`) — the fallback ``all_paths`` applies.
+        exist, else the single best row (the last one when a
+        hand-built block holds several) — the offered-route fallback a
+        looking glass displays.
         ``offered`` says which side ``glob`` indexes; ``first`` marks each
         origin's first row, its best path.
         """

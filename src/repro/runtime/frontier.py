@@ -19,8 +19,8 @@ exercise this.  One deliberate difference: the reference engine re-offers
 a candidate to alternative-tracking observers every time its exporter is
 re-popped with unchanged state, so its Adj-RIB-In lists can contain
 duplicates; the ``exported`` guard here suppresses those exact-duplicate
-re-exports, so ``all_paths()`` returns the same *set* of candidates with
-different multiplicities.
+re-exports, so an observer's offered routes are the same *set* of
+candidates with different multiplicities.
 """
 
 from __future__ import annotations

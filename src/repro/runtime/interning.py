@@ -8,7 +8,7 @@ sets — and only converts back to the original ASN/:class:`Prefix`/
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional
+from typing import Dict, Hashable, Iterable, Iterator, List
 
 
 class Interner:
@@ -36,18 +36,6 @@ class Interner:
             self._ids[value] = iid
             self._values.append(value)
         return iid
-
-    def intern_all(self, values: Iterable[Hashable]) -> List[int]:
-        """Intern every value, returning the ids in input order."""
-        return [self.intern(value) for value in values]
-
-    def id_of(self, value: Hashable) -> int:
-        """The id of an already-interned value (KeyError if unknown)."""
-        return self._ids[value]
-
-    def get(self, value: Hashable, default: Optional[int] = None) -> Optional[int]:
-        """The id of *value*, or *default* when it was never interned."""
-        return self._ids.get(value, default)
 
     def value_of(self, iid: int) -> Hashable:
         """The value interned under *iid* (IndexError if out of range)."""

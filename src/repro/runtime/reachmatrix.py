@@ -31,11 +31,11 @@ from __future__ import annotations
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 import numpy as _np
 
-from repro.runtime.bitset import BitsetIndex, iter_bits
+from repro.runtime.bitset import BitsetIndex
 from repro.runtime.fragments import MAX_KEYED, pack_links, unpack_links
 
 #: An inferred MLP link: an ordered (lower ASN, higher ASN) pair.
@@ -182,9 +182,8 @@ def reciprocal_links(rows: Mapping[int, int], universe: Tuple[int, ...],
 
     *rows* maps bit position -> outgoing mask ("bit *i* allows bit
     *j*"); a missing row allows nobody.  ``core.reachability.
-    infer_links`` and the route server's ground-truth ``served_pairs``
-    run it; planes run the same kernel in :meth:`ReachabilityPlane.
-    links`.
+    infer_links`` runs it; planes run the same kernel in
+    :meth:`ReachabilityPlane.links`.
     """
     size = len(universe)
     cells = reciprocal_cells(pack_rows(rows, size), size,
@@ -303,23 +302,8 @@ class ReachabilityPlane:
     # -- geometry ------------------------------------------------------------
 
     @property
-    def members(self) -> Tuple[int, ...]:
-        """The member universe (ascending ASNs)."""
-        return self.index.universe
-
-    @property
     def num_members(self) -> int:
         return len(self.index)
-
-    @property
-    def num_covered(self) -> int:
-        """Members with a reconstructed reachability row."""
-        return len(self.allow_rows)
-
-    def covered_asns(self) -> Tuple[int, ...]:
-        """Covered members in ascending ASN order."""
-        universe = self.index.universe
-        return tuple(universe[bit] for bit in iter_bits(self.covered_mask))
 
     # -- packed representation -----------------------------------------------
 
@@ -363,17 +347,6 @@ class ReachabilityPlane:
 
     # -- per-member views ----------------------------------------------------
 
-    def allows(self, member_asn: int, peer_asn: int) -> bool:
-        """Whether *member_asn*'s row allows *peer_asn*."""
-        bit = self.index.bit_of.get(member_asn)
-        peer_bit = self.index.bit_of.get(peer_asn)
-        if bit is None or peer_bit is None:
-            return False
-        if self._packed is not None:
-            word = self._packed[bit, peer_bit >> 6]
-            return bool(int(word) >> (peer_bit & 63) & 1)
-        return bool(self.allow_rows.get(bit, 0) >> peer_bit & 1)
-
     def openness(self, member_asn: int,
                  members: Optional[Iterable[int]] = None) -> float:
         """Fraction of other members this member allows (figure 11).
@@ -401,35 +374,6 @@ class ReachabilityPlane:
         else:
             allowed = sum(1 for m in others if m in listed)
         return allowed / len(others)
-
-    def exclusions(self, members: Optional[Iterable[int]] = None
-                   ) -> List[Tuple[int, int]]:
-        """(blocker, blocked) pairs from ``all-except`` rows whose EXCLUDE
-        targets are in *members* (default: the plane universe) — the
-        repeller analysis' raw material, in ascending blocker order."""
-        population = set(members) if members is not None \
-            else set(self.index.universe)
-        pairs: List[Tuple[int, int]] = []
-        universe = self.index.universe
-        for bit in sorted(self.policies):
-            mode, listed = self.policies[bit]
-            if mode != MODE_ALL_EXCEPT:
-                continue
-            blocker = universe[bit]
-            for blocked in sorted(set(listed) & population):
-                pairs.append((blocker, blocked))
-        return pairs
-
-    def summary(self) -> Dict[str, int]:
-        """Compact per-plane numbers for reports and benchmarks."""
-        return {
-            "members": self.num_members,
-            "covered": self.num_covered,
-            "passive": len(self.passive_members),
-            "active": len(self.active_members),
-            "links": len(self.links()),
-            "active_queries": self.active_queries,
-        }
 
 
 class ReachabilityMatrix:
@@ -468,11 +412,6 @@ class ReachabilityMatrix:
         self._derived: Dict[str, object] = {}
 
     # -- shared link views ---------------------------------------------------
-
-    def ixp_names(self) -> List[str]:
-        """IXPs ordered by link count (descending, name-tie-broken)."""
-        return sorted(self.planes,
-                      key=lambda name: (-len(self._links_by_ixp[name]), name))
 
     def links_by_ixp(self) -> Dict[str, Tuple[Link, ...]]:
         """Per-IXP sorted link tuples (the inference result's links)."""
@@ -574,23 +513,3 @@ class ReachabilityMatrix:
         return cached
 
     # -- aggregate introspection ---------------------------------------------
-
-    def total_active_queries(self) -> int:
-        """Looking-glass queries spent across every plane."""
-        return sum(plane.active_queries for plane in self.planes.values())
-
-    def summary(self) -> Dict[str, object]:
-        """Headline numbers across all planes."""
-        return {
-            "ixps": len(self.planes),
-            "links": len(self.all_links()),
-            "multi_ixp_links": len(self.multi_ixp_links()),
-            "covered_members": sum(plane.num_covered
-                                   for plane in self.planes.values()),
-            "active_queries": self.total_active_queries(),
-            "built_by": self.built_by,
-        }
-
-    def __repr__(self) -> str:
-        return (f"ReachabilityMatrix({len(self.planes)} planes, "
-                f"{len(self.all_links())} links, built_by={self.built_by})")

@@ -27,18 +27,17 @@ class PathStore:
     """Interned AS paths as cons cells.
 
     ``cons(head, parent)`` appends a cell and returns its id; the full
-    tuple form ``(head, *parent_path)`` is produced lazily by
-    :meth:`materialize` with shared-suffix memoisation.  The store is
+    tuple form ``(head, *parent_path)`` comes from walking the cells
+    (:func:`repro.runtime.fragments.walk_paths`).  The store is
     transient: the propagation engine clears it between origins, after
     the recorded routes were materialised.
     """
 
-    __slots__ = ("_heads", "_parents", "_memo")
+    __slots__ = ("_heads", "_parents")
 
     def __init__(self) -> None:
         self._heads: List[int] = []
         self._parents: List[int] = []
-        self._memo: Dict[int, Tuple[int, ...]] = {}
 
     def cons(self, head: int, parent: int = NIL) -> int:
         """Create the path ``(head,) + path(parent)`` and return its id."""
@@ -47,33 +46,12 @@ class PathStore:
         self._parents.append(parent)
         return pid
 
-    def materialize(self, pid: int) -> Tuple[int, ...]:
-        """The tuple form of path *pid* (memoised, shared suffixes)."""
-        if pid < 0:
-            return ()
-        memo = self._memo
-        cached = memo.get(pid)
-        if cached is not None:
-            return cached
-        chain: List[int] = []
-        cursor = pid
-        while cursor >= 0 and cursor not in memo:
-            chain.append(cursor)
-            cursor = self._parents[cursor]
-        suffix: Tuple[int, ...] = memo[cursor] if cursor >= 0 else ()
-        heads = self._heads
-        for cell in reversed(chain):
-            suffix = (heads[cell],) + suffix
-            memo[cell] = suffix
-        return suffix
-
     def columns(self) -> Tuple[List[int], List[int]]:
         """The live ``(heads, parents)`` cell columns.
 
         Feed for the vectorized chain walk
-        (:func:`repro.runtime.fragments.walk_paths`), which replaces
-        per-route :meth:`materialize` calls when building columnar
-        route blocks.
+        (:func:`repro.runtime.fragments.walk_paths`), which builds the
+        columnar route blocks' paths in one pass.
         """
         return self._heads, self._parents
 
@@ -81,7 +59,6 @@ class PathStore:
         """Drop all cells (called between origins)."""
         self._heads.clear()
         self._parents.clear()
-        self._memo.clear()
 
     def __len__(self) -> int:
         return len(self._heads)

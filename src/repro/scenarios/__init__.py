@@ -12,9 +12,7 @@ The scenario layer is split into:
   ``europe2013`` (the paper's Table 2 measurement), ``hypergiant2016``,
   ``sparse-view`` and the ``growth-sweep-<year>`` ladder;
 * :mod:`repro.scenarios.workloads` — named (scenario, size) entry
-  points for tests, examples, benchmarks and the CI smoke matrix;
-* :mod:`repro.scenarios.europe2013` — the historical import surface,
-  re-exporting :func:`build_europe2013` and friends.
+  points for tests, examples, benchmarks and the CI smoke matrix.
 
 ``get_scenario("<name>")`` is the one lookup everything goes through;
 registering a new :class:`ScenarioSpec` makes the family available to
@@ -22,7 +20,6 @@ every consumer at once.
 """
 
 from repro.scenarios.base import Scenario, ScenarioConfig
-from repro.scenarios.europe2013 import build_europe2013
 from repro.scenarios.spec import (
     DEFAULT_SIZES,
     REGISTRY,
@@ -36,12 +33,8 @@ from repro.scenarios.spec import (
 )
 from repro.scenarios.workloads import (
     scenario_config,
-    scenario_matrix,
     scenario_run,
     small_scenario_config,
-    medium_scenario_config,
-    large_scenario_config,
-    workload_sizes,
 )
 
 __all__ = [
@@ -53,15 +46,10 @@ __all__ = [
     "ScenarioSpec",
     "SizeProfile",
     "all_scenarios",
-    "build_europe2013",
     "get_scenario",
-    "large_scenario_config",
-    "medium_scenario_config",
     "register_scenario",
     "scenario_config",
-    "scenario_matrix",
     "scenario_names",
     "scenario_run",
     "small_scenario_config",
-    "workload_sizes",
 ]

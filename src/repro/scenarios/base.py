@@ -112,17 +112,16 @@ class Scenario:
     #: Shared runtime context (interners, CSR index, memoised routes);
     #: threaded through propagation and the inference engine.
     context: Optional[PipelineContext] = None
+    #: :meth:`discover_connectivity`'s route-server versions and the
+    #: reports discovered at them.
+    _connectivity: Optional[Tuple[Tuple, Dict[str, ConnectivityReport]]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     # -- ground truth -----------------------------------------------------------------
 
     def ground_truth_links(self) -> Set[Tuple[int, int]]:
         """All ground-truth MLP pairs across the IXPs."""
         return self.internet.all_mlp_links()
-
-    def rs_members_by_ixp(self) -> Dict[str, List[int]]:
-        """Ground-truth RS membership per IXP."""
-        return {spec.name: self.graph.rs_members_of_ixp(spec.name)
-                for spec in self.internet.ixp_specs}
 
     def rs_asns(self) -> Dict[str, int]:
         """Route-server ASN per IXP."""
@@ -156,12 +155,21 @@ class Scenario:
         return ConnectivityDiscovery(irr=self.irr, as_set_names=as_set_names)
 
     def discover_connectivity(self) -> Dict[str, ConnectivityReport]:
-        """Run connectivity discovery over every IXP."""
-        return self.connectivity_discovery().discover_all(
-            self.ixps.values(),
-            rs_lgs=self.rs_looking_glasses,
-            rs_asns=self.rs_asns(),
-        )
+        """Connectivity discovery over every IXP, memoised on the route
+        servers' mutation counters (``RouteServer.version``, which the
+        plane cache validates against too): a membership or RIB change
+        on a route server rediscovers, every other run reuses the
+        reports."""
+        versions = tuple((name, rs.version)
+                         for name, rs in self.route_servers.items())
+        if self._connectivity is None or self._connectivity[0] != versions:
+            reports = self.connectivity_discovery().discover_all(
+                self.ixps.values(),
+                rs_lgs=self.rs_looking_glasses,
+                rs_asns=self.rs_asns(),
+            )
+            self._connectivity = (versions, reports)
+        return self._connectivity[1]
 
     def make_engine(
         self,
@@ -188,7 +196,7 @@ class Scenario:
         connectivity: Optional[Dict[str, ConnectivityReport]] = None,
     ) -> MLPInferenceResult:
         """Run the end-to-end inference pipeline of section 4 (over
-        *connectivity* when given, else over a fresh discovery)."""
+        *connectivity* when given, else over the scenario's discovery)."""
         engine = self.make_engine(connectivity=connectivity)
         passive_entries = self.archive.clean_stable_entries() if use_passive else None
         rs_lgs = self.rs_looking_glasses if use_active else {}
@@ -742,9 +750,11 @@ STAGE_LIBRARY: Dict[str, Stage] = {
             config_keys=("vantage_point_fraction", "full_feed_fraction",
                          "third_party_lgs_per_ixp", "num_traceroute_monitors",
                          "num_validation_lgs"),
-            # Bumped with every PropagationResult pickle layout change,
-            # so a disk cache never unpickles an old layout.
-            version=2,
+            # Bumped with every pickle layout change of the artifact
+            # (PropagationResult, the context and its path store), so a
+            # disk cache never unpickles an old layout (3: path stores
+            # without a materialise memo).
+            version=3,
             persist=True,
         ),
         Stage(
@@ -793,8 +803,9 @@ STAGE_LIBRARY: Dict[str, Stage] = {
             options_key="inference",
             # Bumped with every MLPInferenceResult pickle layout change
             # (2: the result carries its ReachabilityMatrix; 3: planes
-            # and matrix carry uint64 link keys).
-            version=3,
+            # and matrix carry uint64 link keys; 4: per-IXP results
+            # without a link-set memo).
+            version=4,
             persist=True,
         ),
         Stage(

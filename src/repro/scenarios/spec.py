@@ -24,14 +24,19 @@ first lookup, so ``get_scenario("europe2013")`` always works.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
 from repro.collectors.archive import MeasurementWindow
-from repro.scenarios.base import (
-    ScenarioConfig,
-    default_stage_names,
-    stage_graph_for,
-)
+from repro.scenarios.base import ScenarioConfig, stage_graph_for
 from repro.scenarios.events import TimelineSpec
 from repro.pipeline.stage import StageGraph
 from repro.topology.generator import GeneratorConfig, IXPSpec
@@ -164,11 +169,6 @@ class ScenarioSpec:
     def stage_graph(self) -> StageGraph:
         """The stage graph assembled from this spec's declared stages."""
         return stage_graph_for(self.stage_names)
-
-    def declared_stage_names(self) -> Tuple[str, ...]:
-        """The declared stages (full library when not overridden)."""
-        return self.stage_names if self.stage_names is not None \
-            else default_stage_names()
 
     def with_overrides(self, **changes: Any) -> "ScenarioSpec":
         """A derived spec with ``changes`` applied (``dataclasses.replace``)."""

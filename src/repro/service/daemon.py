@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import signal
 import socket
 import threading
 import time
@@ -442,6 +443,7 @@ class ServerThread:
 
 def _worker_main(directories: List[str], host: str, port: int) -> None:
     """One forked worker: mmap-load the artifacts, serve forever."""
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     service = QueryService.from_artifacts(directories)
 
     async def _serve() -> None:
@@ -452,6 +454,10 @@ def _worker_main(directories: List[str], host: str, port: int) -> None:
     asyncio.run(_serve())
 
 
+def _exit_on_sigterm(signum, frame) -> None:
+    raise SystemExit(0)
+
+
 def serve_forever(service: QueryService, directories: Sequence[Path],
                   host: str = "127.0.0.1", port: int = 8321,
                   workers: int = 1) -> None:
@@ -460,6 +466,8 @@ def serve_forever(service: QueryService, directories: Sequence[Path],
     Every worker process mmap-loads the same artifact directories, so
     the resident planes are shared through the page cache.  Falls back
     to a single in-process server where ``SO_REUSEPORT`` is missing.
+    SIGTERM to the parent ends it normally, so it terminates its
+    workers before it exits.
     """
     if workers > 1 and hasattr(socket, "SO_REUSEPORT"):
         import multiprocessing
@@ -470,21 +478,24 @@ def serve_forever(service: QueryService, directories: Sequence[Path],
                 args=([str(d) for d in directories], host, port),
                 daemon=True)
             for _ in range(workers)]
-        for child in children:
-            child.start()
+        previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
         try:
+            for child in children:
+                child.start()
             for child in children:
                 child.join()
         finally:
+            signal.signal(signal.SIGTERM, previous)
             for child in children:
                 if child.is_alive():
                     child.terminate()
+                    child.join()
         return
 
     async def _serve() -> None:
         server = await start_server(service, host, port)
         print(f"[repro.service] serving {service.scenario_names()} "
-              f"on {host}:{bound_port(server)}")
+              f"on {host}:{bound_port(server)}", flush=True)
         async with server:
             await server.serve_forever()
 
@@ -519,6 +530,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="skip the mmap-vs-in-memory bit-identity "
                              "assertion at warm-up")
     args = parser.parse_args(argv)
+    if args.workers > 1 and args.port == 0:
+        # Each worker would bind its own ephemeral port, and nothing
+        # would report which.
+        parser.error("--workers > 1 needs a fixed --port")
 
     scenarios = args.scenario or ["europe2013"]
     service, directories = warm_service(

@@ -1,19 +1,14 @@
 """AS-level topology substrate.
 
-Provides the AS graph container, business-relationship taxonomy and
-valley-free checking, the synthetic Internet generator used as the
-paper's measurement substrate, an AS-Rank-style relationship-inference
-implementation and customer-cone computation.
+Provides the AS graph container, the link-type taxonomy, the synthetic
+Internet generator used as the paper's measurement substrate, an
+AS-Rank-style relationship-inference implementation and customer-cone
+computation.
 """
 
-from repro.topology.relationships import (
-    LinkType,
-    link_type_from_relationship,
-    is_valley_free,
-    classify_path,
-)
+from repro.topology.relationships import LinkType
 from repro.topology.as_graph import ASNode, ASLink, ASGraph, PeeringPolicy, GeographicScope
-from repro.topology.customer_cone import customer_cone, customer_cones, customer_degree
+from repro.topology.customer_cone import customer_cone, customer_cones
 from repro.topology.relationship_inference import (
     RelationshipInference,
     InferredRelationships,
@@ -22,9 +17,6 @@ from repro.topology.generator import InternetGenerator, GeneratorConfig, IXPSpec
 
 __all__ = [
     "LinkType",
-    "link_type_from_relationship",
-    "is_valley_free",
-    "classify_path",
     "ASNode",
     "ASLink",
     "ASGraph",
@@ -32,7 +24,6 @@ __all__ = [
     "GeographicScope",
     "customer_cone",
     "customer_cones",
-    "customer_degree",
     "RelationshipInference",
     "InferredRelationships",
     "InternetGenerator",

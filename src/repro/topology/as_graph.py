@@ -101,18 +101,6 @@ class ASLink:
         """Sorted endpoint pair identifying the adjacency."""
         return (min(self.a, self.b), max(self.a, self.b))
 
-    def involves(self, asn: int) -> bool:
-        """True if *asn* is one of the endpoints."""
-        return asn == self.a or asn == self.b
-
-    def other(self, asn: int) -> int:
-        """The opposite endpoint from *asn*."""
-        if asn == self.a:
-            return self.b
-        if asn == self.b:
-            return self.a
-        raise ValueError(f"AS{asn} is not on link {self}")
-
     def __str__(self) -> str:
         return f"{self.a}-{self.b} ({self.link_type.value})"
 
@@ -303,14 +291,6 @@ class ASGraph:
             return list(self._links.values())
         return [link for link in self._links.values() if link.link_type is link_type]
 
-    def peering_links(self) -> List[ASLink]:
-        """All p2p links (bilateral and route-server)."""
-        return [link for link in self._links.values() if link.link_type.is_peering]
-
-    def num_links(self) -> int:
-        """Total number of links."""
-        return len(self._links)
-
     # -- adjacency queries -----------------------------------------------------
 
     def neighbours(self, asn: int) -> Set[int]:
@@ -334,16 +314,6 @@ class ASGraph:
     def providers(self, asn: int) -> List[int]:
         """Direct providers of *asn*."""
         return self._typed(asn, Relationship.PROVIDER)
-
-    def peers(self, asn: int, include_rs: bool = True) -> List[int]:
-        """Peers of *asn* (bilateral, plus route-server peers by default)."""
-        if include_rs:
-            return self._typed(asn, Relationship.PEER, Relationship.RS_PEER)
-        return self._typed(asn, Relationship.PEER)
-
-    def siblings(self, asn: int) -> List[int]:
-        """Sibling ASes of *asn*."""
-        return self._typed(asn, Relationship.SIBLING)
 
     def relationship(self, local: int, remote: int) -> Optional[Relationship]:
         """Relationship of *remote* as seen from *local*, or None."""
@@ -370,10 +340,6 @@ class ASGraph:
     def transit_degree(self, asn: int) -> int:
         """Number of customers of *asn* (the 'customer degree' of figure 7)."""
         return len(self.customers(asn))
-
-    def stubs(self) -> List[int]:
-        """ASes with no customers."""
-        return [asn for asn in self._nodes if not self.customers(asn)]
 
     def members_of_ixp(self, ixp: str) -> List[int]:
         """ASes with a presence at *ixp*."""
@@ -418,15 +384,3 @@ class ASGraph:
         return index
 
     # -- summary -------------------------------------------------------------------
-
-    def summary(self) -> Dict[str, int]:
-        """Basic size statistics."""
-        return {
-            "ases": len(self._nodes),
-            "links": len(self._links),
-            "c2p_links": len(self.links(LinkType.C2P)),
-            "p2p_links": len(self.links(LinkType.P2P)),
-            "rs_p2p_links": len(self.links(LinkType.RS_P2P)),
-            "sibling_links": len(self.links(LinkType.SIBLING)),
-            "stubs": len(self.stubs()),
-        }

@@ -41,19 +41,3 @@ def customer_cones(graph: ASGraph, asns: Iterable[int] = None) -> Dict[int, Set[
                     frontier.append(customer)
         cones[asn] = cone
     return cones
-
-
-def customer_degree(graph: ASGraph, asn: int) -> int:
-    """Number of direct customers of *asn* (the paper's 'customer degree')."""
-    return graph.transit_degree(asn)
-
-
-def cone_size_ranking(graph: ASGraph) -> List[int]:
-    """ASNs ordered by decreasing customer-cone size (AS-Rank style)."""
-    cones = customer_cones(graph)
-    return sorted(graph.asns(), key=lambda asn: (-len(cones[asn]), asn))
-
-
-def is_in_customer_cone(graph: ASGraph, provider: int, candidate: int) -> bool:
-    """True if *candidate* is inside *provider*'s customer cone."""
-    return candidate in customer_cone(graph, provider)

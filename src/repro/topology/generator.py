@@ -195,17 +195,6 @@ class GeneratedInternet:
             result |= pairs
         return result
 
-    def rs_members(self, ixp_name: str) -> List[int]:
-        """Route-server members of *ixp_name*."""
-        return self.graph.rs_members_of_ixp(ixp_name)
-
-    def ixp_spec(self, ixp_name: str) -> IXPSpec:
-        """The :class:`IXPSpec` for *ixp_name*."""
-        for spec in self.ixp_specs:
-            if spec.name == ixp_name:
-                return spec
-        raise KeyError(ixp_name)
-
 
 class InternetGenerator:
     """Build a :class:`GeneratedInternet` by running the configured phases."""

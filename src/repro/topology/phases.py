@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Set, Tuple
 
 from repro.bgp.prefix import Prefix
 from repro.topology.as_graph import (
@@ -67,10 +67,6 @@ class ExportIntent:
         if self.mode == MODE_ALL_EXCEPT:
             return peer_asn not in self.listed
         return peer_asn in self.listed
-
-    def allowed_members(self, members: Sequence[int], self_asn: int) -> Set[int]:
-        """The members (excluding the announcer) the intent allows."""
-        return {m for m in members if m != self_asn and self.allows(m)}
 
 
 @dataclass

@@ -96,16 +96,11 @@ class TestPrivate16BitMapper:
         with pytest.raises(KeyError):
             mapper.alias_for(300000)
 
-    def test_try_alias_for_unregistered_returns_none(self):
-        mapper = Private16BitMapper()
-        assert mapper.try_alias_for(300000) is None
-        assert mapper.try_alias_for(100) == 100
-
     def test_register_all_and_mapping(self):
         mapper = Private16BitMapper()
-        mapper.register_all([200000, 200001, 42])
-        mapping = mapper.mapping()
-        assert set(mapping) == {200000, 200001}
+        for asn in (200000, 200001, 42):
+            mapper.register(asn)
+        assert set(mapper) == {200000, 200001}
 
     def test_space_exhaustion(self):
         mapper = Private16BitMapper(start=65533)

@@ -2,44 +2,26 @@
 
 import pytest
 
-from repro.bgp.communities import Community, format_community_set, parse_community_set
+from repro.bgp.communities import Community
 
 
 class TestCommunity:
     def test_parse_and_str(self):
-        community = Community.parse("6695:8359")
+        community = Community(6695, 8359)
         assert community.high == 6695
         assert community.low == 8359
         assert str(community) == "6695:8359"
 
-    def test_packed_value_roundtrip(self):
-        community = Community(0, 5410)
-        assert Community.from_int(community.value) == community
-
     def test_value_packing(self):
         assert Community(1, 2).value == (1 << 16) | 2
-
-    @pytest.mark.parametrize("bad", ["6695", "6695:", ":123", "a:b", "1:2:3"])
-    def test_invalid_strings_rejected(self, bad):
-        with pytest.raises(ValueError):
-            Community.parse(bad)
 
     @pytest.mark.parametrize("high,low", [(-1, 0), (0, -1), (65536, 0), (0, 65536)])
     def test_out_of_range_rejected(self, high, low):
         with pytest.raises(ValueError):
             Community(high, low)
 
-    def test_from_int_out_of_range(self):
-        with pytest.raises(ValueError):
-            Community.from_int(2**32)
-
-    def test_well_known_communities(self):
-        assert Community.no_export().is_well_known()
-        assert Community.no_advertise().is_well_known()
-        assert not Community(6695, 6695).is_well_known()
-
     def test_equality_hash_and_ordering(self):
-        a = Community.parse("0:6695")
+        a = Community(0, 6695)
         b = Community(0, 6695)
         c = Community(6695, 0)
         assert a == b and hash(a) == hash(b)
@@ -50,15 +32,3 @@ class TestCommunity:
         with pytest.raises(AttributeError):
             community.high = 5
 
-
-class TestCommunitySets:
-    def test_parse_community_set(self):
-        communities = parse_community_set("0:6695 6695:8359 6695:8447")
-        assert Community(0, 6695) in communities
-        assert len(communities) == 3
-
-    def test_format_is_sorted_and_roundtrips(self):
-        communities = parse_community_set("6695:8447 0:6695 6695:8359")
-        text = format_community_set(communities)
-        assert text == "0:6695 6695:8359 6695:8447"
-        assert parse_community_set(text) == communities

@@ -9,14 +9,14 @@ class TestParsing:
     def test_parse_roundtrip(self):
         prefix = Prefix.parse("192.0.2.0/24")
         assert str(prefix) == "192.0.2.0/24"
-        assert prefix.length == 24
+        assert prefix == Prefix.from_octets(192, 0, 2, 0, 24)
 
     def test_parse_bare_address_is_host_route(self):
-        assert Prefix.parse("10.1.2.3").length == 32
+        assert str(Prefix.parse("10.1.2.3")) == "10.1.2.3/32"
 
     def test_host_bits_are_zeroed(self):
         prefix = Prefix.parse("192.0.2.77/24")
-        assert prefix.network_address == "192.0.2.0"
+        assert str(prefix) == "192.0.2.0/24"
 
     def test_from_octets(self):
         prefix = Prefix.from_octets(10, 20, 30, 0, 24)
@@ -44,37 +44,6 @@ class TestRelations:
         prefix = Prefix.parse("10.0.0.0/8")
         assert prefix.contains(prefix)
 
-    def test_disjoint_prefixes_do_not_overlap(self):
-        a = Prefix.parse("10.0.0.0/8")
-        b = Prefix.parse("11.0.0.0/8")
-        assert not a.overlaps(b)
-        assert not b.overlaps(a)
-
-    def test_overlap_is_symmetric_for_nested(self):
-        a = Prefix.parse("10.0.0.0/8")
-        b = Prefix.parse("10.5.0.0/16")
-        assert a.overlaps(b) and b.overlaps(a)
-
-    def test_contains_address(self):
-        prefix = Prefix.parse("192.0.2.0/24")
-        assert prefix.contains_address(Prefix.parse("192.0.2.200").network)
-        assert not prefix.contains_address(Prefix.parse("192.0.3.1").network)
-
-    def test_supernet_and_subnets(self):
-        prefix = Prefix.parse("10.0.0.0/9")
-        assert str(prefix.supernet()) == "10.0.0.0/8"
-        low, high = Prefix.parse("10.0.0.0/8").subnets()
-        assert str(low) == "10.0.0.0/9"
-        assert str(high) == "10.128.0.0/9"
-
-    def test_default_route_has_no_supernet(self):
-        with pytest.raises(ValueError):
-            Prefix(0, 0).supernet()
-
-    def test_host_route_cannot_be_subdivided(self):
-        with pytest.raises(ValueError):
-            Prefix.parse("10.0.0.1/32").subnets()
-
 
 class TestValueSemantics:
     def test_equality_and_hash(self):
@@ -95,11 +64,3 @@ class TestValueSemantics:
         prefix = Prefix.parse("10.0.0.0/24")
         with pytest.raises(AttributeError):
             prefix.length = 16
-
-    def test_num_addresses(self):
-        assert Prefix.parse("10.0.0.0/24").num_addresses == 256
-        assert Prefix.parse("10.0.0.0/32").num_addresses == 1
-
-    def test_hosts_iteration_limited(self):
-        hosts = list(Prefix.parse("10.0.0.0/24").hosts(limit=3))
-        assert hosts == ["10.0.0.0", "10.0.0.1", "10.0.0.2"]

@@ -26,17 +26,16 @@ from repro.bgp.communities import Community
 from repro.bgp.policy import Relationship
 from repro.bgp.prefix import Prefix
 from repro.bgp.propagation import (
+    Adjacency,
     CLASS_CUSTOMER,
     CLASS_ORIGIN,
     CLASS_PEER,
     CLASS_PROVIDER,
-    Adjacency,
     OriginSpec,
     PropagatedRoute,
     PropagationEngine,
     PropagationResult,
     RouteBlock,
-    bidirectional_adjacencies,
 )
 from repro.collectors.archive import CollectorArchive, MeasurementWindow
 from repro.collectors.route_collector import RouteCollector
@@ -47,9 +46,17 @@ from repro.ixp.looking_glass import ASLookingGlass
 from tests.collectors.test_columnar_observation import entry_keys, lg_table
 from tests.oracle.observation import (
     ObjectArchive,
+    all_entries,
+    archive_updates,
+    dump_for_day,
     grouped_scan_rows,
     route_by_route_lg,
 )
+from tests.oracle.propagation import (
+    bidirectional_adjacencies,
+    engine_from_adjacencies,
+)
+from tests.oracle.blocks import block_from_routes
 
 P1, P2, P3, P4, P5, P6 = (Prefix.parse(f"10.{i}.0.0/16") for i in range(6))
 RS = frozenset({Community(6695, 6695)})
@@ -93,8 +100,8 @@ def hand_result() -> PropagationResult:
                    _route(200, (200, 9, 4), CLASS_PEER)]}
     result = PropagationResult()
     for spec, routes in origins:
-        result._record(spec, RouteBlock.from_routes(routes),
-                       RouteBlock.from_routes(offered.get(spec.asn, [])))
+        result._record(spec, block_from_routes(routes),
+                       block_from_routes(offered.get(spec.asn, [])))
     return result
 
 
@@ -114,7 +121,7 @@ def engine_result() -> PropagationResult:
     origins = [OriginSpec(asn=asn, prefixes=[Prefix.parse(f"11.0.{i}.0/24")
                                              for i in range(asn % 3)])
                for asn in (10, 20, 30, 40, 65001)]
-    return PropagationEngine(adjacencies).propagate(origins)
+    return engine_from_adjacencies(adjacencies).propagate(origins)
 
 
 RESULTS = {"hand": (hand_result, (100, 200, 300)),
@@ -158,11 +165,11 @@ def test_archive_matches_object_archive(result_name, days, fraction):
                            seed=days)
     oracle.collect(propagation, transient_fraction=fraction)
 
-    assert entry_keys(archive.all_entries()) == \
-        entry_keys(oracle.all_entries())
+    assert entry_keys(all_entries(archive)) == \
+        entry_keys(all_entries(oracle))
     for day in window.days() + [0, days + 1]:
-        assert entry_keys(archive.dump_for_day(day)) == \
-            entry_keys(oracle.dump_for_day(day)), day
+        assert entry_keys(dump_for_day(archive, day)) == \
+            entry_keys(dump_for_day(oracle, day)), day
     table = archive.stable_entries(1).table
     for min_days in range(1, days + 2):
         stable = archive.stable_entries(min_days)
@@ -173,16 +180,16 @@ def test_archive_matches_object_archive(result_name, days, fraction):
         assert entry_keys(archive.clean_stable_entries(min_days)) == \
             entry_keys(oracle.clean_stable_entries(min_days)), min_days
     assert [(u.timestamp, u.peer_asn, u.prefix, u.as_path, u.communities,
-             u.collector) for u in archive.updates()] == \
+             u.collector) for u in archive_updates(archive)] == \
         [(u.timestamp, u.peer_asn, u.prefix, u.as_path, u.communities,
-          u.collector) for u in oracle.updates()]
+          u.collector) for u in archive_updates(oracle)]
     assert archive.visible_as_links() == oracle.visible_as_links()
 
     # Value tables in first-seen dump order; transient paths after the
     # dump's, in transient order.
-    base = oracle.dump_for_day(1)[:table.base_count]
+    base = dump_for_day(oracle, 1)[:table.base_count]
     transients = [entry for day in window.days()
-                  for entry in oracle.dump_for_day(day)[table.base_count:]]
+                  for entry in dump_for_day(oracle, day)[table.base_count:]]
     assert table.prefixes == first_seen(entry.prefix for entry in base)
     assert table.bags == first_seen(entry.communities for entry in base)
     assert [table.path(path_id).asns
@@ -204,7 +211,7 @@ def test_hand_result_reaches_every_case():
     stable = archive.stable_entries(2)
     # Both collectors carry the shared vantage point's customer routes:
     # the repeated keys leave one stable row each.
-    day_one = archive.dump_for_day(1)
+    day_one = dump_for_day(archive, 1)
     assert {entry.collector for entry in day_one
             if entry.peer_asn == 100} == {"route-views", "rrc00"}
     assert len(clean) < len(stable) < base

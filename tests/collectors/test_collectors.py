@@ -5,12 +5,7 @@ import pytest
 from repro.bgp.communities import Community
 from repro.bgp.policy import Relationship
 from repro.bgp.prefix import Prefix
-from repro.bgp.propagation import (
-    Adjacency,
-    OriginSpec,
-    PropagationEngine,
-    bidirectional_adjacencies,
-)
+from repro.bgp.propagation import Adjacency, OriginSpec, PropagationEngine
 from repro.bgp.attributes import ASPath
 from repro.collectors.archive import (
     CollectorArchive,
@@ -19,6 +14,12 @@ from repro.collectors.archive import (
 )
 from repro.collectors.route_collector import RouteCollector
 from repro.collectors.vantage_point import FeedType, VantagePoint
+
+from tests.oracle.propagation import (
+    bidirectional_adjacencies,
+    engine_from_adjacencies,
+)
+from tests.oracle.observation import all_entries, archive_updates, dump_for_day
 
 
 @pytest.fixture
@@ -34,7 +35,7 @@ def propagation():
                                  communities=tag))
     adjacencies.append(Adjacency(source=30, target=20,
                                  relationship=Relationship.RS_PEER))
-    engine = PropagationEngine(adjacencies)
+    engine = engine_from_adjacencies(adjacencies)
     origins = [OriginSpec(asn=10, prefixes=[Prefix.parse("11.0.0.0/24")]),
                OriginSpec(asn=30, prefixes=[Prefix.parse("11.0.3.0/24")]),
                OriginSpec(asn=40, prefixes=[Prefix.parse("11.0.4.0/24")])]
@@ -62,7 +63,7 @@ class TestVantagePoint:
     def test_customer_only_feed_excludes_peer_routes(self, propagation):
         vp = VantagePoint(asn=30, feed_type=FeedType.CUSTOMER_ONLY)
         rows = exported(vp, propagation)
-        origins = {path.origin_asn for _peer, _prefix, path, _bag in rows}
+        origins = {path.asns[-1] for _peer, _prefix, path, _bag in rows}
         # 30 learned 10's route from an RS peer: not exported on a peer-like feed.
         assert 10 not in origins
         assert 40 in origins and 30 in origins
@@ -70,13 +71,13 @@ class TestVantagePoint:
 
     def test_full_feed_includes_everything(self, propagation):
         vp = VantagePoint(asn=30, feed_type=FeedType.FULL)
-        origins = {path.origin_asn
+        origins = {path.asns[-1]
                    for _peer, _prefix, path, _bag in exported(vp, propagation)}
         assert {10, 30, 40} <= origins
 
     def test_communities_survive_to_the_feed(self, propagation):
         vp = VantagePoint(asn=40, feed_type=FeedType.FULL)
-        bags = {path.origin_asn: bag
+        bags = {path.asns[-1]: bag
                 for _peer, _prefix, path, bag in exported(vp, propagation)}
         # 40 gets 10's route through its provider 30, which learned it via
         # the route server: the RS community must still be attached.
@@ -90,11 +91,11 @@ class TestRouteCollector:
         archive = CollectorArchive([collector],
                                    window=MeasurementWindow(num_days=1))
         archive.collect(propagation)
-        dump = archive.dump_for_day(1)
+        dump = dump_for_day(archive, 1)
         assert dump and all(entry.collector == "route-views" for entry in dump)
         links = archive.visible_as_links()
         assert (30, 40) in links and (20, 30) in links
-        assert collector.peer_asns() == [40]
+        assert [vp.asn for vp in collector.vantage_points] == [40]
 
 
 class TestCollectorArchive:
@@ -111,18 +112,18 @@ class TestCollectorArchive:
 
     def test_daily_dumps_cover_window(self, propagation):
         archive = self.make_archive(propagation)
-        assert len(archive.dump_for_day(1)) == len(archive.dump_for_day(3))
-        assert len(archive.all_entries()) == 3 * len(archive.dump_for_day(1))
+        assert len(dump_for_day(archive, 1)) == len(dump_for_day(archive, 3))
+        assert len(all_entries(archive)) == 3 * len(dump_for_day(archive, 1))
 
     def test_stable_entries_deduplicate(self, propagation):
         archive = self.make_archive(propagation)
         stable = archive.stable_entries(min_days=2)
-        assert len(stable) == len(archive.dump_for_day(1))
+        assert len(stable) == len(dump_for_day(archive, 1))
 
     def test_transient_entries_filtered(self, propagation):
         archive = self.make_archive(propagation, transient=0.5)
         all_keys = {(e.peer_asn, e.prefix, e.as_path.asns)
-                    for e in archive.all_entries()}
+                    for e in all_entries(archive)}
         stable_keys = {(e.peer_asn, e.prefix, e.as_path.asns)
                        for e in archive.stable_entries(min_days=2)}
         assert stable_keys < all_keys
@@ -133,8 +134,8 @@ class TestCollectorArchive:
 
     def test_updates_synthesised(self, propagation):
         archive = self.make_archive(propagation)
-        assert archive.updates()
-        assert all(u.peer_asn == 40 for u in archive.updates())
+        assert archive_updates(archive)
+        assert all(u.peer_asn == 40 for u in archive_updates(archive))
 
     def test_visible_links(self, propagation):
         archive = self.make_archive(propagation)

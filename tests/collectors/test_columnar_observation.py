@@ -29,8 +29,20 @@ from repro.runtime.context import PipelineContext
 from repro.topology.generator import GeneratorConfig, InternetGenerator
 
 from tests.oracle.kernels import KERNELS, forced_kernel
-from tests.oracle.observation import ObjectArchive, route_by_route_lg
-from tests.oracle.propagation import object_result
+from tests.oracle.observation import (
+    ObjectArchive,
+    all_entries,
+    archive_updates,
+    dump_for_day,
+    route_by_route_lg,
+)
+from tests.oracle.propagation import (
+    all_paths,
+    best_route,
+    object_result,
+    origin_spec,
+    result_observers,
+)
 
 PROPAGATION_BACKENDS = KERNELS
 
@@ -146,20 +158,21 @@ def lg_table(lg: ASLookingGlass):
 
 @pytest.mark.parametrize("backend", PROPAGATION_BACKENDS)
 def test_observation_index_fast_paths_match_fold(backend):
-    """``all_paths``/``best_route`` served from the ObservationIndex
-    equal the oracle's dict-fold answers for every (host, origin) pair,
-    including pairs the result never recorded."""
+    """``all_paths``/``best_route`` read from the production result's
+    recorded blocks equal the oracle's dict-fold answers for every
+    (host, origin) pair, including pairs the result never recorded
+    (the looking-glass references below build on them)."""
     propagation, oracle, _feeds, hosts = _build_observation(555, backend)
     outsider = -1  # records nothing
     for asn in hosts + [outsider]:
         for origin in oracle.origins() + [outsider]:
-            best = propagation.best_route(asn, origin)
-            want = oracle.best_route(asn, origin)
+            best = best_route(propagation, asn, origin)
+            want = best_route(oracle, asn, origin)
             assert (best is None) == (want is None), (asn, origin)
             if want is not None:
                 assert route_key(best) == route_key(want), (asn, origin)
-            assert [route_key(r) for r in propagation.all_paths(asn, origin)] \
-                == [route_key(r) for r in oracle.all_paths(asn, origin)], \
+            assert [route_key(r) for r in all_paths(propagation, asn, origin)] \
+                == [route_key(r) for r in all_paths(oracle, asn, origin)], \
                 (asn, origin)
 
 
@@ -174,9 +187,9 @@ def test_result_readers_match_object_result(seed, backend):
     vantage_asns = [asn for asn, _feed in feeds]
     outsider = -1  # records nothing
     assert propagation.origins() == oracle.origins()
-    assert propagation.observers() == oracle.observers()
+    assert result_observers(propagation) == result_observers(oracle)
 
-    for observer in propagation.observers() + [outsider]:
+    for observer in result_observers(propagation) + [outsider]:
         got = [(origin, route_key(route)) for origin, route
                in propagation.iter_routes_at(observer)]
         want = [(origin, route_key(route)) for origin, route
@@ -208,7 +221,7 @@ def test_empty_result_answers_from_an_empty_index():
     empty value, never None."""
     from repro.bgp.propagation import PropagationResult
     result = PropagationResult()
-    assert result.origins() == [] and result.observers() == []
+    assert result.origins() == [] and result_observers(result) == []
     assert result.recorded_fragments() == {}
     assert result.visible_links() == set()
     assert result.visible_links([1, 2]) == set()
@@ -216,8 +229,8 @@ def test_empty_result_answers_from_an_empty_index():
     assert result.iter_routes_at(1) == []
     assert result.routes_at(1) == {}
     assert len(result.observer_view(1)) == 0
-    assert result.all_paths(1, 2) == []
-    assert result.best_route(1, 2) is None
+    assert all_paths(result, 1, 2) == []
+    assert best_route(result, 1, 2) is None
 
 
 # -- archive: column store vs object oracle ------------------------------------
@@ -235,20 +248,20 @@ def test_columnar_archive_matches_object_oracle(seed, backend):
     columnar = _build_archive(propagation, feeds, seed)
     oracle = _build_oracle_archive(oracle_result, feeds, seed)
 
-    assert entry_keys(columnar.all_entries()) == \
-        entry_keys(oracle.all_entries())
+    assert entry_keys(all_entries(columnar)) == \
+        entry_keys(all_entries(oracle))
     for day in columnar.window.days():
-        assert entry_keys(columnar.dump_for_day(day)) == \
-            entry_keys(oracle.dump_for_day(day)), day
+        assert entry_keys(dump_for_day(columnar, day)) == \
+            entry_keys(dump_for_day(oracle, day)), day
     for min_days in (1, 2, 3, 99):
         assert entry_keys(columnar.stable_entries(min_days)) == \
             entry_keys(oracle.stable_entries(min_days)), min_days
         assert entry_keys(columnar.clean_stable_entries(min_days)) == \
             entry_keys(oracle.clean_stable_entries(min_days)), min_days
     assert [(u.prefix, u.as_path.asns, u.timestamp, u.peer_asn)
-            for u in columnar.updates()] == \
+            for u in archive_updates(columnar)] == \
         [(u.prefix, u.as_path.asns, u.timestamp, u.peer_asn)
-         for u in oracle.updates()]
+         for u in archive_updates(oracle)]
     assert columnar.visible_as_links() == oracle.visible_as_links()
 
 
@@ -258,11 +271,11 @@ def test_second_collect_is_rejected():
     propagation, _oracle, feeds, _hosts = _build_observation(2013,
                                                              "frontier")
     archive = _build_archive(propagation, feeds, 2013)
-    entries = entry_keys(archive.all_entries())
+    entries = entry_keys(all_entries(archive))
     stable = archive.stable_entries(2)
     with pytest.raises(ValueError, match="already collected"):
         archive.collect(propagation)
-    assert entry_keys(archive.all_entries()) == entries
+    assert entry_keys(all_entries(archive)) == entries
     assert archive.stable_entries(2) is stable
 
 
@@ -273,8 +286,8 @@ def test_columnar_archive_pickle_roundtrip_preserves_entries():
                                                              "frontier")
     archive = _build_archive(propagation, feeds, 424242)
     clone = pickle.loads(pickle.dumps(archive))
-    assert entry_keys(clone.all_entries()) == \
-        entry_keys(archive.all_entries())
+    assert entry_keys(all_entries(clone)) == \
+        entry_keys(all_entries(archive))
     assert entry_keys(clone.clean_stable_entries(2)) == \
         entry_keys(archive.clean_stable_entries(2))
     assert clone.visible_as_links() == archive.visible_as_links()
@@ -287,7 +300,7 @@ def test_shared_aspath_identity_feeds_passive_memo():
     propagation, _oracle, feeds, _hosts = _build_observation(77, "frontier")
     archive = _build_archive(propagation, feeds, 77)
     by_asns = {}
-    for entry in archive.all_entries():
+    for entry in all_entries(archive):
         seen = by_asns.setdefault(entry.as_path.asns, entry.as_path)
         assert seen is entry.as_path
     # The memoised clean-stable list is returned as the same object.
@@ -319,19 +332,17 @@ def test_bulk_lg_loads_match_route_by_route(seed, backend):
 
 def test_bulk_lg_interleaves_with_eager_loads():
     """A bulk view flushes correctly when eager operations interleave:
-    load_route after load_view, then mark_best_paths."""
+    load_route after load_view."""
     propagation, oracle_result, _feeds, hosts = \
         _build_observation(99, "frontier")
     asn = hosts[0]
     lg = ASLookingGlass(asn=asn, display_all_paths=True)
-    extra = LGRoute(prefix=propagation.origin_spec(
-        propagation.origins()[0]).prefixes[0],
+    first = origin_spec(propagation, propagation.origins()[0])
+    extra = LGRoute(prefix=first.prefixes[0],
         as_path=(65001, 65000), best=False)
     lg.load_view(propagation.observer_view(asn))
     oracle = route_by_route_lg(oracle_result, asn)
     lg.load_route(extra)
     oracle.load_route(extra)
     assert lg._view is None, "eager load must flush the pending view"
-    lg.mark_best_paths()
-    oracle.mark_best_paths()
     assert lg_table(lg) == lg_table(oracle)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.scenarios.europe2013 import build_europe2013
+from repro.pipeline import ArtifactCache, ScenarioRun
 from repro.scenarios.workloads import small_scenario_config
 
 
@@ -18,7 +18,8 @@ def pytest_addoption(parser):
 @pytest.fixture(scope="session")
 def small_scenario():
     """The small synthetic Europe-2013 scenario (built once)."""
-    return build_europe2013(small_scenario_config(seed=20130501))
+    return ScenarioRun(small_scenario_config(seed=20130501),
+                       cache=ArtifactCache()).scenario()
 
 
 @pytest.fixture(scope="session")

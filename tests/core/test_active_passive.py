@@ -7,7 +7,11 @@ from repro.bgp.communities import Community
 from repro.bgp.messages import RibEntry
 from repro.bgp.policy import Relationship
 from repro.bgp.prefix import Prefix
-from repro.core.active import ActiveInference, collect_from_third_party_lg
+from repro.core.active import (
+    ActiveInference,
+    collect_from_third_party_lg,
+    interpret_raw_observations,
+)
 from repro.core.communities import RSCommunityInterpreter
 from repro.core.passive import PassiveInference
 from repro.core.reachability import infer_links, merge_observations
@@ -83,7 +87,8 @@ class TestThirdPartyLG:
         assert collection.lg_asn == d
         # d receives routes from a, b and c, so it sees their communities.
         assert collection.members_with_communities() == {a, b, c}
-        observations = collection.policy_observations(interpreter)
+        observations = interpret_raw_observations(
+            interpreter, "DE-CIX", collection.observations, "third-party")
         a_observations = [o for o in observations if o.member_asn == a]
         assert all(o.mode == "all-except" and c in o.listed
                    for o in a_observations)
@@ -161,8 +166,8 @@ class TestPassiveInference:
         observations = passive.extract(entries)
         covered = passive.covered_members(observations)
         assert covered["DE-CIX"] == {a, b}
-        prefixes = passive.covered_prefixes(observations)
-        assert Prefix.parse("11.0.0.0/24") in prefixes["DE-CIX"][a]
+        assert Prefix.parse("11.0.0.0/24") in {
+            o.prefix for o in observations if o.setter_asn == a}
 
     def test_policy_observations_conversion(self, decix_world):
         rs, registry, interpreter, (a, b, c, d) = decix_world

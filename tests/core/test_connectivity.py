@@ -40,6 +40,52 @@ def test_scenario_discovery_matches_oracle(name):
     assert any(report.members for report in mine.values()), name
 
 
+def test_one_discovery_per_scenario(monkeypatch):
+    """The connectivity stage and every ablation share one discovery,
+    equal to a fresh one."""
+    run = ScenarioRun(get_scenario("europe2013").config("tiny"),
+                      cache=ArtifactCache())
+    scenario = run.scenario()
+    discover_all_ = ConnectivityDiscovery.discover_all
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return discover_all_(self, *args, **kwargs)
+
+    monkeypatch.setattr(ConnectivityDiscovery, "discover_all", counted)
+    for options in ({}, {"use_active": False}, {"use_passive": False},
+                    {"require_reciprocity": False}):
+        scenario.run_inference(**options)
+    assert run.artifact("connectivity") is scenario.discover_connectivity()
+    assert len(calls) == 1
+    fresh = discover_all_(scenario.connectivity_discovery(),
+                          scenario.ixps.values(),
+                          rs_lgs=scenario.rs_looking_glasses,
+                          rs_asns=scenario.rs_asns())
+    assert report_differences(scenario.discover_connectivity(), fresh) == []
+    assert scenario.discover_connectivity() == fresh
+
+
+def test_member_change_rediscovers():
+    """A route-server membership change between two runs on one
+    scenario reaches the next run's discovery and member sets."""
+    scenario = ScenarioRun(get_scenario("europe2013").config("tiny"),
+                           cache=ArtifactCache()).scenario()
+    scenario.run_inference()
+    name = sorted(scenario.rs_looking_glasses)[0]
+    rs = scenario.route_servers[name]
+    joiner = min(asn for asn in scenario.graph.asns()
+                 if asn not in rs.member_set())
+    rs.add_member(joiner)
+    result = scenario.run_inference()
+    assert joiner in scenario.discover_connectivity()[name].members
+    assert joiner in result.per_ixp[name].members
+    rs.remove_member(joiner)
+    scenario.run_inference()
+    assert joiner not in scenario.discover_connectivity()[name].members
+
+
 def _ixp(name, rs_asn, rs_members, others=(), publishes=True):
     """An IXP whose route server connects *rs_members*; *others* are
     present at the exchange but not on the route server."""
@@ -83,8 +129,8 @@ def hand_built():
     ]
     discovery = ConnectivityDiscovery(
         irr=irr, as_set_names={"LG": "AS-LG-RS", "ASSET": "AS-ASSET-RS"})
-    rs_lgs = {"LG": RouteServerLookingGlass(ixps[0].route_server)}
-    rs_asns = {ixp.name: ixp.route_server.rs_asn for ixp in ixps}
+    rs_lgs = {"LG": RouteServerLookingGlass(ixps[0].route_servers[0])}
+    rs_asns = {ixp.name: ixp.route_servers[0].rs_asn for ixp in ixps}
     return discovery, ixps, rs_lgs, rs_asns
 
 

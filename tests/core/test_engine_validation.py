@@ -16,7 +16,8 @@ class TestConnectivityDiscovery:
             report = connectivity_reports[name]
             truth = set(small_scenario.graph.rs_members_of_ixp(name))
             assert truth <= report.members
-            assert report.members_from("lg") == truth
+            assert {asn for asn, source in report.sources.items()
+                    if source == "lg"} == truth
 
     def test_linx_falls_back_to_irr_search(self, small_scenario, connectivity_reports):
         report = connectivity_reports["LINX"]
@@ -30,7 +31,7 @@ class TestConnectivityDiscovery:
         # AMS-IX has no route-server LG but publishes an as-set.
         report = connectivity_reports["AMS-IX"]
         assert report.members
-        assert report.members_from("as-set") or report.members_from("website")
+        assert set(report.sources.values()) & {"as-set", "website"}
 
 
 class TestReciprocity:

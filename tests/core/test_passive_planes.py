@@ -38,6 +38,7 @@ from repro.scenarios.spec import get_scenario, scenario_names
 
 from tests.oracle import inference as oracle
 from tests.oracle.observation import dump_from_rows
+from tests.oracle.inference import identical
 
 MIN_DAYS = (1, 2, 3, 99)
 
@@ -211,5 +212,5 @@ def test_engine_accepts_only_the_stable_view(archive, engine):
     expected = oracle.ObjectInferenceEngine(
         registry=engine.registry, rs_members=engine.rs_members,
         relationships=engine.relationships).run(passive_entries=view)
-    assert result.identical_to(expected)
+    assert identical(result, expected)
     assert result.per_ixp["DE-CIX"].passive_members

@@ -9,6 +9,7 @@ from repro.core.reachability import (
     infer_links,
     merge_observations,
 )
+from tests.oracle.reachability import openness
 
 MEMBERS = [10, 20, 30, 40]
 
@@ -35,20 +36,20 @@ class TestMergeObservations:
         merged = merge_observations([obs(10, "all-except", {20})], MEMBERS)
         assert merged.mode == "all-except"
         assert merged.allows(30) and not merged.allows(20)
-        assert merged.is_consistent
+        assert merged.inconsistent_prefixes == 0
 
     def test_consistent_observations_stay_consistent(self):
         merged = merge_observations(
             [obs(10, "all-except", {20}, "11.0.0.0/24"),
              obs(10, "all-except", {20}, "11.0.1.0/24")], MEMBERS)
-        assert merged.is_consistent
+        assert merged.inconsistent_prefixes == 0
         assert merged.prefixes_observed == 2
 
     def test_inconsistent_all_except_unions_excludes(self):
         merged = merge_observations(
             [obs(10, "all-except", {20}, "11.0.0.0/24"),
              obs(10, "all-except", {30}, "11.0.1.0/24")], MEMBERS)
-        assert not merged.is_consistent
+        assert merged.inconsistent_prefixes > 0
         assert not merged.allows(20) and not merged.allows(30)
         assert merged.allows(40)
 
@@ -80,7 +81,7 @@ class TestMergeObservations:
 
     def test_openness(self):
         merged = merge_observations([obs(10, "all-except", {20})], MEMBERS)
-        assert merged.openness(MEMBERS) == pytest.approx(2 / 3)
+        assert openness(merged, MEMBERS) == pytest.approx(2 / 3)
 
 
 class TestInferLinks:

@@ -8,7 +8,6 @@ from repro.ixp.community_schemes import (
     CommunityScheme,
     RSAction,
     SchemeRegistry,
-    classify_against_schemes,
 )
 
 
@@ -24,14 +23,14 @@ def ecix():
 
 class TestTable1Encodings:
     def test_decix_values_match_table1(self, decix):
-        assert decix.all_() == Community(6695, 6695)
-        assert decix.none() == Community(0, 6695)
+        assert decix.all_community == Community(6695, 6695)
+        assert decix.none_community == Community(0, 6695)
         assert decix.exclude(5410) == Community(0, 5410)
         assert decix.include(8359) == Community(6695, 8359)
 
     def test_ecix_values_match_table1(self, ecix):
-        assert ecix.all_() == Community(9033, 9033)
-        assert ecix.none() == Community(65000, 0)
+        assert ecix.all_community == Community(9033, 9033)
+        assert ecix.none_community == Community(65000, 0)
         assert ecix.exclude(5410) == Community(64960, 5410)
         assert ecix.include(8359) == Community(65000, 8359)
 
@@ -135,13 +134,7 @@ class TestRegistry:
         assert "ECIX" in registry
         assert len(registry) == 2
         assert len(registry.table1()) == 2
-        assert registry.schemes_for_rs_asn(6695) == [decix]
 
-    def test_classify_against_schemes(self, decix, ecix):
-        registry = SchemeRegistry([decix, ecix])
-        matches = classify_against_schemes([Community(6695, 6695)], registry)
-        assert "DE-CIX" in matches
-        assert "ECIX" not in matches
 
 
 class TestFromStyleEdgeCases:
@@ -170,13 +163,13 @@ class TestClassificationCollisions:
     def test_rs_asn_style_exclude_of_rs_asn_reads_as_none(self, decix):
         # EXCLUDE(6695) encodes as 0:6695, which *is* the NONE community.
         collision = decix.exclude(6695)
-        assert collision == decix.none()
+        assert collision == decix.none_community
         assert decix.classify(collision).action is RSAction.NONE
 
     def test_offset_style_include_of_zero_reads_as_none(self, ecix):
         # INCLUDE(0) encodes as 65000:0, which *is* the NONE community.
         collision = ecix.include(0)
-        assert collision == ecix.none()
+        assert collision == ecix.none_community
         assert ecix.classify(collision).action is RSAction.NONE
 
     def test_offset_style_rs_asn_colliding_with_exclude_high(self):
@@ -219,7 +212,7 @@ class TestZeroExcludeRoundTrip:
     def test_forced_all_marker_restores_rs_asn_signal(self, mskix):
         encoded = mskix.encode_policy("all-except", [5410],
                                       include_all_marker=True)
-        assert mskix.all_() in encoded
+        assert mskix.all_community in encoded
         assert mskix.mentions_rs_asn(encoded)
 
     def test_none_except_unaffected_by_omission_default(self, mskix):

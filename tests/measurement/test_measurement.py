@@ -40,7 +40,7 @@ class TestTraceroute:
         # The member-member RS link is invisible; both member-RS links appear.
         assert (20, 30) not in links
         assert (6695, 20) in links or (20, 6695) in {(a, b) for a, b in links}
-        assert campaign.member_rs_adjacencies(links)
+        assert any(6695 in link for link in links)
 
     def test_direct_reporting_mode(self, rs_world):
         graph, propagation = rs_world

@@ -10,21 +10,91 @@ recorded-observer mask applied per row), and :func:`per_block_assembler`
 pins a :class:`~repro.bgp.propagation.PropagationEngine` to them, so a
 test can compare every production block with its per-block twin byte
 for byte (:func:`block_bytes`).
+
+:func:`block_from_routes` builds a block from route objects (hand-made
+fragments), :func:`fragments_equivalent` compares two ``(best,
+offered)`` pairs route for route, ignoring batch-local numbering, and
+:func:`link_pairs` lists the adjacent ASN pairs of a block's paths.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import List, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
 from repro.bgp.propagation import PropagationEngine
-from repro.runtime.fragments import PathTable, RouteBlock
+from repro.runtime.fragments import PathTable, RouteBlock, _row_pairs
 
 #: The column slots of a block, in :class:`RouteBlock` order.
 COLUMNS = ("asn", "provenance", "learned_from", "bag_id", "pid",
            "path_offsets", "path_values")
+
+
+def block_from_routes(routes: Iterable[object]) -> RouteBlock:
+    """The columnar form of route objects; the originals are kept as
+    the block's row views, so their identity is preserved."""
+    routes = list(routes)
+    count = len(routes)
+    bag_index: dict = {}
+    bag_values: List[frozenset] = []
+    bag_ids = np.empty(count, dtype=np.int32)
+    offsets = np.zeros(count + 1, dtype=np.int64)
+    for i, route in enumerate(routes):
+        bid = bag_index.get(route.communities)
+        if bid is None:
+            bid = bag_index[route.communities] = len(bag_values)
+            bag_values.append(route.communities)
+        bag_ids[i] = bid
+        offsets[i + 1] = offsets[i] + len(route.path)
+    values = np.fromiter((asn for route in routes for asn in route.path),
+                         dtype=np.int64, count=int(offsets[-1]))
+    block = RouteBlock(
+        asn=np.fromiter((r.asn for r in routes), np.int64, count=count),
+        provenance=np.fromiter((r.provenance for r in routes), np.int16,
+                               count=count),
+        learned_from=np.fromiter(
+            (-1 if r.learned_from is None else r.learned_from
+             for r in routes), np.int64, count=count),
+        bag_id=bag_ids,
+        pid=np.full(count, -1, dtype=np.int64),
+        path_offsets=offsets,
+        path_values=values,
+        bag_values=tuple(bag_values),
+    )
+    block._rows = routes
+    return block
+
+
+def blocks_equivalent(mine: RouteBlock, theirs: RouteBlock) -> bool:
+    """Row equality: the same observers, paths, provenances, exporters
+    and community bags, row for row.  Batch-local numbering (``pid``,
+    the ``bag_id`` -> ``bag_values`` indirection) is not compared: a
+    block reused by a delta replay and a recomputed one must agree."""
+    if mine is theirs:
+        return True
+    if len(mine.asn) != len(theirs.asn):
+        return False
+    if not all(np.array_equal(getattr(mine, column), getattr(theirs, column))
+               for column in ("asn", "provenance", "learned_from",
+                              "path_offsets", "path_values")):
+        return False
+    return all(mine.bag_values[a] == theirs.bag_values[b]
+               for a, b in zip(mine.bag_id.tolist(), theirs.bag_id.tolist()))
+
+
+def fragments_equivalent(a, b) -> bool:
+    """:func:`blocks_equivalent` over two ``(best, offered)`` pairs."""
+    return all(blocks_equivalent(mine, theirs) for mine, theirs in zip(a, b))
+
+
+def link_pairs(block: RouteBlock):
+    """Undirected ``(lo, hi)`` ASN pair arrays adjacent in any path of
+    *block*: pairs across row boundaries and ``left == right``
+    (prepended) pairs are dropped, duplicates kept."""
+    lo, hi, _cells = _row_pairs(block.path_values, block.path_offsets)
+    return lo, hi
 
 
 def intern_bags(bag_ids, bag_value):

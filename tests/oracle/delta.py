@@ -3,8 +3,8 @@
 :func:`origins_touching` is the original implementation of
 :func:`repro.runtime.delta.origins_touching`: it walks the prior
 result's recorded (best, offered) blocks one by one, tests every removed
-pair against the block's :meth:`~repro.runtime.fragments.RouteBlock.
-link_pairs` and every visited ASN against its raw path values.  It
+pair against the block's :func:`~tests.oracle.blocks.link_pairs` and
+every visited ASN against its raw path values.  It
 needs no packed keys, so it also answers for values beyond 32 bits.
 """
 
@@ -13,6 +13,8 @@ from __future__ import annotations
 from typing import Iterable, Set, Tuple
 
 import numpy as np
+
+from tests.oracle.blocks import link_pairs
 
 
 def _block_touches(block, pair_set: Set[Tuple[int, int]],
@@ -24,7 +26,9 @@ def _block_touches(block, pair_set: Set[Tuple[int, int]],
         if bool((values == asn).any()):
             return True
     if pair_set:
-        lo, hi = block.link_pairs()
+        # A caller's view may carry its pairs precomputed.
+        lo, hi = block.link_pairs() if hasattr(block, "link_pairs") \
+            else link_pairs(block)
         if len(lo):
             hit = np.zeros(len(lo), dtype=bool)
             for low, high in pair_set:

@@ -9,7 +9,7 @@ pipeline: per IXP, the public step functions build one
 :func:`~repro.core.reachability.merge_observations` and infer links
 with :func:`~repro.core.reachability.infer_links`.  The differential
 suites require the two engines to produce bit-identical results
-(:meth:`MLPInferenceResult.identical_to`).  The oracle's result carries
+(:func:`identical`).  The oracle's result carries
 a :class:`~repro.runtime.reachmatrix.ReachabilityMatrix` rebuilt from
 its per-IXP objects (:func:`matrix_from_inferences`, ``built_by
 "result"``); it has no observation counts, which only the engine's
@@ -28,7 +28,11 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 
 from repro.bgp.messages import RibEntry
 from repro.bgp.policy import Relationship
-from repro.core.active import ActiveInference, collect_from_third_party_lg
+from repro.core.active import (
+    ActiveInference,
+    collect_from_third_party_lg,
+    interpret_raw_observations,
+)
 from repro.core.communities import RSCommunityInterpreter
 from repro.core.engine import (
     IXPInference,
@@ -130,8 +134,9 @@ class ObjectInferenceEngine(MLPInferenceEngine):
             for lg in third_party:
                 collection = collect_from_third_party_lg(
                     ixp_name, lg, members, self.interpreter)
-                observations.extend(
-                    collection.policy_observations(self.interpreter))
+                observations.extend(interpret_raw_observations(
+                    self.interpreter, ixp_name, collection.observations,
+                    "third-party"))
                 inference.active_members |= collection.members_with_communities()
                 inference.active_queries += collection.total_queries
 
@@ -186,6 +191,26 @@ class ObjectInferenceEngine(MLPInferenceEngine):
             index=self._member_index(ixp_name, members),
             require_reciprocity=require_reciprocity)))
 
+
+
+def identical(mine: MLPInferenceResult, theirs: MLPInferenceResult) -> bool:
+    """Full bit-identity of two inference results: links, per-IXP link
+    sets, Table 2 rows, member/provenance sets, reachability objects
+    and query spend.  The one predicate the differential tests share:
+    extend it here when results grow new fields."""
+    if set(mine.per_ixp) != set(theirs.per_ixp):
+        return False
+    if mine.table2() != theirs.table2():
+        return False
+    return all(
+        left.links == right.links
+        and left.members == right.members
+        and left.passive_members == right.passive_members
+        and left.active_members == right.active_members
+        and left.active_queries == right.active_queries
+        and left.reachabilities == right.reachabilities
+        for left, right in ((mine.per_ixp[name], theirs.per_ixp[name])
+                            for name in mine.per_ixp))
 
 def matrix_from_inferences(per_ixp: Mapping[str, IXPInference],
                            context=None) -> ReachabilityMatrix:

@@ -12,6 +12,9 @@ module is the seed's object implementation of the same steps:
   dict-fold transient filter of section 5;
 * :func:`route_by_route_lg` — a validation looking glass loaded one
   :class:`LGRoute` at a time from ``all_paths``;
+* :func:`all_entries`, :func:`dump_for_day` and :func:`archive_updates`
+  — any archive's entries and update messages as objects;
+* :func:`path_links` — the links an AS path reveals, path by path;
 * :func:`grouped_scan_rows` — the stable filter as one grouped scan
   over every day's rows, which pins the production view's row
   positions, not just its entries.
@@ -27,17 +30,88 @@ as production does.  :func:`dump_from_rows` builds a hand-made
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.bgp.attributes import ASPath
-from repro.bgp.messages import RibEntry, UpdateMessage
+from repro.bgp.communities import Community
+from repro.bgp.messages import RibEntry
 from repro.bgp.prefix import Prefix
 from repro.bgp.propagation import CLASS_CUSTOMER
 from repro.collectors.archive import MeasurementWindow, RibDump
 from repro.collectors.vantage_point import FeedType
 from repro.ixp.looking_glass import ASLookingGlass, LGRoute
+
+from tests.oracle.propagation import all_paths, origin_spec
+
+
+@dataclass(frozen=True)
+class UpdateMessage:
+    """A BGP announcement a collector archived at *timestamp* (seconds
+    since the start of the measurement window)."""
+
+    timestamp: float
+    peer_asn: int
+    prefix: Prefix
+    as_path: ASPath
+    communities: FrozenSet[Community] = frozenset()
+    collector: Optional[str] = None
+
+
+def day_rows(table, day: int) -> np.ndarray:
+    """Positions of *day*'s dump in a ``RibEntryTable``: the base rows,
+    then that day's transient rows."""
+    if day not in table.days:
+        return np.empty(0, dtype=np.int64)
+    count = table.base_count
+    first = table.days.index(day) * count
+    return np.concatenate((
+        np.arange(first, first + count, dtype=np.int64),
+        len(table.days) * count
+        + np.flatnonzero(table.transient_day == day)))
+
+
+def dump_for_day(archive, day: int) -> List[RibEntry]:
+    """The RIB dump *archive* holds for *day*."""
+    if isinstance(archive, ObjectArchive):
+        return archive.dump_for_day(day)
+    table = archive._table
+    return table.entries(day_rows(table, day))
+
+
+def all_entries(archive) -> List[RibEntry]:
+    """Every RIB entry *archive* holds, day by day."""
+    if isinstance(archive, ObjectArchive):
+        return archive.all_entries()
+    return [entry for day in sorted(archive._table.days)
+            for entry in dump_for_day(archive, day)]
+
+
+def archive_updates(archive) -> List[UpdateMessage]:
+    """The update messages *archive* sampled, as objects."""
+    if isinstance(archive, ObjectArchive):
+        return archive.updates()
+    table = archive._table
+    rows = archive._update_rows
+    return [UpdateMessage(timestamp=stamp, peer_asn=peer,
+                          prefix=table.prefixes[prefix_id],
+                          as_path=table.path(path_id),
+                          communities=table.bags[bag_id],
+                          collector=table.collectors[coll_id])
+            for stamp, peer, prefix_id, path_id, bag_id, coll_id in zip(
+                archive._update_times, table.peer[rows].tolist(),
+                table.prefix_id[rows].tolist(), table.path_id[rows].tolist(),
+                table.bag_id[rows].tolist(), table.coll_id[rows].tolist())]
+
+
+def path_links(path: ASPath) -> List[Tuple[int, int]]:
+    """Adjacent AS pairs on the prepend-collapsed *path*, as sorted
+    tuples (the links a public collector reveals)."""
+    deduped = path.deduplicated().asns
+    return [(min(left, right), max(left, right))
+            for left, right in zip(deduped, deduped[1:])]
 
 
 def exported_routes(vantage_point, propagation,
@@ -48,7 +122,7 @@ def exported_routes(vantage_point, propagation,
     for origin, route in propagation.iter_routes_at(vantage_point.asn):
         if not full and route.provenance > CLASS_CUSTOMER:
             continue
-        for prefix in propagation.origin_spec(origin).prefixes:
+        for prefix in origin_spec(propagation, origin).prefixes:
             entries.append(RibEntry(
                 peer_asn=vantage_point.asn,
                 prefix=prefix,
@@ -137,7 +211,7 @@ class ObjectArchive:
     def visible_as_links(self) -> Set[Tuple[int, int]]:
         links: Set[Tuple[int, int]] = set()
         for entry in self.all_entries():
-            links.update(entry.as_path.links())
+            links.update(path_links(entry.as_path))
         return links
 
 
@@ -150,10 +224,10 @@ def route_by_route_lg(propagation, asn: int,
     lg = ASLookingGlass(asn=asn, display_all_paths=display_all_paths,
                         name=f"AS{asn}-lg")
     for origin in propagation.origins():
-        routes = propagation.all_paths(asn, origin)
+        routes = all_paths(propagation, asn, origin)
         if not routes:
             continue
-        prefixes = propagation.origin_spec(origin).prefixes
+        prefixes = origin_spec(propagation, origin).prefixes
         best_key = min(range(len(routes)), key=lambda i: (
             routes[i].provenance, len(routes[i].path)))
         for index, route in enumerate(routes):
@@ -199,7 +273,7 @@ def grouped_scan_rows(table, min_days: int) -> np.ndarray:
     days)`` distinct days kept at their first scanned position, in scan
     order."""
     days = list(table.days)
-    scan = [table.day_rows(day) for day in days]
+    scan = [day_rows(table, day) for day in days]
     if not days or not sum(len(rows) for rows in scan):
         return np.zeros(0, dtype=np.int64)
     effective_min = min(min_days, len(days))

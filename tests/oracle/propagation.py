@@ -19,13 +19,22 @@ frontier kernel's state, route by route).
 :func:`adjacencies_from_index` turns any production context's CSR index
 back into adjacency records, so the oracle can be built over exactly
 the topology a pipeline run propagated
-(:meth:`ReferencePropagationEngine.from_context`).
+(:meth:`ReferencePropagationEngine.from_context`), and
+:func:`context_from_adjacencies` is its forward direction: a production
+:class:`~repro.runtime.context.PipelineContext` over hand-written
+adjacency records (:func:`bidirectional_adjacencies` writes the two
+records of an ordinary link).  :func:`best_route`, :func:`all_paths`
+and :func:`result_observers` read one route at a time from any result:
+an :class:`ObjectResult` from its dicts, a production result by
+scanning the blocks it recorded.
 """
 
 from __future__ import annotations
 
 import heapq
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.bgp.policy import Relationship
 from repro.bgp.propagation import (
@@ -37,6 +46,8 @@ from repro.bgp.propagation import (
     OriginSpec,
     PropagatedRoute,
 )
+from repro.runtime.context import PipelineContext
+from repro.runtime.csr import REL_CODE, CSRIndex, DirectedEdges
 from repro.runtime.frontier import (
     REL_CUSTOMER,
     REL_PEER,
@@ -44,6 +55,7 @@ from repro.runtime.frontier import (
     REL_RS_PEER,
     REL_SIBLING,
 )
+from repro.runtime.stores import CommunityBagStore
 
 _REL_OF_CODE = {
     REL_CUSTOMER: Relationship.CUSTOMER,
@@ -54,6 +66,19 @@ _REL_OF_CODE = {
 }
 
 
+def materialize(store, pid: int) -> Tuple[int, ...]:
+    """The tuple form of path *pid* of a path store (``()`` for a
+    negative id), walked cell by cell through its ``(heads, parents)``
+    columns."""
+    heads, parents = store.columns()
+    path = []
+    pid = int(pid)
+    while pid >= 0:
+        path.append(int(heads[pid]))
+        pid = int(parents[pid])
+    return tuple(path)
+
+
 def object_fragments(context, specs: Iterable[OriginSpec],
                      record_at: Optional[Iterable[int]] = None,
                      record_alternatives_at: Optional[Iterable[int]] = None,
@@ -61,7 +86,7 @@ def object_fragments(context, specs: Iterable[OriginSpec],
                                      List[PropagatedRoute]]]:
     """Per-origin (best, offered) routes as eager object lists: the
     frontier kernel's state materialised route by route through the
-    scalar :meth:`~repro.runtime.stores.PathStore.materialize` — the
+    scalar :func:`materialize` — the
     pre-columnar recording path the :class:`~repro.runtime.fragments.
     RouteBlock` plane must reproduce exactly (content and order)."""
     index = context.index
@@ -85,7 +110,7 @@ def object_fragments(context, specs: Iterable[OriginSpec],
             fragments.append((own, []))
             continue
         state = propagator.run(node, origin_bag, alt_nodes)
-        materialize = context.paths.materialize
+        paths = context.paths
         best = []
         for touched in state.touched:
             asn = node_asns[touched]
@@ -93,7 +118,7 @@ def object_fragments(context, specs: Iterable[OriginSpec],
                 continue
             learned = state.frm[touched]
             best.append(PropagatedRoute(
-                asn, materialize(state.pid[touched]),
+                asn, materialize(paths, state.pid[touched]),
                 bags.value(state.bag[touched]), int(state.cls[touched]),
                 node_asns[learned] if learned >= 0 else None))
         offered = []
@@ -102,7 +127,7 @@ def object_fragments(context, specs: Iterable[OriginSpec],
             if recordable is not None and asn not in recordable:
                 continue
             offered.append(PropagatedRoute(
-                asn, materialize(path_id), bags.value(bag_id), ccls,
+                asn, materialize(paths, path_id), bags.value(bag_id), ccls,
                 node_asns[exporter]))
         fragments.append((best, offered))
     return fragments
@@ -163,8 +188,7 @@ class ObjectResult:
         alternatives = self._alternatives.get(observer_asn, {}).get(
             origin_asn)
         if alternatives:
-            return sorted(alternatives, key=lambda r: (
-                r.provenance, len(r.path), r.learned_from or -1))
+            return sorted(alternatives, key=all_paths_key)
         best = self.best_route(observer_asn, origin_asn)
         return [best] if best is not None else []
 
@@ -195,11 +219,138 @@ def object_result(context, specs: Iterable[OriginSpec],
     return result
 
 
+def inverse_relationship(relationship: Relationship) -> Relationship:
+    """The relationship as seen from the other side of the link."""
+    if relationship is Relationship.CUSTOMER:
+        return Relationship.PROVIDER
+    if relationship is Relationship.PROVIDER:
+        return Relationship.CUSTOMER
+    return relationship
+
+
+def bidirectional_adjacencies(
+    asn_a: int,
+    asn_b: int,
+    relationship_of_b_seen_from_a: Relationship,
+) -> List[Adjacency]:
+    """The two directed adjacencies of an ordinary AS link.
+
+    ``relationship_of_b_seen_from_a`` follows the :class:`Relationship`
+    convention: ``CUSTOMER`` means *b* is *a*'s customer.
+    """
+    rel_ab = relationship_of_b_seen_from_a
+    # Route flow a->b: b learns from a, so b sees a as the inverse.
+    return [
+        Adjacency(source=asn_a, target=asn_b,
+                  relationship=inverse_relationship(rel_ab)),
+        Adjacency(source=asn_b, target=asn_a, relationship=rel_ab),
+    ]
+
+
+def index_from_adjacencies(adjacencies: Iterable[Adjacency],
+                           bags: Optional[CommunityBagStore] = None,
+                           ) -> CSRIndex:
+    """A CSR index over directed adjacency records: their bags interned
+    in record order, then :meth:`CSRIndex.from_edges` assembles."""
+    bags = bags if bags is not None else CommunityBagStore()
+    edges = DirectedEdges([], [], [], [], [])
+    for adj in adjacencies:
+        edges.sources.append(adj.source)
+        edges.targets.append(adj.target)
+        edges.rels.append(REL_CODE[adj.relationship])
+        communities = adj.communities
+        edges.bags.append(
+            bags.intern(frozenset(communities)) if communities else 0)
+        via = adj.via_rs_asn
+        edges.vias.append(
+            via if (via is not None and not adj.rs_transparent) else -1)
+    return CSRIndex.from_edges(edges, bags)
+
+
+def context_from_adjacencies(adjacencies: Iterable[Adjacency],
+                             route_cache_max_bytes: Optional[int] = None,
+                             ) -> PipelineContext:
+    """A production context over directed adjacency records."""
+    return PipelineContext(index_from_adjacencies(adjacencies),
+                           route_cache_max_bytes=route_cache_max_bytes)
+
+
+def engine_from_adjacencies(adjacencies: Iterable[Adjacency],
+                            record_at: Optional[Iterable[int]] = None,
+                            record_alternatives_at: Optional[
+                                Iterable[int]] = None):
+    """A production engine on a private context over *adjacencies*."""
+    return context_from_adjacencies(adjacencies).engine(
+        record_at=record_at, record_alternatives_at=record_alternatives_at)
+
+
+def origin_spec(result, origin_asn: int) -> OriginSpec:
+    """The :class:`OriginSpec` *result* recorded for *origin_asn* (a
+    production result keeps its specs only in its records)."""
+    if isinstance(result, ObjectResult):
+        return result.origin_spec(origin_asn)
+    return result._records[result._position[origin_asn]][0]
+
+
+def all_paths_key(route: PropagatedRoute) -> Tuple[int, int, int]:
+    """The ``all_paths`` order of one observer's candidates for one
+    origin (stable: ties keep recording order)."""
+    return (route.provenance, len(route.path), route.learned_from or -1)
+
+
+# A production result's readers below scan the blocks it recorded
+# (``recorded_fragments``), never its ObservationIndex, so the index
+# readers production uses (``routes_at``, ``observer_view``) are
+# checked against an independent answer.
+
+
+def result_observers(result) -> List[int]:
+    """All ASes holding a best route, in first-recorded order."""
+    if isinstance(result, ObjectResult):
+        return result.observers()
+    seen: Dict[int, None] = {}
+    for best, _offered in result.recorded_fragments().values():
+        seen.update(dict.fromkeys(best.asn.tolist()))
+    return list(seen)
+
+
+def best_route(result, observer_asn: int,
+               origin_asn: int) -> Optional[PropagatedRoute]:
+    """Best route held by *observer_asn* towards *origin_asn* (the last
+    row when a hand-built block holds several)."""
+    if isinstance(result, ObjectResult):
+        return result.best_route(observer_asn, origin_asn)
+    fragments = result.recorded_fragments().get(origin_asn)
+    if fragments is None:
+        return None
+    best = fragments[0]
+    rows = np.flatnonzero(best.asn == observer_asn)
+    return best.route(int(rows[-1])) if len(rows) else None
+
+
+def all_paths(result, observer_asn: int,
+              origin_asn: int) -> List[PropagatedRoute]:
+    """All candidate routes offered to *observer_asn* for *origin_asn*
+    (best first); the best route alone where alternatives were not
+    recorded for this observer."""
+    if isinstance(result, ObjectResult):
+        return result.all_paths(observer_asn, origin_asn)
+    fragments = result.recorded_fragments().get(origin_asn)
+    if fragments is None:
+        return []
+    offered = fragments[1]
+    rows = np.flatnonzero(offered.asn == observer_asn).tolist()
+    if rows:
+        return sorted((offered.route(row) for row in rows),
+                      key=all_paths_key)
+    best = best_route(result, observer_asn, origin_asn)
+    return [best] if best is not None else []
+
+
 def adjacencies_from_index(index) -> List[Adjacency]:
     """Reconstruct directed :class:`Adjacency` records from a CSR index.
 
-    The semantic inverse of
-    :meth:`~repro.runtime.csr.CSRIndex.from_adjacencies`.  Sibling edges
+    The semantic inverse of :func:`index_from_adjacencies`.  Sibling edges
     appear in both the customer and provider phase blocks and are
     emitted once; a transparent route server is reconstructed as
     ``via_rs_asn=None``, which is indistinguishable in propagation

@@ -17,6 +17,9 @@ keeps the walks they replaced:
   ``all_links``, ``multi_ixp_links``, ``link_ixps`` and
   ``peer_counts``; :func:`matrix_differences` diffs a matrix against
   both references;
+* :func:`served_pairs` — a route server's ground-truth multilateral
+  pairs (both directions served for at least one prefix each), from
+  its RIB and export filters;
 * :func:`export_openness_by_policy` — figure 11 over the per-member
   ``MemberReachability`` objects, the reference for
   ``PolicyAnalysis.export_openness_from_matrix``;
@@ -26,15 +29,29 @@ keeps the walks they replaced:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
 from repro.analysis.repellers import RepellerReport
 from repro.core.reachability import MemberReachability
 from repro.registries.peeringdb import PeeringDB
-from repro.runtime.bitset import iter_bits
-from repro.runtime.reachmatrix import link_keys_of, packed_to_bool_matrix
+from repro.runtime.bitset import BitsetIndex, iter_bits
+from repro.runtime.reachmatrix import (
+    link_keys_of,
+    packed_to_bool_matrix,
+    reciprocal_links,
+)
 from repro.topology.as_graph import PeeringPolicy
 
 Link = Tuple[int, int]
@@ -151,6 +168,33 @@ def matrix_differences(matrix) -> List[str]:
     return problems
 
 
+def served_pairs(route_server) -> Set[Tuple[int, int]]:
+    """The (a, b) pairs *route_server* serves in both directions, for
+    at least one prefix each: every member's export masks OR-ed over
+    its announcements, then the reciprocal kernel."""
+    index = BitsetIndex(route_server.members())
+    allowed: Dict[int, int] = {}
+    for prefix in route_server.prefixes():
+        for entry in route_server.routes_for_prefix(prefix):
+            has_none, includes, excludes = route_server._classify(
+                entry.communities)
+            mask = index.mask_of(includes) if has_none \
+                else index.full_mask & ~index.mask_of(excludes)
+            bit = index.bit_of[entry.member_asn]
+            allowed[bit] = allowed.get(bit, 0) | (mask & ~(1 << bit))
+    return set(reciprocal_links(allowed, index.universe))
+
+
+def openness(reachability: MemberReachability,
+             members: Sequence[int]) -> float:
+    """Fraction of the other members *reachability* lets receive its
+    routes (figure 11)."""
+    others = [m for m in members if m != reachability.member_asn]
+    if not others:
+        return 0.0
+    return len(reachability.allowed_members(others)) / len(others)
+
+
 def export_openness_by_policy(
     peeringdb: PeeringDB,
     reachabilities: Mapping[str, Mapping[int, MemberReachability]],
@@ -168,7 +212,7 @@ def export_openness_by_policy(
             if policy is PeeringPolicy.UNKNOWN:
                 continue
             result.setdefault(policy.value, []).append(
-                reachability.openness(members))
+                openness(reachability, members))
     return result
 
 

@@ -12,7 +12,7 @@ import pickle
 
 import pytest
 
-from repro.pipeline.cache import STATUS_DISK, ArtifactCache
+from repro.pipeline.cache import HEADER_SIZE, STATUS_DISK, ArtifactCache
 
 FP = "a" * 64  # a fingerprint-shaped key
 
@@ -107,6 +107,7 @@ class TestCrossProcessRace:
         files = sorted(p.name for p in tmp_path.iterdir())
         assert files == [f"stage-{FP[:32]}.pkl"]
         with open(tmp_path / files[0], "rb") as handle:
+            handle.seek(HEADER_SIZE)  # past the format tag and digest
             payload = pickle.load(handle)
         assert payload["fingerprint"] == FP
         assert payload["artifact"] == {"payload": list(range(20_000))}

@@ -11,14 +11,15 @@ from repro.pipeline import (
     ScenarioRun,
     Stage,
     StageGraph,
-    europe2013_stage_graph,
 )
-from repro.runtime.delta import fragments_equivalent
 from repro.scenarios.events import TimelineReplay, record_sets
 from repro.scenarios.spec import get_scenario
 from repro.scenarios.workloads import scenario_run, small_scenario_config
 
 from tests.oracle.kernels import forced_kernel
+from tests.oracle.propagation import origin_spec
+from tests.oracle.topology import index_differences
+from tests.oracle.blocks import fragments_equivalent
 
 
 @pytest.fixture(scope="module")
@@ -39,18 +40,11 @@ def cold_run(shared_cache):
 
 class TestStageGraph:
     def test_topological_order(self):
-        graph = europe2013_stage_graph()
+        graph = get_scenario("europe2013").stage_graph()
         order = graph.names()
         for name in order:
             for dep in graph.stage(name).deps:
                 assert order.index(dep) < order.index(name)
-
-    def test_ancestors(self):
-        graph = europe2013_stage_graph()
-        assert graph.ancestors("topology") == []
-        assert set(graph.ancestors("inference")) == {
-            "topology", "ixps", "propagation", "collectors", "viewpoints",
-            "registries", "scenario", "connectivity"}
 
     def test_unknown_dependency_rejected(self):
         with pytest.raises(ValueError, match="unknown stage"):
@@ -135,7 +129,7 @@ class TestFingerprints:
 class TestCaching:
     def test_cold_run_computes_every_stage(self, cold_run):
         statuses = cold_run.stage_statuses()
-        assert set(statuses) == set(europe2013_stage_graph().names())
+        assert set(statuses) == set(get_scenario("europe2013").stage_graph().names())
         assert set(statuses.values()) == {"computed"}
 
     def test_warm_rerun_hits_memory_everywhere(self, shared_cache, cold_run):
@@ -244,20 +238,23 @@ class TestDiskCache:
         loaded = second.artifact("propagation")
         assert second.stage_statuses() == {"propagation": "disk"}
         context = loaded["context"]
-        assert context.index.summary() == built["context"].index.summary()
+        assert index_differences(context.index,
+                                 built["context"].index) == []
 
         expected = built["propagation"].recorded_fragments()
-        origins = [loaded["propagation"].origin_spec(asn)
+        origins = [origin_spec(loaded["propagation"], asn)
                    for asn in expected]
         record_at, record_alternatives_at = record_sets(loaded)
         engine = context.engine(
             record_at=record_at,
             record_alternatives_at=record_alternatives_at)
-        context.route_cache.clear()
+        # Each kernel runs under its own mutation epoch, so neither is
+        # served the fragments the context was pickled with.
+        context.bind_epoch(lambda: "frontier")
         with forced_kernel("frontier"):
             [one] = engine.batch_fragments(origins[:1])
         assert fragments_equivalent(one, expected[origins[0].asn])
-        context.route_cache.clear()
+        context.bind_epoch(lambda: "compiled")
         with forced_kernel("compiled"):
             every = engine.batch_fragments(origins)
         assert len(every) == len(expected) > 1
@@ -279,11 +276,14 @@ class TestWorkloadEntryPoint:
 
 class TestScenarioEquivalence:
     def test_wrapper_matches_staged_pipeline(self, small_scenario, cold_run):
-        """`build_europe2013` (the compatibility wrapper) and a staged
-        run assemble the same scenario content."""
+        """Two staged runs of one config (the session fixture's and this
+        module's cold run) assemble the same scenario content."""
         staged = cold_run.scenario()
         assert staged.ground_truth_links() == small_scenario.ground_truth_links()
         assert staged.public_bgp_links() == small_scenario.public_bgp_links()
         assert [vp.asn for vp in staged.vantage_points] == \
             [vp.asn for vp in small_scenario.vantage_points]
-        assert staged.rs_members_by_ixp() == small_scenario.rs_members_by_ixp()
+        assert {name: staged.graph.rs_members_of_ixp(name)
+                for name in staged.ixps} == \
+            {name: small_scenario.graph.rs_members_of_ixp(name)
+             for name in small_scenario.ixps}

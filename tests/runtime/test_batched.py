@@ -21,12 +21,7 @@ from repro.bgp import propagation
 from repro.bgp.communities import Community
 from repro.bgp.policy import Relationship
 from repro.bgp.prefix import Prefix
-from repro.bgp.propagation import (
-    Adjacency,
-    OriginSpec,
-    PropagationEngine,
-    bidirectional_adjacencies,
-)
+from repro.bgp.propagation import Adjacency, OriginSpec, PropagationEngine
 from repro.pipeline import ArtifactCache, ScenarioRun
 from repro.runtime.compiled import (
     BatchedPathStore,
@@ -43,6 +38,12 @@ from tests.oracle.kernels import KERNELS, forced_kernel
 from tests.oracle.propagation import (
     ReferencePropagationEngine,
     adjacencies_from_index,
+    best_route,
+    bidirectional_adjacencies,
+    context_from_adjacencies,
+    engine_from_adjacencies,
+    index_from_adjacencies,
+    materialize,
 )
 from tests.oracle.topology import index_differences, record_index
 
@@ -131,7 +132,7 @@ def production_fragments(engine, origins):
 
 
 def frontier_engine(adjacencies, **record):
-    return PipelineContext.from_adjacencies(adjacencies).engine(**record)
+    return context_from_adjacencies(adjacencies).engine(**record)
 
 
 def frontier_fragments(engine, origins):
@@ -157,7 +158,7 @@ def test_batched_fragments_bit_identical_to_frontier(seed):
 
     frontier = frontier_engine(adjacencies, record_at=observers,
                                record_alternatives_at=alt)
-    production = PipelineContext.from_adjacencies(adjacencies).engine(
+    production = context_from_adjacencies(adjacencies).engine(
         record_at=observers, record_alternatives_at=alt)
     for spec, got_f, got_b in zip(origins,
                                   frontier_fragments(frontier, origins),
@@ -175,7 +176,7 @@ def test_batched_record_everything_matches_frontier(seed):
     asns, adjacencies = random_internet(rng, num_ases=40)
     origins = random_origins(rng, asns, count=15)
     frontier = frontier_engine(adjacencies)
-    production = PipelineContext.from_adjacencies(adjacencies).engine()
+    production = context_from_adjacencies(adjacencies).engine()
     for got_f, got_b in zip(frontier_fragments(frontier, origins),
                             production_fragments(production, origins)):
         assert fragment_key(got_f[0]) == fragment_key(got_b[0])
@@ -186,13 +187,13 @@ def test_batched_propagation_result_matches_frontier():
     asns, adjacencies = random_internet(rng)
     origins = random_origins(rng, asns)
     with forced_kernel("frontier"):
-        fast = PropagationEngine(adjacencies).propagate(origins)
-    batched = PropagationEngine(adjacencies).propagate(origins)
+        fast = engine_from_adjacencies(adjacencies).propagate(origins)
+    batched = engine_from_adjacencies(adjacencies).propagate(origins)
     assert fast.visible_links() == batched.visible_links()
     for origin in origins:
         for asn in asns:
-            route_f = fast.best_route(asn, origin.asn)
-            route_b = batched.best_route(asn, origin.asn)
+            route_f = best_route(fast, asn, origin.asn)
+            route_b = best_route(batched, asn, origin.asn)
             assert (route_f is None) == (route_b is None)
             if route_f is not None:
                 assert fragment_key([route_f]) == fragment_key([route_b])
@@ -214,14 +215,12 @@ def test_production_matches_reference_on_registered_scenarios(name):
         propagation["context"], record_at=record_at,
         record_alternatives_at=record_alt).propagate(origins)
     assert production.visible_links() == reference.visible_links()
-    for spec in origins:
-        for observer in record_at:
-            got = production.best_route(observer, spec.asn)
-            want = reference.best_route(observer, spec.asn)
-            assert (got is None) == (want is None), (spec.asn, observer)
-            if want is not None:
-                assert route_key(got) == route_key(want), \
-                    (spec.asn, observer)
+    for observer in record_at:
+        got = {origin: route_key(route) for origin, route
+               in production.routes_at(observer).items()}
+        want = {origin: route_key(route) for origin, route
+                in reference.routes_at(observer).items()}
+        assert got == want, observer
 
 
 def test_production_fragments_match_frontier_at_bench_size(bench_run):
@@ -235,9 +234,9 @@ def test_production_fragments_match_frontier_at_bench_size(bench_run):
     origins = origin_specs_of(bench_run.artifact("topology").graph)
     production = [fragments for fragments in
                   propagation["propagation"].recorded_fragments().values()]
-    frontier = context.engine(record_at=record_at,
-                              record_alternatives_at=record_alt)
-    context.clear_propagation_cache()
+    # A context over the same index with nothing memoised recomputes.
+    frontier = PipelineContext(context.index).engine(
+        record_at=record_at, record_alternatives_at=record_alt)
     assert len(production) == len(origins)
     for spec, got_b, got_f in zip(origins, production,
                                   frontier_fragments(frontier, origins)):
@@ -282,7 +281,7 @@ def test_kernel_selection_boundary(seed, monkeypatch):
                (origins, ["compiled"])]
     for batch, expected in batches:
         # A fresh context per batch: no cache hits shrink the batch.
-        engine = PipelineContext.from_adjacencies(adjacencies).engine(
+        engine = context_from_adjacencies(adjacencies).engine(
             record_at=observers, record_alternatives_at=alt)
         calls.clear()
         fragments = engine.batch_fragments(batch)
@@ -303,7 +302,7 @@ def test_cache_hits_do_not_count_towards_the_threshold(monkeypatch):
     rng = random.Random(15)
     asns, adjacencies = random_internet(rng)
     origins = random_origins(rng, asns, count=12)
-    engine = PipelineContext.from_adjacencies(adjacencies).engine(
+    engine = context_from_adjacencies(adjacencies).engine(
         record_at=asns[:10])
     engine.batch_fragments(origins[:-1])
     calls = []
@@ -326,7 +325,7 @@ def test_route_cache_shared_by_both_kernels():
     rng = random.Random(14)
     asns, adjacencies = random_internet(rng)
     origins = random_origins(rng, asns, count=3)
-    context = PipelineContext.from_adjacencies(adjacencies)
+    context = context_from_adjacencies(adjacencies)
     observers = asns[:8]
     with forced_kernel("compiled"):
         first = context.engine(record_at=observers).batch_fragments(origins)
@@ -398,9 +397,9 @@ def test_backends_agree_on_generated_internets(seed):
             (seed, name)
     for origin in origins:
         for asn in observers:
-            route_f = frontier.best_route(asn, origin.asn)
+            route_f = best_route(frontier, asn, origin.asn)
             for name, result in results.items():
-                route = result.best_route(asn, origin.asn)
+                route = best_route(result, asn, origin.asn)
                 assert (route_f is None) == (route is None), (seed, name)
                 if route_f is not None:
                     assert fragment_key([route_f]) == \
@@ -420,7 +419,7 @@ def test_from_adjacencies_matches_record_oracle(seed, num_ases):
     _, adjacencies = random_internet(random.Random(seed), num_ases=num_ases)
     assert any(adj.via_rs_asn is not None and not adj.rs_transparent
                for adj in adjacencies)
-    assert index_differences(CSRIndex.from_adjacencies(adjacencies),
+    assert index_differences(index_from_adjacencies(adjacencies),
                              record_index(adjacencies)) == []
 
 
@@ -430,11 +429,11 @@ def test_adjacencies_from_index_round_trip():
     rng = random.Random(5)
     asns, adjacencies = random_internet(rng)
     origins = random_origins(rng, asns)
-    context = PipelineContext.from_adjacencies(adjacencies)
+    context = context_from_adjacencies(adjacencies)
     rebuilt = adjacencies_from_index(context.index)
     assert len(rebuilt) == len(adjacencies)
-    direct = PropagationEngine(adjacencies).propagate(origins)
-    rebuilt_result = PropagationEngine(rebuilt).propagate(origins)
+    direct = engine_from_adjacencies(adjacencies).propagate(origins)
+    rebuilt_result = engine_from_adjacencies(rebuilt).propagate(origins)
     assert direct.visible_links() == rebuilt_result.visible_links()
 
 
@@ -444,7 +443,7 @@ def test_reference_backend_selector():
     rng = random.Random(6)
     asns, adjacencies = random_internet(rng)
     origins = random_origins(rng, asns, count=5)
-    context = PipelineContext.from_adjacencies(adjacencies)
+    context = context_from_adjacencies(adjacencies)
     production = context.engine().propagate(origins)
     reference = ReferencePropagationEngine.from_context(
         context).propagate(origins)
@@ -459,22 +458,22 @@ def test_unknown_backend_rejected():
     adjacencies = [Adjacency(1, 2, Relationship.PEER),
                    Adjacency(2, 1, Relationship.PEER)]
     with pytest.raises(TypeError, match="backend"):
-        PropagationEngine(adjacencies, backend="compiled")
+        PropagationEngine(context=context_from_adjacencies(adjacencies),
+                          backend="compiled")
     with pytest.raises(TypeError, match="backend"):
-        PipelineContext.from_adjacencies(adjacencies, backend="compiled")
+        PipelineContext(index_from_adjacencies(adjacencies),
+                        backend="compiled")
 
 
 def test_plan_is_cached_on_context():
     rng = random.Random(11)
     _asns, adjacencies = random_internet(rng)
-    context = PipelineContext.from_adjacencies(adjacencies)
+    context = context_from_adjacencies(adjacencies)
     plan = context.plan
     assert plan is context.plan
     assert isinstance(plan, PropagationPlan)
-    summary = plan.summary()
-    assert summary["nodes"] == context.index.num_nodes
-    assert (summary["customer_phase_edges"]
-            == context.index.customer_edges.num_edges)
+    assert plan.num_nodes == context.index.num_nodes
+    assert plan.customer.num_edges == len(context.index.customer_edges.targets)
 
 
 def test_batched_path_store_matches_tuple_semantics():
@@ -483,8 +482,8 @@ def test_batched_path_store_matches_tuple_semantics():
     ids = store.alloc(np.array([10, 20]), np.array([-1, -1]))
     extended = store.alloc(np.array([30, 40]),
                            np.array([ids[0], ids[1]]))
-    assert store.materialize(int(extended[0])) == (30, 10)
-    assert store.materialize(int(extended[1])) == (40, 20)
-    assert store.materialize(int(ids[0])) == (10,)
-    assert store.materialize(-1) == ()
+    assert materialize(store, int(extended[0])) == (30, 10)
+    assert materialize(store, int(extended[1])) == (40, 20)
+    assert materialize(store, int(ids[0])) == (10,)
+    assert materialize(store, -1) == ()
     assert len(store) == 4

@@ -20,9 +20,9 @@ import pytest
 from repro.bgp.policy import Relationship
 from repro.bgp.propagation import Adjacency, OriginSpec, PropagationEngine
 from repro.runtime.compiled import (
-    INT32_MAX,
     BatchedPathStore,
     CompiledPropagator,
+    INT32_MAX,
     PathIdOverflow,
     compiled_batch_size,
     fit_dtype,
@@ -34,6 +34,11 @@ from tests.runtime.test_batched import (
     fragment_key,
     random_internet,
     random_origins,
+)
+from tests.oracle.propagation import (
+    best_route,
+    context_from_adjacencies,
+    engine_from_adjacencies,
 )
 
 
@@ -62,9 +67,9 @@ def test_compiled_fragments_bit_identical_to_frontier(seed):
     observers = rng.sample(asns, k=12)
     alt = observers[:5]
 
-    frontier = PipelineContext.from_adjacencies(adjacencies).engine(
+    frontier = context_from_adjacencies(adjacencies).engine(
         record_at=observers, record_alternatives_at=alt)
-    compiled = PipelineContext.from_adjacencies(adjacencies).engine(
+    compiled = context_from_adjacencies(adjacencies).engine(
         record_at=observers, record_alternatives_at=alt)
     for spec, got_f, got_c in zip(origins,
                                   pinned(frontier, origins, "frontier"),
@@ -80,8 +85,8 @@ def test_compiled_record_everything_matches_frontier(seed):
     rng = random.Random(seed)
     asns, adjacencies = random_internet(rng, num_ases=40)
     origins = random_origins(rng, asns, count=15)
-    frontier = PipelineContext.from_adjacencies(adjacencies).engine()
-    compiled = PipelineContext.from_adjacencies(adjacencies).engine()
+    frontier = context_from_adjacencies(adjacencies).engine()
+    compiled = context_from_adjacencies(adjacencies).engine()
     for got_f, got_c in zip(pinned(frontier, origins, "frontier"),
                             pinned(compiled, origins, "compiled")):
         assert fragment_key(got_f[0]) == fragment_key(got_c[0])
@@ -91,15 +96,15 @@ def test_compiled_propagation_result_matches_frontier():
     rng = random.Random(99)
     asns, adjacencies = random_internet(rng)
     origins = random_origins(rng, asns)
-    fast = pinned_propagate(PropagationEngine(adjacencies), origins,
+    fast = pinned_propagate(engine_from_adjacencies(adjacencies), origins,
                             "frontier")
-    compiled = pinned_propagate(PropagationEngine(adjacencies), origins,
+    compiled = pinned_propagate(engine_from_adjacencies(adjacencies), origins,
                                 "compiled")
     assert fast.visible_links() == compiled.visible_links()
     for origin in origins:
         for asn in asns:
-            route_f = fast.best_route(asn, origin.asn)
-            route_c = compiled.best_route(asn, origin.asn)
+            route_f = best_route(fast, asn, origin.asn)
+            route_c = best_route(compiled, asn, origin.asn)
             assert (route_f is None) == (route_c is None)
             if route_f is not None:
                 assert fragment_key([route_f]) == fragment_key([route_c])
@@ -122,9 +127,8 @@ def test_small_plan_uses_int32_planes():
     import numpy as np
     rng = random.Random(8)
     _asns, adjacencies = random_internet(rng)
-    plan = PipelineContext.from_adjacencies(adjacencies).plan
+    plan = context_from_adjacencies(adjacencies).plan
     assert plan.key_plane_dtype() is np.int32
-    assert plan.summary()["key_plane_bits"] == 32
 
 
 def _chain_adjacencies(num_ases, extra_peers=0, rng=None):
@@ -152,12 +156,12 @@ def test_int64_key_fallback_stays_bit_identical(seed):
     import numpy as np
     rng = random.Random(seed)
     asns, adjacencies = _chain_adjacencies(3000, extra_peers=40, rng=rng)
-    context = PipelineContext.from_adjacencies(adjacencies)
+    context = context_from_adjacencies(adjacencies)
     assert context.plan.key_plane_dtype() is np.int64
 
     origins = random_origins(rng, asns, count=3)
     observers = rng.sample(asns, k=25)
-    frontier = PipelineContext.from_adjacencies(adjacencies).engine(
+    frontier = context_from_adjacencies(adjacencies).engine(
         record_at=observers)
     compiled = context.engine(record_at=observers)
     for got_f, got_c in zip(pinned(frontier, origins, "frontier"),
@@ -183,13 +187,13 @@ def test_huge_asns_promote_via_arrays():
     adjacencies.append(Adjacency(
         asns[5], asns[0], Relationship.RS_PEER,
         via_rs_asn=base + 50, rs_transparent=False))
-    context = PipelineContext.from_adjacencies(adjacencies)
+    context = context_from_adjacencies(adjacencies)
     assert context.plan.peer.via.dtype == np.int64
 
     from repro.bgp.prefix import Prefix
     origins = [OriginSpec(asn=asns[0],
                           prefixes=[Prefix.from_octets(10, 0, 0, 0, 24)])]
-    frontier = PipelineContext.from_adjacencies(adjacencies).engine()
+    frontier = context_from_adjacencies(adjacencies).engine()
     compiled = context.engine()
     for got_f, got_c in zip(pinned(frontier, origins, "frontier"),
                             pinned(compiled, origins, "compiled")):
@@ -225,7 +229,7 @@ def test_compiled_retries_batch_in_int64_on_overflow():
                 paths.id_limit = 8  # force the overflow path
             return paths
 
-    context = PipelineContext.from_adjacencies(adjacencies)
+    context = context_from_adjacencies(adjacencies)
     propagator = TightCompiledPropagator(context.plan, context.bags)
     nodes = [context.index.id_of[o.asn] for o in origins]
     batch = propagator.run_batch(nodes, [0] * len(nodes))
@@ -245,7 +249,7 @@ def test_compiled_retries_batch_in_int64_on_overflow():
 def test_compiled_batch_size_positive_and_budgeted():
     rng = random.Random(41)
     _asns, adjacencies = random_internet(rng)
-    plan = PipelineContext.from_adjacencies(adjacencies).plan
+    plan = context_from_adjacencies(adjacencies).plan
     assert compiled_batch_size(plan) >= 1
     # A starved budget still yields a runnable batch size, and a
     # generous one is capped at the cache-friendly default width.

@@ -31,6 +31,12 @@ from tests.runtime.test_batched import (
     random_internet,
     random_origins,
 )
+from tests.oracle.propagation import (
+    context_from_adjacencies,
+    materialize,
+    result_observers,
+)
+from tests.oracle.blocks import link_pairs
 
 BLOCK_BACKENDS = KERNELS
 
@@ -38,14 +44,14 @@ BLOCK_BACKENDS = KERNELS
 def object_fragments(adjacencies, origins, **kwargs):
     """The eager object fragments of *origins* (the oracle)."""
     return oracle.object_fragments(
-        PipelineContext.from_adjacencies(adjacencies), origins, **kwargs)
+        context_from_adjacencies(adjacencies), origins, **kwargs)
 
 
 def object_result(adjacencies, origins, **kwargs):
     """Like :func:`object_fragments` but folded into the oracle's
     dict-fold :class:`~tests.oracle.propagation.ObjectResult`."""
     return oracle.object_result(
-        PipelineContext.from_adjacencies(adjacencies), origins, **kwargs)
+        context_from_adjacencies(adjacencies), origins, **kwargs)
 
 
 # -- vectorized chain walk -----------------------------------------------------
@@ -64,7 +70,7 @@ def test_walk_paths_matches_scalar_materialize(seed):
     heads, parents = store.columns()
     offsets, values = walk_paths(heads, parents, np.asarray(sample))
     for row, pid in enumerate(sample):
-        expected = store.materialize(pid)
+        expected = materialize(store, pid)
         assert tuple(values[offsets[row]:offsets[row + 1]]) == expected
 
 
@@ -100,7 +106,7 @@ def test_blocks_bit_identical_to_object_fragments(seed, backend):
     expected_fragments = object_fragments(
         adjacencies, origins,
         record_at=observers, record_alternatives_at=alt)
-    columnar = PipelineContext.from_adjacencies(adjacencies).engine(
+    columnar = context_from_adjacencies(adjacencies).engine(
         record_at=observers, record_alternatives_at=alt)
     with forced_kernel(backend):
         got_fragments = columnar.batch_fragments(origins)
@@ -125,10 +131,10 @@ def test_result_api_matches_object_path(backend):
 
     expected = object_result(adjacencies, origins, record_at=observers)
     with forced_kernel(backend):
-        columnar = PipelineContext.from_adjacencies(adjacencies).engine(
+        columnar = context_from_adjacencies(adjacencies).engine(
             record_at=observers).propagate(origins)
     assert columnar.visible_links() == expected.visible_links()
-    assert columnar.observers() == expected.observers()
+    assert result_observers(columnar) == result_observers(expected)
     for observer in observers:
         assert fragment_key(
             route for _origin, route in columnar.iter_routes_at(observer)
@@ -143,7 +149,7 @@ def test_iter_best_columns_matches_iter_routes():
     asns, adjacencies = random_internet(rng)
     origins = random_origins(rng, asns)
     observers = rng.sample(asns, k=8)
-    result = PipelineContext.from_adjacencies(adjacencies).engine(
+    result = context_from_adjacencies(adjacencies).engine(
         record_at=observers).propagate(origins)
     for observer in observers:
         triples = result.iter_best_columns_at(observer)
@@ -168,7 +174,7 @@ def test_lazy_row_views_are_cached_and_sliceable():
     rng = random.Random(7)
     asns, adjacencies = random_internet(rng)
     origins = random_origins(rng, asns, count=3)
-    engine = PipelineContext.from_adjacencies(adjacencies).engine(
+    engine = context_from_adjacencies(adjacencies).engine(
         record_at=asns[:6])
     best, offered = engine.batch_fragments(origins)[0]
     assert len(best) == len(best.asn)
@@ -186,7 +192,7 @@ def test_isolated_origin_is_a_block():
     rng = random.Random(13)
     asns, adjacencies = random_internet(rng)
     lonely = 65333  # not part of the topology
-    engine = PipelineContext.from_adjacencies(adjacencies).engine(
+    engine = context_from_adjacencies(adjacencies).engine(
         record_at=[lonely])
     best, offered = engine.batch_fragments(
         [OriginSpec(asn=lonely, prefixes=[])])[0]
@@ -207,7 +213,7 @@ def test_block_pickle_round_trip(backend):
     asns, adjacencies = random_internet(rng)
     origins = random_origins(rng, asns)
     observers = rng.sample(asns, k=12)
-    engine = PipelineContext.from_adjacencies(adjacencies).engine(
+    engine = context_from_adjacencies(adjacencies).engine(
         record_at=observers, record_alternatives_at=observers[:4])
     with forced_kernel(backend):
         fragments = engine.batch_fragments(origins)
@@ -232,7 +238,7 @@ def test_link_keys_pack_link_pairs_once():
     asns, adjacencies = random_internet(rng)
     origins = random_origins(rng, asns)
     observers = rng.sample(asns, k=12)
-    engine = PipelineContext.from_adjacencies(adjacencies).engine(
+    engine = context_from_adjacencies(adjacencies).engine(
         record_at=observers, record_alternatives_at=observers[:4])
     keyed = 0
     for best, offered in engine.batch_fragments(origins):
@@ -240,7 +246,7 @@ def test_link_keys_pack_link_pairs_once():
             keys = block.link_keys()
             keyed += len(keys)
             assert keys.dtype == np.uint64
-            lo, hi = block.link_pairs()
+            lo, hi = link_pairs(block)
             assert (keys >> np.uint64(32)).tolist() == lo.tolist()
             assert (keys & np.uint64(0xFFFFFFFF)).tolist() == hi.tolist()
             assert block.link_keys() is keys
@@ -268,7 +274,7 @@ def test_link_pairs_skip_empty_rows():
             bag_values=(frozenset(),))
 
     def pairs(b):
-        lo, hi = b.link_pairs()
+        lo, hi = link_pairs(b)
         return list(zip(lo.tolist(), hi.tolist()))
 
     assert pairs(block([0, 3, 3], [1, 2, 3])) == [(1, 2), (2, 3)]
@@ -292,7 +298,7 @@ def test_route_cache_hits_skip_recompute():
     rng = random.Random(31337)
     asns, adjacencies = random_internet(rng)
     origins = random_origins(rng, asns)
-    context = PipelineContext.from_adjacencies(adjacencies)
+    context = context_from_adjacencies(adjacencies)
     engine = context.engine(record_at=asns[:10])
     cache = context.route_cache
 
@@ -309,13 +315,13 @@ def test_route_cache_hits_skip_recompute():
     for (best1, off1), (best2, off2) in zip(first, second):
         assert best1 is best2 and off1 is off2
 
-    stats = context.stats()
-    assert stats["route_cache_bytes"] == cache.bytes
-    assert stats["route_cache_hits"] == cache.hits
-    assert stats["route_cache_misses"] == cache.misses
-
-    context.clear_propagation_cache()
-    assert len(cache) == 0 and cache.bytes == 0
+    # A new mutation epoch makes every memoised entry unreachable.
+    context.bind_epoch(lambda: 1)
+    third = engine.batch_fragments(origins)
+    assert cache.misses == misses_after_first + len(origins)
+    assert len(cache) == 2 * entries_after_first
+    for (best1, _), (best3, _) in zip(first, third):
+        assert best3 is not best1
 
 
 @pytest.mark.parametrize("collide", (False, True))

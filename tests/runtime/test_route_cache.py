@@ -3,12 +3,18 @@
 import pytest
 
 from repro.bgp.policy import Relationship
-from repro.bgp.propagation import OriginSpec, bidirectional_adjacencies
+from repro.bgp.propagation import OriginSpec
 from repro.runtime.context import (
-    _ROUTE_OBJECT_BYTES,
     PipelineContext,
     RouteCache,
+    _ROUTE_OBJECT_BYTES,
     _fragments_nbytes,
+)
+
+from tests.oracle.propagation import (
+    best_route,
+    bidirectional_adjacencies,
+    context_from_adjacencies,
 )
 
 
@@ -26,10 +32,10 @@ class TestUnbounded:
         cache = RouteCache()
         for i in range(100):
             cache[i] = frag(10)
-        assert cache.entries == 100
+        assert len(cache) == 100
         assert cache.evictions == 0
         assert cache.bytes == 100 * 10 * UNIT
-        assert cache.stats()["max_bytes"] is None
+        assert cache.max_bytes is None
 
     def test_hit_miss_counters(self):
         cache = RouteCache()
@@ -60,7 +66,7 @@ class TestLRUEviction:
                        [k for k in range(len(sizes)) if k in cache])
         assert cache.bytes == resident
         assert cache.bytes <= cache.max_bytes
-        assert cache.entries + cache.evictions == len(sizes)
+        assert len(cache) + cache.evictions == len(sizes)
 
     def test_newest_entry_survives_even_oversize(self):
         cache = RouteCache(max_bytes=UNIT)
@@ -77,7 +83,7 @@ class TestLRUEviction:
         cache["a"] = frag(10)
         cache["a"] = frag(2)
         assert cache.bytes == 2 * UNIT
-        assert cache.entries == 1
+        assert len(cache) == 1
 
     def test_hit_reinsertion_keeps_bytes_constant(self):
         cache = RouteCache(max_bytes=100 * UNIT)
@@ -86,14 +92,14 @@ class TestLRUEviction:
         before = cache.bytes
         cache.get("a")
         assert cache.bytes == before
-        assert cache.entries == 2
+        assert len(cache) == 2
 
     def test_set_max_bytes_evicts_immediately(self):
         cache = RouteCache()
         for i in range(10):
             cache[i] = frag(1)
         cache.set_max_bytes(4 * UNIT)
-        assert cache.entries == 4
+        assert len(cache) == 4
         assert cache.bytes == 4 * UNIT
         assert cache.evictions == 6
         assert set(range(6, 10)).issubset(set(cache._entries))
@@ -112,30 +118,28 @@ class TestLRUEviction:
         cache["a"] = frag(1)
         cache["b"] = frag(1)
         cache["c"] = frag(1)
-        stats = cache.stats()
-        assert stats["evictions"] == 1
-        assert stats["max_bytes"] == 2 * UNIT
-        assert stats["bytes"] == 2 * UNIT
-        assert "evictions" in repr(cache) and "max" in repr(cache)
+        assert cache.evictions == 1
+        assert cache.max_bytes == 2 * UNIT
+        assert cache.bytes == 2 * UNIT
 
 
 class TestContextIntegration:
     def test_context_knob_bounds_route_cache(self):
         adjacencies = bidirectional_adjacencies(10, 20, Relationship.PROVIDER)
-        context = PipelineContext.from_adjacencies(
+        context = context_from_adjacencies(
             adjacencies, route_cache_max_bytes=123)
         assert context.route_cache.max_bytes == 123
-        assert context.stats()["route_cache_evictions"] == 0
+        assert context.route_cache.evictions == 0
 
     def test_engine_memoisation_survives_oversize_budget(self):
         # A budget smaller than one fragment pair must not break the
         # engine's read-your-own-write memoisation within a propagate.
         from repro.bgp.prefix import Prefix
         adjacencies = bidirectional_adjacencies(10, 20, Relationship.PROVIDER)
-        context = PipelineContext.from_adjacencies(
+        context = context_from_adjacencies(
             adjacencies, route_cache_max_bytes=1)
         engine = context.engine(record_at=[10, 20])
         origin = OriginSpec(asn=10, prefixes=[Prefix.parse("10.0.0.0/24")])
         result = engine.propagate([origin])
-        assert result.best_route(20, 10) is not None
-        assert context.route_cache.entries <= 1
+        assert best_route(result, 20, 10) is not None
+        assert len(context.route_cache) <= 1

@@ -8,7 +8,6 @@ import random
 import pytest
 
 from repro.pipeline.run import ScenarioRun
-from repro.runtime.delta import fragments_equivalent
 from repro.scenarios.events import (
     EVENT_FAMILIES,
     ImpossibleEventError,
@@ -30,6 +29,8 @@ from repro.scenarios.spec import get_scenario, scenario_names
 from repro.topology.as_graph import LinkType
 
 from tests.oracle.kernels import KERNELS, forced_kernel
+from tests.oracle.propagation import origin_spec
+from tests.oracle.blocks import fragments_equivalent
 
 PRODUCTION_BACKENDS = KERNELS
 
@@ -212,7 +213,7 @@ def test_report_records_how_the_index_changed(tiny_baseline):
     specs = []
     for event in events:
         replay.apply(event)
-        specs.append({origin: replay.result.origin_spec(origin)
+        specs.append({origin: origin_spec(replay.result, origin)
                       for origin in replay.result.origins()})
     assert [r.reindex for r in replay.reports] == ["splice", "rebuild", None]
     report = replay.replay([])
@@ -298,8 +299,8 @@ def assert_results_identical(mine, theirs, label):
     mine_map = mine.recorded_fragments()
     theirs_map = theirs.recorded_fragments()
     assert list(mine_map) == list(theirs_map), label
-    assert [mine.origin_spec(origin) for origin in mine_map] \
-        == [theirs.origin_spec(origin) for origin in theirs_map], label
+    assert [origin_spec(mine, origin) for origin in mine_map] \
+        == [origin_spec(theirs, origin) for origin in theirs_map], label
     for origin in mine_map:
         assert fragments_equivalent(mine_map[origin], theirs_map[origin]), \
             (label, origin)

@@ -16,7 +16,11 @@ from __future__ import annotations
 import pytest
 
 from repro.pipeline import ArtifactCache, ScenarioRun
-from repro.scenarios.base import ScenarioConfig, default_stage_names, stage_graph_for
+from repro.scenarios.base import (
+    ScenarioConfig,
+    default_stage_names,
+    stage_graph_for,
+)
 from repro.scenarios.families import (
     GROWTH_SWEEP_YEARS,
     growth_sweep_spec,
@@ -31,12 +35,9 @@ from repro.scenarios.spec import (
     scenario_names,
 )
 from repro.scenarios.workloads import (
-    large_scenario_config,
-    medium_scenario_config,
     scenario_config,
     scenario_run,
     small_scenario_config,
-    workload_sizes,
 )
 
 #: Families beyond europe2013 that must run end-to-end.
@@ -83,10 +84,6 @@ class TestSizeTable:
         assert get_scenario("europe2013").config("small") == \
             small_scenario_config()
 
-    def test_europe2013_medium_and_large_match(self):
-        spec = get_scenario("europe2013")
-        assert spec.config("medium") == medium_scenario_config()
-        assert spec.config("large") == large_scenario_config()
 
     def test_full_size_matches_default_config(self):
         assert get_scenario("europe2013").config("full") == ScenarioConfig()
@@ -102,7 +99,8 @@ class TestSizeTable:
             get_scenario("europe2013").config("galactic")
 
     def test_workload_sizes_exposes_table(self):
-        assert set(workload_sizes()) == set(DEFAULT_SIZES)
+        assert set(get_scenario("europe2013").size_names()) == \
+            set(DEFAULT_SIZES)
 
     def test_scenario_run_rejects_unknown_workload(self):
         with pytest.raises(ValueError, match="unknown workload"):

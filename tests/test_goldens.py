@@ -34,6 +34,7 @@ from repro.scenarios.spec import get_scenario, scenario_names
 
 from tests.oracle.inference import run_object_inference
 from tests.oracle.kernels import KERNELS, forced_kernel
+from tests.oracle.observation import all_entries
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 GOLDEN_SIZE = "tiny"
@@ -99,7 +100,7 @@ def observation_pins(run) -> dict:
     validation LG's full query table."""
     archive = run.artifact("collectors")["archive"]
     validation_lgs = run.artifact("viewpoints")["validation_lgs"]
-    all_rows = entry_rows(archive.all_entries())
+    all_rows = entry_rows(all_entries(archive))
     return {
         "num_entries": len(all_rows),
         "entries_sha256": json_digest(all_rows),

@@ -5,6 +5,8 @@ import pytest
 from repro.analysis.visibility import VisibilityAnalysis
 from repro.topology.relationships import LinkType
 
+from tests.oracle.reachability import served_pairs
+
 
 class TestScenarioAssembly:
     def test_all_substrates_present(self, small_scenario):
@@ -21,7 +23,7 @@ class TestScenarioAssembly:
         for name, route_server in small_scenario.route_servers.items():
             truth_members = set(small_scenario.graph.rs_members_of_ixp(name))
             assert set(route_server.members()) == truth_members
-            served = route_server.served_pairs()
+            served = served_pairs(route_server)
             truth_pairs = small_scenario.internet.mlp_ground_truth[name]
             # The RS serves at least the ground-truth pairs (per-prefix
             # inconsistencies may add a blocked prefix but not remove pairs).
@@ -32,8 +34,8 @@ class TestScenarioAssembly:
         assert entries
         with_rs_communities = [
             entry for entry in entries
-            if any(small_scenario.schemes.get(name).is_rs_community(c)
-                   for name in small_scenario.schemes.ixp_names()
+            if any(scheme.is_rs_community(c)
+                   for scheme in small_scenario.schemes
                    for c in entry.communities)
         ]
         assert with_rs_communities
@@ -65,8 +67,9 @@ class TestEndToEndNumbers:
             mlp_links=inferred, bgp_links=bgp,
             traceroute_links=small_scenario.traceroute_links())
         assert analysis.report.fraction_invisible > 0.5
-        assert analysis.report.fraction_visible_in_traceroute < \
-            analysis.report.fraction_visible_in_bgp + 0.2
+        report = analysis.report
+        assert len(report.mlp_visible_in_traceroute) / report.num_mlp < \
+            report.fraction_visible_in_bgp + 0.2
 
     def test_traceroute_does_not_see_rs_links(self, small_scenario):
         traceroute_links = small_scenario.traceroute_links()

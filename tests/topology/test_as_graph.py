@@ -40,12 +40,6 @@ class TestNodesAndLinks:
         assert graph.get_link(20, 10) is graph.get_link(10, 20)
         assert graph.has_link(40, 20)
 
-    def test_link_helpers(self, graph):
-        link = graph.get_link(10, 20)
-        assert link.involves(10) and not link.involves(40)
-        assert link.other(10) == 20
-        with pytest.raises(ValueError):
-            link.other(99)
 
     def test_remove_link(self, graph):
         assert graph.remove_link(10, 20)
@@ -55,8 +49,8 @@ class TestNodesAndLinks:
     def test_links_filtered_by_type(self, graph):
         assert len(graph.links(LinkType.C2P)) == 2
         assert len(graph.links(LinkType.RS_P2P)) == 1
-        assert len(graph.peering_links()) == 1
-        assert graph.num_links() == 3
+        assert not graph.links(LinkType.P2P)
+        assert len(graph.links()) == 3
 
 
 class TestRelationshipQueries:
@@ -66,9 +60,6 @@ class TestRelationshipQueries:
         assert graph.providers(10) == [20]
         assert graph.customers(10) == []
 
-    def test_peers(self, graph):
-        assert graph.peers(20) == [40]
-        assert graph.peers(20, include_rs=False) == []
 
     def test_relationship_view(self, graph):
         assert graph.relationship(20, 10) is Relationship.CUSTOMER
@@ -84,8 +75,6 @@ class TestRelationshipQueries:
     def test_degrees_and_stubs(self, graph):
         assert graph.degree(20) == 3
         assert graph.transit_degree(20) == 1
-        # 30 provides transit to 20, so only 10 and 40 are stubs.
-        assert set(graph.stubs()) == {10, 40}
 
 
 class TestIXPAnnotations:
@@ -105,13 +94,13 @@ class TestPropagationExport:
     def test_adjacency_export_counts(self, graph):
         edges = link_edges(graph.links(), CommunityBagStore())
         # Every link yields two directed edges, a->b then b->a.
-        assert len(edges.sources) == 2 * graph.num_links()
+        assert len(edges.sources) == 2 * len(graph.links())
         assert list(zip(edges.sources, edges.targets))[:2] == [(10, 20),
                                                                (20, 10)]
         # 20 imports from its customer 10, and 10 from its provider 20.
         assert edges.rels[:2] == [REL_CUSTOMER, REL_PROVIDER]
         assert set(edges.vias) == {-1}
-        assert graph.build_index().num_edges == 2 * graph.num_links()
+        assert graph.build_index().num_edges == 2 * len(graph.links())
 
     def test_rs_community_provider_called_for_rs_links(self, graph):
         from repro.bgp.communities import Community
@@ -134,9 +123,3 @@ class TestPropagationExport:
             frozenset({Community(6695, 20)}),
             frozenset({Community(6695, 40)})]
         assert sum(1 for bag in edges.bags if bag) == 2
-
-    def test_summary(self, graph):
-        summary = graph.summary()
-        assert summary["ases"] == 4
-        assert summary["links"] == 3
-        assert summary["rs_p2p_links"] == 1

@@ -26,7 +26,6 @@ class TestExportIntent:
         intent = ExportIntent(MODE_ALL_EXCEPT, frozenset({5}))
         assert intent.allows(7)
         assert not intent.allows(5)
-        assert intent.allowed_members([1, 5, 7], self_asn=1) == {7}
 
     def test_none_except_semantics(self):
         intent = ExportIntent(MODE_NONE_EXCEPT, frozenset({5}))
@@ -140,7 +139,8 @@ class TestGeneratedInternet:
         first = InternetGenerator(config).generate()
         second = InternetGenerator(config).generate()
         assert first.all_mlp_links() == second.all_mlp_links()
-        assert first.graph.summary() == second.graph.summary()
+        assert [str(link) for link in first.graph.links()] == \
+            [str(link) for link in second.graph.links()]
 
     def test_different_seed_differs(self):
         a = InternetGenerator(GeneratorConfig(seed=1, scale=0.1,

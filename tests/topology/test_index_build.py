@@ -5,7 +5,7 @@ graph's links; :mod:`tests.oracle.topology` keeps the record-by-record
 build (two ``Adjacency`` objects per link, one record per adjacency, a
 ``list.sort`` per phase).  :func:`index_differences` compares them field
 by field — node ids, every phase column including the bag ids, the bag
-store, ``num_edges`` and ``summary()`` — on every registered scenario at
+store, ``num_nodes`` and ``num_edges`` — on every registered scenario at
 tiny, with the scenario's route-server community provider and without.
 The seeded-mutation walk of ``test_typed_adjacency.py`` makes the same
 comparison on its mutated graphs.

@@ -62,7 +62,8 @@ def _mutations(graph: ASGraph, rng: random.Random) -> Iterator[str]:
             link_type = rng.choice(
                 [t for t in LinkType if t is not link.link_type])
             a, b = (link.b, link.a) if rng.random() < 0.5 else (link.a, link.b)
-            ixp = link.ixp if link_type.is_peering else None
+            ixp = link.ixp if link_type in (LinkType.P2P, LinkType.RS_P2P) \
+                else None
             yield f"retype to {graph.add_link(ASLink(a, b, link_type, ixp))}"
         elif kind == "flip":
             link = rng.choice(graph.links(LinkType.C2P))
@@ -172,7 +173,7 @@ def test_snapshot_is_read_only(graph):
     with pytest.raises(TypeError):
         snapshot |= {}
     assert snapshot == graph.relationship_map()
-    assert len(snapshot) == 2 * graph.num_links()
+    assert len(snapshot) == 2 * len(graph.links())
 
 
 def test_snapshot_pickles_and_copies_as_a_map(graph):
