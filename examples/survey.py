@@ -30,13 +30,16 @@ def print_timeline(run) -> None:
           f"({spec.timeline.length} events, delta recompute) ...")
     report = run.timeline()
     print(f"  {'#':>2} {'event':<12} {'affected':>8} {'recomp':>6} "
-          f"{'reused':>6} {'frac':>7} {'links':>5} {'index':>7} {'ms':>8}")
+          f"{'reused':>6} {'frac':>7} {'links':>5} {'rebag':>5} "
+          f"{'index':>7} {'restore':>7} {'ms':>8}")
     for index, row in enumerate(report.rows()):
         print(f"  {index:>2} {row['event']:<12} {row['affected']:>8} "
               f"{row['recomputed']:>6} {row['reused']:>6} "
               f"{row['affected_fraction']:>7.2%} {row['links_changed']:>5} "
-              f"{row['reindex'] or '-':>7} {row['seconds'] * 1e3:>8.1f}")
-    total = sum(row["affected"] for row in report.rows())
+              f"{row['rebagged']:>5} {row['reindex'] or '-':>7} "
+              f"{'yes' if row['restored'] else '-':>7} "
+              f"{row['seconds'] * 1e3:>8.1f}")
+    total = sum(row["recomputed"] for row in report.rows())
     origins = report.reports[-1].total if report.reports else 0
     print(f"  {len(report.events)} events, {total} origin recomputes "
           f"over {origins} origins")

@@ -5,17 +5,18 @@ members should receive the member's routes via the route server, and how
 that intent is encoded into RS communities.  The paper observed that the
 community values applied by a member are remarkably consistent across its
 prefixes (fewer than 0.5% of members differed, and only on <2% of their
-prefixes); per-prefix overrides model that residual inconsistency.
+prefixes), so one policy covers all of a member's prefixes; the residual
+inconsistency is modelled by announcements that carry explicit
+communities (:meth:`~repro.ixp.route_server.RouteServer.announce`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Optional
+from dataclasses import dataclass
+from typing import FrozenSet, Iterable, Optional
 
 from repro.bgp.asn import Private16BitMapper
 from repro.bgp.communities import Community
-from repro.bgp.prefix import Prefix
 from repro.ixp.community_schemes import CommunityScheme
 
 MODE_ALL_EXCEPT = "all-except"
@@ -36,8 +37,6 @@ class MemberExportPolicy:
     ixp_name: str
     mode: str = MODE_ALL_EXCEPT
     listed: FrozenSet[int] = frozenset()
-    #: Optional per-prefix deviations: prefix -> (mode, listed).
-    prefix_overrides: Dict[Prefix, "MemberExportPolicy"] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.mode not in (MODE_ALL_EXCEPT, MODE_NONE_EXCEPT):
@@ -46,29 +45,21 @@ class MemberExportPolicy:
 
     # -- semantics ---------------------------------------------------------------
 
-    def allows(self, peer_asn: int, prefix: Optional[Prefix] = None) -> bool:
-        """True if routes (for *prefix*, if given) should reach *peer_asn*."""
-        policy = self._effective(prefix)
-        if policy.mode == MODE_ALL_EXCEPT:
-            return peer_asn not in policy.listed
-        return peer_asn in policy.listed
-
-    def _effective(self, prefix: Optional[Prefix]) -> "MemberExportPolicy":
-        if prefix is not None and prefix in self.prefix_overrides:
-            return self.prefix_overrides[prefix]
-        return self
+    def allows(self, peer_asn: int) -> bool:
+        """True if routes should reach *peer_asn*."""
+        if self.mode == MODE_ALL_EXCEPT:
+            return peer_asn not in self.listed
+        return peer_asn in self.listed
 
     # -- encoding ----------------------------------------------------------------
 
     def communities_for(
         self,
         scheme: CommunityScheme,
-        prefix: Optional[Prefix] = None,
         mapper: Optional[Private16BitMapper] = None,
     ) -> FrozenSet[Community]:
-        """The RS communities the member attaches when announcing *prefix*."""
-        policy = self._effective(prefix)
-        return scheme.encode_policy(policy.mode, sorted(policy.listed), mapper)
+        """The RS communities the member attaches to its announcements."""
+        return scheme.encode_policy(self.mode, sorted(self.listed), mapper)
 
     # -- constructors -------------------------------------------------------------
 

@@ -59,6 +59,12 @@ class RouteServer:
         self._ip_to_member: Dict[str, int] = {}
         #: prefix -> member ASN -> entry
         self._rib: Dict[Prefix, Dict[int, RouteServerEntry]] = {}
+        #: member ASN -> (policy, the communities it encodes to): one
+        #: encoding per installed policy object, shared by every RIB
+        #: entry the member announces under it (policies are replaced on
+        #: change, never mutated, so an identity match is exact).
+        self._encoded: Dict[int, Tuple[MemberExportPolicy,
+                                       FrozenSet[Community]]] = {}
         #: communities -> (has NONE, resolved includes, resolved excludes);
         #: invalidated whenever membership (and thus the mapper) changes.
         self._classify_cache: Dict[FrozenSet[Community],
@@ -71,9 +77,9 @@ class RouteServer:
     def copy(self) -> "RouteServer":
         """A copy that mutates independently of this route server: the
         member, IP and reverse-IP maps, the RIB (two levels deep), the
-        private-ASN mapper and the classify cache are copied; the
-        scheme, the member policies (replaced on change, never written)
-        and the frozen RIB entries are shared.  Equal to
+        private-ASN mapper, the encoded-policy and classify caches are
+        copied; the scheme, the member policies (replaced on change,
+        never written) and the frozen RIB entries are shared.  Equal to
         ``copy.deepcopy(route_server)``, without walking every object.
         """
         clone = copy.copy(self)
@@ -83,6 +89,7 @@ class RouteServer:
         clone._ip_to_member = dict(self._ip_to_member)
         clone._rib = {prefix: dict(routes)
                       for prefix, routes in self._rib.items()}
+        clone._encoded = dict(self._encoded)
         clone._classify_cache = dict(self._classify_cache)
         return clone
 
@@ -113,6 +120,7 @@ class RouteServer:
     def remove_member(self, member_asn: int) -> None:
         """Tear down a member session and drop its routes."""
         self._members.pop(member_asn, None)
+        self._encoded.pop(member_asn, None)
         self.version += 1
         ip = self._member_ips.pop(member_asn, None)
         if ip is not None:
@@ -141,6 +149,18 @@ class RouteServer:
     def member_policy(self, asn: int) -> MemberExportPolicy:
         """Ground-truth export policy of *asn* (KeyError if not a member)."""
         return self._members[asn]
+
+    def member_communities(self, asn: int) -> FrozenSet[Community]:
+        """The RS communities *asn*'s export policy encodes to under the
+        IXP's scheme (KeyError if not a member), encoded once per
+        installed policy object."""
+        policy = self._members[asn]
+        encoded = self._encoded.get(asn)
+        if encoded is None or encoded[0] is not policy:
+            encoded = (policy, policy.communities_for(self.scheme,
+                                                      self.mapper))
+            self._encoded[asn] = encoded
+        return encoded[1]
 
     def member_ip(self, asn: int) -> str:
         """IXP-LAN IP address of *asn*."""
@@ -173,8 +193,7 @@ class RouteServer:
         if not path or path[0] != member_asn:
             path = (member_asn,) + path
         if communities is None:
-            policy = self._members[member_asn]
-            communities = policy.communities_for(self.scheme, prefix, self.mapper)
+            communities = self.member_communities(member_asn)
         entry = RouteServerEntry(
             member_asn=member_asn,
             prefix=prefix,

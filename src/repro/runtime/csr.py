@@ -63,6 +63,15 @@ class DirectedEdges(NamedTuple):
 NO_EDGES = DirectedEdges((), (), (), (), ())
 
 
+class Splice(NamedTuple):
+    """What :meth:`CSRIndex.spliced` returns."""
+
+    index: "CSRIndex"
+    #: ``(source ASN, target ASN)`` of every retagged edge whose
+    #: ``(rel, bag, via)`` the splice actually changed, in input order.
+    rebagged: Tuple[Tuple[int, int], ...]
+
+
 class PhaseEdges(NamedTuple):
     """One propagation phase's edges in CSR layout (parallel arrays)."""
 
@@ -144,20 +153,23 @@ class CSRIndex:
     # -- incremental maintenance ---------------------------------------------
 
     def spliced(self, removed: DirectedEdges, added: DirectedEdges,
-                retagged: DirectedEdges = NO_EDGES) -> "CSRIndex":
-        """A new index equal to a from-scratch build after an edge delta.
+                retagged: DirectedEdges = NO_EDGES) -> Splice:
+        """A new index equal to a from-scratch build after an edge delta,
+        and the retagged edges whose annotations it changed.
 
         *removed*/*added* are directed edge columns whose bag ids refer
         to this index's store (:func:`~repro.topology.as_graph.
         link_edges` interns into ``index.bags``); *retagged* edges keep
         their row but get their annotations (rel, bag, via) replaced —
         the policy-edit case, where a member's RS communities change on
-        edges whose adjacency is untouched.  The phase arrays are copied
-        and each change is applied at the sorted ``(source, target)``
-        position a full build's stable sort would have produced, so
-        the result is structurally identical to a from-scratch build of
-        the post-change edges — that is what makes event-driven delta
-        recompute bit-identical to a rebuild.
+        edges whose adjacency is untouched.  A retagged edge whose
+        annotations are already those is left as it is and is not
+        reported in :attr:`Splice.rebagged`.  The phase arrays are
+        copied and each change is applied at the sorted ``(source,
+        target)`` position a full build's stable sort would have
+        produced, so the result is structurally identical to a
+        from-scratch build of the post-change edges — that is what
+        makes event-driven delta recompute bit-identical to a rebuild.
 
         The ASN interner is shared (node ids must not shift) and the bag
         store is shared and appended to (existing bag ids stay valid for
@@ -179,22 +191,41 @@ class CSRIndex:
                     changes[1].append(record)
                 if rel == REL_PROVIDER or rel == REL_SIBLING:
                     changes[2].append(record)
+        changed: set = set()
         phases = tuple(
-            _splice_phase(phase, phase_changes) if phase_changes else phase
+            _splice_phase(phase, phase_changes, changed)
+            if phase_changes else phase
             for phase, phase_changes in zip(
                 (self.customer_edges, self.peer_edges, self.provider_edges),
                 changes))
-        return CSRIndex(self.asns, self.bags, phases[0], phases[1],
-                        phases[2], num_edges=self.num_edges + delta)
+        index = CSRIndex(self.asns, self.bags, phases[0], phases[1],
+                         phases[2], num_edges=self.num_edges + delta)
+        rebagged = tuple(
+            (source, target) for source, target in zip(retagged.sources,
+                                                       retagged.targets)
+            if (id_of[source], id_of[target]) in changed)
+        return Splice(index, rebagged)
 
-    # -- introspection -------------------------------------------------------
+    # -- comparison ----------------------------------------------------------
+
+    def matches(self, other: "CSRIndex") -> bool:
+        """Does *other* hold exactly this index's edges, on the same ASN
+        interner and bag store?  Propagation over either then computes
+        the same routes, bag ids included."""
+        return (other.asns is self.asns and other.bags is self.bags
+                and other.num_edges == self.num_edges
+                and other.customer_edges == self.customer_edges
+                and other.peer_edges == self.peer_edges
+                and other.provider_edges == self.provider_edges)
 
 
-def _splice_phase(phase: PhaseEdges, changes: List[tuple]) -> PhaseEdges:
+def _splice_phase(phase: PhaseEdges, changes: List[tuple],
+                  changed: set) -> PhaseEdges:
     """Apply ``(sign, source, target, rel, bag, via)`` changes to a copy
     of *phase*, keeping the per-source target ordering of a stable
     ``(source, target)`` sort (edges are unique per pair within a
-    phase, so the position is exact)."""
+    phase, so the position is exact).  Adds to *changed* the ``(source,
+    target)`` node pair of every retag that changed its row."""
     indptr = list(phase.indptr)
     targets = list(phase.targets)
     rels = list(phase.rels)
@@ -220,12 +251,14 @@ def _splice_phase(phase: PhaseEdges, changes: List[tuple]) -> PhaseEdges:
         else:  # retag in place: row position and ordering untouched
             if not present:
                 raise KeyError((source, target))
-            rels[position] = rel
-            bags[position] = bag
-            vias[position] = via
+            if (rels[position], bags[position], vias[position]) \
+                    != (rel, bag, via):
+                rels[position] = rel
+                bags[position] = bag
+                vias[position] = via
+                changed.add((source, target))
             continue
         for node in range(source + 1, num_nodes + 1):
             indptr[node] += sign
     return PhaseEdges(indptr=indptr, targets=targets, rels=rels,
                       bags=bags, vias=vias)
-

@@ -13,49 +13,56 @@ Affected-set soundness
 ----------------------
 Valley-free forward propagation from an origin is: a climb over
 customer-phase edges, at most one peer-phase hop, then a descent over
-provider-phase edges.  :func:`affected_update` computes, on the
-**pre-event** state, a sound superset of the origins whose recorded
-fragments can change — per change kind:
+provider-phase edges.  The kernels are deterministic, and a recorded
+block lists its observers in the order their nodes first received a
+*candidate* — a candidate that later loses still places its node.  So
+what decides whether a changed directed edge ``u -> v`` can change an
+origin's fragments is not whether a recorded path uses it but whether
+it carries any candidate of the origin, and where that candidate can
+surface.  :func:`affected_update` answers both on the **pre-event**
+index, for removed and added links alike:
 
-* **Removed edges and policy/bag edits are exact.**  Removing an edge
-  only removes candidate routes, and route selection is a pure function
-  of the offered paths, so a recorded fragment changes iff one of its
-  recorded paths crossed the removed edge (a non-recorded node whose
-  best route used the edge forwards that full path to every recorded
-  observer downstream of it, so the crossing is always visible in the
-  prior blocks).  Likewise an edited member's route-server communities
-  ride only routes whose path visits the member.
-  :func:`origins_touching` looks those pairs/nodes up in one vectorized
-  pass over the prior result's blocks: removed pairs against each
-  block's cached packed link keys (:meth:`RouteBlock.link_keys`, built
-  once per block and reused with it from result to result), visited
-  nodes against the raw path values.
-* **Added edges use the first-crossing argument plus export scoping.**
-  A new route through an added edge must reach one endpoint via
-  pre-event edges.  What crosses, and where the change can surface, is
-  bounded by valley-free export rules:
+* An edge is only read when ``u`` exports over it.  Over a
+  customer-phase edge ``u`` exports in the climb, which reaches ``u``
+  only for origins in ``u``'s :func:`customer_cone`; over a peer-phase
+  edge only its customer routes, so again only that cone; over a
+  provider-phase edge any origin that reaches ``u`` at all
+  (:func:`affected_origins` seeded at ``u``).  An origin ``u`` never
+  exports over the edge runs identically with or without it.  For an
+  added edge the pre-event cones suffice: a candidate reaches ``u``
+  over pre-event edges before it can cross the new one.
+* A candidate crossing a peer- or provider-phase edge is passed on only
+  down provider-phase edges, so it can change only the rows of ``v``
+  and ``v``'s descent.  When no recording observer sits there
+  (:func:`_observer_below`), the recorded blocks — row order and
+  offered blocks included — stay the same.  A customer-phase candidate
+  climbs on and can surface anywhere, so it is never gated.
 
-  - a ``customer -> provider`` crossing carries only the customer's
-    cone (its transitive customers plus itself) and re-exports
-    globally, so the customer's :func:`customer_cone` is always
-    affected;
-  - a ``provider -> customer`` crossing can carry anything the provider
-    holds, but the route then only descends — it surfaces solely at
-    observers at or below the customer endpoint.  When no recording
-    observer sits there, the descent direction affects nothing; when
-    one does, the provider side falls back to the conservative
-    three-phase backward cone (:func:`affected_origins`);
-  - a peer crossing carries each exporter's customer cone and surfaces
-    only at or below the importer, so each side's cone is gated on an
-    observer below the other side.
+Per changed link that gives: ``customer -> provider``, the customer's
+cone, plus every origin reaching the provider when an observer sits at
+or below the customer; peer, each side's cone, gated on an observer at
+or below the other side; sibling or unknown, :func:`affected_origins`
+of both endpoints, the conservative three-phase backward cone (``S3``
+backward over provider edges, ``S2`` one backward peer hop, ``S1``
+backward over customer edges).  One event's cones are walked together.
+
+**Bag edits are exact.**  Route selection never reads a community bag:
+the kernels compare class, path length and exporter, and their
+re-export guard ignores bags too.  Changing the bag on ``u -> v``
+therefore changes no selection and no row order, only the bag of the
+rows whose path crosses ``u -> v``; recorded paths are full paths, so
+:func:`origins_touching` finds those origins in the prior blocks, in
+one vectorized pass over each block's cached packed link keys
+(:meth:`RouteBlock.link_keys`, built once per block and reused with it
+from result to result).  The pair lookup is undirected, a superset of
+the directed edge.  When the index was rebuilt rather than spliced the
+re-bagged edges are unknown, and the origins whose paths visit the
+edited member stand in for them (a superset: the member's bag rides
+only its own exports).
 
 Origins outside the computed set provably record identical fragments on
 the post-event index, so their blocks are safe to reuse without
-comparison.  :func:`affected_origins` — the three phases run *backward
-from seed ASNs* (``S3`` backward over provider edges, ``S2`` one
-backward peer hop, ``S1`` backward over customer edges) — remains the
-conservative fallback for changes with no sharper analysis
-(sibling/unknown edges).
+comparison.
 
 NOTE: this module imports :mod:`repro.bgp.propagation` at module level;
 that is only acyclic because ``repro/runtime/__init__.py`` deliberately
@@ -65,6 +72,7 @@ does NOT import ``repro.runtime.delta``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import (
     Callable,
     Dict,
@@ -165,20 +173,27 @@ def affected_origins(
     return frozenset(affected)
 
 
-def customer_cone(index: CSRIndex, asn: int) -> FrozenSet[int]:
-    """*asn* plus every ASN whose valley-free climb can reach it
-    (transitive customers over customer-phase edges, siblings included).
-    ASNs absent from the index cone onto themselves."""
-    node = index.id_of.get(asn)
-    if node is None:
-        return frozenset({asn})
+def customer_cone(index: CSRIndex, *asns: int) -> FrozenSet[int]:
+    """The given ASNs plus every ASN whose valley-free climb can reach
+    one of them (transitive customers over customer-phase edges,
+    siblings included).  ASNs absent from the index cone onto
+    themselves."""
     marked = bytearray(index.num_nodes)
-    marked[node] = 1
-    _backward_closure(marked, [node],
-                      _reverse_lists(index.customer_edges, index.num_nodes))
+    frontier = []
+    absent = set()
+    for asn in asns:
+        node = index.id_of.get(asn)
+        if node is None:
+            absent.add(asn)
+        elif not marked[node]:
+            marked[node] = 1
+            frontier.append(node)
+    if frontier:
+        _backward_closure(marked, frontier, _reverse_lists(
+            index.customer_edges, index.num_nodes))
     node_asns = index.node_asns
     return frozenset(node_asns[n] for n in range(index.num_nodes)
-                     if marked[n])
+                     if marked[n]) | absent
 
 
 def _observer_below(index: CSRIndex, asn: int,
@@ -253,8 +268,8 @@ def origins_touching(
     never match) or visit any ASN in *visits*, in the best **or** the
     offered block.
 
-    This is the exact affected set for edge removals and for policy/bag
-    edits (see the module docstring).  It is answered in one vectorized
+    This is the exact affected set of bag edits (see the module
+    docstring).  It is answered in one vectorized
     pass per query kind: the blocks' cached link keys
     (:meth:`RouteBlock.link_keys`; blocks not keyed yet are keyed
     together by :func:`~repro.runtime.fragments.key_links`) or raw path
@@ -292,7 +307,7 @@ KIND_C2P = "c2p"      #: ``(customer, provider)`` endpoints, in that order
 KIND_PEER = "peer"    #: peer / route-server peer edge
 KIND_OTHER = "other"  #: sibling or unknown — conservative backward cone
 
-#: ``(kind, a, b)`` — one changed undirected edge.
+#: ``(kind, a, b)`` — one removed or added link.
 LinkChange = Tuple[str, int, int]
 
 
@@ -301,8 +316,9 @@ def affected_update(
     index: CSRIndex,
     origins: Iterable[int],
     records: Optional[FrozenSet[int]],
-    removed: Iterable[Tuple[int, int]] = (),
+    removed: Iterable[LinkChange] = (),
     added: Iterable[LinkChange] = (),
+    rebagged: Iterable[Tuple[int, int]] = (),
     tainted: Iterable[int] = (),
 ) -> FrozenSet[int]:
     """Origins whose fragments can change under one event's batch of
@@ -310,28 +326,42 @@ def affected_update(
 
     *prior* and *index* describe the **pre-event** state; *records* is
     the union of the recording observer sets (``None`` = everywhere);
-    *removed* holds the endpoint pairs of removed edges, *added* the
-    :data:`LinkChange` tuples of added edges (``KIND_C2P`` with the
-    customer first), *tainted* the ASNs whose attached route-server
-    communities changed.  Batching is sound because events never mix
-    customer-phase edits with the peer-link maintenance that relies on
-    customer cones staying fixed.
+    *removed* and *added* hold the :data:`LinkChange` tuples of removed
+    and added links (``KIND_C2P`` with the customer first), *rebagged*
+    the ``(source, target)`` edges whose community bag changed, and
+    *tainted* the ASNs whose route-server communities changed on edges
+    not listed in *rebagged*.  Batching is sound because events never
+    mix customer-phase edits with the peer-link maintenance that relies
+    on customer cones staying fixed.
     """
     origin_list = list(origins)
     affected: Set[int] = set(
-        origins_touching(prior, pairs=removed, visits=tainted))
-    for kind, a, b in added:
+        origins_touching(prior, pairs=rebagged, visits=tainted))
+    observed: Dict[int, bool] = {}
+
+    def observer_below(asn: int) -> bool:
+        if asn not in observed:
+            observed[asn] = _observer_below(index, asn, records)
+        return observed[asn]
+
+    climbs: Set[int] = set()   # exporters of customer routes
+    reaches: Set[int] = set()  # exporters of any route they hold
+    for kind, a, b in chain(removed, added):
         if kind == KIND_C2P:
-            affected |= customer_cone(index, a)
-            if _observer_below(index, a, records):
-                affected |= affected_origins(index, {b}, origin_list)
+            climbs.add(a)
+            if observer_below(a):
+                reaches.add(b)
         elif kind == KIND_PEER:
-            if _observer_below(index, b, records):
-                affected |= customer_cone(index, a)
-            if _observer_below(index, a, records):
-                affected |= customer_cone(index, b)
+            if observer_below(b):
+                climbs.add(a)
+            if observer_below(a):
+                climbs.add(b)
         else:
-            affected |= affected_origins(index, {a, b}, origin_list)
+            reaches.update((a, b))
+    if climbs:
+        affected |= customer_cone(index, *climbs)
+    if reaches:
+        affected |= affected_origins(index, reaches, origin_list)
     return frozenset(asn for asn in origin_list if asn in affected)
 
 

@@ -460,11 +460,10 @@ def _announce_routes(
                     others = [m for m in members if m != asn]
                     if others:
                         extra = rng.choice(others)
-                        scheme = route_server.scheme
-                        policy = route_server.member_policy(asn)
-                        communities = set(policy.communities_for(
-                            scheme, prefix, route_server.mapper))
-                        communities.add(scheme.exclude(extra, route_server.mapper))
+                        communities = set(
+                            route_server.member_communities(asn))
+                        communities.add(route_server.scheme.exclude(
+                            extra, route_server.mapper))
                         route_server.announce(asn, prefix, path, communities)
                         continue
                 route_server.announce(asn, prefix, path)

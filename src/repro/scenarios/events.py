@@ -19,11 +19,14 @@ those deltas plus the machinery to *replay* a timeline incrementally:
   baseline state;
 * :class:`TimelineReplay` — applies events one at a time, computes the
   affected origin set on the pre-event index and prior blocks
-  (:func:`repro.runtime.delta.affected_update` — exact for removals and
-  policy edits, cone-scoped for added links), re-runs only those
-  origins and patches the prior result
-  (:func:`repro.runtime.delta.patched_result`), reusing every other
-  origin's columnar blocks byte-for-byte.
+  (:func:`repro.runtime.delta.affected_update` — cone-scoped and
+  observer-gated for removed and added links alike, exact for the edges
+  a policy edit re-bagged), re-runs only those origins and patches the
+  prior result (:func:`repro.runtime.delta.patched_result`), reusing
+  every other origin's columnar blocks byte-for-byte.  A
+  :class:`SessionUp` that returns the index to the one its
+  :class:`SessionDown` started from takes back the result saved at the
+  down and recomputes nothing but new origins.
 
 Layering: this module sits below :mod:`repro.scenarios.spec` (which
 imports :class:`TimelineSpec` from here), so it must not import
@@ -148,7 +151,8 @@ class EventEffect:
     *removed_links*/*added_links* are the exact :class:`ASLink` objects
     taken out of / put into the graph (a retagged multilateral link
     shows up as one removal plus one addition).  *tainted* holds ASNs
-    whose attached route-server communities changed (policy edits).
+    whose attached route-server communities may have changed (policy
+    edits): the index splice re-bags their RS edges.
     *dirty_origins* are origins whose spec (prefix list) changed without
     any topology change.
     """
@@ -164,8 +168,8 @@ class EventEffect:
 
     @property
     def touches_index(self) -> bool:
-        """True when the CSR index must be rebuilt (adjacency or edge
-        community bags changed)."""
+        """True when the CSR index may change (adjacency or edge
+        community bags)."""
         return bool(self.removed_links or self.added_links or self.tainted)
 
 
@@ -302,8 +306,9 @@ def _apply_policy_edit(state: ReplayState, event: PolicyEdit) -> EventEffect:
         route_server.announce(event.member, entry.prefix, entry.as_path)
     removed, added = state._recompute_pairs(event.member,
                                             route_server.member_set())
-    # The member's RS communities changed: routes crossing its RS edges
-    # re-derive their bags even where the link set is unchanged.
+    # The member's RS communities may have changed: the index splice
+    # re-derives the bags of its RS edges even where the link set is
+    # unchanged, and reports which of them changed.
     return EventEffect(removed_links=tuple(removed),
                        added_links=tuple(added),
                        tainted=frozenset({event.member}))
@@ -539,29 +544,15 @@ def rs_community_provider(
 ) -> Callable:
     """The per-(ASN, IXP) RS-community closure propagation indexes with
     (the propagation stage's and every replay's, via
-    :func:`build_context`).
-
-    Memoised per policy *object*: policies are replaced, never mutated
-    in place (:func:`_apply_policy_edit` and ``add_member`` both install
-    fresh objects), so an identity hit is exact while an edited or
-    re-joined member re-encodes automatically.  One provider held across
-    a timeline replay turns the per-event index rebuild's dominant cost
-    — re-encoding every member's export policy — into dictionary hits.
-    """
-    cache: Dict[Tuple[int, str], Tuple[object, FrozenSet]] = {}
-
+    :func:`build_context`): a member's
+    :meth:`~repro.ixp.route_server.RouteServer.member_communities`,
+    which each route server encodes once per installed policy object,
+    so an index rebuild re-encodes only edited or re-joined members."""
     def rs_communities(asn: int, ixp_name: str):
         route_server = route_servers.get(ixp_name)
         if route_server is None or not route_server.is_member(asn):
             return frozenset()
-        policy = route_server.member_policy(asn)
-        hit = cache.get((asn, ixp_name))
-        if hit is not None and hit[0] is policy:
-            return hit[1]
-        value = policy.communities_for(route_server.scheme, None,
-                                       route_server.mapper)
-        cache[(asn, ixp_name)] = (policy, value)
-        return value
+        return route_server.member_communities(asn)
     return rs_communities
 
 
@@ -575,17 +566,12 @@ def mutation_epoch_provider(
                     tuple(server.version for server in servers))
 
 
-def build_context(graph: ASGraph, route_servers: Dict[str, RouteServer],
-                  rs_provider: Optional[Callable] = None) -> PipelineContext:
+def build_context(graph: ASGraph,
+                  route_servers: Dict[str, RouteServer]) -> PipelineContext:
     """A propagation context over the current graph/RS state, with the
-    mutation epoch bound (the propagation stage builds its context here).
-
-    *rs_provider* lets a replay reuse one memoised community provider
-    across events instead of re-encoding every policy per rebuild."""
-    if rs_provider is None:
-        rs_provider = rs_community_provider(route_servers)
+    mutation epoch bound (the propagation stage builds its context here)."""
     context = PipelineContext.from_graph(
-        graph, rs_community_provider=rs_provider)
+        graph, rs_community_provider=rs_community_provider(route_servers))
     context.bind_epoch(mutation_epoch_provider(graph, route_servers))
     return context
 
@@ -615,7 +601,7 @@ def rebuild_propagation(
 
 def _link_change(link: ASLink) -> LinkChange:
     """The :func:`~repro.runtime.delta.affected_update` change tuple of
-    an added link (C2P with the customer first, per the ASLink
+    a removed or added link (C2P with the customer first, per the ASLink
     convention)."""
     if link.link_type is LinkType.C2P:
         return (KIND_C2P, link.a, link.b)
@@ -644,6 +630,12 @@ class EventReport:
     #: how the CSR index changed: :data:`REINDEX_SPLICE`,
     #: :data:`REINDEX_REBUILD`, or ``None`` when it was kept as is.
     reindex: Optional[str] = None
+    #: a repair that took back the result from before its session went
+    #: down (:meth:`TimelineReplay.apply`).
+    restored: bool = False
+    #: directed edges whose community bag the event changed in a spliced
+    #: index (a policy edit's re-bagged edges).
+    rebagged: int = 0
 
     @property
     def affected_fraction(self) -> float:
@@ -668,6 +660,8 @@ class TimelineReport:
             "affected_fraction": round(report.affected_fraction, 4),
             "links_changed": report.links_changed,
             "reindex": report.reindex,
+            "restored": report.restored,
+            "rebagged": report.rebagged,
             "seconds": report.seconds,
         } for report in self.reports]
 
@@ -682,11 +676,13 @@ class TimelineReplay:
     :class:`ImpossibleEventError` from :meth:`apply` with the replay
     unchanged.  Each
     :meth:`apply` computes the affected frontier on the *pre-event*
-    index, rebuilds the index only when the event changed topology or
-    policy, and patches the previous result through
-    :func:`repro.runtime.delta.patched_result`.  The origin spec list
-    is kept across events and re-derived only after an event that
-    dirtied an origin's spec (prefix churn).
+    index, splices the event's edge delta into the index (rebuilding it
+    only when the node set changed), and patches the previous result
+    through :func:`repro.runtime.delta.patched_result`.  A repair whose
+    index equals the one its session went down from takes back the
+    result saved at the down instead.  The origin spec list is kept
+    across events and re-derived only after an event that dirtied an
+    origin's spec (prefix churn).
     """
 
     def __init__(
@@ -705,12 +701,10 @@ class TimelineReplay:
         self.record_at = frozenset(record_at) \
             if record_at is not None else None
         self.record_alternatives_at = frozenset(record_alternatives_at or ())
-        #: memoised RS-community closure, shared across every index
-        #: (re)build of this replay.
+        #: the RS-community closure the index splices attach bags with.
         self._rs_provider = rs_community_provider(self.route_servers)
         if context is None:
-            context = build_context(self.graph, self.route_servers,
-                                    rs_provider=self._rs_provider)
+            context = build_context(self.graph, self.route_servers)
         #: context over the *current* replay state; its index doubles as
         #: the next event's pre-event index.
         self.context = context
@@ -718,40 +712,73 @@ class TimelineReplay:
         self._origins = origin_specs_of(self.graph)
         self.result = baseline
         self.reports: List[EventReport] = []
+        #: beside the state's flap registry: sorted endpoint pair -> the
+        #: (context, result) from just before that session went down.
+        self._before_down: Dict[Tuple[int, int],
+                                Tuple[PipelineContext, object]] = {}
 
     def apply(self, event: Event) -> EventReport:
-        """Apply one event and patch the result; returns its report."""
+        """Apply one event and patch the result; returns its report.
+
+        A :class:`SessionUp` whose spliced index :meth:`~repro.runtime.
+        csr.CSRIndex.matches` the index its :class:`SessionDown` started
+        from restores that down's context and result: propagation reads
+        only the index, the origins and the recording sets, so the saved
+        blocks are the ones a rebuild computes, and only origins the
+        saved result lacks (new announcers) are computed.  Any other
+        repair takes the delta path and drops the saved pair.
+        """
         started = time.perf_counter()
-        pre_index = self.context.index
+        pre_context = self.context
         prior = self.result
         effect = self.state.apply(event)
-        reindex = None
-        if effect.touches_index:
-            # Topology/policy changed: splice the link delta (and any
-            # tainted members' re-derived edge bags) into the CSR —
-            # bit-identical to a rebuild by construction.  Fall back to
-            # a from-scratch rebuild when the event changed the
-            # adjacency node set (interned ids would shift).
-            index = self._spliced_index(pre_index, effect)
-            if index is not None:
-                self.context = self._context_over(index)
-                reindex = REINDEX_SPLICE
-            else:
-                self.context = build_context(self.graph,
-                                             self.route_servers,
-                                             rs_provider=self._rs_provider)
-                reindex = REINDEX_REBUILD
         if effect.dirty_origins:
             self._origins = origin_specs_of(self.graph)
         origins = self._origins
-        records = None if self.record_at is None else \
-            self.record_at | self.record_alternatives_at
-        affected = affected_update(
-            prior, pre_index, [spec.asn for spec in origins], records,
-            removed=[(link.a, link.b) for link in effect.removed_links],
-            added=[_link_change(link) for link in effect.added_links],
-            tainted=effect.tainted)
-        stale = set(affected) | set(effect.dirty_origins)
+        reindex = None
+        rebagged: Tuple[Tuple[int, int], ...] = ()
+        if effect.touches_index:
+            # Splice the link delta (and any tainted member's re-derived
+            # edge bags) into the CSR — bit-identical to a rebuild by
+            # construction.  Fall back to a from-scratch rebuild when
+            # the event changed the adjacency node set (interned ids
+            # would shift).  A splice that changes nothing (a member
+            # re-installing its policy) keeps the context and its plan.
+            splice = self._spliced_index(pre_context.index, effect)
+            if splice is None:
+                self.context = build_context(self.graph,
+                                             self.route_servers)
+                reindex = REINDEX_REBUILD
+            elif effect.links_changed or splice.rebagged:
+                self.context = self._context_over(splice.index)
+                reindex = REINDEX_SPLICE
+                rebagged = splice.rebagged
+        saved = None
+        if isinstance(event, SessionDown):
+            self._before_down[effect.removed_links[0].endpoints] = (
+                pre_context, prior)
+        elif isinstance(event, SessionUp):
+            saved = self._before_down.pop(effect.added_links[0].endpoints,
+                                          None)
+            if saved is not None and \
+                    not saved[0].index.matches(self.context.index):
+                saved = None
+        if saved is not None:
+            self.context, prior = saved
+            stale: Set[int] = set()
+        else:
+            records = None if self.record_at is None else \
+                self.record_at | self.record_alternatives_at
+            # Re-bagged edges are known only for a splice; after a
+            # rebuild the edited members' visits stand in for them.
+            affected = affected_update(
+                prior, pre_context.index, [spec.asn for spec in origins],
+                records,
+                removed=[_link_change(link) for link in effect.removed_links],
+                added=[_link_change(link) for link in effect.added_links],
+                rebagged=rebagged,
+                tainted=effect.tainted if reindex == REINDEX_REBUILD else ())
+            stale = set(affected) | set(effect.dirty_origins)
         result, stats = patched_result(prior, origins, stale,
                                        self._fragments_fn)
         seconds = time.perf_counter() - started
@@ -761,7 +788,8 @@ class TimelineReplay:
             affected=len(stale), total=stats.total,
             recomputed=stats.recomputed, reused=stats.reused,
             links_changed=effect.links_changed, seconds=seconds,
-            reindex=reindex)
+            reindex=reindex, restored=saved is not None,
+            rebagged=len(rebagged))
         self.reports.append(report)
         return report
 
@@ -776,7 +804,8 @@ class TimelineReplay:
     # -- internals -----------------------------------------------------------
 
     def _spliced_index(self, index, effect: EventEffect):
-        """The pre-event *index* with the effect's link delta spliced in
+        """The :class:`~repro.runtime.csr.Splice` of the effect's link
+        delta and re-derived bags into the pre-event *index*
         (:meth:`~repro.runtime.csr.CSRIndex.spliced`), or ``None`` when
         the event changed the adjacency node set — an endpoint gaining
         its first or losing its last link shifts interned node ids, so

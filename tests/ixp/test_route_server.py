@@ -48,17 +48,6 @@ class TestMemberExportPolicy:
         communities = policy.communities_for(scheme)
         assert Community(0, 5410) in communities
 
-    def test_prefix_override(self, scheme):
-        special = Prefix.parse("11.9.9.0/24")
-        policy = MemberExportPolicy(1, "DE-CIX", prefix_overrides={
-            special: MemberExportPolicy(1, "DE-CIX", "none-except",
-                                        frozenset({42}))})
-        assert policy.allows(7)                      # default prefix
-        assert not policy.allows(7, special)         # overridden prefix
-        assert policy.allows(42, special)
-        communities = policy.communities_for(scheme, special)
-        assert Community(0, 6695) in communities
-
 
 class TestRouteServer:
     def test_membership_management(self, route_server):
@@ -80,6 +69,25 @@ class TestRouteServer:
         entries = route_server.routes_from_member(200)
         assert len(entries) == 1
         assert Community(0, 300) in entries[0].communities
+
+    def test_policy_encoded_once_and_shared_across_prefixes(
+            self, route_server):
+        """A member's RIB entries share the one community set its
+        installed policy encodes to; a replaced policy re-encodes."""
+        for prefix in ("11.1.0.0/24", "11.1.1.0/24"):
+            route_server.announce(200, Prefix.parse(prefix))
+        entries = route_server.routes_from_member(200)
+        assert len(entries) == 3
+        encoded = route_server.member_communities(200)
+        assert encoded == route_server.member_policy(200).communities_for(
+            route_server.scheme, route_server.mapper)
+        assert all(entry.communities is encoded for entry in entries)
+        assert route_server.copy().member_communities(200) is encoded
+        route_server.add_member(200, MemberExportPolicy.all_except(
+            200, "DE-CIX", {100}))
+        replaced = route_server.member_communities(200)
+        assert Community(0, 100) in replaced
+        assert Community(0, 300) not in replaced
 
     def test_rib_queries(self, route_server):
         prefix = Prefix.parse("11.0.1.0/24")

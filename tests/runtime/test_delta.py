@@ -9,6 +9,7 @@ small hand-built topologies and blocks, and the one-pass
 """
 
 import pickle
+import random
 
 import pytest
 
@@ -26,6 +27,7 @@ from repro.runtime.csr import NO_EDGES
 from repro.runtime.delta import (
     DeltaStats,
     KIND_C2P,
+    KIND_OTHER,
     KIND_PEER,
     _observer_below,
     affected_origins,
@@ -429,13 +431,101 @@ def test_affected_update_peer_addition_cone_exchange():
     assert affected == {2, 5}
 
 
-def test_affected_update_removal_uses_exact_scan():
+def test_affected_update_removal_uses_edge_cones():
     graph = two_trees()
     index = graph.build_index()
     _, prior = propagate_all(graph)
+    # Removing 5 -> 2 (customer 5, provider 2): 5's cone climbs over the
+    # edge; recording everywhere, whatever reaches 2 descends over it.
     affected = affected_update(prior, index, ALL_ASNS, None,
-                               removed=[(5, 2)])
+                               removed=[(KIND_C2P, 5, 2)])
     assert affected == {2, 5}
+    # With no observer at or below 5, the descent side carries nothing
+    # that surfaces: only the climb side is left.
+    _, prior = propagate_all(graph, record_at=frozenset({1, 4}))
+    affected = affected_update(prior, index, ALL_ASNS, frozenset({1, 4}),
+                               removed=[(KIND_C2P, 5, 2)])
+    assert affected == {5}
+
+
+def test_affected_update_rebagged_edges_use_exact_scan():
+    graph = two_trees(peer_link=True)
+    index = graph.build_index()
+    _, prior = propagate_all(graph)
+    affected = affected_update(prior, index, ALL_ASNS, None,
+                               rebagged=[(1, 2)])
+    assert affected == oracle.origins_touching(prior, pairs=[(1, 2)])
+    assert affected_update(prior, index, ALL_ASNS, None, tainted=[5]) \
+        == oracle.origins_touching(prior, visits=[5])
+
+
+def random_graph(rng, size=14):
+    """A random hierarchy with bilateral and route-server peerings and a
+    sibling pair, every AS announcing one prefix."""
+    graph = ASGraph()
+    for asn in range(1, size + 1):
+        graph.add_as(ASNode(asn=asn,
+                            prefixes=[Prefix.parse(f"10.{asn}.0.0/16")]))
+    for asn in range(2, size + 1):
+        for provider in rng.sample(range(1, asn),
+                                   k=min(asn - 1, rng.randint(1, 2))):
+            graph.add_c2p(asn, provider)
+    for number in range(size + 2):
+        a, b = rng.sample(range(1, size + 1), 2)
+        if not graph.has_link(a, b):
+            graph.add_p2p(a, b, ixp="IX" if number % 2 else None,
+                          multilateral=bool(number % 2))
+    a, b = rng.sample(range(1, size + 1), 2)
+    if not graph.has_link(a, b):
+        graph.add_link(ASLink(a, b, LinkType.SIBLING))
+    return graph
+
+
+def link_change(link):
+    if link.link_type is LinkType.C2P:
+        return (KIND_C2P, link.a, link.b)
+    if link.link_type is LinkType.SIBLING:
+        return (KIND_OTHER, link.a, link.b)
+    return (KIND_PEER, link.a, link.b)
+
+
+def recorded(graph, records, alternatives):
+    context = PipelineContext.from_graph(graph)
+    engine = context.engine(record_at=records,
+                            record_alternatives_at=alternatives)
+    origins = [OriginSpec(asn=node.asn, prefixes=list(node.prefixes))
+               for node in graph.nodes()]
+    return context.index, engine.propagate(origins)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_link_changes_keep_every_unaffected_fragment(seed):
+    """Removing and re-adding each link of a random topology: every
+    origin outside ``affected_update``'s set keeps its fragments row
+    for row, order included, although the link may have carried its
+    losing candidates."""
+    rng = random.Random(seed)
+    graph = random_graph(rng)
+    asns = sorted(graph.asns())
+    records = frozenset(rng.sample(asns, 4))
+    alternatives = frozenset(rng.sample(sorted(records), 2))
+    index, before = recorded(graph, records, alternatives)
+    for link in sorted(graph.links(), key=lambda l: l.endpoints):
+        mutated = graph.copy()
+        mutated.remove_link(link.a, link.b)
+        mutated_index, after = recorded(mutated, records, alternatives)
+        for prior, pre_index, post, change in (
+                (before, index, after, {"removed": [link_change(link)]}),
+                (after, mutated_index, before,
+                 {"added": [link_change(link)]})):
+            affected = affected_update(prior, pre_index, asns, records,
+                                       **change)
+            prior_map = prior.recorded_fragments()
+            post_map = post.recorded_fragments()
+            for origin in set(asns) - affected:
+                assert fragments_equivalent(prior_map[origin],
+                                            post_map[origin]), \
+                    (seed, link, change, origin)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +559,8 @@ def test_spliced_index_matches_fresh_build_per_link():
         if graph.degree(link.a) == 1 or graph.degree(link.b) == 1:
             continue  # node would leave the edge set: rebuild territory
         edges = link_edges([link], index.bags)
-        without = index.spliced(edges, NO_EDGES)
+        without, rebagged = index.spliced(edges, NO_EDGES)
+        assert rebagged == ()
         mutated = ASGraph()
         for node in graph.nodes():
             mutated.add_as(ASNode(asn=node.asn,
@@ -478,8 +569,12 @@ def test_spliced_index_matches_fresh_build_per_link():
             if other_link is not link:
                 mutated.add_link(other_link)
         assert_index_identical(without, mutated.build_index())
-        back = without.spliced(NO_EDGES, edges)
+        back = without.spliced(NO_EDGES, edges).index
         assert_index_identical(back, graph.build_index())
+        # Back to the pre-removal edges, on the shared interner and
+        # bag store: the indexes match.
+        assert back.matches(index) and index.matches(back)
+        assert not without.matches(index)
 
 
 def test_spliced_index_rejects_unknown_edges():
@@ -506,11 +601,20 @@ def test_spliced_index_retags_edge_bags_in_place():
     index = graph.build_index(
         rs_community_provider=lambda asn, ixp: first.get(asn, frozenset()))
     link = graph.get_link(1, 2)
-    retagged = index.spliced(NO_EDGES, NO_EDGES, link_edges(
+    retagged, rebagged = index.spliced(NO_EDGES, NO_EDGES, link_edges(
         [link], index.bags, lambda asn, ixp: second.get(asn, frozenset())))
     fresh = graph.build_index(
         rs_community_provider=lambda asn, ixp: second.get(asn, frozenset()))
     assert_index_identical(retagged, fresh)
+    # Only 1's export changed its bag; 2 -> 1 kept its (empty) bag.
+    assert rebagged == ((1, 2),)
+    # Retagging with the bags already in place changes nothing.
+    again = retagged.spliced(NO_EDGES, NO_EDGES, link_edges(
+        [link], index.bags, lambda asn, ixp: second.get(asn, frozenset())))
+    assert again.rebagged == () and again.index.matches(retagged)
+    assert not retagged.matches(index)
+    # Equal edges on another interner or bag store do not match.
+    assert not retagged.matches(fresh)
     # The pre-splice index still carries the old bag (store append-only).
     assert_index_identical(
         index, graph.build_index(

@@ -28,6 +28,12 @@ from repro.scenarios.events import (
 from repro.scenarios.spec import get_scenario, scenario_names
 from repro.topology.as_graph import LinkType
 
+from tests.oracle import delta as delta_oracle
+from tests.oracle.events import (
+    checked_replay,
+    random_events,
+    rebuild_differences,
+)
 from tests.oracle.kernels import KERNELS, forced_kernel
 from tests.oracle.propagation import origin_spec
 from tests.oracle.blocks import fragments_equivalent
@@ -239,61 +245,6 @@ def test_report_records_how_the_index_changed(tiny_baseline):
 # ---------------------------------------------------------------------------
 
 
-def random_events(rng, graph, route_servers, length):
-    """A randomized mixed event sequence, drawn against evolving state
-    (an auxiliary ReplayState keeps successive draws meaningful)."""
-    state = ReplayState(*copy.deepcopy((graph, route_servers)))
-    roster = sorted(route_servers)
-    events = []
-    while len(events) < length:
-        kind = rng.randrange(6)
-        if kind == 0:
-            links = sorted(state.graph.links(), key=lambda l: l.endpoints)
-            link = links[rng.randrange(len(links))]
-            event = SessionDown(link.a, link.b)
-        elif kind == 1:
-            if not state.down_links:
-                continue
-            key = sorted(state.down_links)[rng.randrange(
-                len(state.down_links))]
-            event = SessionUp(*key)
-        elif kind == 2:
-            ixp = roster[rng.randrange(len(roster))]
-            members = state.route_servers[ixp].members()
-            if not members:
-                continue
-            member = members[rng.randrange(len(members))]
-            excluded = [m for m in members if m != member][:2]
-            event = PolicyEdit(ixp=ixp, member=member,
-                               listed=tuple(excluded))
-        elif kind == 3:
-            ixp = roster[rng.randrange(len(roster))]
-            candidates = sorted(
-                set(state.graph.members_of_ixp(ixp))
-                - state.route_servers[ixp].member_set())
-            if not candidates:
-                continue
-            event = MemberJoin(ixp=ixp,
-                               member=candidates[rng.randrange(
-                                   len(candidates))])
-        elif kind == 4:
-            ixp = roster[rng.randrange(len(roster))]
-            members = state.route_servers[ixp].members()
-            if len(members) <= 2:
-                continue
-            event = MemberLeave(ixp=ixp,
-                                member=members[rng.randrange(len(members))])
-        else:
-            asns = state.graph.asns()
-            asn = asns[rng.randrange(len(asns))]
-            event = PrefixChurn(asn=asn,
-                                prefix=f"198.18.{len(events)}.0/24",
-                                withdraw=rng.random() < 0.3)
-        state.apply(event)
-        events.append(event)
-    return events
-
-
 def assert_results_identical(mine, theirs, label):
     assert mine.visible_links() == theirs.visible_links(), label
     mine_map = mine.recorded_fragments()
@@ -354,6 +305,182 @@ def test_registered_family_delta_matches_rebuild(tiny_baseline, family):
     _, full = rebuild_propagation(rebuild_graph, rebuild_servers,
                                   record_at, record_alt)
     assert_results_identical(replay.result, full, family)
+
+
+def test_churn_witness_at_bench_matches_rebuild_after_every_event(
+        bench_run):
+    """The bench churn timeline whose event 14 (AMS-IX 5032 leaving)
+    removed RS links that carried only losing candidates into some
+    observers: a scan of the recorded paths missed the origins whose
+    rows those candidates had placed.  Every event's blocks, row order
+    included, equal a rebuild's."""
+    propagation = bench_run.artifact("propagation")
+    graph = bench_run.artifact("topology").graph
+    route_servers = bench_run.artifact("ixps")["route_servers"]
+    events = build_timeline(TimelineSpec("churn", 24, 20130508), graph,
+                            route_servers)
+    assert events[14] == MemberLeave(ixp="AMS-IX", member=5032)
+    checked_replay(graph, route_servers, propagation["propagation"],
+                   *record_sets(propagation), events, "churn witness")
+
+
+# ---------------------------------------------------------------------------
+# repairs restore, policy edits taint only re-bagged edges
+# ---------------------------------------------------------------------------
+
+
+def new_replay(baseline):
+    return TimelineReplay(baseline["graph"], baseline["route_servers"],
+                          baseline["baseline"], baseline["record_at"],
+                          baseline["record_alt"])
+
+
+def spliceable_links(graph):
+    """Links whose removal leaves both endpoints linked (the index is
+    spliced, not rebuilt), in endpoint order."""
+    return [link for link in sorted(graph.links(), key=lambda l: l.endpoints)
+            if graph.degree(link.a) > 1 and graph.degree(link.b) > 1]
+
+
+def assert_matches_rebuild(replay, events, baseline, label):
+    state = ReplayState(*copy.deepcopy((baseline["graph"],
+                                        baseline["route_servers"])))
+    for event in events:
+        state.apply(event)
+    assert rebuild_differences(replay.result, state, baseline["record_at"],
+                               baseline["record_alt"]) == [], label
+
+
+def test_repair_restores_the_blocks_from_before_the_down(tiny_baseline):
+    replay = new_replay(tiny_baseline)
+    link = next(link for link in spliceable_links(replay.graph)
+                if link.link_type is LinkType.C2P)
+    context, before = replay.context, replay.result.recorded_fragments()
+    down = replay.apply(SessionDown(link.a, link.b))
+    assert down.recomputed > 0 and not down.restored
+    up = replay.apply(SessionUp(link.a, link.b))
+    assert up.restored and up.reindex == "splice"
+    assert (up.recomputed, up.affected, up.reused) == (0, 0, up.total)
+    after = replay.result.recorded_fragments()
+    assert list(after) == list(before)
+    for origin, (best, offered) in before.items():
+        assert after[origin][0] is best and after[origin][1] is offered
+    # The saved context comes back too, with its compiled plan.
+    assert replay.context is context
+    assert [row["restored"] for row in replay.replay([]).rows()] \
+        == [False, True]
+
+
+def test_nested_repairs_restore_and_crossed_ones_take_the_delta_path(
+        tiny_baseline):
+    first, second = spliceable_links(tiny_baseline["graph"])[:2]
+    down_first = SessionDown(first.a, first.b)
+    down_second = SessionDown(second.a, second.b)
+    up_first = SessionUp(first.a, first.b)
+    up_second = SessionUp(second.a, second.b)
+    for events, restored in (
+            ([down_first, down_second, up_second, up_first],
+             [False, False, True, True]),
+            ([down_first, down_second, up_first, up_second],
+             [False, False, False, False])):
+        replay = new_replay(tiny_baseline)
+        for count, event in enumerate(events, 1):
+            replay.apply(event)
+            assert_matches_rebuild(replay, events[:count], tiny_baseline,
+                                   (events, count))
+        assert [report.restored for report in replay.reports] == restored
+
+
+def test_restore_computes_only_a_new_origin(tiny_baseline):
+    """An AS that withdrew its only prefix before the down and announces
+    one before the repair is an origin the saved result lacks."""
+    graph = tiny_baseline["graph"]
+    newcomer = next(asn for asn in sorted(graph.asns())
+                    if len(graph.get_as(asn).prefixes) == 1)
+    link = spliceable_links(graph)[0]
+    events = [PrefixChurn(asn=newcomer,
+                          prefix=str(graph.get_as(newcomer).prefixes[0]),
+                          withdraw=True),
+              SessionDown(link.a, link.b),
+              PrefixChurn(asn=newcomer, prefix="198.51.100.0/24"),
+              SessionUp(link.a, link.b)]
+    replay = new_replay(tiny_baseline)
+    replay.replay(events[:2])
+    assert newcomer not in replay.result.recorded_fragments()
+    replay.replay(events[2:])
+    up = replay.reports[-1]
+    assert up.restored and up.recomputed == 1
+    assert newcomer in replay.result.recorded_fragments()
+    assert_matches_rebuild(replay, events, tiny_baseline, "new origin")
+
+
+def test_repair_after_a_rebuilding_down_falls_back(tiny_baseline):
+    """A down that takes an endpoint's last link rebuilds the index on a
+    new interner; the repair cannot match it by identity and takes the
+    delta path."""
+    graph = tiny_baseline["graph"]
+    stub = next(asn for asn in sorted(graph.asns())
+                if graph.degree(asn) == 1 and graph.get_as(asn).prefixes)
+    (neighbour,) = graph.neighbours(stub)
+    events = [SessionDown(stub, neighbour), SessionUp(stub, neighbour)]
+    replay = new_replay(tiny_baseline)
+    replay.replay(events)
+    assert [(r.reindex, r.restored) for r in replay.reports] \
+        == [("rebuild", False), ("rebuild", False)]
+    assert_matches_rebuild(replay, events, tiny_baseline, "rebuild")
+
+
+def rs_member_links(graph, route_servers):
+    """``(ixp, member, RS links of the member tagged with that IXP)`` of
+    the first member (in IXP and ASN order) holding any."""
+    for ixp in sorted(route_servers):
+        for member in route_servers[ixp].members():
+            links = [link for link in graph.links(LinkType.RS_P2P)
+                     if link.ixp == ixp and member in link.endpoints]
+            if links:
+                return ixp, member, links
+    raise AssertionError("no RS member holds an RS link")
+
+
+def test_reinstalled_policy_recomputes_nothing(tiny_baseline):
+    replay = new_replay(tiny_baseline)
+    ixp, member, _links = rs_member_links(replay.graph, replay.route_servers)
+    policy = replay.route_servers[ixp].member_policy(member)
+    context = replay.context
+    event = PolicyEdit(ixp=ixp, member=member, mode=policy.mode,
+                       listed=tuple(sorted(policy.listed)))
+    report = replay.apply(event)
+    assert (report.recomputed, report.rebagged, report.links_changed,
+            report.reindex) == (0, 0, 0, None)
+    assert replay.context is context
+    assert_matches_rebuild(replay, [event], tiny_baseline, "reinstall")
+
+
+def test_policy_edit_recomputes_only_origins_crossing_rebagged_edges(
+        tiny_baseline):
+    """Excluding an AS that is not a member changes the member's
+    communities at that IXP and no link: exactly the origins whose
+    recorded paths cross one of its RS links there are recomputed."""
+    replay = new_replay(tiny_baseline)
+    ixp, member, links = rs_member_links(replay.graph, replay.route_servers)
+    route_server = replay.route_servers[ixp]
+    outsider = next(asn for asn in sorted(replay.graph.asns())
+                    if not route_server.is_member(asn))
+    prior = replay.result
+    event = PolicyEdit(ixp=ixp, member=member, listed=(outsider,))
+    report = replay.apply(event)
+    assert report.links_changed == 0
+    assert report.rebagged == len(links)
+    expected = delta_oracle.origins_touching(
+        prior, pairs=[(link.a, link.b) for link in links])
+    assert expected
+    prior_map = prior.recorded_fragments()
+    recomputed = {origin for origin, (best, _offered)
+                  in replay.result.recorded_fragments().items()
+                  if best is not prior_map[origin][0]}
+    assert recomputed == expected
+    assert report.recomputed == len(expected)
+    assert_matches_rebuild(replay, [event], tiny_baseline, "rebag")
 
 
 # ---------------------------------------------------------------------------
