@@ -26,7 +26,7 @@ CSR adjacency index built once per topology, per-AS best-route state in
 integer arrays, and paths/community bags interned in shared stores.
 Two kernels compute the same routes bit for bit, and the engine picks
 one per :meth:`PropagationEngine.batch_fragments` call from the number
-of uncached origins: below :data:`COMPILED_MIN_ORIGINS` the per-origin
+of origins it propagates: below :data:`COMPILED_MIN_ORIGINS` the per-origin
 frontier BFS (:class:`~repro.runtime.frontier.FrontierPropagator`),
 which has no per-batch set-up cost; at or above it the fused
 multi-origin kernel (:class:`~repro.runtime.compiled.
@@ -91,7 +91,7 @@ __all__ = [
 ]
 
 #: Kernel selection threshold: a ``batch_fragments`` call with at least
-#: this many uncached origins runs the fused multi-origin kernel, a
+#: this many connected origins runs the fused multi-origin kernel, a
 #: smaller one runs the frontier BFS per origin.  Measured crossover
 #: (ARCHITECTURE.md, "Kernel selection"): the compiled kernel is 2-3x
 #: slower on one origin (its per-batch set-up dominates), breaks even
@@ -305,9 +305,9 @@ class PropagationEngine:
     ----------
     context:
         The :class:`~repro.runtime.context.PipelineContext` whose CSR
-        index, path/bag stores, compiled plan and per-origin route
-        memoisation the engine shares with every other engine created
-        from it (:meth:`~repro.runtime.context.PipelineContext.engine`).
+        index, path/bag stores and compiled plan the engine shares with
+        every other engine created from it
+        (:meth:`~repro.runtime.context.PipelineContext.engine`).
     record_at:
         ASes whose resulting routes should be kept in the result.  If
         None, every AS is recorded (only advisable for small topologies).
@@ -334,12 +334,6 @@ class PropagationEngine:
         id_of = self._index.id_of
         self._alt_nodes = frozenset(
             id_of[asn] for asn in self._record_alt_at if asn in id_of)
-        #: memoisation signature: same record config -> shareable
-        #: fragments (both kernels produce identical fragments).
-        self._record_sig = (
-            frozenset(self._record_at) if self._record_at is not None else None,
-            frozenset(self._record_alt_at),
-        )
 
     # -- public API ----------------------------------------------------------
 
@@ -362,24 +356,16 @@ class PropagationEngine:
         Each fragment is a :class:`~repro.runtime.fragments.RouteBlock`
         — columnar, cheap to pickle (a handful of arrays instead of
         thousands of route tuples) and iterable as lazy
-        ``PropagatedRoute`` views.  The
-        cache misses of the whole batch are propagated together by one
-        kernel, picked by their count (:data:`COMPILED_MIN_ORIGINS`).
+        ``PropagatedRoute`` views.  Every origin of the batch is
+        propagated: the origins are run together by one kernel, picked
+        by their count (:data:`COMPILED_MIN_ORIGINS`).
         """
         specs = list(specs)
         results: List[Optional[Tuple]] = [None] * len(specs)
-
-        # Memoise per-origin fragments only when recording is bounded to
-        # explicit observers: a record-everything engine would pin
-        # O(origins x nodes) materialised routes to the shared context.
-        memoizable = self._record_at is not None
-        cache = self._ctx.route_cache
-        # Mutation epoch of the underlying graph/route-server state:
-        # salting it into the key means a lookup after a policy or
-        # membership change can never return a pre-mutation block.
-        epoch = self._ctx.mutation_epoch() if memoizable else None
         recordable = self._record_at
-        pending: List[Tuple[int, int, int, Tuple]] = []
+        positions: List[int] = []
+        origin_nodes: List[int] = []
+        origin_bags: List[int] = []
         for position, spec in enumerate(specs):
             origin = spec.asn
             origin_bag = self._bags.intern(frozenset(spec.communities)) \
@@ -391,27 +377,19 @@ class PropagationEngine:
                     origin, self._bags.value(origin_bag),
                     recordable is None or origin in recordable)
                 continue
-            key = (origin, origin_bag, self._record_sig, epoch)
-            fragments = cache.get(key) if memoizable else None
-            if fragments is not None:
-                results[position] = fragments
-            else:
-                pending.append((position, origin_node, origin_bag, key))
+            positions.append(position)
+            origin_nodes.append(origin_node)
+            origin_bags.append(origin_bag)
 
-        if pending:
-            computed = self._compute_fragments(
-                [entry[1] for entry in pending],
-                [entry[2] for entry in pending])
-            for (position, _node, _bag, key), fragments in zip(
-                    pending, computed):
+        if positions:
+            for position, fragments in zip(positions, self._compute_fragments(
+                    origin_nodes, origin_bags)):
                 results[position] = fragments
-                if memoizable:
-                    cache[key] = fragments
         return results
 
     def _compute_fragments(self, origin_nodes, origin_bags) -> List[Tuple]:
-        """Propagate the uncached origins (parallel node/bag lists; cache
-        hits and isolated origins already filtered out).
+        """Propagate the connected origins (parallel node/bag lists;
+        isolated origins already filtered out).
 
         Kernel selection: :data:`COMPILED_MIN_ORIGINS` or more origins
         run through the fused multi-origin kernel in memory-bounded

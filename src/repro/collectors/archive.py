@@ -4,7 +4,7 @@ The paper accumulates daily table dumps and update messages for
 1-7 May 2013 and filters out transient AS paths (paths observed so
 briefly that they probably reflect misconfigured community values or
 leaks).  :class:`CollectorArchive` reproduces that pipeline: it stores
-dumps per day, synthesises update noise, and can return the stable
+dumps per day, injects transient entries, and can return the stable
 entries that survive the transient filter.
 
 The archive is one column store.  :func:`gather_feeds` gathers every
@@ -395,7 +395,7 @@ class StableEntries(SequenceABC):
 
 
 class CollectorArchive:
-    """Archived dumps and updates of one or more collectors.
+    """Archived dumps of one or more collectors.
 
     An archive holds one measurement window of one propagation result:
     :meth:`collect` (or :meth:`record`) runs once, and a second call
@@ -409,15 +409,11 @@ class CollectorArchive:
         self.window = window or MeasurementWindow()
         self._rng = random.Random(seed)
         self._table = RibEntryTable(RibDump.empty(), self.window.days())
-        #: the synthesised updates: base row and timestamp of each.
-        self._update_rows = np.empty(0, dtype=np.int64)
-        self._update_times: List[float] = []
         self._collected = False
         #: first base row of every distinct (peer, prefix, path) key,
         #: and first transient row of every key no base row holds.
         self._firsts: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        #: min_days -> stable / clean-stable row views.
-        self._stable_cache: Dict[int, StableEntries] = {}
+        #: min_days -> clean-stable row view.
         self._clean_cache: Dict[int, StableEntries] = {}
 
     # -- population ------------------------------------------------------------------
@@ -436,8 +432,6 @@ class CollectorArchive:
         ``transient_fraction`` injects short-lived entries: on one
         random day, a variant (first hop prepended) of a random sample
         of the base rows, which exercises the transient-path filter.
-        Then a random twentieth of the base rows is replayed as update
-        messages on random days.
         """
         self._check_fresh()
         self._collected = True
@@ -452,12 +446,6 @@ class CollectorArchive:
                 dtype=np.int64)
             transient_day = self._rng.choice(days)
         self._table = RibEntryTable(dump, days, transients, transient_day)
-        if count:
-            size = min(count, max(1, count // 20))
-            rows = self._rng.sample(range(count), size)
-            choice, draw = self._rng.choice, self._rng.random
-            self._update_rows = np.asarray(rows, dtype=np.int64)
-            self._update_times = [choice(days) + draw() for _row in rows]
 
     def _check_fresh(self) -> None:
         if self._collected:
@@ -494,13 +482,9 @@ class CollectorArchive:
         row of every base key, then (when one day suffices) the first
         transient row of every other key — the same rows, in the same
         order, as a grouped scan over every day's dump in day order.
-        The result is a read-only :class:`StableEntries` view memoised
-        per *min_days* — every inference run re-reads the same window,
-        so the filter runs once, not once per run.
+        The result is a new read-only :class:`StableEntries` view on
+        every call; :meth:`clean_stable_entries` memoises its own.
         """
-        cached = self._stable_cache.get(min_days)
-        if cached is not None:
-            return cached
         table = self._table
         days = len(table.days)
         if not days or not len(table):
@@ -509,14 +493,13 @@ class CollectorArchive:
             base, transient = self._first_rows()
             rows = np.concatenate((base, transient)) \
                 if min(min_days, days) <= 1 else base
-        result = self._stable_cache[min_days] = StableEntries(table, rows)
-        return result
+        return StableEntries(table, rows)
 
     def clean_stable_entries(self, min_days: int = 2) -> StableEntries:
-        """Stable entries that also pass the reserved-ASN / cycle filters
-        (memoised alongside :meth:`stable_entries`; the inference
-        engine additionally keys its context-level observation planes
-        on this view's identity, which the memo keeps stable).
+        """Stable entries that also pass the reserved-ASN / cycle filters,
+        memoised per *min_days*: the inference engine keys its
+        context-level observation planes on this view's identity, which
+        the memo keeps stable.
 
         Cleanliness is the table's per-path mask
         (:meth:`RibEntryTable.clean_paths`), read at the stable rows."""

@@ -20,7 +20,6 @@ from repro.ixp.looking_glass import (
     LGQueryCounter,
     RouteServerLookingGlass,
     ASLookingGlass,
-    RateLimitExceeded,
 )
 
 __all__ = [
@@ -35,5 +34,4 @@ __all__ = [
     "LGQueryCounter",
     "RouteServerLookingGlass",
     "ASLookingGlass",
-    "RateLimitExceeded",
 ]

@@ -15,8 +15,7 @@ Two kinds of looking glasses matter to the paper:
   (figure 8).
 
 Every query is counted so the querying-cost analysis of section 4.3 can
-be reproduced exactly, and an optional rate limit models the 1 query /
-10 s constraint the authors worked under.
+be reproduced exactly.
 """
 
 from __future__ import annotations
@@ -27,10 +26,6 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from repro.bgp.communities import Community
 from repro.bgp.prefix import Prefix
 from repro.ixp.route_server import RouteServer
-
-
-class RateLimitExceeded(RuntimeError):
-    """Raised when a looking glass refuses a query due to rate limiting."""
 
 
 @dataclass(frozen=True)
@@ -47,15 +42,11 @@ class LGRoute:
 class LGQueryCounter:
     """Counts queries issued against a looking glass, by command."""
 
-    def __init__(self, max_queries: Optional[int] = None) -> None:
-        self.max_queries = max_queries
+    def __init__(self) -> None:
         self.counts: Dict[str, int] = {}
 
     def record(self, command: str) -> None:
-        """Record one query; raises :class:`RateLimitExceeded` beyond the cap."""
-        if self.max_queries is not None and self.total >= self.max_queries:
-            raise RateLimitExceeded(
-                f"query budget of {self.max_queries} exhausted")
+        """Record one query."""
         self.counts[command] = self.counts.get(command, 0) + 1
 
     @property
@@ -79,10 +70,9 @@ def _lg_routes(prefix: Prefix, routes) -> List[LGRoute]:
 class RouteServerLookingGlass:
     """LG interface in front of an IXP route server."""
 
-    def __init__(self, route_server: RouteServer,
-                 max_queries: Optional[int] = None) -> None:
+    def __init__(self, route_server: RouteServer) -> None:
         self.route_server = route_server
-        self.counter = LGQueryCounter(max_queries)
+        self.counter = LGQueryCounter()
 
     @property
     def ixp_name(self) -> str:
@@ -121,29 +111,30 @@ class ASLookingGlass:
     """LG operated by an AS, showing that AS's own BGP view.
 
     ``display_all_paths`` distinguishes the two LG flavours of figure 8.
-    The view is loaded by the scenario layer from the route-server exports
-    towards the AS and/or from the propagation engine's result for the AS.
+    The scenario layer loads the view one of two ways, never both: route
+    by route from the route-server exports towards the AS (third-party
+    LGs), or as one observer view of the propagation result (validation
+    LGs); mixing the two raises ``ValueError``.
     """
 
     def __init__(
         self,
         asn: int,
         display_all_paths: bool = True,
-        max_queries: Optional[int] = None,
         name: Optional[str] = None,
     ) -> None:
         self.asn = asn
         self.display_all_paths = display_all_paths
         self.name = name or f"AS{asn}-lg"
-        self.counter = LGQueryCounter(max_queries)
+        self.counter = LGQueryCounter()
+        #: prefix -> routes: loaded route by route, or materialised from
+        #: the bulk view on the first query for the prefix.
         self._routes: Dict[Prefix, List[LGRoute]] = {}
-        #: a bulk-loaded view awaiting materialisation (an
-        #: :class:`~repro.runtime.fragments.ObserverView`): routes for a
-        #: prefix materialise on the first query for that prefix, so
-        #: loading a large validation LG costs one slice of index
-        #: arrays, not one LGRoute per (route, prefix) pair.
+        #: the bulk-loaded view (an
+        #: :class:`~repro.runtime.fragments.ObserverView`), so loading a
+        #: large validation LG costs one slice of index arrays, not one
+        #: LGRoute per (route, prefix) pair.
         self._view = None
-        self._view_cache: Dict[Prefix, List[LGRoute]] = {}
         #: monotonic mutation counter, bumped whenever the view changes;
         #: caches keyed on this LG's view validate against it.
         self.version = 0
@@ -153,7 +144,7 @@ class ASLookingGlass:
     def load_route(self, route: LGRoute) -> None:
         """Add one route to the LG's view."""
         if self._view is not None:
-            self._flush_view()
+            raise ValueError(f"{self.name} holds a bulk view")
         self._routes.setdefault(route.prefix, []).append(route)
         self.version += 1
 
@@ -169,39 +160,20 @@ class ASLookingGlass:
         """
         if not len(view):
             return
-        if self._view is not None:
-            self._flush_view()
+        if self._view is not None or self._routes:
+            raise ValueError(f"{self.name} already holds a view")
         self._view = view
-        self._view_cache.clear()
         self.version += 1
 
-    def _flush_view(self) -> None:
-        """Materialise the pending bulk view into the eager view.
-
-        Called when eager-view operations (``load_route``,
-        ``mark_best_paths``) interleave with a bulk load; per-prefix
-        route order is exactly the order route-by-route loading would
-        have produced.
-        """
-        view, self._view = self._view, None
-        self._view_cache.clear()
-        for prefix, routes in view.expand():
-            self._routes.setdefault(prefix, []).extend(
-                _lg_routes(prefix, routes))
-
     def _view_for(self, prefix: Prefix) -> List[LGRoute]:
-        """The full (eager + pending bulk view) route list for *prefix*."""
-        if self._view is None:
-            return self._routes.get(prefix, [])
-        cached = self._view_cache.get(prefix)
-        if cached is None:
-            cached = self._view_cache[prefix] = \
-                self._routes.get(prefix, []) + \
-                _lg_routes(prefix, self._view.routes_for(prefix))
-        return cached
+        """The route list for *prefix*."""
+        routes = self._routes.get(prefix)
+        if routes is None and self._view is not None:
+            routes = self._routes[prefix] = _lg_routes(
+                prefix, self._view.routes_for(prefix))
+        return routes or []
 
-    def load_route_server_exports(self, route_server: RouteServer,
-                                  best: bool = False) -> int:
+    def load_route_server_exports(self, route_server: RouteServer) -> int:
         """Load everything *route_server* exports to this AS.
 
         Returns the number of routes loaded.  The communities attached by
@@ -216,7 +188,6 @@ class ASLookingGlass:
                 prefix=entry.prefix,
                 as_path=entry.as_path,
                 communities=entry.communities,
-                best=best,
                 learned_from=entry.member_asn,
             ))
             count += 1
@@ -228,9 +199,7 @@ class ASLookingGlass:
         """Prefixes present in the LG's view (not a counted query)."""
         if self._view is None:
             return sorted(self._routes)
-        if not self._routes:
-            return self._view.prefix_list()
-        return sorted(set(self._routes).union(self._view.prefix_list()))
+        return self._view.prefix_list()
 
     def show_ip_bgp_prefix(self, prefix: Prefix) -> List[LGRoute]:
         """``show ip bgp <prefix>``: the paths this AS holds for *prefix*.

@@ -25,10 +25,6 @@ class TracerouteConfig:
 
     #: ASes hosting traceroute monitors.
     monitor_asns: Sequence[int] = field(default_factory=list)
-    #: When True, hops across a route-server-mediated peering appear as
-    #: member<->RS adjacencies (the Ark/DIMES artefact); when False the
-    #: hop is reported as a direct member<->member link.
-    report_rs_hop_as_rs_link: bool = True
 
 
 class TracerouteCampaign:
@@ -46,10 +42,10 @@ class TracerouteCampaign:
         The forwarding path from a monitor to an origin follows the
         monitor's best BGP route (control plane == data plane in this
         model).  Each adjacent AS pair becomes a link, except pairs whose
-        underlying adjacency is a route-server peering, which are replaced
-        per the configuration.  The distinct pairs come from the result's
-        path columns (:meth:`PropagationResult.visible_links`); each is
-        resolved once.
+        underlying adjacency is a route-server peering: those appear as
+        member<->RS adjacencies (the Ark/DIMES artefact).  The distinct
+        pairs come from the result's path columns
+        (:meth:`PropagationResult.visible_links`); each is resolved once.
         """
         links: Set[Tuple[int, int]] = set()
         for left, right in propagation.visible_links(
@@ -60,8 +56,6 @@ class TracerouteCampaign:
     def _resolve_hop(self, left: int, right: int) -> List[Tuple[int, int]]:
         link = self.graph.get_link(left, right)
         if link is None or link.link_type is not LinkType.RS_P2P:
-            return [(min(left, right), max(left, right))]
-        if not self.config.report_rs_hop_as_rs_link:
             return [(min(left, right), max(left, right))]
         rs_asn = self.rs_asn_by_ixp.get(link.ixp or "")
         if rs_asn is None:

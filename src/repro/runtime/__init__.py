@@ -18,10 +18,9 @@ of materialising per-route objects:
   as level-synchronous numpy sweeps, bit-identical to the frontier;
 * :class:`BitsetIndex` — member-population bitmasks used by the
   reachability/link-inference layer;
-* :class:`PipelineContext` — owns the interners, the index and the
-  memoised per-origin propagation results, and is threaded through the
-  whole pipeline; the disk cache pickles it with the propagation
-  artifact.
+* :class:`PipelineContext` — owns the interners, the index, the stores
+  and the compiled plan, and is threaded through the whole pipeline;
+  the disk cache pickles it with the propagation artifact.
 """
 
 from repro.runtime.bitset import BitsetIndex

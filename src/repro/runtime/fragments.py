@@ -196,17 +196,7 @@ class RouteBlock:
         self._scalars = None
         self._link_keys = None
 
-    # -- construction ------------------------------------------------------
-
     # -- columnar accessors ------------------------------------------------
-
-    @property
-    def nbytes(self) -> int:
-        """Array footprint of the block (excludes bag values and caches)."""
-        return int(self.asn.nbytes + self.provenance.nbytes
-                   + self.learned_from.nbytes + self.bag_id.nbytes
-                   + self.pid.nbytes + self.path_offsets.nbytes
-                   + self.path_values.nbytes)
 
     def _scalar_columns(self):
         """Python-int copies of the columns for the row views (built
@@ -650,8 +640,7 @@ class ObserverView:
     Built by one vectorised slice (:meth:`ObservationIndex.view_rows`);
     it holds a fixed number of objects however many routes it covers.
     Route tuples are decoded for the whole view on the first query
-    (:meth:`routes_for`, :meth:`expand`); until then nothing per route
-    exists.
+    (:meth:`routes_for`); until then nothing per route exists.
     """
 
     __slots__ = ("index", "prefixes", "pos", "offered", "glob", "first",
@@ -731,18 +720,6 @@ class ObserverView:
             if span is not None:
                 routes.extend(self._group_routes(*span))
         return routes
-
-    def expand(self):
-        """``(prefix, routes)`` per origin and prefix, in load order:
-        origins in recording order, each origin's prefixes in order."""
-        groups = self._decode()[4]
-        values = self.prefixes.values
-        offsets = self.prefixes.offsets
-        flat = self.prefixes.flat
-        for pos, span in groups.items():
-            routes = self._group_routes(*span)
-            for prefix_id in flat[offsets[pos]:offsets[pos + 1]].tolist():
-                yield values[prefix_id], routes
 
 
 def _row_pairs(values, offsets):

@@ -109,7 +109,7 @@ class Scenario:
     validation_lgs: List[ASLookingGlass]
     traceroute: TracerouteCampaign
     vantage_points: List[VantagePoint]
-    #: Shared runtime context (interners, CSR index, memoised routes);
+    #: Shared runtime context (interners, CSR index, compiled plan);
     #: threaded through propagation and the inference engine.
     context: Optional[PipelineContext] = None
     #: :meth:`discover_connectivity`'s route-server versions and the
@@ -273,10 +273,7 @@ def stage_propagation(
     for hosts in lg_hosts.values():
         record_at.update(hosts)
 
-    # The memoised RS-community provider, with the graph/route-server
-    # mutation counters salted into the route-cache keys: a lookup
-    # after any policy, membership or topology mutation can never
-    # return a pre-mutation block.
+    # The CSR index with the route servers' RS-community bags.
     from repro.scenarios.events import build_context
     context = build_context(graph, route_servers)
     origins = [OriginSpec(asn=node.asn, prefixes=list(node.prefixes))
@@ -359,8 +356,7 @@ def stage_scenario(
     """Assemble the :class:`Scenario` from the stage artifacts."""
     traceroute = TracerouteCampaign(
         internet.graph,
-        TracerouteConfig(monitor_asns=propagation_artifact["monitors"],
-                         report_rs_hop_as_rs_link=True),
+        TracerouteConfig(monitor_asns=propagation_artifact["monitors"]),
         rs_asn_by_ixp={spec.name: spec.rs_asn for spec in internet.ixp_specs},
     )
     return Scenario(
@@ -731,6 +727,9 @@ STAGE_LIBRARY: Dict[str, Stage] = {
             "topology",
             fn=lambda run: stage_topology(run.config),
             config_keys=("generator",),
+            # Bumped with every pickle layout change of the artifact
+            # (2: graphs without a CSR index memo).
+            version=2,
             persist=True,
         ),
         Stage(
@@ -752,8 +751,9 @@ STAGE_LIBRARY: Dict[str, Stage] = {
             # Bumped with every pickle layout change of the artifact
             # (PropagationResult, the context and its path store), so a
             # disk cache never unpickles an old layout (3: path stores
-            # without a materialise memo).
-            version=3,
+            # without a materialise memo; 4: contexts without a route
+            # cache or mutation epoch).
+            version=4,
             persist=True,
         ),
         Stage(

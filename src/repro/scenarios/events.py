@@ -154,7 +154,9 @@ class EventEffect:
     whose attached route-server communities may have changed (policy
     edits): the index splice re-bags their RS edges.
     *dirty_origins* are origins whose spec (prefix list) changed without
-    any topology change.
+    any topology change: the replay re-derives the origin specs, but
+    their blocks stay, because propagation never reads an origin's
+    prefixes.
     """
 
     removed_links: Tuple[ASLink, ...] = ()
@@ -394,11 +396,6 @@ def register_event_family(name: str) -> Callable:
     return decorator
 
 
-def event_family_names() -> List[str]:
-    """All registered event families, sorted."""
-    return sorted(EVENT_FAMILIES)
-
-
 def build_timeline(spec: TimelineSpec, graph: ASGraph,
                    route_servers: Dict[str, RouteServer]) -> List[Event]:
     """Derive the concrete event sequence of *spec* from baseline state.
@@ -411,7 +408,7 @@ def build_timeline(spec: TimelineSpec, graph: ASGraph,
     except KeyError:
         raise ValueError(
             f"unknown event family {spec.family!r} "
-            f"(registered: {event_family_names()})") from None
+            f"(registered: {sorted(EVENT_FAMILIES)})") from None
     rng = random.Random(spec.seed)
     return list(builder(rng, graph, route_servers, spec.length))
 
@@ -556,24 +553,12 @@ def rs_community_provider(
     return rs_communities
 
 
-def mutation_epoch_provider(
-    graph: ASGraph, route_servers: Dict[str, RouteServer],
-) -> Callable:
-    """An epoch provider over the graph + route-server mutation counters
-    (bound into route-cache keys via ``PipelineContext.bind_epoch``)."""
-    servers = tuple(route_servers[name] for name in sorted(route_servers))
-    return lambda: (graph.version,
-                    tuple(server.version for server in servers))
-
-
 def build_context(graph: ASGraph,
                   route_servers: Dict[str, RouteServer]) -> PipelineContext:
-    """A propagation context over the current graph/RS state, with the
-    mutation epoch bound (the propagation stage builds its context here)."""
-    context = PipelineContext.from_graph(
+    """A propagation context over the current graph/RS state (the
+    propagation stage builds its context here)."""
+    return PipelineContext.from_graph(
         graph, rs_community_provider=rs_community_provider(route_servers))
-    context.bind_epoch(mutation_epoch_provider(graph, route_servers))
-    return context
 
 
 def origin_specs_of(graph: ASGraph) -> List:
@@ -637,10 +622,6 @@ class EventReport:
     #: index (a policy edit's re-bagged edges).
     rebagged: int = 0
 
-    @property
-    def affected_fraction(self) -> float:
-        return self.affected / self.total if self.total else 0.0
-
 
 @dataclass
 class TimelineReport:
@@ -657,7 +638,8 @@ class TimelineReport:
             "affected": report.affected,
             "recomputed": report.recomputed,
             "reused": report.reused,
-            "affected_fraction": round(report.affected_fraction, 4),
+            "affected_fraction": round(report.affected / report.total, 4)
+            if report.total else 0.0,
             "links_changed": report.links_changed,
             "reindex": report.reindex,
             "restored": report.restored,
@@ -682,7 +664,8 @@ class TimelineReplay:
     index equals the one its session went down from takes back the
     result saved at the down instead.  The origin spec list is kept
     across events and re-derived only after an event that dirtied an
-    origin's spec (prefix churn).
+    origin's spec (prefix churn); such an event computes only an origin
+    that is new, because propagation never reads an origin's prefixes.
     """
 
     def __init__(
@@ -750,7 +733,7 @@ class TimelineReplay:
                                              self.route_servers)
                 reindex = REINDEX_REBUILD
             elif effect.links_changed or splice.rebagged:
-                self.context = self._context_over(splice.index)
+                self.context = PipelineContext(splice.index)
                 reindex = REINDEX_SPLICE
                 rebagged = splice.rebagged
         saved = None
@@ -778,7 +761,7 @@ class TimelineReplay:
                 added=[_link_change(link) for link in effect.added_links],
                 rebagged=rebagged,
                 tainted=effect.tainted if reindex == REINDEX_REBUILD else ())
-            stale = set(affected) | set(effect.dirty_origins)
+            stale = set(affected)
         result, stats = patched_result(prior, origins, stale,
                                        self._fragments_fn)
         seconds = time.perf_counter() - started
@@ -829,14 +812,6 @@ class TimelineReplay:
             return index.spliced(removed, added, retagged)
         except KeyError:
             return None  # un-interned endpoint: node joined the edge set
-
-    def _context_over(self, index) -> PipelineContext:
-        """A context over a spliced index, epoch-bound like
-        :func:`build_context`."""
-        context = PipelineContext(index)
-        context.bind_epoch(mutation_epoch_provider(self.graph,
-                                                   self.route_servers))
-        return context
 
     def _fragments_fn(self, specs):
         engine = self.context.engine(

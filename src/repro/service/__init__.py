@@ -13,9 +13,9 @@ Two layers:
   / ``table2`` per registered scenario, warmed through the pipeline's
   artifact cache.
 
-:mod:`repro.service.loadgen` drives the daemon for the
-``query_matrix`` benchmark section; :mod:`repro.service.smoke` is the
-CI end-to-end check against the golden pins.
+:mod:`repro.service.loadgen` drives the daemon over HTTP (the
+query-service example); :mod:`repro.service.smoke` is the CI end-to-end
+check against the golden pins.
 """
 
 from repro.service.artifact import (

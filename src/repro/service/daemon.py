@@ -217,7 +217,6 @@ def warm_service(scenarios: Sequence[str],
                  artifact_root: Union[str, Path] = "artifacts",
                  cache_dir: Optional[Union[str, Path]] = None,
                  verify: bool = True,
-                 route_cache_max_bytes: Optional[int] = 64 * 1024 * 1024,
                  ) -> Tuple[QueryService, List[Path]]:
     """Build/export/load every requested scenario; returns the service.
 
@@ -227,10 +226,7 @@ def warm_service(scenarios: Sequence[str],
     restarts cheap — export the reachability matrix plus Table 2 as
     the mmap-able artifact under ``<artifact_root>/<name>-<size>``,
     mmap-load it back and (default) assert bit-identity between the
-    built matrix and the loaded artifact before serving it.  The
-    scenario context's route cache is bounded to
-    *route_cache_max_bytes* so a daemon warming many scenarios cannot
-    grow without limit.
+    built matrix and the loaded artifact before serving it.
 
     Returns ``(service, artifact_dirs)`` — the directories are what
     forked workers re-load via :meth:`QueryService.from_artifacts`.
@@ -245,9 +241,6 @@ def warm_service(scenarios: Sequence[str],
         spec = get_scenario(name)
         run = ScenarioRun(spec.config(size), scenario=name,
                           cache=ArtifactCache(cache_dir))
-        if route_cache_max_bytes is not None:
-            run.scenario().context.route_cache.set_max_bytes(
-                route_cache_max_bytes)
         directory = run.export_reachability(artifact_root / f"{name}-{size}",
                                             size=size)
         handle = load_matrix(directory, mmap=True)
@@ -522,10 +515,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="directory for exported artifacts")
     parser.add_argument("--cache-dir", type=Path, default=None,
                         help="disk artifact cache for pipeline warm-up")
-    parser.add_argument("--route-cache-max-bytes", type=int,
-                        default=64 * 1024 * 1024,
-                        help="LRU byte budget of each scenario context's "
-                             "route cache (0 = unbounded)")
     parser.add_argument("--no-verify", action="store_true",
                         help="skip the mmap-vs-in-memory bit-identity "
                              "assertion at warm-up")
@@ -538,8 +527,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     scenarios = args.scenario or ["europe2013"]
     service, directories = warm_service(
         scenarios, size=args.size, artifact_root=args.artifact_root,
-        cache_dir=args.cache_dir, verify=not args.no_verify,
-        route_cache_max_bytes=args.route_cache_max_bytes or None)
+        cache_dir=args.cache_dir, verify=not args.no_verify)
     for name in service.scenario_names():
         print(f"[repro.service] warmed {name}: "
               f"{service.handles[name].summary()}")

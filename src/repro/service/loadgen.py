@@ -1,4 +1,4 @@
-"""Load generator for the query daemon (the ``query_matrix`` bench).
+"""Load generator for the query daemon (the query-service example).
 
 A minimal keep-alive HTTP/1.1 client over a plain socket — the point
 is to measure the *daemon's* per-request latency, so the client must
@@ -104,17 +104,6 @@ class LoadReport:
     @property
     def qps(self) -> float:
         return self.requests / self.seconds if self.seconds > 0 else 0.0
-
-    def row(self) -> dict:
-        """The JSON-safe bench row for ``BENCH_<date>.json``."""
-        return {
-            "endpoint": self.endpoint,
-            "requests": self.requests,
-            "errors": self.errors,
-            "p50_us": round(self.p50_us, 1),
-            "p99_us": round(self.p99_us, 1),
-            "qps": round(self.qps, 1),
-        }
 
 
 def run_load(host: str, port: int, endpoint: str,

@@ -157,10 +157,9 @@ class ASGraph:
         self._nodes: Dict[int, ASNode] = {}
         self._links: Dict[Tuple[int, int], ASLink] = {}
         self._neighbours: Dict[int, Dict[int, Relationship]] = {}
-        #: bumped on every mutation; invalidates the cached CSR index
-        #: and the relationship-map snapshot.
+        #: bumped on every mutation; invalidates the relationship-map
+        #: snapshot.
         self._version = 0
-        self._index_cache: Optional[Tuple[int, CSRIndex]] = None
         self._relationship_cache: Optional[Tuple[int, RelationshipMap]] = None
 
     def __getstate__(self) -> Dict[str, object]:
@@ -181,7 +180,7 @@ class ASGraph:
         and ``rs_memberships``, the link table and the typed neighbour
         map, two levels deep); the frozen :class:`ASLink` and
         :class:`~repro.bgp.prefix.Prefix` leaves are shared, and the
-        index and relationship-map caches start empty.  Equal to
+        relationship-map cache starts empty.  Equal to
         ``copy.deepcopy(graph)``, without walking every object.
         """
         clone = ASGraph.__new__(ASGraph)
@@ -194,17 +193,8 @@ class ASGraph:
         clone._links = dict(self._links)
         clone._neighbours = {asn: dict(related)
                              for asn, related in self._neighbours.items()}
-        clone._index_cache = clone._relationship_cache = None
+        clone._relationship_cache = None
         return clone
-
-    @property
-    def version(self) -> int:
-        """Structural mutation counter (nodes/links added or removed).
-
-        Field mutation on an :class:`ASNode` does not bump it; callers
-        that need that granularity must track it themselves.
-        """
-        return self._version
 
     # -- nodes ---------------------------------------------------------------
 
@@ -357,30 +347,20 @@ class ASGraph:
     # -- propagation index ---------------------------------------------------------
 
     def build_index(self, rs_community_provider=None) -> CSRIndex:
-        """Build (or fetch the cached) CSR adjacency index of the graph:
-        one pass over the links (:func:`link_edges`), then
+        """Build the CSR adjacency index of the graph: one pass over the
+        links (:func:`link_edges`), then
         :meth:`~repro.runtime.csr.CSRIndex.from_edges`.
 
         The index is the once-per-topology structure the frontier
-        propagation engine runs on (see :mod:`repro.runtime`).  It is
-        cached against the graph's mutation counter when no
-        ``rs_community_provider`` is involved; indices with route-server
-        communities attached are rebuilt on demand because the provider
-        callable's output is not observable by the cache.
-        ``rs_community_provider`` is a callable ``(exporter_asn,
-        ixp_name) -> frozenset[Community]``: route servers attach the
-        exporter's communities on rs-p2p edges, which is what makes
-        them visible in collector feeds.
+        propagation engine runs on (see :mod:`repro.runtime`); every
+        call builds a new one.  ``rs_community_provider`` is a callable
+        ``(exporter_asn, ixp_name) -> frozenset[Community]``: route
+        servers attach the exporter's communities on rs-p2p edges,
+        which is what makes them visible in collector feeds.
         """
-        if rs_community_provider is None and self._index_cache is not None \
-                and self._index_cache[0] == self._version:
-            return self._index_cache[1]
         bags = CommunityBagStore()
-        index = CSRIndex.from_edges(
+        return CSRIndex.from_edges(
             link_edges(self._links.values(), bags, rs_community_provider),
             bags)
-        if rs_community_provider is None:
-            self._index_cache = (self._version, index)
-        return index
 
     # -- summary -------------------------------------------------------------------

@@ -47,7 +47,6 @@ from tests.collectors.test_columnar_observation import entry_keys, lg_table
 from tests.oracle.observation import (
     ObjectArchive,
     all_entries,
-    archive_updates,
     dump_for_day,
     grouped_scan_rows,
     route_by_route_lg,
@@ -179,10 +178,6 @@ def test_archive_matches_object_archive(result_name, days, fraction):
             grouped_scan_rows(table, min_days).tolist(), min_days
         assert entry_keys(archive.clean_stable_entries(min_days)) == \
             entry_keys(oracle.clean_stable_entries(min_days)), min_days
-    assert [(u.timestamp, u.peer_asn, u.prefix, u.as_path, u.communities,
-             u.collector) for u in archive_updates(archive)] == \
-        [(u.timestamp, u.peer_asn, u.prefix, u.as_path, u.communities,
-          u.collector) for u in archive_updates(oracle)]
     assert archive.visible_as_links() == oracle.visible_as_links()
 
     # Value tables in first-seen dump order; transient paths after the

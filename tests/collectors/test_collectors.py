@@ -19,7 +19,7 @@ from tests.oracle.propagation import (
     bidirectional_adjacencies,
     engine_from_adjacencies,
 )
-from tests.oracle.observation import all_entries, archive_updates, dump_for_day
+from tests.oracle.observation import all_entries, dump_for_day
 
 
 @pytest.fixture
@@ -131,11 +131,6 @@ class TestCollectorArchive:
     def test_clean_stable_entries_pass_filters(self, propagation):
         archive = self.make_archive(propagation, transient=0.3)
         assert all(e.is_clean() for e in archive.clean_stable_entries())
-
-    def test_updates_synthesised(self, propagation):
-        archive = self.make_archive(propagation)
-        assert archive_updates(archive)
-        assert all(u.peer_asn == 40 for u in archive_updates(archive))
 
     def test_visible_links(self, propagation):
         archive = self.make_archive(propagation)

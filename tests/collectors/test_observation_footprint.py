@@ -57,4 +57,4 @@ def test_build_reads_observations_in_columns(name):
         assert all(type(obj) is np.ndarray and obj.dtype != object
                    for obj in owned)
         assert view._decoded is None
-        assert not lg._routes and not lg._view_cache
+        assert not lg._routes

@@ -10,7 +10,6 @@ from repro.ixp.looking_glass import (
     ASLookingGlass,
     LGQueryCounter,
     LGRoute,
-    RateLimitExceeded,
     RouteServerLookingGlass,
 )
 from repro.ixp.member import MemberExportPolicy
@@ -70,13 +69,6 @@ class TestQueryCounter:
         assert counter.counts["a"] == 2
         counter.reset()
         assert counter.total == 0
-
-    def test_rate_limit(self):
-        counter = LGQueryCounter(max_queries=2)
-        counter.record("x")
-        counter.record("x")
-        with pytest.raises(RateLimitExceeded):
-            counter.record("x")
 
 
 class TestRouteServerLookingGlass:

@@ -42,14 +42,6 @@ class TestTraceroute:
         assert (6695, 20) in links or (20, 6695) in {(a, b) for a, b in links}
         assert any(6695 in link for link in links)
 
-    def test_direct_reporting_mode(self, rs_world):
-        graph, propagation = rs_world
-        campaign = TracerouteCampaign(
-            graph, TracerouteConfig(monitor_asns=[40],
-                                    report_rs_hop_as_rs_link=False),
-            rs_asn_by_ixp={"DE-CIX": 6695})
-        assert (20, 30) in campaign.derive_links(propagation)
-
     def test_unknown_ixp_hop_disappears(self, rs_world):
         graph, propagation = rs_world
         campaign = TracerouteCampaign(

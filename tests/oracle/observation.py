@@ -12,8 +12,8 @@ module is the seed's object implementation of the same steps:
   dict-fold transient filter of section 5;
 * :func:`route_by_route_lg` — a validation looking glass loaded one
   :class:`LGRoute` at a time from ``all_paths``;
-* :func:`all_entries`, :func:`dump_for_day` and :func:`archive_updates`
-  — any archive's entries and update messages as objects;
+* :func:`all_entries` and :func:`dump_for_day` — any archive's entries
+  as objects;
 * :func:`path_links` — the links an AS path reveals, path by path;
 * :func:`grouped_scan_rows` — the stable filter as one grouped scan
   over every day's rows, which pins the production view's row
@@ -22,21 +22,19 @@ module is the seed's object implementation of the same steps:
 The first two read only the object API every result offers, so they can
 be fed either a production :class:`~repro.bgp.propagation.PropagationResult`
 or the oracle :class:`~tests.oracle.propagation.ObjectResult`; the
-random draws (transient sample, update sample) consume the RNG exactly
-as production does.  :func:`dump_from_rows` builds a hand-made
+random draws (transient sample and day) consume the RNG exactly as
+production does.  :func:`dump_from_rows` builds a hand-made
 :class:`~repro.collectors.archive.RibDump` for ``CollectorArchive.record``.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.bgp.attributes import ASPath
-from repro.bgp.communities import Community
 from repro.bgp.messages import RibEntry
 from repro.bgp.prefix import Prefix
 from repro.bgp.propagation import CLASS_CUSTOMER
@@ -45,19 +43,6 @@ from repro.collectors.vantage_point import FeedType
 from repro.ixp.looking_glass import ASLookingGlass, LGRoute
 
 from tests.oracle.propagation import all_paths, origin_spec
-
-
-@dataclass(frozen=True)
-class UpdateMessage:
-    """A BGP announcement a collector archived at *timestamp* (seconds
-    since the start of the measurement window)."""
-
-    timestamp: float
-    peer_asn: int
-    prefix: Prefix
-    as_path: ASPath
-    communities: FrozenSet[Community] = frozenset()
-    collector: Optional[str] = None
 
 
 def day_rows(table, day: int) -> np.ndarray:
@@ -87,23 +72,6 @@ def all_entries(archive) -> List[RibEntry]:
         return archive.all_entries()
     return [entry for day in sorted(archive._table.days)
             for entry in dump_for_day(archive, day)]
-
-
-def archive_updates(archive) -> List[UpdateMessage]:
-    """The update messages *archive* sampled, as objects."""
-    if isinstance(archive, ObjectArchive):
-        return archive.updates()
-    table = archive._table
-    rows = archive._update_rows
-    return [UpdateMessage(timestamp=stamp, peer_asn=peer,
-                          prefix=table.prefixes[prefix_id],
-                          as_path=table.path(path_id),
-                          communities=table.bags[bag_id],
-                          collector=table.collectors[coll_id])
-            for stamp, peer, prefix_id, path_id, bag_id, coll_id in zip(
-                archive._update_times, table.peer[rows].tolist(),
-                table.prefix_id[rows].tolist(), table.path_id[rows].tolist(),
-                table.bag_id[rows].tolist(), table.coll_id[rows].tolist())]
 
 
 def path_links(path: ASPath) -> List[Tuple[int, int]]:
@@ -143,7 +111,6 @@ class ObjectArchive:
         self.window = window or MeasurementWindow()
         self._rng = random.Random(seed)
         self._dumps: Dict[int, List[RibEntry]] = {}
-        self._updates: List[UpdateMessage] = []
 
     def collect(self, propagation, transient_fraction: float = 0.0) -> None:
         base_entries: List[RibEntry] = []
@@ -170,16 +137,6 @@ class ObjectArchive:
                                    + entry.as_path.asns),
                     communities=entry.communities,
                     collector=entry.collector, timestamp=float(day)))
-        if base_entries:
-            sample_size = min(len(base_entries),
-                              max(1, len(base_entries) // 20))
-            for entry in self._rng.sample(base_entries, sample_size):
-                day = self._rng.choice(self.window.days())
-                self._updates.append(UpdateMessage(
-                    timestamp=day + self._rng.random(),
-                    peer_asn=entry.peer_asn, prefix=entry.prefix,
-                    as_path=entry.as_path, communities=entry.communities,
-                    collector=entry.collector))
 
     def dump_for_day(self, day: int) -> List[RibEntry]:
         return list(self._dumps.get(day, []))
@@ -187,9 +144,6 @@ class ObjectArchive:
     def all_entries(self) -> List[RibEntry]:
         return [entry for day in sorted(self._dumps)
                 for entry in self._dumps[day]]
-
-    def updates(self) -> List[UpdateMessage]:
-        return list(self._updates)
 
     def stable_entries(self, min_days: int = 2) -> List[RibEntry]:
         persistence: Dict[Tuple[int, Prefix, Tuple[int, ...]], Set[int]] = {}

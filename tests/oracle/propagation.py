@@ -268,11 +268,9 @@ def index_from_adjacencies(adjacencies: Iterable[Adjacency],
 
 
 def context_from_adjacencies(adjacencies: Iterable[Adjacency],
-                             route_cache_max_bytes: Optional[int] = None,
                              ) -> PipelineContext:
     """A production context over directed adjacency records."""
-    return PipelineContext(index_from_adjacencies(adjacencies),
-                           route_cache_max_bytes=route_cache_max_bytes)
+    return PipelineContext(index_from_adjacencies(adjacencies))
 
 
 def engine_from_adjacencies(adjacencies: Iterable[Adjacency],

@@ -248,13 +248,9 @@ class TestDiskCache:
         engine = context.engine(
             record_at=record_at,
             record_alternatives_at=record_alternatives_at)
-        # Each kernel runs under its own mutation epoch, so neither is
-        # served the fragments the context was pickled with.
-        context.bind_epoch(lambda: "frontier")
         with forced_kernel("frontier"):
             [one] = engine.batch_fragments(origins[:1])
         assert fragments_equivalent(one, expected[origins[0].asn])
-        context.bind_epoch(lambda: "compiled")
         with forced_kernel("compiled"):
             every = engine.batch_fragments(origins)
         assert len(every) == len(expected) > 1

@@ -14,8 +14,6 @@ the repository ships, in-process and at the ``tiny`` size:
 * ``repro.service.smoke.run_smoke`` on every scenario;
 * the six example invocations CI runs;
 * the figure benches (``benchmarks/bench_*.py`` under pytest);
-* the scenario, build, delta and query matrices of
-  ``benchmarks/run_all.py``;
 * perfbench's four workloads (set-up, one op, the final check).
 
 A function is keyed by ``(file, first line, name)``, where a ``def``'s
@@ -34,7 +32,6 @@ from __future__ import annotations
 import ast
 import contextlib
 import importlib
-import importlib.util
 import inspect
 import io
 import os
@@ -224,17 +221,6 @@ def _figure_benches() -> None:
         raise RuntimeError(f"figure benches failed ({code})")
 
 
-def _run_all_matrices() -> None:
-    spec = importlib.util.spec_from_file_location(
-        "reach_run_all", ROOT / "benchmarks" / "run_all.py")
-    run_all = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run_all)
-    run_all.run_scenario_matrix("tiny", reps=1)
-    run_all.run_build_matrix("tiny", reps=1)
-    run_all.run_delta_matrix("tiny")
-    run_all.run_query_matrix("tiny")
-
-
 def _perfbench() -> None:
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
@@ -261,7 +247,6 @@ SHIPPED: Tuple[Tuple[str, Callable[[], None]], ...] = (
     ("daemon smoke", _smoke),
     ("examples", _examples),
     ("figure benches", _figure_benches),
-    ("run_all matrices", _run_all_matrices),
     ("perfbench", _perfbench),
 )
 

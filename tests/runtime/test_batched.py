@@ -234,8 +234,7 @@ def test_production_fragments_match_frontier_at_bench_size(bench_run):
     origins = origin_specs_of(bench_run.artifact("topology").graph)
     production = [fragments for fragments in
                   propagation["propagation"].recorded_fragments().values()]
-    # A context over the same index with nothing memoised recomputes.
-    frontier = PipelineContext(context.index).engine(
+    frontier = context.engine(
         record_at=record_at, record_alternatives_at=record_alt)
     assert len(production) == len(origins)
     for spec, got_b, got_f in zip(origins, production,
@@ -249,9 +248,9 @@ def test_production_fragments_match_frontier_at_bench_size(bench_run):
 
 @pytest.mark.parametrize("seed", [8, 2024])
 def test_kernel_selection_boundary(seed, monkeypatch):
-    """A batch of K-1 uncached origins runs the frontier kernel, a batch
-    of K (and a full sweep) the compiled kernel, and every batch matches
-    the reference oracle's fragments."""
+    """A batch of K-1 origins runs the frontier kernel, a batch of K
+    (and a full sweep) the compiled kernel, and every batch matches the
+    reference oracle's fragments."""
     threshold = propagation.COMPILED_MIN_ORIGINS
     calls = []
     frontier_run = FrontierPropagator.run
@@ -279,10 +278,9 @@ def test_kernel_selection_boundary(seed, monkeypatch):
     batches = [(origins[:threshold - 1], ["frontier"] * (threshold - 1)),
                (origins[:threshold], ["compiled"]),
                (origins, ["compiled"])]
+    engine = context_from_adjacencies(adjacencies).engine(
+        record_at=observers, record_alternatives_at=alt)
     for batch, expected in batches:
-        # A fresh context per batch: no cache hits shrink the batch.
-        engine = context_from_adjacencies(adjacencies).engine(
-            record_at=observers, record_alternatives_at=alt)
         calls.clear()
         fragments = engine.batch_fragments(batch)
         assert calls == expected, (len(batch), calls)
@@ -295,10 +293,10 @@ def test_kernel_selection_boundary(seed, monkeypatch):
                 {route_key(r) for r in want_offered}, spec.asn
 
 
-def test_cache_hits_do_not_count_towards_the_threshold(monkeypatch):
-    """Kernel selection counts *uncached* origins only: re-asking for a
-    wide batch whose members are memoised except for one runs that one
-    origin on the frontier kernel."""
+def test_threshold_counts_every_origin_of_the_call(monkeypatch):
+    """Kernel selection counts the call's origins: a wide batch runs
+    the compiled kernel even when the engine propagated all but one of
+    its origins before, because nothing is kept between calls."""
     rng = random.Random(15)
     asns, adjacencies = random_internet(rng)
     origins = random_origins(rng, asns, count=12)
@@ -306,36 +304,17 @@ def test_cache_hits_do_not_count_towards_the_threshold(monkeypatch):
         record_at=asns[:10])
     engine.batch_fragments(origins[:-1])
     calls = []
-    frontier_run = FrontierPropagator.run
+    compiled_run = CompiledPropagator.run_batch
 
-    def spy_frontier(self, *args, **kwargs):
-        calls.append("frontier")
-        return frontier_run(self, *args, **kwargs)
+    def spy_compiled(self, origin_nodes, *args, **kwargs):
+        calls.append(len(origin_nodes))
+        return compiled_run(self, origin_nodes, *args, **kwargs)
 
-    monkeypatch.setattr(FrontierPropagator, "run", spy_frontier)
-    monkeypatch.setattr(CompiledPropagator, "run_batch",
-                        lambda *args, **kwargs: pytest.fail("compiled ran"))
+    monkeypatch.setattr(CompiledPropagator, "run_batch", spy_compiled)
+    monkeypatch.setattr(FrontierPropagator, "run",
+                        lambda *args, **kwargs: pytest.fail("frontier ran"))
     engine.batch_fragments(origins)
-    assert calls == ["frontier"]
-
-
-def test_route_cache_shared_by_both_kernels():
-    """Fragments memoised by one kernel answer the other: the cache key
-    carries no kernel, because both kernels produce identical blocks."""
-    rng = random.Random(14)
-    asns, adjacencies = random_internet(rng)
-    origins = random_origins(rng, asns, count=3)
-    context = context_from_adjacencies(adjacencies)
-    observers = asns[:8]
-    with forced_kernel("compiled"):
-        first = context.engine(record_at=observers).batch_fragments(origins)
-    assert len(context.route_cache) == len(origins)
-    hits = context.route_cache.hits
-    with forced_kernel("frontier"):
-        again = context.engine(record_at=observers).batch_fragments(origins)
-    assert len(context.route_cache) == len(origins)
-    assert context.route_cache.hits == hits + len(origins)
-    assert all(a is b for a, b in zip(first, again))
+    assert sum(calls) == len(origins)
 
 
 # -- property-based kernel/oracle differential ---------------------------------

@@ -674,34 +674,3 @@ def test_repeated_origin_is_rejected():
         result._record(origin_spec(result, 6), best, offered)
     assert result.recorded_fragments() == before
     assert result.origins() == list(before)
-
-
-# ---------------------------------------------------------------------------
-# mutation epochs: route-cache keys can never serve stale blocks
-# ---------------------------------------------------------------------------
-
-
-def test_route_cache_epoch_invalidation():
-    graph = two_trees()
-    context = PipelineContext.from_graph(graph)
-    context.bind_epoch(lambda: graph.version)
-    engine = context.engine(record_at=frozenset(ALL_ASNS))
-    specs = [OriginSpec(asn=node.asn, prefixes=list(node.prefixes))
-             for node in graph.nodes()]
-
-    engine.batch_fragments(specs)
-    hits_before = context.route_cache.hits
-    engine.batch_fragments(specs)
-    assert context.route_cache.hits > hits_before  # warm, same epoch
-
-    graph.add_c2p(6, 1)  # structural mutation bumps graph.version
-    misses_before = context.route_cache.misses
-    hits_before = context.route_cache.hits
-    engine.batch_fragments(specs)
-    assert context.route_cache.misses > misses_before
-    assert context.route_cache.hits == hits_before  # nothing stale served
-
-
-def test_mutation_epoch_defaults_to_constant():
-    context = PipelineContext.from_graph(two_trees())
-    assert context.mutation_epoch() == 0

@@ -288,42 +288,6 @@ def test_link_pairs_skip_empty_rows():
     assert block([0, 2], [-1, 4]).link_keys() is None
 
 
-# -- route-cache accounting ----------------------------------------------------
-
-
-def test_route_cache_hits_skip_recompute():
-    """Repeated batch_fragments over the same origins is pure cache:
-    hit counters move, miss counters and entries do not, and the very
-    same block objects come back (no rebuild)."""
-    rng = random.Random(31337)
-    asns, adjacencies = random_internet(rng)
-    origins = random_origins(rng, asns)
-    context = context_from_adjacencies(adjacencies)
-    engine = context.engine(record_at=asns[:10])
-    cache = context.route_cache
-
-    first = engine.batch_fragments(origins)
-    entries_after_first = len(cache)
-    misses_after_first = cache.misses
-    assert entries_after_first == len(origins)
-    assert cache.bytes > 0
-
-    second = engine.batch_fragments(origins)
-    assert cache.misses == misses_after_first        # nothing recomputed
-    assert cache.hits >= len(origins)
-    assert len(cache) == entries_after_first
-    for (best1, off1), (best2, off2) in zip(first, second):
-        assert best1 is best2 and off1 is off2
-
-    # A new mutation epoch makes every memoised entry unreachable.
-    context.bind_epoch(lambda: 1)
-    third = engine.batch_fragments(origins)
-    assert cache.misses == misses_after_first + len(origins)
-    assert len(cache) == 2 * entries_after_first
-    for (best1, _), (best3, _) in zip(first, third):
-        assert best3 is not best1
-
-
 @pytest.mark.parametrize("collide", (False, True))
 def test_intern_rows_numbers_rows_by_value(monkeypatch, collide):
     """Rows equal by value share an id, ids count up in first-seen

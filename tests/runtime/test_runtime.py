@@ -4,8 +4,7 @@ import pytest
 
 from repro.bgp.communities import Community
 from repro.bgp.policy import Relationship
-from repro.bgp.prefix import Prefix
-from repro.bgp.propagation import Adjacency, OriginSpec
+from repro.bgp.propagation import Adjacency
 from repro.runtime import (
     BitsetIndex,
     CSRIndex,
@@ -18,7 +17,6 @@ from repro.runtime.bitset import iter_bits
 from repro.runtime.csr import REL_CUSTOMER, REL_PROVIDER
 
 from tests.oracle.propagation import (
-    best_route,
     bidirectional_adjacencies,
     context_from_adjacencies,
     index_from_adjacencies,
@@ -131,31 +129,6 @@ class TestPipelineContext:
         adjacencies = bidirectional_adjacencies(10, 20, Relationship.PROVIDER)
         return context_from_adjacencies(adjacencies)
 
-    def test_engine_shares_index_and_memoizes_origins(self):
-        context = self._context()
-        engine = context.engine(record_at=[10, 20])
-        origin = OriginSpec(asn=10, prefixes=[Prefix.parse("10.0.0.0/24")])
-        first = engine.propagate([origin])
-        assert len(context.route_cache) == 1
-        second = engine.propagate([origin])
-        # The memoised fragment is reused: identical route objects.
-        assert best_route(second, 20, 10) is best_route(first, 20, 10)
-        # A new mutation epoch recomputes instead of serving the memo.
-        context.bind_epoch(lambda: 1)
-        third = engine.propagate([origin])
-        assert best_route(third, 20, 10) is not best_route(first, 20, 10)
-        assert len(context.route_cache) == 2
-
-    def test_record_everything_engine_is_not_memoized(self):
-        # record_at=None materialises a route per AS; memoising that on
-        # the shared context would pin O(origins x nodes) objects.
-        context = self._context()
-        engine = context.engine()
-        origin = OriginSpec(asn=10, prefixes=[Prefix.parse("10.0.0.0/24")])
-        result = engine.propagate([origin])
-        assert best_route(result, 20, 10) is not None
-        assert len(context.route_cache) == 0
-
     def test_member_index_cached_until_population_changes(self):
         context = self._context()
         first = context.member_index("DE-CIX", [1, 2, 3])
@@ -163,16 +136,12 @@ class TestPipelineContext:
         changed = context.member_index("DE-CIX", [1, 2])
         assert changed is not first
 
-    def test_from_graph_uses_graph_cache(self):
+    def test_from_graph_indexes_linked_ases(self):
         from repro.topology.as_graph import ASGraph, ASNode
         graph = ASGraph()
         graph.add_as(ASNode(asn=10))
         graph.add_as(ASNode(asn=20))
         graph.add_c2p(10, 20)
-        index_a = graph.build_index()
-        index_b = graph.build_index()
-        assert index_a is index_b
         graph.add_as(ASNode(asn=30))
-        assert graph.build_index() is not index_a
         context = PipelineContext.from_graph(graph)
         assert context.index.num_nodes == 2  # AS30 has no links yet

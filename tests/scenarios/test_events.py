@@ -21,7 +21,6 @@ from repro.scenarios.events import (
     TimelineReplay,
     TimelineSpec,
     build_timeline,
-    event_family_names,
     rebuild_propagation,
     record_sets,
 )
@@ -66,9 +65,9 @@ def tiny_baseline():
 
 
 def test_event_families_registered():
-    assert event_family_names() == ["churn", "failover", "flap-storm"]
+    assert sorted(EVENT_FAMILIES) == ["churn", "failover", "flap-storm"]
     names = scenario_names()
-    for family in event_family_names():
+    for family in sorted(EVENT_FAMILIES):
         assert f"europe2013-{family}" in names
         spec = get_scenario(f"europe2013-{family}")
         assert spec.timeline == TimelineSpec(family=family, length=8,
@@ -572,8 +571,61 @@ def test_impossible_event_raises_before_any_mutation(tiny_baseline, case):
     assert isinstance(error.value, ValueError)
     assert state_pickle(replay.state) == before
     assert replay.reports == reports and replay.result is result
-    # The replay goes on with the next valid event.
+    # The replay goes on with the next valid event (a new prefix of an
+    # existing origin: its blocks stay).
     report = replay.apply(PrefixChurn(asn=_announcer(replay).asn,
                                       prefix="198.51.100.0/24"))
     assert replay.reports == reports + [report]
-    assert report.recomputed == 1
+    assert report.recomputed == 0
+
+
+# ---------------------------------------------------------------------------
+# prefix churn: propagation never reads an origin's prefixes
+# ---------------------------------------------------------------------------
+
+
+def _prefix_churn_case(case, graph):
+    """``(events, recomputes per event, origin that drops out or None)``
+    of one prefix-churn case on *graph*."""
+    several = next(node for node in graph.nodes() if len(node.prefixes) > 1)
+    single = next(node for node in graph.nodes() if len(node.prefixes) == 1)
+    withdraw_last = PrefixChurn(asn=single.asn, prefix=str(single.prefixes[0]),
+                                withdraw=True)
+    if case == "announce-on-origin":
+        return ([PrefixChurn(asn=several.asn, prefix="198.51.100.0/24")],
+                [0], None)
+    if case == "withdraw-one-of-several":
+        return ([PrefixChurn(asn=several.asn,
+                             prefix=str(several.prefixes[0]),
+                             withdraw=True)], [0], None)
+    if case == "withdraw-last-prefix":
+        return [withdraw_last], [0], single.asn
+    # The origin drops out, then comes back as a new one.
+    return ([withdraw_last,
+             PrefixChurn(asn=single.asn, prefix="198.51.100.0/24")],
+            [0, 1], None)
+
+
+@pytest.mark.parametrize("case", ("announce-on-origin",
+                                  "withdraw-one-of-several",
+                                  "withdraw-last-prefix",
+                                  "announce-on-prefixless-as"))
+def test_prefix_churn_recomputes_only_new_origins(tiny_baseline, case):
+    """A prefix announced or withdrawn re-records its origin's spec and
+    keeps its blocks: only an AS that had no prefixes is computed, and
+    an origin that withdraws its last prefix drops out.  The result
+    equals a rebuild after every event."""
+    graph = tiny_baseline["graph"]
+    events, recomputes, dropped = _prefix_churn_case(case, graph)
+    baseline = tiny_baseline["baseline"]
+    replay = checked_replay(graph, tiny_baseline["route_servers"], baseline,
+                            tiny_baseline["record_at"],
+                            tiny_baseline["record_alt"], events, case)
+    assert [report.recomputed for report in replay.reports] == recomputes
+    assert all(report.affected == 0 for report in replay.reports)
+    origins = replay.result.recorded_fragments()
+    if dropped is not None:
+        assert dropped not in origins
+        assert len(origins) == len(baseline.recorded_fragments()) - 1
+    else:
+        assert list(origins) == list(baseline.recorded_fragments())

@@ -50,8 +50,8 @@ def test_graph_copy_equals_deepcopy(churn_baseline):
     assert list(mine._nodes.items()) == list(theirs._nodes.items())
     assert list(mine._links.items()) == list(theirs._links.items())
     assert mine._neighbours == theirs._neighbours
-    assert mine.version == theirs.version
-    assert mine._index_cache is None and mine._relationship_cache is None
+    assert mine._version == theirs._version
+    assert mine._relationship_cache is None
     # Frozen leaves are shared, mutable containers are not.
     for asn, node in graph._nodes.items():
         clone = mine.get_as(asn)

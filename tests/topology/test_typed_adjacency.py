@@ -106,7 +106,7 @@ def test_typed_adjacency_matches_link_walk_under_mutation(tiny_graph):
             assert differences(restored) == [], f"pickled at step {step}"
             copied = copy.deepcopy(graph)
             assert differences(copied) == [], f"deep-copied at step {step}"
-            assert restored.version == copied.version == graph.version
+            assert restored._version == copied._version == graph._version
             assert index_differences(
                 graph.build_index(_rs_communities),
                 graph_record_index(graph, _rs_communities)) == [], \
