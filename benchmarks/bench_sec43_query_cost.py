@@ -15,7 +15,7 @@ def test_query_cost_breakdown(scenario, inference, benchmark):
     route_server = scenario.route_servers[name]
     announced = {asn: route_server.announced_prefixes(asn)
                  for asn in route_server.members()}
-    passive_members = inference.per_ixp[name].passive_members
+    passive_members = inference.matrix.planes[name].passive_members
 
     def breakdown():
         model = QueryCostModel(name, announced)

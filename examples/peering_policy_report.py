@@ -43,7 +43,7 @@ def main() -> None:
     print(f"  single IXP + its RS: {matrix.fraction_single_ixp_with_rs():.1%}")
     print(f"  no RS anywhere:      {matrix.fraction_no_rs():.1%}")
 
-    members = {name: graph.rs_members_of_ixp(name) for name in result.per_ixp}
+    members = {name: graph.rs_members_of_ixp(name) for name in result.matrix.planes}
     openness = analysis.export_openness_from_matrix(result.matrix, members)
     print("\nfigure 11 — mean export openness by policy")
     for policy, mean in sorted(PolicyAnalysis.mean_openness(openness).items()):

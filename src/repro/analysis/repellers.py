@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
+from repro.bgp.policy import MODE_ALL_EXCEPT
 from repro.registries.peeringdb import PeeringDB
 
 
@@ -101,7 +102,7 @@ class RepellerAnalysis:
                 members = set(plane.index.universe)
             universe = plane.index.universe
             for bit, (mode, listed) in plane.policies.items():
-                if mode != "all-except":
+                if mode != MODE_ALL_EXCEPT:
                     continue
                 blocker = universe[bit]
                 for blocked in set(listed) & members:

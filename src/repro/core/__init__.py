@@ -24,7 +24,7 @@ from repro.core.active import ActiveInference, ActiveCollection, ThirdPartyColle
 from repro.core.passive import PassiveInference, PassiveObservation
 from repro.core.query_cost import QueryCostModel, QueryPlan
 from repro.core.reciprocity import ReciprocityValidator, ReciprocityReport
-from repro.core.engine import MLPInferenceEngine, MLPInferenceResult, IXPInference
+from repro.core.engine import MLPInferenceEngine, MLPInferenceResult
 from repro.core.validation import LinkValidator, ValidationReport
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "ReciprocityReport",
     "MLPInferenceEngine",
     "MLPInferenceResult",
-    "IXPInference",
     "LinkValidator",
     "ValidationReport",
 ]

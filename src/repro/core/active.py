@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.bgp.communities import Community
+from repro.bgp.policy import MODE_ALL_EXCEPT
 from repro.bgp.prefix import Prefix
 from repro.core.communities import RSCommunityInterpreter
 from repro.core.query_cost import QueryCostModel, QueryPlan
@@ -75,7 +76,7 @@ def interpret_raw_observations(
             if interpreted is None:
                 result.append(PolicyObservation(
                     member_asn=member_asn, ixp_name=ixp_name,
-                    prefix=prefix, mode="all-except", listed=frozenset(),
+                    prefix=prefix, mode=MODE_ALL_EXCEPT, listed=frozenset(),
                     source=source))
                 continue
             result.append(PolicyObservation(

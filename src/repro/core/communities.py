@@ -19,6 +19,7 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tupl
 
 from repro.bgp.asn import Private16BitMapper
 from repro.bgp.communities import Community
+from repro.bgp.policy import MODE_ALL_EXCEPT, MODE_NONE_EXCEPT
 from repro.ixp.community_schemes import (
     Classification,
     CommunityScheme,
@@ -188,10 +189,10 @@ class RSCommunityInterpreter:
             target.add(resolved)
         if has_none:
             return InterpretedPolicy(
-                ixp_name=ixp_name, mode="none-except",
+                ixp_name=ixp_name, mode=MODE_NONE_EXCEPT,
                 listed=frozenset(includes), unresolved=frozenset(unresolved))
         return InterpretedPolicy(
-            ixp_name=ixp_name, mode="all-except",
+            ixp_name=ixp_name, mode=MODE_ALL_EXCEPT,
             listed=frozenset(excludes), unresolved=frozenset(unresolved))
 
     # -- IXP identification ---------------------------------------------------------

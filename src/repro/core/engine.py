@@ -10,11 +10,11 @@ across any number of IXPs:
 4. merge all observations into per-member reachability sets N_a;
 5. infer a p2p link for every pair of members with reciprocal ALLOW.
 
-The result object keeps per-IXP detail (Table 2's columns) and records
-the provenance of every member's reachability so the cost and
-visibility analyses can be reproduced; the global link views live on
-the :class:`~repro.runtime.reachmatrix.ReachabilityMatrix` it carries
-(``result.matrix``), built from the same planes as the per-IXP links.
+The result is its :class:`~repro.runtime.reachmatrix.
+ReachabilityMatrix` (``result.matrix``): one plane per IXP holding every
+member's merged policy, its provenance and the query spend, which is
+everything Table 2 and the cost and visibility analyses read, plus the
+per-IXP links and every global link view.
 
 Steps 2-5 run on the interned observation planes of
 :mod:`repro.core.planes`: observations become integer rows, members
@@ -27,7 +27,7 @@ steps as an oracle and checks this engine against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Dict,
     Iterable,
@@ -39,16 +39,12 @@ from typing import (
     Tuple,
 )
 
-#: An inferred MLP link: an ordered (lower ASN, higher ASN) pair.
-Link = Tuple[int, int]
-
 from repro.bgp.policy import Relationship
 from repro.collectors.archive import StableEntries
 from repro.core.active import ActiveInference, collect_from_third_party_lg
 from repro.core.communities import RSCommunityInterpreter
 from repro.core.planes import (
     ACTIVE,
-    MergedPlane,
     ObservationPlane,
     PlaneCacheKey,
     PolicyTable,
@@ -58,75 +54,44 @@ from repro.core.planes import (
     merge_rows,
     rows_from_raw_observations,
 )
-from repro.core.reachability import MemberReachability
 from repro.ixp.community_schemes import SchemeRegistry
 from repro.ixp.looking_glass import ASLookingGlass, RouteServerLookingGlass
 from repro.runtime.bitset import BitsetIndex
 from repro.runtime.context import PipelineContext
 from repro.runtime.interning import Interner
-from repro.runtime.reachmatrix import ReachabilityMatrix
+from repro.runtime.reachmatrix import ReachabilityMatrix, ReachabilityPlane
 from repro.topology.relationships import RelationshipMap
 
 
 @dataclass
-class IXPInference:
-    """Per-IXP inference outcome (one row of Table 2).
-
-    ``links`` is a tuple of sorted ``(a, b)`` pairs in ascending order —
-    a stable, hashable sequence — so downstream consumers never depend
-    on set iteration order.
-    """
-
-    ixp_name: str
-    members: Set[int] = field(default_factory=set)
-    passive_members: Set[int] = field(default_factory=set)
-    active_members: Set[int] = field(default_factory=set)
-    reachabilities: Dict[int, MemberReachability] = field(default_factory=dict)
-    links: Tuple[Link, ...] = ()
-    active_queries: int = 0
-
-    @property
-    def num_links(self) -> int:
-        """Number of MLP links inferred at this IXP."""
-        return len(self.links)
-
-    def table2_row(self, num_ixp_ases: Optional[int] = None,
-                   has_lg: Optional[bool] = None) -> Dict[str, object]:
-        """This IXP rendered as a row of the paper's Table 2."""
-        return {
-            "IXP": self.ixp_name,
-            "LG": ("Y" if has_lg else "N") if has_lg is not None else "?",
-            "ASes": num_ixp_ases if num_ixp_ases is not None else len(self.members),
-            "RS": len(self.members),
-            "Pasv": len(self.passive_members),
-            "Active": len(self.active_members - self.passive_members),
-            "Links": self.num_links,
-        }
-
-
-@dataclass
 class MLPInferenceResult:
-    """The combined result across all IXPs.
+    """The combined result across all IXPs: its
+    :class:`~repro.runtime.reachmatrix.ReachabilityMatrix`, whose planes
+    hold every member's reconstructed policy and provenance and which
+    answers every link view (per-IXP links, global link set, multi-IXP
+    overlap, link provenance, peer counts).  Results are immutable once
+    the engine returns them."""
 
-    ``per_ixp`` holds one :class:`IXPInference` per IXP; ``matrix`` is
-    the :class:`~repro.runtime.reachmatrix.ReachabilityMatrix` built
-    from the same planes, which answers every global link view (link
-    set, per-IXP links, multi-IXP overlap, link provenance, peer
-    counts).  Results are immutable once the engine returns them.
-    """
-
-    per_ixp: Dict[str, IXPInference]
     matrix: ReachabilityMatrix
 
     def table2(self, ixp_ases: Optional[Mapping[str, int]] = None,
                ixp_has_lg: Optional[Mapping[str, bool]] = None) -> List[Dict[str, object]]:
-        """The full Table 2, ordered by total IXP size."""
+        """The full Table 2, one row per plane, ordered by total IXP
+        size (RS members, when *ixp_ases* has no count for an IXP)."""
         ixp_ases = ixp_ases or {}
         ixp_has_lg = ixp_has_lg or {}
-        rows = [
-            inference.table2_row(ixp_ases.get(name), ixp_has_lg.get(name))
-            for name, inference in self.per_ixp.items()
-        ]
+        rows = []
+        for name, plane in self.matrix.planes.items():
+            has_lg = ixp_has_lg.get(name)
+            rows.append({
+                "IXP": name,
+                "LG": "?" if has_lg is None else ("Y" if has_lg else "N"),
+                "ASes": ixp_ases.get(name, plane.num_members),
+                "RS": plane.num_members,
+                "Pasv": len(plane.passive_members),
+                "Active": len(plane.active_members - plane.passive_members),
+                "Links": len(self.matrix.link_keys_of(name)),
+            })
         rows.sort(key=lambda row: (-int(row["ASes"]), row["IXP"]))
         return rows
 
@@ -202,49 +167,30 @@ class MLPInferenceEngine:
             registry_version=self.registry.version,
             mappers=self.interpreter.mappers,
         )
-        merged = None
+        planes = None
         if self.context is not None:
-            merged = self.context.cached_inference_planes(key)
-        if merged is None:
-            merged = self._build_merged_planes(
+            planes = self.context.cached_inference_planes(key)
+        if planes is None:
+            planes = self._build_planes(
                 passive_entries, rs_looking_glasses, third_party_lgs)
             if self.context is not None:
-                self.context.store_inference_planes(key, merged)
+                self.context.store_inference_planes(key, planes)
+        return MLPInferenceResult(ReachabilityMatrix(
+            planes,
+            links_by_ixp={name: plane.links(require_reciprocity)
+                          for name, plane in planes.items()},
+            keys_by_ixp={name: plane.link_keys(require_reciprocity)
+                         for name, plane in planes.items()},
+            built_by="bitset"))
 
-        per_ixp = {}
-        matrix_planes = {}
-        links_by_ixp = {}
-        keys_by_ixp = {}
-        for ixp_name in sorted(self.rs_members):
-            data = merged[ixp_name]
-            links = data.plane.links(require_reciprocity)
-            per_ixp[ixp_name] = IXPInference(
-                ixp_name=ixp_name,
-                members=set(data.members),
-                passive_members=set(data.passive_members),
-                active_members=set(data.active_members),
-                reachabilities=dict(data.reachabilities),
-                links=links,
-                active_queries=data.active_queries,
-            )
-            matrix_planes[ixp_name] = data.plane
-            links_by_ixp[ixp_name] = links
-            keys_by_ixp[ixp_name] = data.plane.link_keys(require_reciprocity)
-        return MLPInferenceResult(
-            per_ixp=per_ixp,
-            matrix=ReachabilityMatrix(matrix_planes,
-                                      links_by_ixp=links_by_ixp,
-                                      keys_by_ixp=keys_by_ixp,
-                                      built_by="bitset"))
-
-    def _build_merged_planes(
+    def _build_planes(
         self,
         passive_entries: Optional[StableEntries],
         rs_looking_glasses: Dict[str, RouteServerLookingGlass],
         third_party_lgs: Dict[str, List[ASLookingGlass]],
-    ):
-        """Collect and merge the per-IXP observation planes (the unit
-        the context caches)."""
+    ) -> Dict[str, ReachabilityPlane]:
+        """Collect, merge and pack the per-IXP planes in IXP-name order
+        (the unit the context caches; every result shares them)."""
         prefixes = self.context.prefixes if self.context is not None \
             else Interner()
         policies = PolicyTable()
@@ -253,7 +199,7 @@ class MLPInferenceEngine:
                                self.relationships, prefixes, policies,
                                observation_planes)
 
-        merged: Dict[str, MergedPlane] = {}
+        planes: Dict[str, ReachabilityPlane] = {}
         for ixp_name, members in sorted(self.rs_members.items()):
             plane = observation_planes.get(ixp_name)
             if plane is None:
@@ -284,20 +230,12 @@ class MLPInferenceEngine:
                     plane.active_members |= \
                         collection.members_with_communities()
                     plane.active_queries += collection.total_queries
-            reachabilities = merge_rows(
-                ixp_name, plane.rows, plane.members, policies, prefixes)
-            merged[ixp_name] = MergedPlane(
-                ixp_name=ixp_name,
-                members=plane.members,
-                passive_members=set(plane.passive_members),
-                active_members=set(plane.active_members),
-                active_queries=plane.active_queries,
-                reachabilities=reachabilities,
-                plane=build_reachability_plane(
-                    plane, reachabilities,
-                    self._member_index(ixp_name, plane.members)),
-            )
-        return merged
+            planes[ixp_name] = build_reachability_plane(
+                plane,
+                merge_rows(ixp_name, plane.rows, plane.members, policies,
+                           prefixes),
+                self._member_index(ixp_name, plane.members))
+        return planes
 
     # -- helpers -----------------------------------------------------------------------
 

@@ -25,7 +25,7 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tupl
 from repro.bgp.attributes import ASPath
 from repro.bgp.communities import Community
 from repro.bgp.messages import RibEntry
-from repro.bgp.policy import Relationship
+from repro.bgp.policy import MODE_ALL_EXCEPT, Relationship
 from repro.bgp.prefix import Prefix
 from repro.core.communities import RSCommunityInterpreter
 from repro.core.reachability import PolicyObservation
@@ -189,7 +189,7 @@ class PassiveInference:
                     member_asn=observation.setter_asn,
                     ixp_name=observation.ixp_name,
                     prefix=observation.prefix,
-                    mode="all-except", listed=frozenset(),
+                    mode=MODE_ALL_EXCEPT, listed=frozenset(),
                     source="passive"))
                 continue
             result.append(PolicyObservation(

@@ -13,9 +13,11 @@ interners, passive extraction reads the collector archive's columns
 clean mask and setter pin-pointing per distinct (IXP, AS path), rows
 scattered from arrays — collector archives repeat each path once per
 exported prefix), and the
-merged per-member policies scatter into a
-:class:`~repro.runtime.reachmatrix.ReachabilityPlane` whose reciprocal
-``M & M.T`` kernel emits the links.
+merged per-member policies become the columns of a
+:class:`~repro.runtime.reachmatrix.ReachabilityPlane` (the packed ALLOW
+rows, provenance masks and per-member counts), whose reciprocal
+``M & M.T`` kernel emits the links.  The planes of one collection are
+the unit :class:`PlaneCacheKey` caches on the pipeline context.
 
 Bit-identity with the object-level steps is non-negotiable (the test
 suite's object oracle checks it): the fast merge only takes the direct
@@ -27,26 +29,32 @@ inconsistent-announcement handling can never drift.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.bgp.policy import Relationship
+from repro.bgp.policy import MODE_ALL_EXCEPT, Relationship
 from repro.bgp.prefix import Prefix
 from repro.collectors.archive import StableEntries
 from repro.core.communities import RSCommunityInterpreter
 from repro.core.passive import PassiveInference
 from repro.core.reachability import (
-    MODE_ALL_EXCEPT,
     MemberReachability,
     PolicyObservation,
     merge_observations,
 )
 from repro.runtime.bitset import BitsetIndex
 from repro.runtime.interning import Interner
-from repro.runtime.reachmatrix import ReachabilityPlane, allow_mask_for
+from repro.runtime.reachmatrix import (
+    COUNTS_DTYPE,
+    ReachabilityPlane,
+    allow_plane,
+    member_bits,
+    pack_bits,
+)
 
 #: Source codes of observation rows (indexes into SOURCE_NAMES).
 SOURCE_NAMES = ("passive", "active", "third-party")
@@ -94,19 +102,6 @@ class ObservationPlane:
     #: member population after the LG summary was consulted.
     members: Set[int] = field(default_factory=set)
     active_queries: int = 0
-
-
-@dataclass
-class MergedPlane:
-    """One IXP's post-merge state, ready for per-call result assembly."""
-
-    ixp_name: str
-    members: Set[int]
-    passive_members: Set[int]
-    active_members: Set[int]
-    active_queries: int
-    reachabilities: Dict[int, MemberReachability]
-    plane: ReachabilityPlane
 
 
 @dataclass
@@ -385,37 +380,48 @@ def build_reachability_plane(
     reachabilities: Dict[int, MemberReachability],
     index: BitsetIndex,
 ) -> ReachabilityPlane:
-    """Scatter merged reachabilities into the bitmask ALLOW plane."""
-    plane = ReachabilityPlane(
-        ixp_name=observation_plane.ixp_name,
-        index=index,
-        passive_members=frozenset(observation_plane.passive_members),
-        active_members=frozenset(observation_plane.active_members),
-        passive_mask=index.mask_of(observation_plane.passive_members),
-        active_mask=index.mask_of(observation_plane.active_members),
-        active_queries=observation_plane.active_queries,
-    )
-    mask_memo: Dict[Tuple[str, FrozenSet[int]], int] = {}
+    """The read-only columns and metadata of one IXP's plane: merged
+    reachabilities of members in *index* (others are dropped), the
+    observation plane's provenance sets and its rows' per-member
+    observation counts."""
+    policies: Dict[int, Tuple[str, FrozenSet[int]]] = {}
+    sources: Dict[int, FrozenSet[str]] = {}
+    counts = np.full((len(index), 3), -1, dtype=COUNTS_DTYPE)
+    counts[:, 2] = 0
     for asn, reach in reachabilities.items():
         bit = index.bit_of.get(asn)
         if bit is None:
             continue
-        policy = (reach.mode, reach.listed)
-        base = mask_memo.get(policy)
-        if base is None:
-            base = allow_mask_for(reach.mode, reach.listed, index)
-            mask_memo[policy] = base
-        plane.allow_rows[bit] = base & ~(1 << bit)
-        plane.policies[bit] = policy
-        plane.sources[bit] = frozenset(reach.sources)
-        plane.prefixes_observed[bit] = reach.prefixes_observed
-        plane.inconsistent[bit] = reach.inconsistent_prefixes
-        plane.covered_mask |= 1 << bit
-        if "third-party" in reach.sources:
-            plane.third_party_mask |= 1 << bit
-    for row in observation_plane.rows:
-        bit = index.bit_of.get(row[0])
+        policies[bit] = (reach.mode, reach.listed)
+        sources[bit] = frozenset(reach.sources)
+        counts[bit, :2] = reach.prefixes_observed, reach.inconsistent_prefixes
+    for asn, observed in Counter(
+            row[0] for row in observation_plane.rows).items():
+        bit = index.bit_of.get(asn)
         if bit is not None:
-            plane.observation_counts[bit] = \
-                plane.observation_counts.get(bit, 0) + 1
-    return plane
+            counts[bit, 2] = observed
+    covered = np.zeros(len(index), dtype=bool)
+    covered[list(policies)] = True
+    third_party = np.zeros(len(index), dtype=bool)
+    third_party[[bit for bit, names in sources.items()
+                 if "third-party" in names]] = True
+    masks = pack_bits(np.stack([
+        covered,
+        member_bits(index, observation_plane.passive_members),
+        member_bits(index, observation_plane.active_members),
+        third_party]))
+    allow = allow_plane(policies, index)
+    for column in (allow, masks, counts):
+        column.flags.writeable = False
+    return ReachabilityPlane(
+        ixp_name=observation_plane.ixp_name,
+        index=index,
+        allow=allow,
+        masks=masks,
+        counts=counts,
+        policies=policies,
+        sources=sources,
+        passive_members=frozenset(observation_plane.passive_members),
+        active_members=frozenset(observation_plane.active_members),
+        active_queries=observation_plane.active_queries,
+    )

@@ -18,12 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple
 
+from repro.bgp.policy import MODE_ALL_EXCEPT, MODE_NONE_EXCEPT
 from repro.bgp.prefix import Prefix
 from repro.runtime.bitset import BitsetIndex
-from repro.runtime.reachmatrix import allow_mask_for, reciprocal_links
-
-MODE_ALL_EXCEPT = "all-except"
-MODE_NONE_EXCEPT = "none-except"
+from repro.runtime.reachmatrix import allow_plane, reciprocal_links
 
 
 @dataclass(frozen=True)
@@ -164,20 +162,18 @@ def infer_links(
     ``require_reciprocity=False`` — the paper's ablation — a single
     direction of ALLOW suffices).
 
-    Each N_a becomes an integer mask over the sorted member universe
-    (:func:`~repro.runtime.reachmatrix.allow_mask_for`; pass a pre-built
-    *index* to reuse one, e.g. from ``PipelineContext.member_index``)
-    and the links come out of the packed ``M & M.T`` kernel
+    Every N_a becomes a row of the packed ALLOW plane over the sorted
+    member universe (:func:`~repro.runtime.reachmatrix.allow_plane`, the
+    rule the engine's planes are built with; pass a pre-built *index*
+    to reuse one, e.g. from ``PipelineContext.member_index``) and the
+    links come out of the ``M & M.T`` kernel
     (:func:`~repro.runtime.reachmatrix.reciprocal_links`) as sorted
     pairs.
     """
     if index is None:
         index = BitsetIndex(members)
-
-    masks: Dict[int, int] = {}
-    for bit, asn in enumerate(index.universe):
-        reach = reachabilities.get(asn)
-        if reach is not None:
-            masks[bit] = allow_mask_for(reach.mode, reach.listed, index,
-                                        member_asn=asn)
-    return set(reciprocal_links(masks, index.universe, require_reciprocity))
+    policies = {bit: (reachabilities[asn].mode, reachabilities[asn].listed)
+                for bit, asn in enumerate(index.universe)
+                if asn in reachabilities}
+    return set(reciprocal_links(allow_plane(policies, index),
+                                index.universe, require_reciprocity))

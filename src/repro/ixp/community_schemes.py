@@ -25,6 +25,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.bgp.asn import Private16BitMapper, is_32bit_asn
 from repro.bgp.communities import Community
+from repro.bgp.policy import MODE_ALL_EXCEPT, MODE_NONE_EXCEPT
 
 
 class RSAction(enum.Enum):
@@ -150,14 +151,14 @@ class CommunityScheme:
         """
         communities: Set[Community] = set()
         listed = list(listed)
-        if mode == "all-except":
+        if mode == MODE_ALL_EXCEPT:
             if include_all_marker is None:
                 include_all_marker = not self.omit_all_by_default
             if include_all_marker:
                 communities.add(self.all_community)
             for peer in listed:
                 communities.add(self.exclude(peer, mapper))
-        elif mode == "none-except":
+        elif mode == MODE_NONE_EXCEPT:
             communities.add(self.none_community)
             for peer in listed:
                 communities.add(self.include(peer, mapper))

@@ -17,10 +17,8 @@ from typing import FrozenSet, Iterable, Optional
 
 from repro.bgp.asn import Private16BitMapper
 from repro.bgp.communities import Community
+from repro.bgp.policy import MODE_ALL_EXCEPT, MODE_NONE_EXCEPT
 from repro.ixp.community_schemes import CommunityScheme
-
-MODE_ALL_EXCEPT = "all-except"
-MODE_NONE_EXCEPT = "none-except"
 
 
 @dataclass

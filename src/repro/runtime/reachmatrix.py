@@ -3,75 +3,59 @@
 The paper's section-4 outcome — one reconstructed export policy N_a per
 route-server member — is naturally a square boolean matrix per IXP:
 ``allow[i][j]`` says whether member *i* lets member *j* receive its
-routes.  :class:`ReachabilityPlane` stores exactly that, as integer
-bitmask rows over a :class:`~repro.runtime.bitset.BitsetIndex` (bit
-position == rank of the member ASN), together with the provenance of
-each row (passive / active / third-party), the exact merged policy
-behind it, per-member observation counts and the looking-glass query
-spend.  :class:`ReachabilityMatrix` bundles one plane per IXP and
-memoises every derived view the section-5 analyses consume (global link
-set, per-IXP link sets, multi-IXP overlap, link provenance, per-member
-peer counts), so the whole figure suite runs off one artifact.  The
-inference engine builds it from its planes and hands it out as
+routes.  :class:`ReachabilityPlane` stores exactly the service
+artifact's per-plane columns over a
+:class:`~repro.runtime.bitset.BitsetIndex` (bit position == rank of the
+member ASN): the packed ALLOW rows, the covered / passive / active /
+third-party member masks and the per-member counts, next to the merged
+policy and provenance of every covered member and the looking-glass
+query spend.  The engine builds the columns once, the artifact writes
+them as they are and loads them back as mmap'd arrays.
+:class:`ReachabilityMatrix` bundles one plane per IXP and memoises every
+derived view the section-5 analyses consume (global link set, per-IXP
+link sets, multi-IXP overlap, link provenance, per-member peer counts),
+so the whole figure suite runs off one artifact.  The inference engine
+builds it from its planes and hands it out as
 ``MLPInferenceResult.matrix``.
 
-Reciprocal-ALLOW link inference is ``M & M.T``: the rows are unpacked
-into a boolean matrix, AND-ed with its transpose and the strict upper
-triangle is read out in one pass (:func:`reciprocal_cells`).  A plane
-keeps its links in two forms built from that pass: ascending uint64
-keys in the one link-key format of :func:`~repro.runtime.fragments.
-pack_links`, and pair tuples of the universe's own int objects.  The
-matrix's global views (``all_links``, ``multi_ixp_links``,
-``link_ixps``, ``peer_counts``) come from one sort of the concatenated
-per-IXP keys.
+Every N_a rule is :func:`allow_plane`: one boolean row per distinct
+``(mode, listed)`` policy, the diagonal cleared, packed with
+``np.packbits``.  Reciprocal-ALLOW link inference is ``M & M.T``: the
+packed rows are unpacked into a boolean matrix, AND-ed with its
+transpose and the strict upper triangle is read out in one pass
+(:func:`reciprocal_cells`).  A plane keeps its links in two forms built
+from that pass: ascending uint64 keys in the one link-key format of
+:func:`~repro.runtime.fragments.pack_links`, and pair tuples of the
+universe's own int objects.  The matrix's global views (``all_links``,
+``multi_ixp_links``, ``link_ixps``, ``peer_counts``) come from one sort
+of the concatenated per-IXP keys.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 import numpy as _np
 
+from repro.bgp.policy import MODE_ALL_EXCEPT
 from repro.runtime.bitset import BitsetIndex
 from repro.runtime.fragments import MAX_KEYED, pack_links, unpack_links
 
 #: An inferred MLP link: an ordered (lower ASN, higher ASN) pair.
 Link = Tuple[int, int]
 
-#: The on-wire dtype of packed ALLOW planes: 64-bit little-endian words,
-#: word ``w`` holding member bits ``64*w .. 64*w+63`` (bit ``b`` of the
-#: mask is bit ``b % 64`` of word ``b // 64``).  The explicit ``<``
-#: keeps arrays byte-identical across hosts, which is what lets the
-#: service artifact be mmap'd by any worker that can read the file.
+#: The dtype of packed member bits (ALLOW rows and member masks):
+#: 64-bit little-endian words, word ``w`` holding member bits
+#: ``64*w .. 64*w+63`` (bit ``b`` is bit ``b % 64`` of word ``b //
+#: 64``).  The explicit ``<`` keeps arrays byte-identical across hosts,
+#: which is what lets the service artifact be mmap'd by any worker that
+#: can read the file.
 PACKED_DTYPE = "<u8"
 
-#: The export-policy mode every mask/openness computation branches on
-#: (the other mode, "none-except", is handled by the else arms; the
-#: canonical mode definitions live in :mod:`repro.core.reachability`).
-MODE_ALL_EXCEPT = "all-except"
-
-
-def allow_mask_for(mode: str, listed: Iterable[int], index: BitsetIndex,
-                   member_asn: Optional[int] = None) -> int:
-    """N_a as a bitmask over *index* for a merged (mode, listed) policy.
-
-    Bit *i* is set iff the policy allows ``index.universe[i]``: listed
-    values unknown to the index are ignored, and *member_asn*'s own bit
-    is always cleared.
-    """
-    listed_mask = index.mask_of(listed)
-    if mode == MODE_ALL_EXCEPT:
-        mask = index.full_mask & ~listed_mask
-    else:
-        mask = listed_mask
-    if member_asn is not None:
-        own_bit = index.bit_of.get(member_asn)
-        if own_bit is not None:
-            mask &= ~(1 << own_bit)
-    return mask
+#: The dtype of a plane's per-member counts.
+COUNTS_DTYPE = "<i8"
 
 
 def packed_words(size: int) -> int:
@@ -79,59 +63,69 @@ def packed_words(size: int) -> int:
     return max(1, (size + 63) // 64)
 
 
-def pack_mask(mask: int, size: int):
-    """One integer bitmask as a ``(words,)`` :data:`PACKED_DTYPE` row."""
-    nbytes = packed_words(size) * 8
-    return _np.frombuffer(mask.to_bytes(nbytes, "little"),
-                          dtype=PACKED_DTYPE).copy()
+def pack_bits(bits):
+    """Boolean rows ``(..., M)`` as packed ``(..., W)``
+    :data:`PACKED_DTYPE` words (member bit ``b`` -> bit ``b % 64`` of
+    word ``b // 64``; the padding bits are zero)."""
+    bits = _np.asarray(bits, dtype=bool)
+    size = bits.shape[-1]
+    packed = _np.zeros(bits.shape[:-1] + (packed_words(size) * 8,),
+                       dtype=_np.uint8)
+    packed[..., :(size + 7) // 8] = _np.packbits(bits, axis=-1,
+                                                 bitorder="little")
+    return packed.view(PACKED_DTYPE)
 
 
-def unpack_mask(row) -> int:
-    """The integer bitmask of one packed row (inverse of :func:`pack_mask`)."""
-    return int.from_bytes(_np.ascontiguousarray(row).tobytes(), "little")
-
-
-def pack_rows(rows: Mapping[int, int], size: int):
-    """Integer bitmask rows as a packed ``(size, words)`` uint64 plane.
-
-    Uncovered rows (bits without an entry) pack as all-zero words, i.e.
-    "allows nobody".
-    """
-    words = packed_words(size)
-    packed = _np.zeros((size, words), dtype=PACKED_DTYPE)
-    nbytes = words * 8
-    for bit, mask in rows.items():
-        if mask:
-            packed[bit] = _np.frombuffer(
-                mask.to_bytes(nbytes, "little"), dtype=PACKED_DTYPE)
-    return packed
-
-
-def packed_to_bool_matrix(packed, size: int):
-    """Unpack a ``(size, words)`` uint64 plane into a bool matrix.
-
-    One vectorized ``unpackbits`` over the whole plane — no per-row
-    Python-integer traffic, which is what makes this usable directly on
-    an mmap'd artifact plane.
-    """
-    if size == 0:
-        return _np.zeros((0, 0), dtype=bool)
+def unpack_plane(packed, size: int):
+    """The boolean ``(..., size)`` rows of packed ``(..., W)`` words
+    (inverse of :func:`pack_bits`): one vectorized ``unpackbits``, so it
+    runs directly on an mmap'd artifact column."""
     as_bytes = _np.ascontiguousarray(packed).view(_np.uint8)
-    return _np.unpackbits(as_bytes, axis=1, bitorder="little",
+    return _np.unpackbits(as_bytes, axis=-1, bitorder="little",
                           count=size).view(bool)
 
 
-def reciprocal_cells(packed, size: int, require_reciprocity: bool = True):
+def member_bits(index: BitsetIndex, values: Iterable[int]):
+    """The boolean row over *index* of the given member values (values
+    unknown to the index are ignored)."""
+    bit_of = index.bit_of
+    row = _np.zeros(len(index), dtype=bool)
+    row[[bit_of[value] for value in values if value in bit_of]] = True
+    return row
+
+
+def allow_plane(policies: Mapping[int, Tuple[str, FrozenSet[int]]],
+                index: BitsetIndex):
+    """N_a of every covered member as the packed ``(M, W)`` ALLOW plane.
+
+    *policies* maps a member bit to its merged ``(mode, listed)``
+    policy: ``all-except`` allows every member but the listed ones,
+    ``none-except`` only the listed ones (listed values unknown to the
+    index are ignored).  One boolean row is built per distinct policy;
+    a member never allows itself and an uncovered row allows nobody.
+    """
+    by_policy: Dict[Tuple[str, FrozenSet[int]], list] = {}
+    for bit, policy in policies.items():
+        by_policy.setdefault(policy, []).append(bit)
+    allow = _np.zeros((len(index), len(index)), dtype=bool)
+    for (mode, listed), bits in by_policy.items():
+        row = member_bits(index, listed)
+        allow[bits] = ~row if mode == MODE_ALL_EXCEPT else row
+    _np.fill_diagonal(allow, False)
+    return pack_bits(allow)
+
+
+def reciprocal_cells(allow, size: int, require_reciprocity: bool = True):
     """The ``(rows, cols)`` bit-index arrays of the reciprocal-ALLOW
-    pairs of a packed ``(size, words)`` uint64 ALLOW plane, ``rows <
-    cols``, in ascending row-major order.
+    pairs of a packed ``(size, words)`` ALLOW plane, ``rows < cols``, in
+    ascending row-major order.
 
     The one link kernel in ``src/``: unpack once, ``M & M.T`` (or
     ``M | M.T``), and read the strict upper triangle with one
     ``np.triu``/``np.nonzero`` pass.  Over a sorted universe,
     row-major order *is* ascending sorted-pair order.
     """
-    matrix = packed_to_bool_matrix(packed, size)
+    matrix = unpack_plane(allow, size)
     if require_reciprocity:
         mutual = matrix & matrix.T
     else:
@@ -175,149 +169,64 @@ def link_rows(keys):
     return _np.stack(unpack_links(keys), axis=1).astype("<i8", copy=False)
 
 
-def reciprocal_links(rows: Mapping[int, int], universe: Tuple[int, ...],
+def reciprocal_links(allow, universe: Tuple[int, ...],
                      require_reciprocity: bool = True) -> Tuple[Link, ...]:
-    """The sorted reciprocal-ALLOW pairs of the given ALLOW rows (the
-    :func:`reciprocal_cells` kernel over the packed rows).
-
-    *rows* maps bit position -> outgoing mask ("bit *i* allows bit
-    *j*"); a missing row allows nobody.  ``core.reachability.
-    infer_links`` runs it; planes run the same kernel in
-    :meth:`ReachabilityPlane.links`.
-    """
-    size = len(universe)
-    cells = reciprocal_cells(pack_rows(rows, size), size,
-                             require_reciprocity)
-    return _pairs_at(universe, *cells)
+    """The sorted reciprocal-ALLOW pairs of a packed ALLOW plane over
+    *universe* (the :func:`reciprocal_cells` kernel).
+    ``core.reachability.infer_links`` runs it; planes run the same
+    kernel in :meth:`ReachabilityPlane.links`."""
+    return _pairs_at(universe, *reciprocal_cells(allow, len(universe),
+                                                 require_reciprocity))
 
 
-class PackedRows(MappingABC):
-    """A read-only ``Mapping[bit, int-mask]`` view over a packed plane.
-
-    The authoritative data is the ``(members, words)`` uint64 array
-    (usually an mmap of the service artifact); Python integers are
-    materialised lazily per accessed row and memoised, so planes loaded
-    for packed-kernel queries never pay the integer conversion unless
-    object-level code actually asks for a row.  Equality compares like
-    a dict, so loaded planes compare clean against built ones.
-    """
-
-    __slots__ = ("_packed", "_bits", "_bitset", "_cache")
-
-    def __init__(self, packed, bits: Iterable[int]) -> None:
-        self._packed = packed
-        self._bits = tuple(bits)
-        self._bitset = frozenset(self._bits)
-        self._cache: Dict[int, int] = {}
-
-    def __getitem__(self, bit: int) -> int:
-        if bit not in self._bitset:
-            raise KeyError(bit)
-        value = self._cache.get(bit)
-        if value is None:
-            value = unpack_mask(self._packed[bit])
-            self._cache[bit] = value
-        return value
-
-    def __iter__(self):
-        return iter(self._bits)
-
-    def __len__(self) -> int:
-        return len(self._bits)
-
-    def __contains__(self, bit) -> bool:
-        return bit in self._bitset
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (dict, MappingABC)):
-            return dict(self) == dict(other)
-        return NotImplemented
-
-    def __ne__(self, other) -> bool:
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
-    def __reduce__(self):
-        # Pickle as a plain in-memory array (an mmap does not travel).
-        return (PackedRows, (_np.asarray(self._packed), self._bits))
-
-    def __repr__(self) -> str:
-        return f"PackedRows({len(self._bits)} rows)"
-
-
-@dataclass
+@dataclass(eq=False)
 class ReachabilityPlane:
-    """One IXP's reachability data plane.
+    """One IXP's reachability data plane: the artifact's three columns
+    plus the JSON metadata they cannot hold.
 
-    Row *i* of ``allow_rows`` is N_a of ``index.universe[i]`` as a
-    bitmask; only covered members (``covered_mask``) have rows.  The
-    exact merged policy behind every row is kept in ``policies`` so the
-    object-level :class:`~repro.core.reachability.MemberReachability`
-    view can be reconstructed bit-identically, and analyses that need
-    the literal EXCLUDE lists (repellers) or populations outside the
-    universe (openness against arbitrary member lists) stay exact.
+    Row *i* of ``allow`` is N_a of ``index.universe[i]`` as packed bits;
+    only covered members have a nonzero row.  The exact merged policy
+    behind every row is kept in ``policies`` so the object-level
+    :class:`~repro.core.reachability.MemberReachability` view can be
+    reconstructed bit-identically, and analyses that need the literal
+    EXCLUDE lists (repellers) or populations outside the universe
+    (openness against arbitrary member lists) stay exact.  Planes
+    compare by identity; the columns of a built plane are read-only.
     """
 
     ixp_name: str
     index: BitsetIndex
-    #: covered member bit -> outgoing ALLOW bitmask.  Built planes use a
-    #: plain dict; planes loaded from the service artifact install a
-    #: lazy :class:`PackedRows` view over the mmap'd uint64 plane (the
-    #: two compare equal row-for-row).
-    allow_rows: Dict[int, int] = field(default_factory=dict)
+    #: ``(M, W)`` :data:`PACKED_DTYPE`: row *i* is member *i*'s ALLOW
+    #: bits (all zero for an uncovered member).
+    allow: _np.ndarray
+    #: ``(4, W)`` :data:`PACKED_DTYPE` member masks: covered, passive,
+    #: active and third-party provenance (members outside the universe
+    #: are not in them; the exact sets are ``passive_members`` and
+    #: ``active_members``).
+    masks: _np.ndarray
+    #: ``(M, 3)`` :data:`COUNTS_DTYPE` per member: distinct prefixes
+    #: observed and inconsistently announced prefixes (both -1 for an
+    #: uncovered member), and raw (prefix, policy) observations.
+    counts: _np.ndarray
     #: covered member bit -> the merged (mode, listed) policy.
-    policies: Dict[int, Tuple[str, FrozenSet[int]]] = field(default_factory=dict)
+    policies: Dict[int, Tuple[str, FrozenSet[int]]]
     #: covered member bit -> observation provenance ("passive"/...).
-    sources: Dict[int, FrozenSet[str]] = field(default_factory=dict)
-    #: covered member bit -> number of distinct prefixes observed.
-    prefixes_observed: Dict[int, int] = field(default_factory=dict)
-    #: covered member bit -> number of inconsistently announced prefixes.
-    inconsistent: Dict[int, int] = field(default_factory=dict)
-    #: bits of members with a reconstructed reachability.
-    covered_mask: int = 0
-    #: provenance planes over member bits (may undercount members whose
-    #: observations fell outside the final universe; the exact sets are
-    #: in passive_members / active_members).
-    passive_mask: int = 0
-    active_mask: int = 0
-    third_party_mask: int = 0
+    sources: Dict[int, FrozenSet[str]]
     #: the exact provenance populations (can contain non-universe ASNs).
-    passive_members: FrozenSet[int] = frozenset()
-    active_members: FrozenSet[int] = frozenset()
+    passive_members: FrozenSet[int]
+    active_members: FrozenSet[int]
     #: looking-glass queries spent collecting this plane.
-    active_queries: int = 0
-    #: member bit -> number of raw (prefix, policy) observations.
-    observation_counts: Dict[int, int] = field(default_factory=dict)
+    active_queries: int
     #: require_reciprocity -> (sorted uint64 link keys, pair tuple),
     #: built together on first use of either.
     _links: Dict[bool, Tuple[object, Tuple[Link, ...]]] = field(
-        default_factory=dict, repr=False, compare=False)
-    #: lazily packed ``(members, words)`` uint64 ALLOW plane (the hot
-    #: representation behind :meth:`links`/:meth:`allows`; mmap'd for
-    #: artifact-loaded planes, packed once from ``allow_rows`` for
-    #: built ones).  Treat the plane as frozen once packed.
-    _packed: Optional[object] = field(
-        default=None, repr=False, compare=False)
+        default_factory=dict, repr=False)
 
     # -- geometry ------------------------------------------------------------
 
     @property
     def num_members(self) -> int:
         return len(self.index)
-
-    # -- packed representation -----------------------------------------------
-
-    def packed(self):
-        """The ``(members, words)`` :data:`PACKED_DTYPE` ALLOW plane.
-
-        Packed once from ``allow_rows`` and memoised; artifact-loaded
-        planes carry their mmap'd plane from construction and never
-        touch Python integers here.  The plane must not be mutated
-        after the first call.
-        """
-        if self._packed is None:
-            self._packed = pack_rows(self.allow_rows, len(self.index))
-        return self._packed
 
     # -- link inference ------------------------------------------------------
 
@@ -338,7 +247,7 @@ class ReachabilityPlane:
         if cached is None:
             universe = self.index.universe
             asns = _keyable_universe(universe)
-            rows, cols = reciprocal_cells(self.packed(), len(universe),
+            rows, cols = reciprocal_cells(self.allow, len(universe),
                                           require_reciprocity)
             cached = (pack_links(asns[rows], asns[cols]),
                       _pairs_at(universe, rows, cols))
@@ -363,8 +272,7 @@ class ReachabilityPlane:
             others = self.num_members - 1
             if others <= 0:
                 return 0.0
-            row = self.allow_rows.get(bit, 0) & ~(1 << bit)
-            return bin(row).count("1") / others
+            return int(_np.bitwise_count(self.allow[bit]).sum()) / others
         mode, listed = self.policies[bit]
         others = [m for m in members if m != member_asn]
         if not others:
@@ -511,5 +419,3 @@ class ReachabilityMatrix:
             cached = dict(zip(asns.tolist(), counts.tolist()))
             self._derived["peer_counts"] = cached
         return cached
-
-    # -- aggregate introspection ---------------------------------------------

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.bgp.asn import Private16BitMapper
 from repro.bgp.prefix import Prefix
-from repro.bgp.policy import Relationship
+from repro.bgp.policy import MODE_ALL_EXCEPT, Relationship
 from repro.bgp.propagation import OriginSpec, PropagationResult
 from repro.collectors.archive import CollectorArchive, MeasurementWindow
 from repro.collectors.route_collector import RouteCollector
@@ -55,7 +55,6 @@ from repro.topology.generator import (
     GeneratorConfig,
     InternetGenerator,
     IXPSpec,
-    MODE_ALL_EXCEPT,
 )
 
 
@@ -803,8 +802,9 @@ STAGE_LIBRARY: Dict[str, Stage] = {
             # Bumped with every MLPInferenceResult pickle layout change
             # (2: the result carries its ReachabilityMatrix; 3: planes
             # and matrix carry uint64 link keys; 4: per-IXP results
-            # without a link-set memo).
-            version=4,
+            # without a link-set memo; 5: the result is its matrix and
+            # planes hold the artifact's packed columns).
+            version=5,
             persist=True,
         ),
         Stage(

@@ -53,7 +53,8 @@ from typing import (
 )
 
 from repro.bgp.prefix import Prefix
-from repro.ixp.member import MODE_ALL_EXCEPT, MemberExportPolicy
+from repro.bgp.policy import MODE_ALL_EXCEPT
+from repro.ixp.member import MemberExportPolicy
 from repro.ixp.route_server import RouteServer
 from repro.runtime.context import PipelineContext
 from repro.runtime.delta import (

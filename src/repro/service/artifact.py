@@ -26,19 +26,21 @@ One artifact is a *directory*::
     peer_offsets.npy          # (P+1,) <i8  CSR offsets into neighbors
     peer_neighbors.npy        # (E,)   <i8  per-AS sorted peer lists
 
+The ``allow``, ``masks`` and ``counts`` columns are a
+:class:`~repro.runtime.reachmatrix.ReachabilityPlane`'s own arrays:
+:func:`save_matrix` writes them unchanged and :func:`load_matrix` hands
+the loaded (by default mmap'd) arrays to the plane it rebuilds.
 ``header.json`` carries ``format``/``version``/``endianness``, the
 sha256 of every ``.npy`` column (``load_matrix`` refuses a column whose
-bytes do not match), plus the per-IXP metadata needed to rebuild a
-bit-identical
-:class:`~repro.runtime.reachmatrix.ReachabilityPlane` (merged policies,
-source/provenance sets, looking-glass query spend) and, optionally, the
-scenario's Table 2 rows so the daemon can answer ``table2`` without the
-pipeline.  The header is written *last* via an atomic rename: a
-directory without a parseable header is not an artifact, so a crashed
-writer can never be mistaken for a complete one.
+bytes do not match), plus the per-IXP metadata the columns cannot hold
+(merged policies, source/provenance sets, looking-glass query spend)
+and, optionally, the scenario's Table 2 rows so the daemon can answer
+``table2`` without the pipeline.  The header is written *last* via an
+atomic rename: a directory without a parseable header is not an
+artifact, so a crashed writer can never be mistaken for a complete one.
 
 :func:`verify_identity` asserts bit-identity between an in-memory
-matrix and a loaded artifact — links, per-plane rows, provenance,
+matrix and a loaded artifact — links, per-plane columns, provenance,
 peer counts and Table 2 — and is run by the service warm-up for every
 registered scenario it loads.
 """
@@ -53,17 +55,15 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as _np
 
-from repro.runtime.bitset import BitsetIndex, iter_bits
+from repro.runtime.bitset import BitsetIndex
 from repro.runtime.reachmatrix import (
+    COUNTS_DTYPE,
     PACKED_DTYPE,
-    PackedRows,
     ReachabilityMatrix,
     ReachabilityPlane,
     link_keys_of,
     link_rows,
-    pack_mask,
     packed_words,
-    unpack_mask,
 )
 
 
@@ -149,30 +149,11 @@ def save_matrix(matrix: ReachabilityMatrix,
     digests: Dict[str, str] = {}
     for i, name in enumerate(ixp_names):
         plane = matrix.planes[name]
-        size_m = plane.num_members
-        words = packed_words(size_m)
         members = _np.array(plane.index.universe, dtype=INDEX_DTYPE)
-        allow = _np.zeros((size_m, words), dtype=PACKED_DTYPE)
-        packed = plane.packed()
-        if packed is not None:
-            allow[:] = packed
-        masks = _np.stack([
-            pack_mask(plane.covered_mask, size_m),
-            pack_mask(plane.passive_mask, size_m),
-            pack_mask(plane.active_mask, size_m),
-            pack_mask(plane.third_party_mask, size_m),
-        ])
-        counts = _np.full((size_m, 3), -1, dtype=INDEX_DTYPE)
-        counts[:, 2] = 0
-        for bit, value in plane.prefixes_observed.items():
-            counts[bit, 0] = value
-        for bit, value in plane.inconsistent.items():
-            counts[bit, 1] = value
-        for bit, value in plane.observation_counts.items():
-            counts[bit, 2] = value
         plane_links = link_rows(matrix.link_keys_of(name))
-        for column, array in (("members", members), ("allow", allow),
-                              ("masks", masks), ("counts", counts),
+        for column, array in (("members", members), ("allow", plane.allow),
+                              ("masks", plane.masks),
+                              ("counts", plane.counts),
                               ("links", plane_links)):
             _save_array(directory, f"plane_{i:02d}_{column}.npy", array,
                         digests)
@@ -256,43 +237,29 @@ def _load_plane(load, i: int,
     words = packed_words(size)
     prefix = f"plane_{i:02d}_"
     members = _column(load, prefix + "members.npy", INDEX_DTYPE, (size,))
-    allow = _column(load, prefix + "allow.npy", PACKED_DTYPE, (size, words))
-    masks = _column(load, prefix + "masks.npy", PACKED_DTYPE, (4, words))
-    counts = _column(load, prefix + "counts.npy", INDEX_DTYPE, (size, 3))
     universe = tuple(members.tolist())
     index = BitsetIndex(universe)
     if index.universe != universe:
         raise ArtifactFormatError(
             f"plane {payload['name']!r} members are not sorted-unique")
-    covered_mask = unpack_mask(masks[0])
-    row_bits = tuple(iter_bits(covered_mask))
-    prefixes, inconsistent, observations = counts.T.tolist()
     return ReachabilityPlane(
         ixp_name=str(payload["name"]),
         index=index,
-        allow_rows=PackedRows(allow, row_bits),
+        allow=_column(load, prefix + "allow.npy", PACKED_DTYPE,
+                      (size, words)),
+        masks=_column(load, prefix + "masks.npy", PACKED_DTYPE, (4, words)),
+        counts=_column(load, prefix + "counts.npy", COUNTS_DTYPE,
+                       (size, 3)),
         policies={int(bit): (str(mode), frozenset(listed))
                   for bit, (mode, listed)
                   in dict(payload["policies"]).items()},
         sources={int(bit): frozenset(values)
                  for bit, values in dict(payload["sources"]).items()},
-        prefixes_observed={bit: value for bit, value in enumerate(prefixes)
-                           if value >= 0},
-        inconsistent={bit: value for bit, value in enumerate(inconsistent)
-                      if value >= 0},
-        covered_mask=covered_mask,
-        passive_mask=unpack_mask(masks[1]),
-        active_mask=unpack_mask(masks[2]),
-        third_party_mask=unpack_mask(masks[3]),
         passive_members=frozenset(int(v)
                                   for v in payload["passive_members"]),
         active_members=frozenset(int(v)
                                  for v in payload["active_members"]),
         active_queries=int(payload["active_queries"]),
-        observation_counts={bit: value
-                            for bit, value in enumerate(observations)
-                            if value > 0},
-        _packed=allow,
     )
 
 
@@ -391,8 +358,10 @@ def load_matrix(directory: Union[str, Path],
     malformed columns — every column's dtype and shape are checked
     against the schema before it is read, and the error names the
     column — so a truncated or corrupted artifact is a clean failure
-    instead of silently wrong answers.  Each column is converted to
-    Python values once (``tolist``), never element by element.
+    instead of silently wrong answers.  A plane's ``allow``, ``masks``
+    and ``counts`` stay the loaded arrays; the member and link columns
+    are converted to Python values once (``tolist``), never element by
+    element.
     """
     directory = Path(directory)
     header_path = directory / "header.json"
@@ -458,10 +427,11 @@ def verify_identity(matrix: ReachabilityMatrix, handle: ArtifactHandle,
     """Bit-identity check: built matrix vs loaded artifact.
 
     Returns a list of human-readable mismatch descriptions (empty ==
-    identical).  Covers the acceptance surface: per-plane ALLOW rows,
-    policies, provenance masks/sets, observation counts, per-IXP and
-    global link sets, peer counts (both the matrix view and the CSR
-    view) and — when the expected rows are supplied — Table 2.
+    identical).  Covers the acceptance surface: per-plane columns (ALLOW
+    rows, provenance masks, per-member counts), policies, provenance
+    sets, per-IXP and global link sets, peer counts (both the matrix
+    view and the CSR view) and — when the expected rows are supplied —
+    Table 2.
     """
     problems: List[str] = []
     loaded = handle.matrix
@@ -470,24 +440,18 @@ def verify_identity(matrix: ReachabilityMatrix, handle: ArtifactHandle,
                 f"{sorted(loaded.planes)}"]
     for name in sorted(matrix.planes):
         mine, theirs = matrix.planes[name], loaded.planes[name]
+        problems.extend(
+            f"plane {name}: {column} differs"
+            for column in ("allow", "masks", "counts")
+            if not _np.array_equal(getattr(mine, column),
+                                   getattr(theirs, column)))
         checks = [
             ("universe", mine.index.universe, theirs.index.universe),
-            ("allow_rows", dict(mine.allow_rows), dict(theirs.allow_rows)),
             ("policies", mine.policies, theirs.policies),
             ("sources", mine.sources, theirs.sources),
-            ("covered_mask", mine.covered_mask, theirs.covered_mask),
-            ("passive_mask", mine.passive_mask, theirs.passive_mask),
-            ("active_mask", mine.active_mask, theirs.active_mask),
-            ("third_party_mask", mine.third_party_mask,
-             theirs.third_party_mask),
             ("passive_members", mine.passive_members,
              theirs.passive_members),
             ("active_members", mine.active_members, theirs.active_members),
-            ("prefixes_observed", mine.prefixes_observed,
-             theirs.prefixes_observed),
-            ("inconsistent", mine.inconsistent, theirs.inconsistent),
-            ("observation_counts", mine.observation_counts,
-             theirs.observation_counts),
             ("active_queries", mine.active_queries, theirs.active_queries),
             ("links", mine.links(), theirs.links()),
         ]

@@ -33,8 +33,6 @@ from repro.topology.phases import (  # noqa: F401  (re-exported API)
     PHASES,
     ExportIntent,
     GenerationState,
-    MODE_ALL_EXCEPT,
-    MODE_NONE_EXCEPT,
 )
 
 

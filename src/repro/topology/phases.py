@@ -35,6 +35,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Set, Tuple
 
+from repro.bgp.policy import MODE_ALL_EXCEPT, MODE_NONE_EXCEPT
 from repro.bgp.prefix import Prefix
 from repro.topology.as_graph import (
     ASGraph,
@@ -45,10 +46,6 @@ from repro.topology.as_graph import (
     PeeringPolicy,
 )
 from repro.topology.relationships import LinkType
-
-#: Export-intent modes, matching the two community idioms of Table 1.
-MODE_ALL_EXCEPT = "all-except"
-MODE_NONE_EXCEPT = "none-except"
 
 
 @dataclass(frozen=True)

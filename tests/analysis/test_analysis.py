@@ -130,12 +130,13 @@ class TestDensity:
         report = density_per_ixp(
             inference_result.matrix.links_by_ixp(),
             {name: small_scenario.graph.rs_members_of_ixp(name)
-             for name in inference_result.per_ixp},
+             for name in inference_result.matrix.planes},
             only_members_with_links=True)
         # Like the paper's figure 12, only look at IXPs with full
         # connectivity data (a route-server looking glass).
-        big_ixps = [name for name, inf in inference_result.per_ixp.items()
-                    if len(inf.members) >= 15
+        big_ixps = [name for name, plane
+                    in inference_result.matrix.planes.items()
+                    if plane.num_members >= 15
                     and name in small_scenario.rs_looking_glasses]
         assert big_ixps
         for name in big_ixps:
@@ -161,7 +162,7 @@ class TestPolicies:
     def test_figure11_openness(self, small_scenario, inference_result):
         analysis = PolicyAnalysis(small_scenario.graph, small_scenario.peeringdb)
         members = {name: small_scenario.graph.rs_members_of_ixp(name)
-                   for name in inference_result.per_ixp}
+                   for name in inference_result.matrix.planes}
         openness = analysis.export_openness_from_matrix(
             inference_result.matrix, members)
         assert openness
@@ -181,7 +182,7 @@ class TestRepellers:
         report = analysis.analyse_matrix(
             inference_result.matrix,
             {name: graph.rs_members_of_ixp(name)
-             for name in inference_result.per_ixp})
+             for name in inference_result.matrix.planes})
         assert report.total_exclusions > 0
         assert report.num_repellers > 0
         assert report.top_repellers(5)
@@ -197,7 +198,7 @@ class TestRepellers:
         report = analysis.analyse_matrix(
             inference_result.matrix,
             {name: graph.rs_members_of_ixp(name)
-             for name in inference_result.per_ixp})
+             for name in inference_result.matrix.planes})
         top = [asn for asn, _ in report.top_repellers(10)]
         assert any(asn in small_scenario.internet.hypergiants for asn in top)
 

@@ -56,6 +56,15 @@ def inference_result(small_scenario):
 
 
 @pytest.fixture(scope="session")
+def object_result(small_scenario):
+    """The same inference through the per-IXP object oracle
+    (:mod:`tests.oracle.inference`): its records are the object-level
+    reference of every plane of ``inference_result``."""
+    from tests.oracle.inference import object_inference
+    return object_inference(small_scenario)
+
+
+@pytest.fixture(scope="session")
 def connectivity_reports(small_scenario):
     """Connectivity discovery reports for the small scenario."""
     return small_scenario.discover_connectivity()

@@ -80,7 +80,7 @@ def test_member_change_rediscovers():
     rs.add_member(joiner)
     result = scenario.run_inference()
     assert joiner in scenario.discover_connectivity()[name].members
-    assert joiner in result.per_ixp[name].members
+    assert joiner in result.matrix.planes[name].index.bit_of
     rs.remove_member(joiner)
     scenario.run_inference()
     assert joiner not in scenario.discover_connectivity()[name].members

@@ -9,21 +9,18 @@ deterministically.
 
 import random
 
+from repro.bgp.policy import MODE_ALL_EXCEPT, MODE_NONE_EXCEPT
 from repro.core.reachability import (
-    MODE_ALL_EXCEPT,
-    MODE_NONE_EXCEPT,
     MemberReachability,
     PolicyObservation,
     infer_links,
     merge_observations,
 )
 from repro.bgp.prefix import Prefix
-from repro.runtime.bitset import BitsetIndex
-from repro.runtime.reachmatrix import (
-    ReachabilityMatrix,
-    ReachabilityPlane,
-    link_keys_of,
-)
+from repro.runtime.reachmatrix import ReachabilityMatrix, link_keys_of
+
+from tests.oracle.inference import differences
+from tests.oracle.reachability import plane_of_rows
 
 
 def _observation(member, mode, listed, prefix_index=0):
@@ -118,8 +115,7 @@ def _matrix(links_by_ixp):
     """A matrix over empty planes that reports the given per-IXP links."""
     members = {name: {asn for link in links for asn in link}
                for name, links in links_by_ixp.items()}
-    planes = {name: ReachabilityPlane(ixp_name=name,
-                                      index=BitsetIndex(members[name]))
+    planes = {name: plane_of_rows(name, members[name])
               for name in links_by_ixp}
     return ReachabilityMatrix(
         planes, links_by_ixp=links_by_ixp,
@@ -208,8 +204,4 @@ class TestEndToEndDeterminism:
         rerun = small_scenario.run_inference()
         assert rerun.matrix.all_links() == inference_result.matrix.all_links()
         assert rerun.table2() == inference_result.table2()
-        for name in rerun.per_ixp:
-            a = rerun.per_ixp[name]
-            b = inference_result.per_ixp[name]
-            assert sorted(a.links) == sorted(b.links)
-            assert sorted(a.reachabilities) == sorted(b.reachabilities)
+        assert differences(rerun, inference_result) == []

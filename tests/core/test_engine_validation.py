@@ -81,10 +81,11 @@ class TestEngineOnScenario:
         assert fraction_visible < 0.5
 
     def test_per_ixp_links_between_members(self, small_scenario, inference_result):
-        for name, inference in inference_result.per_ixp.items():
+        matrix = inference_result.matrix
+        for name, plane in matrix.planes.items():
             members = set(small_scenario.graph.rs_members_of_ixp(name)) | \
-                inference.members
-            for a, b in inference.links:
+                set(plane.index.universe)
+            for a, b in matrix.links_of(name):
                 assert a in members and b in members
 
     def test_table2_rows_complete(self, small_scenario, inference_result):
@@ -107,10 +108,10 @@ class TestEngineOnScenario:
         all_links = inference_result.matrix.all_links()
         assert isinstance(all_links, tuple)
         assert list(all_links) == sorted(set(all_links))
-        for inference in inference_result.per_ixp.values():
-            assert isinstance(inference.links, tuple)
-            assert list(inference.links) == sorted(set(inference.links))
-            assert all(a < b for a, b in inference.links)
+        for links in inference_result.matrix.links_by_ixp().values():
+            assert isinstance(links, tuple)
+            assert list(links) == sorted(set(links))
+            assert all(a < b for a, b in links)
 
     def test_multi_ixp_overlap_detected(self, inference_result):
         # Some ASes co-locate at several IXPs, so some links appear twice.

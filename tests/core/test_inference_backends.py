@@ -5,9 +5,11 @@ regimes (generator-knob strategy mirroring
 ``tests/runtime/test_batched.py``) must produce **bit-identical**
 inference from the production engine (the bitset observation planes)
 and the per-IXP object oracle (:mod:`tests.oracle.inference`): links,
-per-IXP link sets, Table 2 rows, reachability objects (mode / listed /
-provenance / prefix counts) and active query spend.  The derived-view
-caches of the result's matrix must not re-sort on repeated access.
+per-IXP link sets, Table 2 rows, every member's reachability read off
+the planes (mode / listed / provenance / prefix counts), the plane
+columns against the oracle's integer-bitmask rule, and active query
+spend.  The derived-view caches of the result's matrix must not
+re-sort on repeated access.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from repro.topology.generator import GeneratorConfig
 from repro.topology.relationships import LinkType
 
 from tests.oracle.inference import (
+    differences,
     identical,
     object_inference,
     run_object_inference,
@@ -35,23 +38,15 @@ from tests.oracle.inference import (
 def assert_bit_identical(obj, bit):
     """Full-result equivalence: links, Table 2, provenance, queries.
 
-    The granular asserts localise a failure; the final
-    ``identical`` call is the authoritative shared predicate.
+    The global views are compared first; ``differences`` (the shared
+    predicate behind ``identical``) names every per-IXP field, member
+    and plane column that disagrees.
     """
     assert obj.matrix.all_links() == bit.matrix.all_links()
     assert obj.matrix.links_by_ixp() == bit.matrix.links_by_ixp()
     assert obj.matrix.multi_ixp_links() == bit.matrix.multi_ixp_links()
-    assert obj.table2() == bit.table2()
     assert obj.matrix.link_ixps() == bit.matrix.link_ixps()
-    for name in obj.per_ixp:
-        left, right = obj.per_ixp[name], bit.per_ixp[name]
-        assert left.links == right.links, name
-        assert left.members == right.members, name
-        assert left.passive_members == right.passive_members, name
-        assert left.active_members == right.active_members, name
-        assert left.active_queries == right.active_queries, name
-        assert left.reachabilities == right.reachabilities, name
-    assert identical(obj, bit)
+    assert differences(obj, bit) == []
 
 
 # -- all registered scenarios --------------------------------------------------
@@ -286,7 +281,7 @@ def test_table2_fallback_without_table2_figure():
     run = ScenarioRun(base.config, scenario=base.spec, cache=base.cache,
                       analysis_options=AnalysisOptions(figures=("density",)))
     rows = run.table2()
-    assert len(rows) == len(run.inference().per_ixp)
+    assert len(rows) == len(run.inference().matrix.planes)
 
 
 # -- derived-view caches (regression: repeated calls must not re-sort) ---------
@@ -299,7 +294,7 @@ def test_result_views_are_memoised():
     assert matrix.multi_ixp_links() is matrix.multi_ixp_links()
     assert matrix.link_ixps() is matrix.link_ixps()
     assert matrix.peer_counts() is matrix.peer_counts()
-    some_ixp = next(iter(result.per_ixp.values()))
-    if some_ixp.links:
-        a, b = some_ixp.links[0]
-        assert some_ixp.ixp_name in matrix.link_ixps()[(a, b)]
+    some_ixp = next(iter(matrix.planes))
+    if matrix.links_of(some_ixp):
+        a, b = matrix.links_of(some_ixp)[0]
+        assert some_ixp in matrix.link_ixps()[(a, b)]

@@ -212,4 +212,4 @@ def test_engine_accepts_only_the_stable_view(archive, engine):
         registry=engine.registry, rs_members=engine.rs_members,
         relationships=engine.relationships).run(passive_entries=view)
     assert identical(result, expected)
-    assert result.per_ixp["DE-CIX"].passive_members
+    assert result.matrix.planes["DE-CIX"].passive_members

@@ -11,14 +11,19 @@
   views' row positions;
 * :mod:`tests.oracle.inference` — the per-IXP object inference engine
   (passive/active step functions, ``merge_observations`` and
-  ``infer_links`` per IXP), whose result carries a matrix rebuilt from
-  its objects (``matrix_from_inferences``), and the entry-by-entry
+  ``infer_links`` per IXP), whose result keeps one record per IXP and
+  a matrix rebuilt from them (``matrix_from_inferences``); the
+  bit-identity predicate that reads production planes member by
+  member against those records (``identical``); and the entry-by-entry
   passive extraction into observation planes, the reference for the
   column reader;
-* :mod:`tests.oracle.reachability` — the integer-bitmask reciprocal
-  kernel (the reference for the packed ``M & M.T`` kernel) and the
-  figure 11 / figure 13 walks over ``MemberReachability`` objects (the
-  references for the matrix's openness and repeller entries);
+* :mod:`tests.oracle.reachability` — the integer-bitmask rule (member
+  masks, N_a as a mask, packing to and from the artifact's words; the
+  reference for the packed plane columns), the integer-bitmask
+  reciprocal kernel (the reference for the packed ``M & M.T`` kernel)
+  and the figure 11 / figure 13 walks over ``MemberReachability``
+  objects (the references for the matrix's openness and repeller
+  entries);
 * :mod:`tests.oracle.degrees` — the figure 7 per-link degree walk,
   the reference for the per-endpoint gather;
 * :mod:`tests.oracle.kernels` — pins the propagation engine to one

@@ -33,7 +33,8 @@ from tests.oracle.propagation import origin_spec
 def random_events(rng, graph, route_servers, length):
     """A randomized mixed event sequence, drawn against evolving state
     (an auxiliary ReplayState keeps successive draws meaningful; a draw
-    that cannot apply is skipped)."""
+    that cannot apply is skipped).  Prefix churn announces a fresh
+    prefix, or (30% of its draws) withdraws one the AS announces."""
     state = ReplayState(*copy.deepcopy((graph, route_servers)))
     roster = sorted(route_servers)
     events = []
@@ -78,9 +79,16 @@ def random_events(rng, graph, route_servers, length):
         else:
             asns = state.graph.asns()
             asn = asns[rng.randrange(len(asns))]
-            event = PrefixChurn(asn=asn,
-                                prefix=f"198.18.{len(events)}.0/24",
-                                withdraw=rng.random() < 0.3)
+            if rng.random() < 0.3:
+                announced = state.graph.get_as(asn).prefixes
+                if not announced:
+                    continue
+                event = PrefixChurn(
+                    asn=asn, withdraw=True,
+                    prefix=str(announced[rng.randrange(len(announced))]))
+            else:
+                event = PrefixChurn(asn=asn,
+                                    prefix=f"198.18.{len(events)}.0/24")
         try:
             state.apply(event)
         except ImpossibleEventError:

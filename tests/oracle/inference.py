@@ -7,13 +7,16 @@ pipeline: per IXP, the public step functions build one
 :class:`~repro.core.reachability.PolicyObservation` per observed
 (member, prefix) pair, merge them with
 :func:`~repro.core.reachability.merge_observations` and infer links
-with :func:`~repro.core.reachability.infer_links`.  The differential
-suites require the two engines to produce bit-identical results
-(:func:`identical`).  The oracle's result carries
-a :class:`~repro.runtime.reachmatrix.ReachabilityMatrix` rebuilt from
-its per-IXP objects (:func:`matrix_from_inferences`, ``built_by
-"result"``); it has no observation counts, which only the engine's
-planes record.
+with :func:`~repro.core.reachability.infer_links`, keeping one
+:class:`ObjectIXPInference` record per IXP.  The differential suites
+require the two engines to produce bit-identical results
+(:func:`identical`): the production planes, read member by member,
+against the oracle's records.  The oracle's result also carries a
+:class:`~repro.runtime.reachmatrix.ReachabilityMatrix` whose planes are
+built from its records with the integer-bitmask rule of
+:mod:`tests.oracle.reachability` (:func:`matrix_from_inferences`,
+``built_by "result"``); it has no observation counts, which only the
+engine's planes record.
 
 :func:`extract_passive_planes` is the entry-list oracle of the
 production passive extraction (:func:`repro.core.planes.
@@ -24,7 +27,10 @@ observation planes, policy table and prefix interner, built one
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.bgp.messages import RibEntry
 from repro.bgp.policy import Relationship
@@ -34,12 +40,7 @@ from repro.core.active import (
     interpret_raw_observations,
 )
 from repro.core.communities import RSCommunityInterpreter
-from repro.core.engine import (
-    IXPInference,
-    Link,
-    MLPInferenceEngine,
-    MLPInferenceResult,
-)
+from repro.core.engine import MLPInferenceEngine
 from repro.core.passive import PassiveInference, PassiveObservation
 from repro.core.planes import (
     DEFAULT_POLICY,
@@ -57,16 +58,70 @@ from repro.ixp.looking_glass import ASLookingGlass, RouteServerLookingGlass
 from repro.runtime.bitset import BitsetIndex
 from repro.runtime.interning import Interner
 from repro.runtime.reachmatrix import (
+    Link,
     ReachabilityMatrix,
     ReachabilityPlane,
-    allow_mask_for,
     link_keys_of,
 )
 
+from tests.oracle.reachability import plane_columns
+
+
+@dataclass
+class ObjectIXPInference:
+    """The object engine's per-IXP outcome (one row of Table 2).
+
+    ``links`` is a tuple of sorted ``(a, b)`` pairs in ascending order —
+    a stable, hashable sequence — so consumers never depend on set
+    iteration order.
+    """
+
+    ixp_name: str
+    members: Set[int] = field(default_factory=set)
+    passive_members: Set[int] = field(default_factory=set)
+    active_members: Set[int] = field(default_factory=set)
+    reachabilities: Dict[int, MemberReachability] = field(default_factory=dict)
+    links: Tuple[Link, ...] = ()
+    active_queries: int = 0
+
+    def table2_row(self, num_ixp_ases: Optional[int] = None,
+                   has_lg: Optional[bool] = None) -> Dict[str, object]:
+        """This IXP rendered as a row of the paper's Table 2."""
+        return {
+            "IXP": self.ixp_name,
+            "LG": ("Y" if has_lg else "N") if has_lg is not None else "?",
+            "ASes": num_ixp_ases if num_ixp_ases is not None else len(self.members),
+            "RS": len(self.members),
+            "Pasv": len(self.passive_members),
+            "Active": len(self.active_members - self.passive_members),
+            "Links": len(self.links),
+        }
+
+
+@dataclass
+class ObjectInferenceResult:
+    """The object engine's result: its per-IXP records and the matrix
+    rebuilt from them."""
+
+    per_ixp: Dict[str, ObjectIXPInference]
+    matrix: ReachabilityMatrix
+
+    def table2(self, ixp_ases: Optional[Mapping[str, int]] = None,
+               ixp_has_lg: Optional[Mapping[str, bool]] = None) -> List[Dict[str, object]]:
+        """The full Table 2 from the records, ordered by total IXP size."""
+        ixp_ases = ixp_ases or {}
+        ixp_has_lg = ixp_has_lg or {}
+        rows = [
+            inference.table2_row(ixp_ases.get(name), ixp_has_lg.get(name))
+            for name, inference in self.per_ixp.items()
+        ]
+        rows.sort(key=lambda row: (-int(row["ASes"]), row["IXP"]))
+        return rows
+
 
 class ObjectInferenceEngine(MLPInferenceEngine):
-    """The object-level inference pipeline (same constructor and result
-    type as the production engine)."""
+    """The object-level inference pipeline (same constructor as the
+    production engine)."""
 
     def run(
         self,
@@ -74,12 +129,12 @@ class ObjectInferenceEngine(MLPInferenceEngine):
         rs_looking_glasses: Optional[Mapping[str, RouteServerLookingGlass]] = None,
         third_party_lgs: Optional[Mapping[str, Sequence[ASLookingGlass]]] = None,
         require_reciprocity: bool = True,
-    ) -> MLPInferenceResult:
+    ) -> ObjectInferenceResult:
         rs_looking_glasses = dict(rs_looking_glasses or {})
         third_party_lgs = {name: list(lgs)
                            for name, lgs in (third_party_lgs or {}).items()}
         passive_by_ixp = self._run_passive(passive_entries)
-        per_ixp: Dict[str, IXPInference] = {}
+        per_ixp: Dict[str, ObjectIXPInference] = {}
         # IXPs are processed in name order so run output (and any caches
         # populated along the way) is independent of mapping order.
         for ixp_name, members in sorted(self.rs_members.items()):
@@ -87,7 +142,7 @@ class ObjectInferenceEngine(MLPInferenceEngine):
                 ixp_name, members, passive_by_ixp.get(ixp_name, []),
                 rs_looking_glasses.get(ixp_name),
                 third_party_lgs.get(ixp_name, []), require_reciprocity)
-        return MLPInferenceResult(
+        return ObjectInferenceResult(
             per_ixp=per_ixp,
             matrix=matrix_from_inferences(per_ixp, context=self.context))
 
@@ -99,9 +154,9 @@ class ObjectInferenceEngine(MLPInferenceEngine):
         rs_lg: Optional[RouteServerLookingGlass],
         third_party: Sequence[ASLookingGlass],
         require_reciprocity: bool,
-    ) -> IXPInference:
+    ) -> ObjectIXPInference:
         """One IXP's passive/active merge and link inference."""
-        inference = IXPInference(ixp_name=ixp_name, members=set(members))
+        inference = ObjectIXPInference(ixp_name=ixp_name, members=set(members))
         observations: List[PolicyObservation] = []
 
         if passive_observations:
@@ -193,32 +248,101 @@ class ObjectInferenceEngine(MLPInferenceEngine):
 
 
 
-def identical(mine: MLPInferenceResult, theirs: MLPInferenceResult) -> bool:
-    """Full bit-identity of two inference results: links, per-IXP link
-    sets, Table 2 rows, member/provenance sets, reachability objects
-    and query spend.  The one predicate the differential tests share:
-    extend it here when results grow new fields."""
-    if set(mine.per_ixp) != set(theirs.per_ixp):
-        return False
-    if mine.table2() != theirs.table2():
-        return False
-    return all(
-        left.links == right.links
-        and left.members == right.members
-        and left.passive_members == right.passive_members
-        and left.active_members == right.active_members
-        and left.active_queries == right.active_queries
-        and left.reachabilities == right.reachabilities
-        for left, right in ((mine.per_ixp[name], theirs.per_ixp[name])
-                            for name in mine.per_ixp))
+def ixp_records(result) -> Dict[str, ObjectIXPInference]:
+    """Per-IXP records of an oracle or a production result.
 
-def matrix_from_inferences(per_ixp: Mapping[str, IXPInference],
+    The oracle's records are its own, with ``reachabilities`` cut to
+    the member universe (a plane only has bits for its members); a
+    production result's are read off its planes, member by member:
+    policy, sources and the prefix and inconsistency counts of every
+    covered member, the member, passive and active sets, the query
+    spend and the result's links.
+    """
+    if isinstance(result, ObjectInferenceResult):
+        return {name: ObjectIXPInference(
+                    ixp_name=name,
+                    members=set(inference.members),
+                    passive_members=set(inference.passive_members),
+                    active_members=set(inference.active_members),
+                    reachabilities={
+                        asn: reach for asn, reach in
+                        inference.reachabilities.items()
+                        if asn in inference.members},
+                    links=tuple(inference.links),
+                    active_queries=inference.active_queries)
+                for name, inference in result.per_ixp.items()}
+    records = {}
+    for name, plane in result.matrix.planes.items():
+        universe = plane.index.universe
+        prefixes, inconsistent = plane.counts[:, :2].T.tolist()
+        records[name] = ObjectIXPInference(
+            ixp_name=name,
+            members=set(universe),
+            passive_members=set(plane.passive_members),
+            active_members=set(plane.active_members),
+            reachabilities={
+                universe[bit]: MemberReachability(
+                    member_asn=universe[bit], ixp_name=name, mode=mode,
+                    listed=listed, sources=plane.sources[bit],
+                    prefixes_observed=prefixes[bit],
+                    inconsistent_prefixes=inconsistent[bit])
+                for bit, (mode, listed) in plane.policies.items()},
+            links=result.matrix.links_of(name),
+            active_queries=plane.active_queries)
+    return records
+
+
+def differences(mine, theirs) -> List[str]:
+    """Every way two inference results (production or oracle, in any
+    pairing) differ; empty means bit-identical.
+
+    Compares Table 2, the per-IXP records of :func:`ixp_records` field
+    by field, and each pair of planes' ``allow`` and ``masks`` columns
+    and the prefix and inconsistency columns of ``counts``.  The one
+    predicate the differential tests share: extend it here when results
+    grow new fields."""
+    left, right = ixp_records(mine), ixp_records(theirs)
+    if set(left) != set(right):
+        return [f"IXP sets differ: {sorted(left)} vs {sorted(right)}"]
+    problems = []
+    if mine.table2() != theirs.table2():
+        problems.append("table2 differs")
+    for name in sorted(left):
+        a, b = left[name], right[name]
+        problems.extend(
+            f"{name}: {attribute} differs"
+            for attribute in ("links", "members", "passive_members",
+                              "active_members", "active_queries")
+            if getattr(a, attribute) != getattr(b, attribute))
+        problems.extend(
+            f"{name}: member {asn} reachability differs"
+            for asn in sorted(set(a.reachabilities) | set(b.reachabilities))
+            if a.reachabilities.get(asn) != b.reachabilities.get(asn))
+        plane, other = mine.matrix.planes[name], theirs.matrix.planes[name]
+        problems.extend(
+            f"{name}: plane {column} differs"
+            for column, x, y in (
+                ("allow", plane.allow, other.allow),
+                ("masks", plane.masks, other.masks),
+                ("counts", plane.counts[:, :2], other.counts[:, :2]))
+            if not np.array_equal(x, y))
+    return problems
+
+
+def identical(mine, theirs) -> bool:
+    """Full bit-identity of two inference results (:func:`differences`
+    is empty)."""
+    return not differences(mine, theirs)
+
+
+def matrix_from_inferences(per_ixp: Mapping[str, ObjectIXPInference],
                            context=None) -> ReachabilityMatrix:
     """A :class:`ReachabilityMatrix` rebuilt from per-IXP inference
-    objects (``built_by="result"``): one ALLOW row per covered member
-    from its merged ``(mode, listed)`` policy, the provenance masks and
-    the query spend.  *context* supplies cached per-IXP member indices
-    when available.  Observation counts stay empty."""
+    records (``built_by="result"``): the columns from every covered
+    member's merged ``(mode, listed)`` policy with the integer-bitmask
+    rule (:func:`tests.oracle.reachability.plane_columns`), the
+    provenance and the query spend.  *context* supplies cached per-IXP
+    member indices when available.  Observation counts stay 0."""
     planes: Dict[str, ReachabilityPlane] = {}
     links: Dict[str, Tuple[Link, ...]] = {}
     for ixp_name in sorted(per_ixp):
@@ -227,30 +351,22 @@ def matrix_from_inferences(per_ixp: Mapping[str, IXPInference],
             index = context.member_index(ixp_name, inference.members)
         else:
             index = BitsetIndex(inference.members)
-        plane = ReachabilityPlane(
+        covered = {asn: reach for asn, reach in
+                   sorted(inference.reachabilities.items())
+                   if asn in index.bit_of}
+        planes[ixp_name] = ReachabilityPlane(
             ixp_name=ixp_name,
             index=index,
+            **plane_columns(index, covered, inference.passive_members,
+                            inference.active_members),
+            policies={index.bit_of[asn]: (reach.mode, reach.listed)
+                      for asn, reach in covered.items()},
+            sources={index.bit_of[asn]: frozenset(reach.sources)
+                     for asn, reach in covered.items()},
             passive_members=frozenset(inference.passive_members),
             active_members=frozenset(inference.active_members),
-            passive_mask=index.mask_of(inference.passive_members),
-            active_mask=index.mask_of(inference.active_members),
             active_queries=inference.active_queries,
         )
-        for asn in sorted(inference.reachabilities):
-            reach = inference.reachabilities[asn]
-            bit = index.bit_of.get(asn)
-            if bit is None:
-                continue
-            plane.allow_rows[bit] = allow_mask_for(
-                reach.mode, reach.listed, index, member_asn=asn)
-            plane.policies[bit] = (reach.mode, reach.listed)
-            plane.sources[bit] = frozenset(reach.sources)
-            plane.prefixes_observed[bit] = reach.prefixes_observed
-            plane.inconsistent[bit] = reach.inconsistent_prefixes
-            plane.covered_mask |= 1 << bit
-            if "third-party" in reach.sources:
-                plane.third_party_mask |= 1 << bit
-        planes[ixp_name] = plane
         links[ixp_name] = tuple(inference.links)
     return ReachabilityMatrix(
         planes, links_by_ixp=links,
@@ -278,7 +394,7 @@ def object_engine(scenario, connectivity=None) -> ObjectInferenceEngine:
 def object_inference(scenario, use_passive: bool = True,
                      use_active: bool = True,
                      require_reciprocity: bool = True,
-                     connectivity=None) -> MLPInferenceResult:
+                     connectivity=None) -> ObjectInferenceResult:
     """:meth:`~repro.scenarios.base.Scenario.run_inference` (same
     signature) through the object oracle."""
     engine = object_engine(scenario, connectivity=connectivity)
@@ -291,7 +407,7 @@ def object_inference(scenario, use_passive: bool = True,
     )
 
 
-def run_object_inference(run) -> MLPInferenceResult:
+def run_object_inference(run) -> ObjectInferenceResult:
     """The oracle's result for a :class:`~repro.pipeline.run.ScenarioRun`
     (the inference stage's inputs and options, object engine)."""
     options = run.inference_options

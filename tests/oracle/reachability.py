@@ -2,16 +2,21 @@
 
 Production answers reciprocal-ALLOW links, export openness (figure 11)
 and repeller counts (figure 13) from a
-:class:`~repro.runtime.reachmatrix.ReachabilityMatrix`.  This module
-keeps the walks they replaced:
+:class:`~repro.runtime.reachmatrix.ReachabilityMatrix` whose planes are
+packed uint64 columns.  This module keeps the walks they replaced:
 
+* the integer-bitmask rule — one Python integer per member set over a
+  :class:`~repro.runtime.bitset.BitsetIndex` (:func:`mask_of`,
+  :func:`full_mask`, :func:`iter_bits`), N_a as a mask
+  (:func:`allow_mask_for`) and the packing to and from the artifact's
+  words (:func:`pack_mask`, :func:`unpack_mask`, :func:`pack_rows`):
+  the reference for ``reachmatrix.allow_plane``, ``pack_bits`` and
+  ``unpack_plane``, and what the oracle's planes are built with
+  (``tests/oracle/inference.py:matrix_from_inferences``);
 * :func:`reciprocal_pairs` — the integer-bitmask reciprocity kernel
   (transpose the masks bit by bit, AND or OR per row), the reference
-  for the packed ``M & M.T`` kernel ``reachmatrix.reciprocal_links``;
-* :func:`reciprocal_links_packed` — the packed kernel as it was before
-  link keys: every nonzero of both triangles of ``M & M.T`` walked
-  through ``int()``, the reference for ``ReachabilityPlane.links`` and
-  ``link_keys``;
+  for the packed ``M & M.T`` kernel ``reachmatrix.reciprocal_links``,
+  ``ReachabilityPlane.links`` and ``link_keys``;
 * :func:`link_views` — the matrix's global link views by set union,
   sort and per-link walks, the reference for the key-derived
   ``all_links``, ``multi_ixp_links``, ``link_ixps`` and
@@ -33,6 +38,7 @@ from typing import (
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -44,17 +50,146 @@ from typing import (
 import numpy as np
 
 from repro.analysis.repellers import RepellerReport
+from repro.bgp.policy import MODE_ALL_EXCEPT
 from repro.core.reachability import MemberReachability
 from repro.registries.peeringdb import PeeringDB
-from repro.runtime.bitset import BitsetIndex, iter_bits
-from repro.runtime.reachmatrix import (
-    link_keys_of,
-    packed_to_bool_matrix,
-    reciprocal_links,
-)
+from repro.runtime.bitset import BitsetIndex
+from repro.runtime.reachmatrix import ReachabilityPlane, link_keys_of
 from repro.topology.as_graph import PeeringPolicy
 
 Link = Tuple[int, int]
+
+#: The artifact's packed-word dtype (64-bit little-endian words).
+WORD_DTYPE = "<u8"
+
+
+# -- the integer-bitmask rule --------------------------------------------------
+
+
+def mask_of(index: BitsetIndex, values: Iterable[int]) -> int:
+    """Bitmask of the given values over *index* (unknown values are
+    ignored)."""
+    mask = 0
+    for value in values:
+        bit = index.bit_of.get(value)
+        if bit is not None:
+            mask |= 1 << bit
+    return mask
+
+
+def full_mask(index: BitsetIndex) -> int:
+    """The bitmask of every member of *index*."""
+    return (1 << len(index)) - 1
+
+
+def iter_bits(mask: int) -> Iterator[int]:
+    """Yield the set bit positions of *mask* in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def allow_mask_for(mode: str, listed: Iterable[int], index: BitsetIndex,
+                   member_asn: Optional[int] = None) -> int:
+    """N_a as a bitmask over *index* for a merged (mode, listed) policy.
+
+    Bit *i* is set iff the policy allows ``index.universe[i]``: listed
+    values unknown to the index are ignored, and *member_asn*'s own bit
+    is always cleared.
+    """
+    listed_mask = mask_of(index, listed)
+    if mode == MODE_ALL_EXCEPT:
+        mask = full_mask(index) & ~listed_mask
+    else:
+        mask = listed_mask
+    if member_asn is not None:
+        own_bit = index.bit_of.get(member_asn)
+        if own_bit is not None:
+            mask &= ~(1 << own_bit)
+    return mask
+
+
+def words_for(size: int) -> int:
+    """Words per packed row for a *size*-member universe (>= 1)."""
+    return max(1, (size + 63) // 64)
+
+
+def pack_mask(mask: int, size: int) -> np.ndarray:
+    """One integer bitmask as a ``(words,)`` packed row."""
+    return np.frombuffer(mask.to_bytes(words_for(size) * 8, "little"),
+                         dtype=WORD_DTYPE).copy()
+
+
+def unpack_mask(row) -> int:
+    """The integer bitmask of one packed row (inverse of
+    :func:`pack_mask`)."""
+    return int.from_bytes(np.ascontiguousarray(row).tobytes(), "little")
+
+
+def pack_rows(rows: Mapping[int, int], size: int) -> np.ndarray:
+    """Integer bitmask rows (bit -> mask) as a packed ``(size, words)``
+    plane; rows without an entry pack as all-zero words."""
+    packed = np.zeros((size, words_for(size)), dtype=WORD_DTYPE)
+    for bit, mask in rows.items():
+        packed[bit] = pack_mask(mask, size)
+    return packed
+
+
+def integer_rows(packed) -> Dict[int, int]:
+    """The nonzero rows of a packed plane as integer bitmasks."""
+    rows = {bit: unpack_mask(row) for bit, row in enumerate(packed)}
+    return {bit: mask for bit, mask in rows.items() if mask}
+
+
+def plane_columns(index: BitsetIndex,
+                  reachabilities: Mapping[int, MemberReachability],
+                  passive_members: Iterable[int],
+                  active_members: Iterable[int]) -> Dict[str, np.ndarray]:
+    """The ``allow``, ``masks`` and ``counts`` columns of a plane over
+    *index*, built member by member with the integer rule (the
+    observation-count column stays 0: objects do not record it)."""
+    size = len(index)
+    rows: Dict[int, int] = {}
+    counts = np.full((size, 3), -1, dtype="<i8")
+    counts[:, 2] = 0
+    covered = third_party = 0
+    for asn, reach in reachabilities.items():
+        bit = index.bit_of.get(asn)
+        if bit is None:
+            continue
+        rows[bit] = allow_mask_for(reach.mode, reach.listed, index,
+                                   member_asn=asn)
+        counts[bit, 0] = reach.prefixes_observed
+        counts[bit, 1] = reach.inconsistent_prefixes
+        covered |= 1 << bit
+        if "third-party" in reach.sources:
+            third_party |= 1 << bit
+    masks = np.stack([pack_mask(mask, size) for mask in (
+        covered, mask_of(index, passive_members),
+        mask_of(index, active_members), third_party)])
+    return {"allow": pack_rows(rows, size), "masks": masks,
+            "counts": counts}
+
+
+def plane_of_rows(ixp_name: str, universe: Iterable[int],
+                  rows: Optional[Mapping[int, int]] = None
+                  ) -> ReachabilityPlane:
+    """A hand-built plane over *universe* whose ALLOW rows are the given
+    integer masks (bit -> mask): those bits are covered, with no
+    policies, provenance or counts."""
+    index = BitsetIndex(universe)
+    size = len(index)
+    rows = dict(rows or {})
+    counts = np.full((size, 3), -1, dtype="<i8")
+    counts[:, 2] = 0
+    masks = np.zeros((4, words_for(size)), dtype=WORD_DTYPE)
+    masks[0] = pack_mask(sum(1 << bit for bit in rows), size)
+    return ReachabilityPlane(ixp_name=ixp_name, index=index,
+                             allow=pack_rows(rows, size), masks=masks,
+                             counts=counts, policies={}, sources={},
+                             passive_members=frozenset(),
+                             active_members=frozenset(), active_queries=0)
 
 
 def reciprocal_pairs(
@@ -86,26 +221,6 @@ def reciprocal_pairs(
         for other in iter_bits(lower):
             pairs.add((universe[other], value))
     return pairs
-
-
-def reciprocal_links_packed(packed, universe: Tuple[int, ...],
-                            require_reciprocity: bool = True
-                            ) -> Tuple[Link, ...]:
-    """The reciprocal-ALLOW pairs of a packed uint64 ALLOW plane: unpack
-    once, ``M & M.T`` (or ``M | M.T``), and walk every nonzero of both
-    triangles in row-major order, keeping ``i < j`` — ascending
-    sorted-pair order over a sorted universe."""
-    size = len(universe)
-    if size == 0:
-        return ()
-    matrix = packed_to_bool_matrix(packed, size)
-    if require_reciprocity:
-        mutual = matrix & matrix.T
-    else:
-        mutual = matrix | matrix.T
-    rows_idx, cols_idx = np.nonzero(mutual)
-    return tuple((universe[int(i)], universe[int(j)])
-                 for i, j in zip(rows_idx, cols_idx) if i < j)
 
 
 def link_views(links_by_ixp: Mapping[str, Sequence[Link]]
@@ -141,7 +256,8 @@ def matrix_differences(matrix) -> List[str]:
     (empty means exact): the global views against :func:`link_views`
     of its per-IXP links (``peer_counts`` in order too), the keys row
     for row against the pairs, and each plane's links and keys under
-    both reciprocity flags against :func:`reciprocal_links_packed`."""
+    both reciprocity flags against :func:`reciprocal_pairs` over its
+    integer rows."""
     problems: List[str] = []
     views = link_views(matrix.links_by_ixp())
     for name in ("all_links", "multi_ixp_links", "link_ixps"):
@@ -157,9 +273,10 @@ def matrix_differences(matrix) -> List[str]:
         if not np.array_equal(matrix.link_keys_of(ixp), link_keys_of(links)):
             problems.append(f"{ixp}: link keys differ from its links")
     for ixp, plane in sorted(matrix.planes.items()):
+        rows = integer_rows(plane.allow)
         for flag in (True, False):
-            expected = reciprocal_links_packed(
-                plane.packed(), plane.index.universe, flag)
+            expected = tuple(sorted(reciprocal_pairs(
+                rows, plane.index.universe, flag)))
             if plane.links(flag) != expected:
                 problems.append(f"plane {ixp} links({flag}) differ")
             if not np.array_equal(plane.link_keys(flag),
@@ -178,11 +295,11 @@ def served_pairs(route_server) -> Set[Tuple[int, int]]:
         for entry in route_server.routes_for_prefix(prefix):
             has_none, includes, excludes = route_server._classify(
                 entry.communities)
-            mask = index.mask_of(includes) if has_none \
-                else index.full_mask & ~index.mask_of(excludes)
+            mask = mask_of(index, includes) if has_none \
+                else full_mask(index) & ~mask_of(index, excludes)
             bit = index.bit_of[entry.member_asn]
             allowed[bit] = allowed.get(bit, 0) | (mask & ~(1 << bit))
-    return set(reciprocal_links(allowed, index.universe))
+    return reciprocal_pairs(allowed, index.universe)
 
 
 def openness(reachability: MemberReachability,
@@ -227,7 +344,7 @@ def repeller_report(
     for ixp_name, per_member in reachabilities_by_ixp.items():
         members = set(rs_members_by_ixp.get(ixp_name, ()))
         for blocker, reachability in per_member.items():
-            if reachability.mode != "all-except":
+            if reachability.mode != MODE_ALL_EXCEPT:
                 continue
             for blocked in set(reachability.listed) & members:
                 report.total_exclusions += 1

@@ -6,9 +6,11 @@ upper-triangle pass; the matrix derives ``all_links``,
 ``multi_ixp_links``, ``link_ixps`` and ``peer_counts`` from one sort of
 the concatenated per-IXP keys.  Every case here is diffed against
 ``tests/oracle/reachability.py`` (set union and sort, per-link walks,
-the per-nonzero tuple kernel):
+the integer-bitmask kernel):
 
-- every registered scenario at tiny under the four ablations;
+- every registered scenario at tiny under the four ablations, whose
+  plane columns are also diffed against the object oracle's planes
+  (built with the integer-bitmask rule), member by member;
 - the same matrices loaded back from their exported artifacts, and
   through a pickle round trip;
 - hand-built planes at the word boundaries (0, 1, 63, 64 and 65
@@ -27,21 +29,21 @@ import numpy as np
 import pytest
 
 from repro.pipeline import ArtifactCache, ScenarioRun
-from repro.runtime.bitset import BitsetIndex
 from repro.runtime.fragments import MAX_KEYED, unpack_links
 from repro.runtime.reachmatrix import (
     ReachabilityMatrix,
-    ReachabilityPlane,
     link_keys_of,
     link_rows,
 )
 from repro.scenarios.spec import get_scenario, scenario_names
 from repro.service.artifact import load_matrix, save_matrix, verify_identity
 
+from tests.oracle.inference import differences, object_inference
 from tests.oracle.reachability import (
+    integer_rows,
     link_views,
     matrix_differences,
-    reciprocal_links_packed,
+    plane_of_rows,
     reciprocal_pairs,
 )
 
@@ -74,22 +76,27 @@ def _fresh(matrix):
 
 @pytest.fixture(scope="module", params=scenario_names())
 def ablations(request):
-    """``(name, {variant: result})`` for one scenario at tiny."""
+    """``(name, scenario, {variant: result})`` for one scenario at
+    tiny."""
     name = request.param
     run = ScenarioRun(get_scenario(name).config("tiny"), scenario=name,
                       cache=ArtifactCache())
     scenario = run.scenario()
-    return name, {variant: scenario.run_inference(**options)
-                  for variant, options in VARIANTS.items()}
+    return name, scenario, {variant: scenario.run_inference(**options)
+                            for variant, options in VARIANTS.items()}
 
 
 def test_ablation_views_match_oracle(ablations):
-    name, results = ablations
+    """Every ablation's planes equal the object oracle's, column by
+    column and member by member, and its link views match the walks."""
+    name, scenario, results = ablations
     for variant, result in results.items():
         matrix = result.matrix
+        expected = object_inference(scenario, **VARIANTS[variant])
+        assert differences(result, expected) == [], (name, variant)
         assert matrix.links_by_ixp() == {
             ixp: inference.links
-            for ixp, inference in result.per_ixp.items()}, (name, variant)
+            for ixp, inference in expected.per_ixp.items()}, (name, variant)
         assert matrix_differences(matrix) == [], (name, variant)
         assert list(matrix.link_ixps()) == list(matrix.all_links())
     full = set(results["full"].matrix.all_links())
@@ -101,7 +108,7 @@ def test_views_hand_out_existing_objects(ablations):
     """``all_links`` returns the per-IXP tuples' pair objects, and a
     plane's pairs hold its universe's int objects: no view allocates a
     pair or an ASN per link."""
-    name, results = ablations
+    name, _, results = ablations
     matrix = results["full"].matrix
     pair_ids = {id(pair) for links in matrix.links_by_ixp().values()
                 for pair in links}
@@ -117,7 +124,7 @@ def test_exported_artifact_views(ablations, tmp_path):
     """Each ablation's matrix, saved and mmap-loaded: the loaded matrix's
     views match the oracle and the built matrix, and the link columns
     are the keys' rows."""
-    name, results = ablations
+    name, _, results = ablations
     for variant, result in results.items():
         matrix = result.matrix
         handle = load_matrix(save_matrix(matrix, tmp_path / variant))
@@ -133,7 +140,7 @@ def test_exported_artifact_views(ablations, tmp_path):
 def test_pickle_round_trip(ablations):
     """A pickled matrix answers the same views, whether it was pickled
     before or after they were derived."""
-    name, results = ablations
+    name, _, results = ablations
     for variant, result in results.items():
         matrix = result.matrix
         expected = _views(matrix)
@@ -169,13 +176,6 @@ def _rows(size, kind, rng):
             for bit in range(size) if rng.random() < 0.8}
 
 
-def _plane(name, universe, rows):
-    index = BitsetIndex(universe)
-    plane = ReachabilityPlane(ixp_name=name, index=index)
-    plane.allow_rows.update(rows)
-    return plane
-
-
 @pytest.mark.parametrize("size", [0, 1, 63, 64, 65])
 @pytest.mark.parametrize("shape", ["small", "2**31", "2**32-1"])
 @pytest.mark.parametrize("kind", ["random", "all-allow", "none-allow"])
@@ -185,10 +185,10 @@ def test_hand_built_plane(size, shape, kind, require):
     universe = _universe(size, shape)
     assert len(universe) == size
     rows = _rows(size, kind, rng)
-    plane = _plane("X", universe, rows)
-    expected = reciprocal_links_packed(plane.packed(), universe, require)
-    assert expected == tuple(sorted(reciprocal_pairs(rows, universe,
-                                                     require)))
+    plane = plane_of_rows("X", universe, rows)
+    assert integer_rows(plane.allow) == {bit: mask for bit, mask
+                                         in rows.items() if mask}
+    expected = tuple(sorted(reciprocal_pairs(rows, universe, require)))
     assert plane.links(require) == expected
     keys = plane.link_keys(require)
     assert keys.dtype == np.uint64
@@ -218,8 +218,8 @@ def test_hand_built_matrix(require):
                 name = f"{shape}-{size}-{copy}"
                 kind = ("random", "all-allow")[copy] if size != 63 \
                     else "none-allow"
-                planes[name] = _plane(name, universe,
-                                      _rows(size, kind, rng))
+                planes[name] = plane_of_rows(name, universe,
+                                             _rows(size, kind, rng))
     matrix = ReachabilityMatrix(
         planes,
         {name: plane.links(require) for name, plane in planes.items()},
@@ -239,7 +239,7 @@ def test_empty_matrix():
 
 
 def test_keys_must_match_links():
-    planes = {"X": _plane("X", (1, 2, 3), {})}
+    planes = {"X": plane_of_rows("X", (1, 2, 3))}
     with pytest.raises(ValueError):
         ReachabilityMatrix(planes, {"X": ((1, 2),)}, {"X": []})
     with pytest.raises(ValueError):
@@ -258,7 +258,7 @@ def test_keys_must_match_links():
 def test_unkeyable_member_raises(universe):
     """A member ASN outside [0, MAX_KEYED] raises; it never wraps into
     another link's key."""
-    plane = _plane("X", universe, {0: 0b10, 1: 0b01})
+    plane = plane_of_rows("X", universe, {0: 0b10, 1: 0b01})
     with pytest.raises(ValueError, match="link-key range"):
         plane.link_keys()
     with pytest.raises(ValueError, match="link-key range"):

@@ -13,8 +13,8 @@ from repro.runtime import (
     PathStore,
     PipelineContext,
 )
-from repro.runtime.bitset import iter_bits
 from repro.runtime.csr import REL_CUSTOMER, REL_PROVIDER
+from repro.runtime.reachmatrix import member_bits, pack_bits, unpack_plane
 
 from tests.oracle.propagation import (
     bidirectional_adjacencies,
@@ -118,10 +118,12 @@ class TestBitsetIndex:
     def test_masks_roundtrip(self):
         index = BitsetIndex([30, 10, 20])
         assert index.universe == (10, 20, 30)
-        mask = index.mask_of([20, 30, 999])
-        assert list(iter_bits(mask)) == [1, 2]
-        assert index.full_mask == 0b111
-        assert list(iter_bits(0b101)) == [0, 2]
+        assert index.bit_of == {10: 0, 20: 1, 30: 2}
+        row = member_bits(index, [20, 30, 999])
+        assert row.tolist() == [False, True, True]
+        packed = pack_bits(row)
+        assert packed.tolist() == [0b110]
+        assert unpack_plane(packed, len(index)).tolist() == row.tolist()
 
 
 class TestPipelineContext:

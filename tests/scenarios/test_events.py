@@ -282,6 +282,21 @@ def test_random_event_sequence_delta_matches_rebuild(tiny_baseline, backend):
         assert report.recomputed + report.reused == report.total
 
 
+def test_random_sequences_replay_withdrawals(tiny_baseline):
+    """Random sequences withdraw prefixes their AS announces, and each
+    withdrawal replays equal to a rebuild (checked after every event)."""
+    withdrawals = 0
+    for seed in (20130508, 20130509):
+        events = random_events(random.Random(seed), tiny_baseline["graph"],
+                               tiny_baseline["route_servers"], length=8)
+        withdrawals += sum(isinstance(event, PrefixChurn) and event.withdraw
+                           for event in events)
+        checked_replay(tiny_baseline["graph"], tiny_baseline["route_servers"],
+                       tiny_baseline["baseline"], tiny_baseline["record_at"],
+                       tiny_baseline["record_alt"], events, seed)
+    assert withdrawals
+
+
 @pytest.mark.parametrize("family", sorted(EVENT_FAMILIES))
 def test_registered_family_delta_matches_rebuild(tiny_baseline, family):
     """Every registered family's full timeline is delta-replayed and

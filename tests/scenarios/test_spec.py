@@ -201,7 +201,7 @@ class TestFamiliesEndToEnd:
         cold, _ = family_runs[name]
         result = cold.inference()
         assert len(result.matrix.all_links()) > 0
-        assert len(result.per_ixp) >= 1
+        assert len(result.matrix.planes) >= 1
         assert cold.spec.name == name
 
     @pytest.mark.parametrize("name", NEW_FAMILIES)

@@ -4,23 +4,19 @@ The schema's contract is *bit-identity*: an artifact written by
 :func:`save_matrix` and loaded back through ``np.load(mmap_mode="r")``
 must answer every matrix-level question — allow planes, provenance
 masks, counts, link sets, Table 2 — exactly like the in-memory build it
-came from, on every registered scenario.
+came from, on every registered scenario.  A plane's ``allow``, ``masks``
+and ``counts`` are the artifact's columns themselves: written as built,
+loaded as the mmap'd arrays.
 """
 
 import json
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.pipeline import ArtifactCache, ScenarioRun
-from repro.runtime.reachmatrix import (
-    PackedRows,
-    pack_mask,
-    pack_rows,
-    packed_to_bool_matrix,
-    packed_words,
-    unpack_mask,
-)
+from repro.runtime.reachmatrix import pack_bits, packed_words, unpack_plane
 from repro.scenarios import scenario_names
 from repro.scenarios.spec import get_scenario
 from repro.service.artifact import (
@@ -29,6 +25,13 @@ from repro.service.artifact import (
     load_matrix,
     save_matrix,
     verify_identity,
+)
+
+from tests.oracle.reachability import (
+    integer_rows,
+    pack_mask,
+    pack_rows,
+    unpack_mask,
 )
 
 #: One shared cache: upstream stages (topology .. connectivity) are
@@ -42,28 +45,35 @@ def build(name: str) -> ScenarioRun:
 
 
 class TestPackedMasks:
+    """``pack_bits``/``unpack_plane`` against the integer-bitmask
+    packing of ``tests/oracle/reachability.py``."""
+
     def test_mask_round_trip_random(self):
         rng = np.random.default_rng(7)
         for size in (1, 63, 64, 65, 200):
             for _ in range(20):
-                mask = int.from_bytes(
-                    rng.integers(0, 256, (size + 7) // 8,
-                                 dtype=np.uint8).tobytes(),
-                    "little") & ((1 << size) - 1)
-                row = pack_mask(mask, size)
+                bits = rng.random(size) < 0.5
+                row = pack_bits(bits)
+                assert row.dtype == np.dtype("<u8")
                 assert row.shape == (packed_words(size),)
+                mask = sum(1 << int(bit) for bit in np.flatnonzero(bits))
+                assert np.array_equal(row, pack_mask(mask, size))
                 assert unpack_mask(row) == mask
+                assert np.array_equal(unpack_plane(row, size), bits)
 
     def test_rows_to_matrix_round_trip(self):
         size = 130
         rows = {3: (1 << 5) | (1 << 127), 7: (1 << 3)}
         packed = pack_rows(rows, size)
-        dense = packed_to_bool_matrix(packed, size)
+        dense = unpack_plane(packed, size)
         assert dense.shape == (size, size)
         assert dense[3, 5] and dense[3, 127] and dense[7, 3]
         assert int(dense.sum()) == 3
-        view = PackedRows(packed, tuple(sorted(rows)))
-        assert dict(view) == rows
+        assert np.array_equal(pack_bits(dense), packed)
+        assert integer_rows(pack_bits(dense)) == rows
+        assert pack_bits(np.zeros((4, 0), dtype=bool)).shape == (4, 1)
+        assert unpack_plane(pack_bits(np.zeros((0, 0), dtype=bool)),
+                            0).shape == (0, 0)
 
 
 @pytest.mark.parametrize("name", scenario_names())
@@ -77,6 +87,31 @@ def test_round_trip_is_bit_identical(name, tmp_path):
         assert problems == [], f"{name} (mmap={mmap}): {problems}"
         assert handle.scenario == name
         assert handle.size == "tiny"
+
+
+def test_loaded_planes_are_the_mmapd_columns(tmp_path):
+    """``load_matrix(mmap=True)`` hands each plane its ``np.memmap``
+    columns, equal to the built ones (which are read-only), and a
+    loaded plane survives a pickle round trip."""
+    run = build("europe2013")
+    built = run.reachability()
+    handle = load_matrix(run.export_reachability(tmp_path / "a"), mmap=True)
+    for name, plane in built.planes.items():
+        loaded = handle.matrix.planes[name]
+        for column, dtype in (("allow", "<u8"), ("masks", "<u8"),
+                              ("counts", "<i8")):
+            mine, theirs = getattr(plane, column), getattr(loaded, column)
+            assert not mine.flags.writeable, (name, column)
+            assert isinstance(theirs, np.memmap), (name, column)
+            assert theirs.dtype == np.dtype(dtype), (name, column)
+            assert np.array_equal(mine, theirs), (name, column)
+        clone = pickle.loads(pickle.dumps(loaded))
+        for column in ("allow", "masks", "counts"):
+            assert np.array_equal(getattr(clone, column),
+                                  getattr(plane, column)), (name, column)
+        assert clone.policies == plane.policies
+        assert clone.links() == plane.links()
+        assert clone.link_keys().tolist() == plane.link_keys().tolist()
 
 
 class TestTampering:

@@ -92,5 +92,4 @@ class TestEndToEndNumbers:
             len(active_only.matrix.all_links())
         # Every IXP with a route-server LG should be fully covered actively.
         for name in small_scenario.rs_looking_glasses:
-            inference = active_only.per_ixp[name]
-            assert inference.num_links > 0
+            assert active_only.matrix.links_of(name)

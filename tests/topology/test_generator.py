@@ -3,13 +3,12 @@
 import pytest
 
 from repro.bgp.asn import is_routable_asn
+from repro.bgp.policy import MODE_ALL_EXCEPT, MODE_NONE_EXCEPT
 from repro.topology.as_graph import ASType, PeeringPolicy
 from repro.topology.generator import (
     ExportIntent,
     GeneratorConfig,
     InternetGenerator,
-    MODE_ALL_EXCEPT,
-    MODE_NONE_EXCEPT,
     default_euro_ixps,
 )
 from repro.topology.relationships import LinkType
