@@ -5,7 +5,6 @@ optimised vs passive-assisted, equations 1 and 2) for the largest IXP with
 a route-server looking glass.
 """
 
-from repro.core.passive import PassiveInference
 from repro.core.query_cost import QueryCostModel
 
 

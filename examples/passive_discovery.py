@@ -3,16 +3,17 @@
 
 Demonstrates section 4.2 in isolation: no looking glass is queried; the
 only inputs are the archived Route Views / RIPE RIS style table dumps of
-the scenario.  Shows how many RS members (and links) each IXP yields from
-passive data alone, and how the RS setter is pin-pointed.
+the scenario.  Shows how the RS setter of one archived entry is
+pin-pointed (figure 4), then how many observations, RS members (and
+links) each IXP yields from passive data alone, against the run with
+active queries added.
 
 Run with:  python examples/passive_discovery.py [--scenario NAME] [--size SIZE]
 """
 
 import argparse
-from collections import Counter
 
-from repro.core.passive import PassiveInference
+from repro.core.passive import identify_setter
 from repro.scenarios.workloads import scenario_run
 
 
@@ -28,34 +29,35 @@ def main() -> None:
     entries = scenario.archive.clean_stable_entries()
     print(f"archived RIB entries after cleaning: {len(entries)}")
 
+    # Figure 4 on the first attributable entry: its RS communities name
+    # an IXP, and the IXP members on its AS path pin-point the setter.
     engine = scenario.make_engine()
-    passive = PassiveInference(engine.interpreter, scenario.relationship_map())
-    observations = passive.extract(entries)
+    for entry in entries:
+        identification = engine.interpreter.identify_unique_ixp(
+            entry.communities)
+        if identification is None:
+            continue
+        ixp_name = identification.ixp_name
+        setter = identify_setter(engine.rs_members[ixp_name],
+                                 entry.as_path, engine.relationships)
+        if setter is not None:
+            print(f"RS setter of {entry.prefix} via AS path "
+                  f"{entry.as_path}: AS{setter} at {ixp_name}")
+            break
 
-    print(f"entries with attributable RS communities: {len(observations)}")
-    print(f"ambiguous-IXP entries skipped: {passive.stats.entries_ambiguous_ixp}")
-    print(f"entries without an identifiable setter: "
-          f"{passive.stats.entries_without_setter}")
-
-    per_ixp_members = Counter()
-    feeders = Counter()
-    for observation in observations:
-        per_ixp_members[observation.ixp_name] = per_ixp_members.get(
-            observation.ixp_name, 0)
-    members_by_ixp = passive.covered_members(observations)
-    for observation in observations:
-        feeders[(observation.ixp_name, observation.feeder_asn)] += 1
+    print("\nrunning the inference with passive data only ...")
+    result = scenario.run_inference(use_active=False)
+    planes = result.matrix.planes
+    rows = sum(int(plane.counts[:, 2].sum()) for plane in planes.values())
+    print(f"passive observations of RS members: {rows}")
 
     print("\nRS members whose communities are visible passively, per IXP:")
-    for ixp_name in sorted(members_by_ixp, key=lambda n: -len(members_by_ixp[n])):
-        members = members_by_ixp[ixp_name]
-        rs_feeders = {feeder for (name, feeder) in feeders if name == ixp_name}
-        print(f"  {ixp_name:<10} members={len(members):>4}  "
-              f"RS feeders={len(rs_feeders)}")
+    for name in sorted(planes, key=lambda n: -len(planes[n].passive_members)):
+        members = planes[name].passive_members
+        if members:
+            print(f"  {name:<10} members={len(members):>4}")
 
-    print("\nrunning the full inference with passive data only ...")
-    result = scenario.run_inference(use_active=False)
-    print(f"  links inferred passively: {len(result.matrix.all_links())}")
+    print(f"\n  links inferred passively: {len(result.matrix.all_links())}")
     combined = scenario.run_inference()
     print(f"  links with active queries added: {len(combined.matrix.all_links())}")
 

@@ -2,20 +2,20 @@
 """Quickstart: infer multilateral peering links at a toy IXP.
 
 Builds a four-member route server by hand (the figure 3 example of the
-paper), queries its looking glass, runs the active inference steps and
-prints the inferred p2p links.
+paper), runs the inference engine over its looking glass (active
+inference, steps 1-5 of section 4.1) and prints each member's
+reconstructed export policy and the inferred p2p links.
 
 Run with:  python examples/quickstart.py
 """
 
 from repro.bgp.prefix import Prefix
-from repro.core.active import ActiveInference
-from repro.core.communities import RSCommunityInterpreter
-from repro.core.reachability import infer_links, merge_observations
+from repro.core.engine import MLPInferenceEngine
 from repro.ixp.community_schemes import CommunityScheme, SchemeRegistry
 from repro.ixp.looking_glass import RouteServerLookingGlass
 from repro.ixp.member import MemberExportPolicy
 from repro.ixp.route_server import RouteServer
+from repro.runtime.reachmatrix import unpack_plane
 
 
 def main() -> None:
@@ -33,31 +33,25 @@ def main() -> None:
     for index, member in enumerate((a, b, c, d)):
         route_server.announce(member, Prefix.parse(f"198.51.{index}.0/24"))
 
-    # 3. Drive the route-server looking glass through steps 1-3 of section 4.1.
-    looking_glass = RouteServerLookingGlass(route_server)
-    collection = ActiveInference(looking_glass).collect()
-    print(f"route-server members (A_RS): {sorted(collection.members)}")
-    print(f"looking-glass queries used:  {collection.total_queries}")
+    # 3. Run the engine over the route-server looking glass: steps 1-3 of
+    #    section 4.1 query it, step 4 builds each member's N_a.
+    engine = MLPInferenceEngine(registry, {"DE-CIX": route_server.members()},
+                                mappers={"DE-CIX": route_server.mapper})
+    result = engine.run(
+        rs_looking_glasses={"DE-CIX": RouteServerLookingGlass(route_server)})
+    plane = result.matrix.planes["DE-CIX"]
+    members = plane.index.universe
+    print(f"route-server members (A_RS): {list(members)}")
+    print(f"looking-glass queries used:  {plane.active_queries}")
+    allow = unpack_plane(plane.allow, len(members))
+    for bit, (mode, _) in sorted(plane.policies.items()):
+        allowed = [members[peer] for peer in allow[bit].nonzero()[0]]
+        print(f"  AS{members[bit]} ({mode}) allows -> {allowed}")
 
-    # 4. Interpret the communities and build each member's N_a (step 4).
-    interpreter = RSCommunityInterpreter(registry,
-                                         {"DE-CIX": collection.members},
-                                         mappers={"DE-CIX": route_server.mapper})
-    observations = collection.policy_observations(interpreter)
-    reachabilities = {}
-    for member in collection.members:
-        merged = merge_observations(
-            [o for o in observations if o.member_asn == member],
-            collection.members)
-        if merged is not None:
-            reachabilities[member] = merged
-            allowed = sorted(merged.allowed_members(collection.members))
-            print(f"  AS{member} ({merged.mode}) allows -> {allowed}")
-
-    # 5. Reciprocal ALLOW => p2p link (step 5).
-    links = infer_links(reachabilities, collection.members)
+    # 4. Reciprocal ALLOW => p2p link (step 5).
+    links = result.matrix.links_of("DE-CIX")
     print(f"\ninferred multilateral peering links ({len(links)}):")
-    for left, right in sorted(links):
+    for left, right in links:
         print(f"  AS{left} -- AS{right}")
     print("\nnote: AS%d and AS%d have no link because A excludes C." % (a, c))
 

@@ -11,9 +11,6 @@ from repro.bgp.asn import (
     AS_TRANS,
     PRIVATE_ASN_RANGE,
     PRIVATE_ASN_32BIT_RANGE,
-    is_private_asn,
-    is_reserved_asn,
-    is_routable_asn,
     is_32bit_asn,
     Private16BitMapper,
 )
@@ -27,9 +24,6 @@ __all__ = [
     "AS_TRANS",
     "PRIVATE_ASN_RANGE",
     "PRIVATE_ASN_32BIT_RANGE",
-    "is_private_asn",
-    "is_reserved_asn",
-    "is_routable_asn",
     "is_32bit_asn",
     "Private16BitMapper",
     "Prefix",

@@ -40,40 +40,11 @@ def is_32bit_asn(asn: int) -> bool:
     return asn > 0xFFFF
 
 
-def is_private_asn(asn: int) -> bool:
-    """Return True if *asn* falls in a private-use range (RFC 6996)."""
-    lo16, hi16 = PRIVATE_ASN_RANGE
-    lo32, hi32 = PRIVATE_ASN_32BIT_RANGE
-    return lo16 <= asn <= hi16 or lo32 <= asn <= hi32
-
-
-def is_reserved_asn(asn: int) -> bool:
-    """Return True if *asn* is reserved, unassigned, or otherwise should
-    not appear in a public BGP AS path.
-
-    This mirrors the paper's filtering step (section 5): AS 0, AS_TRANS
-    (23456), the 63488-131071 block, 65535, 4294967295 and anything outside
-    the 32-bit space are treated as reserved.
-    """
-    if asn <= 0 or asn > MAX_ASN:
-        return True
-    if asn == AS_TRANS:
-        return True
-    if asn == 0xFFFF or asn == MAX_ASN:
-        return True
-    lo, hi = _RESERVED_BLOCK
-    if lo <= asn <= hi:
-        return True
-    return False
-
-
-def is_routable_asn(asn: int) -> bool:
-    """Return True if *asn* may legitimately appear in a public AS path."""
-    return not is_reserved_asn(asn) and not is_private_asn(asn)
-
-
 def routable_mask(asns) -> np.ndarray:
-    """:func:`is_routable_asn` over an int64 array, element by element."""
+    """Per element of an int64 ASN array: may it appear in a public AS
+    path?  Reserved ASNs (section 5 of the paper: AS 0, AS_TRANS, the
+    63488-131071 block, 65535, 4294967295 and anything outside the
+    32-bit space) and private ASNs (RFC 6996) may not."""
     asns = np.asarray(asns, dtype=np.int64)
     lo16, hi16 = PRIVATE_ASN_RANGE
     lo32, hi32 = PRIVATE_ASN_32BIT_RANGE

@@ -12,7 +12,7 @@ from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.bgp.asn import is_routable_asn, routable_mask
+from repro.bgp.asn import routable_mask
 
 
 class Origin(enum.Enum):
@@ -31,11 +31,10 @@ class ASPath:
     same order used in ``show ip bgp`` output and MRT dumps.
     """
 
-    __slots__ = ("_asns", "_clean")
+    __slots__ = ("_asns",)
 
     def __init__(self, asns: Sequence[int] = ()) -> None:
         object.__setattr__(self, "_asns", tuple(int(a) for a in asns))
-        object.__setattr__(self, "_clean", None)
 
     @classmethod
     def from_tuple(cls, asns: Tuple[int, ...]) -> "ASPath":
@@ -48,7 +47,6 @@ class ASPath:
         """
         path = cls.__new__(cls)
         object.__setattr__(path, "_asns", asns)
-        object.__setattr__(path, "_clean", None)
         return path
 
     # -- accessors ---------------------------------------------------------
@@ -80,32 +78,6 @@ class ASPath:
                 collapsed.append(asn)
         return ASPath(collapsed)
 
-    def has_cycle(self) -> bool:
-        """True if a non-consecutive ASN repetition exists (a routing loop
-        or path poisoning artefact, as opposed to benign prepending)."""
-        if len(set(self._asns)) == len(self._asns):
-            return False
-        deduped = self.deduplicated()._asns
-        return len(set(deduped)) != len(deduped)
-
-    def has_reserved_asn(self) -> bool:
-        """True if the path contains a reserved, unassigned or private ASN."""
-        return any(not is_routable_asn(asn) for asn in self._asns)
-
-    def is_clean(self) -> bool:
-        """True if the path passes the paper's sanity filters: non-empty,
-        no reserved/private ASNs, no cycles.
-
-        Memoised per path object: paths are shared across RIB entries and
-        days by the observation plane (one ``ASPath`` per interned path
-        id), so repeated cleanliness checks are dict-free cache hits."""
-        cached = self._clean
-        if cached is None:
-            cached = bool(self._asns) and not self.has_reserved_asn() \
-                and not self.has_cycle()
-            object.__setattr__(self, "_clean", cached)
-        return cached
-
     # -- dunder ------------------------------------------------------------
 
     def __str__(self) -> str:
@@ -132,10 +104,12 @@ class ASPath:
 
 
 def clean_path_mask(offsets, values) -> np.ndarray:
-    """:meth:`ASPath.is_clean` of every row of the CSR path table
-    ``(offsets, values)``, in one vectorised pass over the cells:
-    empty paths, paths holding a non-routable ASN and paths that repeat
-    an ASN after prepends are collapsed (a cycle) are not clean."""
+    """Does every row of the CSR path table ``(offsets, values)`` pass
+    the paper's sanity filters?  One vectorised pass over the cells:
+    empty paths, paths holding a non-routable ASN
+    (:func:`~repro.bgp.asn.routable_mask`) and paths that repeat an ASN
+    after prepends are collapsed (a cycle, as opposed to benign
+    prepending) are not clean."""
     offsets = np.asarray(offsets, dtype=np.int64)
     values = np.asarray(values, dtype=np.int64)
     lengths = np.diff(offsets)

@@ -25,7 +25,3 @@ class RibEntry:
     communities: FrozenSet[Community] = frozenset()
     collector: Optional[str] = None
     timestamp: float = 0.0
-
-    def is_clean(self) -> bool:
-        """True if the AS path passes the reserved-ASN and cycle filters."""
-        return self.as_path.is_clean()

@@ -297,8 +297,8 @@ class RibEntryTable:
 
     def clean_paths(self) -> np.ndarray:
         """Per path id: does the path pass the reserved-ASN and cycle
-        filters (:meth:`ASPath.is_clean`)?  One vectorised pass over the
-        path table, memoised."""
+        filters (:func:`~repro.bgp.attributes.clean_path_mask`)?  One
+        vectorised pass over the path table, memoised."""
         if self._clean is None:
             self._clean = clean_path_mask(self.path_offsets,
                                           self.path_values)

@@ -8,8 +8,8 @@ The pipeline mirrors section 4 of the paper:
    communities it attaches, observed passively at route collectors
    (:mod:`repro.core.passive`) and actively through looking glasses
    (:mod:`repro.core.active`), interpreted against the per-IXP community
-   grammars (:mod:`repro.core.communities`,
-   :mod:`repro.core.reachability`);
+   grammars (:mod:`repro.core.communities`) and merged per member on
+   interned policy ids (:mod:`repro.core.planes`);
 3. **inference** — combine both, apply the reciprocity assumption and emit
    p2p links (:mod:`repro.core.engine`);
 4. **cost accounting** (:mod:`repro.core.query_cost`), **reciprocity
@@ -19,9 +19,7 @@ The pipeline mirrors section 4 of the paper:
 
 from repro.core.communities import RSCommunityInterpreter, IXPIdentification
 from repro.core.connectivity import ConnectivityDiscovery, ConnectivityReport
-from repro.core.reachability import PolicyObservation, MemberReachability, merge_observations
 from repro.core.active import ActiveInference, ActiveCollection, ThirdPartyCollection
-from repro.core.passive import PassiveInference, PassiveObservation
 from repro.core.query_cost import QueryCostModel, QueryPlan
 from repro.core.reciprocity import ReciprocityValidator, ReciprocityReport
 from repro.core.engine import MLPInferenceEngine, MLPInferenceResult
@@ -32,14 +30,9 @@ __all__ = [
     "IXPIdentification",
     "ConnectivityDiscovery",
     "ConnectivityReport",
-    "PolicyObservation",
-    "MemberReachability",
-    "merge_observations",
     "ActiveInference",
     "ActiveCollection",
     "ThirdPartyCollection",
-    "PassiveInference",
-    "PassiveObservation",
     "QueryCostModel",
     "QueryPlan",
     "ReciprocityValidator",

@@ -19,14 +19,12 @@ members' communities intact (:class:`ThirdPartyCollection`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.bgp.communities import Community
-from repro.bgp.policy import MODE_ALL_EXCEPT
 from repro.bgp.prefix import Prefix
 from repro.core.communities import RSCommunityInterpreter
 from repro.core.query_cost import QueryCostModel, QueryPlan
-from repro.core.reachability import PolicyObservation
 from repro.ixp.looking_glass import ASLookingGlass, RouteServerLookingGlass
 
 
@@ -47,43 +45,6 @@ class ActiveCollection:
     def members_with_communities(self) -> Set[int]:
         """Members for which at least one community observation exists."""
         return {asn for asn, obs in self.observations.items() if obs}
-
-    def policy_observations(
-        self, interpreter: RSCommunityInterpreter, source: str = "active"
-    ) -> List[PolicyObservation]:
-        """Interpret the raw community observations into policy observations."""
-        return interpret_raw_observations(
-            interpreter, self.ixp_name, self.observations, source)
-
-
-def interpret_raw_observations(
-    interpreter: RSCommunityInterpreter,
-    ixp_name: str,
-    observations: Mapping[int, Sequence[Tuple[Prefix, FrozenSet[Community]]]],
-    source: str,
-) -> List[PolicyObservation]:
-    """Turn raw per-member (prefix, communities) pairs into policy
-    observations.
-
-    Distinct community bags are few, so the per-bag interpretation is
-    served from the interpreter's memoised cache; an announcement without
-    any RS community means the default ALL behaviour.
-    """
-    result: List[PolicyObservation] = []
-    for member_asn, entries in observations.items():
-        for prefix, communities in entries:
-            interpreted = interpreter.interpret_for_ixp(ixp_name, communities)
-            if interpreted is None:
-                result.append(PolicyObservation(
-                    member_asn=member_asn, ixp_name=ixp_name,
-                    prefix=prefix, mode=MODE_ALL_EXCEPT, listed=frozenset(),
-                    source=source))
-                continue
-            result.append(PolicyObservation(
-                member_asn=member_asn, ixp_name=ixp_name,
-                prefix=prefix, mode=interpreted.mode,
-                listed=interpreted.listed, source=source))
-    return result
 
 
 class ActiveInference:

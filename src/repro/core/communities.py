@@ -27,6 +27,10 @@ from repro.ixp.community_schemes import (
     SchemeRegistry,
 )
 
+#: Share of an ambiguous community set's referenced peers that must be
+#: members of an IXP's route server to attribute the set to that IXP.
+MIN_MEMBER_OVERLAP = 0.99
+
 
 @dataclass(frozen=True)
 class IXPIdentification:
@@ -64,69 +68,20 @@ class RSCommunityInterpreter:
         registry: SchemeRegistry,
         rs_members: Mapping[str, Iterable[int]],
         mappers: Optional[Mapping[str, Private16BitMapper]] = None,
-        min_member_overlap: float = 0.99,
     ) -> None:
         self.registry = registry
         self.rs_members: Dict[str, Set[int]] = {
             name: set(members) for name, members in rs_members.items()}
         self.mappers: Dict[str, Private16BitMapper] = dict(mappers or {})
-        #: Overlap required to attribute an ambiguous community set to an IXP.
-        self.min_member_overlap = min_member_overlap
         # Distinct community bags are few (one per member policy plus
-        # per-prefix deviations) while observed routes are many, so the
-        # three interpretation entry points are memoised per bag.
-        # Mutating rs_members or a mapper invalidates the memos: use
-        # update_members(), or call clear_caches() after a direct
-        # mutation.  Scheme replacement in the registry is detected
-        # automatically via registry.version.  Downstream caches (e.g.
-        # the passive setter memo) validate against cache_epoch, so
-        # clearing here reaches them.
+        # per-prefix deviations) while observed routes are many, so
+        # interpretation and the RS-only filter are memoised per bag.
+        # The memos hold because an interpreter's inputs are fixed when
+        # it is built: every engine builds its own.
         self._interpret_cache: Dict[Tuple[str, FrozenSet[Community]],
                                     Optional[InterpretedPolicy]] = {}
-        #: keyed on (min_member_overlap, bag): the threshold is a public
-        #: tunable and changing it must not serve stale identifications.
-        self._identify_cache: Dict[Tuple[float, FrozenSet[Community]],
-                                   Optional[IXPIdentification]] = {}
         self._rs_only_cache: Dict[Tuple[str, FrozenSet[Community]],
                                   FrozenSet[Community]] = {}
-        self._cache_epoch = 0
-        self._registry_version_seen = registry.version
-        self._members_counts_seen = self._members_fingerprint()
-
-    @property
-    def cache_epoch(self) -> int:
-        """Monotonic counter bumped by :meth:`clear_caches`; caches built
-        on this interpreter's answers store it and revalidate against it.
-        Reading the epoch first runs the staleness detection, so a
-        detectable registry/membership change bumps it immediately."""
-        self._validate_caches()
-        return self._cache_epoch
-
-    def clear_caches(self) -> None:
-        """Drop memoised interpretations (after member/mapper changes)."""
-        self._interpret_cache.clear()
-        self._identify_cache.clear()
-        self._rs_only_cache.clear()
-        self._cache_epoch += 1
-        self._registry_version_seen = self.registry.version
-        self._members_counts_seen = self._members_fingerprint()
-
-    def _members_fingerprint(self) -> Tuple[Tuple[str, int], ...]:
-        return tuple(sorted((name, len(members))
-                            for name, members in self.rs_members.items()))
-
-    def _validate_caches(self) -> None:
-        """Drop the memos if the scheme registry or (detectably) the
-        member populations changed under us.
-
-        Membership is compared by per-IXP counts, which catches the
-        common in-place ``rs_members[ixp].add/discard`` mutations live;
-        an equal-size member *swap* still needs an explicit
-        :meth:`clear_caches` / :meth:`update_members`.
-        """
-        if self._registry_version_seen != self.registry.version or \
-                self._members_counts_seen != self._members_fingerprint():
-            self.clear_caches()
 
     # -- per-IXP helpers ----------------------------------------------------------
 
@@ -155,7 +110,6 @@ class RSCommunityInterpreter:
         """
         cache_key: Optional[Tuple[str, FrozenSet[Community]]] = None
         if isinstance(communities, frozenset):
-            self._validate_caches()
             cache_key = (ixp_name, communities)
             cached = self._interpret_cache.get(cache_key, _MISS)
             if cached is not _MISS:
@@ -216,7 +170,7 @@ class RSCommunityInterpreter:
             rs_asn_match = scheme.mentions_rs_asn(
                 community for community, _ in classified)
             overlap = self._member_overlap(scheme, classified)
-            if not rs_asn_match and overlap < self.min_member_overlap:
+            if not rs_asn_match and overlap < MIN_MEMBER_OVERLAP:
                 continue
             results.append(IXPIdentification(
                 ixp_name=scheme.ixp_name,
@@ -232,21 +186,6 @@ class RSCommunityInterpreter:
     ) -> Optional[IXPIdentification]:
         """The single IXP the communities can be attributed to, or None if
         the attribution is ambiguous or impossible (conservative)."""
-        cache_key: Optional[Tuple[float, FrozenSet[Community]]] = None
-        if isinstance(communities, frozenset):
-            self._validate_caches()
-            cache_key = (self.min_member_overlap, communities)
-            cached = self._identify_cache.get(cache_key, _MISS)
-            if cached is not _MISS:
-                return cached
-        result = self._identify_unique_ixp_uncached(communities)
-        if cache_key is not None:
-            self._identify_cache[cache_key] = result
-        return result
-
-    def _identify_unique_ixp_uncached(
-        self, communities: Iterable[Community]
-    ) -> Optional[IXPIdentification]:
         candidates = self.identify_ixps(communities)
         if not candidates:
             return None
@@ -289,7 +228,6 @@ class RSCommunityInterpreter:
         """The subset of *communities* that belongs to the IXP's grammar."""
         cache_key: Optional[Tuple[str, FrozenSet[Community]]] = None
         if isinstance(communities, frozenset):
-            self._validate_caches()
             cache_key = (ixp_name, communities)
             cached = self._rs_only_cache.get(cache_key)
             if cached is not None:

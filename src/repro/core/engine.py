@@ -17,12 +17,12 @@ everything Table 2 and the cost and visibility analyses read, plus the
 per-IXP links and every global link view.
 
 Steps 2-5 run on the interned observation planes of
-:mod:`repro.core.planes`: observations become integer rows, members
-with one distinct policy merge on ids (mixed-policy members fall back
-to :func:`~repro.core.reachability.merge_observations`), and links come
-out of the reciprocal ``M & M.T`` kernel over each IXP's ALLOW plane.
-The test suite keeps the per-IXP object implementation of the same
-steps as an oracle and checks this engine against it.
+:mod:`repro.core.planes`: observations become integer rows, every
+member merges on policy ids with the one rule of step 4
+(:func:`~repro.core.planes.merge_rows`), and links come out of the
+reciprocal ``M & M.T`` kernel over each IXP's ALLOW plane.  The test
+suite keeps the per-IXP object implementation of the same steps as an
+oracle and checks this engine against it.
 """
 
 from __future__ import annotations
@@ -231,9 +231,7 @@ class MLPInferenceEngine:
                         collection.members_with_communities()
                     plane.active_queries += collection.total_queries
             planes[ixp_name] = build_reachability_plane(
-                plane,
-                merge_rows(ixp_name, plane.rows, plane.members, policies,
-                           prefixes),
+                plane, merge_rows(plane.rows, plane.members, policies),
                 self._member_index(ixp_name, plane.members))
         return planes
 

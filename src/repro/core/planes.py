@@ -1,30 +1,22 @@
 """The inference data plane: interned observation planes.
 
-The paper's steps map naturally onto one
-:class:`~repro.core.reachability.PolicyObservation` object per observed
-(member, prefix) pair, merged with per-member set arithmetic (the
-public step functions of :mod:`repro.core.passive`,
-:mod:`repro.core.active` and :mod:`repro.core.reachability`).  The
-:class:`~repro.core.engine.MLPInferenceEngine` runs this module
-instead: observations become
-``(member, prefix id, policy id, source code)`` tuples over shared
-interners, passive extraction reads the collector archive's columns
-(IXP identification per distinct community bag, the archive's per-path
-clean mask and setter pin-pointing per distinct (IXP, AS path), rows
-scattered from arrays — collector archives repeat each path once per
-exported prefix), and the
+The engine runs steps 2-5 of the paper on integer rows:
+observations become ``(member, prefix id, policy id, source code)``
+tuples over shared interners, passive extraction reads the collector
+archive's columns (IXP identification per distinct community bag, the
+archive's per-path clean mask and setter pin-pointing per distinct
+(IXP, AS path), rows scattered from arrays — collector archives repeat
+each path once per exported prefix), every member's rows merge on
+policy ids with the one rule of step 4 (:func:`merge_rows`), and the
 merged per-member policies become the columns of a
 :class:`~repro.runtime.reachmatrix.ReachabilityPlane` (the packed ALLOW
 rows, provenance masks and per-member counts), whose reciprocal
 ``M & M.T`` kernel emits the links.  The planes of one collection are
 the unit :class:`PlaneCacheKey` caches on the pipeline context.
 
-Bit-identity with the object-level steps is non-negotiable (the test
-suite's object oracle checks it): the fast merge only takes the direct
-route for members whose observations all carry one distinct policy (the
-overwhelming majority); members with mixed policies fall back to the
-*same* :func:`~repro.core.reachability.merge_observations` code, so
-inconsistent-announcement handling can never drift.
+The test suite keeps the object version of the same steps (one policy
+observation per observed (member, prefix) pair, merged with set
+arithmetic) as its oracle and requires bit-identity with it.
 """
 
 from __future__ import annotations
@@ -36,16 +28,11 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tupl
 
 import numpy as np
 
-from repro.bgp.policy import MODE_ALL_EXCEPT, Relationship
+from repro.bgp.policy import MODE_ALL_EXCEPT, MODE_NONE_EXCEPT, Relationship
 from repro.bgp.prefix import Prefix
 from repro.collectors.archive import StableEntries
 from repro.core.communities import RSCommunityInterpreter
-from repro.core.passive import PassiveInference
-from repro.core.reachability import (
-    MemberReachability,
-    PolicyObservation,
-    merge_observations,
-)
+from repro.core.passive import identify_setter
 from repro.runtime.bitset import BitsetIndex
 from repro.runtime.interning import Interner
 from repro.runtime.reachmatrix import (
@@ -63,6 +50,14 @@ PASSIVE, ACTIVE, THIRD_PARTY = range(3)
 #: One interned observation: (member ASN, prefix id, policy id, source).
 Row = Tuple[int, int, int, int]
 
+#: An export policy: its mode and the listed member ASNs.
+Policy = Tuple[str, FrozenSet[int]]
+
+#: One member's merged step-4 outcome: its N_a policy, the names of its
+#: observation sources, its distinct observed prefixes and the number
+#: of prefixes announced with a policy other than the majority's.
+Merged = Tuple[Policy, FrozenSet[str], int, int]
+
 #: The default policy of an announcement without interpretable RS
 #: communities: export to everyone.
 DEFAULT_POLICY = (MODE_ALL_EXCEPT, frozenset())
@@ -79,7 +74,7 @@ class PolicyTable:
     def intern(self, mode: str, listed: FrozenSet[int]) -> int:
         return self._interner.intern((mode, listed))
 
-    def policy(self, policy_id: int) -> Tuple[str, FrozenSet[int]]:
+    def policy(self, policy_id: int) -> Policy:
         return self._interner.value_of(policy_id)
 
     def __len__(self) -> int:
@@ -189,16 +184,18 @@ def extract_passive_planes(
 ) -> None:
     """Scatter an archive's stable rows into per-IXP observation planes.
 
-    Fuses ``PassiveInference.extract`` + ``policy_observations`` over
-    the archive's columns at the view's rows, without materialising a
+    Runs the passive pipeline over the archive's columns at the view's
+    rows, without materialising a
     :class:`~repro.bgp.messages.RibEntry`: IXP identification runs once
-    per distinct community bag, setter pin-pointing once per distinct
+    per distinct community bag, setter pin-pointing
+    (:func:`~repro.core.passive.identify_setter`) once per distinct
     (IXP, AS path) whose path passes the archive's clean mask
     (:meth:`~repro.collectors.archive.RibEntryTable.clean_paths`),
     policy interpretation once per bag that reaches a surviving row,
-    and the surviving rows scatter from arrays.  Prefixes and policies are interned in
-    first-surviving-row order, so the interners and every plane's rows
-    (content and order) equal the per-entry pipeline's.
+    and the surviving rows scatter from arrays.  Prefixes and policies
+    are interned in first-surviving-row order, so the interners and
+    every plane's rows (content and order) equal the per-entry
+    pipeline's.
     """
     if entries is None or not len(entries):
         return
@@ -230,12 +227,13 @@ def extract_passive_planes(
     keys, key_of_row = np.unique(
         row_ixp[attributed] * num_paths + path_ids[attributed],
         return_inverse=True)
-    passive = PassiveInference(interpreter, relationships)
     key_setter = np.full(len(keys), -1, dtype=np.int64)
     clean = np.flatnonzero(table.clean_paths()[keys % num_paths])
     for position, key in zip(clean.tolist(), keys[clean].tolist()):
         code, path_id = divmod(key, num_paths)
-        setter = passive.identify_setter(ixp_names[code], table.path(path_id))
+        setter = identify_setter(
+            interpreter.rs_members.get(ixp_names[code], set()),
+            table.path(path_id), relationships)
         if setter is not None:
             key_setter[position] = setter
     row_setter = key_setter[key_of_row]
@@ -298,8 +296,9 @@ def rows_from_raw_observations(
     policies: PolicyTable,
     source: int,
 ) -> List[Row]:
-    """Interned rows for an active/third-party raw collection, in the
-    same member/prefix order as ``interpret_raw_observations``."""
+    """Interned rows for an active/third-party raw collection, member by
+    member and prefix by prefix in the collection's order (an
+    announcement without RS communities carries :data:`DEFAULT_POLICY`)."""
     rows: List[Row] = []
     for member_asn, entries in observations.items():
         for prefix, communities in entries:
@@ -318,18 +317,21 @@ def rows_from_raw_observations(
 
 
 def merge_rows(
-    ixp_name: str,
     rows: Sequence[Row],
     members: Set[int],
     policies: PolicyTable,
-    prefixes: Interner,
-) -> Dict[int, MemberReachability]:
-    """Merge interned observation rows into per-member reachabilities.
+) -> Dict[int, Merged]:
+    """Merge interned observation rows into every member's N_a (step 4),
+    in first-row order; rows of ASNs outside a non-empty *members* are
+    dropped.
 
-    Equivalent to grouping ``PolicyObservation`` objects by member and
-    calling :func:`merge_observations` per member — and literally *is*
-    that for members with more than one distinct policy; the single
-    policy fast path skips object materialisation entirely.
+    N_a is the intersection of the member's per-prefix allowed sets,
+    taken over its distinct policy ids: one policy is N_a itself;
+    all-except policies merge to the union of their excludes;
+    none-except policies to the intersection of their includes; mixed
+    modes to the explicit allowed set over *members* (the member
+    itself excluded), in none-except form.  A prefix is inconsistent
+    when its row's policy is not the member's most common one.
     """
     grouped: Dict[int, List[Row]] = {}
     for row in rows:
@@ -338,38 +340,41 @@ def merge_rows(
             continue
         grouped.setdefault(member_asn, []).append(row)
 
-    reachabilities: Dict[int, MemberReachability] = {}
+    merged: Dict[int, Merged] = {}
     for member_asn, member_rows in grouped.items():
-        policy_ids = {row[2] for row in member_rows}
-        if len(policy_ids) == 1:
-            mode, listed = policies.policy(next(iter(policy_ids)))
-            prefix_ids = {row[1] for row in member_rows if row[1] is not None}
-            reachabilities[member_asn] = MemberReachability(
-                member_asn=member_asn,
-                ixp_name=ixp_name,
-                mode=mode,
-                listed=listed,
-                sources=frozenset(SOURCE_NAMES[row[3]] for row in member_rows),
-                prefixes_observed=(len(prefix_ids) if prefix_ids
-                                   else len(member_rows)),
-                inconsistent_prefixes=0,
-            )
-            continue
-        # Mixed policies (the <0.5% inconsistency tail): rebuild the
-        # observation objects and run the reference merge.
-        observations = []
-        for asn, prefix_id, policy_id, source in member_rows:
-            mode, listed = policies.policy(policy_id)
-            observations.append(PolicyObservation(
-                member_asn=asn, ixp_name=ixp_name,
-                prefix=(prefixes.value_of(prefix_id)
-                        if prefix_id is not None else None),
-                mode=mode, listed=listed,
-                source=SOURCE_NAMES[source]))
-        merged = merge_observations(observations, members)
-        if merged is not None:
-            reachabilities[member_asn] = merged
-    return reachabilities
+        per_policy = Counter(row[2] for row in member_rows)
+        distinct = [policies.policy(policy_id) for policy_id in per_policy]
+        prefix_ids = {row[1] for row in member_rows}
+        merged[member_asn] = (
+            _merge_policies(member_asn, distinct, members),
+            frozenset(SOURCE_NAMES[row[3]] for row in member_rows),
+            len(prefix_ids),
+            len(member_rows) - max(per_policy.values()),
+        )
+    return merged
+
+
+def _merge_policies(member_asn: int, distinct: Sequence[Policy],
+                    members: Set[int]) -> Policy:
+    """N_a of one member from its distinct per-prefix policies."""
+    if len(distinct) == 1:
+        return distinct[0]
+    modes = {mode for mode, _ in distinct}
+    if modes == {MODE_ALL_EXCEPT}:
+        # The intersection of (ARS - E_p) is ARS - union(E_p).
+        return MODE_ALL_EXCEPT, frozenset().union(
+            *(listed for _, listed in distinct))
+    if modes == {MODE_NONE_EXCEPT}:
+        return MODE_NONE_EXCEPT, frozenset.intersection(
+            *(listed for _, listed in distinct))
+    allowed = set(members)
+    allowed.discard(member_asn)
+    for mode, listed in distinct:
+        if mode == MODE_ALL_EXCEPT:
+            allowed -= listed
+        else:
+            allowed &= listed
+    return MODE_NONE_EXCEPT, frozenset(allowed)
 
 
 # -- plane assembly ------------------------------------------------------------
@@ -377,24 +382,24 @@ def merge_rows(
 
 def build_reachability_plane(
     observation_plane: ObservationPlane,
-    reachabilities: Dict[int, MemberReachability],
+    merged: Mapping[int, Merged],
     index: BitsetIndex,
 ) -> ReachabilityPlane:
-    """The read-only columns and metadata of one IXP's plane: merged
-    reachabilities of members in *index* (others are dropped), the
-    observation plane's provenance sets and its rows' per-member
-    observation counts."""
-    policies: Dict[int, Tuple[str, FrozenSet[int]]] = {}
+    """The read-only columns and metadata of one IXP's plane: the
+    :func:`merge_rows` outcome of members in *index* (others are
+    dropped), the observation plane's provenance sets and its rows'
+    per-member observation counts."""
+    policies: Dict[int, Policy] = {}
     sources: Dict[int, FrozenSet[str]] = {}
     counts = np.full((len(index), 3), -1, dtype=COUNTS_DTYPE)
     counts[:, 2] = 0
-    for asn, reach in reachabilities.items():
+    for asn, (policy, names, prefixes, inconsistent) in merged.items():
         bit = index.bit_of.get(asn)
         if bit is None:
             continue
-        policies[bit] = (reach.mode, reach.listed)
-        sources[bit] = frozenset(reach.sources)
-        counts[bit, :2] = reach.prefixes_observed, reach.inconsistent_prefixes
+        policies[bit] = policy
+        sources[bit] = names
+        counts[bit, :2] = prefixes, inconsistent
     for asn, observed in Counter(
             row[0] for row in observation_plane.rows).items():
         bit = index.bit_of.get(asn)

@@ -169,16 +169,6 @@ def link_rows(keys):
     return _np.stack(unpack_links(keys), axis=1).astype("<i8", copy=False)
 
 
-def reciprocal_links(allow, universe: Tuple[int, ...],
-                     require_reciprocity: bool = True) -> Tuple[Link, ...]:
-    """The sorted reciprocal-ALLOW pairs of a packed ALLOW plane over
-    *universe* (the :func:`reciprocal_cells` kernel).
-    ``core.reachability.infer_links`` runs it; planes run the same
-    kernel in :meth:`ReachabilityPlane.links`."""
-    return _pairs_at(universe, *reciprocal_cells(allow, len(universe),
-                                                 require_reciprocity))
-
-
 @dataclass(eq=False)
 class ReachabilityPlane:
     """One IXP's reachability data plane: the artifact's three columns
@@ -186,9 +176,8 @@ class ReachabilityPlane:
 
     Row *i* of ``allow`` is N_a of ``index.universe[i]`` as packed bits;
     only covered members have a nonzero row.  The exact merged policy
-    behind every row is kept in ``policies`` so the object-level
-    :class:`~repro.core.reachability.MemberReachability` view can be
-    reconstructed bit-identically, and analyses that need the literal
+    behind every row is kept in ``policies``, so per-member records can
+    be read back bit-identically and analyses that need the literal
     EXCLUDE lists (repellers) or populations outside the universe
     (openness against arbitrary member lists) stay exact.  Planes
     compare by identity; the columns of a built plane are read-only.
@@ -261,9 +250,9 @@ class ReachabilityPlane:
         """Fraction of other members this member allows (figure 11).
 
         With an explicit *members* population the exact merged policy is
-        consulted (so members outside the plane universe are handled
-        like ``MemberReachability.openness``); the default population is
-        the plane universe, answered from the row popcount.
+        consulted (so members outside the plane universe count as the
+        policy says); the default population is the plane universe,
+        answered from the row popcount.
         """
         bit = self.index.bit_of.get(member_asn)
         if bit is None or bit not in self.policies:

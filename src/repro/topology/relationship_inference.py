@@ -19,9 +19,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.bgp.attributes import ASPath
+import numpy as np
+
+from repro.bgp.attributes import ASPath, clean_path_mask
 from repro.bgp.policy import Relationship
 
 
@@ -119,11 +122,19 @@ class RelationshipInference:
 
     @staticmethod
     def _sanitise(paths: Iterable[ASPath]) -> List[Tuple[int, ...]]:
-        """Deduplicate prepending, drop dirty paths, dedupe identical paths."""
+        """Deduplicate prepending, drop dirty paths
+        (:func:`~repro.bgp.attributes.clean_path_mask`), dedupe identical
+        paths."""
+        paths = list(paths)
+        offsets = np.zeros(len(paths) + 1, dtype=np.int64)
+        np.cumsum([len(path) for path in paths], out=offsets[1:])
+        values = np.fromiter(chain.from_iterable(paths), dtype=np.int64,
+                             count=int(offsets[-1]))
+        clean = clean_path_mask(offsets, values).tolist()
         seen: Set[Tuple[int, ...]] = set()
         result: List[Tuple[int, ...]] = []
-        for path in paths:
-            if not path.is_clean():
+        for path, is_clean in zip(paths, clean):
+            if not is_clean:
                 continue
             collapsed = path.deduplicated().asns
             if len(collapsed) < 2 or collapsed in seen:

@@ -6,10 +6,13 @@ from repro.bgp.asn import (
     AS_TRANS,
     Private16BitMapper,
     is_32bit_asn,
+    routable_mask,
+)
+
+from tests.oracle.observation import (
     is_private_asn,
     is_reserved_asn,
     is_routable_asn,
-    routable_mask,
 )
 
 

@@ -19,7 +19,7 @@ from tests.oracle.propagation import (
     bidirectional_adjacencies,
     engine_from_adjacencies,
 )
-from tests.oracle.observation import all_entries, dump_for_day
+from tests.oracle.observation import all_entries, dump_for_day, entry_is_clean
 
 
 @pytest.fixture
@@ -130,7 +130,7 @@ class TestCollectorArchive:
 
     def test_clean_stable_entries_pass_filters(self, propagation):
         archive = self.make_archive(propagation, transient=0.3)
-        assert all(e.is_clean() for e in archive.clean_stable_entries())
+        assert all(entry_is_clean(e) for e in archive.clean_stable_entries())
 
     def test_visible_links(self, propagation):
         archive = self.make_archive(propagation)

@@ -1,4 +1,6 @@
-"""Tests for active (LG-driven) and passive (collector-driven) inference."""
+"""Tests for active (LG-driven) and passive (collector-driven) inference:
+the looking-glass collection of ``repro.core.active`` and the object
+steps of the oracle (``tests/oracle/steps.py``) built on it."""
 
 import pytest
 
@@ -7,18 +9,19 @@ from repro.bgp.communities import Community
 from repro.bgp.messages import RibEntry
 from repro.bgp.policy import Relationship
 from repro.bgp.prefix import Prefix
-from repro.core.active import (
-    ActiveInference,
-    collect_from_third_party_lg,
-    interpret_raw_observations,
-)
+from repro.core.active import ActiveInference, collect_from_third_party_lg
 from repro.core.communities import RSCommunityInterpreter
-from repro.core.passive import PassiveInference
-from repro.core.reachability import infer_links, merge_observations
 from repro.ixp.community_schemes import CommunityScheme, SchemeRegistry
 from repro.ixp.looking_glass import ASLookingGlass, RouteServerLookingGlass
 from repro.ixp.member import MemberExportPolicy
 from repro.ixp.route_server import RouteServer
+
+from tests.oracle.steps import (
+    PassiveInference,
+    infer_links,
+    interpret_raw_observations,
+    merge_observations,
+)
 
 
 @pytest.fixture
@@ -55,7 +58,8 @@ class TestActiveInference:
         rs, registry, interpreter, (a, b, c, d) = decix_world
         lg = RouteServerLookingGlass(rs)
         collection = ActiveInference(lg).collect()
-        observations = collection.policy_observations(interpreter)
+        observations = interpret_raw_observations(
+            interpreter, "DE-CIX", collection.observations, "active")
         members = collection.members
         reach = {}
         for asn in members:
@@ -130,12 +134,13 @@ class TestPassiveInference:
             (e, d): Relationship.PROVIDER,   # e sees d as provider (e customer)
             (d, a): Relationship.RS_PEER,
         }
-        passive = PassiveInference(interpreter, relationships)
+        # e is a member too, so three participants appear on the path.
+        with_e = RSCommunityInterpreter(
+            registry, {"DE-CIX": {a, b, c, d, e}},
+            mappers={"DE-CIX": rs.mapper})
+        passive = PassiveInference(with_e, relationships)
         entry = self.entry([e, d, a], [Community(6695, 6695)], peer=e)
-        # Make e a member too so three participants appear on the path.
-        interpreter.rs_members["DE-CIX"].add(e)
         observations = passive.extract([entry])
-        interpreter.rs_members["DE-CIX"].discard(e)
         assert len(observations) == 1
         assert observations[0].setter_asn == a
 

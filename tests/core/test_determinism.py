@@ -10,17 +10,17 @@ deterministically.
 import random
 
 from repro.bgp.policy import MODE_ALL_EXCEPT, MODE_NONE_EXCEPT
-from repro.core.reachability import (
-    MemberReachability,
-    PolicyObservation,
-    infer_links,
-    merge_observations,
-)
 from repro.bgp.prefix import Prefix
 from repro.runtime.reachmatrix import ReachabilityMatrix, link_keys_of
 
 from tests.oracle.inference import differences
 from tests.oracle.reachability import plane_of_rows
+from tests.oracle.steps import (
+    MemberReachability,
+    PolicyObservation,
+    infer_links,
+    merge_observations,
+)
 
 
 def _observation(member, mode, listed, prefix_index=0):
@@ -137,65 +137,52 @@ class TestResultOrderingDeterminism:
 
 
 class TestSetterCacheScoping:
-    """The passive setter memo is strictly per-instance: its entries
-    depend on the instance's relationship snapshot, so the ground-truth
-    run and the relationship-free ablation (or two runs of one engine
-    whose relationships were updated in between) never share state."""
+    """Setter attribution depends only on the inputs it is handed: the
+    relationship map and the members of the interpreter it reads, both
+    fixed when they are built, so no state carries over between
+    attributions."""
 
-    def _engine(self):
-        from repro.core.engine import MLPInferenceEngine
+    def _interpreter(self, members):
+        from repro.core.communities import RSCommunityInterpreter
         from repro.ixp.community_schemes import CommunityScheme, SchemeRegistry
         scheme = CommunityScheme.rs_asn_style("DE-CIX", rs_asn=6695)
-        return MLPInferenceEngine(
-            registry=SchemeRegistry([scheme]),
-            rs_members={"DE-CIX": {1, 2, 3}})
-
-    def test_passive_instances_have_private_caches(self):
-        from repro.core.passive import PassiveInference
-        engine = self._engine()
-        a = PassiveInference(engine.interpreter)
-        b = PassiveInference(engine.interpreter)
-        assert a._setter_cache is not b._setter_cache
+        return RSCommunityInterpreter(SchemeRegistry([scheme]),
+                                      {"DE-CIX": members})
 
     def test_setter_depends_on_relationship_map(self):
         from repro.bgp.attributes import ASPath
         from repro.bgp.messages import RibEntry
         from repro.bgp.policy import Relationship
-        from repro.core.passive import PassiveInference
-        engine = self._engine()
-        interpreter = engine.interpreter
-        interpreter.rs_members["DE-CIX"] = {100, 200, 300}
+        from tests.oracle.steps import PassiveInference
+        interpreter = self._interpreter({100, 200, 300})
         entry = RibEntry(peer_asn=400, prefix=Prefix.parse("10.0.0.0/24"),
                          as_path=ASPath((300, 200, 100)))
         # Three participants: the p2p pair decides the setter; flipping
         # the relationship map must flip the attribution (no sharing).
-        with_first_pair = PassiveInference(engine.interpreter, {
+        with_first_pair = PassiveInference(interpreter, {
             (300, 200): Relationship.PEER,
             (200, 100): Relationship.PROVIDER})
-        with_second_pair = PassiveInference(engine.interpreter, {
+        with_second_pair = PassiveInference(interpreter, {
             (300, 200): Relationship.PROVIDER,
             (200, 100): Relationship.PEER})
         assert with_first_pair.identify_setter("DE-CIX", entry.as_path) == 200
         assert with_second_pair.identify_setter("DE-CIX", entry.as_path) == 100
 
-    def test_setter_cache_invalidated_by_membership_update(self):
+    def test_setter_follows_the_interpreters_members(self):
         from repro.bgp.attributes import ASPath
-        from repro.bgp.messages import RibEntry
-        from repro.core.passive import PassiveInference
-        engine = self._engine()
-        interpreter = engine.interpreter
-        interpreter.rs_members["DE-CIX"] = {100, 200}
-        passive = PassiveInference(interpreter)
-        entry = RibEntry(peer_asn=300, prefix=Prefix.parse("10.0.0.0/24"),
-                         as_path=ASPath((300, 200, 100)))
+        from tests.oracle.steps import PassiveInference
+        path = ASPath((300, 200, 100))
+
+        def setter(members):
+            passive = PassiveInference(self._interpreter(members))
+            return passive.identify_setter("DE-CIX", path)
+
         # Two participants: the one closer to the origin is the setter.
-        assert passive.identify_setter("DE-CIX", entry.as_path) == 100
+        assert setter({100, 200}) == 100
         # AS300 joins the RS: three participants, no known p2p pair ->
-        # the conservative fallback, not the stale cached answer.
-        interpreter.rs_members["DE-CIX"] = {100, 200, 300}
-        assert passive.identify_setter("DE-CIX", entry.as_path) == 100  # fallback
-        interpreter.rs_members["DE-CIX"] = {200, 300}
-        assert passive.identify_setter("DE-CIX", entry.as_path) == 200
+        # the conservative fallback.
+        assert setter({100, 200, 300}) == 100
+        assert setter({200, 300}) == 200
 
 
 class TestEndToEndDeterminism:

@@ -29,7 +29,6 @@ from repro.collectors.archive import (
 )
 from repro.collectors.route_collector import RouteCollector
 from repro.core.engine import MLPInferenceEngine
-from repro.core.passive import PassiveInference
 from repro.core.planes import PolicyTable, extract_passive_planes
 from repro.ixp.community_schemes import CommunityScheme, SchemeRegistry
 from repro.pipeline import ArtifactCache, ScenarioRun
@@ -37,7 +36,8 @@ from repro.runtime.interning import Interner
 from repro.scenarios.spec import get_scenario, scenario_names
 
 from tests.oracle import inference as oracle
-from tests.oracle.observation import dump_from_rows
+from tests.oracle.observation import dump_from_rows, entry_is_clean
+from tests.oracle.steps import PassiveInference
 from tests.oracle.inference import identical
 
 MIN_DAYS = (1, 2, 3, 99)
@@ -150,7 +150,7 @@ def test_hand_made_rows_reach_every_drop_branch(archive, engine):
     assert stats.entries_without_rs_communities and stats.entries_without_setter
     assert stats.observations
     dirty = {entry.as_path.asns for entry in archive.stable_entries(2)
-             if not entry.is_clean()}
+             if not entry_is_clean(entry)}
     assert dirty == {(500, 65001, 200), (500, 100, 500, 200)}
     setters = {label: passive.identify_setter("DE-CIX", ASPath(path))
                for label, path, _bag in ROWS}
@@ -165,7 +165,7 @@ def test_hand_made_archive_matches_entry_oracle(archive, engine, min_days):
     clean = archive.clean_stable_entries(min_days)
     stable = archive.stable_entries(min_days)
     # The clean mask drops exactly the dirty-path rows.
-    assert [entry for entry in stable if entry.is_clean()] == list(clean)
+    assert [entry for entry in stable if entry_is_clean(entry)] == list(clean)
     assert len(clean) < len(stable)
     for view in (clean, stable):
         state = assert_matches_oracle(view, engine)

@@ -1,15 +1,16 @@
-"""Tests for reachability reconstruction (N_a) and link inference (step 5)."""
+"""Tests for the object steps of the oracle: reachability reconstruction
+(N_a, step 4) and link inference (step 5)."""
 
 import pytest
 
 from repro.bgp.prefix import Prefix
-from repro.core.reachability import (
+from tests.oracle.reachability import openness
+from tests.oracle.steps import (
     MemberReachability,
     PolicyObservation,
     infer_links,
     merge_observations,
 )
-from tests.oracle.reachability import openness
 
 MEMBERS = [10, 20, 30, 40]
 

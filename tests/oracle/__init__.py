@@ -7,11 +7,17 @@
   production context;
 * :mod:`tests.oracle.observation` — the object collector archive and
   the route-by-route validation looking glass, fed from any result's
-  object API, and the per-day grouped scan that pins the stable
-  views' row positions;
+  object API, the per-day grouped scan that pins the stable views' row
+  positions, and the scalar ASN and AS-path sanity filters (the
+  references for the vectorised clean mask);
+* :mod:`tests.oracle.steps` — the object step functions of section 4:
+  per-entry passive extraction, interpretation of raw looking-glass
+  observations, policy observations merged with set arithmetic
+  (``merge_observations``, the reference for the id-level
+  ``merge_rows``) and ``infer_links`` on the integer-bitmask rule;
 * :mod:`tests.oracle.inference` — the per-IXP object inference engine
-  (passive/active step functions, ``merge_observations`` and
-  ``infer_links`` per IXP), whose result keeps one record per IXP and
+  (the step functions, ``merge_observations`` and ``infer_links`` per
+  IXP), whose result keeps one record per IXP and
   a matrix rebuilt from them (``matrix_from_inferences``); the
   bit-identity predicate that reads production planes member by
   member against those records (``identical``); and the entry-by-entry

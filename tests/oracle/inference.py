@@ -3,11 +3,11 @@
 Production inference (:class:`~repro.core.engine.MLPInferenceEngine`)
 runs on the interned observation planes of :mod:`repro.core.planes`.
 This module keeps the original object implementation of the same
-pipeline: per IXP, the public step functions build one
-:class:`~repro.core.reachability.PolicyObservation` per observed
+pipeline: per IXP, the step functions of :mod:`tests.oracle.steps`
+build one :class:`~tests.oracle.steps.PolicyObservation` per observed
 (member, prefix) pair, merge them with
-:func:`~repro.core.reachability.merge_observations` and infer links
-with :func:`~repro.core.reachability.infer_links`, keeping one
+:func:`~tests.oracle.steps.merge_observations` and infer links with
+:func:`~tests.oracle.steps.infer_links`, keeping one
 :class:`ObjectIXPInference` record per IXP.  The differential suites
 require the two engines to produce bit-identical results
 (:func:`identical`): the production planes, read member by member,
@@ -34,25 +34,14 @@ import numpy as np
 
 from repro.bgp.messages import RibEntry
 from repro.bgp.policy import Relationship
-from repro.core.active import (
-    ActiveInference,
-    collect_from_third_party_lg,
-    interpret_raw_observations,
-)
+from repro.core.active import ActiveInference, collect_from_third_party_lg
 from repro.core.communities import RSCommunityInterpreter
 from repro.core.engine import MLPInferenceEngine
-from repro.core.passive import PassiveInference, PassiveObservation
 from repro.core.planes import (
     DEFAULT_POLICY,
     PASSIVE,
     ObservationPlane,
     PolicyTable,
-)
-from repro.core.reachability import (
-    MemberReachability,
-    PolicyObservation,
-    infer_links,
-    merge_observations,
 )
 from repro.ixp.looking_glass import ASLookingGlass, RouteServerLookingGlass
 from repro.runtime.bitset import BitsetIndex
@@ -64,7 +53,17 @@ from repro.runtime.reachmatrix import (
     link_keys_of,
 )
 
+from tests.oracle.observation import entry_is_clean
 from tests.oracle.reachability import plane_columns
+from tests.oracle.steps import (
+    MemberReachability,
+    PassiveInference,
+    PassiveObservation,
+    PolicyObservation,
+    infer_links,
+    interpret_raw_observations,
+    merge_observations,
+)
 
 
 @dataclass
@@ -179,8 +178,9 @@ class ObjectInferenceEngine(MLPInferenceEngine):
             collection = active.collect(
                 skip_members=inference.passive_members,
                 covered_prefixes=covered_prefixes)
-            observations.extend(
-                collection.policy_observations(self.interpreter))
+            observations.extend(interpret_raw_observations(
+                self.interpreter, ixp_name, collection.observations,
+                "active"))
             inference.active_members = collection.members_with_communities()
             inference.active_queries = collection.total_queries
             # The LG summary is authoritative connectivity data.
@@ -486,7 +486,7 @@ def _passive_skeleton(
 ) -> Optional[Tuple[str, int, int]]:
     """The prefix-independent outcome of the passive pipeline for one
     distinct (AS path, community bag) pair."""
-    if not entry.is_clean():
+    if not entry_is_clean(entry):
         return None
     if not entry.communities:
         return None

@@ -17,7 +17,13 @@ module is the seed's object implementation of the same steps:
 * :func:`path_links` — the links an AS path reveals, path by path;
 * :func:`grouped_scan_rows` — the stable filter as one grouped scan
   over every day's rows, which pins the production view's row
-  positions, not just its entries.
+  positions, not just its entries;
+* the scalar sanity filters of section 5 — :func:`is_reserved_asn`,
+  :func:`is_private_asn` and :func:`is_routable_asn` per ASN,
+  :func:`has_cycle`, :func:`has_reserved_asn` and :func:`is_clean` per
+  AS path, :func:`entry_is_clean` per RIB entry — the references for
+  the vectorised ``bgp.asn.routable_mask`` and
+  ``bgp.attributes.clean_path_mask``.
 
 The first two read only the object API every result offers, so they can
 be fed either a production :class:`~repro.bgp.propagation.PropagationResult`
@@ -34,6 +40,13 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.bgp.asn import (
+    _RESERVED_BLOCK,
+    AS_TRANS,
+    MAX_ASN,
+    PRIVATE_ASN_32BIT_RANGE,
+    PRIVATE_ASN_RANGE,
+)
 from repro.bgp.attributes import ASPath
 from repro.bgp.messages import RibEntry
 from repro.bgp.prefix import Prefix
@@ -43,6 +56,68 @@ from repro.collectors.vantage_point import FeedType
 from repro.ixp.looking_glass import ASLookingGlass, LGRoute
 
 from tests.oracle.propagation import all_paths, origin_spec
+
+
+# -- the scalar sanity filters -------------------------------------------------
+
+
+def is_private_asn(asn: int) -> bool:
+    """Return True if *asn* falls in a private-use range (RFC 6996)."""
+    lo16, hi16 = PRIVATE_ASN_RANGE
+    lo32, hi32 = PRIVATE_ASN_32BIT_RANGE
+    return lo16 <= asn <= hi16 or lo32 <= asn <= hi32
+
+
+def is_reserved_asn(asn: int) -> bool:
+    """Return True if *asn* is reserved, unassigned, or otherwise should
+    not appear in a public BGP AS path.
+
+    This mirrors the paper's filtering step (section 5): AS 0, AS_TRANS
+    (23456), the 63488-131071 block, 65535, 4294967295 and anything outside
+    the 32-bit space are treated as reserved.
+    """
+    if asn <= 0 or asn > MAX_ASN:
+        return True
+    if asn == AS_TRANS:
+        return True
+    if asn == 0xFFFF or asn == MAX_ASN:
+        return True
+    lo, hi = _RESERVED_BLOCK
+    return lo <= asn <= hi
+
+
+def is_routable_asn(asn: int) -> bool:
+    """Return True if *asn* may legitimately appear in a public AS path."""
+    return not is_reserved_asn(asn) and not is_private_asn(asn)
+
+
+def has_cycle(path: ASPath) -> bool:
+    """True if a non-consecutive ASN repetition exists (a routing loop or
+    path poisoning artefact, as opposed to benign prepending)."""
+    if len(set(path.asns)) == len(path.asns):
+        return False
+    deduped = path.deduplicated().asns
+    return len(set(deduped)) != len(deduped)
+
+
+def has_reserved_asn(path: ASPath) -> bool:
+    """True if the path contains a reserved, unassigned or private ASN."""
+    return any(not is_routable_asn(asn) for asn in path.asns)
+
+
+def is_clean(path: ASPath) -> bool:
+    """True if the path passes the paper's sanity filters: non-empty, no
+    reserved/private ASNs, no cycles."""
+    return bool(path.asns) and not has_reserved_asn(path) \
+        and not has_cycle(path)
+
+
+def entry_is_clean(entry: RibEntry) -> bool:
+    """True if the entry's AS path passes the sanity filters."""
+    return is_clean(entry.as_path)
+
+
+# -- archive readers -----------------------------------------------------------
 
 
 def day_rows(table, day: int) -> np.ndarray:
@@ -160,7 +235,7 @@ class ObjectArchive:
 
     def clean_stable_entries(self, min_days: int = 2) -> List[RibEntry]:
         return [entry for entry in self.stable_entries(min_days)
-                if entry.is_clean()]
+                if entry_is_clean(entry)]
 
     def visible_as_links(self) -> Set[Tuple[int, int]]:
         links: Set[Tuple[int, int]] = set()

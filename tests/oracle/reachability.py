@@ -15,8 +15,9 @@ packed uint64 columns.  This module keeps the walks they replaced:
   (``tests/oracle/inference.py:matrix_from_inferences``);
 * :func:`reciprocal_pairs` — the integer-bitmask reciprocity kernel
   (transpose the masks bit by bit, AND or OR per row), the reference
-  for the packed ``M & M.T`` kernel ``reachmatrix.reciprocal_links``,
-  ``ReachabilityPlane.links`` and ``link_keys``;
+  for the packed ``M & M.T`` kernel behind ``ReachabilityPlane.links``
+  and ``link_keys``, and with :func:`allow_mask_for` the oracle's step
+  5 (``tests/oracle/steps.py:infer_links``);
 * :func:`link_views` — the matrix's global link views by set union,
   sort and per-link walks, the reference for the key-derived
   ``all_links``, ``multi_ixp_links``, ``link_ixps`` and
@@ -35,6 +36,7 @@ packed uint64 columns.  This module keeps the walks they replaced:
 from __future__ import annotations
 
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     Iterable,
@@ -51,11 +53,13 @@ import numpy as np
 
 from repro.analysis.repellers import RepellerReport
 from repro.bgp.policy import MODE_ALL_EXCEPT
-from repro.core.reachability import MemberReachability
 from repro.registries.peeringdb import PeeringDB
 from repro.runtime.bitset import BitsetIndex
 from repro.runtime.reachmatrix import ReachabilityPlane, link_keys_of
 from repro.topology.as_graph import PeeringPolicy
+
+if TYPE_CHECKING:  # tests.oracle.steps builds its step 5 on this module
+    from tests.oracle.steps import MemberReachability
 
 Link = Tuple[int, int]
 

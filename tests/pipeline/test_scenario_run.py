@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.pipeline import (
@@ -187,11 +189,17 @@ class TestDiskCache:
         for name in ("cold", "warm"):
             run = ScenarioRun(config, scenario="europe2013",
                               cache=ArtifactCache(tmp_path / "cache"))
+            started = time.perf_counter()
             exported[name] = run.export_reachability(tmp_path / name,
                                                      size="tiny")
+            wall = time.perf_counter() - started
         statuses = run.stage_statuses()
         for stage in ("topology", "propagation", "inference"):
             assert statuses[stage] == "disk", (stage, statuses)
+        # A disk hit reports the time its entry took to load.
+        for event in run.events:
+            if event.status == "disk":
+                assert 0 < event.seconds < wall, event
         cold = sorted(path.name for path in exported["cold"].iterdir())
         warm = sorted(path.name for path in exported["warm"].iterdir())
         assert cold == warm

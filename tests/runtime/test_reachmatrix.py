@@ -27,14 +27,9 @@ from repro.analysis.repellers import RepellerAnalysis
 from repro.analysis.estimation import measured_densities
 from repro.bgp.policy import MODE_ALL_EXCEPT, MODE_NONE_EXCEPT
 from repro.core.planes import ObservationPlane, build_reachability_plane
-from repro.core.reachability import MemberReachability, infer_links
 from repro.pipeline import ArtifactCache
 from repro.runtime.bitset import BitsetIndex
-from repro.runtime.reachmatrix import (
-    allow_plane,
-    reciprocal_links,
-    unpack_plane,
-)
+from repro.runtime.reachmatrix import allow_plane, unpack_plane
 from repro.scenarios.workloads import scenario_run
 
 from tests.oracle.reachability import (
@@ -44,10 +39,12 @@ from tests.oracle.reachability import (
     mask_of,
     pack_rows,
     plane_columns,
+    plane_of_rows,
     reciprocal_pairs,
     repeller_report,
     unpack_mask,
 )
+from tests.oracle.steps import MemberReachability, infer_links
 
 
 # -- kernel --------------------------------------------------------------------
@@ -56,8 +53,8 @@ from tests.oracle.reachability import (
 @pytest.mark.parametrize("seed", [1, 7, 99, 20130507])
 @pytest.mark.parametrize("require", [True, False])
 def test_reciprocal_links_matches_bitmask_reference(seed, require):
-    """The numpy M & M.T kernel and the integer-bitmask reference emit
-    the identical sorted pair tuple on random ALLOW rows."""
+    """A plane's numpy M & M.T kernel and the integer-bitmask reference
+    emit the identical sorted pair tuple on random ALLOW rows."""
     rng = random.Random(seed)
     size = rng.randint(1, 80)
     universe = tuple(sorted(rng.sample(range(64500, 64500 + 500), size)))
@@ -67,19 +64,19 @@ def test_reciprocal_links_matches_bitmask_reference(seed, require):
             mask = rng.getrandbits(size) & ~(1 << bit)
             rows[bit] = mask
     expected = tuple(sorted(reciprocal_pairs(dict(rows), universe, require)))
-    assert reciprocal_links(pack_rows(rows, size), universe,
-                            require) == expected
+    assert plane_of_rows("X", universe, rows).links(require) == expected
 
 
 def test_reciprocal_links_empty_universe():
-    assert reciprocal_links(pack_rows({}, 0), (), True) == ()
+    assert plane_of_rows("X", ()).links(True) == ()
 
 
 @pytest.mark.parametrize("require", [True, False])
 def test_plane_links_match_infer_links(inference_result, object_result,
                                        require):
-    """Per-IXP plane links equal the object-level infer_links output
-    over the oracle's reachabilities."""
+    """Per-IXP plane links equal the oracle's infer_links (the
+    integer-bitmask N_a and reciprocity kernel) over the oracle's
+    reachabilities."""
     matrix = inference_result.matrix
     for name, inference in object_result.per_ixp.items():
         plane = matrix.planes[name]
@@ -175,7 +172,10 @@ def test_build_reachability_plane_matches_integer_rule(size):
     observation.active_queries = 11
     observation.rows = [(rng.choice(universe + (7,)), 0, 0, 0)
                         for _ in range(3 * size)]
-    plane = build_reachability_plane(observation, reachabilities, index)
+    merged = {asn: ((reach.mode, reach.listed), reach.sources,
+                    reach.prefixes_observed, reach.inconsistent_prefixes)
+              for asn, reach in reachabilities.items()}
+    plane = build_reachability_plane(observation, merged, index)
     expected = plane_columns(index, reachabilities,
                              observation.passive_members,
                              observation.active_members)

@@ -29,14 +29,12 @@ PINNED = {
     "repro/collectors/archive.py": 11,
     "repro/collectors/route_collector.py": 1,
     "repro/collectors/vantage_point.py": 2,
-    "repro/core/active.py": 14,
-    "repro/core/communities.py": 4,
+    "repro/core/active.py": 13,
+    "repro/core/communities.py": 3,
     "repro/core/connectivity.py": 9,
     "repro/core/engine.py": 11,
-    "repro/core/passive.py": 8,
     "repro/core/planes.py": 7,
     "repro/core/query_cost.py": 12,
-    "repro/core/reachability.py": 6,
     "repro/core/reciprocity.py": 3,
     "repro/core/validation.py": 6,
     "repro/ixp/community_schemes.py": 10,
@@ -58,7 +56,7 @@ PINNED = {
     "repro/runtime/delta.py": 6,
     "repro/runtime/frontier.py": 1,
     "repro/runtime/interning.py": 1,
-    "repro/runtime/reachmatrix.py": 7,
+    "repro/runtime/reachmatrix.py": 6,
     "repro/runtime/stores.py": 1,
     "repro/scenarios/base.py": 20,
     "repro/scenarios/events.py": 13,
@@ -76,9 +74,9 @@ PINNED = {
     "repro/topology/relationships.py": 1,
 }
 
-#: Their total: 194 optional parameters, 218 defaulted fields and 11
+#: Their total: 188 optional parameters, 207 defaulted fields and 11
 #: argparse options.
-PINNED_TOTAL = 423
+PINNED_TOTAL = 406
 
 
 def test_pin_adds_up():

@@ -6,16 +6,16 @@ from repro.bgp.asn import Private16BitMapper
 from repro.bgp.attributes import ASPath
 from repro.bgp.communities import Community
 from repro.bgp.prefix import Prefix
-from repro.core.reachability import (
+from repro.core.query_cost import QueryCostModel
+from repro.ixp.community_schemes import CommunityScheme, RSAction
+
+from tests.oracle.observation import path_links
+from tests.oracle.steps import (
     MemberReachability,
     PolicyObservation,
     infer_links,
     merge_observations,
 )
-from repro.core.query_cost import QueryCostModel
-from repro.ixp.community_schemes import CommunityScheme, RSAction
-
-from tests.oracle.observation import path_links
 
 asns16 = st.integers(min_value=1, max_value=65000)
 member_sets = st.sets(asns16, min_size=2, max_size=12)

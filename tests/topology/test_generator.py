@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.bgp.asn import is_routable_asn
 from repro.bgp.policy import MODE_ALL_EXCEPT, MODE_NONE_EXCEPT
 from repro.topology.as_graph import ASType, PeeringPolicy
 from repro.topology.generator import (
@@ -12,6 +11,8 @@ from repro.topology.generator import (
     default_euro_ixps,
 )
 from repro.topology.relationships import LinkType
+
+from tests.oracle.observation import is_routable_asn
 
 
 @pytest.fixture(scope="module")
