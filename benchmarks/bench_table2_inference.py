@@ -2,10 +2,9 @@
 
 Prints the reproduced Table 2 (ASes / RS members / passive / active /
 links per IXP) and benchmarks the end-to-end inference over the already
-assembled scenario.  The first run warms the shared caches (archive
-stable-entry memo, observation planes), so the timed rounds measure
-*steady-state* throughput: they serve from the context-cached planes
-and pay only the reciprocal ``M & M.T`` kernel and result assembly.
+assembled scenario.  The first run fills the scenario's plane memo, so
+the timed rounds measure *steady-state* throughput: they serve from
+the memoised planes and pay only result assembly.
 """
 
 
@@ -13,7 +12,7 @@ def test_table2_inference(scenario, benchmark):
     def infer():
         return scenario.run_inference()
 
-    infer()  # warm the archive memo / observation-plane cache
+    infer()  # fill the scenario's plane memo
     result = benchmark.pedantic(infer, rounds=3, iterations=1)
 
     ixp_ases = {name: len(ixp.members) for name, ixp in scenario.ixps.items()}

@@ -4,8 +4,8 @@ The package is organised around the paper's pipeline:
 
 * :mod:`repro.runtime` — shared runtime substrate: value interning, the
   CSR adjacency index, structure-shared path/community stores, and the
-  :class:`~repro.runtime.context.PipelineContext` threaded through every
-  layer (see ARCHITECTURE.md).
+  :class:`~repro.runtime.context.PipelineContext` that holds one
+  topology's propagation state (see ARCHITECTURE.md).
 * :mod:`repro.bgp` — BGP substrate: prefixes, communities, routes, RIBs,
   policies and a valley-free propagation engine.
 * :mod:`repro.topology` — AS-level topology substrate: relationships,

@@ -41,8 +41,9 @@ cached row views, built for the object-level readers.  The test suite
 keeps the original object-graph engine and its dict-fold result as the
 oracle and checks both kernels and every reader against them.
 
-Route-server peering is modelled with directed :class:`Adjacency` entries
-carrying the RS communities the exporting member attached, so the
+Route-server peering is modelled by the index's RS-peer edges, each
+carrying the community bag of the RS communities the exporting member
+attached (:func:`~repro.topology.as_graph.link_edges`), so the
 communities show up — transitively — in collector feeds exactly as the
 paper describes in section 4.2.
 """
@@ -55,7 +56,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 import numpy as np
 
 from repro.bgp.communities import Community
-from repro.bgp.policy import Relationship
 from repro.bgp.prefix import Prefix
 from repro.runtime.compiled import CompiledPropagator, compiled_batch_size
 from repro.runtime.fragments import (
@@ -77,7 +77,6 @@ from repro.runtime.frontier import (
 )
 
 __all__ = [
-    "Adjacency",
     "CLASS_CUSTOMER",
     "CLASS_ORIGIN",
     "CLASS_PEER",
@@ -99,31 +98,6 @@ __all__ = [
 #: also pays the plan's compilation (every index-touching replay
 #: event does), and is 2.5-3x faster on full sweeps.
 COMPILED_MIN_ORIGINS = 8
-
-
-
-@dataclass(frozen=True)
-class Adjacency:
-    """A directed route-flow edge: *target* can learn routes from *source*.
-
-    ``relationship`` is the relationship of *source* as seen by *target*
-    (the importing AS): a route flowing customer->provider is represented
-    with ``relationship=Relationship.CUSTOMER`` because the provider
-    (target) learned it from a customer.
-
-    ``communities`` are attached to any route crossing the edge — this is
-    how RS members' export-policy communities become visible downstream.
-    If ``rs_transparent`` is False, ``via_rs_asn`` is inserted into the AS
-    path (the 'route server does not strip its ASN' artefact).
-    """
-
-    source: int
-    target: int
-    relationship: Relationship
-    communities: FrozenSet[Community] = frozenset()
-    via_rs_asn: Optional[int] = None
-    rs_transparent: bool = True
-    ixp: Optional[str] = None
 
 
 class PropagatedRoute:

@@ -358,17 +358,24 @@ class RibEntryTable:
                 f"paths, {len(self.bags)} bags)")
 
 
+#: Rows a :class:`StableEntries` iterator materialises per step: one
+#: vectorised column gather per chunk, and a reader that stops at the
+#: first entry builds 1,024 of them, not the whole view.
+ITER_CHUNK = 1024
+
+
 class StableEntries(SequenceABC):
     """A read-only sequence of archived rows: the result of the stable
     selections (:meth:`CollectorArchive.stable_entries`,
     :meth:`CollectorArchive.clean_stable_entries`).
 
     ``rows`` holds the selected row positions of ``table`` in selection
-    order (a read-only int64 array).  Indexing or iterating the view
-    materialises each row's cached :class:`RibEntry`
-    (:meth:`RibEntryTable.entry`); bulk readers such as
-    :func:`~repro.core.planes.extract_passive_planes` read the table's
-    columns at ``rows`` and never build one.
+    order (a read-only int64 array).  Indexing the view materialises
+    each row's cached :class:`RibEntry` (:meth:`RibEntryTable.entries`),
+    and iterating it does so :data:`ITER_CHUNK` rows at a time, so a
+    reader that stops early builds only the chunks it reached; bulk
+    readers such as :func:`~repro.core.planes.extract_passive_planes`
+    read the table's columns at ``rows`` and never build one.
     """
 
     __slots__ = ("table", "rows")
@@ -388,7 +395,9 @@ class StableEntries(SequenceABC):
         return self.table.entries(self.rows[[index]])[0]
 
     def __iter__(self) -> Iterator[RibEntry]:
-        return iter(self.table.entries(self.rows))
+        table, rows = self.table, self.rows
+        for start in range(0, len(rows), ITER_CHUNK):
+            yield from table.entries(rows[start:start + ITER_CHUNK])
 
     def __repr__(self) -> str:
         return f"StableEntries({len(self.rows)} rows)"

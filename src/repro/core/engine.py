@@ -46,7 +46,6 @@ from repro.core.communities import RSCommunityInterpreter
 from repro.core.planes import (
     ACTIVE,
     ObservationPlane,
-    PlaneCacheKey,
     PolicyTable,
     THIRD_PARTY,
     build_reachability_plane,
@@ -57,10 +56,8 @@ from repro.core.planes import (
 from repro.ixp.community_schemes import SchemeRegistry
 from repro.ixp.looking_glass import ASLookingGlass, RouteServerLookingGlass
 from repro.runtime.bitset import BitsetIndex
-from repro.runtime.context import PipelineContext
 from repro.runtime.interning import Interner
 from repro.runtime.reachmatrix import ReachabilityMatrix, ReachabilityPlane
-from repro.topology.relationships import RelationshipMap
 
 
 @dataclass
@@ -73,6 +70,20 @@ class MLPInferenceResult:
     the engine returns them."""
 
     matrix: ReachabilityMatrix
+
+    @classmethod
+    def from_planes(cls, planes: Mapping[str, ReachabilityPlane],
+                    require_reciprocity: bool) -> "MLPInferenceResult":
+        """A result over *planes* in a fresh matrix: each plane's links
+        under the reciprocity rule (memoised on the plane, so every
+        result over the same planes shares them)."""
+        return cls(ReachabilityMatrix(
+            planes,
+            links_by_ixp={name: plane.links(require_reciprocity)
+                          for name, plane in planes.items()},
+            keys_by_ixp={name: plane.link_keys(require_reciprocity)
+                         for name, plane in planes.items()},
+            built_by="bitset"))
 
     def table2(self, ixp_ases: Optional[Mapping[str, int]] = None,
                ixp_has_lg: Optional[Mapping[str, bool]] = None) -> List[Dict[str, object]]:
@@ -105,22 +116,13 @@ class MLPInferenceEngine:
         rs_members: Mapping[str, Iterable[int]],
         mappers: Optional[Mapping[str, object]] = None,
         relationships: Optional[Mapping[Tuple[int, int], Relationship]] = None,
-        sample_fraction: float = 0.10,
-        max_prefixes_per_member: int = 100,
-        context: Optional[PipelineContext] = None,
     ) -> None:
         self.registry = registry
         self.rs_members: Dict[str, Set[int]] = {
             name: set(members) for name, members in rs_members.items()}
         self.interpreter = RSCommunityInterpreter(
             registry, self.rs_members, mappers=mappers)
-        self.relationships = RelationshipMap.of(relationships)
-        self.sample_fraction = sample_fraction
-        self.max_prefixes_per_member = max_prefixes_per_member
-        #: Optional shared runtime context; when present its cached
-        #: member bitset indices and observation-plane cache are reused
-        #: across run() invocations.
-        self.context = context
+        self.relationships = relationships or {}
 
     # -- pipeline ---------------------------------------------------------------------
 
@@ -140,11 +142,10 @@ class MLPInferenceEngine:
         as an ablation switch: when False, a single direction of ALLOW is
         enough to infer a link.
 
-        The observation planes are merged once per collection identity
-        (cached on the context, see :class:`~repro.core.planes.
-        PlaneCacheKey`) and links come from the reciprocal ``M & M.T``
-        kernel; ``require_reciprocity`` is applied downstream of the
-        plane cache, so the ablation shares the collected planes.
+        Every call collects and merges afresh; links come from the
+        reciprocal ``M & M.T`` kernel over the planes
+        (:meth:`MLPInferenceResult.from_planes`), so a result with the
+        other reciprocity rule needs only the planes.
         """
         if passive_entries is not None and \
                 not isinstance(passive_entries, StableEntries):
@@ -152,47 +153,19 @@ class MLPInferenceEngine:
                 "passive_entries must be a CollectorArchive stable view "
                 "(clean_stable_entries()), not "
                 f"{type(passive_entries).__name__}")
-        rs_looking_glasses = dict(rs_looking_glasses or {})
-        third_party_lgs = {name: list(lgs)
-                           for name, lgs in (third_party_lgs or {}).items()}
-        key = PlaneCacheKey(
-            passive_entries=passive_entries,
-            rs_looking_glasses=rs_looking_glasses,
-            third_party_lgs=third_party_lgs,
-            sample_fraction=self.sample_fraction,
-            max_prefixes_per_member=self.max_prefixes_per_member,
-            rs_members=self.rs_members,
-            relationships=self.relationships,
-            registry=self.registry,
-            registry_version=self.registry.version,
-            mappers=self.interpreter.mappers,
-        )
-        planes = None
-        if self.context is not None:
-            planes = self.context.cached_inference_planes(key)
-        if planes is None:
-            planes = self._build_planes(
-                passive_entries, rs_looking_glasses, third_party_lgs)
-            if self.context is not None:
-                self.context.store_inference_planes(key, planes)
-        return MLPInferenceResult(ReachabilityMatrix(
-            planes,
-            links_by_ixp={name: plane.links(require_reciprocity)
-                          for name, plane in planes.items()},
-            keys_by_ixp={name: plane.link_keys(require_reciprocity)
-                         for name, plane in planes.items()},
-            built_by="bitset"))
+        planes = self._build_planes(passive_entries,
+                                    rs_looking_glasses or {},
+                                    third_party_lgs or {})
+        return MLPInferenceResult.from_planes(planes, require_reciprocity)
 
     def _build_planes(
         self,
         passive_entries: Optional[StableEntries],
-        rs_looking_glasses: Dict[str, RouteServerLookingGlass],
-        third_party_lgs: Dict[str, List[ASLookingGlass]],
+        rs_looking_glasses: Mapping[str, RouteServerLookingGlass],
+        third_party_lgs: Mapping[str, Sequence[ASLookingGlass]],
     ) -> Dict[str, ReachabilityPlane]:
-        """Collect, merge and pack the per-IXP planes in IXP-name order
-        (the unit the context caches; every result shares them)."""
-        prefixes = self.context.prefixes if self.context is not None \
-            else Interner()
+        """Collect, merge and pack the per-IXP planes in IXP-name order."""
+        prefixes = Interner()
         policies = PolicyTable()
         observation_planes: Dict[str, ObservationPlane] = {}
         extract_passive_planes(passive_entries, self.interpreter,
@@ -207,11 +180,7 @@ class MLPInferenceEngine:
             plane.members = set(members)
             rs_lg = rs_looking_glasses.get(ixp_name)
             if rs_lg is not None:
-                active = ActiveInference(
-                    rs_lg,
-                    sample_fraction=self.sample_fraction,
-                    max_prefixes_per_member=self.max_prefixes_per_member)
-                collection = active.collect(
+                collection = ActiveInference(rs_lg).collect(
                     skip_members=plane.passive_members,
                     covered_prefixes=plane.covered_prefixes)
                 plane.rows.extend(rows_from_raw_observations(
@@ -232,12 +201,5 @@ class MLPInferenceEngine:
                     plane.active_queries += collection.total_queries
             planes[ixp_name] = build_reachability_plane(
                 plane, merge_rows(plane.rows, plane.members, policies),
-                self._member_index(ixp_name, plane.members))
+                BitsetIndex(plane.members))
         return planes
-
-    # -- helpers -----------------------------------------------------------------------
-
-    def _member_index(self, ixp_name: str, members: Set[int]) -> BitsetIndex:
-        if self.context is not None:
-            return self.context.member_index(ixp_name, members)
-        return BitsetIndex(members)

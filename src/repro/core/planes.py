@@ -11,8 +11,7 @@ policy ids with the one rule of step 4 (:func:`merge_rows`), and the
 merged per-member policies become the columns of a
 :class:`~repro.runtime.reachmatrix.ReachabilityPlane` (the packed ALLOW
 rows, provenance masks and per-member counts), whose reciprocal
-``M & M.T`` kernel emits the links.  The planes of one collection are
-the unit :class:`PlaneCacheKey` caches on the pipeline context.
+``M & M.T`` kernel emits the links.
 
 The test suite keeps the object version of the same steps (one policy
 observation per observed (member, prefix) pair, merged with set
@@ -97,78 +96,6 @@ class ObservationPlane:
     #: member population after the LG summary was consulted.
     members: Set[int] = field(default_factory=set)
     active_queries: int = 0
-
-
-@dataclass
-class PlaneCacheKey:
-    """Identity of one bitset-plane computation on a shared context.
-
-    Two engine runs may reuse cached planes only when every collection
-    input is the same: the passive stable view (by object identity — the
-    archive memoises it), the looking glasses (by identity per LG *and*
-    by a view signature capturing their membership/route-table sizes,
-    so re-announcements between runs force recollection), the sampling
-    knobs, and the interpretation inputs (members, relationships,
-    registry, mappers, by value; a graph's relationship snapshot matches
-    itself by identity).  ``matches`` errs on the side of recomputation.
-    """
-
-    passive_entries: Optional[StableEntries]
-    rs_looking_glasses: Mapping[str, object]
-    third_party_lgs: Mapping[str, Sequence[object]]
-    sample_fraction: float
-    max_prefixes_per_member: int
-    rs_members: Mapping[str, Set[int]]
-    relationships: Mapping[Tuple[int, int], Relationship]
-    registry: object
-    registry_version: int
-    mappers: Mapping[str, object]
-    lg_signature: Tuple = ()
-
-    def __post_init__(self) -> None:
-        if not self.lg_signature:
-            self.lg_signature = lg_view_signature(
-                self.rs_looking_glasses, self.third_party_lgs)
-
-    def matches(self, other: "PlaneCacheKey") -> bool:
-        if self.passive_entries is None or other.passive_entries is None:
-            if (self.passive_entries is None) != (other.passive_entries is None):
-                return False
-        elif self.passive_entries is not other.passive_entries:
-            return False
-        return (self.rs_looking_glasses == other.rs_looking_glasses
-                and self.third_party_lgs == other.third_party_lgs
-                and self.lg_signature == other.lg_signature
-                and self.sample_fraction == other.sample_fraction
-                and self.max_prefixes_per_member == other.max_prefixes_per_member
-                and self.rs_members == other.rs_members
-                and self.registry is other.registry
-                and self.registry_version == other.registry_version
-                and self.mappers == other.mappers
-                and (self.relationships is other.relationships
-                     or self.relationships == other.relationships))
-
-
-def lg_view_signature(
-    rs_looking_glasses: Mapping[str, object],
-    third_party_lgs: Mapping[str, Sequence[object]],
-) -> Tuple:
-    """A cheap signature of the looking glasses' current views.
-
-    Captures each route server's and member LG's mutation counter
-    (``RouteServer.version`` / ``ASLookingGlass.version``), so *any*
-    membership/RIB/view change between runs on one scenario — including
-    in-place re-announcements that leave route counts unchanged —
-    invalidates the cached planes (LG objects compare by identity,
-    which alone cannot see such mutations).
-    """
-    rs_parts = tuple(
-        (name, rs_looking_glasses[name].route_server.version)
-        for name in sorted(rs_looking_glasses))
-    third_parts = tuple(
-        (name, tuple(lg.version for lg in third_party_lgs[name]))
-        for name in sorted(third_party_lgs))
-    return (rs_parts, third_parts)
 
 
 # -- passive extraction --------------------------------------------------------

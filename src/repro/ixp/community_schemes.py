@@ -221,20 +221,12 @@ class SchemeRegistry:
 
     def __init__(self, schemes: Iterable[CommunityScheme] = ()) -> None:
         self._schemes: Dict[str, CommunityScheme] = {}
-        self._version = 0
         for scheme in schemes:
             self.add(scheme)
 
     def add(self, scheme: CommunityScheme) -> None:
         """Register *scheme* (replacing any previous scheme for the IXP)."""
         self._schemes[scheme.ixp_name] = scheme
-        self._version += 1
-
-    @property
-    def version(self) -> int:
-        """Monotonic counter bumped on every registration; caches built
-        on registry lookups validate against it."""
-        return self._version
 
     def get(self, ixp_name: str) -> CommunityScheme:
         """Scheme for *ixp_name* (KeyError if unknown)."""

@@ -135,9 +135,6 @@ class ASLookingGlass:
         #: large validation LG costs one slice of index arrays, not one
         #: LGRoute per (route, prefix) pair.
         self._view = None
-        #: monotonic mutation counter, bumped whenever the view changes;
-        #: caches keyed on this LG's view validate against it.
-        self.version = 0
 
     # -- view loading ----------------------------------------------------------------
 
@@ -146,7 +143,6 @@ class ASLookingGlass:
         if self._view is not None:
             raise ValueError(f"{self.name} holds a bulk view")
         self._routes.setdefault(route.prefix, []).append(route)
-        self.version += 1
 
     def load_view(self, view) -> None:
         """Bulk-load an observer's whole view.
@@ -163,7 +159,6 @@ class ASLookingGlass:
         if self._view is not None or self._routes:
             raise ValueError(f"{self.name} already holds a view")
         self._view = view
-        self.version += 1
 
     def _view_for(self, prefix: Prefix) -> List[LGRoute]:
         """The route list for *prefix*."""

@@ -18,9 +18,10 @@ of materialising per-route objects:
   as level-synchronous numpy sweeps, bit-identical to the frontier;
 * :class:`BitsetIndex` — member-population bitmasks used by the
   reachability/link-inference layer;
-* :class:`PipelineContext` — owns the interners, the index, the stores
-  and the compiled plan, and is threaded through the whole pipeline;
-  the disk cache pickles it with the propagation artifact.
+* :class:`PipelineContext` — one topology's propagation state: the
+  index with its interner and bag store, the path store and the
+  compiled plan; the disk cache pickles it with the propagation
+  artifact.
 """
 
 from repro.runtime.bitset import BitsetIndex

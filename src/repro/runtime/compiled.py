@@ -10,9 +10,9 @@ instead (it picks the kernel by batch size, see
 * :class:`PropagationPlan` — a per-topology compilation of the CSR
   index's three phase-edge blocks into flat numpy arrays (target,
   sibling flag, hop cost, RS via, edge community bag, pre-packed key
-  tail), each in the narrowest safe integer dtype (:func:`fit_dtype`).
-  Built once per :class:`~repro.runtime.context.PipelineContext` and
-  reused across every batch, so warm re-runs only pay the sweeps.
+  tail), int64 like every state plane.  Built once per
+  :class:`~repro.runtime.context.PipelineContext` and reused across
+  every batch, so warm re-runs only pay the sweeps.
 * :class:`CompiledPropagator` — runs the three valley-free phases for a
   whole batch of origins at once over flat state planes shaped
   ``(origins x nodes)``.  Each phase is a *level-synchronous* replay of
@@ -48,13 +48,9 @@ obligations the per-origin bucket queue discharges implicitly:
 
 Mechanics
 ---------
-* **narrow planes** — the route-key/pid/bag planes are allocated in the
-  plan's :meth:`PropagationPlan.key_plane_dtype` (int32 whenever the
-  whole packed-key range fits, true up to ~2900 nodes).  The int32 pid
-  plane is guarded by :class:`PathIdOverflow`: if a batch ever
-  allocates more path cells than int32 can address, the batch is re-run
-  with int64 planes — propagation is deterministic, so the retry is
-  bit-identical, never silently wrapped.
+* **one dtype** — the plan's columns and the route-key/pid/bag planes
+  are int64, which holds every packed key, path-cell id, bag id and
+  4-byte ASN, so no value range is checked and no batch re-runs wider.
 * **fused rounds** — winner selection and first-touch detection share
   one scatter pass over the candidates (candidate positions double as
   tie-break ranks), and origin rows are recovered only for the handful
@@ -83,38 +79,12 @@ __all__ = [
     "BatchState",
     "BatchedPathStore",
     "CompiledPropagator",
-    "PathIdOverflow",
     "PropagationPlan",
     "compiled_batch_size",
-    "fit_dtype",
 ]
 
 #: Scatter-min filler, larger than any candidate key or index.
 _HUGE = (1 << 62)
-
-#: Largest value an int32 plane/schedule cell can hold.
-INT32_MAX = (1 << 31) - 1
-
-
-class PathIdOverflow(RuntimeError):
-    """A path-cell id outgrew the narrow plane dtype in use.
-
-    Raised by :meth:`BatchedPathStore.alloc` when the store was given an
-    ``id_limit`` (set by callers that keep path ids in int32 planes) and
-    allocation would exceed it.  Callers re-run the batch with int64
-    planes — propagation is deterministic, so the retry is bit-identical.
-    """
-
-
-def fit_dtype(max_value: int):
-    """The narrowest schedule/plane dtype that can hold *max_value*.
-
-    This is the int32/int64 promotion rule of the packed schedule: a
-    value range that fits int32 (``<= 2**31 - 1``) is stored narrow,
-    anything larger — 4-byte ASNs above 2**31 in ``via``/ASN arrays,
-    route keys on topologies beyond ~2900 nodes — falls back to int64.
-    """
-    return np.int32 if 0 <= max_value <= INT32_MAX else np.int64
 
 
 class PhasePlan:
@@ -149,29 +119,17 @@ class PhasePlan:
 
     @classmethod
     def from_phase_edges(cls, edges, num_nodes: int) -> "PhasePlan":
-        """Pack one phase's edges, each array in its narrowest safe dtype.
-
-        ``indptr``/``src``/``dst``/``hop``/``key_tail`` are bounded by
-        the node and edge counts and the key-tail packing; ``via`` holds
-        ASNs (4-byte ASNs above ``2**31`` force int64) and ``bag`` holds
-        interned bag ids.  Mixed int32/int64 arithmetic downstream
-        promotes to int64, so narrowing is free for exactness.
-        """
-        num_edges = len(edges.targets)
-        idx_dtype = fit_dtype(max(num_nodes + 1, num_edges))
-        indptr = np.asarray(edges.indptr, dtype=idx_dtype)
-        dst = np.asarray(edges.targets, dtype=idx_dtype)
+        """Pack one phase's edges as int64 columns (``via`` holds raw
+        ASNs, -1 where the edge crosses no opaque route server)."""
+        indptr = np.asarray(edges.indptr, dtype=np.int64)
+        dst = np.asarray(edges.targets, dtype=np.int64)
         rels = np.asarray(edges.rels, dtype=np.int64)
-        vias = edges.vias
-        via = np.asarray(vias, dtype=fit_dtype(max(max(vias, default=0), 0)))
-        bags = edges.bags
-        bag = np.asarray(bags, dtype=fit_dtype(max(max(bags, default=0), 0)))
-        src = np.repeat(np.arange(num_nodes, dtype=idx_dtype),
+        via = np.asarray(edges.vias, dtype=np.int64)
+        bag = np.asarray(edges.bags, dtype=np.int64)
+        src = np.repeat(np.arange(num_nodes, dtype=np.int64),
                         np.diff(indptr))
-        hop = np.where(via >= 0, 2, 1).astype(idx_dtype)
-        tail_dtype = fit_dtype(2 * (num_nodes + 1) + num_nodes + 1)
-        key_tail = (hop.astype(np.int64) * (num_nodes + 1)
-                    + src + 1).astype(tail_dtype)
+        hop = np.where(via >= 0, 2, 1)
+        key_tail = hop * (num_nodes + 1) + src + 1
         return cls(indptr=indptr, src=src, dst=dst, sib=rels == REL_SIBLING,
                    hop=hop, via=via, bag=bag, key_tail=key_tail)
 
@@ -214,14 +172,6 @@ class PropagationPlan:
         self.provider = PhasePlan.from_phase_edges(
             index.provider_edges, index.num_nodes)
 
-    def key_plane_dtype(self):
-        """The narrowest dtype a route-key plane over this plan needs.
-
-        int32 whenever the whole packed-key range (``unset_key`` is its
-        exclusive top) fits — true up to ~2900 nodes — int64 beyond.
-        """
-        return fit_dtype(self.unset_key)
-
 
 class BatchedPathStore:
     """Cons-cell path store with vectorized allocation.
@@ -230,29 +180,19 @@ class BatchedPathStore:
     (cells are ``(head ASN, parent id)``), but cells for a whole
     relaxation round are allocated in one append and the backing buffers
     are numpy arrays.  Consumers read the cells through :meth:`columns`.
-
-    ``id_limit`` is the int32 overflow guard: callers that keep path ids
-    in narrow planes pass ``INT32_MAX`` and :meth:`alloc` raises
-    :class:`PathIdOverflow` instead of silently wrapping.
     """
 
-    __slots__ = ("_heads", "_parents", "_size", "id_limit")
+    __slots__ = ("_heads", "_parents", "_size")
 
-    def __init__(self, capacity: int = 1024,
-                 id_limit: Optional[int] = None) -> None:
+    def __init__(self, capacity: int = 1024) -> None:
         self._heads = np.empty(capacity, dtype=np.int64)
         self._parents = np.empty(capacity, dtype=np.int64)
         self._size = 0
-        self.id_limit = id_limit
 
     def alloc(self, heads, parents):
         """Append one cell per (head, parent) pair; returns the new ids."""
         count = len(heads)
         need = self._size + count
-        if self.id_limit is not None and need > self.id_limit:
-            raise PathIdOverflow(
-                f"path store would grow to {need} cells, beyond the "
-                f"narrow-plane id limit {self.id_limit}")
         if need > len(self._heads):
             capacity = max(need, 2 * len(self._heads))
             for name in ("_heads", "_parents"):
@@ -359,7 +299,7 @@ class UnionTable:
         if len(missing):
             columns = table.shape[1]
             pair, inverse = np.unique(
-                left[missing].astype(np.int64) * columns + right[missing],
+                left[missing] * columns + right[missing],
                 return_inverse=True)
             union = self._bags.union
             values = np.fromiter(
@@ -371,28 +311,22 @@ class UnionTable:
 
 
 class _Arrays:
-    """Per-batch mutable sweep state (origins x nodes).
-
-    *dtype* sizes the route-key/pid/bag planes (the plan's
-    :meth:`~PropagationPlan.key_plane_dtype`, with
-    :class:`PathIdOverflow` guarding the pid plane).  Scatter scratch
-    stays int64 — the packed (key, position) reduction values exceed
-    int32 regardless of plane width.
-    """
+    """Per-batch mutable sweep state (origins x nodes), int64 planes
+    plus the boolean dirty plane."""
 
     __slots__ = ("key", "pid", "bag", "dirty",
                  "key_f", "pid_f", "bag_f", "dirty_f",
                  "work_key", "work_touch", "work_pos")
 
     def __init__(self, num_origins: int, num_nodes: int,
-                 unset_key: int, dtype) -> None:
+                 unset_key: int) -> None:
         shape = (num_origins, num_nodes)
         #: packed route key per node (see :class:`PropagationPlan`) —
         #: the single comparison plane; provenance class, path length
         #: and learned-from are recovered from it by division.
-        self.key = np.full(shape, unset_key, dtype=dtype)
-        self.pid = np.full(shape, -1, dtype=dtype)
-        self.bag = np.zeros(shape, dtype=dtype)
+        self.key = np.full(shape, unset_key, dtype=np.int64)
+        self.pid = np.full(shape, -1, dtype=np.int64)
+        self.bag = np.zeros(shape, dtype=np.int64)
         #: state changed since the node's last export (per origin) —
         #: the vectorized form of the frontier's exported-key guard.
         self.dirty = np.zeros(shape, dtype=bool)
@@ -426,12 +360,12 @@ def compiled_batch_size(plan: PropagationPlan,
 
     Starts from the cache-friendly default batch width and shrinks it
     when the (origins x nodes) planes would blow the budget: three
-    value planes in the plan's key dtype, the dirty plane, and three
-    int64 scratch vectors.
+    int64 value planes, the dirty plane, and three int64 scratch
+    vectors.
     """
-    item = (3 * np.dtype(plan.key_plane_dtype()).itemsize  # key/pid/bag
-            + 1                                            # dirty
-            + 3 * 8)                                       # scratch
+    item = (3 * 8    # key/pid/bag
+            + 1      # dirty
+            + 3 * 8)  # scratch
     per_origin = item * max(plan.num_nodes, 1)
     return max(1, min(_COMPILED_BATCH_ROWS, budget_bytes // per_origin))
 
@@ -449,9 +383,6 @@ class CompiledPropagator:
         # ranks).  The buffer is only ever *replaced* on growth, never
         # written, so outstanding slices stay valid.
         self._idx_scratch = np.empty(0, dtype=np.int64)
-        #: plane dtype for this topology; promoted to int64 for good if
-        #: a batch ever overflows the int32 path-id range.
-        self._dtype = plan.key_plane_dtype()
         # Per-batch memo: whether the current alternatives mask records
         # anything at all (checked once per mask object, not per round).
         self._alt_mask_seen = None
@@ -464,12 +395,6 @@ class CompiledPropagator:
                 max(n, 2 * len(self._idx_scratch)), dtype=np.int64)
         return self._idx_scratch[:n]
 
-    def _make_paths(self, num_origins: int) -> BatchedPathStore:
-        """A fresh per-batch path store, id-limited on int32 planes."""
-        limit = INT32_MAX if self._dtype is np.int32 else None
-        return BatchedPathStore(capacity=max(1024, 2 * num_origins),
-                                id_limit=limit)
-
     # -- public API ----------------------------------------------------------
 
     def run_batch(
@@ -478,24 +403,12 @@ class CompiledPropagator:
         origin_bags: Sequence[int],
         alt_nodes: FrozenSet[int] = frozenset(),
     ) -> BatchState:
-        """Propagate every origin in the batch; rows follow input order.
-
-        Narrow planes widen transparently: a path-id overflow re-runs
-        the batch on int64 planes (bit-identical — the algorithm is
-        deterministic), and the promotion is sticky.
-        """
-        try:
-            return self._run(origin_nodes, origin_bags, alt_nodes)
-        except PathIdOverflow:
-            self._dtype = np.int64
-            return self._run(origin_nodes, origin_bags, alt_nodes)
-
-    def _run(self, origin_nodes, origin_bags, alt_nodes) -> BatchState:
+        """Propagate every origin in the batch; rows follow input order."""
         plan = self._plan
         num_nodes = plan.num_nodes
         num_origins = len(origin_nodes)
-        paths = self._make_paths(num_origins)
-        state = _Arrays(num_origins, num_nodes, plan.unset_key, self._dtype)
+        paths = BatchedPathStore(capacity=max(1024, 2 * num_origins))
+        state = _Arrays(num_origins, num_nodes, plan.unset_key)
 
         rows = np.arange(num_origins, dtype=np.int64)
         onodes = np.asarray(list(origin_nodes), dtype=np.int64)
@@ -705,9 +618,8 @@ class CompiledPropagator:
                     adopted_nodes = adopted_nodes[keep]
                     adopted_len = adopted_len[keep]
                 if len(adopted_len):
-                    # Lengths are far below the uint16 range on any
-                    # int32-keyed plan; the narrower radix sort halves
-                    # the stable-sort passes.
+                    # Lengths fit uint16 whenever max_len does; the
+                    # narrower radix sort halves the stable-sort passes.
                     sort_len = (adopted_len.astype(np.uint16)
                                 if max_len <= 65535 else adopted_len)
                     order = np.argsort(sort_len, kind="stable")
@@ -917,7 +829,7 @@ class CompiledPropagator:
         sel_len = (sel_key // span) % max_len
         from_flat = sel_rows * num_nodes + sel_from
         sel_edges = edges[sel] if phase.has_via or phase.has_bag else None
-        parent = state.pid_f[from_flat].astype(np.int64, copy=False)
+        parent = state.pid_f[from_flat]
         if phase.has_via:
             via = phase.via[sel_edges]
             has_via = via >= 0

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.bgp.asn import Private16BitMapper
 from repro.bgp.prefix import Prefix
-from repro.bgp.policy import MODE_ALL_EXCEPT, Relationship
+from repro.bgp.policy import MODE_ALL_EXCEPT
 from repro.bgp.propagation import OriginSpec, PropagationResult
 from repro.collectors.archive import CollectorArchive, MeasurementWindow
 from repro.collectors.route_collector import RouteCollector
@@ -47,7 +47,7 @@ from repro.measurement.traceroute import TracerouteCampaign, TracerouteConfig
 from repro.pipeline.stage import Stage, StageGraph
 from repro.registries.irr import ASSet, AutNumPolicy, IRRDatabase
 from repro.registries.peeringdb import PeeringDB, PeeringDBRecord
-from repro.runtime.context import PipelineContext
+from repro.runtime.reachmatrix import ReachabilityPlane
 from repro.topology.as_graph import ASGraph, ASType
 from repro.topology.customer_cone import customer_cones
 from repro.topology.generator import (
@@ -56,6 +56,7 @@ from repro.topology.generator import (
     InternetGenerator,
     IXPSpec,
 )
+from repro.topology.relationships import RelationshipMap
 
 
 @dataclass
@@ -108,12 +109,9 @@ class Scenario:
     validation_lgs: List[ASLookingGlass]
     traceroute: TracerouteCampaign
     vantage_points: List[VantagePoint]
-    #: Shared runtime context (interners, CSR index, compiled plan);
-    #: threaded through propagation and the inference engine.
-    context: Optional[PipelineContext] = None
-    #: :meth:`discover_connectivity`'s route-server versions and the
-    #: reports discovered at them.
-    _connectivity: Optional[Tuple[Tuple, Dict[str, ConnectivityReport]]] = field(
+    #: What :meth:`discover_connectivity` and :meth:`run_inference`
+    #: memoise, with the inputs it holds for (see :meth:`_memo_slot`).
+    _memo: Optional["_InferenceMemo"] = field(
         default=None, init=False, repr=False, compare=False)
 
     # -- ground truth -----------------------------------------------------------------
@@ -130,7 +128,7 @@ class Scenario:
         """Private-ASN mappers per IXP (documented by the IXP operators)."""
         return {name: rs.mapper for name, rs in self.route_servers.items()}
 
-    def relationship_map(self) -> Dict[Tuple[int, int], Relationship]:
+    def relationship_map(self) -> RelationshipMap:
         """Ground-truth ordered-pair relationship map (the graph's snapshot)."""
         return self.graph.relationship_map()
 
@@ -153,38 +151,47 @@ class Scenario:
                         if spec.publishes_member_list}
         return ConnectivityDiscovery(irr=self.irr, as_set_names=as_set_names)
 
-    def discover_connectivity(self) -> Dict[str, ConnectivityReport]:
-        """Connectivity discovery over every IXP, memoised on the route
-        servers' mutation counters (``RouteServer.version``, which the
-        plane cache validates against too): a membership or RIB change
-        on a route server rediscovers, every other run reuses the
-        reports."""
+    def _memo_slot(self) -> "_InferenceMemo":
+        """The memo of the current inputs, discovering connectivity when
+        it starts a new one.
+
+        Everything inference reads is fixed once the scenario is
+        assembled, except the route servers (``RouteServer.version``
+        counts their membership and RIB changes) and the graph (whose
+        :meth:`~repro.topology.as_graph.ASGraph.relationship_map`
+        snapshot is one object per graph version); a change to either
+        starts a new memo.
+        """
         versions = tuple((name, rs.version)
                          for name, rs in self.route_servers.items())
-        if self._connectivity is None or self._connectivity[0] != versions:
+        relationships = self.relationship_map()
+        memo = self._memo
+        if memo is None or memo.versions != versions \
+                or memo.relationships is not relationships:
             reports = self.connectivity_discovery().discover_all(
                 self.ixps.values(),
                 rs_lgs=self.rs_looking_glasses,
                 rs_asns=self.rs_asns(),
             )
-            self._connectivity = (versions, reports)
-        return self._connectivity[1]
+            memo = self._memo = _InferenceMemo(
+                versions, relationships, reports, {})
+        return memo
 
-    def make_engine(
-        self,
-        connectivity: Optional[Dict[str, ConnectivityReport]] = None,
-    ) -> MLPInferenceEngine:
-        """Build the inference engine from discovered (or supplied) data."""
-        if connectivity is None:
-            connectivity = self.discover_connectivity()
+    def discover_connectivity(self) -> Dict[str, ConnectivityReport]:
+        """Connectivity discovery over every IXP, memoised: a membership
+        or RIB change on a route server (or a graph change) rediscovers,
+        every other run reuses the reports."""
+        return self._memo_slot().reports
+
+    def make_engine(self) -> MLPInferenceEngine:
+        """Build the inference engine over the discovered members."""
         rs_members = {name: set(report.members)
-                      for name, report in connectivity.items()}
+                      for name, report in self.discover_connectivity().items()}
         return MLPInferenceEngine(
             registry=self.schemes,
             rs_members=rs_members,
             mappers=self.mappers(),
             relationships=self.relationship_map(),
-            context=self.context,
         )
 
     def run_inference(
@@ -192,20 +199,28 @@ class Scenario:
         use_passive: bool = True,
         use_active: bool = True,
         require_reciprocity: bool = True,
-        connectivity: Optional[Dict[str, ConnectivityReport]] = None,
     ) -> MLPInferenceResult:
-        """Run the end-to-end inference pipeline of section 4 (over
-        *connectivity* when given, else over the scenario's discovery)."""
-        engine = self.make_engine(connectivity=connectivity)
-        passive_entries = self.archive.clean_stable_entries() if use_passive else None
-        rs_lgs = self.rs_looking_glasses if use_active else {}
-        third_party = self.third_party_lgs if use_active else {}
-        return engine.run(
-            passive_entries=passive_entries,
-            rs_looking_glasses=rs_lgs,
-            third_party_lgs=third_party,
+        """Run the end-to-end inference pipeline of section 4.
+
+        The engine's planes are memoised per ``(use_passive,
+        use_active)`` until a route server or the graph changes; every
+        call builds a fresh result from them, and the reciprocity
+        ablation shares the planes of the full run.
+        """
+        memo = self._memo_slot()
+        sources = (use_passive, use_active)
+        planes = memo.planes.get(sources)
+        if planes is not None:
+            return MLPInferenceResult.from_planes(planes, require_reciprocity)
+        result = self.make_engine().run(
+            passive_entries=self.archive.clean_stable_entries()
+            if use_passive else None,
+            rs_looking_glasses=self.rs_looking_glasses if use_active else {},
+            third_party_lgs=self.third_party_lgs if use_active else {},
             require_reciprocity=require_reciprocity,
         )
+        memo.planes[sources] = result.matrix.planes
+        return result
 
     def reachability_matrix(self, result: MLPInferenceResult):
         """The per-IXP reachability planes of *result* (``result.matrix``)."""
@@ -216,6 +231,21 @@ class Scenario:
     def origin_prefixes(self) -> Dict[int, List[Prefix]]:
         """Prefixes originated by every AS."""
         return {node.asn: list(node.prefixes) for node in self.graph.nodes()}
+
+
+@dataclass
+class _InferenceMemo:
+    """One state of a scenario's route servers and graph, and what
+    inference computed at it."""
+
+    #: ``(name, RouteServer.version)`` of every route server.
+    versions: Tuple[Tuple[str, int], ...]
+    #: the graph's relationship snapshot (compared by identity).
+    relationships: RelationshipMap
+    #: :meth:`Scenario.discover_connectivity`'s reports.
+    reports: Dict[str, ConnectivityReport]
+    #: the engine's planes per ``(use_passive, use_active)``.
+    planes: Dict[Tuple[bool, bool], Dict[str, ReachabilityPlane]]
 
 
 def _as_set_name(ixp_name: str) -> str:
@@ -376,7 +406,6 @@ def stage_scenario(
         validation_lgs=viewpoints_artifact["validation_lgs"],
         traceroute=traceroute,
         vantage_points=propagation_artifact["vantage_points"],
-        context=propagation_artifact["context"],
     )
 
 
@@ -672,7 +701,6 @@ def _run_inference_stage(run):
         use_passive=options.use_passive,
         use_active=options.use_active,
         require_reciprocity=options.require_reciprocity,
-        connectivity=run.artifact("connectivity"),
     )
 
 
@@ -751,8 +779,9 @@ STAGE_LIBRARY: Dict[str, Stage] = {
             # (PropagationResult, the context and its path store), so a
             # disk cache never unpickles an old layout (3: path stores
             # without a materialise memo; 4: contexts without a route
-            # cache or mutation epoch).
-            version=4,
+            # cache or mutation epoch; 5: contexts without inference
+            # state, plans with int64 columns only).
+            version=5,
             persist=True,
         ),
         Stage(

@@ -7,7 +7,7 @@ with an undirected link-level taxonomy.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.bgp.policy import Relationship
 
@@ -46,9 +46,3 @@ class RelationshipMap(dict):
 
     def __reduce__(self):
         return (RelationshipMap, (dict(self),))
-
-    @classmethod
-    def of(cls, relationships: Optional[Mapping] = None) -> "RelationshipMap":
-        """*relationships* itself if it is one, else a read-only copy."""
-        return relationships if isinstance(relationships, cls) \
-            else cls(relationships or {})

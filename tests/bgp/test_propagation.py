@@ -6,7 +6,6 @@ from repro.bgp.communities import Community
 from repro.bgp.policy import Relationship
 from repro.bgp.prefix import Prefix
 from repro.bgp.propagation import (
-    Adjacency,
     CLASS_CUSTOMER,
     CLASS_ORIGIN,
     CLASS_PEER,
@@ -16,6 +15,7 @@ from repro.bgp.propagation import (
 )
 
 from tests.oracle.propagation import (
+    Adjacency,
     all_paths,
     best_route,
     bidirectional_adjacencies,

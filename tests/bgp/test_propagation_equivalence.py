@@ -17,10 +17,11 @@ import pytest
 from repro.bgp.communities import Community
 from repro.bgp.policy import Relationship
 from repro.bgp.prefix import Prefix
-from repro.bgp.propagation import Adjacency, OriginSpec, PropagationEngine
+from repro.bgp.propagation import OriginSpec, PropagationEngine
 
 from tests.oracle.kernels import forced_kernel
 from tests.oracle.propagation import (
+    Adjacency,
     ReferencePropagationEngine,
     all_paths,
     best_route,

@@ -26,7 +26,6 @@ from repro.bgp.communities import Community
 from repro.bgp.policy import Relationship
 from repro.bgp.prefix import Prefix
 from repro.bgp.propagation import (
-    Adjacency,
     CLASS_CUSTOMER,
     CLASS_ORIGIN,
     CLASS_PEER,
@@ -52,6 +51,7 @@ from tests.oracle.observation import (
     route_by_route_lg,
 )
 from tests.oracle.propagation import (
+    Adjacency,
     bidirectional_adjacencies,
     engine_from_adjacencies,
 )

@@ -5,7 +5,7 @@ import pytest
 from repro.bgp.communities import Community
 from repro.bgp.policy import Relationship
 from repro.bgp.prefix import Prefix
-from repro.bgp.propagation import Adjacency, OriginSpec, PropagationEngine
+from repro.bgp.propagation import OriginSpec, PropagationEngine
 from repro.bgp.attributes import ASPath
 from repro.collectors.archive import (
     CollectorArchive,
@@ -16,6 +16,7 @@ from repro.collectors.route_collector import RouteCollector
 from repro.collectors.vantage_point import FeedType, VantagePoint
 
 from tests.oracle.propagation import (
+    Adjacency,
     bidirectional_adjacencies,
     engine_from_adjacencies,
 )

@@ -20,8 +20,13 @@ import random
 
 import pytest
 
+from repro.bgp.prefix import Prefix
 from repro.bgp.propagation import OriginSpec
-from repro.collectors.archive import CollectorArchive, MeasurementWindow
+from repro.collectors.archive import (
+    ITER_CHUNK,
+    CollectorArchive,
+    MeasurementWindow,
+)
 from repro.collectors.route_collector import RouteCollector
 from repro.collectors.vantage_point import FeedType, VantagePoint
 from repro.ixp.looking_glass import ASLookingGlass, LGRoute
@@ -33,6 +38,7 @@ from tests.oracle.observation import (
     ObjectArchive,
     all_entries,
     dump_for_day,
+    dump_from_rows,
     route_by_route_lg,
 )
 from tests.oracle.propagation import (
@@ -300,6 +306,24 @@ def test_shared_aspath_identity_feeds_passive_memo():
         assert seen is entry.as_path
     # The memoised clean-stable list is returned as the same object.
     assert archive.clean_stable_entries(2) is archive.clean_stable_entries(2)
+
+
+def test_stable_view_iterates_a_chunk_at_a_time():
+    """Iterating a stable view builds its entries one chunk of rows at
+    a time: the first entry of a fresh table builds one chunk, not the
+    view, and the whole iteration equals the sliced view."""
+    archive = CollectorArchive([RouteCollector(name="hand-made")],
+                               window=MeasurementWindow(num_days=1))
+    archive.record(dump_from_rows(
+        (100, Prefix.from_octets(10, i // 256, i % 256, 0, 24), (100, 200),
+         frozenset(), "hand-made")
+        for i in range(3 * ITER_CHUNK)))
+    view = archive.stable_entries(1)
+    assert len(view) == 3 * ITER_CHUNK
+    first = next(iter(view))
+    assert len(view.table._entries) <= ITER_CHUNK
+    assert first is view[0]
+    assert list(view) == view[:]
 
 
 # -- looking glasses: bulk loads vs route-by-route -----------------------------

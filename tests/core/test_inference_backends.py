@@ -8,8 +8,10 @@ and the per-IXP object oracle (:mod:`tests.oracle.inference`): links,
 per-IXP link sets, Table 2 rows, every member's reachability read off
 the planes (mode / listed / provenance / prefix counts), the plane
 columns against the oracle's integer-bitmask rule, and active query
-spend.  The derived-view caches of the result's matrix must not
-re-sort on repeated access.
+spend.  The scenario memoises the engine's planes per collection
+(every ablation, memo hits included, equals the oracle), and the
+derived-view caches of the result's matrix must not re-sort on
+repeated access.
 """
 
 from __future__ import annotations
@@ -142,131 +144,108 @@ def test_unknown_inference_backend_rejected():
                     inference_backend="object")
 
 
-# -- context-level plane cache -------------------------------------------------
+# -- the scenario's plane memo -------------------------------------------------
+
+#: The paper's ablations, as ``Scenario.run_inference`` keywords.
+ABLATIONS = ({}, {"use_active": False}, {"use_passive": False},
+             {"require_reciprocity": False})
 
 
-def test_bitset_planes_cached_on_context():
-    """Repeated bitset runs on one scenario reuse the observation
-    planes; ablation keys (use_passive off) add a separate entry."""
-    run = scenario_run("tiny", cache=ArtifactCache())
-    scenario = run.scenario()
-    context = scenario.context
-    first = scenario.run_inference()
-    entries_after_first = len(context._inference_planes)
-    second = scenario.run_inference()
-    assert len(context._inference_planes) == entries_after_first
-    assert_bit_identical(first, second)
-    # The reciprocity ablation shares the planes (applied downstream).
-    scenario.run_inference(require_reciprocity=False)
-    assert len(context._inference_planes) == entries_after_first
-    # A different collection surface is a different key.
-    scenario.run_inference(use_passive=False)
-    assert len(context._inference_planes) == entries_after_first + 1
+def _engine_runs(monkeypatch):
+    """A list that grows by one per ``MLPInferenceEngine.run`` call."""
+    runs = []
+    run = MLPInferenceEngine.run
+
+    def counted(self, *args, **kwargs):
+        runs.append(kwargs)
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(MLPInferenceEngine, "run", counted)
+    return runs
 
 
-def test_plane_cache_invalidated_by_lg_view_change():
-    """Mutating route-server state visible through a looking glass
-    between runs must not serve stale cached planes: the LG view
-    signature in the cache key forces a recollection (a new cache
-    entry), keeping production identical to the re-querying object
-    oracle."""
+def test_ablations_share_one_plane_memo(monkeypatch):
+    """The four ablations collect three times (the reciprocity ablation
+    reads the full run's planes) and repeating them collects nothing:
+    every call builds a fresh result over the memoised planes, equal to
+    the oracle's."""
+    scenario = scenario_run("tiny", cache=ArtifactCache()).scenario()
+    runs = _engine_runs(monkeypatch)
+    first = [scenario.run_inference(**options) for options in ABLATIONS]
+    assert len(runs) == 3
+    second = [scenario.run_inference(**options) for options in ABLATIONS]
+    assert len(runs) == 3
+    full, no_reciprocity = first[0].matrix.planes, first[3].matrix.planes
+    assert all(no_reciprocity[name] is plane for name, plane in full.items())
+    for options, mine, again in zip(ABLATIONS, first, second):
+        assert again is not mine and again.matrix is not mine.matrix
+        assert all(again.matrix.planes[name] is plane
+                   for name, plane in mine.matrix.planes.items())
+        assert identical(again, object_inference(scenario, **options))
+
+
+def test_plane_cache_invalidated_by_lg_view_change(monkeypatch):
+    """A route-server change between two runs (a new announcement, then
+    a new member, both visible through its looking glass) empties the
+    memo: the next run collects afresh and equals the re-querying
+    oracle, and the run after it reads the new memo."""
     from repro.bgp.prefix import Prefix
 
-    run = scenario_run("tiny", cache=ArtifactCache())
-    scenario = run.scenario()
-    context = scenario.context
-    first = scenario.run_inference()
-    assert identical(first, object_inference(scenario))
-    entries_before = len(context._inference_planes)
-
+    scenario = scenario_run("tiny", cache=ArtifactCache()).scenario()
+    runs = _engine_runs(monkeypatch)
+    scenario.run_inference()
     ixp_name = sorted(scenario.rs_looking_glasses)[0]
     route_server = scenario.route_servers[ixp_name]
     member = route_server.members()[0]
-    route_server.announce(member, Prefix.from_octets(203, 0, 113, 0, 24),
-                          (member,))
-
-    obj = object_inference(scenario)
-    bit = scenario.run_inference()
-    # The mutated LG view is a different cache key -> fresh collection.
-    assert len(context._inference_planes) == entries_before + 1
-    assert identical(obj, bit)
-
-
-def _recorded_plane_lookups(context, monkeypatch):
-    """What each ``cached_inference_planes`` call answers, in order."""
-    answers = []
-    lookup = context.cached_inference_planes
-
-    def recording(key):
-        answers.append(lookup(key))
-        return answers[-1]
-
-    monkeypatch.setattr(context, "cached_inference_planes", recording)
-    return answers
+    joiner = min(asn for asn in scenario.graph.asns()
+                 if asn not in route_server.member_set())
+    changes = (
+        lambda: route_server.announce(
+            member, Prefix.from_octets(203, 0, 113, 0, 24), (member,)),
+        lambda: route_server.add_member(joiner),
+    )
+    for change in changes:
+        change()
+        before = len(runs)
+        result = scenario.run_inference()
+        assert len(runs) == before + 1
+        assert identical(result, object_inference(scenario))
+        scenario.run_inference()
+        assert len(runs) == before + 1
+    assert joiner in result.matrix.planes[ixp_name].index.bit_of
 
 
 def test_plane_cache_misses_after_a_relationship_change(monkeypatch):
-    """The engine holds the graph's relationship snapshot by identity;
-    a graph mutation must still miss the plane cache.  (A live view of
-    the graph would match its own stored key and serve planes pinned on
-    stale relationships.)"""
+    """The engine reads the graph's relationship snapshot (the setter
+    rule); a graph change between two runs empties the memo, and the
+    rebuilt result equals the oracle's on the changed graph."""
     scenario = scenario_run("tiny", cache=ArtifactCache()).scenario()
-    context = scenario.context
-    answers = _recorded_plane_lookups(context, monkeypatch)
+    runs = _engine_runs(monkeypatch)
     scenario.run_inference()
     scenario.run_inference()
-    assert answers[-1] is not None
+    assert len(runs) == 1
     assert scenario.make_engine().relationships is \
         scenario.graph.relationship_map()
-    entries = len(context._inference_planes)
 
     link = scenario.graph.links(LinkType.C2P)[0]
     assert scenario.graph.remove_link(link.a, link.b)
-    scenario.run_inference()
-    assert answers[-1] is None
-    assert len(context._inference_planes) == entries + 1
-
-
-def test_caller_relationship_dict_is_copied_and_compared_by_value(
-        monkeypatch):
-    """A plain dict is copied on the way in and matched by value: equal
-    maps share planes, and mutating the caller's dict changes nothing."""
-    scenario = scenario_run("tiny", cache=ArtifactCache()).scenario()
-    answers = _recorded_plane_lookups(scenario.context, monkeypatch)
-    base = scenario.make_engine()
-    relationships = dict(scenario.relationship_map())
-
-    def run_with(relationships):
-        engine = MLPInferenceEngine(
-            registry=base.registry, rs_members=base.rs_members,
-            mappers=base.interpreter.mappers, relationships=relationships,
-            context=scenario.context)
-        assert engine.relationships is not relationships
-        result = engine.run(
-            passive_entries=scenario.archive.clean_stable_entries(),
-            rs_looking_glasses=scenario.rs_looking_glasses,
-            third_party_lgs=scenario.third_party_lgs)
-        relationships.clear()
-        return result
-
-    first = run_with(relationships)
-    assert answers[-1] is None
-    second = run_with(dict(scenario.relationship_map()))
-    assert answers[-1] is not None
-    assert identical(first, second)
-    assert identical(scenario.run_inference(), first)
-    assert answers[-1] is not None
+    result = scenario.run_inference()
+    assert len(runs) == 2
+    assert identical(result, object_inference(scenario))
 
 
 def test_context_and_graph_pickle_after_inference():
-    """The plane cache keys hold the relationship snapshot, so it must
-    pickle with the context (a ``types.MappingProxyType`` would not)."""
-    scenario = scenario_run("tiny", cache=ArtifactCache()).scenario()
-    scenario.run_inference()
-    context, graph = pickle.loads(
-        pickle.dumps((scenario.context, scenario.graph)))
-    assert len(context._inference_planes) == \
-        len(scenario.context._inference_planes)
+    """Inference leaves the propagation context alone: it holds
+    propagation state only, so the persisted propagation artifact
+    carries no planes.  The graph's relationship snapshot pickles."""
+    run = scenario_run("tiny", cache=ArtifactCache())
+    scenario = run.scenario()
+    context = run.artifact("propagation")["context"]
+    before = pickle.dumps(context)
+    for options in ABLATIONS:
+        scenario.run_inference(**options)
+    assert pickle.dumps(context) == before
+    graph = pickle.loads(pickle.dumps(scenario.graph))
     assert list(graph.relationship_map().items()) == \
         list(scenario.graph.relationship_map().items())
 

@@ -3,7 +3,8 @@
 * :mod:`tests.oracle.propagation` — the object-graph reference
   propagation engine (the seed implementation of the valley-free
   three-phase computation), the dict-fold ``ObjectResult`` it returns,
-  and the CSR-index-to-adjacency inverse that builds it over any
+  the ``Adjacency`` records hand-written topologies are made of, and
+  the CSR-index-to-adjacency inverse that builds it over any
   production context;
 * :mod:`tests.oracle.observation` — the object collector archive and
   the route-by-route validation looking glass, fed from any result's

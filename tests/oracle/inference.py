@@ -142,8 +142,7 @@ class ObjectInferenceEngine(MLPInferenceEngine):
                 rs_looking_glasses.get(ixp_name),
                 third_party_lgs.get(ixp_name, []), require_reciprocity)
         return ObjectInferenceResult(
-            per_ixp=per_ixp,
-            matrix=matrix_from_inferences(per_ixp, context=self.context))
+            per_ixp=per_ixp, matrix=matrix_from_inferences(per_ixp))
 
     def _infer_ixp(
         self,
@@ -171,11 +170,7 @@ class ObjectInferenceEngine(MLPInferenceEngine):
                 observation.prefix)
 
         if rs_lg is not None:
-            active = ActiveInference(
-                rs_lg,
-                sample_fraction=self.sample_fraction,
-                max_prefixes_per_member=self.max_prefixes_per_member)
-            collection = active.collect(
+            collection = ActiveInference(rs_lg).collect(
                 skip_members=inference.passive_members,
                 covered_prefixes=covered_prefixes)
             observations.extend(interpret_raw_observations(
@@ -243,7 +238,7 @@ class ObjectInferenceEngine(MLPInferenceEngine):
     ) -> Tuple[Link, ...]:
         return tuple(sorted(infer_links(
             reachabilities, members,
-            index=self._member_index(ixp_name, members),
+            index=BitsetIndex(members),
             require_reciprocity=require_reciprocity)))
 
 
@@ -335,22 +330,18 @@ def identical(mine, theirs) -> bool:
     return not differences(mine, theirs)
 
 
-def matrix_from_inferences(per_ixp: Mapping[str, ObjectIXPInference],
-                           context=None) -> ReachabilityMatrix:
+def matrix_from_inferences(
+        per_ixp: Mapping[str, ObjectIXPInference]) -> ReachabilityMatrix:
     """A :class:`ReachabilityMatrix` rebuilt from per-IXP inference
     records (``built_by="result"``): the columns from every covered
     member's merged ``(mode, listed)`` policy with the integer-bitmask
     rule (:func:`tests.oracle.reachability.plane_columns`), the
-    provenance and the query spend.  *context* supplies cached per-IXP
-    member indices when available.  Observation counts stay 0."""
+    provenance and the query spend.  Observation counts stay 0."""
     planes: Dict[str, ReachabilityPlane] = {}
     links: Dict[str, Tuple[Link, ...]] = {}
     for ixp_name in sorted(per_ixp):
         inference = per_ixp[ixp_name]
-        if context is not None:
-            index = context.member_index(ixp_name, inference.members)
-        else:
-            index = BitsetIndex(inference.members)
+        index = BitsetIndex(inference.members)
         covered = {asn: reach for asn, reach in
                    sorted(inference.reachabilities.items())
                    if asn in index.bit_of}
@@ -375,29 +366,26 @@ def matrix_from_inferences(per_ixp: Mapping[str, ObjectIXPInference],
         built_by="result")
 
 
-def object_engine(scenario, connectivity=None) -> ObjectInferenceEngine:
+def object_engine(scenario) -> ObjectInferenceEngine:
     """The oracle engine over *scenario*, built exactly like
     :meth:`~repro.scenarios.base.Scenario.make_engine` builds the
     production one."""
-    production = scenario.make_engine(connectivity=connectivity)
+    production = scenario.make_engine()
     return ObjectInferenceEngine(
         registry=production.registry,
         rs_members=production.rs_members,
         mappers=production.interpreter.mappers,
         relationships=production.relationships,
-        sample_fraction=production.sample_fraction,
-        max_prefixes_per_member=production.max_prefixes_per_member,
-        context=production.context,
     )
 
 
 def object_inference(scenario, use_passive: bool = True,
                      use_active: bool = True,
-                     require_reciprocity: bool = True,
-                     connectivity=None) -> ObjectInferenceResult:
+                     require_reciprocity: bool = True) -> ObjectInferenceResult:
     """:meth:`~repro.scenarios.base.Scenario.run_inference` (same
-    signature) through the object oracle."""
-    engine = object_engine(scenario, connectivity=connectivity)
+    signature) through the object oracle, which collects afresh on
+    every call."""
+    engine = object_engine(scenario)
     return engine.run(
         passive_entries=scenario.archive.clean_stable_entries()
         if use_passive else None,
@@ -414,8 +402,7 @@ def run_object_inference(run) -> ObjectInferenceResult:
     return object_inference(run.artifact("scenario"),
                             use_passive=options.use_passive,
                             use_active=options.use_active,
-                            require_reciprocity=options.require_reciprocity,
-                            connectivity=run.artifact("connectivity"))
+                            require_reciprocity=options.require_reciprocity)
 
 
 # -- the entry-list passive extraction -------------------------------------------

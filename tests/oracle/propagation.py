@@ -16,9 +16,11 @@ recording order.  Production's columnar
 reader exactly like it (:func:`object_result` builds one from the
 frontier kernel's state, route by route).
 
-:func:`adjacencies_from_index` turns any production context's CSR index
-back into adjacency records, so the oracle can be built over exactly
-the topology a pipeline run propagated
+The topology is written as :class:`Adjacency` records, directed
+route-flow edges (production builds its index from the graph's links
+instead).  :func:`adjacencies_from_index` turns any production
+context's CSR index back into such records, so the oracle can be built
+over exactly the topology a pipeline run propagated
 (:meth:`ReferencePropagationEngine.from_context`), and
 :func:`context_from_adjacencies` is its forward direction: a production
 :class:`~repro.runtime.context.PipelineContext` over hand-written
@@ -32,13 +34,23 @@ scanning the blocks it recorded.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
+from repro.bgp.communities import Community
 from repro.bgp.policy import Relationship
 from repro.bgp.propagation import (
-    Adjacency,
     CLASS_CUSTOMER,
     CLASS_ORIGIN,
     CLASS_PEER,
@@ -64,6 +76,30 @@ _REL_OF_CODE = {
     REL_RS_PEER: Relationship.RS_PEER,
     REL_SIBLING: Relationship.SIBLING,
 }
+
+
+@dataclass(frozen=True)
+class Adjacency:
+    """A directed route-flow edge: *target* can learn routes from *source*.
+
+    ``relationship`` is the relationship of *source* as seen by *target*
+    (the importing AS): a route flowing customer->provider is represented
+    with ``relationship=Relationship.CUSTOMER`` because the provider
+    (target) learned it from a customer.
+
+    ``communities`` are attached to any route crossing the edge — this is
+    how RS members' export-policy communities become visible downstream.
+    If ``rs_transparent`` is False, ``via_rs_asn`` is inserted into the AS
+    path (the 'route server does not strip its ASN' artefact).
+    """
+
+    source: int
+    target: int
+    relationship: Relationship
+    communities: FrozenSet[Community] = frozenset()
+    via_rs_asn: Optional[int] = None
+    rs_transparent: bool = True
+    ixp: Optional[str] = None
 
 
 def materialize(store, pid: int) -> Tuple[int, ...]:

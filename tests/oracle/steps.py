@@ -48,7 +48,6 @@ from repro.bgp.prefix import Prefix
 from repro.core.communities import RSCommunityInterpreter
 from repro.core.passive import identify_setter
 from repro.runtime.bitset import BitsetIndex
-from repro.topology.relationships import RelationshipMap
 
 from tests.oracle.observation import entry_is_clean
 from tests.oracle.reachability import allow_mask_for, reciprocal_pairs
@@ -280,7 +279,7 @@ class PassiveInference:
     ) -> None:
         self.interpreter = interpreter
         #: Ordered-pair relationship map used for the >2-participant case.
-        self.relationships = RelationshipMap.of(relationships)
+        self.relationships = relationships or {}
         self.stats = PassiveStats()
 
     def extract(self, entries: Iterable[RibEntry]) -> List[PassiveObservation]:

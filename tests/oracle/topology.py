@@ -15,7 +15,7 @@ assert it is empty.
 
 The record oracle of the CSR index build lives here too: the original
 record-by-record path (:func:`link_adjacencies` turns each link into two
-:class:`~repro.bgp.propagation.Adjacency` objects, :func:`record_index`
+:class:`~tests.oracle.propagation.Adjacency` objects, :func:`record_index`
 files one record per adjacency into its phases and sorts each phase
 with ``list.sort``).  :func:`index_differences` compares two indexes
 field by field; production's :meth:`ASGraph.build_index` and
@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.bgp.policy import Relationship
-from repro.bgp.propagation import Adjacency
 from repro.runtime.csr import REL_CODE, CSRIndex, PhaseEdges
 from repro.runtime.frontier import (
     REL_CUSTOMER,
@@ -41,6 +40,8 @@ from repro.runtime.stores import CommunityBagStore
 from repro.topology.as_graph import ASGraph, ASLink
 from repro.topology.customer_cone import customer_cones
 from repro.topology.relationships import LINK_RELATIONSHIPS, LinkType
+
+from tests.oracle.propagation import Adjacency
 
 
 class LinkWalk:

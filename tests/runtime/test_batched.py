@@ -21,7 +21,7 @@ from repro.bgp import propagation
 from repro.bgp.communities import Community
 from repro.bgp.policy import Relationship
 from repro.bgp.prefix import Prefix
-from repro.bgp.propagation import Adjacency, OriginSpec, PropagationEngine
+from repro.bgp.propagation import OriginSpec, PropagationEngine
 from repro.pipeline import ArtifactCache, ScenarioRun
 from repro.runtime.compiled import (
     BatchedPathStore,
@@ -36,6 +36,7 @@ from repro.topology.generator import GeneratorConfig, InternetGenerator
 
 from tests.oracle.kernels import KERNELS, forced_kernel
 from tests.oracle.propagation import (
+    Adjacency,
     ReferencePropagationEngine,
     adjacencies_from_index,
     best_route,

@@ -2,12 +2,12 @@
 
 The compiled kernel must reproduce the frontier kernel *exactly* —
 fragment content and order, Adj-RIB-In offers, touched order — while
-running its rounds through narrow planes and the fused resolve.  The
+running its rounds through int64 planes and the fused resolve.  The
 tests here pin the engine to one kernel per side
 (:mod:`tests.oracle.kernels`), so even batches below the production
 threshold run compiled.  This module adds the compiled-specific
 surfaces on top of the production-rule suite in ``test_batched.py``:
-the int32/int64 promotion rule, the path-id overflow guard and batch
+packed keys beyond the int32 range, ASNs above ``2**31`` and batch
 sizing.
 """
 
@@ -18,16 +18,8 @@ import random
 import pytest
 
 from repro.bgp.policy import Relationship
-from repro.bgp.propagation import Adjacency, OriginSpec, PropagationEngine
-from repro.runtime.compiled import (
-    BatchedPathStore,
-    CompiledPropagator,
-    INT32_MAX,
-    PathIdOverflow,
-    compiled_batch_size,
-    fit_dtype,
-)
-from repro.runtime.context import PipelineContext
+from repro.bgp.propagation import OriginSpec
+from repro.runtime.compiled import compiled_batch_size
 
 from tests.oracle.kernels import forced_kernel
 from tests.runtime.test_batched import (
@@ -36,6 +28,7 @@ from tests.runtime.test_batched import (
     random_origins,
 )
 from tests.oracle.propagation import (
+    Adjacency,
     best_route,
     context_from_adjacencies,
     engine_from_adjacencies,
@@ -110,25 +103,7 @@ def test_compiled_propagation_result_matches_frontier():
                 assert fragment_key([route_f]) == fragment_key([route_c])
 
 
-# -- int32/int64 promotion rule ------------------------------------------------
-
-
-def test_fit_dtype_boundaries():
-    import numpy as np
-    assert fit_dtype(0) is np.int32
-    assert fit_dtype(INT32_MAX) is np.int32
-    assert fit_dtype(INT32_MAX + 1) is np.int64
-    # Negative sentinels must not be narrowed on the strength of their
-    # magnitude alone; the rule demands a non-negative bound.
-    assert fit_dtype(-1) is np.int64
-
-
-def test_small_plan_uses_int32_planes():
-    import numpy as np
-    rng = random.Random(8)
-    _asns, adjacencies = random_internet(rng)
-    plan = context_from_adjacencies(adjacencies).plan
-    assert plan.key_plane_dtype() is np.int32
+# -- values beyond the int32 range --------------------------------------------
 
 
 def _chain_adjacencies(num_ases, extra_peers=0, rng=None):
@@ -151,13 +126,11 @@ def _chain_adjacencies(num_ases, extra_peers=0, rng=None):
 @pytest.mark.parametrize("seed", [21, 1203])
 def test_int64_key_fallback_stays_bit_identical(seed):
     """Topologies whose packed key range exceeds int32 (node counts
-    beyond ~2900) promote the planes to int64 and remain bit-identical
-    to the frontier engine."""
-    import numpy as np
+    beyond ~2900) stay bit-identical to the frontier engine."""
     rng = random.Random(seed)
     asns, adjacencies = _chain_adjacencies(3000, extra_peers=40, rng=rng)
     context = context_from_adjacencies(adjacencies)
-    assert context.plan.key_plane_dtype() is np.int64
+    assert context.plan.unset_key > (1 << 31) - 1
 
     origins = random_origins(rng, asns, count=3)
     observers = rng.sample(asns, k=25)
@@ -170,9 +143,8 @@ def test_int64_key_fallback_stays_bit_identical(seed):
 
 
 def test_huge_asns_promote_via_arrays():
-    """4-byte ASNs above 2**31 force the via arrays (which hold raw
-    ASNs) to int64 while propagation stays exact."""
-    import numpy as np
+    """4-byte ASNs above 2**31 (in the via arrays, which hold raw
+    ASNs) keep propagation exact."""
     base = 2**31 + 100
     asns = [base + i for i in range(6)]
     adjacencies = []
@@ -188,7 +160,6 @@ def test_huge_asns_promote_via_arrays():
         asns[5], asns[0], Relationship.RS_PEER,
         via_rs_asn=base + 50, rs_transparent=False))
     context = context_from_adjacencies(adjacencies)
-    assert context.plan.peer.via.dtype == np.int64
 
     from repro.bgp.prefix import Prefix
     origins = [OriginSpec(asn=asns[0],
@@ -198,49 +169,6 @@ def test_huge_asns_promote_via_arrays():
     for got_f, got_c in zip(pinned(frontier, origins, "frontier"),
                             pinned(compiled, origins, "compiled")):
         assert fragment_key(got_f[0]) == fragment_key(got_c[0])
-
-
-# -- path-id overflow guard ----------------------------------------------------
-
-
-def test_path_store_id_limit_raises_instead_of_wrapping():
-    import numpy as np
-    store = BatchedPathStore(capacity=4, id_limit=3)
-    store.alloc(np.array([1, 2]), np.array([-1, -1]))
-    with pytest.raises(PathIdOverflow, match="id limit"):
-        store.alloc(np.array([3, 4]), np.array([-1, -1]))
-    # The failed alloc must not have committed any cells.
-    assert len(store) == 2
-
-
-def test_compiled_retries_batch_in_int64_on_overflow():
-    """A path-id overflow inside a narrow-plane batch transparently
-    re-runs the batch with int64 planes, bit-identically."""
-    import numpy as np
-    rng = random.Random(17)
-    asns, adjacencies = random_internet(rng)
-    origins = random_origins(rng, asns, count=6)
-    observers = rng.sample(asns, k=10)
-
-    class TightCompiledPropagator(CompiledPropagator):
-        def _make_paths(self, num_origins):
-            paths = super()._make_paths(num_origins)
-            if self._dtype is np.int32:
-                paths.id_limit = 8  # force the overflow path
-            return paths
-
-    context = context_from_adjacencies(adjacencies)
-    propagator = TightCompiledPropagator(context.plan, context.bags)
-    nodes = [context.index.id_of[o.asn] for o in origins]
-    batch = propagator.run_batch(nodes, [0] * len(nodes))
-    assert propagator._dtype is np.int64  # promotion is sticky
-    reference = CompiledPropagator(context.plan, context.bags).run_batch(
-        nodes, [0] * len(nodes))
-    assert np.array_equal(batch.cls, reference.cls)
-    assert np.array_equal(batch.frm, reference.frm)
-    for got, expected in zip(batch.touched_columns(),
-                             reference.touched_columns()):
-        assert np.array_equal(got, expected)
 
 
 # -- batch sizing --------------------------------------------------------------

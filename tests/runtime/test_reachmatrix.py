@@ -367,7 +367,7 @@ def test_every_result_keeps_the_matrix_the_engine_built():
     """Five inference runs on one scenario: each result is the engine's
     own planes (``built_by == "bitset"``) with the observation counts
     the engine built, the first result as much as the last, and results
-    of one collection share its cached planes."""
+    of one collection share the planes the scenario memoises."""
     scenario = scenario_run("tiny", cache=ArtifactCache()).scenario()
     variants = [{}, {"require_reciprocity": False}, {"use_active": False},
                 {"use_passive": False}, {}]
@@ -383,8 +383,8 @@ def test_every_result_keeps_the_matrix_the_engine_built():
         assert results[1].matrix.planes[name] is plane
         assert results[4].matrix.planes[name] is plane
         assert results[2].matrix.planes[name] is not plane
-    # An independent build of the same scenario (its own context and
-    # plane cache) counts the same observations.
+    # An independent build of the same scenario (its own plane memo)
+    # counts the same observations.
     fresh = scenario_run("tiny", cache=ArtifactCache()).inference().matrix
     counts = _observation_counts(fresh)
     assert any(any(row) for row in counts.values())

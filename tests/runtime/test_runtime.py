@@ -4,7 +4,6 @@ import pytest
 
 from repro.bgp.communities import Community
 from repro.bgp.policy import Relationship
-from repro.bgp.propagation import Adjacency
 from repro.runtime import (
     BitsetIndex,
     CSRIndex,
@@ -17,8 +16,8 @@ from repro.runtime.csr import REL_CUSTOMER, REL_PROVIDER
 from repro.runtime.reachmatrix import member_bits, pack_bits, unpack_plane
 
 from tests.oracle.propagation import (
+    Adjacency,
     bidirectional_adjacencies,
-    context_from_adjacencies,
     index_from_adjacencies,
     materialize,
 )
@@ -127,17 +126,6 @@ class TestBitsetIndex:
 
 
 class TestPipelineContext:
-    def _context(self):
-        adjacencies = bidirectional_adjacencies(10, 20, Relationship.PROVIDER)
-        return context_from_adjacencies(adjacencies)
-
-    def test_member_index_cached_until_population_changes(self):
-        context = self._context()
-        first = context.member_index("DE-CIX", [1, 2, 3])
-        assert context.member_index("DE-CIX", [3, 2, 1]) is first
-        changed = context.member_index("DE-CIX", [1, 2])
-        assert changed is not first
-
     def test_from_graph_indexes_linked_ases(self):
         from repro.topology.as_graph import ASGraph, ASNode
         graph = ASGraph()

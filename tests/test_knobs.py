@@ -24,7 +24,7 @@ PINNED = {
     "repro/bgp/asn.py": 1,
     "repro/bgp/attributes.py": 1,
     "repro/bgp/messages.py": 3,
-    "repro/bgp/propagation.py": 9,
+    "repro/bgp/propagation.py": 5,
     "repro/bgp/session.py": 1,
     "repro/collectors/archive.py": 11,
     "repro/collectors/route_collector.py": 1,
@@ -32,8 +32,8 @@ PINNED = {
     "repro/core/active.py": 13,
     "repro/core/communities.py": 3,
     "repro/core/connectivity.py": 9,
-    "repro/core/engine.py": 11,
-    "repro/core/planes.py": 7,
+    "repro/core/engine.py": 8,
+    "repro/core/planes.py": 6,
     "repro/core/query_cost.py": 12,
     "repro/core/reciprocity.py": 3,
     "repro/core/validation.py": 6,
@@ -50,7 +50,7 @@ PINNED = {
     "repro/pipeline/stage.py": 7,
     "repro/registries/irr.py": 8,
     "repro/registries/peeringdb.py": 7,
-    "repro/runtime/compiled.py": 5,
+    "repro/runtime/compiled.py": 4,
     "repro/runtime/context.py": 3,
     "repro/runtime/csr.py": 1,
     "repro/runtime/delta.py": 6,
@@ -58,7 +58,7 @@ PINNED = {
     "repro/runtime/interning.py": 1,
     "repro/runtime/reachmatrix.py": 6,
     "repro/runtime/stores.py": 1,
-    "repro/scenarios/base.py": 20,
+    "repro/scenarios/base.py": 17,
     "repro/scenarios/events.py": 13,
     "repro/scenarios/spec.py": 20,
     "repro/scenarios/workloads.py": 9,
@@ -71,12 +71,11 @@ PINNED = {
     "repro/topology/generator.py": 27,
     "repro/topology/phases.py": 15,
     "repro/topology/relationship_inference.py": 6,
-    "repro/topology/relationships.py": 1,
 }
 
-#: Their total: 188 optional parameters, 207 defaulted fields and 11
+#: Their total: 181 optional parameters, 201 defaulted fields and 11
 #: argparse options.
-PINNED_TOTAL = 406
+PINNED_TOTAL = 393
 
 
 def test_pin_adds_up():

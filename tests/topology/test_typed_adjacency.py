@@ -197,14 +197,3 @@ def test_typed_map_and_snapshot_stay_out_of_serialized_state(graph):
         assert list(rebuilt.items()) == list(snapshot.items())
         assert restored.relationship_map() is rebuilt
         assert differences(restored) == []
-
-
-def test_of_keeps_snapshots_and_copies_plain_maps(graph):
-    snapshot = graph.relationship_map()
-    assert RelationshipMap.of(snapshot) is snapshot
-    plain = dict(snapshot)
-    held = RelationshipMap.of(plain)
-    assert held is not plain and held == plain
-    plain[(10, 40)] = Relationship.PEER
-    assert (10, 40) not in held
-    assert RelationshipMap.of(None) == {}
